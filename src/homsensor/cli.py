@@ -20,11 +20,12 @@ printed with 12 significant digits; undefined ratios are emitted as
 `nan` next to a zero flag column rather than dropped, so every grid in
 every file is rectangular and complete.
 
+Grids are evaluated in one process by broadcast library calls: `map`
+makes one call per information scheme over the whole wavelength x index
+mesh, and `continuum` one call per (bandwidth, scheme).
+
 Exit status: 0 on success, 1 on configuration or physics errors, 2 on
-calibration failure.  The environment variable HOMSENSOR_WORKERS sets
-the process count for grid evaluation (default 1); results are
-assembled in a fixed order, so the worker count never changes output
-bytes.
+calibration failure.
 """
 
 from __future__ import annotations
@@ -35,31 +36,27 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .continuum import continuum_fisher, relative_difference
-from .errors import CalibrationError, ConfigError, HomsensorError, \
-    UndefinedRatioError
-from .estimation import enhancement_ratio, fisher_classical, fisher_hom, \
-    fisher_report, load_budget_sources, phi_ab_scan, precision_bound, \
+from .continuum import continuum_fisher
+from .errors import CalibrationError, ConfigError, HomsensorError
+from .estimation import DEFAULT_NS_STEP, RATIO_FLOOR, fisher_classical, \
+    fisher_hom, fisher_report, load_budget_sources, phi_ab_scan, \
     uncertainty_budget
-from .quantum_stats import bs_point, hom_click_distribution
-from .tmm import calibrate_stack, load_stack, save_stack, stack_from_dict, \
-    stack_response, stack_to_dict
+from .quantum_stats import CLAMP_FLOOR, bs_point, hom_click_distribution
+from .tmm import calibrate_stack, load_stack, save_stack, stack_response
 
-WORKERS_ENV = "HOMSENSOR_WORKERS"
 CSV_FLOAT_FORMAT = "%.12g"
 
-# Tolerances recorded in every metadata file; these mirror the library
-# defaults so a run can be audited from its outputs alone.
+# Tolerances recorded in every metadata file, read from the library
+# constants so a run can be audited from its outputs alone.
 REPORTED_TOLERANCES = {
     "calibration_tol_riu": 1e-3,
-    "derivative_step_riu": 1e-6,
-    "probability_clamp": 1e-12,
-    "ratio_floor": 1e-12,
+    "derivative_step_riu": DEFAULT_NS_STEP,
+    "probability_clamp": -CLAMP_FLOOR,
+    "ratio_floor": RATIO_FLOOR,
 }
 
 
@@ -382,33 +379,11 @@ def _prepare_out_dir(path):
                           % (path, exc)) from exc
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("%s must be a positive integer, got %r"
-                          % (WORKERS_ENV, raw)) from None
-    if n < 1:
-        raise ConfigError("%s must be a positive integer, got %r"
-                          % (WORKERS_ENV, raw))
-    return n
-
-
-def _parallel_map(fn, tasks):
-    """Order-preserving map, optionally across worker processes.
-
-    The serial path calls fn directly; the pooled path uses the same
-    function object, so the arithmetic is identical and the assembled
-    output does not depend on the worker count.
-    """
-    workers = _worker_count()
-    if workers == 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+def _defined_ratio(num, den):
+    """Elementwise num / den, nan with flag 0 where den <= RATIO_FLOOR."""
+    defined = den > RATIO_FLOOR
+    return np.where(defined, num / np.where(defined, den, 1.0), np.nan), \
+        defined
 
 
 # ---------------------------------------------------------------------------
@@ -584,37 +559,23 @@ def cmd_fisher(args) -> int:
     return 0
 
 
-def _map_row(task):
-    """All n_s cells of one wavelength row (worker-safe, pure)."""
-    stack_dict, wavelength, ns_list, theta, pol, phi_ab = task
-    stack = stack_from_dict(stack_dict)
-    out = []
-    for n in ns_list:
-        i_h = fisher_hom(stack, wavelength, theta, n, pol)
-        i_c = fisher_classical(stack, wavelength, theta, n, phi_ab=phi_ab,
-                               polarization=pol)
-        try:
-            g = enhancement_ratio(i_h, i_c)
-            defined = 1
-        except UndefinedRatioError:
-            g = math.nan
-            defined = 0
-        out.append((wavelength, n, i_h, i_c, g, defined))
-    return out
-
-
 def cmd_map(args) -> int:
     cfg = load_config(args.config, "map")
     _prepare_out_dir(args.out)
     stack, cal_info = _resolve_stack(cfg)
     run_id = run_identifier("map", cfg)
 
-    ns = [float(v) for v in grid_values(cfg["n_s_grid"])]
-    lams = [float(v) for v in grid_values(cfg["wavelength_grid_nm"])]
-    stack_dict = stack_to_dict(stack)
-    tasks = [(stack_dict, lam, ns, cfg["theta_deg"], cfg["polarization"],
-              cfg["phi_ab"]) for lam in lams]
-    rows = [cell for row in _parallel_map(_map_row, tasks) for cell in row]
+    ns = grid_values(cfg["n_s_grid"])
+    lams = grid_values(cfg["wavelength_grid_nm"])
+    i_h = fisher_hom(stack, lams[:, None], cfg["theta_deg"], ns,
+                     cfg["polarization"])
+    i_c = fisher_classical(stack, lams[:, None], cfg["theta_deg"], ns,
+                           phi_ab=cfg["phi_ab"],
+                           polarization=cfg["polarization"])
+    g, defined = _defined_ratio(i_h - i_c, i_c)
+    lam_mesh, ns_mesh = np.meshgrid(lams, ns, indexing="ij")
+    rows = zip(*(a.ravel() for a in (lam_mesh, ns_mesh, i_h, i_c, g,
+                                     defined)))
 
     meta = _meta_lines("map", run_id, stack, [
         "theta_deg=%s polarization=%s phi_ab=%s"
@@ -676,43 +637,34 @@ def cmd_budget(args) -> int:
     return 0
 
 
-def _continuum_point(task):
-    """One (delta_lambda, scheme, n_s) cell (worker-safe, pure)."""
-    stack_dict, scheme, lam0, dlam, theta, n, phi_ab, pol, n_nodes, span \
-        = task
-    stack = stack_from_dict(stack_dict)
-    if scheme == "hom":
-        i_single = fisher_hom(stack, lam0, theta, n, pol)
-    else:
-        i_single = fisher_classical(stack, lam0, theta, n, phi_ab=phi_ab,
-                                    polarization=pol)
-    i_cont = continuum_fisher(scheme, stack, lam0, dlam, theta, n,
-                              phi_ab=phi_ab, polarization=pol,
-                              n_nodes=n_nodes, span=span)
-    try:
-        d = relative_difference(i_single, i_cont)
-        defined = 1
-    except UndefinedRatioError:
-        d = math.nan
-        defined = 0
-    return (dlam, scheme, n, i_single, i_cont, d, defined)
-
-
 def cmd_continuum(args) -> int:
     cfg = load_config(args.config, "continuum")
     _prepare_out_dir(args.out)
     stack, cal_info = _resolve_stack(cfg)
     run_id = run_identifier("continuum", cfg)
 
-    ns = [float(v) for v in grid_values(cfg["n_s_grid"])]
-    stack_dict = stack_to_dict(stack)
-    tasks = [(stack_dict, scheme, cfg["wavelength_nm"], dlam,
-              cfg["theta_deg"], n, cfg["phi_ab"], cfg["polarization"],
-              cfg["n_nodes"], cfg["span"])
-             for dlam in cfg["delta_lambda_nm_list"]
-             for scheme in cfg["schemes"]
-             for n in ns]
-    rows = _parallel_map(_continuum_point, tasks)
+    ns = grid_values(cfg["n_s_grid"])
+    lam0, theta, pol = cfg["wavelength_nm"], cfg["theta_deg"], \
+        cfg["polarization"]
+
+    def single_frequency(scheme):
+        if scheme == "hom":
+            return fisher_hom(stack, lam0, theta, ns, pol)
+        return fisher_classical(stack, lam0, theta, ns, phi_ab=cfg["phi_ab"],
+                                polarization=pol)
+
+    i_single = {scheme: single_frequency(scheme) for scheme in cfg["schemes"]}
+    rows = []
+    for dlam in cfg["delta_lambda_nm_list"]:
+        for scheme in cfg["schemes"]:
+            i_cont = continuum_fisher(scheme, stack, lam0, dlam, theta, ns,
+                                      phi_ab=cfg["phi_ab"], polarization=pol,
+                                      n_nodes=cfg["n_nodes"],
+                                      span=cfg["span"])
+            d, defined = _defined_ratio(np.abs(i_single[scheme] - i_cont),
+                                        i_single[scheme])
+            rows.extend(zip([dlam] * len(ns), [scheme] * len(ns), ns,
+                            i_single[scheme], i_cont, d, defined))
 
     meta = _meta_lines("continuum", run_id, stack, [
         "wavelength_nm=%s theta_deg=%s polarization=%s phi_ab=%s "

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UndefinedRatioError
-from .estimation import (DEFAULT_NS_STEP, _poisson_fisher_from_means,
-                         fisher_from_distribution)
+from .estimation import (DEFAULT_NS_STEP, RATIO_FLOOR, _as_result,
+                         _distribution_information, _information)
 from .tmm import LayerStack, stack_response
 
 C_NM_PER_S = 2.99792458e17     # speed of light in nm/s
@@ -198,6 +198,8 @@ def stack_spectral_response(stack: LayerStack, theta_deg, n_s,
     The returned callable accepts an array of angular frequencies,
     converts each node to its vacuum wavelength, and evaluates the
     stack there, so material dispersion enters through the tables.
+    theta_deg and n_s broadcast against the frequency array, so an n_s
+    array with a trailing singleton axis yields one response per index.
     """
     def response(omega):
         lam = omega_to_wavelength_nm(omega)
@@ -250,24 +252,25 @@ def continuum_hom_moments(response, profile: SpectralProfile,
     """Photon-pair moments of a frequency-dependent splitter.
 
     response(omega_array) must return the amplitude arrays (t, r) at
-    the grid nodes.  The double integrals over the product joint
-    spectrum factor exactly into the single integrals I_T, I_R, K
-    (tensor-product quadrature of a factorized integrand is the product
-    of the one-dimensional quadratures).
+    the grid nodes, with the nodes on the last axis; any leading axes
+    carry through to the moments.  The double integrals over the
+    product joint spectrum factor exactly into the single integrals
+    I_T, I_R, K (tensor-product quadrature of a factorized integrand is
+    the product of the one-dimensional quadratures).
     """
     t, r = response(grid.nodes)
     q = grid.weights * profile.xi_sq(grid.nodes)
-    i_t = float(np.dot(q, np.abs(t) ** 2))
-    i_r = float(np.dot(q, np.abs(r) ** 2))
-    k = complex(np.dot(q, t * np.conj(r)))
+    i_t = np.abs(t) ** 2 @ q
+    i_r = np.abs(r) ** 2 @ q
+    k = (t * np.conj(r)) @ q
     return HomMoments(
         n1=i_t + i_r,
-        pair_factorial=2.0 * i_t * i_r + 2.0 * abs(k) ** 2,
+        pair_factorial=2.0 * i_t * i_r + 2.0 * np.abs(k) ** 2,
         coincidence=i_t ** 2 + i_r ** 2 + 2.0 * (k * k).real)
 
 
 def hom_click_vector_from_moments(m: HomMoments) -> np.ndarray:
-    """Click probabilities (0, 1, 2 ports fired) from the moments.
+    """Click probabilities (0, 1, 2 ports fired) on a trailing axis.
 
     Inverts the moment-probability relations of the single-frequency
     model: p2 = coincidence, p1 = 2 N1 - F - 2 N12, p0 the remainder.
@@ -276,19 +279,20 @@ def hom_click_vector_from_moments(m: HomMoments) -> np.ndarray:
     p2 = m.coincidence
     p1 = 2.0 * m.n1 - m.pair_factorial - 2.0 * m.coincidence
     p0 = 1.0 - p1 - p2
-    return np.array([p0, p1, p2])
+    return np.stack([p0, p1, p2], axis=-1)
 
 
 def continuum_classical_means(response, alpha_profile, beta_profile,
-                              grid: QuadratureGrid) -> tuple[float, float]:
-    """Spectrally averaged Poisson means of the coherent benchmark.
+                              grid: QuadratureGrid):
+    """Spectrally averaged Poisson means (mu1, mu2) of the coherent benchmark.
 
     alpha_profile and beta_profile are callables omega -> complex
     spectral amplitude of each beam (wavepacket included), each required
     to normalize to unit mean photon number on the grid within 1e-8.
     mu1 collects t from beam a and r from beam b; mu2 the reverse, as
     printed (for equal beam intensities this coincides with the
-    single-frequency convention used in quantum_stats).
+    single-frequency convention used in quantum_stats).  Leading axes
+    of the response (nodes last) carry through to each mean.
     """
     a_amp = np.asarray(alpha_profile(grid.nodes), dtype=complex)
     b_amp = np.asarray(beta_profile(grid.nodes), dtype=complex)
@@ -299,9 +303,9 @@ def continuum_classical_means(response, alpha_profile, beta_profile,
                 "%s beam integrates to %.12g mean photons, not 1; the "
                 "benchmark requires unit-normalized beams" % (name, total))
     t, r = response(grid.nodes)
-    mu1 = float(np.dot(grid.weights, np.abs(t * a_amp + r * b_amp) ** 2))
-    mu2 = float(np.dot(grid.weights, np.abs(t * b_amp + r * a_amp) ** 2))
-    return max(mu1, 0.0), max(mu2, 0.0)
+    mu1 = np.abs(t * a_amp + r * b_amp) ** 2 @ grid.weights
+    mu2 = np.abs(t * b_amp + r * a_amp) ** 2 @ grid.weights
+    return np.maximum(mu1, 0.0), np.maximum(mu2, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,52 +313,44 @@ def continuum_classical_means(response, alpha_profile, beta_profile,
 # ---------------------------------------------------------------------------
 
 def continuum_fisher(scheme: str, stack: LayerStack, lambda0_nm: float,
-                     delta_lambda_nm: float, theta_deg: float, n_s: float,
+                     delta_lambda_nm: float, theta_deg: float, n_s,
                      phi_ab: float = DEFAULT_PHI_AB,
                      polarization: str = "tm",
                      n_nodes: int = DEFAULT_NODES, span: float = DEFAULT_SPAN,
-                     step: float = DEFAULT_NS_STEP) -> float:
+                     step: float = DEFAULT_NS_STEP):
     """Fisher information in n_s with the full spectral profile.
 
     scheme is "hom" (photon-pair clicks rebuilt from the spectral
     moments) or "classical" (coherent probe, spectrally averaged
     Poisson means, closed-form information).
+
+    n_s may be an array: the result has its shape (a float for a
+    scalar).  One quadrature grid serves every n_s, and the stack is
+    evaluated in a single call on n_s x (-/+ step) x nodes.
     """
+    if scheme not in ("hom", "classical"):
+        raise ConfigError("scheme must be 'hom' or 'classical', got %r"
+                          % (scheme,))
     profile = spectral_profile(lambda0_nm, delta_lambda_nm)
     grid = default_grid(stack, profile, n_nodes, span)
-
+    ns = np.asarray(n_s, dtype=float)[..., None] + np.array([-step, step])
+    response = stack_spectral_response(stack, theta_deg, ns[..., None],
+                                       polarization)
     if scheme == "hom":
-        def dist(n):
-            response = stack_spectral_response(stack, theta_deg, n,
-                                               polarization)
-            return hom_click_vector_from_moments(
-                continuum_hom_moments(response, profile, grid))
-
-        return fisher_from_distribution(dist, float(n_s), step)
-
-    if scheme == "classical":
-        alpha_profile, beta_profile = coherent_spectral_amplitudes(profile,
-                                                                   phi_ab)
-
-        def means(n):
-            response = stack_spectral_response(stack, theta_deg, n,
-                                               polarization)
-            return continuum_classical_means(response, alpha_profile,
-                                             beta_profile, grid)
-
-        mp = means(float(n_s) + step)
-        mm = means(float(n_s) - step)
-        dmu = [(x - y) / (2.0 * step) for x, y in zip(mp, mm)]
-        mid = [0.5 * (x + y) for x, y in zip(mp, mm)]
-        return _poisson_fisher_from_means(mid, dmu)
-
-    raise ConfigError("scheme must be 'hom' or 'classical', got %r"
-                      % (scheme,))
+        p = hom_click_vector_from_moments(
+            continuum_hom_moments(response, profile, grid))
+        info = _distribution_information(p[..., 1, :], p[..., 0, :], step)
+    else:
+        mu = np.stack(continuum_classical_means(
+            response, *coherent_spectral_amplitudes(profile, phi_ab), grid),
+            axis=-1)
+        info = _information(mu[..., 1, :], mu[..., 0, :], step)
+    return _as_result(info)
 
 
 def relative_difference(i_single: float, i_continuum: float) -> float:
     """D = |I_single - I_continuum| / I_single, the bandwidth drift."""
-    if i_single <= 1e-12:
+    if i_single <= RATIO_FLOOR:
         raise UndefinedRatioError(
             "single-frequency information %r is too small to normalize "
             "the bandwidth drift" % (i_single,))

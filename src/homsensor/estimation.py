@@ -11,7 +11,9 @@ whose inverse square root bounds the standard deviation of any unbiased
 single-shot estimate.  Derivatives are taken by central finite
 differences in n_s; the denominator uses the midpoint average of the
 two perturbed distributions, which is accurate to the same order as the
-derivative and costs no extra model evaluation.
+derivative and costs no extra model evaluation.  The per-scheme
+evaluators broadcast over wavelength and n_s: a whole grid costs one
+stack_response call on n_s -/+ step stacked along a trailing axis.
 
 Provided on top of the raw information are:
 
@@ -44,13 +46,18 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, UndefinedRatioError
-from .quantum_stats import (POISSON_L_MAX, BsPoint, CoherentInput, bs_point,
-                            coherent_output_means, poisson_pair_grid)
+from .quantum_stats import (POISSON_L_MAX, BsPoint, CoherentInput,
+                            _clamp_probability, _coherent_mean_pair,
+                            _hom_click_vector, _hom_pair_vector, bs_point,
+                            coherent_output_means, poisson_pair_grid,
+                            validate_points)
 from .tmm import LayerStack, constant_material, stack_response, response_derivatives
 
 ZERO_PROB_FLOOR = 1e-15   # outcomes below this are treated as impossible
-DERIV_FLOOR = 1e-12       # warn when an impossible outcome still moves
+DERIV_FLOOR = 1e-12       # derivatives up to this are rounding noise
+DEAD_INFO_SHARE = 1e-9    # warn when skipped outcomes hide this share of I
 DEFAULT_NS_STEP = 1e-6    # central-difference step in n_s (RIU)
+RATIO_FLOOR = 1e-12       # information below this leaves a ratio undefined
 DECOMP_STEP = 1e-5        # step for (T, R, phi) partials
 BUDGET_STEP = 1e-4        # step for budget sensitivities, per variable unit
 
@@ -61,6 +68,52 @@ _BUDGET_RESOURCE = "budget_sources.json"
 # generic Fisher information from a parametric distribution
 # ---------------------------------------------------------------------------
 
+def _information(plus, minus, step: float):
+    """Fisher information along the last axis from values at n_s -/+ step.
+
+    plus and minus hold outcome probabilities, or independent Poisson
+    means (I = sum mu'^2 / mu is the same sum).  Entries with midpoint
+    below ZERO_PROB_FLOOR are skipped; one whose derivative exceeds the
+    noise level DERIV_FLOOR hides at least (d/dn)^2 / ZERO_PROB_FLOOR,
+    and a warning is emitted where that bound exceeds DEAD_INFO_SHARE
+    of the returned information (the outcome set is too coarse).
+    """
+    deriv = (plus - minus) / (2.0 * step)
+    mid = 0.5 * (plus + minus)
+    alive = mid > ZERO_PROB_FLOOR
+    info = np.sum(np.where(alive, deriv ** 2 / np.where(alive, mid, 1.0),
+                           0.0), axis=-1)
+    dead = ~alive & (np.abs(deriv) > DERIV_FLOOR)
+    lost = np.sum(np.where(dead, deriv ** 2, 0.0), axis=-1) / ZERO_PROB_FLOOR
+    if np.any(lost > DEAD_INFO_SHARE * info):
+        warnings.warn(
+            "outcome(s) with probability below %g carry derivatives worth "
+            "more than %g of the information; Fisher information may be "
+            "underestimated" % (ZERO_PROB_FLOOR, DEAD_INFO_SHARE),
+            stacklevel=3)
+    return info
+
+
+def _distribution_information(p_plus, p_minus, step: float):
+    """_information of outcome distributions, each checked to sum to 1."""
+    if p_plus.shape != p_minus.shape:
+        raise ConfigError("distribution changed outcome count under the step")
+    for p in (p_plus, p_minus):
+        total = np.sum(p, axis=-1)
+        bad = np.abs(total - 1.0) > 1e-9
+        if np.any(bad):
+            raise ConfigError(
+                "outcome distribution sums to %r; the outcome set must be "
+                "exhaustive (include loss/vacuum outcomes explicitly)"
+                % (float(total[bad][0]) if total.ndim else float(total),))
+    return _information(p_plus, p_minus, step)
+
+
+def _as_result(info):
+    """A Python float for 0-d results, the array otherwise."""
+    return float(info) if np.ndim(info) == 0 else info
+
+
 def fisher_from_distribution(dist_fn, n_s: float, step: float = DEFAULT_NS_STEP
                              ) -> float:
     """Fisher information of a finite outcome distribution at n_s.
@@ -68,94 +121,32 @@ def fisher_from_distribution(dist_fn, n_s: float, step: float = DEFAULT_NS_STEP
     dist_fn(n_s) must return a 1-D array of outcome probabilities (an
     exhaustive set, possibly including explicit loss/vacuum outcomes).
     Outcomes whose midpoint probability is below ZERO_PROB_FLOOR are
-    skipped; if such an outcome still shows a derivative above
-    DERIV_FLOOR a warning is emitted, since that indicates the outcome
-    set is too coarse for the requested step.
+    skipped, with a warning when they hide a noticeable share of the
+    information (see _information).
     """
     p_plus = np.asarray(dist_fn(n_s + step), dtype=float).ravel()
     p_minus = np.asarray(dist_fn(n_s - step), dtype=float).ravel()
-    if p_plus.shape != p_minus.shape:
-        raise ConfigError("distribution changed outcome count under the step")
-    for p in (p_plus, p_minus):
-        total = float(np.sum(p))
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(
-                "outcome distribution sums to %r; the outcome set must be "
-                "exhaustive (include loss/vacuum outcomes explicitly)"
-                % (total,))
-    deriv = (p_plus - p_minus) / (2.0 * step)
-    mid = 0.5 * (p_plus + p_minus)
-    alive = mid > ZERO_PROB_FLOOR
-    dead_moving = (~alive) & (np.abs(deriv) > DERIV_FLOOR)
-    if np.any(dead_moving):
-        warnings.warn(
-            "outcome(s) with probability below %g still carry derivative "
-            "above %g; Fisher information may be underestimated"
-            % (ZERO_PROB_FLOOR, DERIV_FLOOR), stacklevel=2)
-    return float(np.sum(deriv[alive] ** 2 / mid[alive]))
+    return float(_distribution_information(p_plus, p_minus, step))
 
 
 # ---------------------------------------------------------------------------
-# outcome models over the splitter parameters (T, R, phi_tr)
+# splitter points on n_s -/+ step
 # ---------------------------------------------------------------------------
 
-def _hom_click_vector(T: float, R: float, phi: float) -> np.ndarray:
-    """Click probabilities (0, 1, 2 detected) for the photon-pair probe.
+def _points_around(stack, wavelength_nm, theta_deg, n_s, polarization,
+                   step):
+    """Validated (T, R, phi_tr) at n_s - step and n_s + step.
 
-    Raw formulas, no dataclass validation: used inside finite-difference
-    loops where parameters are perturbed a few 1e-5 around a physical
-    point and tiny excursions must not raise.
+    One stack_response call on the broadcast grid of the inputs, with
+    the two steps stacked along a new trailing axis (index 0: minus).
     """
-    s = T + R
-    p11 = T * T + R * R + 2.0 * T * R * math.cos(2.0 * phi)
-    p20 = 2.0 * T * R
-    p10 = s - 4.0 * T * R - p11
-    p00 = 1.0 - 2.0 * s + p11 + 4.0 * T * R
-    return np.array([p00, 2.0 * (p10 + p20), p11])
+    def trailing(x):
+        return np.asarray(x, dtype=float)[..., None]
 
-
-def _hom_pair_vector(T: float, R: float, phi: float) -> np.ndarray:
-    """Joint pair outcomes (00, 10, 01, 20, 02, 11), the fine-grained set
-    that the click vector coarse-grains."""
-    s = T + R
-    p11 = T * T + R * R + 2.0 * T * R * math.cos(2.0 * phi)
-    p20 = 2.0 * T * R
-    p10 = s - 4.0 * T * R - p11
-    p00 = 1.0 - 2.0 * s + p11 + 4.0 * T * R
-    return np.array([p00, p10, p10, p20, p20, p11])
-
-
-def _coherent_mean_pair(T: float, R: float, phi: float, probe: CoherentInput
-                        ) -> tuple[float, float]:
-    """Raw (mu1, mu2), no validation; same shared-direct-term convention
-    as quantum_stats.coherent_output_means."""
-    a, b = probe.alpha_sq, probe.beta_sq
-    direct = T * a + R * b
-    cross = 2.0 * math.sqrt(max(T * R * a * b, 0.0))
-    mu1 = direct + cross * math.cos(phi - probe.phi_ab)
-    mu2 = direct + cross * math.cos(phi + probe.phi_ab)
-    return max(mu1, 0.0), max(mu2, 0.0)
-
-
-def _poisson_fisher_from_means(mu, dmu) -> float:
-    """Fisher information of independent Poissonians: sum mu'^2 / mu."""
-    total = 0.0
-    for m, dm in zip(mu, dmu):
-        if m > ZERO_PROB_FLOOR:
-            total += dm * dm / m
-        elif abs(dm) > DERIV_FLOOR:
-            warnings.warn("Poisson mean pinned at zero still carries a "
-                          "derivative; information underestimated",
-                          stacklevel=3)
-    return float(total)
-
-
-def _tau_at(stack, wavelength_nm, theta_deg, n_s, polarization,
-            phi_tr_assumption):
-    resp = stack_response(stack, wavelength_nm, theta_deg, n_s, polarization)
-    point = bs_point(resp)
-    phi = point.phi_tr if phi_tr_assumption is None else float(phi_tr_assumption)
-    return point.T, point.R, phi
+    resp = stack_response(stack, trailing(wavelength_nm), trailing(theta_deg),
+                          trailing(n_s) + np.array([-step, step]),
+                          polarization)
+    return validate_points(resp.T, resp.R, resp.phi_tr)
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +155,15 @@ def _tau_at(stack, wavelength_nm, theta_deg, n_s, polarization,
 
 def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                polarization: str = "tm", step: float = DEFAULT_NS_STEP,
-               outcomes: str = "click") -> float:
+               outcomes: str = "click"):
     """Information carried by the photon-pair probe.
 
     outcomes selects the detection model: "click" (default) counts the
     number of ports that fired, "pair" resolves the joint photon numbers
     and therefore carries at least as much information.
+
+    wavelength_nm, theta_deg and n_s broadcast against each other; the
+    result has their broadcast shape, and is a float for scalar inputs.
     """
     if outcomes == "click":
         vector = _hom_click_vector
@@ -178,20 +172,16 @@ def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     else:
         raise ConfigError("outcomes must be 'click' or 'pair', got %r"
                           % (outcomes,))
-
-    def dist(n):
-        T, R, phi = _tau_at(stack, wavelength_nm, theta_deg, n, polarization,
-                            None)
-        return vector(T, R, phi)
-
-    return fisher_from_distribution(dist, float(n_s), step)
+    p = vector(*_points_around(stack, wavelength_nm, theta_deg, n_s,
+                               polarization, step))
+    return _as_result(_distribution_information(p[..., 1, :], p[..., 0, :],
+                                                step))
 
 
 def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                      phi_ab: float | None = None,
                      probe: CoherentInput | None = None,
-                     polarization: str = "tm", step: float = DEFAULT_NS_STEP
-                     ) -> float:
+                     polarization: str = "tm", step: float = DEFAULT_NS_STEP):
     """Information carried by the coherent probe's two output counters.
 
     Independent Poissonian outputs admit the closed form
@@ -199,22 +189,19 @@ def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     the same central difference used elsewhere.  phi_ab overrides the
     probe phase (unit intensities); pass a full CoherentInput via probe
     for anything fancier.
+
+    wavelength_nm, theta_deg and n_s broadcast against each other; the
+    result has their broadcast shape, and is a float for scalar inputs.
     """
     if probe is None:
         probe = CoherentInput() if phi_ab is None \
             else CoherentInput(phi_ab=float(phi_ab))
     elif phi_ab is not None:
         raise ConfigError("give phi_ab or probe, not both")
-
-    def means(n):
-        resp = stack_response(stack, wavelength_nm, theta_deg, n, polarization)
-        return coherent_output_means(bs_point(resp), probe)
-
-    mp = means(float(n_s) + step)
-    mm = means(float(n_s) - step)
-    dmu = [(a - b) / (2.0 * step) for a, b in zip(mp, mm)]
-    mid = [0.5 * (a + b) for a, b in zip(mp, mm)]
-    return _poisson_fisher_from_means(mid, dmu)
+    mu = _clamp_probability(_coherent_mean_pair(
+        *_points_around(stack, wavelength_nm, theta_deg, n_s, polarization,
+                        step), probe), "mu")
+    return _as_result(_information(mu[..., 1, :], mu[..., 0, :], step))
 
 
 def fisher_classical_counts(stack: LayerStack, wavelength_nm, theta_deg, n_s,
@@ -288,7 +275,7 @@ def enhancement_ratio(info_hom: float, info_classical: float) -> float:
     coherent information collapses the ratio diverges and is flagged as
     undefined rather than returned as a huge number.
     """
-    if info_classical <= 1e-12:
+    if info_classical <= RATIO_FLOOR:
         raise UndefinedRatioError(
             "coherent-probe information is %r; the enhancement ratio is "
             "undefined at this operating point" % (info_classical,))
@@ -375,11 +362,10 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     """
     probe = probe or CoherentInput()
     if scheme == "hom":
-        def model(T, R, phi):
-            return _hom_click_vector(T, R, phi)
+        model = _hom_click_vector
     elif scheme == "classical":
         def model(T, R, phi):
-            mu1, mu2 = _coherent_mean_pair(T, R, phi, probe)
+            mu1, mu2 = np.maximum(_coherent_mean_pair(T, R, phi, probe), 0.0)
             return poisson_pair_grid(mu1, mu2, l_max).ravel()
     else:
         raise ConfigError("scheme must be 'hom' or 'classical', got %r"
@@ -488,21 +474,15 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     interval).
     """
     grid = np.linspace(-np.pi, np.pi, int(n_points), endpoint=False)
-
-    def tr_at(n):
-        return _tau_at(stack, wavelength_nm, theta_deg, n, polarization,
-                       phi_tr_assumption)
-
-    tau_p = tr_at(float(n_s) + step)
-    tau_m = tr_at(float(n_s) - step)
+    T, R, phi = _points_around(stack, wavelength_nm, theta_deg, float(n_s),
+                               polarization, step)
+    if phi_tr_assumption is not None:
+        phi = np.full_like(phi, phi_tr_assumption)
 
     def info(phi_ab_value: float) -> float:
         probe = CoherentInput(alpha_sq, beta_sq, float(phi_ab_value))
-        mu_p = _coherent_mean_pair(*tau_p, probe)
-        mu_m = _coherent_mean_pair(*tau_m, probe)
-        dmu = [(a - b) / (2.0 * step) for a, b in zip(mu_p, mu_m)]
-        mid = [0.5 * (a + b) for a, b in zip(mu_p, mu_m)]
-        return _poisson_fisher_from_means(mid, dmu)
+        mu = np.maximum(_coherent_mean_pair(T, R, phi, probe), 0.0)
+        return float(_information(mu[1], mu[0], step))
 
     values = np.array([info(p) for p in grid])
     k = int(np.argmax(values))
@@ -601,10 +581,9 @@ def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
 
 
 def _coincidence_signal(stack, wavelength_nm, theta_deg, n_s, polarization):
-    resp = stack_response(stack, wavelength_nm, theta_deg, n_s, polarization)
-    point = bs_point(resp)
-    return point.T ** 2 + point.R ** 2 \
-        + 2.0 * point.T * point.R * math.cos(2.0 * point.phi_tr)
+    point = bs_point(stack_response(stack, wavelength_nm, theta_deg, n_s,
+                                    polarization))
+    return float(_hom_pair_vector(point.T, point.R, point.phi_tr)[-1])
 
 
 def _with_prism_index(stack: LayerStack, n_prism: float) -> LayerStack:

@@ -28,6 +28,10 @@ The symmetric matrix S has singular values |t +/- r|, so passivity is
 enforced at construction with a 1e-9 allowance.  Probabilities and
 means in [-1e-12, 0) are clamped to zero (floating-point noise); more
 negative values raise UnphysicalPointError (physics or convention bug).
+
+The raw outcome models and validate_points broadcast over arrays of
+points (outcomes on a trailing axis); the dataclasses are validating
+scalar views over them.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import UnphysicalPointError
 from .tmm import StackResponse
@@ -67,23 +70,44 @@ class BsPoint:
     phi_tr: float
 
     def __post_init__(self):
-        vals = (self.T, self.R, self.phi_tr)
-        if not all(math.isfinite(v) for v in vals):
-            raise UnphysicalPointError(
-                "non-finite splitter point (T, R, phi_tr) = %r" % (vals,))
-        if self.T < -PHYSICALITY_TOL or self.R < -PHYSICALITY_TOL:
-            raise UnphysicalPointError(
-                "negative power coefficient: T=%r, R=%r" % (self.T, self.R))
-        object.__setattr__(self, "T", min(max(float(self.T), 0.0), 1.0))
-        object.__setattr__(self, "R", min(max(float(self.R), 0.0), 1.0))
-        object.__setattr__(self, "phi_tr", float(self.phi_tr))
-        s_sq = (self.T + self.R + 2.0 * math.sqrt(self.T * self.R)
-                * abs(math.cos(self.phi_tr)))
-        if s_sq > 1.0 + PHYSICALITY_TOL:
-            raise UnphysicalPointError(
-                "splitter point is not passive: largest squared singular "
-                "value %.12g > 1 at T=%.6g, R=%.6g, phi_tr=%.6g"
-                % (s_sq, self.T, self.R, self.phi_tr))
+        T, R, phi = validate_points(self.T, self.R, self.phi_tr)
+        object.__setattr__(self, "T", float(T))
+        object.__setattr__(self, "R", float(R))
+        object.__setattr__(self, "phi_tr", float(phi))
+
+
+def _first_bad(bad, message, values):
+    """Raise UnphysicalPointError for the first flagged grid cell."""
+    if not np.any(bad):
+        return
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    where = " at grid index %s" % (index,) if index else ""
+    raise UnphysicalPointError(
+        message % tuple(float(v[index]) for v in values) + where)
+
+
+def validate_points(T, R, phi_tr):
+    """Apply the BsPoint rule to every cell of a broadcast grid.
+
+    Returns the float arrays (T, R, phi_tr) with T, R clamped to [0, 1];
+    raises UnphysicalPointError naming the first offending grid index.
+    """
+    T, R, phi = np.broadcast_arrays(np.asarray(T, dtype=float),
+                                    np.asarray(R, dtype=float),
+                                    np.asarray(phi_tr, dtype=float))
+    _first_bad(~(np.isfinite(T) & np.isfinite(R) & np.isfinite(phi)),
+               "non-finite splitter point (T, R, phi_tr) = (%r, %r, %r)",
+               (T, R, phi))
+    _first_bad((T < -PHYSICALITY_TOL) | (R < -PHYSICALITY_TOL),
+               "negative power coefficient: T=%r, R=%r", (T, R))
+    T = np.clip(T, 0.0, 1.0)
+    R = np.clip(R, 0.0, 1.0)
+    s_sq = T + R + 2.0 * np.sqrt(T * R) * np.abs(np.cos(phi))
+    _first_bad(s_sq > 1.0 + PHYSICALITY_TOL,
+               "splitter point is not passive: largest squared singular "
+               "value %.12g > 1 at T=%.6g, R=%.6g, phi_tr=%.6g",
+               (s_sq, T, R, phi))
+    return T, R, phi
 
 
 def splitter_singular_values(point: BsPoint) -> tuple[float, float]:
@@ -114,12 +138,16 @@ def bs_point(resp: StackResponse) -> BsPoint:
     return BsPoint(T=float(T), R=float(R), phi_tr=float(phi))
 
 
-def _clamp_probability(p: float, what: str) -> float:
-    """Zero out float noise in [-1e-12, 0); reject anything more negative."""
-    if p < CLAMP_FLOOR:
-        raise UnphysicalPointError(
-            "%s = %.6g is negative beyond tolerance" % (what, p))
-    return max(float(p), 0.0)
+def _clamp_probability(p, what: str):
+    """Zero out float noise in [-1e-12, 0); reject anything more negative.
+
+    Broadcasts over arrays; a scalar input returns a float.
+    """
+    p = np.asarray(p, dtype=float)
+    _first_bad(p < CLAMP_FLOOR, what + " = %.6g is negative beyond tolerance",
+               (p,))
+    p = np.maximum(p, 0.0)
+    return float(p) if p.ndim == 0 else p
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +192,45 @@ class PairDistribution:
                 "p20": self.p20, "p02": self.p20, "p11": self.p11}
 
 
-def hom_pair_distribution(point: BsPoint) -> PairDistribution:
-    """Photon-pair outcome probabilities at a splitter point.
+def _hom_pair_vector(T, R, phi):
+    """Joint pair outcomes (00, 10, 01, 20, 02, 11) on a trailing axis.
 
-    p11 carries the two-photon interference term cos(2 phi_tr); the
-    bunched classes p20 = p02 = 2 T R do not depend on the phase, and
-    the loss classes follow from the single-photon marginals:
+    Raw formulas, no validation, broadcasting over (T, R, phi):
 
         p11 = T^2 + R^2 + 2 T R cos(2 phi_tr)
         p20 = p02 = 2 T R
         p10 = p01 = (T + R) - 4 T R - p11
         p00 = 1 - 2 (T + R) + 4 T R + p11
+
+    Finite-difference stencils perturb (T, R, phi) slightly around a
+    physical point, so tiny excursions must not raise here.
     """
-    T, R = point.T, point.R
-    p11 = T * T + R * R + 2.0 * T * R * math.cos(2.0 * point.phi_tr)
+    p11 = T * T + R * R + 2.0 * T * R * np.cos(2.0 * phi)
     p20 = 2.0 * T * R
     p10 = (T + R) - 4.0 * T * R - p11
     p00 = 1.0 - 2.0 * (T + R) + 4.0 * T * R + p11
+    return np.stack(np.broadcast_arrays(p00, p10, p10, p20, p20, p11),
+                    axis=-1)
+
+
+def _hom_click_vector(T, R, phi):
+    """Click probabilities (0, 1, 2 ports fired) on a trailing axis: the
+    pair outcomes merged by the number of detectors that fire."""
+    p = _hom_pair_vector(T, R, phi)
+    return np.stack([p[..., 0], 2.0 * (p[..., 1] + p[..., 3]), p[..., 5]],
+                    axis=-1)
+
+
+def hom_pair_distribution(point: BsPoint) -> PairDistribution:
+    """Photon-pair outcome probabilities at a splitter point.
+
+    p11 carries the two-photon interference term cos(2 phi_tr); the
+    bunched classes p20 = p02 = 2 T R do not depend on the phase, and
+    the loss classes follow from the single-photon marginals (see
+    _hom_pair_vector for the formulas).
+    """
+    p00, p10, _, p20, _, p11 = _hom_pair_vector(point.T, point.R,
+                                                point.phi_tr)
     return PairDistribution(p00=p00, p10=p10, p20=p20, p11=p11)
 
 
@@ -263,27 +313,53 @@ class CoherentInput:
                 "|beta|^2=%r" % (self.alpha_sq, self.beta_sq))
 
 
+def _coherent_mean_pair(T, R, phi, probe: CoherentInput) -> np.ndarray:
+    """Raw output means (mu1, mu2) on a trailing axis, unclamped:
+
+        mu1,2 = T a + R b + 2 sqrt(T R a b) cos(phi_tr -/+ phi_ab)
+
+    with a = |alpha|^2, b = |beta|^2; broadcasts over (T, R, phi).
+    """
+    a, b = probe.alpha_sq, probe.beta_sq
+    direct = T * a + R * b
+    cross = 2.0 * np.sqrt(np.maximum(T * R * a * b, 0.0))
+    return np.stack(np.broadcast_arrays(
+        direct + cross * np.cos(phi - probe.phi_ab),
+        direct + cross * np.cos(phi + probe.phi_ab)), axis=-1)
+
+
 def coherent_output_means(point: BsPoint, probe: CoherentInput | None = None
                           ) -> tuple[float, float]:
     """Mean photon numbers (mu1, mu2) at the two outputs.
 
-        mu1 = T a + R b + 2 sqrt(T R a b) cos(phi_tr - phi_ab)
-        mu2 = T a + R b + 2 sqrt(T R a b) cos(phi_tr + phi_ab)
-
-    with a = |alpha|^2, b = |beta|^2.  Note the direct intensity term
-    T a + R b is shared by both outputs; the conventional port-swapped
-    form would carry T b + R a in mu2 instead.  The two agree for the
-    default balanced probe a = b, which is the regime this model is
-    used in; the shared-term form is kept deliberately and this is the
-    only place the choice enters.
+    Note the direct intensity term T a + R b is shared by both outputs
+    (see _coherent_mean_pair); the conventional port-swapped form would
+    carry T b + R a in mu2 instead.  The two agree for the default
+    balanced probe a = b, which is the regime this model is used in;
+    the shared-term form is kept deliberately and this is the only
+    place the choice enters.
     """
-    probe = probe or CoherentInput()
-    a, b = probe.alpha_sq, probe.beta_sq
-    direct = point.T * a + point.R * b
-    cross = 2.0 * math.sqrt(point.T * point.R * a * b)
-    mu1 = direct + cross * math.cos(point.phi_tr - probe.phi_ab)
-    mu2 = direct + cross * math.cos(point.phi_tr + probe.phi_ab)
-    return (_clamp_probability(mu1, "mu1"), _clamp_probability(mu2, "mu2"))
+    mu1, mu2 = _clamp_probability(
+        _coherent_mean_pair(point.T, point.R, point.phi_tr,
+                            probe or CoherentInput()), "mu")
+    return float(mu1), float(mu2)
+
+
+def poisson_pmf(counts, mu) -> np.ndarray:
+    """Poisson pmf mu^k e^-mu / k!, broadcasting over counts and mu.
+
+    Evaluated as exp(k log mu - mu - log k!) with cumulative
+    log-factorials; exactly [1, 0, 0, ...] at mu = 0.
+    """
+    k = np.asarray(counts, dtype=int)
+    mu = np.asarray(mu, dtype=float)
+    if np.any(k < 0):
+        raise ValueError("photon counts must be >= 0")
+    log_fact = np.concatenate(
+        ([0.0], np.cumsum(np.log(np.arange(1.0, np.max(k, initial=0) + 1)))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_log_mu = np.where(k == 0, 0.0, k * np.log(mu))
+    return np.exp(k_log_mu - mu - log_fact[k])
 
 
 def coherent_pair_probability(l1: int, l2: int,
@@ -293,10 +369,7 @@ def coherent_pair_probability(l1: int, l2: int,
     The outputs of a linear network fed with coherent light stay
     coherent, so the counts are independent Poisson variables.
     """
-    if l1 < 0 or l2 < 0:
-        raise ValueError("photon counts must be >= 0")
-    mu1, mu2 = means
-    return float(stats.poisson.pmf(l1, mu1) * stats.poisson.pmf(l2, mu2))
+    return float(np.prod(poisson_pmf([l1, l2], means)))
 
 
 def poisson_pair_grid(mu1: float, mu2: float, l_max: int = POISSON_L_MAX
@@ -307,9 +380,7 @@ def poisson_pair_grid(mu1: float, mu2: float, l_max: int = POISSON_L_MAX
     means of order 1 the discarded tail is far below 1e-12.
     """
     counts = np.arange(l_max + 1)
-    pmf1 = stats.poisson.pmf(counts, mu1)
-    pmf2 = stats.poisson.pmf(counts, mu2)
-    return np.outer(pmf1, pmf2)
+    return np.outer(poisson_pmf(counts, mu1), poisson_pmf(counts, mu2))
 
 
 def coherent_pair_grid(point: BsPoint, probe: CoherentInput | None = None,

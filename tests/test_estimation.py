@@ -1,6 +1,7 @@
 """Information layer: Fisher quantities, decomposition, budget, scans."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ def test_relabeling_invariance(stack):
     a = fisher_from_distribution(clicks, 1.30)
     b = fisher_from_distribution(permuted, 1.30)
     assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_dead_outcome_carrying_information_warns():
+    # The third outcome stays below ZERO_PROB_FLOOR (1e-16 .. 9e-16) but
+    # moves by 4e-10 per RIU, so at least (4e-10)^2 / 1e-15 = 1.6e-4 of
+    # information is skipped against 0.04 carried by the live outcomes.
+    def dist(n):
+        eps = 5e-16 + 4e-10 * n
+        a = 0.5 + 0.1 * n
+        return np.array([1.0 - a - eps, a, eps])
+
+    with pytest.warns(UserWarning, match="underestimated"):
+        fisher_from_distribution(dist, 0.0)
 
 
 def test_non_normalized_distribution_rejected():
@@ -120,6 +134,34 @@ def test_closed_form_matches_truncated_counts(stack):
         closed = fisher_classical(stack, 800.0, 70.0, n, phi_ab=PI_HALF)
         counted = fisher_classical_counts(stack, 800.0, 70.0, n)
         assert counted == pytest.approx(closed, rel=1e-8)
+
+
+def test_classical_counts_no_warning_on_ordinary_points(stack):
+    # The truncated Poisson tail has outcomes below ZERO_PROB_FLOOR whose
+    # derivatives are ~1e-12: their skipped share of I is ~1e-12.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1.27, 1.30, 1.325):
+            fisher_classical_counts(stack, 800.0, 70.0, n)
+
+
+@pytest.mark.parametrize("scheme", ["click", "pair", "classical"])
+def test_batched_fisher_matches_scalar_calls(stack, scheme):
+    lams = np.array([795.0, 800.0, 805.0])
+    ns = np.linspace(1.26, 1.34, 7)
+
+    def info(lam, n):
+        if scheme == "classical":
+            return fisher_classical(stack, lam, 70.0, n)
+        return fisher_hom(stack, lam, 70.0, n, outcomes=scheme)
+
+    grid = info(lams[:, None], ns)
+    assert grid.shape == (3, 7)
+    for i, lam in enumerate(lams):
+        for j, n in enumerate(ns):
+            scalar = info(float(lam), float(n))
+            assert isinstance(scalar, float)
+            assert grid[i, j] == pytest.approx(scalar, rel=1e-9)
 
 
 def test_classical_zero_for_flat_stack():

@@ -1,17 +1,21 @@
 """Splitter-point statistics: pair/click distributions, coherent means."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import homsensor
 from homsensor.errors import UnphysicalPointError
 from homsensor.quantum_stats import (
-    BsPoint, ClickDistribution, CoherentInput, PairDistribution, bs_point,
-    click_distribution, coherent_output_means, coherent_pair_grid,
-    coherent_pair_probability, coincidence_probability,
+    PHYSICALITY_TOL, BsPoint, ClickDistribution, CoherentInput,
+    PairDistribution, bs_point, click_distribution, coherent_output_means,
+    coherent_pair_grid, coherent_pair_probability, coincidence_probability,
     hom_click_distribution, hom_pair_distribution, poisson_pair_grid,
-    splitter_singular_values,
+    poisson_pmf, splitter_singular_values, validate_points,
 )
 from homsensor.tmm import stack_response
 
@@ -45,6 +49,36 @@ def test_bs_point_requires_scalar_response(stack):
     resp = stack_response(stack, 800.0, 70.0, np.array([1.30, 1.31]))
     with pytest.raises(UnphysicalPointError):
         bs_point(resp)
+
+
+def test_validate_points_agrees_with_bs_point():
+    values = (-5e-10, 0.1, 0.25, 0.5)
+    phis = (0.0, 0.7, math.pi / 2.0, math.pi)
+    T, R, phi = np.meshgrid(values, values, phis, indexing="ij")
+    passive = np.zeros(T.shape, dtype=bool)
+    points = {}
+    for index in np.ndindex(T.shape):
+        t, r, p = float(T[index]), float(R[index]), float(phi[index])
+        tc, rc = max(t, 0.0), max(r, 0.0)
+        passive[index] = (tc + rc + 2.0 * math.sqrt(tc * rc) * abs(math.cos(p))
+                          <= 1.0 + PHYSICALITY_TOL)
+        if passive[index]:
+            points[index] = BsPoint(T=t, R=r, phi_tr=p)
+        else:
+            with pytest.raises(UnphysicalPointError):
+                BsPoint(T=t, R=r, phi_tr=p)
+    # T = R = 0.5 at phi_tr = 0 has singular value 1 + 1 = 2
+    assert not passive[3, 3, 0]
+    first = tuple(int(i) for i in np.argwhere(~passive)[0])
+    with pytest.raises(UnphysicalPointError,
+                       match=r"not passive.*grid index \(%d, %d, %d\)" % first):
+        validate_points(T, R, phi)
+    got = validate_points(T[passive], R[passive], phi[passive])
+    expected = [points[index] for index in np.ndindex(T.shape)
+                if passive[index]]
+    assert np.array_equal(got[0], [e.T for e in expected])
+    assert np.array_equal(got[1], [e.R for e in expected])
+    assert np.array_equal(got[2], [e.phi_tr for e in expected])
 
 
 def test_singular_values_passive(stack):
@@ -216,6 +250,32 @@ def test_poisson_forced_empty_port():
 def test_poisson_negative_counts_rejected():
     with pytest.raises(ValueError):
         coherent_pair_probability(-1, 0, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5, 1.0, 2.0, 4.0])
+def test_poisson_pmf_matches_factorial_oracle(mu):
+    got = poisson_pmf(np.arange(41), mu)
+    for k, value in enumerate(got):
+        oracle = mu ** k * math.exp(-mu) / math.factorial(k)
+        if oracle == 0.0:
+            assert value == 0.0
+        else:
+            assert abs(value - oracle) <= 1e-12 * oracle
+    if mu == 0.0:
+        assert got[0] == 1.0
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        homsensor.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, homsensor; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_truncated_grid_normalization():
