@@ -48,10 +48,9 @@ from .quantum_stats import (BsPoint, ClickDistribution, CoherentInput,
                             hom_click_distribution, hom_pair_distribution,
                             poisson_pair_grid, splitter_singular_values)
 from .tmm import (CalibrationResult, Layer, LayerStack, StackResponse,
-                  boundary_matrix, calibrate_stack, fresnel, layer_cosines,
-                  load_stack, make_sensor_stack, propagation_matrix,
+                  calibrate_stack, fresnel, load_stack, make_sensor_stack,
                   response_derivatives, reversed_stack, save_stack,
-                  stack_response, stack_transfer)
+                  stack_response)
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,7 @@ __all__ = [
     "PhaseScanResult", "QuadratureGrid", "SpectralProfile",
     "StackDefinitionError", "StackResponse", "UndefinedRatioError",
     "UnphysicalPointError", "WavelengthRangeError",
-    "boundary_matrix", "bs_point", "calibrate_stack", "click_distribution",
+    "bs_point", "calibrate_stack", "click_distribution",
     "coherent_output_means", "coherent_pair_grid",
     "coherent_pair_probability", "coherent_spectral_amplitudes",
     "coincidence_probability", "constant_material",
@@ -73,13 +72,13 @@ __all__ = [
     "fisher_classical_counts", "fisher_decomposition",
     "fisher_from_distribution", "fisher_hom", "fisher_report", "fresnel",
     "gold_jc", "hom_click_distribution", "hom_click_vector_from_moments",
-    "hom_pair_distribution", "layer_cosines", "load_budget_sources",
+    "hom_pair_distribution", "load_budget_sources",
     "load_material_table", "load_stack", "make_sensor_stack",
     "mixed_phase_classical_fisher", "parse_material_csv", "phi_ab_scan",
-    "poisson_pair_grid", "precision_bound", "propagation_matrix",
+    "poisson_pair_grid", "precision_bound",
     "quadrature_grid", "refractive_index", "relative_difference",
     "response_derivatives", "reversed_stack", "save_material_table",
     "save_stack", "spectral_profile", "splitter_singular_values",
-    "stack_response", "stack_spectral_response", "stack_transfer",
+    "stack_response", "stack_spectral_response",
     "uncertainty_budget",
 ]

@@ -45,15 +45,17 @@ from .errors import CalibrationError, ConfigError, HomsensorError
 from .estimation import DEFAULT_NS_STEP, RATIO_FLOOR, fisher_classical, \
     fisher_hom, fisher_report, load_budget_sources, phi_ab_scan, \
     uncertainty_budget
-from .quantum_stats import CLAMP_FLOOR, bs_point, hom_click_distribution
-from .tmm import calibrate_stack, load_stack, save_stack, stack_response
+from .quantum_stats import CLAMP_FLOOR, _hom_click_vector, \
+    validate_distribution, validate_points
+from .tmm import CALIBRATION_TOL, calibrate_stack, load_stack, save_stack, \
+    stack_response
 
 CSV_FLOAT_FORMAT = "%.12g"
 
 # Tolerances recorded in every metadata file, read from the library
 # constants so a run can be audited from its outputs alone.
 REPORTED_TOLERANCES = {
-    "calibration_tol_riu": 1e-3,
+    "calibration_tol_riu": CALIBRATION_TOL,
     "derivative_step_riu": DEFAULT_NS_STEP,
     "probability_clamp": -CLAMP_FLOOR,
     "ratio_floor": RATIO_FLOOR,
@@ -456,15 +458,11 @@ def cmd_coincidence(args) -> int:
     run_id = run_identifier("coincidence", cfg)
 
     ns = grid_values(cfg["n_s_grid"])
-    rows = []
-    for n in ns:
-        resp = stack_response(stack, cfg["wavelength_nm"], cfg["theta_deg"],
-                              float(n), cfg["polarization"])
-        point = bs_point(resp)
-        clicks = hom_click_distribution(point)
-        rows.append((n, point.T, point.R, 1.0 - point.T - point.R,
-                     abs(point.T - point.R), point.phi_tr,
-                     clicks.p0_click, clicks.p1_click, clicks.p2_click))
+    resp = stack_response(stack, cfg["wavelength_nm"], cfg["theta_deg"], ns,
+                          cfg["polarization"])
+    T, R, phi = validate_points(resp.T, resp.R, resp.phi_tr)
+    clicks = validate_distribution(_hom_click_vector(T, R, phi), "click")
+    rows = zip(ns, T, R, 1.0 - T - R, np.abs(T - R), phi, *clicks.T)
     meta = _meta_lines("coincidence", run_id, stack, [
         "wavelength_nm=%s theta_deg=%s polarization=%s"
         % (_fmt_cell(cfg["wavelength_nm"]), _fmt_cell(cfg["theta_deg"]),

@@ -49,12 +49,12 @@ import numpy as np
 from .errors import ConfigError, UndefinedRatioError
 from .estimation import (DEFAULT_NS_STEP, RATIO_FLOOR, _as_result,
                          _distribution_information, _information)
+from .quantum_stats import DEFAULT_PHI_AB
 from .tmm import LayerStack, stack_response
 
 C_NM_PER_S = 2.99792458e17     # speed of light in nm/s
 DEFAULT_NODES = 201
 DEFAULT_SPAN = 5.0             # quadrature half-width in units of delta_omega
-DEFAULT_PHI_AB = math.pi / 2
 
 
 # ---------------------------------------------------------------------------

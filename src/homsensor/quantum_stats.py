@@ -29,9 +29,9 @@ enforced at construction with a 1e-9 allowance.  Probabilities and
 means in [-1e-12, 0) are clamped to zero (floating-point noise); more
 negative values raise UnphysicalPointError (physics or convention bug).
 
-The raw outcome models and validate_points broadcast over arrays of
-points (outcomes on a trailing axis); the dataclasses are validating
-scalar views over them.
+The raw outcome models and the validators validate_points and
+validate_distribution broadcast over arrays of points (outcomes on a
+trailing axis); the dataclasses are validating scalar views over them.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def validate_points(T, R, phi_tr):
                "negative power coefficient: T=%r, R=%r", (T, R))
     T = np.clip(T, 0.0, 1.0)
     R = np.clip(R, 0.0, 1.0)
-    s_sq = T + R + 2.0 * np.sqrt(T * R) * np.abs(np.cos(phi))
+    s_sq = np.maximum(*_singular_values_sq(T, R, phi))
     _first_bad(s_sq > 1.0 + PHYSICALITY_TOL,
                "splitter point is not passive: largest squared singular "
                "value %.12g > 1 at T=%.6g, R=%.6g, phi_tr=%.6g",
@@ -110,17 +110,21 @@ def validate_points(T, R, phi_tr):
     return T, R, phi
 
 
+def _singular_values_sq(T, R, phi):
+    """Squared singular values |t +/- r|^2 of [[t, r], [r, t]] from the
+    operating point alone: T + R +/- 2 sqrt(T R) cos(phi_tr)."""
+    cross = 2.0 * np.sqrt(T * R) * np.cos(phi)
+    return T + R + cross, T + R - cross
+
+
 def splitter_singular_values(point: BsPoint) -> tuple[float, float]:
     """Singular values (|t + r|, |t - r|) of the symmetric network.
 
-    Computed from the operating point alone:
-    |t +/- r|^2 = T + R +/- 2 sqrt(T R) cos(phi_tr).  Both must be at
-    most 1 for a passive splitter.
+    Both must be at most 1 for a passive splitter.
     """
-    cross = 2.0 * math.sqrt(point.T * point.R) * math.cos(point.phi_tr)
-    s_plus = math.sqrt(max(point.T + point.R + cross, 0.0))
-    s_minus = math.sqrt(max(point.T + point.R - cross, 0.0))
-    return s_plus, s_minus
+    s_plus_sq, s_minus_sq = _singular_values_sq(point.T, point.R,
+                                                point.phi_tr)
+    return math.sqrt(max(s_plus_sq, 0.0)), math.sqrt(max(s_minus_sq, 0.0))
 
 
 def bs_point(resp: StackResponse) -> BsPoint:
@@ -150,6 +154,21 @@ def _clamp_probability(p, what: str):
     return float(p) if p.ndim == 0 else p
 
 
+def validate_distribution(p, what: str):
+    """Check distributions with outcomes on the last axis.
+
+    Every probability is clamped by _clamp_probability, and every
+    distribution must sum to 1 within 1e-9.  Returns the clamped float
+    array; raises UnphysicalPointError naming the first offending grid
+    index (for a clamp failure, the outcome index too).
+    """
+    p = _clamp_probability(p, what + " probability")
+    total = np.sum(p, axis=-1)
+    _first_bad(np.abs(total - 1.0) > 1e-9,
+               what + " probabilities sum to %.17g, not 1", (total,))
+    return p
+
+
 # ---------------------------------------------------------------------------
 # photon-pair probe
 # ---------------------------------------------------------------------------
@@ -171,13 +190,12 @@ class PairDistribution:
     p11: float
 
     def __post_init__(self):
-        for name in ("p00", "p10", "p20", "p11"):
-            object.__setattr__(self, name,
-                               _clamp_probability(getattr(self, name), name))
-        total = self.p00 + 2.0 * self.p10 + 2.0 * self.p20 + self.p11
-        if abs(total - 1.0) > 1e-9:
-            raise UnphysicalPointError(
-                "pair probabilities sum to %.17g, not 1" % total)
+        p00, p10, _, p20, _, p11 = validate_distribution(
+            [self.p00, self.p10, self.p10, self.p20, self.p20, self.p11],
+            "pair")
+        for name, value in zip(("p00", "p10", "p20", "p11"),
+                               (p00, p10, p20, p11)):
+            object.__setattr__(self, name, float(value))
 
     @property
     def p01(self) -> float:
@@ -248,13 +266,10 @@ class ClickDistribution:
     p2_click: float
 
     def __post_init__(self):
-        for name in ("p0_click", "p1_click", "p2_click"):
-            object.__setattr__(self, name,
-                               _clamp_probability(getattr(self, name), name))
-        total = self.p0_click + self.p1_click + self.p2_click
-        if abs(total - 1.0) > 1e-9:
-            raise UnphysicalPointError(
-                "click probabilities sum to %.17g, not 1" % total)
+        clamped = validate_distribution(
+            [self.p0_click, self.p1_click, self.p2_click], "click")
+        for name, value in zip(("p0_click", "p1_click", "p2_click"), clamped):
+            object.__setattr__(self, name, float(value))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p0_click, self.p1_click, self.p2_click])

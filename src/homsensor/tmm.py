@@ -13,6 +13,11 @@ Amplitudes follow to the usual 2x2 transfer-matrix bookkeeping:
   with delta = 2 pi n_j cos(theta_j) d_j / lambda,
 * the stack amplitudes are t = 1/M11 and r = M21/M11.
 
+stack_response is the one evaluator of that product.  It broadcasts
+over wavelength, angle, sample index and the thickness of every
+interior layer (a layer may hold an array of thicknesses), so a whole
+grid, or a whole calibration scan over gap thicknesses, is one call.
+
 The sensing geometry of interest is prism | metal film | sample gap |
 metal film | prism: a symmetric pair of attenuated-total-reflection
 metal films that together behave as a lossy beamsplitter whose split
@@ -28,7 +33,6 @@ phi_tr = arg(r) - arg(t).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +46,8 @@ DEFAULT_PRISM_INDEX = 1.5
 # extracted (their argument is rounding debris); corresponds to power
 # coefficients of 1e-24, far below anything resolvable.
 PHASE_AMPLITUDE_FLOOR = 1e-12
+# calibrate_stack's default bound on |T - R| at the target point
+CALIBRATION_TOL = 1e-3
 _POLARIZATIONS = ("tm", "te")
 
 
@@ -54,11 +60,12 @@ class Layer:
     """One slab: a material plus a thickness in nm.
 
     thickness_nm is None for the two terminal half-spaces and a finite
-    non-negative number for interior layers.
+    non-negative number, or an array of them, for interior layers; an
+    array thickness joins the broadcast grid of stack_response.
     """
 
     material: Material
-    thickness_nm: float | None = None
+    thickness_nm: float | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,8 @@ class LayerStack:
                     % (self.name, j))
             if not terminal:
                 d = layer.thickness_nm
-                if d is None or not np.isfinite(d) or d < 0.0:
+                if d is None or not np.all(np.isfinite(d)) \
+                        or np.any(np.asarray(d) < 0.0):
                     raise StackDefinitionError(
                         "stack %r: interior layer %d needs a finite "
                         "thickness >= 0, got %r" % (self.name, j, d))
@@ -112,14 +120,17 @@ class LayerStack:
     def thickness_of(self, j: int) -> float | None:
         return self.layers[j].thickness_nm
 
-    def with_thickness(self, updates: dict[int, float]) -> "LayerStack":
-        """Copy of the stack with interior thicknesses replaced."""
+    def with_thickness(self, updates: dict) -> "LayerStack":
+        """Copy of the stack with interior thicknesses replaced; a scalar
+        is stored as a float, an array as a float array."""
         layers = list(self.layers)
         for j, d in updates.items():
             if j in (0, len(layers) - 1):
                 raise StackDefinitionError(
                     "cannot set a thickness on terminal layer %d" % j)
-            layers[j] = replace(layers[j], thickness_nm=float(d))
+            d = np.asarray(d, dtype=float)
+            layers[j] = replace(layers[j],
+                                thickness_nm=d if d.ndim else float(d))
         return replace(self, layers=tuple(layers))
 
     def wavelength_window_nm(self) -> tuple[float, float] | None:
@@ -199,88 +210,33 @@ class StackResponse:
     n_s: np.ndarray | None
     polarization: str
 
-    def validate(self, tol: float = 1e-9) -> "StackResponse":
-        """Check passivity: T, R in [0, 1 + tol], T + R <= 1 + tol, and
-        the singular values |t +/- r| of the symmetric splitter matrix
-        [[t, r], [r, t]] at or below 1 + tol (flux-normalized t)."""
-        bad = (self.T < -tol) | (self.R < -tol) | (self.T > 1 + tol) \
-            | (self.R > 1 + tol) | (self.T + self.R > 1 + tol)
-        t_flux = np.sqrt(np.maximum(self.T, 0.0)) * np.exp(1j * np.angle(self.t))
-        bad |= (np.abs(t_flux + self.r) > 1 + tol) \
-            | (np.abs(t_flux - self.r) > 1 + tol)
-        if np.any(bad):
-            idx = np.argwhere(np.atleast_1d(bad))[0]
-            raise UnphysicalPointError(
-                "response violates passivity at grid index %s: T=%s R=%s"
-                % (idx, np.atleast_1d(self.T)[tuple(idx)],
-                   np.atleast_1d(self.R)[tuple(idx)]))
-        return self
-
 
 def _cosines_from_indices(n_layers, n0_sin) -> np.ndarray:
     """cos(theta_j) on the branch with Im(n_j cos_j) >= 0.
 
-    The principal square root is kept unless Im(n_j cos_j) < 0, in which
-    case the opposite branch is taken so that exp(+i k_z z) decays into
-    absorbing or evanescent layers.
+    In-plane momentum conservation fixes n_0 sin(theta_0) across the
+    stack.  The principal square root is kept unless Im(n_j cos_j) < 0,
+    in which case the opposite branch is taken so that exp(+i k_z z)
+    decays into absorbing or evanescent layers.
     """
     cos = np.sqrt(1.0 - (n0_sin / n_layers) ** 2 + 0j)
     flip = (n_layers * cos).imag < 0.0
     return np.where(flip, -cos, cos)
 
 
-def layer_cosines(stack: LayerStack, wavelength_nm: float, theta_deg: float,
-                  n_s: float | None = None) -> list[complex]:
-    """Propagation cosine of each layer at one (wavelength, angle) point.
-
-    In-plane momentum conservation fixes n_0 sin(theta_0) across the
-    stack; each layer's cosine follows from its own index on the
-    decaying branch.
-    """
-    _check_theta(theta_deg)
-    n_list = _layer_indices_scalar(stack, wavelength_nm, n_s)
-    n0_sin = n_list[0] * math.sin(math.radians(theta_deg))
-    return [complex(_cosines_from_indices(np.asarray(nj), np.asarray(n0_sin)))
-            for nj in n_list]
-
-
-def fresnel(n_a, n_b, cos_a, cos_b, polarization: str = "tm"
-            ) -> tuple[complex, complex]:
-    """Single-interface amplitude coefficients (r_ab, t_ab), a into b."""
+def fresnel(n_a, n_b, cos_a, cos_b, polarization: str = "tm"):
+    """Single-interface amplitude coefficients (r_ab, t_ab), a into b;
+    broadcasts over arrays of indices and cosines."""
     if polarization == "tm":
-        denom = n_b * cos_a + n_a * cos_b
-        if abs(denom) < 1e-300:
-            raise UnphysicalPointError(
-                "degenerate TM interface: n_b cos_a + n_a cos_b = 0")
-        return ((n_b * cos_a - n_a * cos_b) / denom,
-                2.0 * n_a * cos_a / denom)
-    denom = n_a * cos_a + n_b * cos_b
-    if abs(denom) < 1e-300:
+        near, far = n_b * cos_a, n_a * cos_b
+    else:
+        near, far = n_a * cos_a, n_b * cos_b
+    denom = near + far
+    if np.any(np.abs(denom) < 1e-300):
         raise UnphysicalPointError(
-            "degenerate TE interface: n_a cos_a + n_b cos_b = 0")
-    return ((n_a * cos_a - n_b * cos_b) / denom,
-            2.0 * n_a * cos_a / denom)
-
-
-def boundary_matrix(n_a, n_b, cos_a, cos_b, polarization: str = "tm"
-                    ) -> np.ndarray:
-    """Interface transfer matrix (1/t) [[1, r], [r, 1]]."""
-    r, t = fresnel(n_a, n_b, cos_a, cos_b, polarization)
-    return np.array([[1.0, r], [r, 1.0]], dtype=complex) / t
-
-
-def propagation_matrix(n, d_nm: float, wavelength_nm: float, cos_theta
-                       ) -> np.ndarray:
-    """Homogeneous-layer transfer matrix diag(e^{-i delta}, e^{+i delta}).
-
-    delta = (2 pi / lambda) n cos(theta) d is the accumulated normal
-    phase; zero thickness gives the identity.
-    """
-    if d_nm < 0:
-        raise StackDefinitionError("propagation thickness must be >= 0")
-    delta = 2.0 * np.pi * n * cos_theta * d_nm / wavelength_nm
-    return np.array([[np.exp(-1j * delta), 0.0],
-                     [0.0, np.exp(1j * delta)]], dtype=complex)
+            "degenerate %s interface: Fresnel denominator = 0"
+            % polarization.upper())
+    return (near - far) / denom, 2.0 * n_a * cos_a / denom
 
 
 def _flux_factor(n, c, polarization):
@@ -320,49 +276,15 @@ def _resolve_ns(stack: LayerStack, n_s):
     return n_s
 
 
-def _layer_indices_scalar(stack, wavelength_nm, n_s):
-    n_s = _resolve_ns(stack, n_s)
-    out = []
-    for j, layer in enumerate(stack.layers):
-        if j == stack.sample_layer:
-            out.append(complex(n_s))
-        else:
-            out.append(complex(layer.material.index(float(wavelength_nm))))
-    return out
-
-
-def stack_transfer(stack: LayerStack, wavelength_nm: float, theta_deg: float,
-                   n_s: float | None = None, polarization: str = "tm"
-                   ) -> np.ndarray:
-    """Total 2x2 transfer matrix at one scalar parameter point.
-
-    Built explicitly from boundary_matrix and propagation_matrix factors
-    in layer order; stack_response uses an equivalent vectorized path.
-    """
-    _check_polarization(polarization)
-    _check_theta(theta_deg)
-    n_list = _layer_indices_scalar(stack, wavelength_nm, n_s)
-    cos_list = layer_cosines(stack, wavelength_nm, theta_deg, n_s)
-    m = np.eye(2, dtype=complex)
-    for j in range(len(n_list) - 1):
-        if j > 0:
-            m = m @ propagation_matrix(n_list[j],
-                                       stack.layers[j].thickness_nm,
-                                       wavelength_nm, cos_list[j])
-        m = m @ boundary_matrix(n_list[j], n_list[j + 1], cos_list[j],
-                                cos_list[j + 1], polarization)
-    return m
-
-
 def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
                    polarization: str = "tm") -> StackResponse:
     """Evaluate t, r, T, R, A, phi_tr; broadcasts over all numeric inputs.
 
-    wavelength_nm, theta_deg and n_s may be scalars or arrays with
-    mutually broadcastable shapes.  n_s replaces the index of the
-    stack's sample layer (defaulting to the stored sample_n) and must be
-    omitted when the stack has no sample layer.  t = 1/M11, r = M21/M11
-    of the total transfer matrix.
+    wavelength_nm, theta_deg, n_s and the interior layer thicknesses
+    may be scalars or arrays with mutually broadcastable shapes.  n_s
+    replaces the index of the stack's sample layer (defaulting to the
+    stored sample_n) and must be omitted when the stack has no sample
+    layer.  t = 1/M11, r = M21/M11 of the total transfer matrix.
     """
     _check_polarization(polarization)
     _check_theta(theta_deg)
@@ -370,13 +292,11 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
 
     lam = np.asarray(wavelength_nm, dtype=float)
     th = np.radians(np.asarray(theta_deg, dtype=float))
-    if n_s is None:
-        shape = np.broadcast_shapes(lam.shape, th.shape)
-        ns = None
-    else:
-        ns = np.asarray(n_s, dtype=complex)
-        shape = np.broadcast_shapes(lam.shape, th.shape, ns.shape)
-        ns = np.broadcast_to(ns, shape)
+    shape = np.broadcast_shapes(
+        lam.shape, th.shape, np.shape(n_s),
+        *(np.shape(layer.thickness_nm) for layer in stack.layers[1:-1]))
+    ns = None if n_s is None else \
+        np.broadcast_to(np.asarray(n_s, dtype=complex), shape)
     lam = np.broadcast_to(lam, shape)
     th = np.broadcast_to(th, shape)
 
@@ -392,7 +312,8 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     n0_sin = n_list[0] * np.sin(th)
     cos_list = [_cosines_from_indices(nj, n0_sin) for nj in n_list]
 
-    # accumulate M = B01 P1 B12 P2 ... B(N-1,N) as scalar 2x2 components
+    # accumulate M = B01 P1 B12 P2 ... B(N-1,N) as scalar 2x2 components;
+    # B = (1/t) [[1, r], [r, 1]] and P = diag(e^{-i delta}, e^{+i delta})
     m11 = np.ones(shape, dtype=complex)
     m12 = np.zeros(shape, dtype=complex)
     m21 = np.zeros(shape, dtype=complex)
@@ -405,15 +326,8 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
             ep = np.exp(1j * delta)
             m11, m12 = m11 * em, m12 * ep
             m21, m22 = m21 * em, m22 * ep
-        if polarization == "tm":
-            denom = n_list[j + 1] * cos_list[j] + n_list[j] * cos_list[j + 1]
-            r_ij = (n_list[j + 1] * cos_list[j]
-                    - n_list[j] * cos_list[j + 1]) / denom
-        else:
-            denom = n_list[j] * cos_list[j] + n_list[j + 1] * cos_list[j + 1]
-            r_ij = (n_list[j] * cos_list[j]
-                    - n_list[j + 1] * cos_list[j + 1]) / denom
-        t_ij = 2.0 * n_list[j] * cos_list[j] / denom
+        r_ij, t_ij = fresnel(n_list[j], n_list[j + 1], cos_list[j],
+                             cos_list[j + 1], polarization)
         b11 = 1.0 / t_ij
         b12 = r_ij / t_ij
         a11 = m11 * b11 + m12 * b12
@@ -508,7 +422,7 @@ def _require_sensor_shape(stack: LayerStack):
 
 def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.0,
                     theta_deg: float = 70.0, n_s_target: float = 1.31,
-                    tol: float = 1e-3,
+                    tol: float = CALIBRATION_TOL,
                     d_metal_bounds: tuple[float, float] = (20.0, 80.0),
                     d_sample_bounds: tuple[float, float] = (100.0, 2000.0),
                     polarization: str = "tm") -> CalibrationResult:
@@ -529,6 +443,10 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
     is polished by bisection.  The input stack is returned unchanged
     when it already meets tol.
 
+    Each film thickness costs one stack_response call over the whole
+    4 nm gap grid (the gap thickness is an array), and every crossing
+    of the winning film is bisected at once, one call per step.
+
     Raises CalibrationError if no sign change exists in bounds, or if
     the balance point is not unique within +/- 0.02 RIU of the target
     index (a non-unique crossing would make the dip ambiguous).
@@ -537,16 +455,17 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
     _require_sensor_shape(stack)
 
     def imbalance(d_m, d_s):
+        """T - R with film d_m; d_s may be an array of gap thicknesses."""
         trial = stack.with_thickness({1: d_m, 2: d_s, 3: d_m})
         resp = stack_response(trial, wavelength_nm, theta_deg, n_s_target,
                               polarization)
-        return float(resp.T - resp.R)
+        return resp.T - resp.R
 
     d_m0 = float(stack.layers[1].thickness_nm)
     d_s0 = float(stack.layers[2].thickness_nm)
 
     # fixed point: an already balanced stack is left alone
-    res0 = abs(imbalance(d_m0, d_s0))
+    res0 = float(abs(imbalance(d_m0, d_s0)))
     if res0 < tol:
         _check_unique_crossing(stack, wavelength_nm, theta_deg, n_s_target,
                                polarization)
@@ -556,32 +475,12 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
     metal_grid = np.arange(d_metal_bounds[0], d_metal_bounds[1] + 0.5, 1.0)
     sample_grid = np.arange(d_sample_bounds[0], d_sample_bounds[1] + 1.0, 4.0)
 
-    best = None  # (|ds - ds0|, ds) among the winning film's crossings
-    d_m = None
-    for d_m_try in metal_grid:
-        g = np.array([imbalance(d_m_try, d_s) for d_s in sample_grid])
-        sign_change = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
-        for i in sign_change:
-            lo, hi = sample_grid[i], sample_grid[i + 1]
-            glo = g[i]
-            for _ in range(80):  # bisection to ~1e-22 nm, converges long before
-                mid = 0.5 * (lo + hi)
-                gm = imbalance(d_m_try, mid)
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if np.sign(gm) == np.sign(glo):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            d_s = 0.5 * (lo + hi)
-            key = (abs(d_s - d_s0), d_s)
-            if best is None or key < best:
-                best = key
-        if best is not None:
-            d_m = float(d_m_try)  # thinnest balanced film wins
+    for d_m in metal_grid:  # the thinnest balanced film wins
+        g = imbalance(d_m, sample_grid)
+        crossing = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
+        if crossing.size:
             break
-    if best is None:
+    else:
         raise CalibrationError(
             "no balanced point: T - R has no sign change for film "
             "thickness in %s nm and sample thickness in %s nm at "
@@ -589,8 +488,21 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
             % (d_metal_bounds, d_sample_bounds, wavelength_nm, theta_deg,
                n_s_target))
 
-    d_s = best[1]
-    residual = abs(imbalance(d_m, d_s))
+    d_m = float(d_m)
+    lo, hi = sample_grid[crossing], sample_grid[crossing + 1]
+    glo = g[crossing]
+    for _ in range(80):  # bisection to ~1e-22 nm, converges long before
+        mid = 0.5 * (lo + hi)
+        gm = imbalance(d_m, mid)
+        # an exact zero pins both ends, which then stay put
+        same = np.sign(gm) == np.sign(glo)
+        lo = np.where(same | (gm == 0.0), mid, lo)
+        hi = np.where(same, hi, mid)
+        glo = np.where(same, gm, glo)
+    balanced = 0.5 * (lo + hi)
+    d_s = float(min(zip(np.abs(balanced - d_s0), balanced))[1])
+
+    residual = float(abs(imbalance(d_m, d_s)))
     if residual >= tol:
         raise CalibrationError(
             "bisection stalled: residual |T - R| = %.3g at d_metal=%.6g, "
@@ -598,7 +510,7 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
     calibrated = stack.with_thickness({1: d_m, 2: d_s, 3: d_m})
     _check_unique_crossing(calibrated, wavelength_nm, theta_deg, n_s_target,
                            polarization)
-    return CalibrationResult(calibrated, float(d_m), float(d_s), residual,
+    return CalibrationResult(calibrated, d_m, d_s, residual,
                              wavelength_nm, theta_deg, n_s_target, changed=True)
 
 

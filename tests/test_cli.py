@@ -1,6 +1,8 @@
 """Command-line front end: grid subcommands end to end, exit codes."""
 
 import csv
+import importlib
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -100,3 +102,30 @@ def test_unknown_config_key_exits_1(tmp_path, command):
     code, _ = _run(tmp_path, command, {"stack_path": str(FIXTURE_STACK),
                                        "n_s_grd": NS})
     assert code == 1
+
+
+def test_coincidence_outputs(tmp_path):
+    """Default index grid (1.25..1.34 in 1e-3 steps) on the fixture stack."""
+    cfg = {"stack_path": str(FIXTURE_STACK)}
+    code, out = _run(tmp_path, "coincidence", cfg, "first")
+    assert code == 0
+    header, rows = _table(out / "coincidence.csv")
+    assert len(rows) == 91
+    assert all(len(row) == len(header) for row in rows)
+    code, again = _run(tmp_path, "coincidence", cfg, "second")
+    assert code == 0
+    for path in sorted(out.iterdir()):
+        assert (again / path.name).read_bytes() == path.read_bytes()
+
+
+def test_traced_names_resolve():
+    """Every layer `python3 bench/run.py --trace 1` wraps exists."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attribute, _ in tracer.TRACED:
+        owner = importlib.import_module("homsensor." + module)
+        for name in attribute.split("."):
+            owner = getattr(owner, name)
+        assert callable(owner), (module, attribute)

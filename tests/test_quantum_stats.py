@@ -15,7 +15,8 @@ from homsensor.quantum_stats import (
     PairDistribution, bs_point, click_distribution, coherent_output_means,
     coherent_pair_grid, coherent_pair_probability, coincidence_probability,
     hom_click_distribution, hom_pair_distribution, poisson_pair_grid,
-    poisson_pmf, splitter_singular_values, validate_points,
+    poisson_pmf, splitter_singular_values, validate_distribution,
+    validate_points,
 )
 from homsensor.tmm import stack_response
 
@@ -155,6 +156,27 @@ def test_click_linear_combination():
 def test_click_vacuum():
     c = click_distribution(PairDistribution(1.0, 0.0, 0.0, 0.0))
     assert (c.p0_click, c.p1_click, c.p2_click) == (1.0, 0.0, 0.0)
+
+
+def test_validate_distribution_names_first_bad_index():
+    """Noise above CLAMP_FLOOR is zeroed, sums must be 1 within 1e-9, and
+    the first bad cell is named; both dataclasses apply the same rule."""
+    grid = np.array([[0.5, 0.5, 0.0], [1.0, -5e-13, 0.0],
+                     [0.2, 0.3, 0.4], [0.3, 0.3, 0.3]])
+    with pytest.raises(UnphysicalPointError,
+                       match=r"sum to .* at grid index \(2,\)"):
+        validate_distribution(grid, "click")
+    clamped = validate_distribution(grid[:2], "click")
+    assert clamped[1, 1] == 0.0
+    assert np.array_equal(clamped[0], grid[0])
+    with pytest.raises(UnphysicalPointError,
+                       match=r"negative .* at grid index \(1, 1\)"):
+        validate_distribution([[0.5, 0.5], [1.1, -0.1]], "click")
+    assert ClickDistribution(1.0, -5e-13, 0.0).p1_click == 0.0
+    with pytest.raises(UnphysicalPointError):
+        ClickDistribution(0.5, 0.6, -0.1)
+    with pytest.raises(UnphysicalPointError):
+        PairDistribution(p00=0.5, p10=0.2, p20=0.1, p11=0.1)
 
 
 def test_hom_click_shortcut(stack):

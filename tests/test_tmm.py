@@ -2,22 +2,26 @@
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from homsensor import tmm
 from homsensor.errors import (
     CalibrationError, StackDefinitionError, UnphysicalPointError,
 )
 from homsensor.materials import constant_material
 from homsensor.tmm import (
-    Layer, LayerStack, boundary_matrix, calibrate_stack, fresnel,
-    layer_cosines, load_stack, make_sensor_stack, propagation_matrix,
-    response_derivatives, reversed_stack, save_stack, stack_from_dict,
-    stack_response, stack_to_dict, stack_transfer,
+    Layer, LayerStack, _cosines_from_indices, calibrate_stack, fresnel,
+    load_stack, make_sensor_stack, response_derivatives, reversed_stack,
+    save_stack, stack_from_dict, stack_response, stack_to_dict,
 )
 
 from oracles import airy_response
+
+FIXTURE_STACK = Path(__file__).resolve().parents[1] / "bench" / "fixtures" \
+    / "stack.json"
 
 
 def two_layer(n_a, n_b):
@@ -45,22 +49,27 @@ def lossless_sensor(d_metal_nm=50.0, d_sample_nm=500.0, n_film=2.0):
 # propagation cosines
 # ---------------------------------------------------------------------------
 
+def _cosines(indices, n0, theta_deg):
+    n0_sin = n0 * math.sin(math.radians(theta_deg))
+    return _cosines_from_indices(np.asarray(indices, dtype=complex),
+                                 np.asarray(n0_sin))
+
+
 def test_cosines_equal_for_equal_indices():
-    cos = layer_cosines(slab_stack(1.5, 1.5, 100.0), 800.0, 35.0)
+    cos = _cosines([1.5, 1.5, 1.5], 1.5, 35.0)
     assert cos[0] == pytest.approx(cos[1], abs=1e-15)
     assert cos[1] == pytest.approx(cos[2], abs=1e-15)
 
 
 def test_cosines_total_internal_reflection_branch():
-    cos = layer_cosines(slab_stack(1.5, 1.0, 100.0), 800.0, 70.0)
+    cos = _cosines([1.5, 1.0, 1.5], 1.5, 70.0)
     inner = cos[1]
     assert inner.real == pytest.approx(0.0, abs=1e-12)
     assert inner.imag > 0.0
 
 
 def test_cosines_normal_incidence():
-    cos = layer_cosines(slab_stack(1.5, 1.2, 50.0), 800.0, 0.0)
-    for c in cos:
+    for c in _cosines([1.5, 1.2, 1.5], 1.5, 0.0):
         assert c == pytest.approx(1.0, abs=1e-15)
 
 
@@ -95,36 +104,54 @@ def test_fresnel_flux_conservation_below_critical():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fresnel_degenerate_interface_rejected():
+    """One vanishing denominator anywhere in a broadcast call raises."""
+    n_b = np.array([1.2, -1.5])
+    for pol in ("tm", "te"):
+        with pytest.raises(UnphysicalPointError):
+            fresnel(1.5, n_b, 1.0, 1.0, pol)
+
+
 # ---------------------------------------------------------------------------
-# propagation matrix
+# propagation through a uniform slab
 # ---------------------------------------------------------------------------
 
 def test_propagation_zero_thickness_identity():
-    P = propagation_matrix(1.5, 0.0, 800.0, 0.8)
-    assert np.allclose(P, np.eye(2), atol=1e-15)
+    resp = stack_response(slab_stack(1.5, 1.5, 0.0), 800.0, 35.0)
+    assert resp.t == pytest.approx(1.0, abs=1e-15)
+    assert resp.r == pytest.approx(0.0, abs=1e-15)
 
 
 def test_propagation_lossless_unit_modulus():
-    P = propagation_matrix(1.5, 320.0, 800.0, 0.77)
-    assert abs(P[0, 0]) == pytest.approx(1.0, abs=1e-12)
-    assert abs(P[1, 1]) == pytest.approx(1.0, abs=1e-12)
+    """No interfaces: t is the propagation factor exp(+i delta)."""
+    d, lam, theta = 320.0, 800.0, 40.0
+    resp = stack_response(slab_stack(1.5, 1.5, d), lam, theta)
+    delta = 2.0 * math.pi * 1.5 * math.cos(math.radians(theta)) * d / lam
+    assert abs(resp.t) == pytest.approx(1.0, abs=1e-12)
+    assert resp.t == pytest.approx(cmath.exp(1j * delta), abs=1e-12)
 
 
 def test_propagation_evanescent_real_decay():
-    kappa = 0.6
-    d, lam, n = 150.0, 800.0, 1.0
-    P = propagation_matrix(n, d, lam, 1j * kappa)
-    decay = math.exp(-2.0 * math.pi / lam * n * kappa * d)
-    entries = sorted((P[0, 0], P[1, 1]), key=abs)
-    for e in entries:
-        assert e.imag == pytest.approx(0.0, abs=1e-15)
-    assert entries[0].real == pytest.approx(decay, rel=1e-12)
-    assert entries[1].real == pytest.approx(1.0 / decay, rel=1e-12)
+    """Beyond the critical angle the gap field decays as exp(-k kappa d):
+    thickening a thick gap by 1000 nm scales t by that real factor."""
+    lam, theta = 800.0, 70.0
+    kappa = math.sqrt((1.5 * math.sin(math.radians(theta))) ** 2 - 1.0)
+    stack = slab_stack(1.5, 1.0, np.array([1000.0, 2000.0]))
+    t = stack_response(stack, lam, theta).t
+    ratio = t[1] / t[0]
+    decay = math.exp(-2.0 * math.pi / lam * kappa * 1000.0)
+    assert ratio.imag == pytest.approx(0.0, abs=1e-6 * decay)
+    assert ratio.real == pytest.approx(decay, rel=1e-6)
 
 
 def test_propagation_negative_thickness_rejected():
-    with pytest.raises(StackDefinitionError):
-        propagation_matrix(1.5, -1.0, 800.0, 1.0)
+    """A negative or non-finite thickness, scalar or array element."""
+    for d in (-1.0, np.array([100.0, -1.0]), np.array([100.0, np.nan]),
+              np.array([np.inf])):
+        with pytest.raises(StackDefinitionError):
+            slab_stack(1.5, 2.0, d)
+        with pytest.raises(StackDefinitionError):
+            slab_stack(1.5, 2.0, 100.0).with_thickness({1: d})
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +159,14 @@ def test_propagation_negative_thickness_rejected():
 # ---------------------------------------------------------------------------
 
 def test_single_interface_transfer_equals_boundary():
+    """A two-layer stack's amplitudes are fresnel's r and t."""
     stack = two_layer(1.5, 1.2)
+    cos = _cosines([1.5, 1.2], 1.5, 25.0)
     for pol in ("tm", "te"):
-        M = stack_transfer(stack, 800.0, 25.0, polarization=pol)
-        cos = layer_cosines(stack, 800.0, 25.0)
-        B = boundary_matrix(1.5, 1.2, cos[0], cos[1], pol)
-        assert np.allclose(M, B, atol=1e-15)
+        resp = stack_response(stack, 800.0, 25.0, polarization=pol)
+        r, t = fresnel(1.5, 1.2, cos[0], cos[1], pol)
+        assert resp.r == pytest.approx(r, abs=1e-15)
+        assert resp.t == pytest.approx(t, abs=1e-15)
 
 
 def test_zero_thickness_insertion_invariant():
@@ -255,6 +284,28 @@ def test_vectorized_matches_scalar(stack):
         assert resp.phi_tr[i] == pytest.approx(one.phi_tr, abs=1e-15)
 
 
+def test_array_thickness_matches_scalar_calls(stack):
+    """A gap-thickness array crossed with an n_s array equals the
+    per-thickness scalar calls."""
+    gaps = np.array([[480.0], [502.5], [530.0]])
+    ns = np.array([1.27, 1.30, 1.31, 1.33])
+    resp = stack_response(stack.with_thickness({2: gaps}), 800.0, 70.0, ns)
+    assert resp.T.shape == (3, 4)
+    for i, d in enumerate(gaps[:, 0]):
+        trial = stack.with_thickness({2: d})
+        for k, n in enumerate(ns):
+            one = stack_response(trial, 800.0, 70.0, float(n))
+            assert resp.t[i, k] == pytest.approx(one.t, abs=1e-15)
+            assert resp.r[i, k] == pytest.approx(one.r, abs=1e-15)
+            assert resp.phi_tr[i, k] == pytest.approx(one.phi_tr, abs=1e-15)
+
+
+def test_with_thickness_keeps_kinds(stack):
+    trial = stack.with_thickness({1: 30, 2: np.array([400.0, 500.0])})
+    assert type(trial.thickness_of(1)) is float
+    assert isinstance(trial.thickness_of(2), np.ndarray)
+
+
 def test_theta_and_polarization_validation(stack):
     with pytest.raises(StackDefinitionError):
         stack_response(stack, 800.0, 90.0, 1.31)
@@ -328,6 +379,27 @@ def test_calibration_unique_crossing(calibration):
     g = np.asarray(resp.T) - np.asarray(resp.R)
     flips = np.sum(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
     assert flips == 1
+
+
+def test_calibration_matches_bench_fixture(calibration):
+    """The default calibration reproduces the committed fixture stack."""
+    fixture = load_stack(FIXTURE_STACK)
+    assert calibration.d_metal_nm == fixture.thickness_of(1)
+    assert calibration.d_sample_nm == fixture.thickness_of(2)
+    assert calibration.stack.thickness_of(3) == fixture.thickness_of(3)
+
+
+def test_calibration_is_a_few_array_calls(monkeypatch):
+    calls = []
+    evaluate = tmm.stack_response
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(tmm, "stack_response", counted)
+    calibrate_stack()
+    assert len(calls) <= 100
 
 
 def test_calibration_failure_lists_range():
