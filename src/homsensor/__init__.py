@@ -12,7 +12,7 @@ Layering, bottom up:
 * tmm: transfer-matrix response of layer stacks and the calibration
   search for a balanced splitter,
 * quantum_stats: photon-pair and coherent-benchmark outcome
-  distributions at one splitter operating point,
+  probabilities over arrays of splitter operating points,
 * estimation: Fisher information, the pair-vs-coherent enhancement,
   an information decomposition over the splitter parameters, and the
   instrumental uncertainty budget,
@@ -34,19 +34,15 @@ from .errors import (CalibrationError, ConfigError, HomsensorError,
 from .estimation import (BudgetReport, BudgetRow, BudgetSource,
                          DecompositionResult, FisherReport, PhaseScanResult,
                          enhancement_ratio, fisher_classical,
-                         fisher_classical_counts, fisher_decomposition,
-                         fisher_from_distribution, fisher_hom, fisher_report,
-                         load_budget_sources, mixed_phase_classical_fisher,
+                         fisher_decomposition, fisher_from_distribution,
+                         fisher_hom, fisher_report, load_budget_sources,
                          phi_ab_scan, precision_bound, uncertainty_budget)
 from .materials import (Material, MaterialTable, constant_material, gold_jc,
                         load_material_table, parse_material_csv,
                         refractive_index, save_material_table)
-from .quantum_stats import (BsPoint, ClickDistribution, CoherentInput,
-                            PairDistribution, bs_point, click_distribution,
-                            coherent_output_means, coherent_pair_grid,
-                            coherent_pair_probability, coincidence_probability,
-                            hom_click_distribution, hom_pair_distribution,
-                            poisson_pair_grid, splitter_singular_values)
+from .quantum_stats import (BsPoint, CoherentInput, bs_point,
+                            coherent_output_means, hom_click_distribution,
+                            poisson_pair_grid)
 from .tmm import (CalibrationResult, Layer, LayerStack, StackResponse,
                   calibrate_stack, fresnel, load_stack, make_sensor_stack,
                   response_derivatives, reversed_stack, save_stack,
@@ -56,29 +52,23 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BsPoint", "BudgetReport", "BudgetRow", "BudgetSource",
-    "CalibrationError", "CalibrationResult", "ClickDistribution",
-    "CoherentInput", "ConfigError", "DecompositionResult", "FisherReport",
-    "HomMoments", "HomsensorError", "Layer", "LayerStack", "Material",
-    "MaterialDataError", "MaterialTable", "PairDistribution",
+    "CalibrationError", "CalibrationResult", "CoherentInput", "ConfigError",
+    "DecompositionResult", "FisherReport", "HomMoments", "HomsensorError",
+    "Layer", "LayerStack", "Material", "MaterialDataError", "MaterialTable",
     "PhaseScanResult", "QuadratureGrid", "SpectralProfile",
     "StackDefinitionError", "StackResponse", "UndefinedRatioError",
     "UnphysicalPointError", "WavelengthRangeError",
-    "bs_point", "calibrate_stack", "click_distribution",
-    "coherent_output_means", "coherent_pair_grid",
-    "coherent_pair_probability", "coherent_spectral_amplitudes",
-    "coincidence_probability", "constant_material",
+    "bs_point", "calibrate_stack", "coherent_output_means",
+    "coherent_spectral_amplitudes", "constant_material",
     "continuum_classical_means", "continuum_fisher", "continuum_hom_moments",
     "default_grid", "enhancement_ratio", "fisher_classical",
-    "fisher_classical_counts", "fisher_decomposition",
-    "fisher_from_distribution", "fisher_hom", "fisher_report", "fresnel",
-    "gold_jc", "hom_click_distribution", "hom_click_vector_from_moments",
-    "hom_pair_distribution", "load_budget_sources",
+    "fisher_decomposition", "fisher_from_distribution", "fisher_hom",
+    "fisher_report", "fresnel", "gold_jc", "hom_click_distribution",
+    "hom_click_vector_from_moments", "load_budget_sources",
     "load_material_table", "load_stack", "make_sensor_stack",
-    "mixed_phase_classical_fisher", "parse_material_csv", "phi_ab_scan",
-    "poisson_pair_grid", "precision_bound",
-    "quadrature_grid", "refractive_index", "relative_difference",
-    "response_derivatives", "reversed_stack", "save_material_table",
-    "save_stack", "spectral_profile", "splitter_singular_values",
-    "stack_response", "stack_spectral_response",
-    "uncertainty_budget",
+    "parse_material_csv", "phi_ab_scan", "poisson_pair_grid",
+    "precision_bound", "quadrature_grid", "refractive_index",
+    "relative_difference", "response_derivatives", "reversed_stack",
+    "save_material_table", "save_stack", "spectral_profile",
+    "stack_response", "stack_spectral_response", "uncertainty_budget",
 ]

@@ -22,7 +22,9 @@ every file is rectangular and complete.
 
 Grids are evaluated in one process by broadcast library calls: `map`
 makes one call per information scheme over the whole wavelength x index
-mesh, and `continuum` one call per (bandwidth, scheme).
+mesh, `continuum` one call per (bandwidth, scheme), and `fisher` one
+pass: one fisher_report call over the index grid and one phi_ab_scan
+call over the phase grid.
 
 Exit status: 0 on success, 1 on configuration or physics errors, 2 on
 calibration failure.
@@ -42,11 +44,11 @@ import numpy as np
 from . import __version__
 from .continuum import continuum_fisher
 from .errors import CalibrationError, ConfigError, HomsensorError
-from .estimation import DEFAULT_NS_STEP, RATIO_FLOOR, fisher_classical, \
-    fisher_hom, fisher_report, load_budget_sources, phi_ab_scan, \
-    uncertainty_budget
-from .quantum_stats import CLAMP_FLOOR, _hom_click_vector, \
-    validate_distribution, validate_points
+from .estimation import DEFAULT_NS_STEP, RATIO_FLOOR, defined_ratio, \
+    fisher_classical, fisher_hom, fisher_report, load_budget_sources, \
+    phi_ab_scan, uncertainty_budget
+from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, \
+    hom_click_distribution, validate_points
 from .tmm import CALIBRATION_TOL, calibrate_stack, load_stack, save_stack, \
     stack_response
 
@@ -200,7 +202,7 @@ _SCHEMAS = {
     "fisher": {
         **_COMMON_SCHEMA,
         "n_s_grid": (_DEFAULT_NS_GRID, _as_grid),
-        "phi_ab": (math.pi / 2.0, _as_float),
+        "phi_ab": (DEFAULT_PHI_AB, _as_float),
         "phi_ab_policy": ("fixed", _as_choice(("fixed", "scan"))),
         "phase_scan_ns": (1.30, _as_float),
         "phase_scan_points": (721, _as_int),
@@ -214,7 +216,7 @@ _SCHEMAS = {
         **_COMMON_SCHEMA,
         "n_s_grid": (_DEFAULT_NS_GRID, _as_grid),
         "wavelength_grid_nm": (_DEFAULT_LAMBDA_GRID, _as_grid),
-        "phi_ab": (math.pi / 2.0, _as_float),
+        "phi_ab": (DEFAULT_PHI_AB, _as_float),
     },
     "budget": {
         **_COMMON_SCHEMA,
@@ -226,7 +228,7 @@ _SCHEMAS = {
         "n_s_grid": (_DEFAULT_NS_GRID, _as_grid),
         "delta_lambda_nm_list": ([9.4, 94.0], _as_float_list),
         "schemes": (["hom", "classical"], _as_scheme_list),
-        "phi_ab": (math.pi / 2.0, _as_float),
+        "phi_ab": (DEFAULT_PHI_AB, _as_float),
         "n_nodes": (201, _as_int),
         "span": (5.0, _as_float),
     },
@@ -357,16 +359,20 @@ def _resolve_stack(cfg):
                              theta_deg=cal["theta_deg"],
                              n_s_target=cal["target_ns"],
                              polarization=cfg["polarization"])
-    info = {
+    return result.stack, _calibration_info(result)
+
+
+def _calibration_info(result) -> dict:
+    """The metadata record of an automatic calibration."""
+    return {
         "source": "auto",
-        "target_ns": cal["target_ns"],
-        "wavelength_nm": cal["wavelength_nm"],
-        "theta_deg": cal["theta_deg"],
+        "target_ns": result.n_s_target,
+        "wavelength_nm": result.wavelength_nm,
+        "theta_deg": result.theta_deg,
         "d_metal_nm": result.d_metal_nm,
         "d_sample_nm": result.d_sample_nm,
         "residual": result.residual,
     }
-    return result.stack, info
 
 
 def _prepare_out_dir(path):
@@ -379,13 +385,6 @@ def _prepare_out_dir(path):
     except OSError as exc:
         raise ConfigError("output directory %r is not writable: %s"
                           % (path, exc)) from exc
-
-
-def _defined_ratio(num, den):
-    """Elementwise num / den, nan with flag 0 where den <= RATIO_FLOOR."""
-    defined = den > RATIO_FLOOR
-    return np.where(defined, num / np.where(defined, den, 1.0), np.nan), \
-        defined
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +406,8 @@ def cmd_calibrate(args) -> int:
         run_id = run_identifier("calibrate", cfg)
         stack_file = os.path.join(args.out, "calibrated_stack.json")
         save_stack(result.stack, stack_file)
-        cal_info = {
-            "source": "auto",
-            "target_ns": args.target_ns,
-            "wavelength_nm": args.wavelength_nm,
-            "theta_deg": args.theta_deg,
-            "d_metal_nm": result.d_metal_nm,
-            "d_sample_nm": result.d_sample_nm,
-            "residual": result.residual,
-        }
         write_metadata(args.out, "calibrate", cfg, run_id, result.stack,
-                       cal_info, ["calibrated_stack.json"])
+                       _calibration_info(result), ["calibrated_stack.json"])
         print("wrote %s" % stack_file)
     return 0
 
@@ -461,7 +451,7 @@ def cmd_coincidence(args) -> int:
     resp = stack_response(stack, cfg["wavelength_nm"], cfg["theta_deg"], ns,
                           cfg["polarization"])
     T, R, phi = validate_points(resp.T, resp.R, resp.phi_tr)
-    clicks = validate_distribution(_hom_click_vector(T, R, phi), "click")
+    clicks = hom_click_distribution(T, R, phi)
     rows = zip(ns, T, R, 1.0 - T - R, np.abs(T - R), phi, *clicks.T)
     meta = _meta_lines("coincidence", run_id, stack, [
         "wavelength_nm=%s theta_deg=%s polarization=%s"
@@ -488,20 +478,13 @@ def cmd_fisher(args) -> int:
     run_id = run_identifier("fisher", cfg)
 
     ns = grid_values(cfg["n_s_grid"])
-    fisher_rows = []
-    decomp_rows = []
-    for n in ns:
-        rep = fisher_report(stack, cfg["wavelength_nm"], cfg["theta_deg"],
-                            float(n), phi_ab=cfg["phi_ab"],
-                            polarization=cfg["polarization"])
-        fisher_rows.append((n, rep.i_hom, rep.i_classical, rep.g,
-                            1 if rep.g_defined else 0, rep.precision_hom,
-                            rep.precision_classical))
-        m, (dT, dR, dphi) = rep.decomposition, rep.derivs
-        contracted = float(np.array([dT, dR, dphi])
-                           @ m @ np.array([dT, dR, dphi]))
-        decomp_rows.append((n, m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2],
-                            m[1, 2], dT, dR, dphi, contracted))
+    rep = fisher_report(stack, cfg["wavelength_nm"], cfg["theta_deg"], ns,
+                        phi_ab=cfg["phi_ab"], polarization=cfg["polarization"])
+    fisher_rows = zip(ns, rep.i_hom, rep.i_classical, rep.g, rep.g_defined,
+                      rep.precision_hom, rep.precision_classical)
+    m = rep.decomposition
+    decomp_rows = zip(ns, m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 0, 1],
+                      m[:, 0, 2], m[:, 1, 2], *rep.derivs.T, rep.contracted)
 
     base_meta = [
         "wavelength_nm=%s theta_deg=%s polarization=%s phi_ab=%s"
@@ -570,7 +553,7 @@ def cmd_map(args) -> int:
     i_c = fisher_classical(stack, lams[:, None], cfg["theta_deg"], ns,
                            phi_ab=cfg["phi_ab"],
                            polarization=cfg["polarization"])
-    g, defined = _defined_ratio(i_h - i_c, i_c)
+    g, defined = defined_ratio(i_h - i_c, i_c)
     lam_mesh, ns_mesh = np.meshgrid(lams, ns, indexing="ij")
     rows = zip(*(a.ravel() for a in (lam_mesh, ns_mesh, i_h, i_c, g,
                                      defined)))
@@ -659,8 +642,8 @@ def cmd_continuum(args) -> int:
                                       phi_ab=cfg["phi_ab"], polarization=pol,
                                       n_nodes=cfg["n_nodes"],
                                       span=cfg["span"])
-            d, defined = _defined_ratio(np.abs(i_single[scheme] - i_cont),
-                                        i_single[scheme])
+            d, defined = defined_ratio(np.abs(i_single[scheme] - i_cont),
+                                       i_single[scheme])
             rows.extend(zip([dlam] * len(ns), [scheme] * len(ns), ns,
                             i_single[scheme], i_cont, d, defined))
 

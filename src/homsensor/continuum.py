@@ -46,9 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedRatioError
-from .estimation import (DEFAULT_NS_STEP, RATIO_FLOOR, _as_result,
-                         _distribution_information, _information)
+from .errors import ConfigError
+from .estimation import (DEFAULT_NS_STEP, _as_result,
+                         _distribution_information, _information,
+                         checked_ratio)
 from .quantum_stats import DEFAULT_PHI_AB
 from .tmm import LayerStack, stack_response
 
@@ -348,10 +349,8 @@ def continuum_fisher(scheme: str, stack: LayerStack, lambda0_nm: float,
     return _as_result(info)
 
 
-def relative_difference(i_single: float, i_continuum: float) -> float:
+def relative_difference(i_single, i_continuum):
     """D = |I_single - I_continuum| / I_single, the bandwidth drift."""
-    if i_single <= RATIO_FLOOR:
-        raise UndefinedRatioError(
-            "single-frequency information %r is too small to normalize "
-            "the bandwidth drift" % (i_single,))
-    return abs(i_single - i_continuum) / i_single
+    return checked_ratio(np.abs(i_single - i_continuum), i_single,
+                         "single-frequency information %r is too small to "
+                         "normalize the bandwidth drift")

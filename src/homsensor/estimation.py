@@ -11,21 +11,27 @@ whose inverse square root bounds the standard deviation of any unbiased
 single-shot estimate.  Derivatives are taken by central finite
 differences in n_s; the denominator uses the midpoint average of the
 two perturbed distributions, which is accurate to the same order as the
-derivative and costs no extra model evaluation.  The per-scheme
-evaluators broadcast over wavelength and n_s: a whole grid costs one
-stack_response call on n_s -/+ step stacked along a trailing axis.
+derivative and costs no extra model evaluation.
 
 Provided on top of the raw information are:
 
 * per-scheme evaluators for the photon-pair (two-photon interference)
   probe and the coherent probe,
 * a decomposition of the information over the splitter parameters
-  (T, R, phi_tr), exposing which physical channel carries the signal,
+  (T, R, phi_tr), exposing which physical channel carries the signal
+  (for the coherent probe it differentiates the two Poisson means),
+* a report of both schemes, their enhancement and the decomposition,
 * a scan of the coherent probe's relative phase, locating the phase
   that maximizes its information,
 * an uncertainty budget converting instrumental disturbances (angle,
   prism index, polarization, film thickness) into equivalent index
   errors via sensitivity ratios of the coincidence signal.
+
+All but the budget are array-first: the evaluators, the decomposition
+and the report broadcast over wavelength, angle and n_s (one
+stack_response call per quantity, the n_s steps on a trailing axis; a
+scalar input returns floats), and the scan over its phase grid.
+defined_ratio is the one comparison with RATIO_FLOOR.
 
 Some closed-form diagnostics are conventionally quoted for an idealized
 balanced splitter with a quarter-wave transmission-reflection phase.
@@ -46,12 +52,12 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, UndefinedRatioError
-from .quantum_stats import (POISSON_L_MAX, BsPoint, CoherentInput,
-                            _clamp_probability, _coherent_mean_pair,
-                            _hom_click_vector, _hom_pair_vector, bs_point,
-                            coherent_output_means, poisson_pair_grid,
+from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput,
+                            _coherent_mean_pair, _hom_click_vector,
+                            _hom_pair_vector, bs_point, coherent_output_means,
                             validate_points)
-from .tmm import LayerStack, constant_material, stack_response, response_derivatives
+from .tmm import (LayerStack, constant_material, response_at_offsets,
+                  response_derivatives, stack_response)
 
 ZERO_PROB_FLOOR = 1e-15   # outcomes below this are treated as impossible
 DERIV_FLOOR = 1e-12       # derivatives up to this are rounding noise
@@ -129,23 +135,12 @@ def fisher_from_distribution(dist_fn, n_s: float, step: float = DEFAULT_NS_STEP
     return float(_distribution_information(p_plus, p_minus, step))
 
 
-# ---------------------------------------------------------------------------
-# splitter points on n_s -/+ step
-# ---------------------------------------------------------------------------
-
 def _points_around(stack, wavelength_nm, theta_deg, n_s, polarization,
                    step):
-    """Validated (T, R, phi_tr) at n_s - step and n_s + step.
-
-    One stack_response call on the broadcast grid of the inputs, with
-    the two steps stacked along a new trailing axis (index 0: minus).
-    """
-    def trailing(x):
-        return np.asarray(x, dtype=float)[..., None]
-
-    resp = stack_response(stack, trailing(wavelength_nm), trailing(theta_deg),
-                          trailing(n_s) + np.array([-step, step]),
-                          polarization)
+    """Validated (T, R, phi_tr) at n_s - step and n_s + step, stacked on
+    a new trailing axis (index 0: minus); one stack_response call."""
+    resp = response_at_offsets(stack, wavelength_nm, theta_deg, n_s,
+                               [-step, step], polarization)
     return validate_points(resp.T, resp.R, resp.phi_tr)
 
 
@@ -198,76 +193,44 @@ def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
             else CoherentInput(phi_ab=float(phi_ab))
     elif phi_ab is not None:
         raise ConfigError("give phi_ab or probe, not both")
-    mu = _clamp_probability(_coherent_mean_pair(
-        *_points_around(stack, wavelength_nm, theta_deg, n_s, polarization,
-                        step), probe), "mu")
+    mu = coherent_output_means(*_points_around(
+        stack, wavelength_nm, theta_deg, n_s, polarization, step), probe)
     return _as_result(_information(mu[..., 1, :], mu[..., 0, :], step))
 
 
-def fisher_classical_counts(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                            probe: CoherentInput | None = None,
-                            polarization: str = "tm",
-                            step: float = DEFAULT_NS_STEP,
-                            l_max: int = POISSON_L_MAX) -> float:
-    """Same information computed from the explicit joint count grid.
+def precision_bound(info):
+    """Single-shot standard-deviation bound 1/sqrt(I); inf where I <= 0.
 
-    Numerically redundant with fisher_classical (the Poisson closed form),
-    kept as an independent path for validation and as the building block
-    for non-product count distributions such as phase mixtures.
+    Broadcasts; a scalar input returns a float.
     """
-    probe = probe or CoherentInput()
-
-    def dist(n):
-        resp = stack_response(stack, wavelength_nm, theta_deg, n, polarization)
-        mu1, mu2 = coherent_output_means(bs_point(resp), probe)
-        return poisson_pair_grid(mu1, mu2, l_max).ravel()
-
-    return fisher_from_distribution(dist, float(n_s), step)
+    info = np.asarray(info, dtype=float)
+    positive = info > 0.0
+    return _as_result(np.where(
+        positive, 1.0 / np.sqrt(np.where(positive, info, 1.0)), math.inf))
 
 
-def mixed_phase_classical_fisher(stack: LayerStack, wavelength_nm, theta_deg,
-                                 n_s, phi_ab_magnitude: float | None = None,
-                                 probe: CoherentInput | None = None,
-                                 polarization: str = "tm",
-                                 step: float = DEFAULT_NS_STEP,
-                                 l_max: int = POISSON_L_MAX) -> float:
-    """Coherent-probe information without a locked phase sign.
+def defined_ratio(num, den):
+    """Elementwise num / den and its flag den > RATIO_FLOOR.
 
-    Models a probe whose relative phase is +phi_ab or -phi_ab with equal
-    probability on each trial: the outcome distribution is the equal
-    mixture of the two joint count grids.  Mixing can only discard
-    information, so this never exceeds the phase-locked value.
-
-    phi_ab_magnitude sets |phi_ab| (unit intensities), the same shorthand
-    fisher_classical offers through phi_ab; its sign does not matter
-    since both signs are mixed.  Pass a full CoherentInput via probe for
-    anything fancier.
+    The ratio is nan where the flag is False: there the denominator has
+    collapsed and the ratio is undefined rather than huge.
     """
-    if probe is None:
-        probe = CoherentInput() if phi_ab_magnitude is None \
-            else CoherentInput(phi_ab=float(phi_ab_magnitude))
-    elif phi_ab_magnitude is not None:
-        raise ConfigError("give phi_ab_magnitude or probe, not both")
-    flipped = CoherentInput(probe.alpha_sq, probe.beta_sq, -probe.phi_ab)
-
-    def dist(n):
-        resp = stack_response(stack, wavelength_nm, theta_deg, n, polarization)
-        point = bs_point(resp)
-        g1 = poisson_pair_grid(*coherent_output_means(point, probe), l_max)
-        g2 = poisson_pair_grid(*coherent_output_means(point, flipped), l_max)
-        return (0.5 * (g1 + g2)).ravel()
-
-    return fisher_from_distribution(dist, float(n_s), step)
+    defined = np.asarray(den) > RATIO_FLOOR
+    return np.where(defined, num / np.where(defined, den, 1.0), np.nan), \
+        defined
 
 
-def precision_bound(info: float) -> float:
-    """Single-shot standard-deviation bound 1/sqrt(I); inf when I <= 0."""
-    if info <= 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(info)
+def checked_ratio(num, den, message: str):
+    """defined_ratio that raises UndefinedRatioError (message % the first
+    undefined denominator) instead of returning nan."""
+    ratio, defined = defined_ratio(num, den)
+    if not np.all(defined):
+        raise UndefinedRatioError(
+            message % (float(np.asarray(den)[~defined].flat[0]),))
+    return _as_result(ratio)
 
 
-def enhancement_ratio(info_hom: float, info_classical: float) -> float:
+def enhancement_ratio(info_hom, info_classical):
     """Fractional gain G = (I_pair - I_coherent) / I_coherent.
 
     G > 0 means the photon-pair probe beats the coherent benchmark;
@@ -275,11 +238,9 @@ def enhancement_ratio(info_hom: float, info_classical: float) -> float:
     coherent information collapses the ratio diverges and is flagged as
     undefined rather than returned as a huge number.
     """
-    if info_classical <= RATIO_FLOOR:
-        raise UndefinedRatioError(
-            "coherent-probe information is %r; the enhancement ratio is "
-            "undefined at this operating point" % (info_classical,))
-    return (info_hom - info_classical) / info_classical
+    return checked_ratio(info_hom - info_classical, info_classical,
+                         "coherent-probe information is %r; the enhancement "
+                         "ratio is undefined at this operating point")
 
 
 # ---------------------------------------------------------------------------
@@ -290,47 +251,30 @@ def enhancement_ratio(info_hom: float, info_classical: float) -> float:
 class DecompositionResult:
     """Fisher-information matrix over the splitter parameters.
 
-    matrix[a, b] = sum_outcomes (d P / d tau_a)(d P / d tau_b) / P with
-    tau = (T, R, phi_tr), evaluated at the operating point (optionally
-    with the phase frozen by phi_tr_assumption).  jacobian holds
-    d tau / d n_s from the stack response; contracting the matrix with
-    it reproduces the direct information in n_s (chain rule):
+    matrix[..., a, b] = sum_outcomes (d P / d tau_a)(d P / d tau_b) / P
+    with tau = (T, R, phi_tr), evaluated at the operating point
+    (T, R, phi_used), where phi_used is the phase frozen by
+    phi_tr_assumption or the actual one.  jacobian[..., a] holds
+    d tau_a / d n_s from the stack response; contracting the matrix
+    with it reproduces the direct information in n_s (chain rule):
 
         I(n_s) = J . matrix . J
+
+    The broadcast shape of the inputs leads every array; a scalar input
+    gives a (3, 3) matrix, a (3,) jacobian and floats elsewhere.
     """
 
     matrix: np.ndarray
     jacobian: np.ndarray
-    contracted: float
-    point: BsPoint
+    contracted: np.ndarray | float
+    T: np.ndarray | float
+    R: np.ndarray | float
+    phi_used: np.ndarray | float
     scheme: str
-    phi_used: float
-
-    @property
-    def i_phase(self) -> float:
-        """Information available through the phase channel alone."""
-        return float(self.matrix[2, 2])
 
 
-def _stencil_partials(model, tau, steps):
-    """Fourth-order central partial derivatives of a vector model.
-
-    The five-point stencil (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / (12 h)
-    keeps truncation error ~h^4, which matters for entries that vanish
-    identically at symmetric points (plain second-order differences
-    leave a residue well above the verification tolerances there).
-    """
-    partials = []
-    for a in range(3):
-        e = np.zeros(3)
-        e[a] = steps[a]
-        f_m2 = model(*(tau - 2 * e))
-        f_m1 = model(*(tau - e))
-        f_p1 = model(*(tau + e))
-        f_p2 = model(*(tau + 2 * e))
-        partials.append((f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2)
-                        / (12.0 * steps[a]))
-    return partials
+# offsets of the fourth-order central stencil, in units of the step
+_STENCIL = np.array([-2.0, -1.0, 1.0, 2.0])
 
 
 def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
@@ -339,15 +283,24 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                          polarization: str = "tm",
                          phi_tr_assumption: float | None = None,
                          tau_step: float = DECOMP_STEP,
-                         ns_step: float = DEFAULT_NS_STEP,
-                         l_max: int = POISSON_L_MAX) -> DecompositionResult:
+                         ns_step: float = DEFAULT_NS_STEP
+                         ) -> DecompositionResult:
     """Resolve the information over the (T, R, phi_tr) channels.
 
-    scheme is "hom" (photon-pair clicks) or "classical" (coherent joint
-    counts).  The 3x3 matrix is evaluated at the stack's operating
-    point; phi_tr_assumption, when given, replaces the phase coordinate
-    of that point (see the module docstring).  The jacobian and the
-    contracted scalar always use the actual stack response.
+    scheme is "hom" (photon-pair clicks) or "classical" (the coherent
+    probe's two Poisson means mu, whose matrix is the same sum
+    sum_j d_a mu_j d_b mu_j / mu_j).  The 3x3 matrix is evaluated at the
+    stack's operating point; phi_tr_assumption, when given, replaces the
+    phase coordinate of that point (see the module docstring).  The
+    jacobian and the contracted scalar always use the actual stack
+    response.  wavelength_nm, theta_deg and n_s broadcast.
+
+    The (T, R, phi) partials use the five-point stencil
+    (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / (12 h), whose truncation
+    error ~h^4 matters for entries that vanish identically at symmetric
+    points (plain second-order differences leave a residue well above
+    the verification tolerances there).  All four offsets along all
+    three axes are one model call.
 
     For the classical scheme with equal intensities (a = b) at the
     quadrature probe phase phi_ab = pi/2, the Poisson closed form of the
@@ -365,82 +318,86 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
         model = _hom_click_vector
     elif scheme == "classical":
         def model(T, R, phi):
-            mu1, mu2 = np.maximum(_coherent_mean_pair(T, R, phi, probe), 0.0)
-            return poisson_pair_grid(mu1, mu2, l_max).ravel()
+            return np.maximum(_coherent_mean_pair(
+                T, R, phi, probe.alpha_sq, probe.beta_sq, probe.phi_ab), 0.0)
     else:
         raise ConfigError("scheme must be 'hom' or 'classical', got %r"
                           % (scheme,))
 
     resp = stack_response(stack, wavelength_nm, theta_deg, n_s, polarization)
-    point = bs_point(resp)
-    phi_used = point.phi_tr if phi_tr_assumption is None \
-        else float(phi_tr_assumption)
-    tau = np.array([point.T, point.R, phi_used])
+    T, R, phi = validate_points(resp.T, resp.R, resp.phi_tr)
+    if phi_tr_assumption is not None:
+        phi = np.full_like(phi, phi_tr_assumption)
+    tau = np.stack([T, R, phi], axis=-1)
 
-    p0 = model(*tau)
-    partials = _stencil_partials(model, tau, [tau_step] * 3)
+    # (..., offset, axis, coordinate): tau moved by offset * h along axis
+    moved = tau[..., None, None, :] \
+        + (_STENCIL[:, None, None] * tau_step) * np.eye(3)
+    f = model(*np.moveaxis(moved, -1, 0))           # (..., offset, axis, K)
+    partials = (f[..., 0, :, :] - 8.0 * f[..., 1, :, :]
+                + 8.0 * f[..., 2, :, :] - f[..., 3, :, :]) / (12.0 * tau_step)
+    p0 = model(T, R, phi)[..., None, None, :]
     alive = p0 > ZERO_PROB_FLOOR
-    matrix = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            val = float(np.sum(partials[a][alive] * partials[b][alive]
-                               / p0[alive]))
-            matrix[a, b] = matrix[b, a] = val
+    matrix = np.sum(np.where(
+        alive, partials[..., :, None, :] * partials[..., None, :, :]
+        / np.where(alive, p0, 1.0), 0.0), axis=-1)
 
-    dT, dR, dphi = response_derivatives(stack, wavelength_nm, theta_deg,
-                                        float(n_s), polarization, ns_step)
-    jac = np.array([float(dT), float(dR), float(dphi)])
-    contracted = float(jac @ matrix @ jac)
-    return DecompositionResult(matrix=matrix, jacobian=jac,
-                               contracted=contracted, point=point,
-                               scheme=scheme, phi_used=phi_used)
+    jac = np.stack(response_derivatives(stack, wavelength_nm, theta_deg, n_s,
+                                        polarization, ns_step), axis=-1)
+    contracted = (jac[..., None, :] @ matrix @ jac[..., :, None])[..., 0, 0]
+    return DecompositionResult(
+        matrix=matrix, jacobian=jac, contracted=_as_result(contracted),
+        T=_as_result(T), R=_as_result(R), phi_used=_as_result(phi),
+        scheme=scheme)
 
 
 # ---------------------------------------------------------------------------
-# combined point report
+# combined report
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FisherReport:
-    """Everything the information analysis produces at one n_s point.
+    """Both information figures, their ratio and the decomposition.
 
-    g is NaN where the coherent information is below the ratio floor
-    (the undefined-enhancement window around the dip); g_defined flags
-    that case for tabular output.
+    Fields have the inputs' broadcast shape leading (floats for scalar
+    inputs).  g is NaN where the coherent information is below the
+    ratio floor (the undefined-enhancement window around the dip);
+    g_defined flags that case.  decomposition, derivs and contracted
+    are the photon-pair DecompositionResult's matrix, jacobian and
+    contraction.
     """
 
-    n_s: float
-    i_hom: float
-    i_classical: float
+    n_s: np.ndarray | float
+    i_hom: np.ndarray | float
+    i_classical: np.ndarray | float
     phi_ab_used: float
-    g: float
-    g_defined: bool
-    decomposition: np.ndarray   # 3x3 over (T, R, phi_tr), HOM scheme
-    derivs: tuple[float, float, float]
-    precision_hom: float
-    precision_classical: float
+    g: np.ndarray | float
+    g_defined: np.ndarray | bool
+    decomposition: np.ndarray
+    derivs: np.ndarray
+    contracted: np.ndarray | float
+    precision_hom: np.ndarray | float
+    precision_classical: np.ndarray | float
 
 
 def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                  phi_ab: float = math.pi / 2.0, polarization: str = "tm",
+                  phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm",
                   step: float = DEFAULT_NS_STEP) -> FisherReport:
-    """Evaluate both schemes, the enhancement and the HOM decomposition."""
+    """Evaluate both schemes, the enhancement and the HOM decomposition
+    on the broadcast grid: one call of each evaluator."""
     i_h = fisher_hom(stack, wavelength_nm, theta_deg, n_s, polarization, step)
     i_c = fisher_classical(stack, wavelength_nm, theta_deg, n_s,
                            phi_ab=phi_ab, polarization=polarization, step=step)
-    try:
-        g = enhancement_ratio(i_h, i_c)
-        g_defined = True
-    except UndefinedRatioError:
-        g = math.nan
-        g_defined = False
+    g, g_defined = defined_ratio(i_h - i_c, i_c)
     decomp = fisher_decomposition(stack, wavelength_nm, theta_deg, n_s,
                                   scheme="hom", polarization=polarization,
                                   ns_step=step)
     return FisherReport(
-        n_s=float(n_s), i_hom=i_h, i_classical=i_c, phi_ab_used=float(phi_ab),
-        g=g, g_defined=g_defined, decomposition=decomp.matrix,
-        derivs=tuple(decomp.jacobian), precision_hom=precision_bound(i_h),
+        n_s=_as_result(np.asarray(n_s, dtype=float)), i_hom=i_h,
+        i_classical=i_c, phi_ab_used=float(phi_ab), g=_as_result(g),
+        g_defined=g_defined[()], decomposition=decomp.matrix,
+        derivs=decomp.jacobian, contracted=decomp.contracted,
+        precision_hom=precision_bound(i_h),
         precision_classical=precision_bound(i_c))
 
 
@@ -467,24 +424,27 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                 ) -> PhaseScanResult:
     """Scan the coherent probe's relative phase over [-pi, pi].
 
-    For each phase on the half-open grid [-pi, pi) the closed-form
-    Poisson information is evaluated.  The returned phi_opt is the grid
-    maximizer, optionally polished by one parabolic fit through the
-    maximum and its two neighbours (kept inside the bracketing
-    interval).
+    The closed-form Poisson information is evaluated on the half-open
+    grid [-pi, pi) in one broadcast over the phases.  The returned
+    phi_opt is the grid maximizer, optionally polished by one parabolic
+    fit through the maximum and its two neighbours (kept inside the
+    bracketing interval).
     """
+    probe = CoherentInput(alpha_sq, beta_sq)  # validates the intensities
     grid = np.linspace(-np.pi, np.pi, int(n_points), endpoint=False)
     T, R, phi = _points_around(stack, wavelength_nm, theta_deg, float(n_s),
                                polarization, step)
     if phi_tr_assumption is not None:
         phi = np.full_like(phi, phi_tr_assumption)
 
-    def info(phi_ab_value: float) -> float:
-        probe = CoherentInput(alpha_sq, beta_sq, float(phi_ab_value))
-        mu = np.maximum(_coherent_mean_pair(T, R, phi, probe), 0.0)
-        return float(_information(mu[1], mu[0], step))
+    def info(phi_ab):
+        """Information per phase; the -/+ step axis trails the phases."""
+        mu = np.maximum(_coherent_mean_pair(
+            T, R, phi, probe.alpha_sq, probe.beta_sq,
+            np.asarray(phi_ab)[..., None]), 0.0)
+        return _information(mu[..., 1, :], mu[..., 0, :], step)
 
-    values = np.array([info(p) for p in grid])
+    values = info(grid)
     k = int(np.argmax(values))
     phi_opt = float(grid[k])
     fisher_opt = float(values[k])
@@ -496,7 +456,7 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
             if abs(shift) <= 1.0:
                 h = grid[1] - grid[0]
                 phi_ref = float(grid[k] + shift * h)
-                f_ref = info(phi_ref)
+                f_ref = float(info(phi_ref))
                 if f_ref >= fisher_opt:
                     phi_opt, fisher_opt = phi_ref, f_ref
     return PhaseScanResult(phi_ab=grid, fisher=values, phi_opt=phi_opt,

@@ -25,13 +25,18 @@ The symmetric matrix S has singular values |t +/- r|, so passivity is
 
     T + R + 2 sqrt(T R) |cos phi_tr| <= 1,
 
-enforced at construction with a 1e-9 allowance.  Probabilities and
+enforced by validate_points with a 1e-9 allowance.  Probabilities and
 means in [-1e-12, 0) are clamped to zero (floating-point noise); more
 negative values raise UnphysicalPointError (physics or convention bug).
 
-The raw outcome models and the validators validate_points and
-validate_distribution broadcast over arrays of points (outcomes on a
-trailing axis); the dataclasses are validating scalar views over them.
+Everything broadcasts over arrays of points, with outcomes on a
+trailing axis.  The raw models _hom_pair_vector, _hom_click_vector and
+_coherent_mean_pair do not validate, because finite-difference stencils
+step slightly off physical points.  hom_click_distribution checks its
+points with validate_points and its result with validate_distribution;
+coherent_output_means clamps its means with _clamp_probability.
+BsPoint (built by bs_point) is the validated point of one scalar
+response.
 """
 
 from __future__ import annotations
@@ -102,29 +107,13 @@ def validate_points(T, R, phi_tr):
                "negative power coefficient: T=%r, R=%r", (T, R))
     T = np.clip(T, 0.0, 1.0)
     R = np.clip(R, 0.0, 1.0)
-    s_sq = np.maximum(*_singular_values_sq(T, R, phi))
+    # largest squared singular value |t +/- r|^2 of [[t, r], [r, t]]
+    s_sq = T + R + 2.0 * np.sqrt(T * R) * np.abs(np.cos(phi))
     _first_bad(s_sq > 1.0 + PHYSICALITY_TOL,
                "splitter point is not passive: largest squared singular "
                "value %.12g > 1 at T=%.6g, R=%.6g, phi_tr=%.6g",
                (s_sq, T, R, phi))
     return T, R, phi
-
-
-def _singular_values_sq(T, R, phi):
-    """Squared singular values |t +/- r|^2 of [[t, r], [r, t]] from the
-    operating point alone: T + R +/- 2 sqrt(T R) cos(phi_tr)."""
-    cross = 2.0 * np.sqrt(T * R) * np.cos(phi)
-    return T + R + cross, T + R - cross
-
-
-def splitter_singular_values(point: BsPoint) -> tuple[float, float]:
-    """Singular values (|t + r|, |t - r|) of the symmetric network.
-
-    Both must be at most 1 for a passive splitter.
-    """
-    s_plus_sq, s_minus_sq = _singular_values_sq(point.T, point.R,
-                                                point.phi_tr)
-    return math.sqrt(max(s_plus_sq, 0.0)), math.sqrt(max(s_minus_sq, 0.0))
 
 
 def bs_point(resp: StackResponse) -> BsPoint:
@@ -173,55 +162,24 @@ def validate_distribution(p, what: str):
 # photon-pair probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairDistribution:
-    """Outcome probabilities for one photon entering each input port.
-
-    p00: both photons absorbed; p10: one photon in output 1, none in 2
-    (p01 = p10 by the splitter symmetry); p20: both photons in output 1
-    (p02 = p20); p11: one photon in each output, the coincidence class.
-    The six underlying outcomes satisfy
-    p00 + 2 p10 + 2 p20 + p11 = 1.
-    """
-
-    p00: float
-    p10: float
-    p20: float
-    p11: float
-
-    def __post_init__(self):
-        p00, p10, _, p20, _, p11 = validate_distribution(
-            [self.p00, self.p10, self.p10, self.p20, self.p20, self.p11],
-            "pair")
-        for name, value in zip(("p00", "p10", "p20", "p11"),
-                               (p00, p10, p20, p11)):
-            object.__setattr__(self, name, float(value))
-
-    @property
-    def p01(self) -> float:
-        return self.p10
-
-    @property
-    def p02(self) -> float:
-        return self.p20
-
-    def as_dict(self) -> dict:
-        return {"p00": self.p00, "p10": self.p10, "p01": self.p10,
-                "p20": self.p20, "p02": self.p20, "p11": self.p11}
-
-
 def _hom_pair_vector(T, R, phi):
     """Joint pair outcomes (00, 10, 01, 20, 02, 11) on a trailing axis.
 
-    Raw formulas, no validation, broadcasting over (T, R, phi):
+    p00: both photons absorbed; p10: one photon in output 1, none in 2;
+    p20: both photons in output 1; p11: one photon in each output, the
+    coincidence class, which carries the two-photon interference term
+    cos(2 phi_tr).  Raw formulas, no validation, broadcasting over
+    (T, R, phi):
 
         p11 = T^2 + R^2 + 2 T R cos(2 phi_tr)
         p20 = p02 = 2 T R
         p10 = p01 = (T + R) - 4 T R - p11
         p00 = 1 - 2 (T + R) + 4 T R + p11
 
-    Finite-difference stencils perturb (T, R, phi) slightly around a
-    physical point, so tiny excursions must not raise here.
+    p11 = (T - R)^2 at phi_tr = pi/2, hence zero exactly at a balanced
+    splitter with quadrature phase: the two-photon dip.  Finite-difference
+    stencils perturb (T, R, phi) slightly around a physical point, so tiny
+    excursions must not raise here.
     """
     p11 = T * T + R * R + 2.0 * T * R * np.cos(2.0 * phi)
     p20 = 2.0 * T * R
@@ -232,73 +190,25 @@ def _hom_pair_vector(T, R, phi):
 
 
 def _hom_click_vector(T, R, phi):
-    """Click probabilities (0, 1, 2 ports fired) on a trailing axis: the
-    pair outcomes merged by the number of detectors that fire."""
+    """Click probabilities (0, 1, 2 ports fired) on a trailing axis.
+
+    Threshold detectors: p0 = p00; p1 = 2 p10 + 2 p20 (one photon
+    surviving, or both bunched into one port, which fires that port's
+    detector once); p2 = p11.
+    """
     p = _hom_pair_vector(T, R, phi)
     return np.stack([p[..., 0], 2.0 * (p[..., 1] + p[..., 3]), p[..., 5]],
                     axis=-1)
 
 
-def hom_pair_distribution(point: BsPoint) -> PairDistribution:
-    """Photon-pair outcome probabilities at a splitter point.
+def hom_click_distribution(T, R, phi_tr):
+    """Validated click probabilities (p0, p1, p2) on a trailing axis.
 
-    p11 carries the two-photon interference term cos(2 phi_tr); the
-    bunched classes p20 = p02 = 2 T R do not depend on the phase, and
-    the loss classes follow from the single-photon marginals (see
-    _hom_pair_vector for the formulas).
+    The points pass validate_points, and the result validate_distribution;
+    broadcasts over (T, R, phi_tr).
     """
-    p00, p10, _, p20, _, p11 = _hom_pair_vector(point.T, point.R,
-                                                point.phi_tr)
-    return PairDistribution(p00=p00, p10=p10, p20=p20, p11=p11)
-
-
-@dataclass(frozen=True)
-class ClickDistribution:
-    """Probabilities of 0, 1, or 2 detectors firing on a photon pair.
-
-    Threshold (non-number-resolving) detectors: a bunched pair on one
-    port fires that port's detector once, so it lands in the one-click
-    class together with the single-photon loss outcomes.
-    """
-
-    p0_click: float
-    p1_click: float
-    p2_click: float
-
-    def __post_init__(self):
-        clamped = validate_distribution(
-            [self.p0_click, self.p1_click, self.p2_click], "click")
-        for name, value in zip(("p0_click", "p1_click", "p2_click"), clamped):
-            object.__setattr__(self, name, float(value))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p0_click, self.p1_click, self.p2_click])
-
-
-def click_distribution(pair: PairDistribution) -> ClickDistribution:
-    """Merge pair outcomes by the number of detectors that fire.
-
-    p0 = p00; p1 = 2 p10 + 2 p20 (one photon surviving, or both bunched
-    into one port); p2 = p11.
-    """
-    return ClickDistribution(
-        p0_click=pair.p00,
-        p1_click=2.0 * pair.p10 + 2.0 * pair.p20,
-        p2_click=pair.p11)
-
-
-def hom_click_distribution(point: BsPoint) -> ClickDistribution:
-    """Click probabilities straight from a splitter point."""
-    return click_distribution(hom_pair_distribution(point))
-
-
-def coincidence_probability(point: BsPoint) -> float:
-    """Probability that both detectors fire, p11.
-
-    Equals (T - R)^2 at phi_tr = pi/2, hence zero exactly at a balanced
-    splitter with quadrature phase: the two-photon dip.
-    """
-    return hom_pair_distribution(point).p11
+    return validate_distribution(
+        _hom_click_vector(*validate_points(T, R, phi_tr)), "click")
 
 
 # ---------------------------------------------------------------------------
@@ -328,36 +238,31 @@ class CoherentInput:
                 "|beta|^2=%r" % (self.alpha_sq, self.beta_sq))
 
 
-def _coherent_mean_pair(T, R, phi, probe: CoherentInput) -> np.ndarray:
+def _coherent_mean_pair(T, R, phi, a, b, phi_ab) -> np.ndarray:
     """Raw output means (mu1, mu2) on a trailing axis, unclamped:
 
         mu1,2 = T a + R b + 2 sqrt(T R a b) cos(phi_tr -/+ phi_ab)
 
-    with a = |alpha|^2, b = |beta|^2; broadcasts over (T, R, phi).
+    with a = |alpha|^2, b = |beta|^2; broadcasts over (T, R, phi) and
+    phi_ab.  The direct intensity term T a + R b is shared by both
+    outputs; the conventional port-swapped form would carry T b + R a in
+    mu2 instead.  The two agree for the default balanced probe a = b,
+    which is the regime this model is used in; the shared-term form is
+    kept deliberately and this is the only place the choice enters.
     """
-    a, b = probe.alpha_sq, probe.beta_sq
     direct = T * a + R * b
     cross = 2.0 * np.sqrt(np.maximum(T * R * a * b, 0.0))
     return np.stack(np.broadcast_arrays(
-        direct + cross * np.cos(phi - probe.phi_ab),
-        direct + cross * np.cos(phi + probe.phi_ab)), axis=-1)
+        direct + cross * np.cos(phi - phi_ab),
+        direct + cross * np.cos(phi + phi_ab)), axis=-1)
 
 
-def coherent_output_means(point: BsPoint, probe: CoherentInput | None = None
-                          ) -> tuple[float, float]:
-    """Mean photon numbers (mu1, mu2) at the two outputs.
-
-    Note the direct intensity term T a + R b is shared by both outputs
-    (see _coherent_mean_pair); the conventional port-swapped form would
-    carry T b + R a in mu2 instead.  The two agree for the default
-    balanced probe a = b, which is the regime this model is used in;
-    the shared-term form is kept deliberately and this is the only
-    place the choice enters.
-    """
-    mu1, mu2 = _clamp_probability(
-        _coherent_mean_pair(point.T, point.R, point.phi_tr,
-                            probe or CoherentInput()), "mu")
-    return float(mu1), float(mu2)
+def coherent_output_means(T, R, phi_tr, probe: CoherentInput | None = None):
+    """Mean photon numbers (mu1, mu2) at the two outputs, on a trailing
+    axis, clamped by _clamp_probability; broadcasts over (T, R, phi_tr)."""
+    probe = probe or CoherentInput()
+    return _clamp_probability(_coherent_mean_pair(
+        T, R, phi_tr, probe.alpha_sq, probe.beta_sq, probe.phi_ab), "mu")
 
 
 def poisson_pmf(counts, mu) -> np.ndarray:
@@ -377,16 +282,6 @@ def poisson_pmf(counts, mu) -> np.ndarray:
     return np.exp(k_log_mu - mu - log_fact[k])
 
 
-def coherent_pair_probability(l1: int, l2: int,
-                              means: tuple[float, float]) -> float:
-    """Joint probability of counting (l1, l2) photons at the outputs.
-
-    The outputs of a linear network fed with coherent light stay
-    coherent, so the counts are independent Poisson variables.
-    """
-    return float(np.prod(poisson_pmf([l1, l2], means)))
-
-
 def poisson_pair_grid(mu1: float, mu2: float, l_max: int = POISSON_L_MAX
                       ) -> np.ndarray:
     """Joint pmf on the truncated grid 0..l_max x 0..l_max.
@@ -396,10 +291,3 @@ def poisson_pair_grid(mu1: float, mu2: float, l_max: int = POISSON_L_MAX
     """
     counts = np.arange(l_max + 1)
     return np.outer(poisson_pmf(counts, mu1), poisson_pmf(counts, mu2))
-
-
-def coherent_pair_grid(point: BsPoint, probe: CoherentInput | None = None,
-                       l_max: int = POISSON_L_MAX) -> np.ndarray:
-    """Truncated joint count pmf of the coherent benchmark at a point."""
-    mu1, mu2 = coherent_output_means(point, probe)
-    return poisson_pair_grid(mu1, mu2, l_max)

@@ -369,6 +369,18 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
         n_s=ns, polarization=polarization)
 
 
+def response_at_offsets(stack: LayerStack, wavelength_nm, theta_deg, n_s,
+                        offsets, polarization: str = "tm") -> StackResponse:
+    """stack_response at n_s + offsets, the offsets on a new trailing axis
+    of the broadcast grid of the other inputs (one call)."""
+    def trailing(x):
+        return np.asarray(x, dtype=float)[..., None]
+
+    return stack_response(stack, trailing(wavelength_nm), trailing(theta_deg),
+                          trailing(n_s) + np.asarray(offsets, dtype=float),
+                          polarization)
+
+
 def response_derivatives(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                          polarization: str = "tm", step: float = 1e-6):
     """Central-difference d(T, R, phi_tr)/d n_s at the given point(s).
@@ -376,18 +388,21 @@ def response_derivatives(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     The phase derivative unwraps the +/- step values onto the branch
     nearest the center value before differencing, so a point near the
     +/- pi seam does not produce a spurious 2 pi / (2 h) spike.
+
+    One stack_response call evaluates n_s + step, n_s - step and n_s on
+    a trailing axis of the broadcast grid.
     """
-    ns = np.asarray(n_s, dtype=float)
-    rp = stack_response(stack, wavelength_nm, theta_deg, ns + step, polarization)
-    rm = stack_response(stack, wavelength_nm, theta_deg, ns - step, polarization)
-    rc = stack_response(stack, wavelength_nm, theta_deg, ns, polarization)
+    resp = response_at_offsets(stack, wavelength_nm, theta_deg, n_s,
+                               [step, -step, 0.0], polarization)
+    T, R, phi = (np.moveaxis(np.asarray(x), -1, 0)
+                 for x in (resp.T, resp.R, resp.phi_tr))
 
     def _near(phi, ref):
         return ref + np.mod(phi - ref + np.pi, 2.0 * np.pi) - np.pi
 
-    dT = (rp.T - rm.T) / (2.0 * step)
-    dR = (rp.R - rm.R) / (2.0 * step)
-    dphi = (_near(rp.phi_tr, rc.phi_tr) - _near(rm.phi_tr, rc.phi_tr)) / (2.0 * step)
+    dT = (T[0] - T[1]) / (2.0 * step)
+    dR = (R[0] - R[1]) / (2.0 * step)
+    dphi = (_near(phi[0], phi[2]) - _near(phi[1], phi[2])) / (2.0 * step)
     return dT, dR, dphi
 
 
@@ -560,6 +575,15 @@ def _material_from_dict(d: dict) -> Material:
 
 
 def stack_to_dict(stack: LayerStack) -> dict:
+    """JSON-ready description of a stack; an array thickness is rejected
+    (StackDefinitionError naming the layer), since one file holds one
+    stack."""
+    for j, layer in enumerate(stack.layers):
+        if np.ndim(layer.thickness_nm):
+            raise StackDefinitionError(
+                "stack %r: layer %d holds an array of thicknesses (shape "
+                "%s); only a single stack can be saved"
+                % (stack.name, j, np.shape(layer.thickness_nm)))
     return {
         "name": stack.name,
         "sample_layer": stack.sample_layer,
@@ -579,8 +603,9 @@ def stack_from_dict(d: dict) -> LayerStack:
 
 
 def save_stack(stack: LayerStack, path):
+    data = stack_to_dict(stack)  # validated before the file is opened
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(stack_to_dict(stack), f, indent=2, sort_keys=True)
+        json.dump(data, f, indent=2, sort_keys=True)
         f.write("\n")
 
 

@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately written from scratch with a different
-algorithm than the code under test: the multilayer response uses the
-interface recursion (Airy summation) instead of matrix products, and
-the information helpers use direct probability-space formulas.
+Everything here is deliberately written with a different algorithm
+than the code under test: the multilayer response uses the interface
+recursion (Airy summation) instead of matrix products, the information
+helpers use direct probability-space formulas, and the coherent-probe
+information is computed from the explicit joint count grid instead of
+the Poisson closed form.
 """
 
 from __future__ import annotations
@@ -12,6 +14,13 @@ import cmath
 import math
 
 import numpy as np
+
+from homsensor.errors import ConfigError
+from homsensor.estimation import DEFAULT_NS_STEP, fisher_from_distribution
+from homsensor.quantum_stats import (POISSON_L_MAX, CoherentInput,
+                                     coherent_output_means, poisson_pair_grid,
+                                     validate_points)
+from homsensor.tmm import stack_response
 
 
 # ---------------------------------------------------------------------------
@@ -125,3 +134,99 @@ def mixture_fisher(components_fn, x, step):
         return sum(parts) / len(parts)
 
     return fisher_direct(mixed, x, step)
+
+
+# ---------------------------------------------------------------------------
+# coherent probe from the explicit joint count grid
+# ---------------------------------------------------------------------------
+
+def _count_grid(stack, wavelength_nm, theta_deg, n, probe, polarization,
+                l_max):
+    """Truncated joint count pmf of the coherent probe at one n_s."""
+    resp = stack_response(stack, wavelength_nm, theta_deg, n, polarization)
+    mu1, mu2 = coherent_output_means(
+        *validate_points(resp.T, resp.R, resp.phi_tr), probe)
+    return poisson_pair_grid(mu1, mu2, l_max)
+
+
+def fisher_classical_counts(stack, wavelength_nm, theta_deg, n_s,
+                            probe=None, polarization="tm",
+                            step=DEFAULT_NS_STEP, l_max=POISSON_L_MAX):
+    """Coherent-probe information from the explicit joint count grid.
+
+    Numerically redundant with fisher_classical (the Poisson closed
+    form), and the building block for non-product count distributions
+    such as phase mixtures.
+    """
+    probe = probe or CoherentInput()
+
+    def dist(n):
+        return _count_grid(stack, wavelength_nm, theta_deg, n, probe,
+                           polarization, l_max).ravel()
+
+    return fisher_from_distribution(dist, float(n_s), step)
+
+
+def mixed_phase_classical_fisher(stack, wavelength_nm, theta_deg, n_s,
+                                 phi_ab_magnitude=None, probe=None,
+                                 polarization="tm", step=DEFAULT_NS_STEP,
+                                 l_max=POISSON_L_MAX):
+    """Coherent-probe information without a locked phase sign.
+
+    Models a probe whose relative phase is +phi_ab or -phi_ab with equal
+    probability on each trial: the outcome distribution is the equal
+    mixture of the two joint count grids.  Mixing can only discard
+    information, so this never exceeds the phase-locked value.
+
+    phi_ab_magnitude sets |phi_ab| (unit intensities); its sign does not
+    matter since both signs are mixed.  Give it or a full CoherentInput
+    via probe, not both.
+    """
+    if probe is None:
+        probe = CoherentInput() if phi_ab_magnitude is None \
+            else CoherentInput(phi_ab=float(phi_ab_magnitude))
+    elif phi_ab_magnitude is not None:
+        raise ConfigError("give phi_ab_magnitude or probe, not both")
+    flipped = CoherentInput(probe.alpha_sq, probe.beta_sq, -probe.phi_ab)
+
+    def dist(n):
+        return (0.5 * sum(_count_grid(stack, wavelength_nm, theta_deg, n, p,
+                                      polarization, l_max)
+                          for p in (probe, flipped))).ravel()
+
+    return fisher_from_distribution(dist, float(n_s), step)
+
+
+def _poisson_pair(mu1, mu2, l_max):
+    """Joint pmf of two independent Poisson counts, 0..l_max each."""
+    k = np.arange(l_max + 1)
+    fact = np.array([math.factorial(int(i)) for i in k], dtype=float)
+    return np.outer(mu1 ** k * math.exp(-mu1) / fact,
+                    mu2 ** k * math.exp(-mu2) / fact)
+
+
+def count_grid_information_matrix(T, R, phi, a=1.0, b=1.0,
+                                  phi_ab=math.pi / 2.0, step=1e-5,
+                                  l_max=40):
+    """3x3 information matrix over (T, R, phi_tr) of the coherent probe's
+    truncated joint count grid: a five-point stencil per axis and a plain
+    sum over the count outcomes for each entry."""
+    def counts(tau):
+        t, r, p = tau
+        cross = 2.0 * math.sqrt(max(t * r * a * b, 0.0))
+        mu1 = max(t * a + r * b + cross * math.cos(p - phi_ab), 0.0)
+        mu2 = max(t * a + r * b + cross * math.cos(p + phi_ab), 0.0)
+        return _poisson_pair(mu1, mu2, l_max).ravel()
+
+    tau = np.array([T, R, phi], dtype=float)
+    p0 = counts(tau)
+    partials = []
+    for axis in range(3):
+        e = np.zeros(3)
+        e[axis] = step
+        partials.append((counts(tau - 2 * e) - 8.0 * counts(tau - e)
+                         + 8.0 * counts(tau + e) - counts(tau + 2 * e))
+                        / (12.0 * step))
+    keep = p0 > 1e-15
+    return np.array([[np.sum(pa[keep] * pb[keep] / p0[keep])
+                      for pb in partials] for pa in partials])

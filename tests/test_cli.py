@@ -5,11 +5,12 @@ import importlib
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from homsensor import cli
+from homsensor import cli, tmm
 from homsensor.materials import constant_material
 from homsensor.tmm import Layer, LayerStack, save_stack
 
@@ -118,14 +119,93 @@ def test_coincidence_outputs(tmp_path):
         assert (again / path.name).read_bytes() == path.read_bytes()
 
 
+def _bench_module(name):
+    """A module of the benchmark harness, loaded from bench/<name>.py."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_" + name,
+        Path(__file__).resolve().parents[1] / "bench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_names_resolve():
     """Every layer `python3 bench/run.py --trace 1` wraps exists."""
-    spec = importlib.util.spec_from_file_location(
-        "tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _bench_module("tracer")
     for module, attribute, _ in tracer.TRACED:
         owner = importlib.import_module("homsensor." + module)
         for name in attribute.split("."):
             owner = getattr(owner, name)
         assert callable(owner), (module, attribute)
+
+
+def test_bench_invocations_pass_reference_check(tmp_path):
+    """Every benchmark invocation at seed 0 passes the harness's checker:
+    file set, headers, row counts, flags, and every cell against
+    bench/reference within its REFERENCE_RTOL."""
+    check = _bench_module("check")
+    workloads = _bench_module("workloads")
+    for workload in workloads.WORKLOADS:
+        stack_path = str(FIXTURE_STACK) \
+            if workloads.uses_fixture(workload) else None
+        for i, (command, cfg) in enumerate(
+                workloads.configs(workload, 0, stack_path)):
+            code, out = _run(tmp_path, command, cfg,
+                             "%s_%d_%s" % (workload, i, command))
+            _, problems = check.check_invocation(
+                code, str(out), command, workloads.expected_rows(command))
+            assert problems == [], (workload, command)
+
+
+def test_calibration_failure_exits_2(tmp_path):
+    """At 40 degrees the default geometry has no T = R crossing."""
+    code, _ = _run(tmp_path, "spectrum", {"calibration": {"theta_deg": 40.0}})
+    assert code == 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("spectrum", {"n_s": "1.3"}),
+    ("fisher", {"phase_scan_points": 1.5}),
+])
+def test_wrong_type_exits_1(tmp_path, command, cfg):
+    code, _ = _run(tmp_path, command, {"stack_path": str(FIXTURE_STACK),
+                                       **cfg})
+    assert code == 1
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("fisher", {"phi_ab_policy": "scan"}),
+    ("budget", {}),
+])
+def test_reruns_are_byte_identical(tmp_path, command, extra):
+    cfg = {"stack_path": str(FIXTURE_STACK), **extra}
+    code, out = _run(tmp_path, command, cfg, "first")
+    assert code == 0
+    code, again = _run(tmp_path, command, cfg, "second")
+    assert code == 0
+    names = sorted(path.name for path in out.iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_fisher_is_one_pass(tmp_path, monkeypatch):
+    """`fisher` with the phase scan makes a handful of stack_response
+    calls on a loaded stack, not one set per index point."""
+    calls = []
+    original = tmm.stack_response
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("homsensor") \
+                and getattr(module, "stack_response", None) is original:
+            monkeypatch.setattr(module, "stack_response", counting)
+    code, out = _run(tmp_path, "fisher", {"stack_path": str(FIXTURE_STACK),
+                                          "phi_ab_policy": "scan"})
+    assert code == 0
+    assert (out / "phase_scan.csv").exists()
+    assert 0 < len(calls) <= 6

@@ -9,19 +9,19 @@ import pytest
 from homsensor.errors import ConfigError, UndefinedRatioError
 from homsensor.estimation import (
     BUDGET_STEP, BudgetSource, CoherentInput, _coincidence_signal,
-    enhancement_ratio, fisher_classical, fisher_classical_counts,
-    fisher_decomposition, fisher_from_distribution, fisher_hom, fisher_report,
-    load_budget_sources, mixed_phase_classical_fisher, phi_ab_scan,
-    precision_bound, uncertainty_budget,
+    enhancement_ratio, fisher_classical, fisher_decomposition,
+    fisher_from_distribution, fisher_hom, fisher_report, load_budget_sources,
+    phi_ab_scan, precision_bound, uncertainty_budget,
 )
 from homsensor.materials import constant_material
 from homsensor.quantum_stats import (
-    bs_point, coherent_output_means, hom_click_distribution,
-    poisson_pair_grid,
+    coherent_output_means, hom_click_distribution, poisson_pair_grid,
 )
 from homsensor.tmm import Layer, LayerStack, stack_response
 
-from oracles import fisher_direct, mixture_fisher
+from oracles import (count_grid_information_matrix, fisher_classical_counts,
+                     fisher_direct, mixed_phase_classical_fisher,
+                     mixture_fisher)
 
 PI_HALF = math.pi / 2.0
 
@@ -48,10 +48,14 @@ def test_bernoulli_information():
     assert info == pytest.approx(4.0, abs=1e-6)
 
 
+def _clicks(stack, n):
+    resp = stack_response(stack, 800.0, 70.0, n)
+    return hom_click_distribution(resp.T, resp.R, resp.phi_tr)
+
+
 def test_relabeling_invariance(stack):
     def clicks(n):
-        return hom_click_distribution(
-            bs_point(stack_response(stack, 800.0, 70.0, n))).as_array()
+        return _clicks(stack, n)
 
     def permuted(n):
         p = clicks(n)
@@ -82,8 +86,7 @@ def test_non_normalized_distribution_rejected():
 
 def test_matches_plain_central_difference_oracle(stack):
     def clicks(n):
-        return hom_click_distribution(
-            bs_point(stack_response(stack, 800.0, 70.0, n))).as_array()
+        return _clicks(stack, n)
 
     mine = fisher_from_distribution(clicks, 1.29)
     ref = fisher_direct(clicks, 1.29, 1e-6)
@@ -183,6 +186,16 @@ def test_phase_scan_peaks_at_quarter_turns(stack):
         assert dist <= scan.grid_step
 
 
+def test_phase_scan_matches_fisher_classical(stack):
+    """Each scanned phase carries fisher_classical's value there."""
+    scan = phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=12)
+    for phi_ab, value in zip(scan.phi_ab, scan.fisher):
+        expected = fisher_classical(stack, 800.0, 70.0, 1.30,
+                                    phi_ab=float(phi_ab))
+        assert value == pytest.approx(expected, rel=1e-12)
+    assert scan.fisher_opt >= scan.fisher.max()
+
+
 def test_phase_scan_grid_is_half_open(stack):
     scan = phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=8,
                        refine=False)
@@ -223,10 +236,10 @@ def test_mixture_matches_direct_sum_oracle(stack):
     n0 = 1.30
 
     def components(n):
-        point = bs_point(stack_response(stack, 800.0, 70.0, n))
+        resp = stack_response(stack, 800.0, 70.0, n)
         out = []
         for phi in (PI_HALF, -PI_HALF):
-            mu1, mu2 = coherent_output_means(point,
+            mu1, mu2 = coherent_output_means(resp.T, resp.R, resp.phi_tr,
                                              CoherentInput(phi_ab=phi))
             out.append(poisson_pair_grid(mu1, mu2, 40).ravel())
         return out
@@ -271,6 +284,15 @@ def test_precision_bound_values():
     assert precision_bound(-3.0) == math.inf
 
 
+def test_precision_bound_and_ratio_broadcast():
+    assert np.array_equal(precision_bound(np.array([4.0, 0.0, -3.0])),
+                          [0.5, math.inf, math.inf])
+    g = enhancement_ratio(np.array([3.0, 2.0]), np.array([2.0, 2.0]))
+    assert np.array_equal(g, [0.5, 0.0])
+    with pytest.raises(UndefinedRatioError, match="1e-13"):
+        enhancement_ratio(np.array([3.0, 1.0]), np.array([2.0, 1e-13]))
+
+
 # ---------------------------------------------------------------------------
 # decomposition over (T, R, phi_tr)
 # ---------------------------------------------------------------------------
@@ -288,12 +310,57 @@ def test_classical_cross_term_vanishes(stack):
 
         actual = fisher_decomposition(stack, 800.0, 70.0, n,
                                       scheme="classical")
-        T, R, phi = actual.point.T, actual.point.R, actual.phi_used
+        T, R, phi = actual.T, actual.R, actual.phi_used
         g = math.sqrt(T * R)
         u = (T + R) / g
         closed = 2.0 * u * math.cos(phi) ** 2 \
             / (g * (u * u - 4.0 * math.sin(phi) ** 2))
         assert actual.matrix[0, 1] == pytest.approx(closed, rel=1e-7)
+
+
+def test_classical_decomposition_matches_count_grid_oracle(stack):
+    """The Poisson-mean matrix equals the truncated count grid's, at the
+    actual and at the frozen phase."""
+    for n in (1.26, 1.29, 1.315, 1.335):
+        for frozen in (None, PI_HALF):
+            dec = fisher_decomposition(stack, 800.0, 70.0, n,
+                                       scheme="classical",
+                                       phi_tr_assumption=frozen)
+            ref = count_grid_information_matrix(dec.T, dec.R, dec.phi_used)
+            assert np.max(np.abs(dec.matrix - ref)) \
+                <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_classical_contraction_matches_direct(stack):
+    ns = np.array([1.26, 1.29, 1.30, 1.315, 1.335])
+    dec = fisher_decomposition(stack, 800.0, 70.0, ns, scheme="classical")
+    direct = fisher_classical(stack, 800.0, 70.0, ns)
+    assert dec.contracted == pytest.approx(direct, rel=1e-6)
+
+
+@pytest.mark.parametrize("scheme", ["hom", "classical"])
+def test_decomposition_batched_matches_scalar_calls(stack, scheme):
+    lams = np.array([795.0, 805.0])
+    ns = np.linspace(1.26, 1.34, 5)
+    grid = fisher_decomposition(stack, lams[:, None], 70.0, ns,
+                                scheme=scheme)
+    assert grid.matrix.shape == (2, 5, 3, 3)
+    assert grid.jacobian.shape == (2, 5, 3)
+    assert grid.contracted.shape == (2, 5)
+    for i, lam in enumerate(lams):
+        for j, n in enumerate(ns):
+            one = fisher_decomposition(stack, float(lam), 70.0, float(n),
+                                       scheme=scheme)
+            assert one.matrix.shape == (3, 3)
+            assert one.jacobian.shape == (3,)
+            assert isinstance(one.contracted, float)
+            scale = np.max(np.abs(one.matrix))
+            assert np.max(np.abs(grid.matrix[i, j] - one.matrix)) \
+                <= 1e-9 * scale
+            assert grid.jacobian[i, j] == pytest.approx(one.jacobian,
+                                                        rel=1e-9, abs=1e-9)
+            assert grid.contracted[i, j] == pytest.approx(one.contracted,
+                                                          rel=1e-9)
 
 
 def test_contraction_matches_direct(stack, rng):
@@ -338,6 +405,22 @@ def test_fisher_report_fields(stack):
     assert rep.precision_hom == pytest.approx(1.0 / math.sqrt(rep.i_hom),
                                               rel=1e-12)
     assert rep.decomposition.shape == (3, 3)
+    assert rep.contracted == pytest.approx(rep.i_hom, rel=1e-6)
+
+
+def test_fisher_report_on_grid_matches_point_reports(stack):
+    ns = np.linspace(1.25, 1.34, 7)
+    rep = fisher_report(stack, 800.0, 70.0, ns)
+    assert rep.decomposition.shape == (7, 3, 3)
+    assert rep.derivs.shape == (7, 3)
+    for k, n in enumerate(ns):
+        one = fisher_report(stack, 800.0, 70.0, float(n))
+        for field in ("i_hom", "i_classical", "g", "precision_hom",
+                      "precision_classical"):
+            assert getattr(rep, field)[k] == getattr(one, field)
+        assert bool(rep.g_defined[k]) == bool(one.g_defined)
+        assert rep.contracted[k] == pytest.approx(
+            one.contracted, abs=1e-9 * np.max(rep.contracted))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Splitter-point statistics: pair/click distributions, coherent means."""
+"""Splitter-point statistics: pair/click outcomes, coherent means."""
 
 import math
 import os
@@ -11,14 +11,20 @@ import pytest
 import homsensor
 from homsensor.errors import UnphysicalPointError
 from homsensor.quantum_stats import (
-    PHYSICALITY_TOL, BsPoint, ClickDistribution, CoherentInput,
-    PairDistribution, bs_point, click_distribution, coherent_output_means,
-    coherent_pair_grid, coherent_pair_probability, coincidence_probability,
-    hom_click_distribution, hom_pair_distribution, poisson_pair_grid,
-    poisson_pmf, splitter_singular_values, validate_distribution,
-    validate_points,
+    PHYSICALITY_TOL, BsPoint, CoherentInput, _hom_click_vector,
+    _hom_pair_vector, bs_point, coherent_output_means,
+    hom_click_distribution, poisson_pair_grid, poisson_pmf,
+    validate_distribution, validate_points,
 )
 from homsensor.tmm import stack_response
+
+PI_HALF = math.pi / 2.0
+
+
+def pair(T, R, phi):
+    """Validated pair outcomes (p00, p10, p01, p20, p02, p11)."""
+    return validate_distribution(
+        _hom_pair_vector(*validate_points(T, R, phi)), "pair")
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +89,13 @@ def test_validate_points_agrees_with_bs_point():
 
 
 def test_singular_values_passive(stack):
-    for n in (1.26, 1.30, 1.31, 1.33):
-        point = bs_point(stack_response(stack, 800.0, 70.0, n))
-        s_max, s_min = splitter_singular_values(point)
-        assert max(s_max, s_min) <= 1.0 + 1e-9
+    """|t +/- r| from the amplitudes stay <= 1, and validate_points
+    accepts the same points."""
+    resp = stack_response(stack, 800.0, 70.0, np.array([1.26, 1.30, 1.31,
+                                                         1.33]))
+    s_max = np.maximum(np.abs(resp.t + resp.r), np.abs(resp.t - resp.r))
+    assert np.all(s_max <= 1.0 + 1e-9)
+    validate_points(resp.T, resp.R, resp.phi_tr)
 
 
 # ---------------------------------------------------------------------------
@@ -94,43 +103,42 @@ def test_singular_values_passive(stack):
 # ---------------------------------------------------------------------------
 
 def test_pair_ideal_dip():
-    p = hom_pair_distribution(BsPoint(0.5, 0.5, math.pi / 2.0))
-    assert p.p00 == pytest.approx(0.0, abs=1e-15)
-    assert p.p10 == pytest.approx(0.0, abs=1e-15)
-    assert p.p20 == pytest.approx(0.5, abs=1e-15)
-    assert p.p11 == pytest.approx(0.0, abs=1e-15)
+    p00, p10, _, p20, _, p11 = pair(0.5, 0.5, PI_HALF)
+    assert p00 == pytest.approx(0.0, abs=1e-15)
+    assert p10 == pytest.approx(0.0, abs=1e-15)
+    assert p20 == pytest.approx(0.5, abs=1e-15)
+    assert p11 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pair_lossy_example():
-    p = hom_pair_distribution(BsPoint(0.3, 0.1, math.pi / 2.0))
-    assert p.p00 == pytest.approx(0.36, abs=1e-12)
-    assert p.p10 == pytest.approx(0.24, abs=1e-12)
-    assert p.p20 == pytest.approx(0.06, abs=1e-12)
-    assert p.p11 == pytest.approx(0.04, abs=1e-12)
+    p00, p10, _, p20, _, p11 = pair(0.3, 0.1, PI_HALF)
+    assert p00 == pytest.approx(0.36, abs=1e-12)
+    assert p10 == pytest.approx(0.24, abs=1e-12)
+    assert p20 == pytest.approx(0.06, abs=1e-12)
+    assert p11 == pytest.approx(0.04, abs=1e-12)
 
 
 def test_pair_total_absorption():
-    p = hom_pair_distribution(BsPoint(0.0, 0.0, 0.0))
-    assert p.p00 == 1.0
-    assert p.p10 == p.p01 == p.p20 == p.p02 == p.p11 == 0.0
+    p = pair(0.0, 0.0, 0.0)
+    assert p[0] == 1.0
+    assert np.all(p[1:] == 0.0)
 
 
 def test_pair_symmetry_and_sum():
-    p = hom_pair_distribution(BsPoint(0.3, 0.1, 1.2))
-    assert p.p01 == p.p10
-    assert p.p02 == p.p20
-    total = p.p00 + 2.0 * p.p10 + 2.0 * p.p20 + p.p11
+    p00, p10, p01, p20, p02, p11 = pair(0.3, 0.1, 1.2)
+    assert p01 == p10
+    assert p02 == p20
+    total = p00 + 2.0 * p10 + 2.0 * p20 + p11
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dip_identity():
     # p11 = (T - R)^2 when phi_tr = pi/2, zero exactly at T = R
-    for T, R in ((0.4, 0.2), (0.35, 0.35), (0.5, 0.1)):
-        p = hom_pair_distribution(BsPoint(T, R, math.pi / 2.0))
-        assert p.p11 == pytest.approx((T - R) ** 2, abs=1e-12)
-    assert hom_pair_distribution(
-        BsPoint(0.35, 0.35, math.pi / 2.0)).p11 == pytest.approx(0.0,
-                                                                 abs=1e-15)
+    T = np.array([0.4, 0.35, 0.5])
+    R = np.array([0.2, 0.35, 0.1])
+    p11 = pair(T, R, PI_HALF)[..., 5]
+    assert p11 == pytest.approx((T - R) ** 2, abs=1e-12)
+    assert pair(0.35, 0.35, PI_HALF)[5] == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +146,27 @@ def test_dip_identity():
 # ---------------------------------------------------------------------------
 
 def test_click_ideal_dip():
-    pair = hom_pair_distribution(BsPoint(0.5, 0.5, math.pi / 2.0))
-    c = click_distribution(pair)
-    assert c.p0_click == pytest.approx(0.0, abs=1e-15)
-    assert c.p1_click == pytest.approx(1.0, abs=1e-15)
-    assert c.p2_click == pytest.approx(0.0, abs=1e-15)
+    p0, p1, p2 = hom_click_distribution(0.5, 0.5, PI_HALF)
+    assert p0 == pytest.approx(0.0, abs=1e-15)
+    assert p1 == pytest.approx(1.0, abs=1e-15)
+    assert p2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_click_linear_combination():
-    pair = PairDistribution(p00=0.36, p10=0.24, p20=0.06, p11=0.04)
-    c = click_distribution(pair)
-    assert c.p0_click == pytest.approx(0.36, abs=1e-12)
-    assert c.p1_click == pytest.approx(0.60, abs=1e-12)
-    assert c.p2_click == pytest.approx(0.04, abs=1e-12)
+    # pair outcomes (p00, p10, p20, p11) = (0.36, 0.24, 0.06, 0.04) here
+    p0, p1, p2 = hom_click_distribution(0.3, 0.1, PI_HALF)
+    assert p0 == pytest.approx(0.36, abs=1e-12)
+    assert p1 == pytest.approx(2 * 0.24 + 2 * 0.06, abs=1e-12)
+    assert p2 == pytest.approx(0.04, abs=1e-12)
 
 
 def test_click_vacuum():
-    c = click_distribution(PairDistribution(1.0, 0.0, 0.0, 0.0))
-    assert (c.p0_click, c.p1_click, c.p2_click) == (1.0, 0.0, 0.0)
+    assert tuple(hom_click_distribution(0.0, 0.0, 0.0)) == (1.0, 0.0, 0.0)
 
 
 def test_validate_distribution_names_first_bad_index():
     """Noise above CLAMP_FLOOR is zeroed, sums must be 1 within 1e-9, and
-    the first bad cell is named; both dataclasses apply the same rule."""
+    the first bad cell is named; click and pair vectors obey one rule."""
     grid = np.array([[0.5, 0.5, 0.0], [1.0, -5e-13, 0.0],
                      [0.2, 0.3, 0.4], [0.3, 0.3, 0.3]])
     with pytest.raises(UnphysicalPointError,
@@ -172,20 +178,26 @@ def test_validate_distribution_names_first_bad_index():
     with pytest.raises(UnphysicalPointError,
                        match=r"negative .* at grid index \(1, 1\)"):
         validate_distribution([[0.5, 0.5], [1.1, -0.1]], "click")
-    assert ClickDistribution(1.0, -5e-13, 0.0).p1_click == 0.0
+    assert validate_distribution([1.0, -5e-13, 0.0], "click")[1] == 0.0
     with pytest.raises(UnphysicalPointError):
-        ClickDistribution(0.5, 0.6, -0.1)
+        validate_distribution([0.5, 0.6, -0.1], "click")
     with pytest.raises(UnphysicalPointError):
-        PairDistribution(p00=0.5, p10=0.2, p20=0.1, p11=0.1)
+        validate_distribution([0.5, 0.2, 0.2, 0.1, 0.1, 0.1], "pair")
 
 
 def test_hom_click_shortcut(stack):
-    point = bs_point(stack_response(stack, 800.0, 70.0, 1.30))
-    direct = hom_click_distribution(point)
-    via_pair = click_distribution(hom_pair_distribution(point))
-    assert direct.p0_click == via_pair.p0_click
-    assert direct.p1_click == via_pair.p1_click
-    assert direct.p2_click == via_pair.p2_click
+    """Clicks are the pair outcomes merged by detectors fired, and the
+    validated function equals the raw vector on physical points."""
+    resp = stack_response(stack, 800.0, 70.0, np.linspace(1.25, 1.34, 19))
+    direct = hom_click_distribution(resp.T, resp.R, resp.phi_tr)
+    p = pair(resp.T, resp.R, resp.phi_tr)
+    assert np.array_equal(direct[:, 0], p[:, 0])
+    assert np.array_equal(direct[:, 1], 2.0 * (p[:, 1] + p[:, 3]))
+    assert np.array_equal(direct[:, 2], p[:, 5])
+    assert np.array_equal(direct,
+                          _hom_click_vector(resp.T, resp.R, resp.phi_tr))
+    with pytest.raises(UnphysicalPointError, match="not passive"):
+        hom_click_distribution(0.64, 0.64, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,29 +205,23 @@ def test_hom_click_shortcut(stack):
 # ---------------------------------------------------------------------------
 
 def test_coincidence_balanced_quarter_phase():
-    assert coincidence_probability(
-        BsPoint(0.35, 0.35, math.pi / 2.0)) == pytest.approx(0.0, abs=1e-15)
+    assert hom_click_distribution(0.35, 0.35, PI_HALF)[2] \
+        == pytest.approx(0.0, abs=1e-15)
 
 
 def test_coincidence_formula_with_validation_bypassed():
-    # T = R = 0.5 with phi_tr = 0 violates passivity; evaluate the raw
-    # formula by sidestepping the constructor checks.
-    p = object.__new__(BsPoint)
-    object.__setattr__(p, "T", 0.5)
-    object.__setattr__(p, "R", 0.5)
-    object.__setattr__(p, "phi_tr", 0.0)
-    T, R, phi = p.T, p.R, p.phi_tr
-    value = T ** 2 + R ** 2 + 2.0 * T * R * math.cos(2.0 * phi)
-    assert value == pytest.approx(1.0, abs=1e-15)
+    # T = R = 0.5 with phi_tr = 0 violates passivity; the raw vector
+    # evaluates the formula without the validation.
+    assert _hom_pair_vector(0.5, 0.5, 0.0)[5] == pytest.approx(1.0,
+                                                               abs=1e-15)
+    with pytest.raises(UnphysicalPointError):
+        validate_points(0.5, 0.5, 0.0)
 
 
 def test_coincidence_sweep_shape(stack):
     ns = np.linspace(1.25, 1.34, 91)
-    vals = []
-    for n in ns:
-        point = bs_point(stack_response(stack, 800.0, 70.0, float(n)))
-        vals.append(coincidence_probability(point))
-    vals = np.array(vals)
+    resp = stack_response(stack, 800.0, 70.0, ns)
+    vals = hom_click_distribution(resp.T, resp.R, resp.phi_tr)[:, 2]
     assert 0.55 <= vals.max() <= 0.8
     assert ns[int(np.argmin(vals))] == pytest.approx(1.31, abs=2e-3)
 
@@ -225,23 +231,24 @@ def test_coincidence_sweep_shape(stack):
 # ---------------------------------------------------------------------------
 
 def test_coherent_means_constructive_destructive():
-    means = coherent_output_means(BsPoint(0.5, 0.5, math.pi / 2.0),
-                                  CoherentInput(1.0, 1.0, math.pi / 2.0))
+    means = coherent_output_means(0.5, 0.5, PI_HALF,
+                                  CoherentInput(1.0, 1.0, PI_HALF))
     assert means[0] == pytest.approx(2.0, abs=1e-12)
     assert means[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coherent_means_sum_rule(stack):
-    probe = CoherentInput(1.0, 1.0, math.pi / 2.0)
-    for n in (1.25, 1.29, 1.31, 1.34):
-        point = bs_point(stack_response(stack, 800.0, 70.0, n))
-        mu1, mu2 = coherent_output_means(point, probe)
-        assert mu1 + mu2 == pytest.approx(2.0 * (point.T + point.R),
-                                          abs=1e-12)
+    probe = CoherentInput(1.0, 1.0, PI_HALF)
+    resp = stack_response(stack, 800.0, 70.0,
+                          np.array([1.25, 1.29, 1.31, 1.34]))
+    mu = coherent_output_means(resp.T, resp.R, resp.phi_tr, probe)
+    assert mu.shape == (4, 2)
+    assert mu.sum(axis=-1) == pytest.approx(2.0 * (resp.T + resp.R),
+                                            abs=1e-12)
 
 
 def test_coherent_means_symmetric_point():
-    means = coherent_output_means(BsPoint(0.3, 0.2, math.pi / 2.0),
+    means = coherent_output_means(0.3, 0.2, PI_HALF,
                                   CoherentInput(1.0, 1.0, 0.0))
     assert means[0] == pytest.approx(0.5, abs=1e-12)
     assert means[1] == pytest.approx(0.5, abs=1e-12)
@@ -259,19 +266,19 @@ def test_coherent_input_validation():
 # ---------------------------------------------------------------------------
 
 def test_poisson_at_zero():
-    assert coherent_pair_probability(0, 0, (1.0, 1.0)) \
+    assert poisson_pair_grid(1.0, 1.0)[0, 0] \
         == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_poisson_forced_empty_port():
-    assert coherent_pair_probability(1, 0, (2.0, 0.0)) \
-        == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
-    assert coherent_pair_probability(1, 1, (2.0, 0.0)) == 0.0
+    grid = poisson_pair_grid(2.0, 0.0)
+    assert grid[1, 0] == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
+    assert grid[1, 1] == 0.0
 
 
 def test_poisson_negative_counts_rejected():
     with pytest.raises(ValueError):
-        coherent_pair_probability(-1, 0, (1.0, 1.0))
+        poisson_pmf([-1, 0], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5, 1.0, 2.0, 4.0])
@@ -307,12 +314,14 @@ def test_truncated_grid_normalization():
 
 
 def test_coherent_pair_grid_matches_probabilities(stack):
-    point = bs_point(stack_response(stack, 800.0, 70.0, 1.30))
-    means = coherent_output_means(point, CoherentInput())
-    grid = coherent_pair_grid(point, CoherentInput(), l_max=10)
+    resp = stack_response(stack, 800.0, 70.0, 1.30)
+    means = coherent_output_means(resp.T, resp.R, resp.phi_tr,
+                                  CoherentInput())
+    grid = poisson_pair_grid(*means, l_max=10)
     for l1, l2 in ((0, 0), (1, 2), (3, 1)):
-        assert grid[l1, l2] == pytest.approx(
-            coherent_pair_probability(l1, l2, means), rel=1e-12)
+        oracle = math.prod(mu ** k * math.exp(-mu) / math.factorial(k)
+                           for k, mu in zip((l1, l2), means))
+        assert grid[l1, l2] == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +331,8 @@ def test_coherent_pair_grid_matches_probabilities(stack):
 def test_distributions_normalized_on_physical_sweep(stack):
     ns = np.linspace(1.25, 1.34, 10_000)
     resp = stack_response(stack, 800.0, 70.0, ns)
-    for i in range(0, ns.size, 7):
-        point = BsPoint(float(resp.T[i]), float(resp.R[i]),
-                        float(resp.phi_tr[i]))
-        pair = hom_pair_distribution(point)
-        click = click_distribution(pair)
-        pair_sum = pair.p00 + 2 * pair.p10 + 2 * pair.p20 + pair.p11
-        click_sum = click.p0_click + click.p1_click + click.p2_click
-        assert abs(pair_sum - 1.0) <= 1e-12
-        assert abs(click_sum - 1.0) <= 1e-12
-        for v in (pair.p00, pair.p10, pair.p20, pair.p11,
-                  click.p0_click, click.p1_click, click.p2_click):
-            assert v >= 0.0
+    pairs = pair(resp.T, resp.R, resp.phi_tr)
+    clicks = hom_click_distribution(resp.T, resp.R, resp.phi_tr)
+    assert np.all(np.abs(pairs.sum(axis=-1) - 1.0) <= 1e-12)
+    assert np.all(np.abs(clicks.sum(axis=-1) - 1.0) <= 1e-12)
+    assert np.all(pairs >= 0.0) and np.all(clicks >= 0.0)

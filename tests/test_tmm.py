@@ -354,6 +354,32 @@ def test_derivative_product_mostly_negative(stack):
     assert sum(signs) > 0.5 * len(signs)
 
 
+def test_derivatives_batched_match_scalar_calls(stack, monkeypatch):
+    """A (wavelength x n_s) mesh is one stack_response call and agrees
+    with per-point calls."""
+    lams = np.array([795.0, 800.0, 805.0])
+    ns = np.linspace(1.25, 1.34, 10)
+    calls = []
+    original = tmm.stack_response
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tmm, "stack_response", counting)
+    grid = response_derivatives(stack, lams[:, None], 70.0, ns)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for d in grid:
+        assert d.shape == (3, 10)
+    for i, lam in enumerate(lams):
+        for j, n in enumerate(ns):
+            point = response_derivatives(stack, float(lam), 70.0, float(n))
+            for d, value in zip(grid, point):
+                assert np.ndim(value) == 0
+                assert d[i, j] == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
@@ -434,3 +460,13 @@ def test_stack_file_roundtrip(stack, tmp_path):
     b = stack_response(back, 800.0, 70.0, 1.33)
     assert b.t == a.t and b.r == a.r
     assert back.sample_layer == stack.sample_layer
+
+
+def test_save_stack_rejects_array_thickness(stack, tmp_path):
+    """An array thickness describes many stacks: rejected, naming the
+    layer, before any file is written."""
+    path = tmp_path / "stack.json"
+    swept = stack.with_thickness({2: np.array([500.0, 502.0])})
+    with pytest.raises(StackDefinitionError, match="layer 2"):
+        save_stack(swept, path)
+    assert not path.exists()
