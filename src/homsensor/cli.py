@@ -20,6 +20,16 @@ printed with 12 significant digits; undefined ratios are emitted as
 `nan` next to a zero flag column rather than dropped, so every grid in
 every file is rectangular and complete.
 
+Each physics subcommand is one row of the table COMMANDS: its help
+text, its body and the config keys echoed on the settings line of its
+CSVs.  One pipeline, run_command, runs them all: load the config,
+prepare the output directory, resolve the stack, compute the run id,
+call the body, write each Table it returns under the shared '#' header,
+write `<command>_run.json` and print `<command>: <summary> -> <paths>`.
+A body takes (cfg, stack), makes the library calls and returns
+(summary, [Table]); a new subcommand is a schema in _SCHEMAS, a body
+and a COMMANDS row.
+
 Grids are evaluated in one process by broadcast library calls: `map`
 makes one call per information scheme over the whole wavelength x index
 mesh, `continuum` one call per (bandwidth, scheme), and `fisher` one
@@ -38,6 +48,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -83,12 +95,6 @@ def _as_int(value, key):
         raise ConfigError("config key %r must be an integer, got %r"
                           % (key, value))
     return int(value)
-
-
-def _as_bool(value, key):
-    if not isinstance(value, bool):
-        raise ConfigError("config key %r must be true or false" % (key,))
-    return value
 
 
 def _as_choice(options):
@@ -159,17 +165,22 @@ def _as_scheme_list(value, key):
     return list(value)
 
 
+# The operating point an automatic calibration balances the splitter at;
+# also the defaults of the `calibrate` flags.
+CALIBRATION_DEFAULTS = {"target_ns": 1.31, "wavelength_nm": 800.0,
+                        "theta_deg": 70.0}
+
+
 def _as_calibration(value, key):
-    defaults = {"target_ns": 1.31, "wavelength_nm": 800.0, "theta_deg": 70.0}
     if value is None:
-        return dict(defaults)
+        return dict(CALIBRATION_DEFAULTS)
     if not isinstance(value, dict):
         raise ConfigError("config key %r must be an object" % (key,))
-    unknown = sorted(set(value) - set(defaults))
+    unknown = sorted(set(value) - set(CALIBRATION_DEFAULTS))
     if unknown:
         raise ConfigError("calibration block has unknown keys %s"
                           % (unknown,))
-    out = dict(defaults)
+    out = dict(CALIBRATION_DEFAULTS)
     for k, v in value.items():
         out[k] = _as_float(v, key + "." + k)
     return out
@@ -182,7 +193,6 @@ _COMMON_SCHEMA = {
     "polarization": ("tm", _as_choice(("tm", "te"))),
     "wavelength_nm": (800.0, _as_float),
     "theta_deg": (70.0, _as_float),
-    "deterministic": (True, _as_bool),
 }
 
 _DEFAULT_NS_GRID = {"start": 1.25, "stop": 1.34, "step": 1e-3}
@@ -250,17 +260,8 @@ def load_config(path, command) -> dict:
     if unknown:
         raise ConfigError("unknown config keys for %s: %s (accepted: %s)"
                           % (command, unknown, sorted(schema)))
-    cfg = {}
-    for key, (default, coerce) in schema.items():
-        if key in raw:
-            cfg[key] = coerce(raw[key], key)
-        elif key == "calibration":
-            cfg[key] = _as_calibration(None, key)
-        else:
-            cfg[key] = default
-    if not cfg["deterministic"]:
-        raise ConfigError("deterministic mode cannot be disabled")
-    return cfg
+    return {key: coerce(raw.get(key, default), key)
+            for key, (default, coerce) in schema.items()}
 
 
 def grid_values(spec) -> np.ndarray:
@@ -325,23 +326,10 @@ def write_metadata(out_dir, command, cfg, run_id, stack, cal_info, outputs):
         "tolerances": REPORTED_TOLERANCES,
         "outputs": sorted(outputs),
     }
-    path = os.path.join(out_dir, command + "_run.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with open(os.path.join(out_dir, command + "_run.json"), "w",
+              encoding="utf-8", newline="\n") as f:
         json.dump(meta, f, sort_keys=True, indent=2)
         f.write("\n")
-    return path
-
-
-def _meta_lines(command, run_id, stack, extra=()):
-    lines = [
-        "homsensor %s output (version %s)" % (command, __version__),
-        "run_id: %s" % run_id,
-        "stack: d_metal_nm=%s d_sample_nm=%s"
-        % (_fmt_cell(stack.layers[1].thickness_nm),
-           _fmt_cell(stack.layers[2].thickness_nm)),
-    ]
-    lines.extend(extra)
-    return lines
 
 
 def _resolve_stack(cfg):
@@ -388,7 +376,8 @@ def _prepare_out_dir(path):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommands: calibrate, then one body per physics subcommand and the
+# pipeline that runs them
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
@@ -400,9 +389,7 @@ def cmd_calibrate(args) -> int:
              _fmt_cell(result.residual)))
     if args.out is not None:
         _prepare_out_dir(args.out)
-        cfg = {"target_ns": args.target_ns,
-               "wavelength_nm": args.wavelength_nm,
-               "theta_deg": args.theta_deg}
+        cfg = {key: getattr(args, key) for key in CALIBRATION_DEFAULTS}
         run_id = run_identifier("calibrate", cfg)
         stack_file = os.path.join(args.out, "calibrated_stack.json")
         save_stack(result.stack, stack_file)
@@ -412,140 +399,91 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    cfg = load_config(args.config, "spectrum")
-    _prepare_out_dir(args.out)
-    stack, cal_info = _resolve_stack(cfg)
-    run_id = run_identifier("spectrum", cfg)
+@dataclass(frozen=True)
+class Table:
+    """One CSV a body returns.  Its '#' lines are the pipeline's shared
+    header, then `notes`, then `columns: <legend>`."""
 
+    name: str
+    columns: tuple
+    rows: Iterable
+    legend: str
+    notes: tuple = ()
+
+
+def _spectrum(cfg, stack):
     theta = grid_values(cfg["theta_grid_deg"])
     resp = stack_response(stack, cfg["wavelength_nm"], theta, cfg["n_s"],
                           cfg["polarization"])
     T, R = np.asarray(resp.T), np.asarray(resp.R)
-    A = 1.0 - T - R
-    rows = [(th, t, r, a) for th, t, r, a in zip(theta, T, R, A)]
-    meta = _meta_lines("spectrum", run_id, stack, [
-        "wavelength_nm=%s n_s=%s polarization=%s"
-        % (_fmt_cell(cfg["wavelength_nm"]), _fmt_cell(cfg["n_s"]),
-           cfg["polarization"]),
-        "columns: theta_deg (incidence angle), T (transmittance), "
-        "R (reflectance), A (absorbed fraction 1-T-R)",
-    ])
-    write_csv(os.path.join(args.out, "spectrum.csv"),
-              ["theta_deg", "T", "R", "A"], rows, meta)
-    write_metadata(args.out, "spectrum", cfg, run_id, stack, cal_info,
-                   ["spectrum.csv"])
-    print("spectrum: %d angles -> %s" % (len(theta),
-                                         os.path.join(args.out,
-                                                      "spectrum.csv")))
-    return 0
+    return "%d angles" % len(theta), [Table(
+        "spectrum.csv", ("theta_deg", "T", "R", "A"),
+        zip(theta, T, R, 1.0 - T - R),
+        "theta_deg (incidence angle), T (transmittance), R (reflectance), "
+        "A (absorbed fraction 1-T-R)")]
 
 
-def cmd_coincidence(args) -> int:
-    cfg = load_config(args.config, "coincidence")
-    _prepare_out_dir(args.out)
-    stack, cal_info = _resolve_stack(cfg)
-    run_id = run_identifier("coincidence", cfg)
-
+def _coincidence(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
     resp = stack_response(stack, cfg["wavelength_nm"], cfg["theta_deg"], ns,
                           cfg["polarization"])
     T, R, phi = validate_points(resp.T, resp.R, resp.phi_tr)
     clicks = hom_click_distribution(T, R, phi)
-    rows = zip(ns, T, R, 1.0 - T - R, np.abs(T - R), phi, *clicks.T)
-    meta = _meta_lines("coincidence", run_id, stack, [
-        "wavelength_nm=%s theta_deg=%s polarization=%s"
-        % (_fmt_cell(cfg["wavelength_nm"]), _fmt_cell(cfg["theta_deg"]),
-           cfg["polarization"]),
-        "columns: n_s (sample index), T, R, A, abs_imbalance (|T-R|), "
-        "phi_tr (transmission-reflection phase, rad), p0_click, p1_click, "
-        "p2_click (threshold-detector click probabilities)",
-    ])
-    write_csv(os.path.join(args.out, "coincidence.csv"),
-              ["n_s", "T", "R", "A", "abs_imbalance", "phi_tr",
-               "p0_click", "p1_click", "p2_click"], rows, meta)
-    write_metadata(args.out, "coincidence", cfg, run_id, stack, cal_info,
-                   ["coincidence.csv"])
-    print("coincidence: %d index points -> %s"
-          % (len(ns), os.path.join(args.out, "coincidence.csv")))
-    return 0
+    return "%d index points" % len(ns), [Table(
+        "coincidence.csv",
+        ("n_s", "T", "R", "A", "abs_imbalance", "phi_tr", "p0_click",
+         "p1_click", "p2_click"),
+        zip(ns, T, R, 1.0 - T - R, np.abs(T - R), phi, *clicks.T),
+        "n_s (sample index), T, R, A, abs_imbalance (|T-R|), phi_tr "
+        "(transmission-reflection phase, rad), p0_click, p1_click, p2_click "
+        "(threshold-detector click probabilities)")]
 
 
-def cmd_fisher(args) -> int:
-    cfg = load_config(args.config, "fisher")
-    _prepare_out_dir(args.out)
-    stack, cal_info = _resolve_stack(cfg)
-    run_id = run_identifier("fisher", cfg)
-
+def _fisher(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
     rep = fisher_report(stack, cfg["wavelength_nm"], cfg["theta_deg"], ns,
                         phi_ab=cfg["phi_ab"], polarization=cfg["polarization"])
-    fisher_rows = zip(ns, rep.i_hom, rep.i_classical, rep.g, rep.g_defined,
-                      rep.precision_hom, rep.precision_classical)
     m = rep.decomposition
-    decomp_rows = zip(ns, m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 0, 1],
-                      m[:, 0, 2], m[:, 1, 2], *rep.derivs.T, rep.contracted)
-
-    base_meta = [
-        "wavelength_nm=%s theta_deg=%s polarization=%s phi_ab=%s"
-        % (_fmt_cell(cfg["wavelength_nm"]), _fmt_cell(cfg["theta_deg"]),
-           cfg["polarization"], _fmt_cell(cfg["phi_ab"])),
+    tables = [
+        Table("fisher.csv",
+              ("n_s", "i_hom", "i_classical", "g", "g_defined", "sigma_hom",
+               "sigma_classical"),
+              zip(ns, rep.i_hom, rep.i_classical, rep.g, rep.g_defined,
+                  rep.precision_hom, rep.precision_classical),
+              "n_s, i_hom (pair-probe information), i_classical "
+              "(coherent-probe information), g (fractional enhancement, nan "
+              "where undefined), g_defined (1 valid, 0 sentinel), sigma_hom, "
+              "sigma_classical (per-trial precision bounds 1/sqrt(I))"),
+        Table("decomposition.csv",
+              ("n_s", "i_tt", "i_rr", "i_pp", "i_tr", "i_tp", "i_rp",
+               "dt_dns", "dr_dns", "dphi_dns", "i_contracted"),
+              zip(ns, m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 0, 1],
+                  m[:, 0, 2], m[:, 1, 2], *rep.derivs.T, rep.contracted),
+              "n_s, pair-probe information matrix over (T, R, phi_tr) "
+              "(i_tt..i_rp), response derivatives d(T,R,phi_tr)/dn_s, and "
+              "their contraction J.M.J (equals the direct information)"),
     ]
-    outputs = ["fisher.csv", "decomposition.csv"]
-    write_csv(os.path.join(args.out, "fisher.csv"),
-              ["n_s", "i_hom", "i_classical", "g", "g_defined",
-               "sigma_hom", "sigma_classical"], fisher_rows,
-              _meta_lines("fisher", run_id, stack, base_meta + [
-                  "columns: n_s, i_hom (pair-probe information), "
-                  "i_classical (coherent-probe information), g (fractional "
-                  "enhancement, nan where undefined), g_defined (1 valid, "
-                  "0 sentinel), sigma_hom, sigma_classical (per-trial "
-                  "precision bounds 1/sqrt(I))",
-              ]))
-    write_csv(os.path.join(args.out, "decomposition.csv"),
-              ["n_s", "i_tt", "i_rr", "i_pp", "i_tr", "i_tp", "i_rp",
-               "dt_dns", "dr_dns", "dphi_dns", "i_contracted"], decomp_rows,
-              _meta_lines("fisher", run_id, stack, base_meta + [
-                  "columns: n_s, pair-probe information matrix over "
-                  "(T, R, phi_tr) (i_tt..i_rp), response derivatives "
-                  "d(T,R,phi_tr)/dn_s, and their contraction J.M.J "
-                  "(equals the direct information)",
-              ]))
-
     if cfg["phi_ab_policy"] == "scan":
+        frozen = cfg["phase_scan_phi_tr"]
         scan = phi_ab_scan(stack, cfg["wavelength_nm"], cfg["theta_deg"],
                            cfg["phase_scan_ns"],
                            n_points=cfg["phase_scan_points"],
                            polarization=cfg["polarization"],
-                           phi_tr_assumption=cfg["phase_scan_phi_tr"])
-        scan_rows = list(zip(scan.phi_ab, scan.fisher))
-        frozen = cfg["phase_scan_phi_tr"]
-        write_csv(os.path.join(args.out, "phase_scan.csv"),
-                  ["phi_ab", "i_classical"], scan_rows,
-                  _meta_lines("fisher", run_id, stack, base_meta + [
-                      "phase scan at n_s=%s: phi_opt=%s fisher_opt=%s "
-                      "phi_tr_assumption=%s"
-                      % (_fmt_cell(cfg["phase_scan_ns"]),
-                         _fmt_cell(scan.phi_opt), _fmt_cell(scan.fisher_opt),
-                         "actual" if frozen is None else _fmt_cell(frozen)),
-                      "columns: phi_ab (probe relative phase, rad), "
-                      "i_classical (coherent-probe information)",
-                  ]))
-        outputs.append("phase_scan.csv")
-
-    write_metadata(args.out, "fisher", cfg, run_id, stack, cal_info, outputs)
-    print("fisher: %d index points -> %s"
-          % (len(ns), ", ".join(os.path.join(args.out, f)
-                                for f in sorted(outputs))))
-    return 0
+                           phi_tr_assumption=frozen)
+        tables.append(Table(
+            "phase_scan.csv", ("phi_ab", "i_classical"),
+            zip(scan.phi_ab, scan.fisher),
+            "phi_ab (probe relative phase, rad), i_classical (coherent-probe "
+            "information)",
+            ("phase scan at n_s=%s: phi_opt=%s fisher_opt=%s "
+             "phi_tr_assumption=%s"
+             % (_fmt_cell(cfg["phase_scan_ns"]), _fmt_cell(scan.phi_opt),
+                _fmt_cell(scan.fisher_opt),
+                "actual" if frozen is None else _fmt_cell(frozen)),)))
+    return "%d index points" % len(ns), tables
 
 
-def cmd_map(args) -> int:
-    cfg = load_config(args.config, "map")
-    _prepare_out_dir(args.out)
-    stack, cal_info = _resolve_stack(cfg)
-    run_id = run_identifier("map", cfg)
-
+def _map(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
     lams = grid_values(cfg["wavelength_grid_nm"])
     i_h = fisher_hom(stack, lams[:, None], cfg["theta_deg"], ns,
@@ -555,38 +493,23 @@ def cmd_map(args) -> int:
                            polarization=cfg["polarization"])
     g, defined = defined_ratio(i_h - i_c, i_c)
     lam_mesh, ns_mesh = np.meshgrid(lams, ns, indexing="ij")
-    rows = zip(*(a.ravel() for a in (lam_mesh, ns_mesh, i_h, i_c, g,
-                                     defined)))
-
-    meta = _meta_lines("map", run_id, stack, [
-        "theta_deg=%s polarization=%s phi_ab=%s"
-        % (_fmt_cell(cfg["theta_deg"]), cfg["polarization"],
-           _fmt_cell(cfg["phi_ab"])),
-        "grid: %d wavelengths x %d index points, row-major in wavelength"
-        % (len(lams), len(ns)),
-        "columns: wavelength_nm, n_s, i_hom, i_classical, g (fractional "
-        "enhancement, nan where the coherent information vanishes), "
-        "g_defined (1 valid, 0 sentinel)",
-    ])
-    write_csv(os.path.join(args.out, "map.csv"),
-              ["wavelength_nm", "n_s", "i_hom", "i_classical", "g",
-               "g_defined"], rows, meta)
-    write_metadata(args.out, "map", cfg, run_id, stack, cal_info, ["map.csv"])
-    print("map: %d x %d cells -> %s"
-          % (len(lams), len(ns), os.path.join(args.out, "map.csv")))
-    return 0
+    return "%d x %d cells" % (len(lams), len(ns)), [Table(
+        "map.csv",
+        ("wavelength_nm", "n_s", "i_hom", "i_classical", "g", "g_defined"),
+        zip(*(a.ravel() for a in (lam_mesh, ns_mesh, i_h, i_c, g, defined))),
+        "wavelength_nm, n_s, i_hom, i_classical, g (fractional enhancement, "
+        "nan where the coherent information vanishes), g_defined (1 valid, "
+        "0 sentinel)",
+        ("grid: %d wavelengths x %d index points, row-major in wavelength"
+         % (len(lams), len(ns)),))]
 
 
-def cmd_budget(args) -> int:
-    cfg = load_config(args.config, "budget")
-    _prepare_out_dir(args.out)
-    stack, cal_info = _resolve_stack(cfg)
-    run_id = run_identifier("budget", cfg)
-
-    sources = load_budget_sources(cfg["sources_path"])
+def _budget(cfg, stack):
     report = uncertainty_budget(stack, wavelength_nm=cfg["wavelength_nm"],
                                 theta_deg=cfg["theta_deg"],
-                                n_analyte=cfg["n_analyte"], sources=sources,
+                                n_analyte=cfg["n_analyte"],
+                                sources=load_budget_sources(
+                                    cfg["sources_path"]),
                                 polarization=cfg["polarization"])
     rows = []
     for row in report.rows:
@@ -596,34 +519,21 @@ def cmd_budget(args) -> int:
         rows.append((src.name, src.kind, src.s, src.unit, src.divisor,
                      row.c, row.sigma, src.reference_c, src.reference_sigma,
                      sigma_ref))
-    meta = _meta_lines("budget", run_id, stack, [
-        "n_analyte=%s wavelength_nm=%s theta_deg=%s"
-        % (_fmt_cell(cfg["n_analyte"]), _fmt_cell(cfg["wavelength_nm"]),
-           _fmt_cell(cfg["theta_deg"])),
-        "signal_slope=%s total_sigma=%s"
-        % (_fmt_cell(report.signal_slope), _fmt_cell(report.total_sigma())),
-        "columns: name, kind, s (disturbance size), unit, divisor, "
-        "c (computed sensitivity, RIU per unit), sigma (c*s/divisor), "
-        "reference_c, reference_sigma (externally quoted values, nan "
-        "when absent), sigma_from_reference (reference_c*s/divisor)",
-    ])
-    write_csv(os.path.join(args.out, "budget.csv"),
-              ["name", "kind", "s", "unit", "divisor", "c", "sigma",
-               "reference_c", "reference_sigma", "sigma_from_reference"],
-              rows, meta)
-    write_metadata(args.out, "budget", cfg, run_id, stack, cal_info,
-                   ["budget.csv"])
-    print("budget: %d sources -> %s"
-          % (len(rows), os.path.join(args.out, "budget.csv")))
-    return 0
+    return "%d sources" % len(rows), [Table(
+        "budget.csv",
+        ("name", "kind", "s", "unit", "divisor", "c", "sigma", "reference_c",
+         "reference_sigma", "sigma_from_reference"),
+        rows,
+        "name, kind, s (disturbance size), unit, divisor, c (computed "
+        "sensitivity, RIU per unit), sigma (c*s/divisor), reference_c, "
+        "reference_sigma (externally quoted values, nan when absent), "
+        "sigma_from_reference (reference_c*s/divisor)",
+        ("signal_slope=%s total_sigma=%s"
+         % (_fmt_cell(report.signal_slope),
+            _fmt_cell(report.total_sigma())),))]
 
 
-def cmd_continuum(args) -> int:
-    cfg = load_config(args.config, "continuum")
-    _prepare_out_dir(args.out)
-    stack, cal_info = _resolve_stack(cfg)
-    run_id = run_identifier("continuum", cfg)
-
+def _continuum(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
     lam0, theta, pol = cfg["wavelength_nm"], cfg["theta_deg"], \
         cfg["polarization"]
@@ -646,26 +556,66 @@ def cmd_continuum(args) -> int:
                                        i_single[scheme])
             rows.extend(zip([dlam] * len(ns), [scheme] * len(ns), ns,
                             i_single[scheme], i_cont, d, defined))
+    return "%d cells" % len(rows), [Table(
+        "continuum.csv",
+        ("delta_lambda_nm", "scheme", "n_s", "i_single", "i_continuum", "d",
+         "d_defined"),
+        rows,
+        "delta_lambda_nm (FWHM bandwidth), scheme, n_s, i_single "
+        "(single-frequency information), i_continuum (finite-bandwidth "
+        "information), d (relative drift |i_single-i_continuum|/i_single, "
+        "nan where undefined), d_defined (1 valid, 0 sentinel)")]
 
-    meta = _meta_lines("continuum", run_id, stack, [
-        "wavelength_nm=%s theta_deg=%s polarization=%s phi_ab=%s "
-        "n_nodes=%d span=%s"
-        % (_fmt_cell(cfg["wavelength_nm"]), _fmt_cell(cfg["theta_deg"]),
-           cfg["polarization"], _fmt_cell(cfg["phi_ab"]), cfg["n_nodes"],
-           _fmt_cell(cfg["span"])),
-        "columns: delta_lambda_nm (FWHM bandwidth), scheme, n_s, "
-        "i_single (single-frequency information), i_continuum "
-        "(finite-bandwidth information), d (relative drift "
-        "|i_single-i_continuum|/i_single, nan where undefined), "
-        "d_defined (1 valid, 0 sentinel)",
-    ])
-    write_csv(os.path.join(args.out, "continuum.csv"),
-              ["delta_lambda_nm", "scheme", "n_s", "i_single", "i_continuum",
-               "d", "d_defined"], rows, meta)
-    write_metadata(args.out, "continuum", cfg, run_id, stack, cal_info,
-                   ["continuum.csv"])
-    print("continuum: %d cells -> %s"
-          % (len(rows), os.path.join(args.out, "continuum.csv")))
+
+# name: (help text, body (cfg, stack) -> (summary, [Table]), config keys
+# echoed on the settings line of every CSV the subcommand writes)
+COMMANDS = {
+    "spectrum": ("angle sweep of T, R, A", _spectrum,
+                 ("wavelength_nm", "n_s", "polarization")),
+    "coincidence": ("index sweep of two-photon click statistics",
+                    _coincidence,
+                    ("wavelength_nm", "theta_deg", "polarization")),
+    "fisher": ("information figures, enhancement and decomposition",
+               _fisher, ("wavelength_nm", "theta_deg", "polarization",
+                         "phi_ab")),
+    "map": ("enhancement over a wavelength x index grid", _map,
+            ("theta_deg", "polarization", "phi_ab")),
+    "budget": ("instrumental uncertainty budget", _budget,
+               ("n_analyte", "wavelength_nm", "theta_deg")),
+    "continuum": ("finite-bandwidth information drift", _continuum,
+                  ("wavelength_nm", "theta_deg", "polarization", "phi_ab",
+                   "n_nodes", "span")),
+}
+
+
+def run_command(args) -> int:
+    """Run one physics subcommand: config -> stack -> body -> CSV tables,
+    run metadata and a one-line summary on stdout."""
+    _, body, settings = COMMANDS[args.command]
+    cfg = load_config(args.config, args.command)
+    _prepare_out_dir(args.out)
+    stack, cal_info = _resolve_stack(cfg)
+    run_id = run_identifier(args.command, cfg)
+    summary, tables = body(cfg, stack)
+    header = (
+        "homsensor %s output (version %s)" % (args.command, __version__),
+        "run_id: %s" % run_id,
+        "stack: d_metal_nm=%s d_sample_nm=%s"
+        % (_fmt_cell(stack.layers[1].thickness_nm),
+           _fmt_cell(stack.layers[2].thickness_nm)),
+        " ".join("%s=%s" % (key, _fmt_cell(cfg[key]))
+                 for key in settings),
+    )
+    for table in tables:
+        write_csv(os.path.join(args.out, table.name), table.columns,
+                  table.rows,
+                  header + table.notes + ("columns: " + table.legend,))
+    names = sorted(table.name for table in tables)
+    write_metadata(args.out, args.command, cfg, run_id, stack, cal_info,
+                   names)
+    print("%s: %s -> %s" % (args.command, summary,
+                            ", ".join(os.path.join(args.out, name)
+                                      for name in names)))
     return 0
 
 
@@ -682,32 +632,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser("calibrate",
                          help="balance the splitter (T = R) at the target")
-    cal.add_argument("--target-ns", type=float, default=1.31,
-                     help="sample index at which T = R (default 1.31)")
-    cal.add_argument("--wavelength-nm", type=float, default=800.0,
-                     help="operating wavelength in nm (default 800)")
-    cal.add_argument("--theta-deg", type=float, default=70.0,
-                     help="incidence angle in degrees (default 70)")
+    for key, help_text in (("target_ns", "sample index at which T = R"),
+                           ("wavelength_nm", "operating wavelength in nm"),
+                           ("theta_deg", "incidence angle in degrees")):
+        cal.add_argument("--" + key.replace("_", "-"), type=float,
+                         default=CALIBRATION_DEFAULTS[key],
+                         help=help_text + " (default %(default)s)")
     cal.add_argument("--out", default=None,
                      help="directory for the stack JSON and run metadata")
     cal.set_defaults(func=cmd_calibrate)
 
-    bodies = {
-        "spectrum": (cmd_spectrum, "angle sweep of T, R, A"),
-        "coincidence": (cmd_coincidence,
-                        "index sweep of two-photon click statistics"),
-        "fisher": (cmd_fisher,
-                   "information figures, enhancement and decomposition"),
-        "map": (cmd_map, "enhancement over a wavelength x index grid"),
-        "budget": (cmd_budget, "instrumental uncertainty budget"),
-        "continuum": (cmd_continuum, "finite-bandwidth information drift"),
-    }
-    for name, (func, help_text) in bodies.items():
+    for name, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,
                        help="JSON configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.set_defaults(func=func)
+        p.set_defaults(func=run_command)
     return parser
 
 

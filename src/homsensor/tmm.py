@@ -548,7 +548,7 @@ def _check_unique_crossing(stack: LayerStack, wavelength_nm, theta_deg,
 # ---------------------------------------------------------------------------
 
 def _material_to_dict(mat: Material) -> dict:
-    if mat.table is not None and mat.name == "Au":
+    if mat is gold_jc():  # only the bundled table; a custom "Au" is data
         return {"builtin": "gold_jc"}
     if mat.constant is not None:
         return {"name": mat.name,

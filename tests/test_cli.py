@@ -5,12 +5,13 @@ import importlib
 import importlib.util
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from homsensor import cli, tmm
+from homsensor import __version__, cli, tmm
 from homsensor.materials import constant_material
 from homsensor.tmm import Layer, LayerStack, save_stack
 
@@ -209,3 +210,82 @@ def test_fisher_is_one_pass(tmp_path, monkeypatch):
     assert code == 0
     assert (out / "phase_scan.csv").exists()
     assert 0 < len(calls) <= 6
+
+
+# (command, config on top of stack_path, settings-line keys, stdout summary)
+PIPELINE_RUNS = {
+    "spectrum": ({"theta_grid_deg": [65.0, 70.0]},
+                 ["wavelength_nm", "n_s", "polarization"], "2 angles"),
+    "coincidence": ({"n_s_grid": NS},
+                    ["wavelength_nm", "theta_deg", "polarization"],
+                    "4 index points"),
+    "fisher": ({"n_s_grid": NS, "phi_ab_policy": "scan",
+                "phase_scan_points": 9},
+               ["wavelength_nm", "theta_deg", "polarization", "phi_ab"],
+               "4 index points"),
+    "map": ({"n_s_grid": NS, "wavelength_grid_nm": LAMBDAS},
+            ["theta_deg", "polarization", "phi_ab"], "3 x 4 cells"),
+    "budget": ({}, ["n_analyte", "wavelength_nm", "theta_deg"], "4 sources"),
+    "continuum": ({"n_s_grid": NS, "delta_lambda_nm_list": DELTA_LAMBDAS,
+                   "n_nodes": 41},
+                  ["wavelength_nm", "theta_deg", "polarization", "phi_ab",
+                   "n_nodes", "span"], "16 cells"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINE_RUNS))
+def test_pipeline_header_stdout_and_metadata(tmp_path, capsys, command):
+    """The parts of every run the bench checker skips: the '#' header of
+    each CSV, the stdout line and the outputs listed in the metadata."""
+    extra, settings, summary = PIPELINE_RUNS[command]
+    code, out = _run(tmp_path, command,
+                     {"stack_path": str(FIXTURE_STACK), **extra})
+    assert code == 0
+    meta = json.loads((out / (command + "_run.json")).read_text())
+    csvs = sorted(path.name for path in out.glob("*.csv"))
+    assert csvs and meta["outputs"] == csvs
+    assert sorted(path.name for path in out.iterdir()) \
+        == sorted(csvs + [command + "_run.json"])
+    assert re.fullmatch(r"[0-9a-f]{16}", meta["run_id"])
+
+    fixture = tmm.load_stack(FIXTURE_STACK)
+    expected_head = [
+        "# homsensor %s output (version %s)" % (command, __version__),
+        "# run_id: %s" % meta["run_id"],
+        "# stack: d_metal_nm=%.12g d_sample_nm=%.12g"
+        % (fixture.layers[1].thickness_nm, fixture.layers[2].thickness_nm),
+    ]
+    for name in csvs:
+        lines = (out / name).read_text().splitlines()
+        assert lines[:3] == expected_head, name
+        tokens = [t.split("=") for t in lines[3].removeprefix("# ").split()]
+        assert [key for key, _ in tokens] == settings, name
+        for key, value in tokens:
+            want = meta["config"][key]
+            assert (value == want if isinstance(want, str)
+                    else float(value) == float("%.12g" % want)), (name, key)
+
+    paths = ", ".join(str(out / name) for name in csvs)
+    assert capsys.readouterr().out == "%s: %s -> %s\n" \
+        % (command, summary, paths)
+
+
+def test_calibrate_out_rebuilds_fixture(tmp_path):
+    """`calibrate --out` writes the stack and its metadata, the stack is
+    the bench fixture, and a rerun writes the same bytes."""
+    check = _bench_module("check")
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        assert cli.main(["calibrate", "--out", str(out)]) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert names == ["calibrate_run.json", "calibrated_stack.json"]
+    assert check.check_calibration(0, str(first), str(FIXTURE_STACK)) == []
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_calibrate_failure_exits_2(tmp_path):
+    out = tmp_path / "cal"
+    assert cli.main(["calibrate", "--theta-deg", "40",
+                     "--out", str(out)]) == 2
+    assert not out.exists()

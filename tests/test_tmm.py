@@ -11,7 +11,8 @@ from homsensor import tmm
 from homsensor.errors import (
     CalibrationError, StackDefinitionError, UnphysicalPointError,
 )
-from homsensor.materials import constant_material
+from homsensor.materials import Material, MaterialTable, constant_material, \
+    gold_jc
 from homsensor.tmm import (
     Layer, LayerStack, _cosines_from_indices, calibrate_stack, fresnel,
     load_stack, make_sensor_stack, response_derivatives, reversed_stack,
@@ -460,6 +461,21 @@ def test_stack_file_roundtrip(stack, tmp_path):
     b = stack_response(back, 800.0, 70.0, 1.33)
     assert b.t == a.t and b.r == a.r
     assert back.sample_layer == stack.sample_layer
+
+
+def test_custom_gold_table_survives_file_roundtrip(tmp_path):
+    """Only the bundled Johnson-Christy instance is saved as a builtin; a
+    user table that is also named "Au" keeps its own values."""
+    custom = Material("Au", MaterialTable([700.0, 900.0], [0.2, 0.2],
+                                          [5.0, 5.0], name="Au"))
+    prism = constant_material("prism", 1.5)
+    stack = LayerStack(layers=(Layer(prism, None), Layer(custom, 20.0),
+                               Layer(gold_jc(), 20.0), Layer(prism, None)))
+    path = tmp_path / "stack.json"
+    save_stack(stack, path)
+    back = load_stack(path)
+    assert back.layers[1].material.index(800.0) == 0.2 + 5.0j
+    assert back.layers[2].material is gold_jc()
 
 
 def test_save_stack_rejects_array_thickness(stack, tmp_path):
