@@ -55,7 +55,8 @@ import numpy as np
 
 from . import __version__
 from .continuum import continuum_fisher
-from .errors import CalibrationError, ConfigError, HomsensorError
+from .errors import (CalibrationError, ConfigError, HomsensorError,
+                     StackDefinitionError)
 from .estimation import DEFAULT_NS_STEP, RATIO_FLOOR, defined_ratio, \
     fisher_classical, fisher_hom, fisher_report, load_budget_sources, \
     phi_ab_scan, uncertainty_budget
@@ -69,7 +70,7 @@ CSV_FLOAT_FORMAT = "%.12g"
 # Tolerances recorded in every metadata file, read from the library
 # constants so a run can be audited from its outputs alone.
 REPORTED_TOLERANCES = {
-    "calibration_tol_riu": CALIBRATION_TOL,
+    "calibration_tol_abs_imbalance": CALIBRATION_TOL,
     "derivative_step_riu": DEFAULT_NS_STEP,
     "probability_clamp": -CLAMP_FLOOR,
     "ratio_floor": RATIO_FLOOR,
@@ -336,11 +337,19 @@ def _resolve_stack(cfg):
     """The operating stack plus a record of where it came from.
 
     A stack_path short-circuits calibration (the file is trusted to
-    describe a balanced splitter); otherwise the default geometry is
-    calibrated at the configured target and the result recorded.
+    describe a balanced splitter) but must have the dual-film shape the
+    outputs label (films at layers 1 and 3, sample at 2); otherwise the
+    default geometry is calibrated at the configured target and the
+    result recorded.
     """
     if cfg["stack_path"] is not None:
         stack = load_stack(cfg["stack_path"])
+        if stack.n_layers != 5 or stack.sample_layer != 2:
+            raise StackDefinitionError(
+                "stack_path %r has %d layers with sample_layer=%r; expected "
+                "the 5-layer dual-film geometry (half-space | film | sample "
+                "| film | half-space) with sample_layer=2"
+                % (cfg["stack_path"], stack.n_layers, stack.sample_layer))
         return stack, {"source": "stack_path", "path": cfg["stack_path"]}
     cal = cfg["calibration"]
     result = calibrate_stack(wavelength_nm=cal["wavelength_nm"],

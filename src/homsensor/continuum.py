@@ -3,37 +3,30 @@
 The single-frequency ("single-mode") model evaluates the splitter at
 the carrier wavelength only.  Real sources have spectral width: this
 module propagates a transform-limited Gaussian wavepacket through the
-frequency-dependent response and rebuilds the photon statistics from
-spectral moments, then quantifies how far the single-frequency
-information estimate drifts as the bandwidth grows.
+frequency-dependent response and quantifies how far the
+single-frequency information estimate drifts as the bandwidth grows.
 
-For the photon-pair probe (two identical factorized wavepackets, one
-per port) the detection moments are double frequency integrals; with a
-product joint spectrum they factor into single integrals over the
-intensity spectrum q(omega) = |xi(omega)|^2:
+Both probes read the splitter only through the moments (I_T, I_R, K)
+of quantum_stats.splitter_moments.  For two identical factorized
+wavepackets (the photon pair, one per port) and for two unit-photon
+coherent beams on the same wavepacket, the detection statistics are
+the single-frequency formulas with each moment replaced by its average
+over the intensity spectrum q(omega) = |xi(omega)|^2:
 
-    I_T = int q T,   I_R = int q R,   K = int q t conj(r)
+    I_T = int q T,   I_R = int q R,   K = int q t conj(r).
 
-    N1  = I_T + I_R                     mean photon number per port
-    F   = 2 I_T I_R + 2 |K|^2           both-photons-one-port weight
-    N12 = I_T^2 + I_R^2 + 2 Re(K^2)     coincidence probability
+The double integrals of the pair probe factor into these single
+integrals for a product joint spectrum (tensor-product quadrature of a
+factorized integrand is the product of the one-dimensional
+quadratures).  A single frequency is the one-node case, so
+continuum_fisher feeds the averaged moments to the same outcome models
+and the same information reduction as estimation.
 
-whose single-frequency limits are T + R, 4 T R and the familiar
-T^2 + R^2 + 2 T R cos(2 phi_tr).  For the coherent probe each output
-stays Poissonian with a spectrally averaged mean
-
-    mu1 = int |t A + r B|^2,   mu2 = int |t B + r A|^2,
-
-where A and B are the two beams' spectral amplitudes, normalized to
-unit mean photon number each for a fair comparison against the pair.
-
-The response enters as a callable omega -> (t, r) so the moments can be
-tested against analytically known responses; stack_spectral_response
-adapts a LayerStack to that interface.  Integrals use Gauss-Legendre
-quadrature on a window of +/- span * delta_omega around the carrier,
-clipped to the frequency window where every dispersive material is
-tabulated (the clipped tail mass is negligible at the default span, but
-evaluating gold beyond its table would be meaningless).
+Integrals use Gauss-Legendre quadrature on a window of +/- span *
+delta_omega around the carrier, clipped to the frequency window where
+every dispersive material is tabulated (the clipped tail mass is
+negligible at the default span, but evaluating gold beyond its table
+would be meaningless).
 
 The headline diagnostic is the relative drift
 D = |I_single - I_continuum| / I_single of the Fisher information.
@@ -50,7 +43,9 @@ from .errors import ConfigError
 from .estimation import (DEFAULT_NS_STEP, _as_result,
                          _distribution_information, _information,
                          checked_ratio)
-from .quantum_stats import DEFAULT_PHI_AB
+from .quantum_stats import (DEFAULT_PHI_AB, _coherent_mean_pair,
+                            _hom_click_vector, splitter_moments,
+                            validate_points)
 from .tmm import LayerStack, stack_response
 
 C_NM_PER_S = 2.99792458e17     # speed of light in nm/s
@@ -91,11 +86,6 @@ class SpectralProfile:
                 "carrier frequency %.6g is not above 5 bandwidths %.6g; "
                 "the wavepacket would spill into negative frequencies"
                 % (self.omega0, 5.0 * self.delta_omega))
-
-    def xi(self, omega) -> np.ndarray:
-        """Normalized spectral amplitude (real, peaked at omega0)."""
-        u = (np.asarray(omega, dtype=float) - self.omega0) / self.delta_omega
-        return self.norm * np.exp(-2.0 * math.log(2.0) * u * u)
 
     def xi_sq(self, omega) -> np.ndarray:
         """Intensity spectrum |xi|^2, unit area in omega."""
@@ -189,129 +179,45 @@ def default_grid(stack: LayerStack, profile: SpectralProfile,
 
 
 # ---------------------------------------------------------------------------
-# response and beam-amplitude adapters
+# spectral moments and the continuum Fisher information
 # ---------------------------------------------------------------------------
 
-def stack_spectral_response(stack: LayerStack, theta_deg, n_s,
-                            polarization: str = "tm"):
-    """Adapt a stack to the response interface omega -> (t, r).
+def _intensity_weights(profile: SpectralProfile, grid: QuadratureGrid):
+    """q = weights |xi|^2 at the grid nodes; sums to 1 on a full window."""
+    return grid.weights * profile.xi_sq(grid.nodes)
 
-    The returned callable accepts an array of angular frequencies,
-    converts each node to its vacuum wavelength, and evaluates the
-    stack there, so material dispersion enters through the tables.
-    theta_deg and n_s broadcast against the frequency array, so an n_s
-    array with a trailing singleton axis yields one response per index.
+
+def continuum_hom_moments(T, R, phi_tr, profile: SpectralProfile,
+                          grid: QuadratureGrid):
+    """Spectral moments (I_T, I_R, K) of a frequency-dependent splitter.
+
+    T, R and phi_tr hold the splitter at the grid nodes, nodes on the
+    last axis; any leading axes carry through to the moments.  Each
+    moment is the q-weighted average of splitter_moments, so a flat
+    response returns its one-node moments.
     """
-    def response(omega):
-        lam = omega_to_wavelength_nm(omega)
-        resp = stack_response(stack, lam, theta_deg, n_s, polarization)
-        return np.asarray(resp.t), np.asarray(resp.r)
-
-    return response
+    q = _intensity_weights(profile, grid)
+    return tuple(np.asarray(m) @ q for m in splitter_moments(T, R, phi_tr))
 
 
-def coherent_spectral_amplitudes(profile: SpectralProfile,
-                                 phi_ab: float = DEFAULT_PHI_AB):
-    """Default beam amplitudes: flat unit envelopes on the wavepacket.
+def continuum_classical_means(moments, profile: SpectralProfile,
+                              grid: QuadratureGrid,
+                              phi_ab: float = DEFAULT_PHI_AB):
+    """Spectrally averaged Poisson means (mu1, mu2) of the coherent
+    benchmark, on a trailing axis.
 
-    Beam a carries the relative phase, A(omega) = xi(omega) e^{i
-    phi_ab}; beam b is B(omega) = xi(omega).  Both integrate to one
-    photon on average, the fair-comparison normalization.
+    Both beams ride the wavepacket with unit envelopes, beam a carrying
+    the relative phase phi_ab; each must integrate to one mean photon
+    on the grid (sum q = 1 within 1e-8), the fair comparison against
+    the pair.  moments come from continuum_hom_moments.
     """
-    phase = complex(math.cos(phi_ab), math.sin(phi_ab))
+    total = float(np.sum(_intensity_weights(profile, grid)))
+    if abs(total - 1.0) > 1e-8:
+        raise ConfigError(
+            "each beam integrates to %.12g mean photons, not 1; the "
+            "benchmark requires unit-normalized beams" % (total,))
+    return np.maximum(_coherent_mean_pair(*moments, 1.0, 1.0, phi_ab), 0.0)
 
-    def alpha_profile(omega):
-        return profile.xi(omega) * phase
-
-    def beta_profile(omega):
-        return profile.xi(omega) + 0j
-
-    return alpha_profile, beta_profile
-
-
-# ---------------------------------------------------------------------------
-# spectral moments of the photon statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HomMoments:
-    """Spectral moments of the photon-pair detection statistics.
-
-    n1: mean photon number per output port; pair_factorial: the
-    factorial moment <N(N-1)> counting both-photons-one-port events
-    (twice the bunched probability); coincidence: <N1 N2>, the
-    both-ports-fire probability.
-    """
-
-    n1: float
-    pair_factorial: float
-    coincidence: float
-
-
-def continuum_hom_moments(response, profile: SpectralProfile,
-                          grid: QuadratureGrid) -> HomMoments:
-    """Photon-pair moments of a frequency-dependent splitter.
-
-    response(omega_array) must return the amplitude arrays (t, r) at
-    the grid nodes, with the nodes on the last axis; any leading axes
-    carry through to the moments.  The double integrals over the
-    product joint spectrum factor exactly into the single integrals
-    I_T, I_R, K (tensor-product quadrature of a factorized integrand is
-    the product of the one-dimensional quadratures).
-    """
-    t, r = response(grid.nodes)
-    q = grid.weights * profile.xi_sq(grid.nodes)
-    i_t = np.abs(t) ** 2 @ q
-    i_r = np.abs(r) ** 2 @ q
-    k = (t * np.conj(r)) @ q
-    return HomMoments(
-        n1=i_t + i_r,
-        pair_factorial=2.0 * i_t * i_r + 2.0 * np.abs(k) ** 2,
-        coincidence=i_t ** 2 + i_r ** 2 + 2.0 * (k * k).real)
-
-
-def hom_click_vector_from_moments(m: HomMoments) -> np.ndarray:
-    """Click probabilities (0, 1, 2 ports fired) on a trailing axis.
-
-    Inverts the moment-probability relations of the single-frequency
-    model: p2 = coincidence, p1 = 2 N1 - F - 2 N12, p0 the remainder.
-    Reduces to the single-frequency click vector for a flat response.
-    """
-    p2 = m.coincidence
-    p1 = 2.0 * m.n1 - m.pair_factorial - 2.0 * m.coincidence
-    p0 = 1.0 - p1 - p2
-    return np.stack([p0, p1, p2], axis=-1)
-
-
-def continuum_classical_means(response, alpha_profile, beta_profile,
-                              grid: QuadratureGrid):
-    """Spectrally averaged Poisson means (mu1, mu2) of the coherent benchmark.
-
-    alpha_profile and beta_profile are callables omega -> complex
-    spectral amplitude of each beam (wavepacket included), each required
-    to normalize to unit mean photon number on the grid within 1e-8.
-    mu1 collects t from beam a and r from beam b; mu2 the reverse, as
-    printed (for equal beam intensities this coincides with the
-    single-frequency convention used in quantum_stats).  Leading axes
-    of the response (nodes last) carry through to each mean.
-    """
-    a_amp = np.asarray(alpha_profile(grid.nodes), dtype=complex)
-    b_amp = np.asarray(beta_profile(grid.nodes), dtype=complex)
-    for name, amp in (("alpha", a_amp), ("beta", b_amp)):
-        total = float(np.dot(grid.weights, np.abs(amp) ** 2))
-        if abs(total - 1.0) > 1e-8:
-            raise ConfigError(
-                "%s beam integrates to %.12g mean photons, not 1; the "
-                "benchmark requires unit-normalized beams" % (name, total))
-    t, r = response(grid.nodes)
-    mu1 = np.abs(t * a_amp + r * b_amp) ** 2 @ grid.weights
-    mu2 = np.abs(t * b_amp + r * a_amp) ** 2 @ grid.weights
-    return np.maximum(mu1, 0.0), np.maximum(mu2, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# continuum Fisher information and the bandwidth drift D
-# ---------------------------------------------------------------------------
 
 def continuum_fisher(scheme: str, stack: LayerStack, lambda0_nm: float,
                      delta_lambda_nm: float, theta_deg: float, n_s,
@@ -321,9 +227,9 @@ def continuum_fisher(scheme: str, stack: LayerStack, lambda0_nm: float,
                      step: float = DEFAULT_NS_STEP):
     """Fisher information in n_s with the full spectral profile.
 
-    scheme is "hom" (photon-pair clicks rebuilt from the spectral
-    moments) or "classical" (coherent probe, spectrally averaged
-    Poisson means, closed-form information).
+    scheme is "hom" (photon-pair clicks) or "classical" (coherent probe,
+    closed-form Poisson information); both feed the spectral moments to
+    the single-frequency outcome models.
 
     n_s may be an array: the result has its shape (a float for a
     scalar).  One quadrature grid serves every n_s, and the stack is
@@ -334,17 +240,17 @@ def continuum_fisher(scheme: str, stack: LayerStack, lambda0_nm: float,
                           % (scheme,))
     profile = spectral_profile(lambda0_nm, delta_lambda_nm)
     grid = default_grid(stack, profile, n_nodes, span)
-    ns = np.asarray(n_s, dtype=float)[..., None] + np.array([-step, step])
-    response = stack_spectral_response(stack, theta_deg, ns[..., None],
-                                       polarization)
+    ns = np.asarray(n_s, dtype=float)[..., None, None] \
+        + np.array([[-step], [step]])
+    resp = stack_response(stack, omega_to_wavelength_nm(grid.nodes),
+                          theta_deg, ns, polarization)
+    moments = continuum_hom_moments(
+        *validate_points(resp.T, resp.R, resp.phi_tr), profile, grid)
     if scheme == "hom":
-        p = hom_click_vector_from_moments(
-            continuum_hom_moments(response, profile, grid))
+        p = _hom_click_vector(*moments)
         info = _distribution_information(p[..., 1, :], p[..., 0, :], step)
     else:
-        mu = np.stack(continuum_classical_means(
-            response, *coherent_spectral_amplitudes(profile, phi_ab), grid),
-            axis=-1)
+        mu = continuum_classical_means(moments, profile, grid, phi_ab)
         info = _information(mu[..., 1, :], mu[..., 0, :], step)
     return _as_result(info)
 

@@ -55,7 +55,7 @@ from .errors import ConfigError, UndefinedRatioError
 from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput,
                             _coherent_mean_pair, _hom_click_vector,
                             _hom_pair_vector, bs_point, coherent_output_means,
-                            validate_points)
+                            splitter_moments, validate_points)
 from .tmm import (LayerStack, constant_material, response_at_offsets,
                   response_derivatives, stack_response)
 
@@ -167,8 +167,8 @@ def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     else:
         raise ConfigError("outcomes must be 'click' or 'pair', got %r"
                           % (outcomes,))
-    p = vector(*_points_around(stack, wavelength_nm, theta_deg, n_s,
-                               polarization, step))
+    p = vector(*splitter_moments(*_points_around(
+        stack, wavelength_nm, theta_deg, n_s, polarization, step)))
     return _as_result(_distribution_information(p[..., 1, :], p[..., 0, :],
                                                 step))
 
@@ -315,11 +315,13 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     """
     probe = probe or CoherentInput()
     if scheme == "hom":
-        model = _hom_click_vector
+        def model(T, R, phi):
+            return _hom_click_vector(*splitter_moments(T, R, phi))
     elif scheme == "classical":
         def model(T, R, phi):
             return np.maximum(_coherent_mean_pair(
-                T, R, phi, probe.alpha_sq, probe.beta_sq, probe.phi_ab), 0.0)
+                *splitter_moments(T, R, phi), probe.alpha_sq, probe.beta_sq,
+                probe.phi_ab), 0.0)
     else:
         raise ConfigError("scheme must be 'hom' or 'classical', got %r"
                           % (scheme,))
@@ -436,11 +438,12 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                                polarization, step)
     if phi_tr_assumption is not None:
         phi = np.full_like(phi, phi_tr_assumption)
+    moments = splitter_moments(T, R, phi)
 
     def info(phi_ab):
         """Information per phase; the -/+ step axis trails the phases."""
         mu = np.maximum(_coherent_mean_pair(
-            T, R, phi, probe.alpha_sq, probe.beta_sq,
+            *moments, probe.alpha_sq, probe.beta_sq,
             np.asarray(phi_ab)[..., None]), 0.0)
         return _information(mu[..., 1, :], mu[..., 0, :], step)
 
@@ -543,7 +546,8 @@ def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
 def _coincidence_signal(stack, wavelength_nm, theta_deg, n_s, polarization):
     point = bs_point(stack_response(stack, wavelength_nm, theta_deg, n_s,
                                     polarization))
-    return float(_hom_pair_vector(point.T, point.R, point.phi_tr)[-1])
+    return float(_hom_pair_vector(
+        *splitter_moments(point.T, point.R, point.phi_tr))[-1])
 
 
 def _with_prism_index(stack: LayerStack, n_prism: float) -> LayerStack:

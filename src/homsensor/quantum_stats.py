@@ -6,11 +6,16 @@ acts on its two input modes as the symmetric network
     S = [[t, r],
          [r, t]],
 
-so everything downstream depends only on the triple (T, R, phi_tr) with
-T = |t|^2, R = |r|^2 and phi_tr = arg(r) - arg(t).  That triple is the
-interchange type here (BsPoint).  Loss is allowed: T + R < 1 routes
-photons into unmonitored environment modes.
+with T = |t|^2, R = |r|^2 and phi_tr = arg(r) - arg(t).  Loss is
+allowed: T + R < 1 routes photons into unmonitored environment modes.
 
+The outcome models read the splitter only through its moments
+
+    I_T = T,   I_R = R,   K = t conj(r) = sqrt(T R) e^{-i phi_tr},
+
+built by splitter_moments.  A finite-bandwidth probe sees the same
+three numbers averaged over its intensity spectrum (continuum), so one
+frequency is the one-node case and every formula below serves both.
 Two probes are modeled:
 
 * one photon in each input port, interfering on the splitter; the
@@ -31,12 +36,12 @@ negative values raise UnphysicalPointError (physics or convention bug).
 
 Everything broadcasts over arrays of points, with outcomes on a
 trailing axis.  The raw models _hom_pair_vector, _hom_click_vector and
-_coherent_mean_pair do not validate, because finite-difference stencils
-step slightly off physical points.  hom_click_distribution checks its
-points with validate_points and its result with validate_distribution;
-coherent_output_means clamps its means with _clamp_probability.
-BsPoint (built by bs_point) is the validated point of one scalar
-response.
+_coherent_mean_pair take moments and do not validate, because
+finite-difference stencils step slightly off physical points.
+hom_click_distribution checks its points with validate_points and its
+result with validate_distribution; coherent_output_means clamps its
+means with _clamp_probability.  BsPoint (built by bs_point) is the
+validated point of one scalar response.
 """
 
 from __future__ import annotations
@@ -158,45 +163,57 @@ def validate_distribution(p, what: str):
     return p
 
 
+def splitter_moments(T, R, phi_tr):
+    """The moments (I_T, I_R, K) of one splitter point: the one-node
+    case (T, R, sqrt(T R) e^{-i phi_tr}); broadcasts, no validation.
+    T R is floored at 0, so a stencil step just below a vanishing
+    coefficient stays finite."""
+    k = np.sqrt(np.maximum(T * R, 0.0)) * np.exp(-1j * phi_tr)
+    return T, R, k
+
+
 # ---------------------------------------------------------------------------
 # photon-pair probe
 # ---------------------------------------------------------------------------
 
-def _hom_pair_vector(T, R, phi):
+def _hom_pair_vector(i_t, i_r, k):
     """Joint pair outcomes (00, 10, 01, 20, 02, 11) on a trailing axis.
 
     p00: both photons absorbed; p10: one photon in output 1, none in 2;
     p20: both photons in output 1; p11: one photon in each output, the
-    coincidence class, which carries the two-photon interference term
-    cos(2 phi_tr).  Raw formulas, no validation, broadcasting over
-    (T, R, phi):
+    coincidence class.  With N1 = I_T + I_R and A = 1 - N1:
 
-        p11 = T^2 + R^2 + 2 T R cos(2 phi_tr)
-        p20 = p02 = 2 T R
-        p10 = p01 = (T + R) - 4 T R - p11
-        p00 = 1 - 2 (T + R) + 4 T R + p11
+        p00 = A^2 + 4 (Re K)^2
+        p10 = p01 = N1 A - 4 (Re K)^2
+        p20 = p02 = I_T I_R + |K|^2
+        p11 = I_T^2 + I_R^2 + 2 Re(K^2)
 
-    p11 = (T - R)^2 at phi_tr = pi/2, hence zero exactly at a balanced
-    splitter with quadrature phase: the two-photon dip.  Finite-difference
-    stencils perturb (T, R, phi) slightly around a physical point, so tiny
-    excursions must not raise here.
+    At one node p11 = T^2 + R^2 + 2 T R cos(2 phi_tr), which is
+    (T - R)^2 at phi_tr = pi/2, hence zero exactly at a balanced
+    splitter with quadrature phase: the two-photon dip.  p00 is a sum
+    of squares and p10 a product with A, not differences of order-one
+    terms, so on a lossless splitter (A = 0, Re K = 0) they vanish to
+    the rounding of A instead of carrying order-one rounding debris.
     """
-    p11 = T * T + R * R + 2.0 * T * R * np.cos(2.0 * phi)
-    p20 = 2.0 * T * R
-    p10 = (T + R) - 4.0 * T * R - p11
-    p00 = 1.0 - 2.0 * (T + R) + 4.0 * T * R + p11
+    n1 = i_t + i_r
+    absorbed = 1.0 - n1
+    re_k_sq = 4.0 * np.real(k) ** 2
+    p00 = absorbed * absorbed + re_k_sq
+    p10 = n1 * absorbed - re_k_sq
+    p20 = i_t * i_r + np.abs(k) ** 2
+    p11 = i_t * i_t + i_r * i_r + 2.0 * np.real(k * k)
     return np.stack(np.broadcast_arrays(p00, p10, p10, p20, p20, p11),
                     axis=-1)
 
 
-def _hom_click_vector(T, R, phi):
+def _hom_click_vector(i_t, i_r, k):
     """Click probabilities (0, 1, 2 ports fired) on a trailing axis.
 
     Threshold detectors: p0 = p00; p1 = 2 p10 + 2 p20 (one photon
     surviving, or both bunched into one port, which fires that port's
     detector once); p2 = p11.
     """
-    p = _hom_pair_vector(T, R, phi)
+    p = _hom_pair_vector(i_t, i_r, k)
     return np.stack([p[..., 0], 2.0 * (p[..., 1] + p[..., 3]), p[..., 5]],
                     axis=-1)
 
@@ -207,8 +224,8 @@ def hom_click_distribution(T, R, phi_tr):
     The points pass validate_points, and the result validate_distribution;
     broadcasts over (T, R, phi_tr).
     """
-    return validate_distribution(
-        _hom_click_vector(*validate_points(T, R, phi_tr)), "click")
+    return validate_distribution(_hom_click_vector(*splitter_moments(
+        *validate_points(T, R, phi_tr))), "click")
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +255,23 @@ class CoherentInput:
                 "|beta|^2=%r" % (self.alpha_sq, self.beta_sq))
 
 
-def _coherent_mean_pair(T, R, phi, a, b, phi_ab) -> np.ndarray:
+def _coherent_mean_pair(i_t, i_r, k, a, b, phi_ab) -> np.ndarray:
     """Raw output means (mu1, mu2) on a trailing axis, unclamped:
 
-        mu1,2 = T a + R b + 2 sqrt(T R a b) cos(phi_tr -/+ phi_ab)
+        mu1 = a I_T + b I_R + 2 sqrt(a b) Re(K e^{+i phi_ab})
+        mu2 = b I_T + a I_R + 2 sqrt(a b) Re(K e^{-i phi_ab})
 
-    with a = |alpha|^2, b = |beta|^2; broadcasts over (T, R, phi) and
-    phi_ab.  The direct intensity term T a + R b is shared by both
-    outputs; the conventional port-swapped form would carry T b + R a in
-    mu2 instead.  The two agree for the default balanced probe a = b,
-    which is the regime this model is used in; the shared-term form is
-    kept deliberately and this is the only place the choice enters.
+    with a = |alpha|^2, b = |beta|^2: mu1 = |t alpha + r beta|^2 and
+    mu2 = |t beta + r alpha|^2 averaged over the spectrum, so
+    mu1 + mu2 = (a + b) N1 + 4 sqrt(a b) Re K cos(phi_ab), which is
+    (a + b) on a lossless splitter.  Broadcasts over the moments and
+    phi_ab.
     """
-    direct = T * a + R * b
-    cross = 2.0 * np.sqrt(np.maximum(T * R * a * b, 0.0))
+    cross = 2.0 * math.sqrt(a * b)
+    turn = np.exp(1j * phi_ab)
     return np.stack(np.broadcast_arrays(
-        direct + cross * np.cos(phi - phi_ab),
-        direct + cross * np.cos(phi + phi_ab)), axis=-1)
+        a * i_t + b * i_r + cross * np.real(k * turn),
+        b * i_t + a * i_r + cross * np.real(k * np.conj(turn))), axis=-1)
 
 
 def coherent_output_means(T, R, phi_tr, probe: CoherentInput | None = None):
@@ -262,7 +279,8 @@ def coherent_output_means(T, R, phi_tr, probe: CoherentInput | None = None):
     axis, clamped by _clamp_probability; broadcasts over (T, R, phi_tr)."""
     probe = probe or CoherentInput()
     return _clamp_probability(_coherent_mean_pair(
-        T, R, phi_tr, probe.alpha_sq, probe.beta_sq, probe.phi_ab), "mu")
+        *splitter_moments(T, R, phi_tr), probe.alpha_sq, probe.beta_sq,
+        probe.phi_ab), "mu")
 
 
 def poisson_pmf(counts, mu) -> np.ndarray:

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from homsensor import __version__, cli, tmm
+from homsensor.estimation import DEFAULT_NS_STEP, RATIO_FLOOR
 from homsensor.materials import constant_material
-from homsensor.tmm import Layer, LayerStack, save_stack
+from homsensor.quantum_stats import CLAMP_FLOOR
+from homsensor.tmm import CALIBRATION_TOL, Layer, LayerStack, save_stack
 
 FIXTURE_STACK = Path(__file__).resolve().parents[1] / "bench" / "fixtures" \
     / "stack.json"
@@ -289,3 +291,37 @@ def test_calibrate_failure_exits_2(tmp_path):
     assert cli.main(["calibrate", "--theta-deg", "40",
                      "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("layers, sample_layer", [
+    (3, 1),   # prism | sample | prism
+    (5, 1),   # five layers with the sample where a film belongs
+])
+def test_non_dual_film_stack_path_exits_1(tmp_path, capsys, layers,
+                                          sample_layer):
+    """A stack file the outputs cannot label (films at layers 1 and 3,
+    sample at 2) is rejected before any body runs."""
+    prism = constant_material("prism", 1.5)
+    sample = constant_material("sample", 1.31)
+    interior = [Layer(sample, 500.0)] + [Layer(prism, 50.0)] * (layers - 3)
+    stack = LayerStack(layers=(Layer(prism, None), *interior,
+                               Layer(prism, None)),
+                       sample_layer=sample_layer, sample_n=1.31)
+    path = tmp_path / "stack.json"
+    save_stack(stack, path)
+    code, out = _run(tmp_path, "spectrum", {"stack_path": str(path)})
+    assert code == 1
+    assert "expected the 5-layer dual-film geometry" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_run_metadata_reports_library_tolerances(tmp_path):
+    code, out = _run(tmp_path, "budget", {"stack_path": str(FIXTURE_STACK)})
+    assert code == 0
+    meta = json.loads((out / "budget_run.json").read_text())
+    assert meta["tolerances"] == {
+        "calibration_tol_abs_imbalance": CALIBRATION_TOL,
+        "derivative_step_riu": DEFAULT_NS_STEP,
+        "probability_clamp": -CLAMP_FLOOR,
+        "ratio_floor": RATIO_FLOOR,
+    }

@@ -17,7 +17,8 @@ from homsensor.materials import constant_material
 from homsensor.quantum_stats import (
     coherent_output_means, hom_click_distribution, poisson_pair_grid,
 )
-from homsensor.tmm import Layer, LayerStack, stack_response
+from homsensor.tmm import (Layer, LayerStack, make_sensor_stack,
+                           stack_response)
 
 from oracles import (count_grid_information_matrix, fisher_classical_counts,
                      fisher_direct, mixed_phase_classical_fisher,
@@ -276,6 +277,22 @@ def test_enhancement_reaches_half_on_sweep(stack):
             continue
     assert best == pytest.approx(0.5, abs=0.25)
 
+
+
+def test_lossless_limit_enhancement_is_one():
+    """Without metal films the splitter is lossless: the pair probe
+    carries twice the coherent information in every cell, and no
+    outcome is left as rounding debris that trips the dead-outcome
+    warning."""
+    stack = make_sensor_stack(d_metal_nm=0.0, d_sample_nm=250.0)
+    lam = np.linspace(600.0, 1000.0, 41)[:, None]
+    ns = np.linspace(1.20, 1.34, 141)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i_h = fisher_hom(stack, lam, 70.0, ns)
+        i_c = fisher_classical(stack, lam, 70.0, ns)
+    assert i_h.shape == (41, 141)
+    assert np.max(np.abs(enhancement_ratio(i_h, i_c) - 1.0)) <= 1e-6
 
 def test_precision_bound_values():
     assert precision_bound(4217.0) == pytest.approx(0.0154, abs=2e-4)

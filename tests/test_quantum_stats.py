@@ -14,7 +14,7 @@ from homsensor.quantum_stats import (
     PHYSICALITY_TOL, BsPoint, CoherentInput, _hom_click_vector,
     _hom_pair_vector, bs_point, coherent_output_means,
     hom_click_distribution, poisson_pair_grid, poisson_pmf,
-    validate_distribution, validate_points,
+    splitter_moments, validate_distribution, validate_points,
 )
 from homsensor.tmm import stack_response
 
@@ -24,7 +24,8 @@ PI_HALF = math.pi / 2.0
 def pair(T, R, phi):
     """Validated pair outcomes (p00, p10, p01, p20, p02, p11)."""
     return validate_distribution(
-        _hom_pair_vector(*validate_points(T, R, phi)), "pair")
+        _hom_pair_vector(*splitter_moments(*validate_points(T, R, phi))),
+        "pair")
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +195,8 @@ def test_hom_click_shortcut(stack):
     assert np.array_equal(direct[:, 0], p[:, 0])
     assert np.array_equal(direct[:, 1], 2.0 * (p[:, 1] + p[:, 3]))
     assert np.array_equal(direct[:, 2], p[:, 5])
-    assert np.array_equal(direct,
-                          _hom_click_vector(resp.T, resp.R, resp.phi_tr))
+    assert np.array_equal(direct, _hom_click_vector(
+        *splitter_moments(resp.T, resp.R, resp.phi_tr)))
     with pytest.raises(UnphysicalPointError, match="not passive"):
         hom_click_distribution(0.64, 0.64, 0.0)
 
@@ -212,8 +213,8 @@ def test_coincidence_balanced_quarter_phase():
 def test_coincidence_formula_with_validation_bypassed():
     # T = R = 0.5 with phi_tr = 0 violates passivity; the raw vector
     # evaluates the formula without the validation.
-    assert _hom_pair_vector(0.5, 0.5, 0.0)[5] == pytest.approx(1.0,
-                                                               abs=1e-15)
+    assert _hom_pair_vector(*splitter_moments(0.5, 0.5, 0.0))[5] \
+        == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(UnphysicalPointError):
         validate_points(0.5, 0.5, 0.0)
 
@@ -253,6 +254,21 @@ def test_coherent_means_symmetric_point():
     assert means[0] == pytest.approx(0.5, abs=1e-12)
     assert means[1] == pytest.approx(0.5, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("phi_ab", [0.0, 0.7, PI_HALF, 2.5, -1.2])
+def test_coherent_means_conserve_photon_number(phi_ab):
+    """An unbalanced probe on a lossless splitter: mu1 = |t alpha + r
+    beta|^2, mu2 = |t beta + r alpha|^2, and every photon leaves."""
+    T, R, phi_tr, a, b = 0.3, 0.7, PI_HALF, 2.0, 0.5
+    mu = coherent_output_means(T, R, phi_tr, CoherentInput(a, b, phi_ab))
+    assert mu.sum() == pytest.approx(a + b, abs=1e-12)
+    t, r = math.sqrt(T), math.sqrt(R) * complex(math.cos(phi_tr),
+                                                math.sin(phi_tr))
+    alpha = math.sqrt(a) * complex(math.cos(phi_ab), math.sin(phi_ab))
+    beta = math.sqrt(b)
+    assert mu == pytest.approx([abs(t * alpha + r * beta) ** 2,
+                                abs(t * beta + r * alpha) ** 2], abs=1e-12)
 
 def test_coherent_input_validation():
     with pytest.raises(UnphysicalPointError):
