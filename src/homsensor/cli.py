@@ -23,8 +23,8 @@ every file is rectangular and complete.
 Each physics subcommand is one row of the table COMMANDS: its help
 text, its body and the config keys echoed on the settings line of its
 CSVs.  One pipeline, run_command, runs them all: load the config,
-prepare the output directory, resolve the stack, compute the run id,
-call the body, write each Table it returns under the shared '#' header,
+resolve the stack, compute the run id, call the body, prepare the
+output directory, write each Table it returns under the shared '#' header,
 write `<command>_run.json` and print `<command>: <summary> -> <paths>`.
 A body takes (cfg, stack), makes the library calls and returns
 (summary, [Table]); a new subcommand is a schema in _SCHEMAS, a body
@@ -32,9 +32,9 @@ and a COMMANDS row.
 
 Grids are evaluated in one process by broadcast library calls: `map`
 makes one call per information scheme over the whole wavelength x index
-mesh, `continuum` one call per (bandwidth, scheme), and `fisher` one
-pass: one fisher_report call over the index grid and one phi_ab_scan
-call over the phase grid.
+mesh, `continuum` one call per bandwidth for both schemes, and `fisher`
+one pass: one fisher_report call over the index grid and one
+phi_ab_scan call over the phase grid.
 
 Exit status: 0 on success, 1 on configuration or physics errors, 2 on
 calibration failure.
@@ -556,15 +556,14 @@ def _continuum(cfg, stack):
     i_single = {scheme: single_frequency(scheme) for scheme in cfg["schemes"]}
     rows = []
     for dlam in cfg["delta_lambda_nm_list"]:
+        i_cont = dict(zip(("hom", "classical"), continuum_fisher(
+            stack, lam0, dlam, theta, ns, phi_ab=cfg["phi_ab"],
+            polarization=pol, n_nodes=cfg["n_nodes"], span=cfg["span"])))
         for scheme in cfg["schemes"]:
-            i_cont = continuum_fisher(scheme, stack, lam0, dlam, theta, ns,
-                                      phi_ab=cfg["phi_ab"], polarization=pol,
-                                      n_nodes=cfg["n_nodes"],
-                                      span=cfg["span"])
-            d, defined = defined_ratio(np.abs(i_single[scheme] - i_cont),
-                                       i_single[scheme])
+            d, defined = defined_ratio(
+                np.abs(i_single[scheme] - i_cont[scheme]), i_single[scheme])
             rows.extend(zip([dlam] * len(ns), [scheme] * len(ns), ns,
-                            i_single[scheme], i_cont, d, defined))
+                            i_single[scheme], i_cont[scheme], d, defined))
     return "%d cells" % len(rows), [Table(
         "continuum.csv",
         ("delta_lambda_nm", "scheme", "n_s", "i_single", "i_continuum", "d",
@@ -602,10 +601,10 @@ def run_command(args) -> int:
     run metadata and a one-line summary on stdout."""
     _, body, settings = COMMANDS[args.command]
     cfg = load_config(args.config, args.command)
-    _prepare_out_dir(args.out)
     stack, cal_info = _resolve_stack(cfg)
     run_id = run_identifier(args.command, cfg)
     summary, tables = body(cfg, stack)
+    _prepare_out_dir(args.out)  # a failed run leaves no directory behind
     header = (
         "homsensor %s output (version %s)" % (args.command, __version__),
         "run_id: %s" % run_id,

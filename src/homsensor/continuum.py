@@ -34,6 +34,7 @@ D = |I_single - I_continuum| / I_single of the Fisher information.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -139,6 +140,14 @@ class QuadratureGrid:
     clipped: bool   # True when the material window truncated the span
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def quadrature_grid(profile: SpectralProfile, n_nodes: int = DEFAULT_NODES,
                     span: float = DEFAULT_SPAN,
                     omega_window: tuple[float, float] | None = None
@@ -163,7 +172,7 @@ def quadrature_grid(profile: SpectralProfile, n_nodes: int = DEFAULT_NODES,
             hi, clipped = whi, True
         if not lo < hi:
             raise ConfigError("material window leaves no quadrature interval")
-    x, w = np.polynomial.legendre.leggauss(int(n_nodes))
+    x, w = _legendre_rule(int(n_nodes))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return QuadratureGrid(nodes=mid + half * x, weights=half * w,
@@ -219,7 +228,7 @@ def continuum_classical_means(moments, profile: SpectralProfile,
     return np.maximum(_coherent_mean_pair(*moments, 1.0, 1.0, phi_ab), 0.0)
 
 
-def continuum_fisher(scheme: str, stack: LayerStack, lambda0_nm: float,
+def continuum_fisher(stack: LayerStack, lambda0_nm: float,
                      delta_lambda_nm: float, theta_deg: float, n_s,
                      phi_ab: float = DEFAULT_PHI_AB,
                      polarization: str = "tm",
@@ -227,17 +236,15 @@ def continuum_fisher(scheme: str, stack: LayerStack, lambda0_nm: float,
                      step: float = DEFAULT_NS_STEP):
     """Fisher information in n_s with the full spectral profile.
 
-    scheme is "hom" (photon-pair clicks) or "classical" (coherent probe,
-    closed-form Poisson information); both feed the spectral moments to
-    the single-frequency outcome models.
+    Returns the pair (i_hom, i_classical): the photon-pair click
+    information and the coherent-probe closed-form Poisson information,
+    both from the same spectral moments fed to the single-frequency
+    outcome models.
 
-    n_s may be an array: the result has its shape (a float for a
+    n_s may be an array: each result has its shape (a float for a
     scalar).  One quadrature grid serves every n_s, and the stack is
     evaluated in a single call on n_s x (-/+ step) x nodes.
     """
-    if scheme not in ("hom", "classical"):
-        raise ConfigError("scheme must be 'hom' or 'classical', got %r"
-                          % (scheme,))
     profile = spectral_profile(lambda0_nm, delta_lambda_nm)
     grid = default_grid(stack, profile, n_nodes, span)
     ns = np.asarray(n_s, dtype=float)[..., None, None] \
@@ -246,13 +253,11 @@ def continuum_fisher(scheme: str, stack: LayerStack, lambda0_nm: float,
                           theta_deg, ns, polarization)
     moments = continuum_hom_moments(
         *validate_points(resp.T, resp.R, resp.phi_tr), profile, grid)
-    if scheme == "hom":
-        p = _hom_click_vector(*moments)
-        info = _distribution_information(p[..., 1, :], p[..., 0, :], step)
-    else:
-        mu = continuum_classical_means(moments, profile, grid, phi_ab)
-        info = _information(mu[..., 1, :], mu[..., 0, :], step)
-    return _as_result(info)
+    p = _hom_click_vector(*moments)
+    mu = continuum_classical_means(moments, profile, grid, phi_ab)
+    return (_as_result(_distribution_information(p[..., 1, :], p[..., 0, :],
+                                                 step)),
+            _as_result(_information(mu[..., 1, :], mu[..., 0, :], step)))
 
 
 def relative_difference(i_single, i_continuum):

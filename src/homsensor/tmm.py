@@ -17,6 +17,9 @@ stack_response is the one evaluator of that product.  It broadcasts
 over wavelength, angle, sample index and the thickness of every
 interior layer (a layer may hold an array of thicknesses), so a whole
 grid, or a whole calibration scan over gap thicknesses, is one call.
+Each layer is evaluated on the shape of its own inputs; only the
+sample layer and the running matrix product span the whole grid, and
+every output has the full broadcast shape.
 
 The sensing geometry of interest is prism | metal film | sample gap |
 metal film | prism: a symmetric pair of attenuated-total-reflection
@@ -285,6 +288,11 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     replaces the index of the stack's sample layer (defaulting to the
     stored sample_n) and must be omitted when the stack has no sample
     layer.  t = 1/M11, r = M21/M11 of the total transfer matrix.
+
+    Each layer is evaluated on the shape of its own inputs (a fixed
+    layer on wavelength x angle, widened only by its own thickness);
+    only the sample layer and the running product span the grid, and
+    every field has the full broadcast shape (scalars for scalar inputs).
     """
     _check_polarization(polarization)
     _check_theta(theta_deg)
@@ -295,46 +303,33 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     shape = np.broadcast_shapes(
         lam.shape, th.shape, np.shape(n_s),
         *(np.shape(layer.thickness_nm) for layer in stack.layers[1:-1]))
-    ns = None if n_s is None else \
-        np.broadcast_to(np.asarray(n_s, dtype=complex), shape)
-    lam = np.broadcast_to(lam, shape)
-    th = np.broadcast_to(th, shape)
+    ns = None if n_s is None else np.asarray(n_s, dtype=complex)
 
-    # per-layer complex indices on the broadcast grid
-    n_list = []
-    for j, layer in enumerate(stack.layers):
-        if j == stack.sample_layer:
-            n_list.append(ns)
-        else:
-            nj = layer.material.index(lam)
-            n_list.append(np.broadcast_to(np.asarray(nj, dtype=complex), shape))
-
+    n_list = [ns if j == stack.sample_layer
+              else np.asarray(layer.material.index(lam), dtype=complex)
+              for j, layer in enumerate(stack.layers)]
     n0_sin = n_list[0] * np.sin(th)
     cos_list = [_cosines_from_indices(nj, n0_sin) for nj in n_list]
 
-    # accumulate M = B01 P1 B12 P2 ... B(N-1,N) as scalar 2x2 components;
-    # B = (1/t) [[1, r], [r, 1]] and P = diag(e^{-i delta}, e^{+i delta})
-    m11 = np.ones(shape, dtype=complex)
-    m12 = np.zeros(shape, dtype=complex)
-    m21 = np.zeros(shape, dtype=complex)
-    m22 = np.ones(shape, dtype=complex)
-    for j in range(len(n_list) - 1):
-        if j > 0:
-            d = stack.layers[j].thickness_nm
-            delta = 2.0 * np.pi * n_list[j] * cos_list[j] * d / lam
-            em = np.exp(-1j * delta)
-            ep = np.exp(1j * delta)
-            m11, m12 = m11 * em, m12 * ep
-            m21, m22 = m21 * em, m22 * ep
+    def interface(j):
+        """(1/t, r/t) of the B matrix (1/t) [[1, r], [r, 1]] of j|j+1."""
         r_ij, t_ij = fresnel(n_list[j], n_list[j + 1], cos_list[j],
                              cos_list[j + 1], polarization)
-        b11 = 1.0 / t_ij
-        b12 = r_ij / t_ij
-        a11 = m11 * b11 + m12 * b12
-        a12 = m11 * b12 + m12 * b11
-        a21 = m21 * b11 + m22 * b12
-        a22 = m21 * b12 + m22 * b11
-        m11, m12, m21, m22 = a11, a12, a21, a22
+        return 1.0 / t_ij, r_ij / t_ij
+
+    # accumulate M = B01 P1 B12 P2 ... B(N-1,N) as scalar 2x2 components,
+    # starting from B01; P = diag(e^{-i delta}, e^{+i delta})
+    m11, m12 = interface(0)
+    m21, m22 = m12, m11
+    for j in range(1, len(n_list) - 1):
+        d = stack.layers[j].thickness_nm
+        delta = 2.0 * np.pi * n_list[j] * cos_list[j] * d / lam
+        em, ep = np.exp(-1j * delta), np.exp(1j * delta)
+        m11, m12 = m11 * em, m12 * ep
+        m21, m22 = m21 * em, m22 * ep
+        b11, b12 = interface(j)
+        m11, m12, m21, m22 = (m11 * b11 + m12 * b12, m11 * b12 + m12 * b11,
+                              m21 * b11 + m22 * b12, m21 * b12 + m22 * b11)
 
     if np.any(m11 == 0.0):
         raise UnphysicalPointError(
@@ -358,15 +353,15 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     phi = np.where(phi > np.pi, phi - 2.0 * np.pi, phi)
     phi = np.where(phi <= -np.pi, phi + 2.0 * np.pi, phi)
 
-    def _maybe_scalar(x):
-        return x if shape else x[()]
-
+    # every field on the full broadcast shape; [()] turns 0-d into scalars
+    t, r, T, R, A, phi = (np.broadcast_to(x, shape)[()]
+                          for x in (t, r, T.real, R.real, A.real, phi))
     return StackResponse(
-        t=_maybe_scalar(t), r=_maybe_scalar(r),
-        T=_maybe_scalar(T.real), R=_maybe_scalar(R.real),
-        A=_maybe_scalar(A.real), phi_tr=_maybe_scalar(phi),
-        wavelength_nm=lam, theta_deg=np.degrees(th),
-        n_s=ns, polarization=polarization)
+        t=t, r=r, T=T, R=R, A=A, phi_tr=phi,
+        wavelength_nm=np.broadcast_to(lam, shape),
+        theta_deg=np.broadcast_to(np.degrees(th), shape),
+        n_s=None if ns is None else np.broadcast_to(ns, shape),
+        polarization=polarization)
 
 
 def response_at_offsets(stack: LayerStack, wavelength_nm, theta_deg, n_s,

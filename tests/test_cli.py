@@ -9,11 +9,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from homsensor import __version__, cli, tmm
 from homsensor.estimation import DEFAULT_NS_STEP, RATIO_FLOOR
-from homsensor.materials import constant_material
+from homsensor.materials import Material, constant_material
 from homsensor.quantum_stats import CLAMP_FLOOR
 from homsensor.tmm import CALIBRATION_TOL, Layer, LayerStack, save_stack
 
@@ -163,8 +164,10 @@ def test_bench_invocations_pass_reference_check(tmp_path):
 
 def test_calibration_failure_exits_2(tmp_path):
     """At 40 degrees the default geometry has no T = R crossing."""
-    code, _ = _run(tmp_path, "spectrum", {"calibration": {"theta_deg": 40.0}})
+    code, out = _run(tmp_path, "spectrum",
+                     {"calibration": {"theta_deg": 40.0}})
     assert code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -193,25 +196,64 @@ def test_reruns_are_byte_identical(tmp_path, command, extra):
         assert (again / name).read_bytes() == (out / name).read_bytes()
 
 
-def test_fisher_is_one_pass(tmp_path, monkeypatch):
-    """`fisher` with the phase scan makes a handful of stack_response
-    calls on a loaded stack, not one set per index point."""
-    calls = []
+def _count_calls(monkeypatch):
+    """Record the stack_response calls of every homsensor module that
+    holds it, and the number of wavelengths each Material.index call
+    is asked for."""
+    calls, index_points = [], []
     original = tmm.stack_response
+    original_index = Material.index
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    def counting_index(self, wavelength_nm):
+        index_points.append(np.size(wavelength_nm))
+        return original_index(self, wavelength_nm)
+
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("homsensor") \
                 and getattr(module, "stack_response", None) is original:
             monkeypatch.setattr(module, "stack_response", counting)
+    monkeypatch.setattr(Material, "index", counting_index)
+    return calls, index_points
+
+
+def test_fisher_is_one_pass(tmp_path, monkeypatch):
+    """`fisher` with the phase scan makes a handful of stack_response
+    calls on a loaded stack, not one set per index point."""
+    calls, _ = _count_calls(monkeypatch)
     code, out = _run(tmp_path, "fisher", {"stack_path": str(FIXTURE_STACK),
                                           "phi_ab_policy": "scan"})
     assert code == 0
     assert (out / "phase_scan.csv").exists()
     assert 0 < len(calls) <= 6
+
+
+def test_continuum_evaluates_each_bandwidth_once(tmp_path, monkeypatch):
+    """Both schemes share one stack_response call per bandwidth, after
+    one call per scheme at the single frequency."""
+    calls, _ = _count_calls(monkeypatch)
+    extra, _, _ = GRID_RUNS["continuum"]
+    code, _ = _run(tmp_path, "continuum", {"stack_path": str(FIXTURE_STACK),
+                                           "schemes": ["hom", "classical"],
+                                           **extra})
+    assert code == 0
+    assert 0 < len(calls) <= 2 + len(DELTA_LAMBDAS)
+
+
+def test_map_interpolates_each_wavelength_once(tmp_path, monkeypatch):
+    """`map` asks each fixed layer for its index once per wavelength in
+    each stack_response call, not once per (wavelength, index) cell."""
+    calls, index_points = _count_calls(monkeypatch)
+    extra, _, _ = GRID_RUNS["map"]
+    code, _ = _run(tmp_path, "map", {"stack_path": str(FIXTURE_STACK),
+                                     **extra})
+    assert code == 0
+    fixed_layers = tmm.load_stack(FIXTURE_STACK).n_layers - 1
+    assert 0 < len(calls) <= 2
+    assert sum(index_points) <= fixed_layers * len(LAMBDAS) * len(calls)
 
 
 # (command, config on top of stack_path, settings-line keys, stdout summary)
@@ -313,6 +355,7 @@ def test_non_dual_film_stack_path_exits_1(tmp_path, capsys, layers,
     assert code == 1
     assert "expected the 5-layer dual-film geometry" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_run_metadata_reports_library_tolerances(tmp_path):

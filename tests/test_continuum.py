@@ -24,40 +24,63 @@ def fixture_stack():
     return load_stack(FIXTURE_STACK)
 
 
-@pytest.mark.parametrize("scheme", ["hom", "classical"])
+SCHEMES = ("hom", "classical")  # the order of continuum_fisher's pair
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("delta_lambda_nm", [9.4, 94.0])
 def test_batched_matches_scalar_loop(stack, scheme, delta_lambda_nm):
-    batched = continuum_fisher(scheme, stack, 800.0, delta_lambda_nm, 70.0,
-                               NS)
-    assert batched.shape == NS.shape
-    for n, value in zip(NS, batched):
-        scalar = continuum_fisher(scheme, stack, 800.0, delta_lambda_nm,
-                                  70.0, float(n))
-        assert isinstance(scalar, float)
-        assert value == pytest.approx(scalar, rel=1e-9)
+    """Both arrays of the batched pair have the grid's shape; the
+    scheme's array matches the scalar loop."""
+    pick = SCHEMES.index(scheme)
+    batched = continuum_fisher(stack, 800.0, delta_lambda_nm, 70.0, NS)
+    assert [np.shape(info) for info in batched] == [NS.shape, NS.shape]
+    for n, value in zip(NS, batched[pick]):
+        scalar = continuum_fisher(stack, 800.0, delta_lambda_nm, 70.0,
+                                  float(n))
+        assert all(isinstance(info, float) for info in scalar)
+        assert value == pytest.approx(scalar[pick], rel=1e-9)
 
 
 def test_one_quadrature_grid_per_call(stack, monkeypatch):
-    calls = []
-    original = continuum.quadrature_grid
+    """One quadrature grid and one stack_response call serve both
+    schemes."""
+    calls = {"quadrature_grid": 0, "stack_response": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(continuum, name)
 
-    monkeypatch.setattr(continuum, "quadrature_grid", counting)
-    info = continuum_fisher("hom", stack, 800.0, 9.4, 70.0,
-                            np.linspace(1.25, 1.34, 91))
-    assert info.shape == (91,)
-    assert len(calls) == 1
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(continuum, name, counting(name))
+    i_hom, i_classical = continuum_fisher(stack, 800.0, 9.4, 70.0,
+                                          np.linspace(1.25, 1.34, 91))
+    assert i_hom.shape == i_classical.shape == (91,)
+    assert calls == {"quadrature_grid": 1, "stack_response": 1}
 
 
-@pytest.mark.parametrize("scheme", ["hom", "classical"])
+def test_legendre_rule_is_cached_and_read_only():
+    """Two grids with the same node count share one read-only rule."""
+    profile = spectral_profile(800.0, 9.4)
+    quadrature_grid(profile, 57)
+    hits = continuum._legendre_rule.cache_info().hits
+    quadrature_grid(profile, 57)
+    assert continuum._legendre_rule.cache_info().hits == hits + 1
+    x, w = continuum._legendre_rule(57)
+    assert not (x.flags.writeable or w.flags.writeable)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_narrow_band_limit_is_single_frequency(fixture_stack, scheme):
     """At 0.01 nm bandwidth the spectral information is the
     single-frequency one."""
     ns = np.array([1.29, 1.30, 1.325])
-    narrow = continuum_fisher(scheme, fixture_stack, 800.0, 0.01, 70.0, ns)
+    narrow = continuum_fisher(fixture_stack, 800.0, 0.01, 70.0,
+                              ns)[SCHEMES.index(scheme)]
     if scheme == "hom":
         single = fisher_hom(fixture_stack, 800.0, 70.0, ns)
     else:

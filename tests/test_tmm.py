@@ -301,6 +301,51 @@ def test_array_thickness_matches_scalar_calls(stack):
             assert resp.phi_tr[i, k] == pytest.approx(one.phi_tr, abs=1e-15)
 
 
+def _gold_film(d_nm):
+    """prism | gold film | prism: a stack with no sample layer."""
+    prism = constant_material("prism", 1.5)
+    return LayerStack(layers=(Layer(prism, None), Layer(gold_jc(), d_nm),
+                              Layer(prism, None)))
+
+
+# the one input that carries the grid: (values, inputs built from them)
+SHAPE_CASES = {
+    "gap_thickness": ([480.0, 502.5, 530.0], lambda stack, v: (
+        stack.with_thickness({2: v}), 800.0, 70.0, 1.31)),
+    "n_s": ([1.27, 1.30, 1.31, 1.33], lambda stack, v: (
+        stack, 800.0, 70.0, v)),
+    "theta": ([65.0, 70.0], lambda stack, v: (stack, 800.0, v, 1.31)),
+    "film_thickness_no_sample": ([40.0, 50.0, 60.0], lambda stack, v: (
+        _gold_film(v), 800.0, 70.0, None)),
+}
+RESPONSE_FIELDS = ("t", "r", "T", "R", "A", "phi_tr", "wavelength_nm",
+                   "theta_deg")
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+def test_fields_have_full_broadcast_shape(stack, case):
+    """Whichever single input carries the grid, every field has the full
+    broadcast shape and each cell equals its scalar call."""
+    values, inputs = SHAPE_CASES[case]
+    resp = stack_response(*inputs(stack, np.array(values)))
+    fields = RESPONSE_FIELDS + (("n_s",) if case != "film_thickness_no_sample"
+                                else ())
+    for name in fields:
+        assert np.shape(getattr(resp, name)) == (len(values),), name
+    for i, value in enumerate(values):
+        one = stack_response(*inputs(stack, value))
+        for name in ("t", "r", "T", "R", "phi_tr"):
+            assert getattr(resp, name)[i] == pytest.approx(
+                getattr(one, name), abs=1e-15), (name, value)
+
+
+def test_scalar_inputs_return_scalars(stack):
+    resp = stack_response(stack, 800.0, 70.0, 1.31)
+    for name in ("t", "r", "T", "R", "A", "phi_tr"):
+        value = getattr(resp, name)
+        assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+
+
 def test_with_thickness_keeps_kinds(stack):
     trial = stack.with_thickness({1: 30, 2: np.array([400.0, 500.0])})
     assert type(trial.thickness_of(1)) is float
