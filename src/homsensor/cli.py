@@ -31,10 +31,10 @@ A body takes (cfg, stack), makes the library calls and returns
 and a COMMANDS row.
 
 Grids are evaluated in one process by broadcast library calls: `map`
-makes one call per information scheme over the whole wavelength x index
-mesh, `continuum` one call per bandwidth for both schemes, and `fisher`
-one pass: one fisher_report call over the index grid and one
-phi_ab_scan call over the phase grid.
+(by wavelength) and `continuum` (by index) in row blocks of at most
+BLOCK_POINTS stack_response points, so memory does not grow with the
+grid, and `fisher` in one pass: one fisher_report call over the index
+grid and one phi_ab_scan call over the phase grid.
 
 Exit status: 0 on success, 1 on configuration or physics errors, 2 on
 calibration failure.
@@ -56,16 +56,22 @@ import numpy as np
 from . import __version__
 from .continuum import continuum_fisher
 from .errors import (CalibrationError, ConfigError, HomsensorError,
-                     StackDefinitionError)
+                     StackDefinitionError, UnphysicalPointError)
 from .estimation import DEFAULT_NS_STEP, RATIO_FLOOR, defined_ratio, \
-    fisher_classical, fisher_hom, fisher_report, load_budget_sources, \
-    phi_ab_scan, uncertainty_budget
+    fisher_report, fisher_schemes, load_budget_sources, phi_ab_scan, \
+    uncertainty_budget
 from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, \
     hom_click_distribution, validate_points
 from .tmm import CALIBRATION_TOL, calibrate_stack, load_stack, save_stack, \
     stack_response
 
 CSV_FLOAT_FORMAT = "%.12g"
+# %-conversions that print a cell of exactly this type as _fmt_cell does;
+# write_csv joins them into one format for rows typed like its first row
+_CELL_FORMATS = {str: "%s", bool: "%d", np.bool_: "%d", int: "%d",
+                 float: CSV_FLOAT_FORMAT, np.float64: CSV_FLOAT_FORMAT}
+# stack_response points per call of _in_blocks: cache-sized temporaries
+BLOCK_POINTS = 8192
 
 # Tolerances recorded in every metadata file, read from the library
 # constants so a run can be audited from its outputs alone.
@@ -297,8 +303,15 @@ def write_csv(path, columns, rows, meta_lines=()):
         for line in meta_lines:
             f.write("# %s\n" % line)
         f.write(",".join(columns) + "\n")
+        first = fmt = None
         for row in rows:
-            f.write(",".join(_fmt_cell(v) for v in row) + "\n")
+            kinds = tuple(map(type, row))
+            if first is None:
+                first = kinds
+                if all(kind in _CELL_FORMATS for kind in kinds):
+                    fmt = ",".join(map(_CELL_FORMATS.get, kinds)) + "\n"
+            f.write(fmt % tuple(row) if fmt and kinds == first
+                    else ",".join(map(_fmt_cell, row)) + "\n")
 
 
 def run_identifier(command, cfg) -> str:
@@ -492,14 +505,26 @@ def _fisher(cfg, stack):
     return "%d index points" % len(ns), tables
 
 
+def _in_blocks(evaluate, n_rows, points_per_row):
+    """evaluate(rows) over row slices of at most BLOCK_POINTS points (one
+    row at least), each returned array joined on the leading axis; cells
+    are independent, so blocks leave the bytes as they are."""
+    per_block, parts = max(1, BLOCK_POINTS // points_per_row), []
+    for start in range(0, n_rows, per_block):
+        try:
+            parts.append(evaluate(slice(start, start + per_block)))
+        except UnphysicalPointError as exc:  # its index counts in the block
+            raise UnphysicalPointError("%s (block of grid rows %d..%d)" % (
+                exc, start, min(start + per_block, n_rows) - 1)) from exc
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
 def _map(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
     lams = grid_values(cfg["wavelength_grid_nm"])
-    i_h = fisher_hom(stack, lams[:, None], cfg["theta_deg"], ns,
-                     cfg["polarization"])
-    i_c = fisher_classical(stack, lams[:, None], cfg["theta_deg"], ns,
-                           phi_ab=cfg["phi_ab"],
-                           polarization=cfg["polarization"])
+    i_h, i_c = _in_blocks(lambda block: fisher_schemes(
+        stack, lams[block, None], cfg["theta_deg"], ns, cfg["phi_ab"],
+        cfg["polarization"]), len(lams), 2 * len(ns))
     g, defined = defined_ratio(i_h - i_c, i_c)
     lam_mesh, ns_mesh = np.meshgrid(lams, ns, indexing="ij")
     return "%d x %d cells" % (len(lams), len(ns)), [Table(
@@ -544,21 +569,17 @@ def _budget(cfg, stack):
 
 def _continuum(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
-    lam0, theta, pol = cfg["wavelength_nm"], cfg["theta_deg"], \
-        cfg["polarization"]
-
-    def single_frequency(scheme):
-        if scheme == "hom":
-            return fisher_hom(stack, lam0, theta, ns, pol)
-        return fisher_classical(stack, lam0, theta, ns, phi_ab=cfg["phi_ab"],
-                                polarization=pol)
-
-    i_single = {scheme: single_frequency(scheme) for scheme in cfg["schemes"]}
+    lam0, theta, pol, phi_ab, nodes = (cfg[key] for key in (
+        "wavelength_nm", "theta_deg", "polarization", "phi_ab", "n_nodes"))
+    i_single = dict(zip(("hom", "classical"), _in_blocks(
+        lambda block: fisher_schemes(stack, lam0, theta, ns[block], phi_ab,
+                                     pol), len(ns), 2)))
     rows = []
     for dlam in cfg["delta_lambda_nm_list"]:
-        i_cont = dict(zip(("hom", "classical"), continuum_fisher(
-            stack, lam0, dlam, theta, ns, phi_ab=cfg["phi_ab"],
-            polarization=pol, n_nodes=cfg["n_nodes"], span=cfg["span"])))
+        i_cont = dict(zip(("hom", "classical"), _in_blocks(
+            lambda block: continuum_fisher(stack, lam0, dlam, theta, ns[block],
+                                           phi_ab, pol, nodes, cfg["span"]),
+            len(ns), 2 * nodes)))
         for scheme in cfg["schemes"]:
             d, defined = defined_ratio(
                 np.abs(i_single[scheme] - i_cont[scheme]), i_single[scheme])

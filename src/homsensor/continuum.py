@@ -41,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimation import (DEFAULT_NS_STEP, _as_result,
-                         _distribution_information, _information,
-                         checked_ratio)
+from .estimation import (DEFAULT_NS_STEP, _distribution_information,
+                         _information, checked_ratio)
 from .quantum_stats import (DEFAULT_PHI_AB, _coherent_mean_pair,
                             _hom_click_vector, splitter_moments,
                             validate_points)
@@ -255,9 +254,7 @@ def continuum_fisher(stack: LayerStack, lambda0_nm: float,
         *validate_points(resp.T, resp.R, resp.phi_tr), profile, grid)
     p = _hom_click_vector(*moments)
     mu = continuum_classical_means(moments, profile, grid, phi_ab)
-    return (_as_result(_distribution_information(p[..., 1, :], p[..., 0, :],
-                                                 step)),
-            _as_result(_information(mu[..., 1, :], mu[..., 0, :], step)))
+    return _distribution_information(p, step), _information(mu, step)
 
 
 def relative_difference(i_single, i_continuum):

@@ -16,7 +16,7 @@ derivative and costs no extra model evaluation.
 Provided on top of the raw information are:
 
 * per-scheme evaluators for the photon-pair (two-photon interference)
-  probe and the coherent probe,
+  probe and the coherent probe, alone or both from one response,
 * a decomposition of the information over the splitter parameters
   (T, R, phi_tr), exposing which physical channel carries the signal
   (for the coherent probe it differentiates the two Poisson means),
@@ -74,16 +74,18 @@ _BUDGET_RESOURCE = "budget_sources.json"
 # generic Fisher information from a parametric distribution
 # ---------------------------------------------------------------------------
 
-def _information(plus, minus, step: float):
-    """Fisher information along the last axis from values at n_s -/+ step.
+def _information(values, step: float):
+    """Fisher information along the last axis from values at n_s -/+ step
+    on axis -2 (index 0: minus); a 0-d result is a float.
 
-    plus and minus hold outcome probabilities, or independent Poisson
-    means (I = sum mu'^2 / mu is the same sum).  Entries with midpoint
-    below ZERO_PROB_FLOOR are skipped; one whose derivative exceeds the
-    noise level DERIV_FLOOR hides at least (d/dn)^2 / ZERO_PROB_FLOOR,
-    and a warning is emitted where that bound exceeds DEAD_INFO_SHARE
-    of the returned information (the outcome set is too coarse).
+    values hold outcome probabilities, or independent Poisson means
+    (I = sum mu'^2 / mu is the same sum).  Entries with midpoint below
+    ZERO_PROB_FLOOR are skipped; one whose derivative exceeds the noise
+    level DERIV_FLOOR hides at least (d/dn)^2 / ZERO_PROB_FLOOR, and a
+    warning is emitted where that bound exceeds DEAD_INFO_SHARE of the
+    returned information (the outcome set is too coarse).
     """
+    minus, plus = values[..., 0, :], values[..., 1, :]
     deriv = (plus - minus) / (2.0 * step)
     mid = 0.5 * (plus + minus)
     alive = mid > ZERO_PROB_FLOOR
@@ -97,22 +99,19 @@ def _information(plus, minus, step: float):
             "more than %g of the information; Fisher information may be "
             "underestimated" % (ZERO_PROB_FLOOR, DEAD_INFO_SHARE),
             stacklevel=3)
-    return info
+    return _as_result(info)
 
 
-def _distribution_information(p_plus, p_minus, step: float):
+def _distribution_information(p, step: float):
     """_information of outcome distributions, each checked to sum to 1."""
-    if p_plus.shape != p_minus.shape:
-        raise ConfigError("distribution changed outcome count under the step")
-    for p in (p_plus, p_minus):
-        total = np.sum(p, axis=-1)
-        bad = np.abs(total - 1.0) > 1e-9
-        if np.any(bad):
-            raise ConfigError(
-                "outcome distribution sums to %r; the outcome set must be "
-                "exhaustive (include loss/vacuum outcomes explicitly)"
-                % (float(total[bad][0]) if total.ndim else float(total),))
-    return _information(p_plus, p_minus, step)
+    total = np.sum(p, axis=-1)
+    bad = np.abs(total - 1.0) > 1e-9
+    if np.any(bad):
+        raise ConfigError(
+            "outcome distribution sums to %r; the outcome set must be "
+            "exhaustive (include loss/vacuum outcomes explicitly)"
+            % (float(total[bad][0]),))
+    return _information(p, step)
 
 
 def _as_result(info):
@@ -132,7 +131,10 @@ def fisher_from_distribution(dist_fn, n_s: float, step: float = DEFAULT_NS_STEP
     """
     p_plus = np.asarray(dist_fn(n_s + step), dtype=float).ravel()
     p_minus = np.asarray(dist_fn(n_s - step), dtype=float).ravel()
-    return float(_distribution_information(p_plus, p_minus, step))
+    if p_plus.shape != p_minus.shape:
+        raise ConfigError("distribution changed outcome count under the step")
+    return float(_distribution_information(np.stack([p_minus, p_plus]),
+                                           step))
 
 
 def _points_around(stack, wavelength_nm, theta_deg, n_s, polarization,
@@ -147,6 +149,15 @@ def _points_around(stack, wavelength_nm, theta_deg, n_s, polarization,
 # ---------------------------------------------------------------------------
 # per-scheme information at a stack operating point
 # ---------------------------------------------------------------------------
+
+# each scheme's information from the points (T, R, phi_tr) at n_s -/+ step
+def _hom_information(points, step, vector=_hom_click_vector):
+    return _distribution_information(vector(*splitter_moments(*points)), step)
+
+
+def _classical_information(points, probe, step):
+    return _information(coherent_output_means(*points, probe), step)
+
 
 def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                polarization: str = "tm", step: float = DEFAULT_NS_STEP,
@@ -167,10 +178,9 @@ def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     else:
         raise ConfigError("outcomes must be 'click' or 'pair', got %r"
                           % (outcomes,))
-    p = vector(*splitter_moments(*_points_around(
-        stack, wavelength_nm, theta_deg, n_s, polarization, step)))
-    return _as_result(_distribution_information(p[..., 1, :], p[..., 0, :],
-                                                step))
+    return _hom_information(_points_around(
+        stack, wavelength_nm, theta_deg, n_s, polarization, step), step,
+        vector)
 
 
 def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
@@ -193,9 +203,20 @@ def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
             else CoherentInput(phi_ab=float(phi_ab))
     elif phi_ab is not None:
         raise ConfigError("give phi_ab or probe, not both")
-    mu = coherent_output_means(*_points_around(
-        stack, wavelength_nm, theta_deg, n_s, polarization, step), probe)
-    return _as_result(_information(mu[..., 1, :], mu[..., 0, :], step))
+    return _classical_information(_points_around(
+        stack, wavelength_nm, theta_deg, n_s, polarization, step), probe,
+        step)
+
+
+def fisher_schemes(stack: LayerStack, wavelength_nm, theta_deg, n_s,
+                   phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm",
+                   step: float = DEFAULT_NS_STEP):
+    """(fisher_hom, fisher_classical at phi_ab) from one stack_response
+    call: the single-frequency twin of continuum.continuum_fisher."""
+    points = _points_around(stack, wavelength_nm, theta_deg, n_s,
+                            polarization, step)
+    return _hom_information(points, step), _classical_information(
+        points, CoherentInput(phi_ab=float(phi_ab)), step)
 
 
 def precision_bound(info):
@@ -387,9 +408,8 @@ def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                   step: float = DEFAULT_NS_STEP) -> FisherReport:
     """Evaluate both schemes, the enhancement and the HOM decomposition
     on the broadcast grid: one call of each evaluator."""
-    i_h = fisher_hom(stack, wavelength_nm, theta_deg, n_s, polarization, step)
-    i_c = fisher_classical(stack, wavelength_nm, theta_deg, n_s,
-                           phi_ab=phi_ab, polarization=polarization, step=step)
+    i_h, i_c = fisher_schemes(stack, wavelength_nm, theta_deg, n_s, phi_ab,
+                              polarization, step)
     g, g_defined = defined_ratio(i_h - i_c, i_c)
     decomp = fisher_decomposition(stack, wavelength_nm, theta_deg, n_s,
                                   scheme="hom", polarization=polarization,
@@ -445,7 +465,7 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
         mu = np.maximum(_coherent_mean_pair(
             *moments, probe.alpha_sq, probe.beta_sq,
             np.asarray(phi_ab)[..., None]), 0.0)
-        return _information(mu[..., 1, :], mu[..., 0, :], step)
+        return _information(mu, step)
 
     values = info(grid)
     k = int(np.argmax(values))

@@ -1,18 +1,20 @@
 """Command-line front end: grid subcommands end to end, exit codes."""
 
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import json
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from homsensor import __version__, cli, tmm
+from homsensor import __version__, cli, continuum, tmm
 from homsensor.estimation import DEFAULT_NS_STEP, RATIO_FLOOR
 from homsensor.materials import Material, constant_material
 from homsensor.quantum_stats import CLAMP_FLOOR
@@ -254,6 +256,124 @@ def test_map_interpolates_each_wavelength_once(tmp_path, monkeypatch):
     fixed_layers = tmm.load_stack(FIXTURE_STACK).n_layers - 1
     assert 0 < len(calls) <= 2
     assert sum(index_points) <= fixed_layers * len(LAMBDAS) * len(calls)
+
+
+def _points(calls):
+    """stack_response points of each recorded call: the broadcast size of
+    its wavelength, angle and index arguments."""
+    return [int(np.prod(np.broadcast_shapes(*map(np.shape, args[1:4]))))
+            for args in calls]
+
+
+# BLOCK_POINTS that puts one grid row in each block: 2 n_s steps per
+# (wavelength, index) cell of `map`, 2 x n_nodes per index of `continuum`
+ONE_ROW = {"map": 2 * len(NS), "continuum": 2 * 41}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_RUNS))
+def test_blocks_leave_outputs_unchanged(tmp_path, monkeypatch, command):
+    """A grid cut into one-row blocks writes the bytes of one block."""
+    extra, _, _ = GRID_RUNS[command]
+    cfg = {"stack_path": str(FIXTURE_STACK), **extra}
+    monkeypatch.setattr(cli, "BLOCK_POINTS", 10 ** 9)
+    code, whole = _run(tmp_path, command, cfg, "whole")
+    assert code == 0
+    monkeypatch.setattr(cli, "BLOCK_POINTS", ONE_ROW[command])
+    calls, _ = _count_calls(monkeypatch)
+    code, blocked = _run(tmp_path, command, cfg, "blocked")
+    assert code == 0
+    rows = len(LAMBDAS) if command == "map" else len(NS)
+    assert len(calls) >= rows >= 3
+    names = sorted(path.name for path in whole.iterdir())
+    assert names == sorted(path.name for path in blocked.iterdir())
+    for name in names:
+        assert (blocked / name).read_bytes() == (whole / name).read_bytes()
+
+
+@pytest.mark.parametrize("rows_per_block, blocks", [(1, 4), (3, 2), (4, 1)])
+def test_continuum_blocks_keep_calls_and_points(tmp_path, monkeypatch,
+                                                rows_per_block, blocks):
+    """k blocks per bandwidth make 1 + k x bandwidths stack_response
+    calls (the single-frequency schemes share one) and evaluate the
+    points of one call per bandwidth."""
+    extra, _, _ = GRID_RUNS["continuum"]
+    monkeypatch.setattr(cli, "BLOCK_POINTS",
+                        rows_per_block * ONE_ROW["continuum"])
+    calls, _ = _count_calls(monkeypatch)
+    code, _ = _run(tmp_path, "continuum", {"stack_path": str(FIXTURE_STACK),
+                                           **extra})
+    assert code == 0
+    assert len(calls) == 1 + blocks * len(DELTA_LAMBDAS)
+    assert sum(_points(calls)) \
+        == 2 * len(NS) + len(DELTA_LAMBDAS) * ONE_ROW["continuum"] * len(NS)
+
+
+def test_continuum_working_set_is_bounded(tmp_path, monkeypatch):
+    """The traced peak of a 301-index continuum run in blocks is at most
+    a quarter of the same run in one call."""
+    cfg = {"stack_path": str(FIXTURE_STACK), "delta_lambda_nm_list": [9.4],
+           "n_s_grid": {"start": 1.2, "stop": 1.5, "step": 1e-3}}
+    peaks = {}
+    for budget in (cli.BLOCK_POINTS, 10 ** 9):
+        monkeypatch.setattr(cli, "BLOCK_POINTS", budget)
+        tracemalloc.start()
+        try:
+            code, _ = _run(tmp_path, "continuum", cfg, "b%d" % budget)
+            peaks[budget] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    blocked, whole = peaks.values()
+    assert blocked <= whole / 4
+
+
+def test_unphysical_point_names_its_block_rows(tmp_path, monkeypatch,
+                                               capsys):
+    """A failure in the second block names that block's grid rows, with
+    the cell index counted from its first row, and exits 1."""
+    original = continuum.stack_response
+
+    def nan_above(stack, wavelength_nm, theta_deg, n_s, polarization):
+        resp = original(stack, wavelength_nm, theta_deg, n_s, polarization)
+        return dataclasses.replace(resp, T=np.where(n_s > 1.315, np.nan,
+                                                    resp.T))
+
+    monkeypatch.setattr(continuum, "stack_response", nan_above)
+    monkeypatch.setattr(cli, "BLOCK_POINTS", 2 * ONE_ROW["continuum"])
+    extra, _, _ = GRID_RUNS["continuum"]
+    code, out = _run(tmp_path, "continuum", {"stack_path": str(FIXTURE_STACK),
+                                             **extra})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "non-finite splitter point" in err
+    assert "at grid index (1, 0, 0) (block of grid rows 2..3)" in err
+    assert not out.exists()
+
+
+def test_write_csv_formats_every_cell_kind(tmp_path):
+    """Rows in the first row's types take the table's row format, any
+    other row goes cell by cell; the text is the same either way."""
+    kinds = ("s", True, np.True_, 3, 0.1, math.nan, math.inf, -math.inf,
+             -0.0, np.float64(2.5e-13), np.False_)
+    text = "s,1,1,3,0.1,nan,inf,-inf,-0,2.5e-13,0"
+    # other types in every column: a float where a flag was, a str where
+    # a float was, numpy integers and float32 that have no row format
+    mixed = (1.5, 0.7, np.int64(-7), np.float64(1 / 3), "x", np.nan,
+             2 ** 70, np.int64(0), "y", -1e300, np.float32(0.5))
+    mixed_text = "1.5,0.7,-7,0.333333333333,x,nan,%d,0,y,-1e+300,0.5" \
+        % 2 ** 70
+    columns = ["c%d" % i for i in range(len(kinds))]
+    cases = {
+        "uniform": ([kinds, kinds], [text, text]),
+        "mixed": ([kinds, mixed, kinds], [text, mixed_text, text]),
+        "fallback": ([mixed, kinds], [mixed_text, text]),
+        "lists": ([list(kinds)], [text]),
+    }
+    for name, (rows, lines) in cases.items():
+        path = tmp_path / (name + ".csv")
+        cli.write_csv(path, columns, iter(rows), ["note"])
+        assert path.read_text().split("\n") \
+            == ["# note", ",".join(columns), *lines, ""], name
 
 
 # (command, config on top of stack_path, settings-line keys, stdout summary)

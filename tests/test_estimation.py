@@ -10,8 +10,8 @@ from homsensor.errors import ConfigError, UndefinedRatioError
 from homsensor.estimation import (
     BUDGET_STEP, BudgetSource, CoherentInput, _coincidence_signal,
     enhancement_ratio, fisher_classical, fisher_decomposition,
-    fisher_from_distribution, fisher_hom, fisher_report, load_budget_sources,
-    phi_ab_scan, precision_bound, uncertainty_budget,
+    fisher_from_distribution, fisher_hom, fisher_report, fisher_schemes,
+    load_budget_sources, phi_ab_scan, precision_bound, uncertainty_budget,
 )
 from homsensor.materials import constant_material
 from homsensor.quantum_stats import (
@@ -166,6 +166,19 @@ def test_batched_fisher_matches_scalar_calls(stack, scheme):
             scalar = info(float(lam), float(n))
             assert isinstance(scalar, float)
             assert grid[i, j] == pytest.approx(scalar, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam, ns", [
+    (800.0, 1.30),
+    (np.array([[795.0], [805.0]]), np.linspace(1.26, 1.34, 7)),
+])
+def test_fisher_schemes_is_both_evaluators(stack, lam, ns):
+    """One shared response gives each scheme's evaluator bit for bit."""
+    i_h, i_c = fisher_schemes(stack, lam, 70.0, ns, phi_ab=0.7)
+    want_h = fisher_hom(stack, lam, 70.0, ns)
+    want_c = fisher_classical(stack, lam, 70.0, ns, phi_ab=0.7)
+    assert type(i_h) is type(want_h) and type(i_c) is type(want_c)
+    assert np.array_equal(i_h, want_h) and np.array_equal(i_c, want_c)
 
 
 def test_classical_zero_for_flat_stack():
