@@ -51,6 +51,12 @@ DEFAULT_PRISM_INDEX = 1.5
 PHASE_AMPLITUDE_FLOOR = 1e-12
 # calibrate_stack's default bound on |T - R| at the target point
 CALIBRATION_TOL = 1e-3
+# Bisection levels calibrate_stack resolves per stack_response call: all
+# 2**8 - 1 dyadic nodes of each bracket's next 8 levels are one call.
+_BISECTION_LEVELS = 8
+# At most this many levels: a 4 nm bracket would then be ~3e-24 nm wide,
+# but it stops shrinking at the float spacing long before.
+_BISECTION_MAX_LEVELS = 80
 _POLARIZATIONS = ("tm", "te")
 
 
@@ -454,8 +460,10 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
     when it already meets tol.
 
     Each film thickness costs one stack_response call over the whole
-    4 nm gap grid (the gap thickness is an array), and every crossing
-    of the winning film is bisected at once, one call per step.
+    4 nm gap grid (the gap thickness is an array).  Every crossing of
+    the winning film is bisected at once, eight levels per call: one
+    call evaluates all 255 midpoints those levels can visit, and the
+    bisection stops once no bracket has a midpoint strictly inside.
 
     Raises CalibrationError if no sign change exists in bounds, or if
     the balance point is not unique within +/- 0.02 RIU of the target
@@ -499,16 +507,9 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
                n_s_target))
 
     d_m = float(d_m)
-    lo, hi = sample_grid[crossing], sample_grid[crossing + 1]
-    glo = g[crossing]
-    for _ in range(80):  # bisection to ~1e-22 nm, converges long before
-        mid = 0.5 * (lo + hi)
-        gm = imbalance(d_m, mid)
-        # an exact zero pins both ends, which then stay put
-        same = np.sign(gm) == np.sign(glo)
-        lo = np.where(same | (gm == 0.0), mid, lo)
-        hi = np.where(same, hi, mid)
-        glo = np.where(same, gm, glo)
+    lo, hi = _bisect_crossings(lambda d_s: imbalance(d_m, d_s),
+                               sample_grid[crossing], sample_grid[crossing + 1],
+                               g[crossing])
     balanced = 0.5 * (lo + hi)
     d_s = float(min(zip(np.abs(balanced - d_s0), balanced))[1])
 
@@ -522,6 +523,49 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
                            polarization)
     return CalibrationResult(calibrated, d_m, d_s, residual,
                              wavelength_nm, theta_deg, n_s_target, changed=True)
+
+
+def _bisect_crossings(imbalance, lo, hi, glo):
+    """Bisect every bracket [lo, hi] of `imbalance` at once; glo is its
+    value at lo, and imbalance(x) is evaluated element-wise on an array.
+
+    Returns the final (lo, hi), bit for bit those of one midpoint
+    0.5 * (lo + hi) per step for _BISECTION_MAX_LEVELS steps, with an
+    exact zero pinning both ends.  One imbalance call holds every node of
+    the next _BISECTION_LEVELS levels, built with that same arithmetic,
+    and the steps then walk the nodes.  Once no midpoint lies strictly
+    inside any bracket, further steps would change nothing, so the
+    bisection stops there.
+    """
+    rows = np.arange(np.size(lo))
+    done = 0
+    while done < _BISECTION_MAX_LEVELS:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        depth = min(_BISECTION_LEVELS, _BISECTION_MAX_LEVELS - done)
+        # nodes[:, j] in ascending order, from lo (j = 0) to hi (j = 2**depth)
+        nodes = np.stack([lo, hi], axis=-1)
+        for _ in range(depth):
+            finer = np.empty((rows.size, 2 * nodes.shape[1] - 1))
+            finer[:, 0::2] = nodes
+            finer[:, 1::2] = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
+            nodes = finer
+        g = imbalance(nodes[:, 1:-1])
+        a = np.zeros(rows.size, dtype=int)
+        b = np.full(rows.size, nodes.shape[1] - 1)
+        for _ in range(depth):
+            m = (a + b) // 2
+            gm = g[rows, m - 1]
+            # an exact zero pins both ends on its node, which then stays
+            # the midpoint
+            same = np.sign(gm) == np.sign(glo)
+            a = np.where(same | (gm == 0.0), m, a)
+            b = np.where(same, b, m)
+            glo = np.where(same, gm, glo)
+        lo, hi = nodes[rows, a], nodes[rows, b]
+        done += depth
+    return lo, hi
 
 
 def _check_unique_crossing(stack: LayerStack, wavelength_nm, theta_deg,

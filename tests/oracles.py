@@ -230,3 +230,21 @@ def count_grid_information_matrix(T, R, phi, a=1.0, b=1.0,
     keep = p0 > 1e-15
     return np.array([[np.sum(pa[keep] * pb[keep] / p0[keep])
                       for pb in partials] for pa in partials])
+
+
+# ---------------------------------------------------------------------------
+# sequential bisection
+# ---------------------------------------------------------------------------
+
+def sequential_bisection(imbalance, lo, hi, glo):
+    """calibrate_stack's bisection one step per imbalance call: every
+    bracket [lo, hi] at once, 80 steps, an exact zero pinning both ends."""
+    for _ in range(80):  # bisection to ~1e-22 nm, converges long before
+        mid = 0.5 * (lo + hi)
+        gm = imbalance(mid)
+        # an exact zero pins both ends, which then stay put
+        same = np.sign(gm) == np.sign(glo)
+        lo = np.where(same | (gm == 0.0), mid, lo)
+        hi = np.where(same, hi, mid)
+        glo = np.where(same, gm, glo)
+    return lo, hi

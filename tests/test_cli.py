@@ -258,6 +258,32 @@ def test_map_interpolates_each_wavelength_once(tmp_path, monkeypatch):
     assert sum(index_points) <= fixed_layers * len(LAMBDAS) * len(calls)
 
 
+# stack_response calls one automatic calibration may make: 10 measured
+# (the film scan, six calls of eight bisection levels, the checks)
+CALIBRATION_CALLS = 12
+
+
+@pytest.mark.parametrize("command, body_calls", [
+    ("spectrum", 1),
+    ("coincidence", 1),
+    ("budget", 11),
+])
+def test_auto_calibrated_commands_make_few_calls(tmp_path, monkeypatch,
+                                                 command, body_calls):
+    """A default config calibrates first; the calibration costs a few
+    stack_response calls, not one per bisection step."""
+    calls, _ = _count_calls(monkeypatch)
+    code, _ = _run(tmp_path, command, {})
+    assert code == 0
+    assert body_calls < len(calls) <= CALIBRATION_CALLS + body_calls
+
+
+def test_calibrate_out_makes_few_calls(tmp_path, monkeypatch):
+    calls, _ = _count_calls(monkeypatch)
+    assert cli.main(["calibrate", "--out", str(tmp_path / "cal")]) == 0
+    assert 0 < len(calls) <= CALIBRATION_CALLS
+
+
 def _points(calls):
     """stack_response points of each recorded call: the broadcast size of
     its wavelength, angle and index arguments."""
@@ -452,6 +478,17 @@ def test_calibrate_failure_exits_2(tmp_path):
     out = tmp_path / "cal"
     assert cli.main(["calibrate", "--theta-deg", "40",
                      "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_calibrate_not_unique_exits_2(tmp_path, capsys):
+    """At 810 nm the balanced stack has no T = R crossing within
+    +/- 0.02 RIU of the target, so the dip would be ambiguous."""
+    out = tmp_path / "cal"
+    assert cli.main(["calibrate", "--wavelength-nm", "810",
+                     "--out", str(out)]) == 2
+    assert "calibration failed: balance point not unique" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

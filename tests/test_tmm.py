@@ -19,7 +19,7 @@ from homsensor.tmm import (
     save_stack, stack_from_dict, stack_response, stack_to_dict,
 )
 
-from oracles import airy_response
+from oracles import airy_response, sequential_bisection
 
 FIXTURE_STACK = Path(__file__).resolve().parents[1] / "bench" / "fixtures" \
     / "stack.json"
@@ -471,7 +471,89 @@ def test_calibration_is_a_few_array_calls(monkeypatch):
 
     monkeypatch.setattr(tmm, "stack_response", counted)
     calibrate_stack()
-    assert len(calls) <= 100
+    assert len(calls) <= 12  # 10: eight bisection levels per call
+
+
+# (calibrate_stack arguments, the gap it balances at, nm)
+CALIBRATION_CASES = {
+    "default": ({}, 502.44),
+    "790nm": ({"wavelength_nm": 790.0}, 501.07),
+    "810nm": ({"wavelength_nm": 810.0}, 503.66),
+    "69deg": ({"theta_deg": 69.0}, 563.09),
+    "71deg": ({"theta_deg": 71.0}, 451.45),
+    "te": ({"polarization": "te", "theta_deg": 50.0,
+            "d_metal_bounds": (5.0, 80.0)}, 620.36),
+    # the start gap sits next to the winning film's other crossing
+    "other_root": ({"stack": make_sensor_stack(d_sample_nm=160.0)}, 160.68),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATION_CASES))
+def test_calibration_matches_sequential_bisection(monkeypatch, case):
+    """The level-batched bisection returns the thicknesses and residual
+    of one imbalance call per step, bit for bit.  The uniqueness check
+    only accepts or rejects them (810 nm fails it), so it is skipped."""
+    kwargs, gap_nm = CALIBRATION_CASES[case]
+    monkeypatch.setattr(tmm, "_check_unique_crossing", lambda *args: None)
+    batched = calibrate_stack(**kwargs)
+    monkeypatch.setattr(tmm, "_bisect_crossings", sequential_bisection)
+    sequential = calibrate_stack(**kwargs)
+    assert batched.d_sample_nm == pytest.approx(gap_nm, abs=0.01)
+    assert (batched.d_metal_nm, batched.d_sample_nm, batched.residual) \
+        == (sequential.d_metal_nm, sequential.d_sample_nm,
+            sequential.residual)
+
+
+def _counted(imbalance):
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return imbalance(x)
+    return counting, calls
+
+
+def test_bisection_pins_exact_zeros():
+    """Roots on a dyadic midpoint (3 at the first level, 13.25 at the
+    fourth) pin both ends there while the third bracket bisects on."""
+    def imbalance(x):
+        return np.where(x < 10.0, x - 3.0,
+                        np.where(x < 17.0, 13.25 - x, (x - 20.0) ** 2 - 0.5))
+
+    lo, hi = np.array([2.0, 12.0, 20.0]), np.array([4.0, 16.0, 21.0])
+    counting, calls = _counted(imbalance)
+    got = tmm._bisect_crossings(counting, lo, hi, imbalance(lo))
+    want = sequential_bisection(imbalance, lo, hi, imbalance(lo))
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
+    assert got[0][:2].tolist() == got[1][:2].tolist() == [3.0, 13.25]
+    assert np.nextafter(got[0][2], np.inf) == got[1][2]
+    assert calls[0] == (3, 2 ** 8 - 1)
+
+
+def test_bisection_stops_at_the_float_spacing():
+    """A single crossing with no exact zero shrinks to adjacent floats
+    after 52 levels: 7 calls of eight levels, not 80 calls."""
+    def imbalance(x):
+        return x * x - 2.0
+
+    lo, hi, glo = np.array([1.0]), np.array([2.0]), np.array([-1.0])
+    counting, calls = _counted(imbalance)
+    got = tmm._bisect_crossings(counting, lo, hi, glo)
+    want = sequential_bisection(imbalance, lo, hi, glo)
+    assert (got[0][0], got[1][0]) == (want[0][0], want[1][0])
+    assert got[0][0] ** 2 < 2.0 < got[1][0] ** 2
+    assert got[1][0] == np.nextafter(got[0][0], np.inf)
+    assert len(calls) == 7
+
+
+def test_calibration_not_unique_names_the_crossings():
+    """At 810 nm the balanced stack's T - R keeps one sign within
+    +/- 0.02 RIU of the target, so the dip is not resolved."""
+    with pytest.raises(CalibrationError) as err:
+        calibrate_stack(wavelength_nm=810.0)
+    assert str(err.value) == ("balance point not unique: 0 T = R crossings "
+                              "within +/- 0.02 RIU of n_s = 1.31")
 
 
 def test_calibration_failure_lists_range():
