@@ -21,54 +21,63 @@ Layering, bottom up:
   fed spectrally averaged moments) and the single-frequency drift
   diagnostic,
 * cli: a command-line front end over all of the above.
+
+The public names below are listed once, by owning submodule, in
+_EXPORTS, and each loads on first access (PEP 562): `import homsensor`
+imports no submodule, and `homsensor.load_stack` imports only the
+layers that tmm needs.  A submodule name (`homsensor.tmm`) resolves the
+same way.
 """
 
-from .continuum import (QuadratureGrid, SpectralProfile,
-                        continuum_classical_means, continuum_fisher,
-                        continuum_hom_moments, default_grid, quadrature_grid,
-                        relative_difference, spectral_profile)
-from .errors import (CalibrationError, ConfigError, HomsensorError,
-                     MaterialDataError, StackDefinitionError,
-                     UndefinedRatioError, UnphysicalPointError,
-                     WavelengthRangeError)
-from .estimation import (BudgetReport, BudgetRow, BudgetSource,
-                         DecompositionResult, FisherReport, PhaseScanResult,
-                         enhancement_ratio, fisher_classical,
-                         fisher_decomposition, fisher_from_distribution,
-                         fisher_hom, fisher_report, load_budget_sources,
-                         phi_ab_scan, precision_bound, uncertainty_budget)
-from .materials import (Material, MaterialTable, constant_material, gold_jc,
-                        load_material_table, parse_material_csv,
-                        refractive_index, save_material_table)
-from .quantum_stats import (BsPoint, CoherentInput, bs_point,
-                            coherent_output_means, hom_click_distribution,
-                            poisson_pair_grid, splitter_moments)
-from .tmm import (CalibrationResult, Layer, LayerStack, StackResponse,
-                  calibrate_stack, fresnel, load_stack, make_sensor_stack,
-                  response_derivatives, reversed_stack, save_stack,
-                  stack_response)
+import importlib
+
+# submodule -> the public names it exports
+_EXPORTS = {
+    "continuum": ("QuadratureGrid", "SpectralProfile",
+                  "continuum_classical_means", "continuum_fisher",
+                  "continuum_hom_moments", "default_grid", "quadrature_grid",
+                  "relative_difference", "spectral_profile"),
+    "errors": ("CalibrationError", "ConfigError", "HomsensorError",
+               "MaterialDataError", "StackDefinitionError",
+               "UndefinedRatioError", "UnphysicalPointError",
+               "WavelengthRangeError"),
+    "estimation": ("BudgetReport", "BudgetRow", "BudgetSource",
+                   "DecompositionResult", "FisherReport", "PhaseScanResult",
+                   "enhancement_ratio", "fisher_classical",
+                   "fisher_decomposition", "fisher_from_distribution",
+                   "fisher_hom", "fisher_report", "load_budget_sources",
+                   "phi_ab_scan", "precision_bound", "uncertainty_budget"),
+    "materials": ("Material", "MaterialTable", "constant_material", "gold_jc",
+                  "load_material_table", "parse_material_csv",
+                  "refractive_index", "save_material_table"),
+    "quantum_stats": ("BsPoint", "CoherentInput", "bs_point",
+                      "coherent_output_means", "hom_click_distribution",
+                      "poisson_pair_grid", "splitter_moments"),
+    "tmm": ("CalibrationResult", "Layer", "LayerStack", "StackResponse",
+            "calibrate_stack", "fresnel", "load_stack", "make_sensor_stack",
+            "response_derivatives", "reversed_stack", "save_stack",
+            "stack_response"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BsPoint", "BudgetReport", "BudgetRow", "BudgetSource",
-    "CalibrationError", "CalibrationResult", "CoherentInput", "ConfigError",
-    "DecompositionResult", "FisherReport", "HomsensorError",
-    "Layer", "LayerStack", "Material", "MaterialDataError", "MaterialTable",
-    "PhaseScanResult", "QuadratureGrid", "SpectralProfile",
-    "StackDefinitionError", "StackResponse", "UndefinedRatioError",
-    "UnphysicalPointError", "WavelengthRangeError",
-    "bs_point", "calibrate_stack", "coherent_output_means",
-    "constant_material",
-    "continuum_classical_means", "continuum_fisher", "continuum_hom_moments",
-    "default_grid", "enhancement_ratio", "fisher_classical",
-    "fisher_decomposition", "fisher_from_distribution", "fisher_hom",
-    "fisher_report", "fresnel", "gold_jc", "hom_click_distribution",
-    "load_budget_sources",
-    "load_material_table", "load_stack", "make_sensor_stack",
-    "parse_material_csv", "phi_ab_scan", "poisson_pair_grid",
-    "precision_bound", "quadrature_grid", "refractive_index",
-    "relative_difference", "response_derivatives", "reversed_stack",
-    "save_material_table", "save_stack", "spectral_profile",
-    "splitter_moments", "stack_response", "uncertainty_budget",
-]
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    """Import the submodule that owns `name` (or is `name`) on first use."""
+    module = _OWNER.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = importlib.import_module("." + module, __name__)
+    if module != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_OWNER) | set(_EXPORTS))

@@ -43,7 +43,6 @@ calibration failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -64,6 +63,16 @@ from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, \
     hom_click_distribution, validate_points
 from .tmm import CALIBRATION_TOL, calibrate_stack, load_stack, save_stack, \
     stack_response
+
+# The interpreter's built-in SHA-256 gives hashlib's digest without
+# loading OpenSSL, which costs every process a few ms and MB for one id.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 CSV_FLOAT_FORMAT = "%.12g"
 # %-conversions that print a cell of exactly this type as _fmt_cell does;
@@ -318,7 +327,7 @@ def run_identifier(command, cfg) -> str:
     """Deterministic id: a digest of the command, config and version."""
     payload = json.dumps({"command": command, "config": cfg,
                           "version": __version__}, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def _stack_summary(stack) -> dict:
@@ -509,7 +518,7 @@ def _in_blocks(evaluate, n_rows, points_per_row):
     """evaluate(rows) over row slices of at most BLOCK_POINTS points (one
     row at least), each returned array joined on the leading axis; cells
     are independent, so blocks leave the bytes as they are."""
-    per_block, parts = max(1, BLOCK_POINTS // points_per_row), []
+    per_block, parts = max(1, BLOCK_POINTS // max(1, points_per_row)), []
     for start in range(0, n_rows, per_block):
         try:
             parts.append(evaluate(slice(start, start + per_block)))

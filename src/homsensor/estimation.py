@@ -452,6 +452,9 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     fit through the maximum and its two neighbours (kept inside the
     bracketing interval).
     """
+    if n_points < 2:
+        raise ConfigError("phase scan needs at least 2 points, got %r"
+                          % (n_points,))
     probe = CoherentInput(alpha_sq, beta_sq)  # validates the intensities
     grid = np.linspace(-np.pi, np.pi, int(n_points), endpoint=False)
     T, R, phi = _points_around(stack, wavelength_nm, theta_deg, float(n_s),

@@ -182,6 +182,29 @@ def test_wrong_type_exits_1(tmp_path, command, cfg):
     assert code == 1
 
 
+# command: (config that reaches the rule, its size key, the error message)
+TOO_FEW = {
+    "fisher": ({"phi_ab_policy": "scan"}, "phase_scan_points",
+               "phase scan needs at least 2 points"),
+    "continuum": ({}, "n_nodes", "quadrature needs at least 2 nodes"),
+}
+
+
+@pytest.mark.parametrize("command, n", [
+    ("fisher", 1), ("fisher", 0), ("fisher", -3),
+    ("continuum", 0), ("continuum", 1), ("continuum", -5),
+])
+def test_too_few_points_exits_1(tmp_path, capsys, command, n):
+    """A phase scan or quadrature rule too short to define is a config
+    error with its message, not a traceback, and leaves no directory."""
+    extra, key, message = TOO_FEW[command]
+    code, out = _run(tmp_path, command, {"stack_path": str(FIXTURE_STACK),
+                                         **extra, key: n})
+    assert code == 1
+    assert "error: " + message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("fisher", {"phi_ab_policy": "scan"}),
     ("budget", {}),

@@ -1,0 +1,175 @@
+"""Process entry point and import contracts, each in a fresh interpreter."""
+
+import hashlib
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from homsensor import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+FIXTURE_STACK = ROOT / "bench" / "fixtures" / "stack.json"
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) is not None
+                     for name in ("_sha2", "_sha256"))
+
+
+def _python(*args, cwd=None):
+    """Run a fresh interpreter with the package's sources on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _loaded_after(code):
+    """The homsensor modules a fresh interpreter holds after `code`."""
+    out = _python("-c", code + "\nimport sys; print(sorted(m for m in "
+                  "sys.modules if m.split('.')[0] == 'homsensor'))")
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def _entry(tmp_path, command, cfg):
+    """python -m homsensor <command> on cfg; (process, output dir)."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "entry"
+    return _python("-m", "homsensor", command, "--config", str(config),
+                   "--out", str(out)), out
+
+
+def test_module_entry_matches_in_process(tmp_path):
+    """Auto-calibrated default spectrum: the same bytes either way."""
+    proc, out = _entry(tmp_path, "spectrum", {})
+    assert proc.returncode == 0, proc.stderr
+    inproc = tmp_path / "inproc"
+    assert cli.main(["spectrum", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(inproc)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["spectrum.csv", "spectrum_run.json"]
+    assert names == sorted(p.name for p in inproc.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (inproc / name).read_bytes()
+
+
+def test_module_entry_bad_config_exits_1(tmp_path):
+    proc, out = _entry(tmp_path, "spectrum", {"n_s_grd": 1.3})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: unknown config keys")
+    assert not out.exists()
+
+
+def test_module_entry_calibration_failure_exits_2(tmp_path):
+    proc, out = _entry(tmp_path, "spectrum",
+                       {"calibration": {"target_ns": 1.0}})
+    assert proc.returncode == 2
+    assert "calibration failed: no balanced point" in proc.stderr
+    assert not out.exists()
+
+
+def test_script_target_is_callable():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["homsensor"]
+    module, _, name = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_only_the_entry_point_freezes():
+    """cli.main leaves the heap unfrozen for in-process callers; the
+    entry point freezes what it imported before it runs the command."""
+    out = _python("-c", "import gc, sys\n"
+                  "from homsensor import cli\n"
+                  "from homsensor.__main__ import run\n"
+                  "assert cli.main(['calibrate']) == 0\n"
+                  "print(gc.get_freeze_count())\n"
+                  "sys.argv = ['homsensor', 'calibrate']\n"
+                  "assert run() == 0\n"
+                  "print(gc.get_freeze_count())\n")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[1] == "0"
+    assert int(lines[3]) > 0
+
+
+def test_cli_import_loads_every_traced_module():
+    """bench/inprocess.py installs its tracer right after `import
+    homsensor.cli`, indexing every module bench/tracer.py TRACED names."""
+    out = _python("-c", "import sys\n"
+                  "import homsensor.cli\n"
+                  "loaded = {m.rsplit('.', 1)[-1] for m in sys.modules\n"
+                  "          if m.startswith('homsensor.')}\n"
+                  "sys.path.insert(0, 'bench')\n"
+                  "from tracer import TRACED\n"
+                  "print(sorted({m for m, _, _ in TRACED} - loaded))",
+                  cwd=ROOT)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256,
+                    reason="the interpreter has no built-in SHA-256")
+def test_fisher_run_leaves_hashlib_unloaded(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"stack_path": str(FIXTURE_STACK),
+                                  "phi_ab_policy": "scan"}))
+    out = _python("-c", "import sys\n"
+                  "from homsensor import cli\n"
+                  "code = cli.main(['fisher', '--config', sys.argv[1], "
+                  "'--out', sys.argv[2]])\n"
+                  "print(code, '_hashlib' in sys.modules)",
+                  str(config), str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_after("import homsensor") == "['homsensor']"
+    assert _loaded_after(
+        "import homsensor; homsensor.load_stack(%r)" % str(FIXTURE_STACK)) \
+        == str(["homsensor", "homsensor.errors", "homsensor.materials",
+                "homsensor.tmm"])
+
+
+def test_public_names_resolve():
+    """Every __all__ name and submodule resolves lazily and is the owning
+    module's object; `import *` binds them all; others raise."""
+    out = _python("-c", "import importlib, homsensor\n"
+                  "ns = {}\n"
+                  "exec('from homsensor import *', ns)\n"
+                  "bad = [n for n in homsensor.__all__ if ns.get(n) is not\n"
+                  "       getattr(importlib.import_module('homsensor.' +\n"
+                  "               homsensor._OWNER[n]), n)]\n"
+                  "bad += [m for m in homsensor._EXPORTS if\n"
+                  "        getattr(homsensor, m) is not\n"
+                  "        importlib.import_module('homsensor.' + m)]\n"
+                  "bad += sorted(set(homsensor.__all__) - set(dir(homsensor)))\n"
+                  "try:\n"
+                  "    homsensor.no_such_name\n"
+                  "except AttributeError:\n"
+                  "    print(len(homsensor.__all__), bad)\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "60 []"
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("calibrate", {"target_ns": 1.31, "wavelength_nm": 800.0,
+                   "theta_deg": 70.0}),
+    ("spectrum", {"stack_path": None, "n_s": 1.33}),
+    ("fisher", {"stack_path": "/data/Brechungsindex-Messung/Größe µm.json",
+                "phi_ab": 1.5707963267948966}),
+    ("budget", {"sources_path": "données/源.json", "n_analyte": 1.32}),
+])
+def test_run_identifier_is_the_sha256_prefix(command, cfg):
+    payload = json.dumps({"command": command, "config": cfg,
+                          "version": cli.__version__}, sort_keys=True)
+    assert cli.run_identifier(command, cfg) \
+        == hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

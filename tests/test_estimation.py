@@ -218,6 +218,13 @@ def test_phase_scan_grid_is_half_open(stack):
     assert scan.phi_ab.size == 8
 
 
+def test_phase_scan_needs_two_points(stack):
+    assert phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=2).phi_ab.size == 2
+    for n in (1, 0, -3):
+        with pytest.raises(ConfigError, match="at least 2 points"):
+            phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=n)
+
+
 # ---------------------------------------------------------------------------
 # mixture of probe phases
 # ---------------------------------------------------------------------------
