@@ -29,7 +29,7 @@ layers that tmm needs.  A submodule name (`homsensor.tmm`) resolves the
 same way.
 """
 
-import importlib
+from importlib import import_module as _import_module
 
 # submodule -> the public names it exports
 _EXPORTS = {
@@ -72,7 +72,7 @@ def __getattr__(name):
     if module not in _EXPORTS:
         raise AttributeError("module %r has no attribute %r"
                              % (__name__, name))
-    value = importlib.import_module("." + module, __name__)
+    value = _import_module("." + module, __name__)
     if module != name:
         value = getattr(value, name)
     globals()[name] = value

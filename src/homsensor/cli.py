@@ -113,6 +113,13 @@ def _as_int(value, key):
     return int(value)
 
 
+def _as_node_count(value, key):
+    n = _as_int(value, key)
+    if n < 2:
+        raise ConfigError("quadrature needs at least 2 nodes")
+    return n
+
+
 def _as_choice(options):
     def coerce(value, key):
         if value not in options:
@@ -255,7 +262,7 @@ _SCHEMAS = {
         "delta_lambda_nm_list": ([9.4, 94.0], _as_float_list),
         "schemes": (["hom", "classical"], _as_scheme_list),
         "phi_ab": (DEFAULT_PHI_AB, _as_float),
-        "n_nodes": (201, _as_int),
+        "n_nodes": (201, _as_node_count),
         "span": (5.0, _as_float),
     },
 }
@@ -518,7 +525,7 @@ def _in_blocks(evaluate, n_rows, points_per_row):
     """evaluate(rows) over row slices of at most BLOCK_POINTS points (one
     row at least), each returned array joined on the leading axis; cells
     are independent, so blocks leave the bytes as they are."""
-    per_block, parts = max(1, BLOCK_POINTS // max(1, points_per_row)), []
+    per_block, parts = max(1, BLOCK_POINTS // points_per_row), []
     for start in range(0, n_rows, per_block):
         try:
             parts.append(evaluate(slice(start, start + per_block)))

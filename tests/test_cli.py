@@ -205,6 +205,16 @@ def test_too_few_points_exits_1(tmp_path, capsys, command, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [0, 1, -5])
+def test_too_few_nodes_rejected_at_load(tmp_path, n):
+    """The quadrature size is checked with the config, before any work."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_nodes": n}))
+    with pytest.raises(cli.ConfigError,
+                       match="quadrature needs at least 2 nodes"):
+        cli.load_config(config, "continuum")
+
+
 @pytest.mark.parametrize("command, extra", [
     ("fisher", {"phi_ab_policy": "scan"}),
     ("budget", {}),
