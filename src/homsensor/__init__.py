@@ -18,8 +18,8 @@ Layering, bottom up:
   an information decomposition over the splitter parameters, and the
   instrumental uncertainty budget,
 * continuum: finite-bandwidth wavepacket corrections (the same models
-  fed spectrally averaged moments) and the single-frequency drift
-  diagnostic,
+  fed spectrally averaged moments), whose drift from the
+  single-frequency figures the `continuum` subcommand reports,
 * cli: a command-line front end over all of the above.
 
 The public names below are listed once, by owning submodule, in
@@ -36,27 +36,25 @@ _EXPORTS = {
     "continuum": ("QuadratureGrid", "SpectralProfile",
                   "continuum_classical_means", "continuum_fisher",
                   "continuum_hom_moments", "default_grid", "quadrature_grid",
-                  "relative_difference", "spectral_profile"),
+                  "spectral_profile"),
     "errors": ("CalibrationError", "ConfigError", "HomsensorError",
                "MaterialDataError", "StackDefinitionError",
                "UndefinedRatioError", "UnphysicalPointError",
                "WavelengthRangeError"),
     "estimation": ("BudgetReport", "BudgetRow", "BudgetSource",
                    "DecompositionResult", "FisherReport", "PhaseScanResult",
-                   "enhancement_ratio", "fisher_classical",
-                   "fisher_decomposition", "fisher_from_distribution",
-                   "fisher_hom", "fisher_report", "load_budget_sources",
-                   "phi_ab_scan", "precision_bound", "uncertainty_budget"),
+                   "fisher_classical", "fisher_decomposition",
+                   "fisher_from_distribution", "fisher_hom", "fisher_report",
+                   "load_budget_sources", "phi_ab_scan", "precision_bound",
+                   "uncertainty_budget"),
     "materials": ("Material", "MaterialTable", "constant_material", "gold_jc",
-                  "load_material_table", "parse_material_csv",
-                  "refractive_index", "save_material_table"),
-    "quantum_stats": ("BsPoint", "CoherentInput", "bs_point",
-                      "coherent_output_means", "hom_click_distribution",
-                      "poisson_pair_grid", "splitter_moments"),
+                  "parse_material_csv"),
+    "quantum_stats": ("CoherentInput", "bs_point", "coherent_output_means",
+                      "hom_click_distribution", "poisson_pair_grid",
+                      "splitter_moments"),
     "tmm": ("CalibrationResult", "Layer", "LayerStack", "StackResponse",
             "calibrate_stack", "fresnel", "load_stack", "make_sensor_stack",
-            "response_derivatives", "reversed_stack", "save_stack",
-            "stack_response"),
+            "response_derivatives", "save_stack", "stack_response"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()
           for name in names}

@@ -419,15 +419,17 @@ def _prepare_out_dir(path):
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    result = calibrate_stack(wavelength_nm=args.wavelength_nm,
-                             theta_deg=args.theta_deg,
-                             n_s_target=args.target_ns)
+    # checked as config values are: nan and inf exit 1
+    cfg = {key: _as_float(getattr(args, key), key)
+           for key in CALIBRATION_DEFAULTS}
+    result = calibrate_stack(wavelength_nm=cfg["wavelength_nm"],
+                             theta_deg=cfg["theta_deg"],
+                             n_s_target=cfg["target_ns"])
     print("calibrated: d_metal_nm=%s d_sample_nm=%s residual=%s"
           % (_fmt_cell(result.d_metal_nm), _fmt_cell(result.d_sample_nm),
              _fmt_cell(result.residual)))
     if args.out is not None:
         _prepare_out_dir(args.out)
-        cfg = {key: getattr(args, key) for key in CALIBRATION_DEFAULTS}
         run_id = run_identifier("calibrate", cfg)
         stack_file = os.path.join(args.out, "calibrated_stack.json")
         save_stack(result.stack, stack_file)

@@ -28,8 +28,9 @@ every dispersive material is tabulated (the clipped tail mass is
 negligible at the default span, but evaluating gold beyond its table
 would be meaningless).
 
-The headline diagnostic is the relative drift
-D = |I_single - I_continuum| / I_single of the Fisher information.
+The headline diagnostic, which the `continuum` subcommand reports, is
+the relative drift D = |I_single - I_continuum| / I_single of the
+Fisher information.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimation import (DEFAULT_NS_STEP, _distribution_information,
-                         _information, checked_ratio)
+                         _information)
 from .quantum_stats import (DEFAULT_PHI_AB, _coherent_mean_pair,
                             _hom_click_vector, splitter_moments,
                             validate_points)
@@ -72,8 +73,6 @@ class SpectralProfile:
     unphysical negative frequencies.
     """
 
-    lambda0_nm: float
-    delta_lambda_nm: float
     omega0: float
     delta_omega: float
     norm: float
@@ -107,9 +106,7 @@ def spectral_profile(lambda0_nm: float, delta_lambda_nm: float
     omega0 = 2.0 * math.pi * C_NM_PER_S / lambda0_nm
     delta_omega = 2.0 * math.pi * C_NM_PER_S * delta_lambda_nm / lambda0_nm ** 2
     norm = (4.0 * math.log(2.0) / math.pi) ** 0.25 / math.sqrt(delta_omega)
-    return SpectralProfile(lambda0_nm=float(lambda0_nm),
-                           delta_lambda_nm=float(delta_lambda_nm),
-                           omega0=omega0, delta_omega=delta_omega, norm=norm)
+    return SpectralProfile(omega0=omega0, delta_omega=delta_omega, norm=norm)
 
 
 def omega_to_wavelength_nm(omega):
@@ -132,10 +129,7 @@ class QuadratureGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    omega_lo: float
-    omega_hi: float
     n_nodes: int
-    span: float
     clipped: bool   # True when the material window truncated the span
 
 
@@ -175,9 +169,7 @@ def quadrature_grid(profile: SpectralProfile, n_nodes: int = DEFAULT_NODES,
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return QuadratureGrid(nodes=mid + half * x, weights=half * w,
-                          omega_lo=float(lo), omega_hi=float(hi),
-                          n_nodes=int(n_nodes), span=float(span),
-                          clipped=clipped)
+                          n_nodes=int(n_nodes), clipped=clipped)
 
 
 def default_grid(stack: LayerStack, profile: SpectralProfile,
@@ -255,10 +247,3 @@ def continuum_fisher(stack: LayerStack, lambda0_nm: float,
     p = _hom_click_vector(*moments)
     mu = continuum_classical_means(moments, profile, grid, phi_ab)
     return _distribution_information(p, step), _information(mu, step)
-
-
-def relative_difference(i_single, i_continuum):
-    """D = |I_single - I_continuum| / I_single, the bandwidth drift."""
-    return checked_ratio(np.abs(i_single - i_continuum), i_single,
-                         "single-frequency information %r is too small to "
-                         "normalize the bandwidth drift")

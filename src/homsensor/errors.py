@@ -57,9 +57,9 @@ class CalibrationError(HomsensorError):
 
 
 class UndefinedRatioError(HomsensorError):
-    """Raised when a ratio of information quantities has a vanishing
-    denominator, e.g. an enhancement factor against a probe that carries
-    no information at the operating point."""
+    """Raised when a ratio has a vanishing denominator, e.g. the budget's
+    sensitivity ratios at an operating point where the coincidence
+    signal has no index slope."""
 
 
 class ConfigError(HomsensorError):

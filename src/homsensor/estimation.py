@@ -241,29 +241,6 @@ def defined_ratio(num, den):
         defined
 
 
-def checked_ratio(num, den, message: str):
-    """defined_ratio that raises UndefinedRatioError (message % the first
-    undefined denominator) instead of returning nan."""
-    ratio, defined = defined_ratio(num, den)
-    if not np.all(defined):
-        raise UndefinedRatioError(
-            message % (float(np.asarray(den)[~defined].flat[0]),))
-    return _as_result(ratio)
-
-
-def enhancement_ratio(info_hom, info_classical):
-    """Fractional gain G = (I_pair - I_coherent) / I_coherent.
-
-    G > 0 means the photon-pair probe beats the coherent benchmark;
-    G = 0.5 reads as a fifty percent information enhancement.  Where the
-    coherent information collapses the ratio diverges and is flagged as
-    undefined rather than returned as a huge number.
-    """
-    return checked_ratio(info_hom - info_classical, info_classical,
-                         "coherent-probe information is %r; the enhancement "
-                         "ratio is undefined at this operating point")
-
-
 # ---------------------------------------------------------------------------
 # information decomposition over (T, R, phi_tr)
 # ---------------------------------------------------------------------------
@@ -291,7 +268,6 @@ class DecompositionResult:
     T: np.ndarray | float
     R: np.ndarray | float
     phi_used: np.ndarray | float
-    scheme: str
 
 
 # offsets of the fourth-order central stencil, in units of the step
@@ -370,8 +346,7 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     contracted = (jac[..., None, :] @ matrix @ jac[..., :, None])[..., 0, 0]
     return DecompositionResult(
         matrix=matrix, jacobian=jac, contracted=_as_result(contracted),
-        T=_as_result(T), R=_as_result(R), phi_used=_as_result(phi),
-        scheme=scheme)
+        T=_as_result(T), R=_as_result(R), phi_used=_as_result(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +365,8 @@ class FisherReport:
     contraction.
     """
 
-    n_s: np.ndarray | float
     i_hom: np.ndarray | float
     i_classical: np.ndarray | float
-    phi_ab_used: float
     g: np.ndarray | float
     g_defined: np.ndarray | bool
     decomposition: np.ndarray
@@ -415,8 +388,7 @@ def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                                   scheme="hom", polarization=polarization,
                                   ns_step=step)
     return FisherReport(
-        n_s=_as_result(np.asarray(n_s, dtype=float)), i_hom=i_h,
-        i_classical=i_c, phi_ab_used=float(phi_ab), g=_as_result(g),
+        i_hom=i_h, i_classical=i_c, g=_as_result(g),
         g_defined=g_defined[()], decomposition=decomp.matrix,
         derivs=decomp.jacobian, contracted=decomp.contracted,
         precision_hom=precision_bound(i_h),
@@ -527,9 +499,6 @@ class BudgetRow:
 class BudgetReport:
     rows: tuple[BudgetRow, ...]
     signal_slope: float   # dS/dn_s at the operating point
-    n_analyte: float
-    wavelength_nm: float
-    theta_deg: float
 
     def total_sigma(self) -> float:
         """Quadrature sum of the per-source index errors."""
@@ -569,8 +538,7 @@ def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
 def _coincidence_signal(stack, wavelength_nm, theta_deg, n_s, polarization):
     point = bs_point(stack_response(stack, wavelength_nm, theta_deg, n_s,
                                     polarization))
-    return float(_hom_pair_vector(
-        *splitter_moments(point.T, point.R, point.phi_tr))[-1])
+    return float(_hom_pair_vector(*splitter_moments(*point))[-1])
 
 
 def _with_prism_index(stack: LayerStack, n_prism: float) -> LayerStack:
@@ -662,7 +630,4 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
         c = abs(d) / abs(slope)
         rows.append(BudgetRow(source=src, c=c, sigma=c * src.s / src.divisor))
 
-    return BudgetReport(rows=tuple(rows), signal_slope=float(slope),
-                        n_analyte=float(n_analyte),
-                        wavelength_nm=float(wavelength_nm),
-                        theta_deg=float(theta_deg))
+    return BudgetReport(rows=tuple(rows), signal_slope=float(slope))

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import MaterialDataError, WavelengthRangeError
 
-EV_NM = 1239.84193  # photon energy (eV) times vacuum wavelength (nm)
-
 _GOLD_RESOURCE = "gold_johnson_christy_1972.csv"
 
 
@@ -119,7 +117,6 @@ class Material:
     name: str
     table: MaterialTable | None = None
     constant: complex | None = None
-    citation: str = ""
 
     def __post_init__(self):
         if (self.table is None) == (self.constant is None):
@@ -139,10 +136,6 @@ class Material:
                     "material %r: Im(n) must be >= 0 (passive medium)"
                     % (self.name,))
             object.__setattr__(self, "constant", c)
-
-    @property
-    def is_dispersive(self) -> bool:
-        return self.table is not None
 
     def index(self, wavelength_nm):
         """Complex index at wavelength(s) in nm (broadcasts for tables)."""
@@ -164,13 +157,8 @@ def constant_material(name: str, index) -> Material:
     return Material(name=name, constant=complex(index))
 
 
-def refractive_index(material: Material, wavelength_nm):
-    """Module-level accessor, equivalent to material.index(wavelength_nm)."""
-    return material.index(wavelength_nm)
-
-
 # ---------------------------------------------------------------------------
-# CSV serialization
+# CSV parsing
 # ---------------------------------------------------------------------------
 
 _HEADER = ("wavelength_nm", "n", "k")
@@ -211,27 +199,6 @@ def parse_material_csv(text: str, name: str = "table") -> MaterialTable:
     return MaterialTable(np.array(lam), np.array(nn), np.array(kk), name=name)
 
 
-def material_table_to_csv(table: MaterialTable, comments: tuple[str, ...] = ()) -> str:
-    """Serialize a table to CSV with full float64 round-trip precision."""
-    lines = ["# %s" % c for c in comments]
-    lines.append(",".join(_HEADER))
-    for lam, n, k in zip(table.wavelength_nm, table.n, table.k):
-        lines.append("%s,%s,%s" % (repr(float(lam)), repr(float(n)), repr(float(k))))
-    return "\n".join(lines) + "\n"
-
-
-def load_material_table(path, name: str | None = None) -> MaterialTable:
-    """Read a dispersion table from a CSV file on disk."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    return parse_material_csv(text, name=name or str(path))
-
-
-def save_material_table(table: MaterialTable, path, comments: tuple[str, ...] = ()):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(material_table_to_csv(table, comments))
-
-
 # ---------------------------------------------------------------------------
 # bundled gold data
 # ---------------------------------------------------------------------------
@@ -242,15 +209,12 @@ _gold_cache: list[Material] = []
 def gold_jc() -> Material:
     """Gold from the Johnson & Christy (1972) thin-film measurements.
 
-    49 rows spanning 0.64 to 6.60 eV (roughly 188 to 1937 nm), shipped
-    with the package.  The instance is cached; tables are immutable.
+    P. B. Johnson and R. W. Christy, Phys. Rev. B 6, 4370 (1972): 49
+    rows spanning 0.64 to 6.60 eV (roughly 188 to 1937 nm), shipped with
+    the package.  The instance is cached; tables are immutable.
     """
     if not _gold_cache:
         text = (resources.files(__package__) / "data" / _GOLD_RESOURCE).read_text()
         table = parse_material_csv(text, name="Au (Johnson & Christy 1972)")
-        _gold_cache.append(Material(
-            name="Au",
-            table=table,
-            citation="P. B. Johnson and R. W. Christy, Phys. Rev. B 6, 4370 (1972)",
-        ))
+        _gold_cache.append(Material(name="Au", table=table))
     return _gold_cache[0]

@@ -40,8 +40,8 @@ _coherent_mean_pair take moments and do not validate, because
 finite-difference stencils step slightly off physical points.
 hom_click_distribution checks its points with validate_points and its
 result with validate_distribution; coherent_output_means clamps its
-means with _clamp_probability.  BsPoint (built by bs_point) is the
-validated point of one scalar response.
+means with _clamp_probability.  bs_point validates the point of one
+scalar response.
 """
 
 from __future__ import annotations
@@ -64,28 +64,6 @@ POISSON_L_MAX = 40            # truncation of per-port count distributions
 # splitter operating point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BsPoint:
-    """One splitter operating point: power splitting plus relative phase.
-
-    T and R are the power transmittance and reflectance, phi_tr the
-    reflected-minus-transmitted phase in radians.  Construction checks
-    finiteness, T, R in [0, 1], T + R <= 1, and the passivity bound
-    T + R + 2 sqrt(T R) |cos phi_tr| <= 1 (the largest squared singular
-    value of [[t, r], [r, t]]), all with a 1e-9 allowance.
-    """
-
-    T: float
-    R: float
-    phi_tr: float
-
-    def __post_init__(self):
-        T, R, phi = validate_points(self.T, self.R, self.phi_tr)
-        object.__setattr__(self, "T", float(T))
-        object.__setattr__(self, "R", float(R))
-        object.__setattr__(self, "phi_tr", float(phi))
-
-
 def _first_bad(bad, message, values):
     """Raise UnphysicalPointError for the first flagged grid cell."""
     if not np.any(bad):
@@ -97,10 +75,11 @@ def _first_bad(bad, message, values):
 
 
 def validate_points(T, R, phi_tr):
-    """Apply the BsPoint rule to every cell of a broadcast grid.
-
-    Returns the float arrays (T, R, phi_tr) with T, R clamped to [0, 1];
-    raises UnphysicalPointError naming the first offending grid index.
+    """Check every splitter point (T, R, phi_tr) of a broadcast grid:
+    finite, T, R >= 0 and passive (the module docstring's bound), within
+    PHYSICALITY_TOL.  Returns the float arrays (T, R, phi_tr) with T, R
+    clamped to [0, 1]; raises UnphysicalPointError naming the first
+    offending grid index.
     """
     T, R, phi = np.broadcast_arrays(np.asarray(T, dtype=float),
                                     np.asarray(R, dtype=float),
@@ -121,11 +100,12 @@ def validate_points(T, R, phi_tr):
     return T, R, phi
 
 
-def bs_point(resp: StackResponse) -> BsPoint:
+def bs_point(resp: StackResponse) -> tuple[float, float, float]:
     """Collapse a scalar stack response to its splitter operating point.
 
-    Extracts (T, R, phi_tr) and re-validates passivity; a violation here
-    signals a sign or branch bug upstream rather than bad user input.
+    Returns the floats (T, R, phi_tr) that validate_points passed; a
+    violation here signals a sign or branch bug upstream rather than bad
+    user input.
     """
     T = np.asarray(resp.T, dtype=float)
     R = np.asarray(resp.R, dtype=float)
@@ -133,7 +113,7 @@ def bs_point(resp: StackResponse) -> BsPoint:
     if T.shape or R.shape or phi.shape:
         raise UnphysicalPointError(
             "bs_point expects a scalar response, got shape %s" % (T.shape,))
-    return BsPoint(T=float(T), R=float(R), phi_tr=float(phi))
+    return tuple(map(float, validate_points(T, R, phi)))
 
 
 def _clamp_probability(p, what: str):

@@ -126,9 +126,6 @@ class LayerStack:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    def thickness_of(self, j: int) -> float | None:
-        return self.layers[j].thickness_nm
-
     def with_thickness(self, updates: dict) -> "LayerStack":
         """Copy of the stack with interior thicknesses replaced; a scalar
         is stored as a float, an array as a float array."""
@@ -182,17 +179,6 @@ def make_sensor_stack(d_metal_nm: float = 50.0, d_sample_nm: float = 500.0,
     )
 
 
-def reversed_stack(stack: LayerStack) -> LayerStack:
-    """The same stack illuminated from the other side."""
-    layers = tuple(reversed(stack.layers))
-    sample = None
-    if stack.sample_layer is not None:
-        sample = stack.n_layers - 1 - stack.sample_layer
-    return LayerStack(layers=layers, sample_layer=sample,
-                      sample_n=stack.sample_n,
-                      name=stack.name + "_reversed")
-
-
 # ---------------------------------------------------------------------------
 # response
 # ---------------------------------------------------------------------------
@@ -203,21 +189,16 @@ class StackResponse:
 
     t, r are the complex transmission and reflection amplitudes; T, R
     the power transmittance and reflectance (flux-normalized, so a
-    lossless stack has T + R = 1); A = 1 - T - R the absorbed fraction;
-    phi_tr = arg(r) - arg(t) wrapped to (-pi, pi], with the convention
-    that a zero amplitude contributes phase 0.
+    lossless stack has T + R = 1); phi_tr = arg(r) - arg(t) wrapped to
+    (-pi, pi], with the convention that a zero amplitude contributes
+    phase 0.
     """
 
     t: np.ndarray
     r: np.ndarray
     T: np.ndarray
     R: np.ndarray
-    A: np.ndarray
     phi_tr: np.ndarray
-    wavelength_nm: np.ndarray
-    theta_deg: np.ndarray
-    n_s: np.ndarray | None
-    polarization: str
 
 
 def _cosines_from_indices(n_layers, n0_sin) -> np.ndarray:
@@ -287,7 +268,7 @@ def _resolve_ns(stack: LayerStack, n_s):
 
 def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
                    polarization: str = "tm") -> StackResponse:
-    """Evaluate t, r, T, R, A, phi_tr; broadcasts over all numeric inputs.
+    """Evaluate t, r, T, R, phi_tr; broadcasts over all numeric inputs.
 
     wavelength_nm, theta_deg, n_s and the interior layer thicknesses
     may be scalars or arrays with mutually broadcastable shapes.  n_s
@@ -348,7 +329,6 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     f_out = _flux_factor(n_list[-1], cos_list[-1], polarization)
     T = (np.abs(t) ** 2) * f_out / f_in
     R = np.abs(r) ** 2
-    A = 1.0 - T - R
     # The phase of a vanished amplitude is rounding debris (and its
     # branch flips across an amplitude zero), so snap it to the zero
     # convention: any port below the floor contributes phase 0.  The
@@ -360,14 +340,9 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     phi = np.where(phi <= -np.pi, phi + 2.0 * np.pi, phi)
 
     # every field on the full broadcast shape; [()] turns 0-d into scalars
-    t, r, T, R, A, phi = (np.broadcast_to(x, shape)[()]
-                          for x in (t, r, T.real, R.real, A.real, phi))
-    return StackResponse(
-        t=t, r=r, T=T, R=R, A=A, phi_tr=phi,
-        wavelength_nm=np.broadcast_to(lam, shape),
-        theta_deg=np.broadcast_to(np.degrees(th), shape),
-        n_s=None if ns is None else np.broadcast_to(ns, shape),
-        polarization=polarization)
+    t, r, T, R, phi = (np.broadcast_to(x, shape)[()]
+                       for x in (t, r, T.real, R.real, phi))
+    return StackResponse(t=t, r=r, T=T, R=R, phi_tr=phi)
 
 
 def response_at_offsets(stack: LayerStack, wavelength_nm, theta_deg, n_s,
@@ -599,12 +574,17 @@ def _material_to_dict(mat: Material) -> dict:
 
 
 def _material_from_dict(d: dict) -> Material:
-    if d.get("builtin") == "gold_jc":
+    builtin = d.get("builtin")
+    if builtin == "gold_jc":
         return gold_jc()
+    if builtin is not None:
+        raise StackDefinitionError("unknown builtin material %r" % (builtin,))
     if "constant" in d:
-        re_part, im_part = d["constant"]
-        return constant_material(d.get("name", "constant"),
-                                 complex(re_part, im_part))
+        value = d["constant"]
+        if not isinstance(value, list) or len(value) != 2:
+            raise StackDefinitionError(
+                "material constant must be [re, im], got %r" % (value,))
+        return constant_material(d.get("name", "constant"), complex(*value))
     t = d["table"]
     table = MaterialTable(np.asarray(t["wavelength_nm"], dtype=float),
                           np.asarray(t["n"], dtype=float),
@@ -633,10 +613,33 @@ def stack_to_dict(stack: LayerStack) -> dict:
     }
 
 
+def _null_or(kinds: tuple, value, what: str):
+    """value if it is null or of one of `kinds` (a bool is neither)."""
+    if value is None or (isinstance(value, kinds)
+                         and not isinstance(value, bool)):
+        return value
+    raise StackDefinitionError("%s must be null or of type %s, got %r" % (
+        what, " or ".join(kind.__name__ for kind in kinds), value))
+
+
 def stack_from_dict(d: dict) -> LayerStack:
-    layers = tuple(Layer(_material_from_dict(ld["material"]),
-                         ld["thickness_nm"]) for ld in d["layers"])
-    return LayerStack(layers=layers, sample_layer=d.get("sample_layer"),
+    """The stack a stack_to_dict description holds.  A thickness is a
+    number or null, since one file holds one stack; StackDefinitionError
+    names a missing key or a bad value."""
+    if not isinstance(d, dict):
+        raise StackDefinitionError("a stack must be a JSON object, got %s"
+                                   % (type(d).__name__,))
+    try:
+        layers = tuple(Layer(_material_from_dict(ld["material"]),
+                             _null_or((int, float), ld["thickness_nm"],
+                                      "thickness_nm"))
+                       for ld in d["layers"])
+    except KeyError as exc:
+        raise StackDefinitionError("missing key %s" % (exc,)) from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise StackDefinitionError("malformed layer: %s" % (exc,)) from exc
+    sample = _null_or((int,), d.get("sample_layer"), "sample_layer")
+    return LayerStack(layers=layers, sample_layer=sample,
                       sample_n=d.get("sample_n"),
                       name=d.get("name", "stack"))
 
@@ -649,5 +652,13 @@ def save_stack(stack: LayerStack, path):
 
 
 def load_stack(path) -> LayerStack:
-    with open(path, "r", encoding="utf-8") as f:
-        return stack_from_dict(json.load(f))
+    """Read a stack file; StackDefinitionError names the file and the
+    bad key or value."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return stack_from_dict(json.load(f))
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise StackDefinitionError("stack file %s is not valid UTF-8 JSON: "
+                                   "%s" % (path, exc)) from exc
+    except StackDefinitionError as exc:
+        raise StackDefinitionError("stack file %s: %s" % (path, exc)) from exc

@@ -514,6 +514,17 @@ def test_calibrate_failure_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--target-ns", "--wavelength-nm",
+                                  "--theta-deg"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_calibrate_non_finite_flag_exits_1(tmp_path, capsys, flag, value):
+    """A flag is checked as its config key is, before any calibration."""
+    out = tmp_path / "cal"
+    assert cli.main(["calibrate", flag, value, "--out", str(out)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_not_unique_exits_2(tmp_path, capsys):
     """At 810 nm the balanced stack has no T = R crossing within
     +/- 0.02 RIU of the target, so the dip would be ambiguous."""
@@ -545,6 +556,59 @@ def test_non_dual_film_stack_path_exits_1(tmp_path, capsys, layers,
     assert code == 1
     assert "expected the 5-layer dual-film geometry" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+    assert not out.exists()
+
+
+def _with_layer(d, j, layer):
+    return {**d, "layers": [layer if i == j else old
+                            for i, old in enumerate(d["layers"])]}
+
+
+# case: (the fixture's stack description -> file text, the error names)
+MALFORMED_STACKS = {
+    "no_layers": (lambda d: json.dumps({"name": d["name"]}),
+                  "missing key 'layers'"),
+    "invalid_json": (lambda d: json.dumps(d)[:-2],
+                     "is not valid UTF-8 JSON"),
+    "not_utf8": (lambda d: json.dumps({**d, "name": "Größe"},
+                                      ensure_ascii=False),
+                 "is not valid UTF-8 JSON"),
+    "top_level_list": (lambda d: json.dumps(d["layers"]),
+                       "must be a JSON object, got list"),
+    "missing_thickness": (lambda d: json.dumps(_with_layer(
+        d, 2, {"material": d["layers"][2]["material"]})),
+        "missing key 'thickness_nm'"),
+    "string_thickness": (lambda d: json.dumps(_with_layer(
+        d, 2, {**d["layers"][2], "thickness_nm": "502.4"})),
+        "thickness_nm must be null or of type int or float, got '502.4'"),
+    "list_thickness": (lambda d: json.dumps(_with_layer(
+        d, 2, {**d["layers"][2], "thickness_nm": [500.0, 502.0]})),
+        "thickness_nm must be null or of type int or float, got [500.0"),
+    "string_sample_layer": (lambda d: json.dumps({**d, "sample_layer": "2"}),
+                            "sample_layer must be null or of type int"),
+    "unknown_builtin": (lambda d: json.dumps(_with_layer(
+        d, 1, {**d["layers"][1], "material": {"builtin": "silver"}})),
+        "unknown builtin material 'silver'"),
+    "short_constant": (lambda d: json.dumps(_with_layer(
+        d, 0, {**d["layers"][0], "material": {"constant": [1.5]}})),
+        "material constant must be [re, im], got [1.5]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STACKS))
+def test_malformed_stack_file_exits_1(tmp_path, capsys, case):
+    """A stack_path file that holds no valid stack ends in one `error:`
+    line naming the file and the bad key or value, and writes nothing."""
+    text, names = MALFORMED_STACKS[case]
+    path = tmp_path / "stack.json"
+    # written as latin-1, so that the not_utf8 case is not UTF-8 text
+    path.write_bytes(text(json.loads(FIXTURE_STACK.read_text()))
+                     .encode("latin-1"))
+    code, out = _run(tmp_path, "spectrum", {"stack_path": str(path)})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: stack file %s" % path)
+    assert names in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Process entry point and import contracts, each in a fresh interpreter."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import homsensor
 from homsensor import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,7 +159,35 @@ def test_public_names_resolve():
                   "except AttributeError:\n"
                   "    print(len(homsensor.__all__), bad)\n")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "60 []"
+    assert out.stdout.strip() == "53 []"
+
+
+def _references(module: ast.Module) -> set:
+    """The names a module reads: every Name and Attribute, except those
+    inside the top-level def or class that defines the same name."""
+    used = set()
+    for node in module.body:
+        used |= {sub.id if isinstance(sub, ast.Name) else sub.attr
+                 for sub in ast.walk(node)
+                 if isinstance(sub, (ast.Name, ast.Attribute))} \
+            - {getattr(node, "name", None)}
+    return used
+
+
+def test_every_export_has_a_user():
+    """Each __all__ name is read by a library module other than
+    __init__.py (docstrings do not count) or wrapped by bench/tracer.py
+    TRACED, whose runs resolve it by name."""
+    used = set()
+    for path in (SRC / "homsensor").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {attribute.split(".")[0] for _, attribute, _ in tracer.TRACED}
+    assert sorted(set(homsensor.__all__) - used - traced) == []
 
 
 @pytest.mark.parametrize("command, cfg", [

@@ -9,7 +9,7 @@ import pytest
 from homsensor.errors import ConfigError, UndefinedRatioError
 from homsensor.estimation import (
     BUDGET_STEP, BudgetSource, CoherentInput, _coincidence_signal,
-    enhancement_ratio, fisher_classical, fisher_decomposition,
+    defined_ratio, fisher_classical, fisher_decomposition,
     fisher_from_distribution, fisher_hom, fisher_report, fisher_schemes,
     load_budget_sources, phi_ab_scan, precision_bound, uncertainty_budget,
 )
@@ -274,13 +274,18 @@ def test_mixture_matches_direct_sum_oracle(stack):
 # enhancement ratio and precision bound
 # ---------------------------------------------------------------------------
 
+def enhancement(i_hom, i_classical):
+    """G = (I_pair - I_coherent) / I_coherent and its defined flag."""
+    return defined_ratio(i_hom - i_classical, i_classical)
+
+
 def test_enhancement_examples():
-    assert enhancement_ratio(2.0, 2.0) == 0.0
-    assert enhancement_ratio(3.0, 2.0) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(UndefinedRatioError):
-        enhancement_ratio(1.0, 0.0)
-    with pytest.raises(UndefinedRatioError):
-        enhancement_ratio(1.0, 1e-13)
+    assert enhancement(2.0, 2.0) == (0.0, True)
+    g, defined = enhancement(3.0, 2.0)
+    assert defined and g == pytest.approx(0.5, abs=1e-15)
+    for collapsed in (0.0, 1e-13):
+        g, defined = enhancement(1.0, collapsed)
+        assert math.isnan(g) and not defined
 
 
 def test_enhancement_reaches_half_on_sweep(stack):
@@ -291,10 +296,9 @@ def test_enhancement_reaches_half_on_sweep(stack):
             continue  # skip the undefined window around the dip
         i_h = fisher_hom(stack, 800.0, 70.0, float(n))
         i_c = fisher_classical(stack, 800.0, 70.0, float(n), phi_ab=PI_HALF)
-        try:
-            best = max(best, enhancement_ratio(i_h, i_c))
-        except UndefinedRatioError:
-            continue
+        g, defined = enhancement(i_h, i_c)
+        if defined:
+            best = max(best, g)
     assert best == pytest.approx(0.5, abs=0.25)
 
 
@@ -312,7 +316,9 @@ def test_lossless_limit_enhancement_is_one():
         i_h = fisher_hom(stack, lam, 70.0, ns)
         i_c = fisher_classical(stack, lam, 70.0, ns)
     assert i_h.shape == (41, 141)
-    assert np.max(np.abs(enhancement_ratio(i_h, i_c) - 1.0)) <= 1e-6
+    g, defined = enhancement(i_h, i_c)
+    assert np.all(defined)
+    assert np.max(np.abs(g - 1.0)) <= 1e-6
 
 def test_precision_bound_values():
     assert precision_bound(4217.0) == pytest.approx(0.0154, abs=2e-4)
@@ -324,10 +330,11 @@ def test_precision_bound_values():
 def test_precision_bound_and_ratio_broadcast():
     assert np.array_equal(precision_bound(np.array([4.0, 0.0, -3.0])),
                           [0.5, math.inf, math.inf])
-    g = enhancement_ratio(np.array([3.0, 2.0]), np.array([2.0, 2.0]))
-    assert np.array_equal(g, [0.5, 0.0])
-    with pytest.raises(UndefinedRatioError, match="1e-13"):
-        enhancement_ratio(np.array([3.0, 1.0]), np.array([2.0, 1e-13]))
+    g, defined = enhancement(np.array([3.0, 2.0]), np.array([2.0, 2.0]))
+    assert np.array_equal(g, [0.5, 0.0]) and np.all(defined)
+    g, defined = enhancement(np.array([3.0, 1.0]), np.array([2.0, 1e-13]))
+    assert np.array_equal(g, [0.5, np.nan], equal_nan=True)
+    assert defined.tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------

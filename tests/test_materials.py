@@ -1,13 +1,11 @@
-"""Material tables: parsing, interpolation, windows, serialization."""
+"""Material tables: parsing, interpolation, windows."""
 
 import numpy as np
 import pytest
 
 from homsensor.errors import MaterialDataError, WavelengthRangeError
 from homsensor.materials import (
-    Material, MaterialTable, constant_material, gold_jc, load_material_table,
-    material_table_to_csv, parse_material_csv, refractive_index,
-    save_material_table,
+    Material, MaterialTable, constant_material, gold_jc, parse_material_csv,
 )
 
 WELL_FORMED = """wavelength_nm,n,k
@@ -41,8 +39,8 @@ def test_gold_table_row_count_matches_file():
 
 def test_constant_material_any_wavelength():
     prism = constant_material("prism", 1.5)
-    assert refractive_index(prism, 123.4) == 1.5 + 0.0j
-    assert refractive_index(prism, 98765.0) == 1.5 + 0.0j
+    assert prism.index(123.4) == 1.5 + 0.0j
+    assert prism.index(98765.0) == 1.5 + 0.0j
 
 
 def test_interpolation_at_knot_is_exact(gold):
@@ -87,15 +85,6 @@ def test_piecewise_linearity_between_knots(gold):
     mid = 0.5 * (a + b)
     expect = 0.5 * (table.index(a) + table.index(b))
     assert table.index(mid) == pytest.approx(expect, abs=1e-12)
-
-
-def test_csv_roundtrip_bit_exact(gold, tmp_path):
-    path = tmp_path / "gold_copy.csv"
-    save_material_table(gold.table, path)
-    back = load_material_table(path, name=gold.table.name)
-    assert np.array_equal(back.wavelength_nm, gold.table.wavelength_nm)
-    assert np.array_equal(back.n, gold.table.n)
-    assert np.array_equal(back.k, gold.table.k)
 
 
 def test_material_requires_exactly_one_source():

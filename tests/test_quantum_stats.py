@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import homsensor
 from homsensor.errors import UnphysicalPointError
 from homsensor.quantum_stats import (
-    PHYSICALITY_TOL, BsPoint, CoherentInput, _hom_click_vector,
+    PHYSICALITY_TOL, CoherentInput, _hom_click_vector,
     _hom_pair_vector, bs_point, coherent_output_means,
     hom_click_distribution, poisson_pair_grid, poisson_pmf,
     splitter_moments, validate_distribution, validate_points,
@@ -28,29 +29,33 @@ def pair(T, R, phi):
         "pair")
 
 
+def point(T, R, phi_tr):
+    """bs_point of a scalar response that holds only (T, R, phi_tr)."""
+    return bs_point(SimpleNamespace(T=T, R=R, phi_tr=phi_tr))
+
+
 # ---------------------------------------------------------------------------
-# BsPoint extraction and validation
+# splitter point extraction and validation
 # ---------------------------------------------------------------------------
 
 def test_bs_point_from_amplitudes(stack):
     resp = stack_response(stack, 800.0, 70.0, 1.31)
-    point = bs_point(resp)
-    assert point.T == pytest.approx(abs(resp.t) ** 2
-                                    * (resp.T / abs(resp.t) ** 2), rel=1e-12)
-    assert point.R == pytest.approx(abs(resp.r) ** 2, rel=1e-12)
-    assert point.phi_tr == resp.phi_tr
+    T, R, phi = bs_point(resp)
+    assert T == pytest.approx(abs(resp.t) ** 2
+                              * (resp.T / abs(resp.t) ** 2), rel=1e-12)
+    assert R == pytest.approx(abs(resp.r) ** 2, rel=1e-12)
+    assert phi == resp.phi_tr
+    assert all(type(x) is float for x in (T, R, phi))
 
 
 def test_bs_point_examples():
     # t = 0.5, r = 0.5i: quarter power each, quarter-turn phase
-    p = BsPoint(T=0.25, R=0.25, phi_tr=math.pi / 2.0)
-    assert (p.T, p.R, p.phi_tr) == (0.25, 0.25, math.pi / 2.0)
+    assert point(0.25, 0.25, math.pi / 2.0) == (0.25, 0.25, math.pi / 2.0)
     # total absorption: phase pinned to zero by convention
-    dead = BsPoint(T=0.0, R=0.0, phi_tr=0.0)
-    assert dead.T == dead.R == dead.phi_tr == 0.0
+    assert point(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
     # t = r = 0.8 has singular value 1.6: not a passive splitter
     with pytest.raises(UnphysicalPointError):
-        BsPoint(T=0.64, R=0.64, phi_tr=0.0)
+        point(0.64, 0.64, 0.0)
 
 
 def test_bs_point_requires_scalar_response(stack):
@@ -71,10 +76,10 @@ def test_validate_points_agrees_with_bs_point():
         passive[index] = (tc + rc + 2.0 * math.sqrt(tc * rc) * abs(math.cos(p))
                           <= 1.0 + PHYSICALITY_TOL)
         if passive[index]:
-            points[index] = BsPoint(T=t, R=r, phi_tr=p)
+            points[index] = point(t, r, p)
         else:
             with pytest.raises(UnphysicalPointError):
-                BsPoint(T=t, R=r, phi_tr=p)
+                point(t, r, p)
     # T = R = 0.5 at phi_tr = 0 has singular value 1 + 1 = 2
     assert not passive[3, 3, 0]
     first = tuple(int(i) for i in np.argwhere(~passive)[0])
@@ -84,9 +89,7 @@ def test_validate_points_agrees_with_bs_point():
     got = validate_points(T[passive], R[passive], phi[passive])
     expected = [points[index] for index in np.ndindex(T.shape)
                 if passive[index]]
-    assert np.array_equal(got[0], [e.T for e in expected])
-    assert np.array_equal(got[1], [e.R for e in expected])
-    assert np.array_equal(got[2], [e.phi_tr for e in expected])
+    assert np.array_equal(np.stack(got, axis=-1), expected)
 
 
 def test_singular_values_passive(stack):
