@@ -274,8 +274,8 @@ def load_config(path, command) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config %s is not valid JSON: %s"
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ConfigError("config %s is not valid UTF-8 JSON: %s"
                           % (path, exc)) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config %s must hold a JSON object" % (path,))

@@ -515,8 +515,12 @@ def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
         text = (resources.files(__package__) / "data"
                 / _BUDGET_RESOURCE).read_text()
     else:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("budget sources file %s is not UTF-8 text: %s"
+                              % (path, exc)) from exc
     try:
         raw = json.loads(text)
         rows = []

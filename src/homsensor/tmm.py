@@ -226,7 +226,10 @@ def fresnel(n_a, n_b, cos_a, cos_b, polarization: str = "tm"):
         raise UnphysicalPointError(
             "degenerate %s interface: Fresnel denominator = 0"
             % polarization.upper())
-    return (near - far) / denom, 2.0 * n_a * cos_a / denom
+    r = near - far
+    del near, far  # before the divisions, which need only denom
+    r = r / denom
+    return r, 2.0 * n_a * cos_a / denom
 
 
 def _flux_factor(n, c, polarization):
@@ -280,6 +283,14 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     layer on wavelength x angle, widened only by its own thickness);
     only the sample layer and the running product span the grid, and
     every field has the full broadcast shape (scalars for scalar inputs).
+
+    Each grid-sized temporary is released after its last use (a layer's
+    cosines after its last interface, the phase factors after the phase
+    step, M12 and M22 after the loop, M11 and M21 once t and r exist), so
+    at most about nine complex grid arrays are alive at once.  The
+    product is the plain left-to-right one, operand for operand, so the
+    results equal those of the loop written with tuple assignments, bit
+    for bit.
     """
     _check_polarization(polarization)
     _check_theta(theta_deg)
@@ -305,18 +316,37 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
         return 1.0 / t_ij, r_ij / t_ij
 
     # accumulate M = B01 P1 B12 P2 ... B(N-1,N) as scalar 2x2 components,
-    # starting from B01; P = diag(e^{-i delta}, e^{+i delta})
+    # starting from B01; P = diag(e^{-i delta}, e^{+i delta}).  Each sum
+    # x*y + u*v is formed as a = x*y; a += u*v, which gives the same bits
+    # and lets an old entry go as soon as no new one needs it.
     m11, m12 = interface(0)
     m21, m22 = m12, m11
     for j in range(1, len(n_list) - 1):
         d = stack.layers[j].thickness_nm
         delta = 2.0 * np.pi * n_list[j] * cos_list[j] * d / lam
-        em, ep = np.exp(-1j * delta), np.exp(1j * delta)
-        m11, m12 = m11 * em, m12 * ep
-        m21, m22 = m21 * em, m22 * ep
+        em = np.exp(-1j * delta)
+        m11 = m11 * em
+        m21 = m21 * em
+        del em
+        ep = np.exp(1j * delta)
+        del delta
+        m12 = m12 * ep
+        m22 = m22 * ep
+        del ep
         b11, b12 = interface(j)
-        m11, m12, m21, m22 = (m11 * b11 + m12 * b12, m11 * b12 + m12 * b11,
-                              m21 * b11 + m22 * b12, m21 * b12 + m22 * b11)
+        cos_list[j] = None  # layer j's cosines are used up
+        row = m11 * b12
+        row += m12 * b11
+        m11 = m11 * b11
+        m11 += m12 * b12
+        m12 = row
+        row = m21 * b12
+        row += m22 * b11
+        m21 = m21 * b11
+        m21 += m22 * b12
+        m22 = row
+        del row, b11, b12
+    del m12, m22
 
     if np.any(m11 == 0.0):
         raise UnphysicalPointError(
@@ -324,6 +354,7 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
             "reachable for passive stacks at real frequency")
     t = 1.0 / m11
     r = m21 / m11
+    del m11, m21
 
     f_in = _flux_factor(n_list[0], cos_list[0], polarization)
     f_out = _flux_factor(n_list[-1], cos_list[-1], polarization)

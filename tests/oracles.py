@@ -1,11 +1,13 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately written with a different algorithm
-than the code under test: the multilayer response uses the interface
+Most of these are deliberately written with a different algorithm than
+the code under test: the multilayer response uses the interface
 recursion (Airy summation) instead of matrix products, the information
 helpers use direct probability-space formulas, and the coherent-probe
 information is computed from the explicit joint count grid instead of
-the Poisson closed form.
+the Poisson closed form.  Two pin the library's arithmetic instead: the
+transfer loop written with tuple assignments, which stack_response must
+match bit for bit, and numpy's eigenvalue-based Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from homsensor.estimation import DEFAULT_NS_STEP, fisher_from_distribution
 from homsensor.quantum_stats import (POISSON_L_MAX, CoherentInput,
                                      coherent_output_means, poisson_pair_grid,
                                      validate_points)
-from homsensor.tmm import stack_response
+from homsensor.tmm import (PHASE_AMPLITUDE_FLOOR, _cosines_from_indices,
+                           _flux_factor, _resolve_ns, stack_response)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +105,65 @@ def airy_flux(indices, thicknesses_nm, wavelength_nm, theta_deg, pol="tm"):
         f0 = (n[0] * c0).real
         fL = (n[-1] * cL).real
     return abs(t) ** 2 * fL / f0, abs(r) ** 2
+
+
+# ---------------------------------------------------------------------------
+# transfer loop with tuple assignments
+# ---------------------------------------------------------------------------
+
+def tuple_loop_response(stack, wavelength_nm, theta_deg, n_s=None,
+                        polarization="tm"):
+    """(t, r, T, R, phi_tr) of stack_response from the transfer loop
+    written with tuple assignments, which hold every old and new matrix
+    entry at once, and the Fresnel pair of _fresnel_pair.  The arithmetic
+    is stack_response's, operand for operand, so the two agree bit for
+    bit; inputs are assumed valid."""
+    n_s = _resolve_ns(stack, n_s)
+
+    lam = np.asarray(wavelength_nm, dtype=float)
+    th = np.radians(np.asarray(theta_deg, dtype=float))
+    shape = np.broadcast_shapes(
+        lam.shape, th.shape, np.shape(n_s),
+        *(np.shape(layer.thickness_nm) for layer in stack.layers[1:-1]))
+    ns = None if n_s is None else np.asarray(n_s, dtype=complex)
+
+    n_list = [ns if j == stack.sample_layer
+              else np.asarray(layer.material.index(lam), dtype=complex)
+              for j, layer in enumerate(stack.layers)]
+    n0_sin = n_list[0] * np.sin(th)
+    cos_list = [_cosines_from_indices(nj, n0_sin) for nj in n_list]
+
+    def interface(j):
+        r_ij, t_ij = _fresnel_pair(n_list[j], n_list[j + 1], cos_list[j],
+                                   cos_list[j + 1], polarization)
+        return 1.0 / t_ij, r_ij / t_ij
+
+    m11, m12 = interface(0)
+    m21, m22 = m12, m11
+    for j in range(1, len(n_list) - 1):
+        d = stack.layers[j].thickness_nm
+        delta = 2.0 * np.pi * n_list[j] * cos_list[j] * d / lam
+        em, ep = np.exp(-1j * delta), np.exp(1j * delta)
+        m11, m12 = m11 * em, m12 * ep
+        m21, m22 = m21 * em, m22 * ep
+        b11, b12 = interface(j)
+        m11, m12, m21, m22 = (m11 * b11 + m12 * b12, m11 * b12 + m12 * b11,
+                              m21 * b11 + m22 * b12, m21 * b12 + m22 * b11)
+
+    t = 1.0 / m11
+    r = m21 / m11
+
+    f_in = _flux_factor(n_list[0], cos_list[0], polarization)
+    f_out = _flux_factor(n_list[-1], cos_list[-1], polarization)
+    T = (np.abs(t) ** 2) * f_out / f_in
+    R = np.abs(r) ** 2
+    arg_r = np.where(np.abs(r) <= PHASE_AMPLITUDE_FLOOR, 0.0, np.angle(r))
+    arg_t = np.where(np.abs(t) <= PHASE_AMPLITUDE_FLOOR, 0.0, np.angle(t))
+    phi = arg_r - arg_t
+    phi = np.where(phi > np.pi, phi - 2.0 * np.pi, phi)
+    phi = np.where(phi <= -np.pi, phi + 2.0 * np.pi, phi)
+    return tuple(np.broadcast_to(x, shape)[()]
+                 for x in (t, r, T.real, R.real, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +292,16 @@ def count_grid_information_matrix(T, R, phi, a=1.0, b=1.0,
     keep = p0 > 1e-15
     return np.array([[np.sum(pa[keep] * pb[keep] / p0[keep])
                       for pb in partials] for pa in partials])
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rule
+# ---------------------------------------------------------------------------
+
+def eigenvalue_legendre_rule(n):
+    """numpy's Gauss-Legendre nodes and weights on [-1, 1]: Golub-Welsch
+    eigenvalues, one Newton step, weights normalized to sum 2."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 # ---------------------------------------------------------------------------

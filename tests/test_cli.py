@@ -622,3 +622,31 @@ def test_run_metadata_reports_library_tolerances(tmp_path):
         "probability_clamp": -CLAMP_FLOOR,
         "ratio_floor": RATIO_FLOOR,
     }
+
+
+def _utf16_json(path, data):
+    """data as UTF-16 JSON, which starts with the bytes ff fe."""
+    path.write_bytes(json.dumps(data).encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    return path
+
+
+@pytest.mark.parametrize("command", ["spectrum", "budget"])
+def test_non_utf8_input_file_exits_1(tmp_path, capsys, command):
+    """A config file (spectrum) or budget sources file (budget) that is not
+    UTF-8 ends in one `error:` line naming the file, and writes nothing."""
+    config = tmp_path / "cfg.json"
+    cfg = {"stack_path": str(FIXTURE_STACK)}
+    if command == "spectrum":
+        _utf16_json(config, cfg)
+        named = "error: config %s is not valid UTF-8 JSON" % config
+    else:
+        sources = _utf16_json(tmp_path / "sources.json", {"sources": []})
+        config.write_text(json.dumps(dict(cfg, sources_path=str(sources))))
+        named = "error: budget sources file %s is not UTF-8 text" % sources
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(named) and err.count("\n") == 1
+    assert not out.exists()

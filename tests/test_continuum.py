@@ -1,5 +1,6 @@
 """Finite-bandwidth layer: batched continuum information."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 
 from homsensor import continuum
 from homsensor.continuum import (continuum_fisher, continuum_hom_moments,
-                                 default_grid, quadrature_grid,
-                                 spectral_profile)
-from homsensor.estimation import fisher_classical, fisher_hom
+                                 default_grid, omega_to_wavelength_nm,
+                                 quadrature_grid, spectral_profile)
+from homsensor.estimation import DEFAULT_NS_STEP, fisher_classical, fisher_hom
 from homsensor.quantum_stats import splitter_moments
-from homsensor.tmm import load_stack
+from homsensor.tmm import load_stack, stack_response
+
+from oracles import eigenvalue_legendre_rule
 
 NS = np.array([1.27, 1.30, 1.31, 1.33])
 POINT = (0.3, 0.25, 1.1)  # (T, R, phi_tr) of a passive splitter
@@ -72,6 +75,52 @@ def test_legendre_rule_is_cached_and_read_only():
     assert continuum._legendre_rule.cache_info().hits == hits + 1
     x, w = continuum._legendre_rule(57)
     assert not (x.flags.writeable or w.flags.writeable)
+
+
+RULE_SIZES = [2, 3, 4, 5, 50, 201, 401]
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_legendre_rule_is_exact_and_symmetric(n):
+    """Every monomial of degree < 2n integrates exactly; the rule is
+    mirror-symmetric and its weights sum to 2."""
+    x, w = continuum._legendre_rule(n)
+    assert x.shape == w.shape == (n,) and np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(np.sum(w) - 2.0) <= 1e-14
+    for degree in range(2 * n):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert abs(np.sum(w * x ** degree) - exact) <= 1e-14, degree
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_legendre_rule_matches_eigenvalue_rule(n):
+    """Nodes within 2 units in the last place of numpy's Golub-Welsch
+    rule, weights within 1e-10 relative (numpy's end weights are the
+    less accurate ones, ~3e-11 at n = 201)."""
+    x, w = continuum._legendre_rule(n)
+    x_ref, w_ref = eigenvalue_legendre_rule(n)
+    assert np.all(np.abs(x - x_ref) <= 2.0 * np.spacing(np.abs(x_ref)))
+    assert np.all(np.abs(w - w_ref) <= 1e-10 * w_ref)
+
+
+def test_block_working_set_is_bounded(fixture_stack):
+    """The traced peak of stack_response on the block continuum_fisher
+    evaluates for 20 n_s (20 x 2 x 201 points, 129 kB per complex
+    array) stays under 1.5 MB, about 11 complex arrays of the block."""
+    grid = default_grid(fixture_stack, spectral_profile(800.0, 9.4))
+    args = (fixture_stack, omega_to_wavelength_nm(grid.nodes), 70.0,
+            np.linspace(1.25, 1.34, 20)[:, None, None]
+            + np.array([[-DEFAULT_NS_STEP], [DEFAULT_NS_STEP]]))
+    stack_response(*args)  # materials and caches loaded before tracing
+    tracemalloc.start()
+    try:
+        resp = stack_response(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shape(resp.t) == (20, 2, 201)
+    assert peak <= 1.5e6
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

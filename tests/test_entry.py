@@ -133,6 +133,21 @@ def test_fisher_run_leaves_hashlib_unloaded(tmp_path):
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
+def test_continuum_run_leaves_numpy_polynomial_unloaded(tmp_path):
+    """The quadrature rule is built without numpy.polynomial."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"stack_path": str(FIXTURE_STACK),
+                                  "n_s_grid": [1.30, 1.31]}))
+    out = _python("-c", "import sys\n"
+                  "from homsensor import cli\n"
+                  "code = cli.main(['continuum', '--config', sys.argv[1], "
+                  "'--out', sys.argv[2]])\n"
+                  "print(code, 'numpy.polynomial' in sys.modules)",
+                  str(config), str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
 def test_import_loads_no_submodule():
     assert _loaded_after("import homsensor") == "['homsensor']"
     assert _loaded_after(

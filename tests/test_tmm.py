@@ -19,7 +19,8 @@ from homsensor.tmm import (
     stack_from_dict, stack_response, stack_to_dict,
 )
 
-from oracles import airy_response, sequential_bisection
+from oracles import airy_response, sequential_bisection, \
+    tuple_loop_response
 
 FIXTURE_STACK = Path(__file__).resolve().parents[1] / "bench" / "fixtures" \
     / "stack.json"
@@ -345,6 +346,43 @@ def test_scalar_inputs_return_scalars(stack):
         assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
 
 
+# (stack, wavelength_nm, theta_deg, n_s) built from the calibrated stack
+LOOP_CASES = {
+    "wavelength_x_ns": lambda stack: (
+        stack, np.linspace(700.0, 900.0, 11)[:, None], 70.0,
+        np.linspace(1.25, 1.34, 13)),
+    "theta_x_ns": lambda stack: (
+        stack, 800.0, np.linspace(55.0, 75.0, 9)[:, None],
+        np.linspace(1.27, 1.33, 7)),
+    "thickness_arrays": lambda stack: (
+        stack.with_thickness({1: np.reshape([18.0, 20.0, 24.0], (3, 1, 1)),
+                              2: np.reshape([480.0, 502.5, 530.0], (3, 1)),
+                              3: np.reshape([19.0, 20.0, 21.0], (3, 1, 1))}),
+        800.0, 70.0, np.array([1.29, 1.31, 1.33])),
+    "no_sample_layer": lambda stack: (
+        _gold_film(np.array([40.0, 50.0, 60.0])[:, None]),
+        np.linspace(780.0, 820.0, 5), 70.0, None),
+    "scalar": lambda stack: (stack, 800.0, 70.0, 1.31),
+    "continuum_block": lambda stack: (
+        stack, np.linspace(790.0, 810.0, 201), 70.0,
+        np.linspace(1.25, 1.34, 20)[:, None, None]
+        + np.array([[-1e-6], [1e-6]])),
+}
+
+
+@pytest.mark.parametrize("polarization", ["tm", "te"])
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_transfer_loop_is_bit_identical(stack, case, polarization):
+    """stack_response frees its temporaries early but keeps the tuple
+    loop's arithmetic: every field equal bit for bit, with its type."""
+    inputs = LOOP_CASES[case](stack) + (polarization,)
+    resp = stack_response(*inputs)
+    for name, want in zip(RESPONSE_FIELDS, tuple_loop_response(*inputs)):
+        got = getattr(resp, name)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
 def test_with_thickness_keeps_kinds(stack):
     trial = stack.with_thickness({1: 30, 2: np.array([400.0, 500.0])})
     assert type(trial.layers[1].thickness_nm) is float
@@ -459,6 +497,14 @@ def test_calibration_matches_bench_fixture(calibration):
     assert calibration.d_sample_nm == fixture.layers[2].thickness_nm
     assert calibration.stack.layers[3].thickness_nm \
         == fixture.layers[3].thickness_nm
+
+
+def test_calibration_is_bit_pinned(calibration):
+    """The default calibration's gap, to the last bit: a reassociated
+    transfer product moves it."""
+    assert calibration.d_metal_nm == 20.0
+    assert calibration.d_sample_nm == 502.4380797301368
+    assert calibration.residual == 5.551115123125783e-16
 
 
 def test_calibration_is_a_few_array_calls(monkeypatch):
