@@ -34,7 +34,8 @@ Grids are evaluated in one process by broadcast library calls: `map`
 (by wavelength) and `continuum` (by index) in row blocks of at most
 BLOCK_POINTS stack_response points, so memory does not grow with the
 grid, and `fisher` in one pass: one fisher_report call over the index
-grid and one phi_ab_scan call over the phase grid.
+grid and one phi_ab_scan call over the phase grid, one stack_response
+call each.
 
 Exit status: 0 on success, 1 on configuration or physics errors, 2 on
 calibration failure.
@@ -56,13 +57,13 @@ from . import __version__
 from .continuum import continuum_fisher
 from .errors import (CalibrationError, ConfigError, HomsensorError,
                      StackDefinitionError, UnphysicalPointError)
-from .estimation import DEFAULT_NS_STEP, RATIO_FLOOR, defined_ratio, \
-    fisher_report, fisher_schemes, load_budget_sources, phi_ab_scan, \
-    uncertainty_budget
+from .estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR, \
+    defined_ratio, fisher_report, fisher_schemes, load_budget_sources, \
+    phi_ab_scan, uncertainty_budget
 from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, \
     hom_click_distribution, validate_points
-from .tmm import CALIBRATION_TOL, calibrate_stack, load_stack, save_stack, \
-    stack_response
+from .tmm import CALIBRATION_TOL, NS_STEP, calibrate_stack, load_stack, \
+    save_stack, stack_response
 
 # The interpreter's built-in SHA-256 gives hashlib's digest without
 # loading OpenSSL, which costs every process a few ms and MB for one id.
@@ -86,9 +87,11 @@ BLOCK_POINTS = 8192
 # constants so a run can be audited from its outputs alone.
 REPORTED_TOLERANCES = {
     "calibration_tol_abs_imbalance": CALIBRATION_TOL,
-    "derivative_step_riu": DEFAULT_NS_STEP,
+    "derivative_noise_floor": DERIV_FLOOR,
+    "derivative_step_riu": NS_STEP,
     "probability_clamp": -CLAMP_FLOOR,
     "ratio_floor": RATIO_FLOOR,
+    "zero_prob_floor": ZERO_PROB_FLOOR,
 }
 
 

@@ -42,12 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimation import (DEFAULT_NS_STEP, _distribution_information,
-                         _information)
+from .estimation import _distribution_information, _information
 from .quantum_stats import (DEFAULT_PHI_AB, _coherent_mean_pair,
                             _hom_click_vector, splitter_moments,
                             validate_points)
-from .tmm import LayerStack, stack_response
+from .tmm import NS_STEP, LayerStack, stack_response
 
 C_NM_PER_S = 2.99792458e17     # speed of light in nm/s
 DEFAULT_NODES = 201
@@ -255,8 +254,7 @@ def continuum_fisher(stack: LayerStack, lambda0_nm: float,
                      delta_lambda_nm: float, theta_deg: float, n_s,
                      phi_ab: float = DEFAULT_PHI_AB,
                      polarization: str = "tm",
-                     n_nodes: int = DEFAULT_NODES, span: float = DEFAULT_SPAN,
-                     step: float = DEFAULT_NS_STEP):
+                     n_nodes: int = DEFAULT_NODES, span: float = DEFAULT_SPAN):
     """Fisher information in n_s with the full spectral profile.
 
     Returns the pair (i_hom, i_classical): the photon-pair click
@@ -266,12 +264,12 @@ def continuum_fisher(stack: LayerStack, lambda0_nm: float,
 
     n_s may be an array: each result has its shape (a float for a
     scalar).  One quadrature grid serves every n_s, and the stack is
-    evaluated in a single call on n_s x (-/+ step) x nodes.
+    evaluated in a single call on n_s x (+NS_STEP, -NS_STEP) x nodes.
     """
     profile = spectral_profile(lambda0_nm, delta_lambda_nm)
     grid = default_grid(stack, profile, n_nodes, span)
     ns = np.asarray(n_s, dtype=float)[..., None, None] \
-        + np.array([[-step], [step]])
+        + np.array([[NS_STEP], [-NS_STEP]])
     resp = stack_response(stack, omega_to_wavelength_nm(grid.nodes),
                           theta_deg, ns, polarization)
     point = validate_points(resp.T, resp.R, resp.phi_tr)
@@ -279,4 +277,4 @@ def continuum_fisher(stack: LayerStack, lambda0_nm: float,
     moments = continuum_hom_moments(*point, profile, grid)
     p = _hom_click_vector(*moments)
     mu = continuum_classical_means(moments, profile, grid, phi_ab)
-    return _distribution_information(p, step), _information(mu, step)
+    return _distribution_information(p), _information(mu)

@@ -28,9 +28,11 @@ Provided on top of the raw information are:
   errors via sensitivity ratios of the coincidence signal.
 
 All but the budget are array-first: the evaluators, the decomposition
-and the report broadcast over wavelength, angle and n_s (one
-stack_response call per quantity, the n_s steps on a trailing axis; a
-scalar input returns floats), and the scan over its phase grid.
+and the report broadcast over wavelength, angle and n_s (a scalar input
+returns floats), and the scan over its phase grid.  Each makes one
+stack_response call through tmm.ns_stencil (n_s + h, n_s - h and, for
+the decomposition, n_s itself, on a trailing axis), validated once; the
+report's one call feeds both schemes and the decomposition.
 defined_ratio is the one comparison with RATIO_FLOOR.
 
 Some closed-form diagnostics are conventionally quoted for an idealized
@@ -52,17 +54,16 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, UndefinedRatioError
-from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput,
+from .quantum_stats import (CLAMP_FLOOR, DEFAULT_PHI_AB, CoherentInput,
                             _coherent_mean_pair, _hom_click_vector,
                             _hom_pair_vector, bs_point, coherent_output_means,
                             splitter_moments, validate_points)
-from .tmm import (LayerStack, constant_material, response_at_offsets,
-                  response_derivatives, stack_response)
+from .tmm import (NS_STEP, LayerStack, constant_material, ns_stencil,
+                  stack_response, stencil_derivatives)
 
-ZERO_PROB_FLOOR = 1e-15   # outcomes below this are treated as impossible
-DERIV_FLOOR = 1e-12       # derivatives up to this are rounding noise
+ZERO_PROB_FLOOR = -CLAMP_FLOOR  # outcomes below the clamp's noise: impossible
+DERIV_FLOOR = 1e-8  # ~100 eps / (2 NS_STEP): a derivative's rounding noise
 DEAD_INFO_SHARE = 1e-9    # warn when skipped outcomes hide this share of I
-DEFAULT_NS_STEP = 1e-6    # central-difference step in n_s (RIU)
 RATIO_FLOOR = 1e-12       # information below this leaves a ratio undefined
 DECOMP_STEP = 1e-5        # step for (T, R, phi) partials
 BUDGET_STEP = 1e-4        # step for budget sensitivities, per variable unit
@@ -74,9 +75,10 @@ _BUDGET_RESOURCE = "budget_sources.json"
 # generic Fisher information from a parametric distribution
 # ---------------------------------------------------------------------------
 
-def _information(values, step: float):
-    """Fisher information along the last axis from values at n_s -/+ step
-    on axis -2 (index 0: minus); a 0-d result is a float.
+def _information(values, step: float = NS_STEP):
+    """Fisher information along the last axis from values at n_s + step
+    and n_s - step at indices 0 and 1 of axis -2 (the ns_stencil order;
+    a centre slice is not read); a 0-d result is a float.
 
     values hold outcome probabilities, or independent Poisson means
     (I = sum mu'^2 / mu is the same sum).  Entries with midpoint below
@@ -85,7 +87,7 @@ def _information(values, step: float):
     warning is emitted where that bound exceeds DEAD_INFO_SHARE of the
     returned information (the outcome set is too coarse).
     """
-    minus, plus = values[..., 0, :], values[..., 1, :]
+    plus, minus = values[..., 0, :], values[..., 1, :]
     deriv = (plus - minus) / (2.0 * step)
     mid = 0.5 * (plus + minus)
     alive = mid > ZERO_PROB_FLOOR
@@ -102,7 +104,7 @@ def _information(values, step: float):
     return _as_result(info)
 
 
-def _distribution_information(p, step: float):
+def _distribution_information(p, step: float = NS_STEP):
     """_information of outcome distributions, each checked to sum to 1."""
     total = np.sum(p, axis=-1)
     bad = np.abs(total - 1.0) > 1e-9
@@ -119,7 +121,7 @@ def _as_result(info):
     return float(info) if np.ndim(info) == 0 else info
 
 
-def fisher_from_distribution(dist_fn, n_s: float, step: float = DEFAULT_NS_STEP
+def fisher_from_distribution(dist_fn, n_s: float, step: float = NS_STEP
                              ) -> float:
     """Fisher information of a finite outcome distribution at n_s.
 
@@ -133,16 +135,16 @@ def fisher_from_distribution(dist_fn, n_s: float, step: float = DEFAULT_NS_STEP
     p_minus = np.asarray(dist_fn(n_s - step), dtype=float).ravel()
     if p_plus.shape != p_minus.shape:
         raise ConfigError("distribution changed outcome count under the step")
-    return float(_distribution_information(np.stack([p_minus, p_plus]),
+    return float(_distribution_information(np.stack([p_plus, p_minus]),
                                            step))
 
 
-def _points_around(stack, wavelength_nm, theta_deg, n_s, polarization,
-                   step):
-    """Validated (T, R, phi_tr) at n_s - step and n_s + step, stacked on
-    a new trailing axis (index 0: minus); one stack_response call."""
-    resp = response_at_offsets(stack, wavelength_nm, theta_deg, n_s,
-                               [-step, step], polarization)
+def _stencil_points(stack, wavelength_nm, theta_deg, n_s, polarization,
+                    centre=False):
+    """Validated (T, R, phi_tr) on the trailing axis of one ns_stencil
+    call: n_s + h, n_s - h and, with centre, n_s."""
+    resp = ns_stencil(stack, wavelength_nm, theta_deg, n_s, polarization,
+                      centre)
     return validate_points(resp.T, resp.R, resp.phi_tr)
 
 
@@ -150,43 +152,36 @@ def _points_around(stack, wavelength_nm, theta_deg, n_s, polarization,
 # per-scheme information at a stack operating point
 # ---------------------------------------------------------------------------
 
-# each scheme's information from the points (T, R, phi_tr) at n_s -/+ step
-def _hom_information(points, step, vector=_hom_click_vector):
-    return _distribution_information(vector(*splitter_moments(*points)), step)
+# each scheme's information from the _stencil_points (T, R, phi_tr)
+def _hom_information(points, vector=_hom_click_vector):
+    return _distribution_information(vector(*splitter_moments(*points)))
 
 
-def _classical_information(points, probe, step):
-    return _information(coherent_output_means(*points, probe), step)
+def _classical_information(points, probe):
+    return _information(coherent_output_means(*points, probe))
 
 
 def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-               polarization: str = "tm", step: float = DEFAULT_NS_STEP,
-               outcomes: str = "click"):
+               polarization: str = "tm", outcomes: str = "click"):
     """Information carried by the photon-pair probe.
 
     outcomes selects the detection model: "click" (default) counts the
     number of ports that fired, "pair" resolves the joint photon numbers
     and therefore carries at least as much information.
-
-    wavelength_nm, theta_deg and n_s broadcast against each other; the
-    result has their broadcast shape, and is a float for scalar inputs.
     """
-    if outcomes == "click":
-        vector = _hom_click_vector
-    elif outcomes == "pair":
-        vector = _hom_pair_vector
-    else:
+    vector = {"click": _hom_click_vector,
+              "pair": _hom_pair_vector}.get(outcomes)
+    if vector is None:
         raise ConfigError("outcomes must be 'click' or 'pair', got %r"
                           % (outcomes,))
-    return _hom_information(_points_around(
-        stack, wavelength_nm, theta_deg, n_s, polarization, step), step,
-        vector)
+    return _hom_information(_stencil_points(
+        stack, wavelength_nm, theta_deg, n_s, polarization), vector)
 
 
 def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                      phi_ab: float | None = None,
                      probe: CoherentInput | None = None,
-                     polarization: str = "tm", step: float = DEFAULT_NS_STEP):
+                     polarization: str = "tm"):
     """Information carried by the coherent probe's two output counters.
 
     Independent Poissonian outputs admit the closed form
@@ -194,29 +189,24 @@ def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     the same central difference used elsewhere.  phi_ab overrides the
     probe phase (unit intensities); pass a full CoherentInput via probe
     for anything fancier.
-
-    wavelength_nm, theta_deg and n_s broadcast against each other; the
-    result has their broadcast shape, and is a float for scalar inputs.
     """
     if probe is None:
         probe = CoherentInput() if phi_ab is None \
             else CoherentInput(phi_ab=float(phi_ab))
     elif phi_ab is not None:
         raise ConfigError("give phi_ab or probe, not both")
-    return _classical_information(_points_around(
-        stack, wavelength_nm, theta_deg, n_s, polarization, step), probe,
-        step)
+    return _classical_information(_stencil_points(
+        stack, wavelength_nm, theta_deg, n_s, polarization), probe)
 
 
 def fisher_schemes(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                   phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm",
-                   step: float = DEFAULT_NS_STEP):
+                   phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm"):
     """(fisher_hom, fisher_classical at phi_ab) from one stack_response
     call: the single-frequency twin of continuum.continuum_fisher."""
-    points = _points_around(stack, wavelength_nm, theta_deg, n_s,
-                            polarization, step)
-    return _hom_information(points, step), _classical_information(
-        points, CoherentInput(phi_ab=float(phi_ab)), step)
+    points = _stencil_points(stack, wavelength_nm, theta_deg, n_s,
+                             polarization)
+    return _hom_information(points), _classical_information(
+        points, CoherentInput(phi_ab=float(phi_ab)))
 
 
 def precision_bound(info):
@@ -278,9 +268,7 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                          scheme: str = "hom",
                          probe: CoherentInput | None = None,
                          polarization: str = "tm",
-                         phi_tr_assumption: float | None = None,
-                         tau_step: float = DECOMP_STEP,
-                         ns_step: float = DEFAULT_NS_STEP
+                         phi_tr_assumption: float | None = None
                          ) -> DecompositionResult:
     """Resolve the information over the (T, R, phi_tr) channels.
 
@@ -293,11 +281,11 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     response.  wavelength_nm, theta_deg and n_s broadcast.
 
     The (T, R, phi) partials use the five-point stencil
-    (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / (12 h), whose truncation
-    error ~h^4 matters for entries that vanish identically at symmetric
-    points (plain second-order differences leave a residue well above
-    the verification tolerances there).  All four offsets along all
-    three axes are one model call.
+    (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / (12 h), h = DECOMP_STEP, whose
+    truncation error ~h^4 matters for entries that vanish identically at
+    symmetric points (plain second-order differences leave a residue well
+    above the verification tolerances there).  All four offsets along
+    all three axes are one model call.
 
     For the classical scheme with equal intensities (a = b) at the
     quadrature probe phase phi_ab = pi/2, the Poisson closed form of the
@@ -310,6 +298,13 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     not a quarter wave, so the quarter-wave diagnostic with no T-R cross
     term is reproduced by passing phi_tr_assumption = pi/2.
     """
+    return _decompose(_stencil_points(stack, wavelength_nm, theta_deg, n_s,
+                                      polarization, centre=True),
+                      scheme, probe, phi_tr_assumption)
+
+
+def _decompose(points, scheme="hom", probe=None, phi_tr_assumption=None):
+    """fisher_decomposition from its _stencil_points with the centre."""
     probe = probe or CoherentInput()
     if scheme == "hom":
         def model(T, R, phi):
@@ -323,26 +318,25 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
         raise ConfigError("scheme must be 'hom' or 'classical', got %r"
                           % (scheme,))
 
-    resp = stack_response(stack, wavelength_nm, theta_deg, n_s, polarization)
-    T, R, phi = validate_points(resp.T, resp.R, resp.phi_tr)
+    T, R, phi = (x[..., 2] for x in points)
     if phi_tr_assumption is not None:
         phi = np.full_like(phi, phi_tr_assumption)
     tau = np.stack([T, R, phi], axis=-1)
 
     # (..., offset, axis, coordinate): tau moved by offset * h along axis
     moved = tau[..., None, None, :] \
-        + (_STENCIL[:, None, None] * tau_step) * np.eye(3)
+        + (_STENCIL[:, None, None] * DECOMP_STEP) * np.eye(3)
     f = model(*np.moveaxis(moved, -1, 0))           # (..., offset, axis, K)
     partials = (f[..., 0, :, :] - 8.0 * f[..., 1, :, :]
-                + 8.0 * f[..., 2, :, :] - f[..., 3, :, :]) / (12.0 * tau_step)
+                + 8.0 * f[..., 2, :, :] - f[..., 3, :, :]) \
+        / (12.0 * DECOMP_STEP)
     p0 = model(T, R, phi)[..., None, None, :]
     alive = p0 > ZERO_PROB_FLOOR
     matrix = np.sum(np.where(
         alive, partials[..., :, None, :] * partials[..., None, :, :]
         / np.where(alive, p0, 1.0), 0.0), axis=-1)
 
-    jac = np.stack(response_derivatives(stack, wavelength_nm, theta_deg, n_s,
-                                        polarization, ns_step), axis=-1)
+    jac = np.stack(stencil_derivatives(*points), axis=-1)
     contracted = (jac[..., None, :] @ matrix @ jac[..., :, None])[..., 0, 0]
     return DecompositionResult(
         matrix=matrix, jacobian=jac, contracted=_as_result(contracted),
@@ -377,16 +371,16 @@ class FisherReport:
 
 
 def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                  phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm",
-                  step: float = DEFAULT_NS_STEP) -> FisherReport:
+                  phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm"
+                  ) -> FisherReport:
     """Evaluate both schemes, the enhancement and the HOM decomposition
-    on the broadcast grid: one call of each evaluator."""
-    i_h, i_c = fisher_schemes(stack, wavelength_nm, theta_deg, n_s, phi_ab,
-                              polarization, step)
+    on the broadcast grid, all from one ns_stencil call."""
+    points = _stencil_points(stack, wavelength_nm, theta_deg, n_s,
+                             polarization, centre=True)
+    i_h = _hom_information(points)
+    i_c = _classical_information(points, CoherentInput(phi_ab=float(phi_ab)))
     g, g_defined = defined_ratio(i_h - i_c, i_c)
-    decomp = fisher_decomposition(stack, wavelength_nm, theta_deg, n_s,
-                                  scheme="hom", polarization=polarization,
-                                  ns_step=step)
+    decomp = _decompose(points)
     return FisherReport(
         i_hom=i_h, i_classical=i_c, g=_as_result(g),
         g_defined=g_defined[()], decomposition=decomp.matrix,
@@ -413,8 +407,7 @@ class PhaseScanResult:
 def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                 alpha_sq: float = 1.0, beta_sq: float = 1.0,
                 n_points: int = 721, polarization: str = "tm",
-                phi_tr_assumption: float | None = None,
-                step: float = DEFAULT_NS_STEP, refine: bool = True
+                phi_tr_assumption: float | None = None, refine: bool = True
                 ) -> PhaseScanResult:
     """Scan the coherent probe's relative phase over [-pi, pi].
 
@@ -429,18 +422,18 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                           % (n_points,))
     probe = CoherentInput(alpha_sq, beta_sq)  # validates the intensities
     grid = np.linspace(-np.pi, np.pi, int(n_points), endpoint=False)
-    T, R, phi = _points_around(stack, wavelength_nm, theta_deg, float(n_s),
-                               polarization, step)
+    T, R, phi = _stencil_points(stack, wavelength_nm, theta_deg, float(n_s),
+                                polarization)
     if phi_tr_assumption is not None:
         phi = np.full_like(phi, phi_tr_assumption)
     moments = splitter_moments(T, R, phi)
 
     def info(phi_ab):
-        """Information per phase; the -/+ step axis trails the phases."""
+        """Information per phase; the +/- h axis trails the phases."""
         mu = np.maximum(_coherent_mean_pair(
             *moments, probe.alpha_sq, probe.beta_sq,
             np.asarray(phi_ab)[..., None]), 0.0)
-        return _information(mu, step)
+        return _information(mu)
 
     values = info(grid)
     k = int(np.argmax(values))
@@ -557,20 +550,19 @@ def _with_prism_index(stack: LayerStack, n_prism: float) -> LayerStack:
 def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
                        theta_deg: float = 70.0, n_analyte: float = 1.32,
                        sources: tuple[BudgetSource, ...] | None = None,
-                       polarization: str = "tm",
-                       step: float = BUDGET_STEP) -> BudgetReport:
+                       polarization: str = "tm") -> BudgetReport:
     """Convert instrumental disturbances into equivalent index errors.
 
     The monitored signal S is the two-photon coincidence probability.
     For each source the sensitivity c = |dS/dx| / |dS/dn_s| rescales the
     disturbance into the index error it masquerades as; sigma = c s /
-    divisor.  All derivatives are central differences with `step` in
-    the variable's own unit (degrees, RIU, nm).
+    divisor.  All derivatives are central differences with the step
+    h = BUDGET_STEP in the variable's own unit (degrees, RIU, nm).
 
     The budget is undefined at the dip.  UndefinedRatioError is raised
-    when the coincidence extremum lies within +-step of n_analyte, so
-    the index slope is not resolved: the parabola through S(n - step),
-    S(n) and S(n + step) has its vertex at distance |S'/S''| <= step.
+    when the coincidence extremum lies within +-h of n_analyte, so
+    the index slope is not resolved: the parabola through S(n - h),
+    S(n) and S(n + h) has its vertex at distance |S'/S''| <= h.
 
     Per-kind details: the polarization model mixes the TM and TE
     coincidence signals by intensity, S(gamma) = cos^2(gamma) S_tm +
@@ -580,33 +572,35 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     same process); its c is reported per meter.
     """
     sources = sources if sources is not None else load_budget_sources()
+    h = BUDGET_STEP
 
     def signal(n_s, stk=None, theta=theta_deg):
         return _coincidence_signal(stk if stk is not None else stack,
                                    wavelength_nm, theta, n_s, polarization)
 
-    s_minus, s_0, s_plus = (signal(n_analyte - step), signal(n_analyte),
-                            signal(n_analyte + step))
-    slope = (s_plus - s_minus) / (2 * step)
-    curvature = (s_plus - 2.0 * s_0 + s_minus) / step ** 2
-    if abs(slope) <= step * abs(curvature):
+    def central(f, x):
+        return (f(x + h) - f(x - h)) / (2 * h)
+
+    s_minus, s_0, s_plus = (signal(n_analyte - h), signal(n_analyte),
+                            signal(n_analyte + h))
+    slope = (s_plus - s_minus) / (2 * h)
+    curvature = (s_plus - 2.0 * s_0 + s_minus) / h ** 2
+    if abs(slope) <= h * abs(curvature):
         vertex = abs(slope / curvature) if curvature else 0.0
         raise UndefinedRatioError(
             "degenerate operating point: the coincidence extremum lies "
             "within +-%r of n_analyte=%r (vertex distance %.3g), so the "
             "index slope is not resolved; the budget is undefined at the dip"
-            % (step, n_analyte, vertex))
+            % (h, n_analyte, vertex))
 
     rows = []
     for src in sources:
         if src.kind == "incidence_angle":
-            d = (signal(n_analyte, theta=theta_deg + step)
-                 - signal(n_analyte, theta=theta_deg - step)) / (2 * step)
+            d = central(lambda th: signal(n_analyte, theta=th), theta_deg)
         elif src.kind == "prism_index":
             n0 = stack.layers[0].material.index(wavelength_nm).real
-            d = (signal(n_analyte, stk=_with_prism_index(stack, n0 + step))
-                 - signal(n_analyte, stk=_with_prism_index(stack, n0 - step))
-                 ) / (2 * step)
+            d = central(lambda n: signal(
+                n_analyte, stk=_with_prism_index(stack, n)), n0)
         elif src.kind == "polarization_angle":
             s_tm = _coincidence_signal(stack, wavelength_nm, theta_deg,
                                        n_analyte, "tm")
@@ -617,8 +611,7 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
                 g = math.radians(gamma_deg)
                 return math.cos(g) ** 2 * s_tm + math.sin(g) ** 2 * s_te
 
-            gamma0 = src.s  # evaluate where the offset actually sits
-            d = (mixed(gamma0 + step) - mixed(gamma0 - step)) / (2 * step)
+            d = central(mixed, src.s)  # where the offset actually sits
         elif src.kind == "film_thickness":
             d_m = float(stack.layers[1].thickness_nm)
             d_s = float(stack.layers[2].thickness_nm)
@@ -627,8 +620,7 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
                 stk = stack.with_thickness({1: d_nm, 2: d_s, 3: d_nm})
                 return signal(n_analyte, stk=stk)
 
-            per_nm = (at_film(d_m + step) - at_film(d_m - step)) / (2 * step)
-            d = per_nm * 1e9  # report per meter to match SI uncertainty
+            d = central(at_film, d_m) * 1e9  # per meter, as SI uncertainty
         else:  # pragma: no cover - guarded at load time
             raise ConfigError("unknown budget source kind %r" % (src.kind,))
         c = abs(d) / abs(slope)

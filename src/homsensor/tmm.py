@@ -58,6 +58,7 @@ _BISECTION_LEVELS = 8
 # but it stops shrinking at the float spacing long before.
 _BISECTION_MAX_LEVELS = 80
 _POLARIZATIONS = ("tm", "te")
+NS_STEP = 1e-6  # central-difference step (RIU) of every n_s derivative
 
 
 # ---------------------------------------------------------------------------
@@ -376,41 +377,46 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     return StackResponse(t=t, r=r, T=T, R=R, phi_tr=phi)
 
 
-def response_at_offsets(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                        offsets, polarization: str = "tm") -> StackResponse:
-    """stack_response at n_s + offsets, the offsets on a new trailing axis
-    of the broadcast grid of the other inputs (one call)."""
+def ns_stencil(stack: LayerStack, wavelength_nm, theta_deg, n_s,
+               polarization: str = "tm", centre: bool = False
+               ) -> StackResponse:
+    """stack_response at n_s + NS_STEP, n_s - NS_STEP and, with centre,
+    n_s, in that order on a new trailing axis of the broadcast grid of
+    the other inputs (all arrays, so a scalar point computes as a grid
+    point does): the one call behind every n_s derivative."""
     def trailing(x):
         return np.asarray(x, dtype=float)[..., None]
 
+    offsets = np.array([NS_STEP, -NS_STEP, 0.0][:3 if centre else 2])
     return stack_response(stack, trailing(wavelength_nm), trailing(theta_deg),
-                          trailing(n_s) + np.asarray(offsets, dtype=float),
-                          polarization)
+                          trailing(n_s) + offsets, polarization)
+
+
+def stencil_derivatives(T, R, phi_tr):
+    """Central-difference d(T, R, phi_tr)/d n_s from values on the
+    trailing (+h, -h, 0) axis of ns_stencil, h = NS_STEP.
+
+    The phase derivative unwraps the +/- h values onto the branch
+    nearest the centre value before differencing, so a point near the
+    +/- pi seam does not produce a spurious 2 pi / (2 h) spike.
+    """
+    T, R, phi = (np.moveaxis(np.asarray(x), -1, 0) for x in (T, R, phi_tr))
+
+    def near(x):
+        return phi[2] + np.mod(x - phi[2] + np.pi, 2.0 * np.pi) - np.pi
+
+    return ((T[0] - T[1]) / (2.0 * NS_STEP), (R[0] - R[1]) / (2.0 * NS_STEP),
+            (near(phi[0]) - near(phi[1])) / (2.0 * NS_STEP))
 
 
 def response_derivatives(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                         polarization: str = "tm", step: float = 1e-6):
-    """Central-difference d(T, R, phi_tr)/d n_s at the given point(s).
-
-    The phase derivative unwraps the +/- step values onto the branch
-    nearest the center value before differencing, so a point near the
-    +/- pi seam does not produce a spurious 2 pi / (2 h) spike.
-
-    One stack_response call evaluates n_s + step, n_s - step and n_s on
-    a trailing axis of the broadcast grid.
-    """
-    resp = response_at_offsets(stack, wavelength_nm, theta_deg, n_s,
-                               [step, -step, 0.0], polarization)
-    T, R, phi = (np.moveaxis(np.asarray(x), -1, 0)
-                 for x in (resp.T, resp.R, resp.phi_tr))
-
-    def _near(phi, ref):
-        return ref + np.mod(phi - ref + np.pi, 2.0 * np.pi) - np.pi
-
-    dT = (T[0] - T[1]) / (2.0 * step)
-    dR = (R[0] - R[1]) / (2.0 * step)
-    dphi = (_near(phi[0], phi[2]) - _near(phi[1], phi[2])) / (2.0 * step)
-    return dT, dR, dphi
+                         polarization: str = "tm"):
+    """Central-difference d(T, R, phi_tr)/d n_s at the given point(s):
+    stencil_derivatives of one ns_stencil call, so the step is the
+    module's NS_STEP, the step of every n_s derivative in the package."""
+    resp = ns_stencil(stack, wavelength_nm, theta_deg, n_s, polarization,
+                      centre=True)
+    return stencil_derivatives(resp.T, resp.R, resp.phi_tr)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ import math
 import numpy as np
 
 from homsensor.errors import ConfigError
-from homsensor.estimation import DEFAULT_NS_STEP, fisher_from_distribution
+from homsensor.estimation import fisher_from_distribution
 from homsensor.quantum_stats import (POISSON_L_MAX, CoherentInput,
                                      coherent_output_means, poisson_pair_grid,
                                      validate_points)
-from homsensor.tmm import (PHASE_AMPLITUDE_FLOOR, _cosines_from_indices,
-                           _flux_factor, _resolve_ns, stack_response)
+from homsensor.tmm import (NS_STEP, PHASE_AMPLITUDE_FLOOR,
+                           _cosines_from_indices, _flux_factor, _resolve_ns,
+                           stack_response)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ def _count_grid(stack, wavelength_nm, theta_deg, n, probe, polarization,
 
 def fisher_classical_counts(stack, wavelength_nm, theta_deg, n_s,
                             probe=None, polarization="tm",
-                            step=DEFAULT_NS_STEP, l_max=POISSON_L_MAX):
+                            step=NS_STEP, l_max=POISSON_L_MAX):
     """Coherent-probe information from the explicit joint count grid.
 
     Numerically redundant with fisher_classical (the Poisson closed
@@ -231,7 +232,7 @@ def fisher_classical_counts(stack, wavelength_nm, theta_deg, n_s,
 
 def mixed_phase_classical_fisher(stack, wavelength_nm, theta_deg, n_s,
                                  phi_ab_magnitude=None, probe=None,
-                                 polarization="tm", step=DEFAULT_NS_STEP,
+                                 polarization="tm", step=NS_STEP,
                                  l_max=POISSON_L_MAX):
     """Coherent-probe information without a locked phase sign.
 

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from homsensor import __version__, cli, continuum, tmm
-from homsensor.estimation import DEFAULT_NS_STEP, RATIO_FLOOR
+from homsensor.estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR
 from homsensor.materials import Material, constant_material
 from homsensor.quantum_stats import CLAMP_FLOOR
-from homsensor.tmm import CALIBRATION_TOL, Layer, LayerStack, save_stack
+from homsensor.tmm import (CALIBRATION_TOL, NS_STEP, Layer, LayerStack,
+                           save_stack)
 
 FIXTURE_STACK = Path(__file__).resolve().parents[1] / "bench" / "fixtures" \
     / "stack.json"
@@ -255,15 +256,24 @@ def _count_calls(monkeypatch):
     return calls, index_points
 
 
-def test_fisher_is_one_pass(tmp_path, monkeypatch):
-    """`fisher` with the phase scan makes a handful of stack_response
-    calls on a loaded stack, not one set per index point."""
+def _fisher_calls(tmp_path, monkeypatch, policy):
     calls, _ = _count_calls(monkeypatch)
     code, out = _run(tmp_path, "fisher", {"stack_path": str(FIXTURE_STACK),
-                                          "phi_ab_policy": "scan"})
+                                          "phi_ab_policy": policy})
     assert code == 0
-    assert (out / "phase_scan.csv").exists()
-    assert 0 < len(calls) <= 6
+    assert (out / "phase_scan.csv").exists() == (policy == "scan")
+    return len(calls)
+
+
+def test_fisher_is_one_pass(tmp_path, monkeypatch):
+    """`fisher` with the phase scan makes two stack_response calls on a
+    loaded stack: one n_s stencil for the whole index grid (both schemes
+    and the decomposition) and one for the scan."""
+    assert _fisher_calls(tmp_path, monkeypatch, "scan") == 2
+
+
+def test_fisher_without_scan_is_one_call(tmp_path, monkeypatch):
+    assert _fisher_calls(tmp_path, monkeypatch, "fixed") == 1
 
 
 def test_continuum_evaluates_each_bandwidth_once(tmp_path, monkeypatch):
@@ -618,9 +628,11 @@ def test_run_metadata_reports_library_tolerances(tmp_path):
     meta = json.loads((out / "budget_run.json").read_text())
     assert meta["tolerances"] == {
         "calibration_tol_abs_imbalance": CALIBRATION_TOL,
-        "derivative_step_riu": DEFAULT_NS_STEP,
+        "derivative_noise_floor": DERIV_FLOOR,
+        "derivative_step_riu": NS_STEP,
         "probability_clamp": -CLAMP_FLOOR,
         "ratio_floor": RATIO_FLOOR,
+        "zero_prob_floor": ZERO_PROB_FLOOR,
     }
 
 

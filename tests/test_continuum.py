@@ -10,9 +10,9 @@ from homsensor import continuum
 from homsensor.continuum import (continuum_fisher, continuum_hom_moments,
                                  default_grid, omega_to_wavelength_nm,
                                  quadrature_grid, spectral_profile)
-from homsensor.estimation import DEFAULT_NS_STEP, fisher_classical, fisher_hom
+from homsensor.estimation import fisher_classical, fisher_hom
 from homsensor.quantum_stats import splitter_moments
-from homsensor.tmm import load_stack, stack_response
+from homsensor.tmm import NS_STEP, load_stack, stack_response
 
 from oracles import eigenvalue_legendre_rule
 
@@ -111,7 +111,7 @@ def test_block_working_set_is_bounded(fixture_stack):
     grid = default_grid(fixture_stack, spectral_profile(800.0, 9.4))
     args = (fixture_stack, omega_to_wavelength_nm(grid.nodes), 70.0,
             np.linspace(1.25, 1.34, 20)[:, None, None]
-            + np.array([[-DEFAULT_NS_STEP], [DEFAULT_NS_STEP]]))
+            + np.array([[NS_STEP], [-NS_STEP]]))
     stack_response(*args)  # materials and caches loaded before tracing
     tracemalloc.start()
     try:

@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+from homsensor import estimation, tmm
 from homsensor.errors import ConfigError, UndefinedRatioError
 from homsensor.estimation import (
-    BUDGET_STEP, BudgetSource, CoherentInput, _coincidence_signal,
-    defined_ratio, fisher_classical, fisher_decomposition,
-    fisher_from_distribution, fisher_hom, fisher_report, fisher_schemes,
-    load_budget_sources, phi_ab_scan, precision_bound, uncertainty_budget,
+    BUDGET_STEP, DEAD_INFO_SHARE, DERIV_FLOOR, ZERO_PROB_FLOOR, BudgetSource,
+    CoherentInput, _coincidence_signal, defined_ratio, fisher_classical,
+    fisher_decomposition, fisher_from_distribution, fisher_hom,
+    fisher_report, fisher_schemes, load_budget_sources, phi_ab_scan,
+    precision_bound, uncertainty_budget,
 )
 from homsensor.materials import constant_material
 from homsensor.quantum_stats import (
@@ -68,14 +70,17 @@ def test_relabeling_invariance(stack):
 
 
 def test_dead_outcome_carrying_information_warns():
-    # The third outcome stays below ZERO_PROB_FLOOR (1e-16 .. 9e-16) but
-    # moves by 4e-10 per RIU, so at least (4e-10)^2 / 1e-15 = 1.6e-4 of
-    # information is skipped against 0.04 carried by the live outcomes.
+    # The third outcome stays below ZERO_PROB_FLOOR (0.5 +- 0.04 of it)
+    # but moves by 4 DERIV_FLOOR per RIU, so at least
+    # (4 DERIV_FLOOR)^2 / ZERO_PROB_FLOOR = 1.6e-3 of information is
+    # skipped against 0.04 carried by the live outcomes.
     def dist(n):
-        eps = 5e-16 + 4e-10 * n
+        eps = 0.5 * ZERO_PROB_FLOOR + 4.0 * DERIV_FLOOR * n
         a = 0.5 + 0.1 * n
         return np.array([1.0 - a - eps, a, eps])
 
+    assert (4.0 * DERIV_FLOOR) ** 2 / ZERO_PROB_FLOOR \
+        > DEAD_INFO_SHARE * 0.04
     with pytest.warns(UserWarning, match="underestimated"):
         fisher_from_distribution(dist, 0.0)
 
@@ -114,6 +119,23 @@ def test_hom_precision_scale(stack):
 
 def test_hom_zero_for_flat_stack():
     assert fisher_hom(flat_stack(), 800.0, 40.0, 1.5) == 0.0
+
+
+@pytest.mark.parametrize("theta", [40.0, 70.0])
+def test_flat_stack_information_vanishes_on_grid(theta):
+    """With no n_s dependence the response moves only by rounding; the
+    noise floors keep that noise out of every scheme's information,
+    without a dead-outcome warning."""
+    lams = np.linspace(795.0, 805.0, 41)[:, None]
+    ns = np.linspace(1.29, 1.32, 31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for info in (fisher_hom(flat_stack(), lams, theta, ns),
+                     fisher_hom(flat_stack(), lams, theta, ns,
+                                outcomes="pair"),
+                     fisher_classical(flat_stack(), lams, theta, ns)):
+            assert info.shape == (41, 31)
+            assert np.max(info) <= 1e-12
 
 
 def test_pair_outcomes_carry_at_least_click_information(stack):
@@ -465,6 +487,23 @@ def test_fisher_report_on_grid_matches_point_reports(stack):
         assert bool(rep.g_defined[k]) == bool(one.g_defined)
         assert rep.contracted[k] == pytest.approx(
             one.contracted, abs=1e-9 * np.max(rep.contracted))
+
+
+@pytest.mark.parametrize("evaluate", [fisher_report, fisher_decomposition])
+def test_report_and_decomposition_make_one_call(stack, monkeypatch, evaluate):
+    """The n_s stencil with its centre feeds the schemes, the operating
+    point and the jacobian: one stack_response call for the grid."""
+    calls = []
+    original = tmm.stack_response
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (tmm, estimation):
+        monkeypatch.setattr(module, "stack_response", counting)
+    evaluate(stack, 800.0, 70.0, np.linspace(1.25, 1.34, 7))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
