@@ -8,6 +8,7 @@ can be estimated from photon statistics behind it.
 
 Layering, bottom up:
 
+* records: the frozen-record base class of every record type below,
 * materials: tabulated/constant refractive indices (gold built in),
 * tmm: transfer-matrix response of layer stacks and the calibration
   search for a balanced splitter,

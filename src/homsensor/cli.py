@@ -48,7 +48,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -62,6 +61,7 @@ from .estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR, \
     phi_ab_scan, uncertainty_budget
 from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, \
     hom_click_distribution, validate_points
+from .records import Record
 from .tmm import CALIBRATION_TOL, NS_STEP, calibrate_stack, load_stack, \
     save_stack, stack_response
 
@@ -103,7 +103,10 @@ def _as_float(value, key):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("config key %r must be a number, got %r"
                           % (key, value))
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ConfigError("config key %r: %s" % (key, exc)) from exc
     if not math.isfinite(x):
         raise ConfigError("config key %r must be finite" % (key,))
     return x
@@ -442,8 +445,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Record):
     """One CSV a body returns.  Its '#' lines are the pipeline's shared
     header, then `notes`, then `columns: <legend>`."""
 

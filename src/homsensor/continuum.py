@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .estimation import _distribution_information, _information
 from .quantum_stats import (DEFAULT_PHI_AB, _coherent_mean_pair,
                             _hom_click_vector, splitter_moments,
                             validate_points)
+from .records import Record
 from .tmm import NS_STEP, LayerStack, stack_response
 
 C_NM_PER_S = 2.99792458e17     # speed of light in nm/s
@@ -62,8 +62,7 @@ _NEWTON_STEPS = 3
 # spectral profile and quadrature grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralProfile:
+class SpectralProfile(Record):
     """Transform-limited Gaussian wavepacket in angular frequency.
 
     delta_omega is the FWHM of the intensity spectrum |xi|^2, derived
@@ -127,8 +126,7 @@ def stack_omega_window(stack: LayerStack) -> tuple[float, float] | None:
             2.0 * math.pi * C_NM_PER_S / lo_nm)
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(Record):
     """Gauss-Legendre nodes/weights on the integration window."""
 
     nodes: np.ndarray

@@ -48,7 +48,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -58,6 +57,7 @@ from .quantum_stats import (CLAMP_FLOOR, DEFAULT_PHI_AB, CoherentInput,
                             _coherent_mean_pair, _hom_click_vector,
                             _hom_pair_vector, bs_point, coherent_output_means,
                             splitter_moments, validate_points)
+from .records import Record, replace
 from .tmm import (NS_STEP, LayerStack, constant_material, ns_stencil,
                   stack_response, stencil_derivatives)
 
@@ -235,8 +235,7 @@ def defined_ratio(num, den):
 # information decomposition over (T, R, phi_tr)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     """Fisher-information matrix over the splitter parameters.
 
     matrix[..., a, b] = sum_outcomes (d P / d tau_a)(d P / d tau_b) / P
@@ -347,8 +346,7 @@ def _decompose(points, scheme="hom", probe=None, phi_tr_assumption=None):
 # combined report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FisherReport:
+class FisherReport(Record):
     """Both information figures, their ratio and the decomposition.
 
     Fields have the inputs' broadcast shape leading (floats for scalar
@@ -393,8 +391,7 @@ def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
 # coherent relative-phase scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhaseScanResult:
+class PhaseScanResult(Record):
     """Coherent-probe information as a function of the probe phase."""
 
     phi_ab: np.ndarray
@@ -459,8 +456,7 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
 # uncertainty budget
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BudgetSource:
+class BudgetSource(Record):
     """One instrumental disturbance: its size and reference sensitivity.
 
     name/kind identify the mechanism; s is the one-sigma disturbance in
@@ -479,8 +475,7 @@ class BudgetSource:
     reference_sigma: float = math.nan
 
 
-@dataclass(frozen=True)
-class BudgetRow:
+class BudgetRow(Record):
     """Computed budget line for one source."""
 
     source: BudgetSource
@@ -488,8 +483,7 @@ class BudgetRow:
     sigma: float      # c * s / divisor, equivalent index error
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(Record):
     rows: tuple[BudgetRow, ...]
     signal_slope: float   # dS/dn_s at the operating point
 
@@ -539,12 +533,11 @@ def _coincidence_signal(stack, wavelength_nm, theta_deg, n_s, polarization):
 
 
 def _with_prism_index(stack: LayerStack, n_prism: float) -> LayerStack:
-    from dataclasses import replace as _replace
     prism = constant_material("prism", n_prism)
     layers = list(stack.layers)
-    layers[0] = _replace(layers[0], material=prism)
-    layers[-1] = _replace(layers[-1], material=prism)
-    return _replace(stack, layers=tuple(layers))
+    layers[0] = replace(layers[0], material=prism)
+    layers[-1] = replace(layers[-1], material=prism)
+    return replace(stack, layers=tuple(layers))
 
 
 def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .errors import MaterialDataError, WavelengthRangeError
+from .records import Record
 
 _GOLD_RESOURCE = "gold_johnson_christy_1972.csv"
 
@@ -30,8 +30,7 @@ _GOLD_RESOURCE = "gold_johnson_christy_1972.csv"
 # material table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaterialTable:
+class MaterialTable(Record):
     """Tabulated dispersion: n(lambda) + i k(lambda) on a wavelength grid.
 
     Attributes
@@ -110,8 +109,7 @@ class MaterialTable:
 # material wrapper (table or constant)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Material:
+class Material(Record):
     """A dispersive (tabulated) or constant-index optical medium."""
 
     name: str

@@ -47,11 +47,11 @@ scalar response.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnphysicalPointError
+from .records import Record
 from .tmm import StackResponse
 
 CLAMP_FLOOR = -1e-12          # below this a probability is an error
@@ -212,8 +212,7 @@ def hom_click_distribution(T, R, phi_tr):
 # coherent-state benchmark
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoherentInput:
+class CoherentInput(Record):
     """Two coherent beams: mean photon numbers and relative phase.
 
     alpha_sq and beta_sq are |alpha|^2 and |beta|^2; phi_ab is

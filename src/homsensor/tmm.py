@@ -36,13 +36,13 @@ phi_tr = arg(r) - arg(t).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (CalibrationError, StackDefinitionError,
                      UnphysicalPointError)
 from .materials import Material, MaterialTable, constant_material, gold_jc
+from .records import Record, replace
 
 DEFAULT_PRISM_INDEX = 1.5
 # Amplitudes at or below this are treated as zero when a phase is
@@ -65,8 +65,7 @@ NS_STEP = 1e-6  # central-difference step (RIU) of every n_s derivative
 # stack definition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(Record):
     """One slab: a material plus a thickness in nm.
 
     thickness_nm is None for the two terminal half-spaces and a finite
@@ -78,8 +77,7 @@ class Layer:
     thickness_nm: float | np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class LayerStack:
+class LayerStack(Record):
     """An ordered stack of layers, first and last semi-infinite.
 
     sample_layer names the interior layer whose refractive index is the
@@ -184,8 +182,7 @@ def make_sensor_stack(d_metal_nm: float = 50.0, d_sample_nm: float = 500.0,
 # response
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StackResponse:
+class StackResponse(Record):
     """Amplitudes and intensity coefficients at one (or a grid of) points.
 
     t, r are the complex transmission and reflection amplitudes; T, R
@@ -423,8 +420,7 @@ def response_derivatives(stack: LayerStack, wavelength_nm, theta_deg, n_s,
 # calibration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(Record):
     """Outcome of the balanced-splitter thickness search."""
 
     stack: LayerStack
@@ -659,6 +655,18 @@ def _null_or(kinds: tuple, value, what: str):
         what, " or ".join(kind.__name__ for kind in kinds), value))
 
 
+def _null_or_number(value, what: str):
+    """value if it is null or an int or float (not a bool) that a float
+    can hold, as the layer and response arithmetic needs."""
+    value = _null_or((int, float), value, what)
+    if value is not None:
+        try:
+            float(value)
+        except OverflowError as exc:  # an int beyond the float range
+            raise StackDefinitionError("%s: %s" % (what, exc)) from exc
+    return value
+
+
 def stack_from_dict(d: dict) -> LayerStack:
     """The stack a stack_to_dict description holds.  A thickness is a
     number or null, since one file holds one stack; StackDefinitionError
@@ -668,16 +676,16 @@ def stack_from_dict(d: dict) -> LayerStack:
                                    % (type(d).__name__,))
     try:
         layers = tuple(Layer(_material_from_dict(ld["material"]),
-                             _null_or((int, float), ld["thickness_nm"],
-                                      "thickness_nm"))
+                             _null_or_number(ld["thickness_nm"],
+                                             "thickness_nm"))
                        for ld in d["layers"])
     except KeyError as exc:
         raise StackDefinitionError("missing key %s" % (exc,)) from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise StackDefinitionError("malformed layer: %s" % (exc,)) from exc
     sample = _null_or((int,), d.get("sample_layer"), "sample_layer")
     return LayerStack(layers=layers, sample_layer=sample,
-                      sample_n=d.get("sample_n"),
+                      sample_n=_null_or_number(d.get("sample_n"), "sample_n"),
                       name=d.get("name", "stack"))
 
 

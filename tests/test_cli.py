@@ -1,7 +1,6 @@
 """Command-line front end: grid subcommands end to end, exit codes."""
 
 import csv
-import dataclasses
 import importlib
 import importlib.util
 import json
@@ -18,6 +17,7 @@ from homsensor import __version__, cli, continuum, tmm
 from homsensor.estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR
 from homsensor.materials import Material, constant_material
 from homsensor.quantum_stats import CLAMP_FLOOR
+from homsensor.records import replace
 from homsensor.tmm import (CALIBRATION_TOL, NS_STEP, Layer, LayerStack,
                            save_stack)
 
@@ -404,8 +404,7 @@ def test_unphysical_point_names_its_block_rows(tmp_path, monkeypatch,
 
     def nan_above(stack, wavelength_nm, theta_deg, n_s, polarization):
         resp = original(stack, wavelength_nm, theta_deg, n_s, polarization)
-        return dataclasses.replace(resp, T=np.where(n_s > 1.315, np.nan,
-                                                    resp.T))
+        return replace(resp, T=np.where(n_s > 1.315, np.nan, resp.T))
 
     monkeypatch.setattr(continuum, "stack_response", nan_above)
     monkeypatch.setattr(cli, "BLOCK_POINTS", 2 * ONE_ROW["continuum"])
@@ -569,6 +568,20 @@ def test_non_dual_film_stack_path_exits_1(tmp_path, capsys, layers,
     assert not out.exists()
 
 
+# a JSON number that no float can hold: 1 followed by 400 zeros
+HUGE_INT = 10 ** 400
+
+
+def test_config_number_too_large_for_a_float_exits_1(tmp_path, capsys):
+    code, out = _run(tmp_path, "spectrum", {"stack_path": str(FIXTURE_STACK),
+                                            "wavelength_nm": HUGE_INT})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: config key 'wavelength_nm': int too large to " \
+        "convert to float\n"
+    assert not out.exists()
+
+
 def _with_layer(d, j, layer):
     return {**d, "layers": [layer if i == j else old
                             for i, old in enumerate(d["layers"])]}
@@ -602,6 +615,12 @@ MALFORMED_STACKS = {
     "short_constant": (lambda d: json.dumps(_with_layer(
         d, 0, {**d["layers"][0], "material": {"constant": [1.5]}})),
         "material constant must be [re, im], got [1.5]"),
+    "huge_thickness": (lambda d: json.dumps(_with_layer(
+        d, 2, {**d["layers"][2], "thickness_nm": HUGE_INT})),
+        "thickness_nm: int too large to convert to float"),
+    "huge_constant": (lambda d: json.dumps(_with_layer(
+        d, 0, {**d["layers"][0], "material": {"constant": [HUGE_INT, 0]}})),
+        "malformed layer: int too large to convert to float"),
 }
 
 

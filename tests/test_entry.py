@@ -148,12 +148,23 @@ def test_continuum_run_leaves_numpy_polynomial_unloaded(tmp_path):
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    """The records are built without dataclasses' code generation."""
+    out = _python("-c", "import sys, numpy\n"
+                  "before = set(sys.modules)\n"
+                  "import homsensor.cli\n"
+                  "print(sorted(m for m in set(sys.modules) - before\n"
+                  "             if m.split('.')[0] == 'dataclasses'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_import_loads_no_submodule():
     assert _loaded_after("import homsensor") == "['homsensor']"
     assert _loaded_after(
         "import homsensor; homsensor.load_stack(%r)" % str(FIXTURE_STACK)) \
         == str(["homsensor", "homsensor.errors", "homsensor.materials",
-                "homsensor.tmm"])
+                "homsensor.records", "homsensor.tmm"])
 
 
 def test_public_names_resolve():

@@ -644,6 +644,15 @@ def test_stack_dict_roundtrip(stack):
     assert b.t == a.t and b.r == a.r
 
 
+@pytest.mark.parametrize("sample_n", ["abc", True])
+def test_stack_from_dict_checks_sample_n(stack, sample_n):
+    """sample_n is checked when the stack is read, as thickness_nm is,
+    not when a response first uses it."""
+    with pytest.raises(StackDefinitionError, match="sample_n must be null "
+                       "or of type int or float, got %r" % (sample_n,)):
+        stack_from_dict({**stack_to_dict(stack), "sample_n": sample_n})
+
+
 def test_stack_file_roundtrip(stack, tmp_path):
     path = tmp_path / "stack.json"
     save_stack(stack, path)
