@@ -63,7 +63,7 @@ from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, \
     hom_click_distribution, validate_points
 from .records import Record
 from .tmm import CALIBRATION_TOL, NS_STEP, calibrate_stack, load_stack, \
-    save_stack, stack_response
+    save_stack, sensor_thicknesses, stack_response
 
 # The interpreter's built-in SHA-256 gives hashlib's digest without
 # loading OpenSSL, which costs every process a few ms and MB for one id.
@@ -82,6 +82,9 @@ _CELL_FORMATS = {str: "%s", bool: "%d", np.bool_: "%d", int: "%d",
                  float: CSV_FLOAT_FORMAT, np.float64: CSV_FLOAT_FORMAT}
 # stack_response points per call of _in_blocks: cache-sized temporaries
 BLOCK_POINTS = 8192
+# Most points any config size may ask for (a grid or list, n_nodes,
+# phase_scan_points); paper resolution needs at most 721 (phases).
+MAX_GRID_POINTS = 100_000
 
 # Tolerances recorded in every metadata file, read from the library
 # constants so a run can be audited from its outputs alone.
@@ -112,10 +115,18 @@ def _as_float(value, key):
     return x
 
 
+def _check_size(count, key):
+    if count > MAX_GRID_POINTS:
+        raise ConfigError("config key %r asks for more than %d points"
+                          % (key, MAX_GRID_POINTS))
+
+
 def _as_int(value, key):
+    """An integer key; each one is a point count."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("config key %r must be an integer, got %r"
                           % (key, value))
+    _check_size(value, key)
     return int(value)
 
 
@@ -164,8 +175,10 @@ def _as_grid(value, key):
             raise ConfigError("grid %r step must be positive" % (key,))
         if stop < start:
             raise ConfigError("grid %r has stop < start" % (key,))
+        _check_size(_grid_count(start, stop, step), key)
         return {"start": start, "stop": stop, "step": step}
     if isinstance(value, list):
+        _check_size(len(value), key)
         pts = [_as_float(v, key) for v in value]
         if not pts:
             raise ConfigError("grid %r is empty" % (key,))
@@ -179,6 +192,7 @@ def _as_grid(value, key):
 def _as_float_list(value, key):
     if not isinstance(value, list) or not value:
         raise ConfigError("config key %r must be a non-empty list" % (key,))
+    _check_size(len(value), key)
     return [_as_float(v, key) for v in value]
 
 
@@ -293,13 +307,18 @@ def load_config(path, command) -> dict:
             for key, (default, coerce) in schema.items()}
 
 
+def _grid_count(start, stop, step):
+    """Points of the grid {start, stop, step}; inf when no int holds it."""
+    steps = (stop - start) / step + 1e-9
+    return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+
+
 def grid_values(spec) -> np.ndarray:
     """Materialize a normalized grid spec into an ascending array."""
     if isinstance(spec, list):
         return np.asarray(spec, dtype=float)
     start, stop, step = spec["start"], spec["stop"], spec["step"]
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    return start + step * np.arange(_grid_count(start, stop, step))
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +363,9 @@ def run_identifier(command, cfg) -> str:
 
 
 def _stack_summary(stack) -> dict:
-    return {
-        "d_metal_nm": float(stack.layers[1].thickness_nm),
-        "d_sample_nm": float(stack.layers[2].thickness_nm),
-        "layer_names": [layer.material.name for layer in stack.layers],
-    }
+    d_metal, d_sample = sensor_thicknesses(stack)
+    return {"d_metal_nm": d_metal, "d_sample_nm": d_sample,
+            "layer_names": [layer.material.name for layer in stack.layers]}
 
 
 def write_metadata(out_dir, command, cfg, run_id, stack, cal_info, outputs):
@@ -372,39 +389,31 @@ def _resolve_stack(cfg):
     """The operating stack plus a record of where it came from.
 
     A stack_path short-circuits calibration (the file is trusted to
-    describe a balanced splitter) but must have the dual-film shape the
-    outputs label (films at layers 1 and 3, sample at 2); otherwise the
-    default geometry is calibrated at the configured target and the
-    result recorded.
+    describe a balanced splitter) but must hold the dual-film layout the
+    outputs label, which tmm.sensor_thicknesses, its one reader, checks;
+    otherwise the default geometry is calibrated at the configured
+    target and the result recorded.
     """
     if cfg["stack_path"] is not None:
         stack = load_stack(cfg["stack_path"])
-        if stack.n_layers != 5 or stack.sample_layer != 2:
-            raise StackDefinitionError(
-                "stack_path %r has %d layers with sample_layer=%r; expected "
-                "the 5-layer dual-film geometry (half-space | film | sample "
-                "| film | half-space) with sample_layer=2"
-                % (cfg["stack_path"], stack.n_layers, stack.sample_layer))
+        try:
+            sensor_thicknesses(stack)
+        except StackDefinitionError as exc:
+            raise StackDefinitionError("stack file %s: %s"
+                                       % (cfg["stack_path"], exc)) from exc
         return stack, {"source": "stack_path", "path": cfg["stack_path"]}
-    cal = cfg["calibration"]
+    return _calibrate(cfg["calibration"], cfg["polarization"])
+
+
+def _calibrate(cal, polarization):
+    """The stack balanced at operating point cal, and its metadata record."""
     result = calibrate_stack(wavelength_nm=cal["wavelength_nm"],
                              theta_deg=cal["theta_deg"],
                              n_s_target=cal["target_ns"],
-                             polarization=cfg["polarization"])
-    return result.stack, _calibration_info(result)
-
-
-def _calibration_info(result) -> dict:
-    """The metadata record of an automatic calibration."""
-    return {
-        "source": "auto",
-        "target_ns": result.n_s_target,
-        "wavelength_nm": result.wavelength_nm,
-        "theta_deg": result.theta_deg,
-        "d_metal_nm": result.d_metal_nm,
-        "d_sample_nm": result.d_sample_nm,
-        "residual": result.residual,
-    }
+                             polarization=polarization)
+    d_metal, d_sample = sensor_thicknesses(result.stack)
+    return result.stack, {"source": "auto", **cal, "d_metal_nm": d_metal,
+                          "d_sample_nm": d_sample, "residual": result.residual}
 
 
 def _prepare_out_dir(path):
@@ -428,19 +437,17 @@ def cmd_calibrate(args) -> int:
     # checked as config values are: nan and inf exit 1
     cfg = {key: _as_float(getattr(args, key), key)
            for key in CALIBRATION_DEFAULTS}
-    result = calibrate_stack(wavelength_nm=cfg["wavelength_nm"],
-                             theta_deg=cfg["theta_deg"],
-                             n_s_target=cfg["target_ns"])
+    stack, info = _calibrate(cfg, "tm")
     print("calibrated: d_metal_nm=%s d_sample_nm=%s residual=%s"
-          % (_fmt_cell(result.d_metal_nm), _fmt_cell(result.d_sample_nm),
-             _fmt_cell(result.residual)))
+          % tuple(_fmt_cell(info[key])
+                  for key in ("d_metal_nm", "d_sample_nm", "residual")))
     if args.out is not None:
         _prepare_out_dir(args.out)
         run_id = run_identifier("calibrate", cfg)
         stack_file = os.path.join(args.out, "calibrated_stack.json")
-        save_stack(result.stack, stack_file)
-        write_metadata(args.out, "calibrate", cfg, run_id, result.stack,
-                       _calibration_info(result), ["calibrated_stack.json"])
+        save_stack(stack, stack_file)
+        write_metadata(args.out, "calibrate", cfg, run_id, stack, info,
+                       ["calibrated_stack.json"])
         print("wrote %s" % stack_file)
     return 0
 
@@ -653,8 +660,7 @@ def run_command(args) -> int:
         "homsensor %s output (version %s)" % (args.command, __version__),
         "run_id: %s" % run_id,
         "stack: d_metal_nm=%s d_sample_nm=%s"
-        % (_fmt_cell(stack.layers[1].thickness_nm),
-           _fmt_cell(stack.layers[2].thickness_nm)),
+        % tuple(map(_fmt_cell, sensor_thicknesses(stack))),
         " ".join("%s=%s" % (key, _fmt_cell(cfg[key]))
                  for key in settings),
     )

@@ -183,6 +183,9 @@ def quadrature_grid(profile: SpectralProfile, n_nodes: int = DEFAULT_NODES,
     """
     if n_nodes < 2:
         raise ConfigError("quadrature needs at least 2 nodes")
+    if not span > 0.0:
+        raise ConfigError("quadrature span must be positive, got %r"
+                          % (span,))
     lo = profile.omega0 - span * profile.delta_omega
     hi = profile.omega0 + span * profile.delta_omega
     clipped = False

@@ -57,9 +57,10 @@ from .quantum_stats import (CLAMP_FLOOR, DEFAULT_PHI_AB, CoherentInput,
                             _coherent_mean_pair, _hom_click_vector,
                             _hom_pair_vector, bs_point, coherent_output_means,
                             splitter_moments, validate_points)
-from .records import Record, replace
-from .tmm import (NS_STEP, LayerStack, constant_material, ns_stencil,
-                  stack_response, stencil_derivatives)
+from .records import Record
+from .tmm import (NS_STEP, LayerStack, ns_stencil, prism_index,
+                  sensor_thicknesses, stack_response, stencil_derivatives,
+                  with_prism_index, with_sensor_thicknesses)
 
 ZERO_PROB_FLOOR = -CLAMP_FLOOR  # outcomes below the clamp's noise: impossible
 DERIV_FLOOR = 1e-8  # ~100 eps / (2 NS_STEP): a derivative's rounding noise
@@ -532,14 +533,6 @@ def _coincidence_signal(stack, wavelength_nm, theta_deg, n_s, polarization):
     return float(_hom_pair_vector(*splitter_moments(*point))[-1])
 
 
-def _with_prism_index(stack: LayerStack, n_prism: float) -> LayerStack:
-    prism = constant_material("prism", n_prism)
-    layers = list(stack.layers)
-    layers[0] = replace(layers[0], material=prism)
-    layers[-1] = replace(layers[-1], material=prism)
-    return replace(stack, layers=tuple(layers))
-
-
 def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
                        theta_deg: float = 70.0, n_analyte: float = 1.32,
                        sources: tuple[BudgetSource, ...] | None = None,
@@ -591,9 +584,9 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
         if src.kind == "incidence_angle":
             d = central(lambda th: signal(n_analyte, theta=th), theta_deg)
         elif src.kind == "prism_index":
-            n0 = stack.layers[0].material.index(wavelength_nm).real
+            n0 = prism_index(stack, wavelength_nm)
             d = central(lambda n: signal(
-                n_analyte, stk=_with_prism_index(stack, n)), n0)
+                n_analyte, stk=with_prism_index(stack, n)), n0)
         elif src.kind == "polarization_angle":
             s_tm = _coincidence_signal(stack, wavelength_nm, theta_deg,
                                        n_analyte, "tm")
@@ -606,11 +599,10 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
 
             d = central(mixed, src.s)  # where the offset actually sits
         elif src.kind == "film_thickness":
-            d_m = float(stack.layers[1].thickness_nm)
-            d_s = float(stack.layers[2].thickness_nm)
+            d_m, d_s = sensor_thicknesses(stack)
 
             def at_film(d_nm):
-                stk = stack.with_thickness({1: d_nm, 2: d_s, 3: d_nm})
+                stk = with_sensor_thicknesses(stack, d_nm, d_s)
                 return signal(n_analyte, stk=stk)
 
             d = central(at_film, d_m) * 1e9  # per meter, as SI uncertainty

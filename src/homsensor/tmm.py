@@ -25,6 +25,9 @@ The sensing geometry of interest is prism | metal film | sample gap |
 metal film | prism: a symmetric pair of attenuated-total-reflection
 metal films that together behave as a lossy beamsplitter whose split
 ratio and phase depend sharply on the index of the medium in the gap.
+This module alone reads and writes that layout, through
+make_sensor_stack, sensor_thicknesses (which checks it), prism_index
+and the with_* copies; no other module indexes a stack's layers.
 
 Conventions: exp(-i omega t) time dependence; complex index n + ik with
 k >= 0; for TM polarization the Fresnel coefficients are written in the
@@ -178,6 +181,44 @@ def make_sensor_stack(d_metal_nm: float = 50.0, d_sample_nm: float = 500.0,
     )
 
 
+def sensor_thicknesses(stack: LayerStack) -> tuple[float, float]:
+    """(d_metal_nm, d_sample_nm) of a make_sensor_stack layout whose two
+    films have one material description and thickness: the mirror
+    symmetry, S = [[t, r], [r, t]], that every outcome model assumes."""
+    if stack.n_layers != 5 or stack.sample_layer != 2:
+        raise StackDefinitionError(
+            "stack %r has %d layers with sample_layer=%r; expected the "
+            "5-layer dual-film geometry (half-space | film | sample | film "
+            "| half-space) with sample_layer=2"
+            % (stack.name, stack.n_layers, stack.sample_layer))
+    _, film, gap, other, _ = stack.layers
+    described = stack_to_dict(stack)["layers"]  # one number per thickness
+    if described[1] != described[3]:
+        raise StackDefinitionError(
+            "stack %r is not mirror-symmetric: film 1 (%s nm of %r) and "
+            "film 3 (%s nm of %r) differ in material or thickness"
+            % (stack.name, film.thickness_nm, film.material.name,
+               other.thickness_nm, other.material.name))
+    return float(film.thickness_nm), float(gap.thickness_nm)
+
+
+def with_sensor_thicknesses(stack, d_metal_nm, d_sample_nm) -> LayerStack:
+    """The sensor stack with new film and gap thicknesses (or arrays)."""
+    return stack.with_thickness({1: d_metal_nm, 2: d_sample_nm,
+                                 3: d_metal_nm})
+
+
+def prism_index(stack: LayerStack, wavelength_nm) -> float:
+    """Real index of the entrance prism at wavelength_nm."""
+    return stack.layers[0].material.index(wavelength_nm).real
+
+
+def with_prism_index(stack: LayerStack, n_prism: float) -> LayerStack:
+    """Copy of the stack with both prisms of constant index n_prism."""
+    prism = Layer(constant_material("prism", n_prism))
+    return replace(stack, layers=(prism, *stack.layers[1:-1], prism))
+
+
 # ---------------------------------------------------------------------------
 # response
 # ---------------------------------------------------------------------------
@@ -244,6 +285,15 @@ def _check_theta(theta_deg):
             "incidence angle must satisfy 0 <= theta < 90 degrees")
 
 
+def _check_sample_index(ns):
+    """A constant Material's rule for the sample index: Re(n_s) > 0."""
+    bad = ns.real <= 0.0
+    if np.any(bad):
+        raise StackDefinitionError(
+            "sample index: Re(n_s) must be positive, got %.6g"
+            % (ns.real[bad][0],))
+
+
 def _check_polarization(polarization):
     if polarization not in _POLARIZATIONS:
         raise StackDefinitionError(
@@ -300,6 +350,8 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
         lam.shape, th.shape, np.shape(n_s),
         *(np.shape(layer.thickness_nm) for layer in stack.layers[1:-1]))
     ns = None if n_s is None else np.asarray(n_s, dtype=complex)
+    if ns is not None:
+        _check_sample_index(ns)
 
     n_list = [ns if j == stack.sample_layer
               else np.asarray(layer.material.index(lam), dtype=complex)
@@ -424,24 +476,7 @@ class CalibrationResult(Record):
     """Outcome of the balanced-splitter thickness search."""
 
     stack: LayerStack
-    d_metal_nm: float
-    d_sample_nm: float
     residual: float          # |T - R| at the target point
-    wavelength_nm: float
-    theta_deg: float
-    n_s_target: float
-    changed: bool            # False when the input stack already balanced
-
-
-def _require_sensor_shape(stack: LayerStack):
-    if stack.n_layers != 5 or stack.sample_layer != 2:
-        raise StackDefinitionError(
-            "calibration expects the 5-layer dual-film geometry "
-            "(half-space | film | sample | film | half-space) with "
-            "sample_layer=2")
-    if stack.layers[1].material is not stack.layers[3].material:
-        raise StackDefinitionError(
-            "calibration expects both films to share one material")
 
 
 def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.0,
@@ -478,25 +513,21 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
     index (a non-unique crossing would make the dip ambiguous).
     """
     stack = stack if stack is not None else make_sensor_stack()
-    _require_sensor_shape(stack)
+    d_m0, d_s0 = sensor_thicknesses(stack)
 
     def imbalance(d_m, d_s):
         """T - R with film d_m; d_s may be an array of gap thicknesses."""
-        trial = stack.with_thickness({1: d_m, 2: d_s, 3: d_m})
+        trial = with_sensor_thicknesses(stack, d_m, d_s)
         resp = stack_response(trial, wavelength_nm, theta_deg, n_s_target,
                               polarization)
         return resp.T - resp.R
-
-    d_m0 = float(stack.layers[1].thickness_nm)
-    d_s0 = float(stack.layers[2].thickness_nm)
 
     # fixed point: an already balanced stack is left alone
     res0 = float(abs(imbalance(d_m0, d_s0)))
     if res0 < tol:
         _check_unique_crossing(stack, wavelength_nm, theta_deg, n_s_target,
                                polarization)
-        return CalibrationResult(stack, d_m0, d_s0, res0, wavelength_nm,
-                                 theta_deg, n_s_target, changed=False)
+        return CalibrationResult(stack, res0)
 
     metal_grid = np.arange(d_metal_bounds[0], d_metal_bounds[1] + 0.5, 1.0)
     sample_grid = np.arange(d_sample_bounds[0], d_sample_bounds[1] + 1.0, 4.0)
@@ -526,11 +557,10 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
         raise CalibrationError(
             "bisection stalled: residual |T - R| = %.3g at d_metal=%.6g, "
             "d_sample=%.6g" % (residual, d_m, d_s))
-    calibrated = stack.with_thickness({1: d_m, 2: d_s, 3: d_m})
+    calibrated = with_sensor_thicknesses(stack, d_m, d_s)
     _check_unique_crossing(calibrated, wavelength_nm, theta_deg, n_s_target,
                            polarization)
-    return CalibrationResult(calibrated, d_m, d_s, residual,
-                             wavelength_nm, theta_deg, n_s_target, changed=True)
+    return CalibrationResult(calibrated, residual)
 
 
 def _bisect_crossings(imbalance, lo, hi, glo):

@@ -568,6 +568,25 @@ def test_non_dual_film_stack_path_exits_1(tmp_path, capsys, layers,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("film", [
+    {"thickness_nm": 25.0},
+    {"material": {"constant": [0.2, 5.0]}},
+], ids=["thicker", "constant"])
+def test_asymmetric_stack_path_exits_1(tmp_path, capsys, film):
+    """The outcome models assume a mirror-symmetric splitter: a fixture
+    whose second film differs is refused, naming the file and films."""
+    d = json.loads(FIXTURE_STACK.read_text())
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(_with_layer(d, 3, {**d["layers"][3], **film})))
+    code, out = _run(tmp_path, "fisher", {"stack_path": str(path)})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: stack file %s: " % path)
+    assert "not mirror-symmetric: film 1 (20.0 nm of 'Au') and film 3" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # a JSON number that no float can hold: 1 followed by 400 zeros
 HUGE_INT = 10 ** 400
 
@@ -579,6 +598,71 @@ def test_config_number_too_large_for_a_float_exits_1(tmp_path, capsys):
     assert code == 1
     assert err == "error: config key 'wavelength_nm': int too large to " \
         "convert to float\n"
+    assert not out.exists()
+
+
+# (command, key, a value beyond cli.MAX_GRID_POINTS points)
+OVERSIZED = {
+    "scan_points_huge": ("fisher", "phase_scan_points", HUGE_INT),
+    "scan_points_limit": ("fisher", "phase_scan_points",
+                          cli.MAX_GRID_POINTS + 1),
+    "nodes_huge": ("continuum", "n_nodes", HUGE_INT),
+    "nodes_limit": ("continuum", "n_nodes", cli.MAX_GRID_POINTS + 1),
+    "grid_tiny_step": ("coincidence", "n_s_grid",
+                       {"start": 1.30, "stop": 1.31, "step": 1e-300}),
+    "grid_limit": ("coincidence", "n_s_grid",
+                   {"start": 1.0, "stop": 1.0 + cli.MAX_GRID_POINTS,
+                    "step": 1.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_config_size_beyond_the_limit_exits_1(tmp_path, capsys, case):
+    """Every size a config sets is checked at load, before anything of
+    that size is built."""
+    command, key, value = OVERSIZED[case]
+    code, out = _run(tmp_path, command,
+                     {"stack_path": str(FIXTURE_STACK), key: value})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: config key %r asks for more than %d points\n"
+        % (key, cli.MAX_GRID_POINTS))
+    assert not out.exists()
+
+
+def test_config_size_at_the_limit_loads(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "n_s_grid": {"start": 1.0, "stop": cli.MAX_GRID_POINTS, "step": 1.0},
+        "n_nodes": cli.MAX_GRID_POINTS}))
+    cfg = cli.load_config(config, "continuum")
+    assert cfg["n_nodes"] == cli.MAX_GRID_POINTS
+    assert cli._grid_count(**cfg["n_s_grid"]) == cli.MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("coincidence", {"n_s_grid": [-1.3]}),
+    ("budget", {"n_analyte": -1.0}),
+], ids=["coincidence", "budget"])
+def test_nonpositive_sample_index_exits_1(tmp_path, capsys, command, cfg):
+    """stack_response is even in n_s, so -1.3 would be written with the
+    physics of +1.3."""
+    code, out = _run(tmp_path, command,
+                     {"stack_path": str(FIXTURE_STACK), **cfg})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: sample index: Re(n_s) must be positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("span", [-5.0, 0.0])
+def test_nonpositive_span_exits_1(tmp_path, capsys, span):
+    code, out = _run(tmp_path, "continuum", {
+        "stack_path": str(FIXTURE_STACK), "n_s_grid": [1.31], "n_nodes": 41,
+        "span": span})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: quadrature span must be positive, got %r\n" % (span,))
     assert not out.exists()
 
 

@@ -30,8 +30,7 @@ RECORDS = {
     LayerStack: (lambda: GLASS_STACK, True),
     StackResponse: (lambda: stack_response(GLASS_STACK, 800.0, 70.0, 1.33),
                     True),
-    CalibrationResult: (lambda: CalibrationResult(
-        GLASS_STACK, 20.0, 500.0, 1e-4, 800.0, 70.0, 1.31, True), True),
+    CalibrationResult: (lambda: CalibrationResult(GLASS_STACK, 1e-4), True),
     Material: (lambda: GLASS, True),
     MaterialTable: (lambda: MaterialTable([700.0, 900.0], [0.2, 0.3],
                                           [5.0, 6.0]), False),

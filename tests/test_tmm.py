@@ -16,7 +16,7 @@ from homsensor.materials import Material, MaterialTable, constant_material, \
 from homsensor.tmm import (
     Layer, LayerStack, _cosines_from_indices, calibrate_stack, fresnel,
     load_stack, make_sensor_stack, response_derivatives, save_stack,
-    stack_from_dict, stack_response, stack_to_dict,
+    sensor_thicknesses, stack_from_dict, stack_response, stack_to_dict,
 )
 
 from oracles import airy_flux, airy_response, sequential_bisection, \
@@ -493,11 +493,12 @@ def test_calibration_hits_target(calibration):
 
 def test_calibration_fixed_point(calibration):
     again = calibrate_stack(calibration.stack)
-    assert again.d_metal_nm == pytest.approx(calibration.d_metal_nm,
-                                             abs=1e-9)
-    assert again.d_sample_nm == pytest.approx(calibration.d_sample_nm,
-                                              abs=1e-9)
-    assert not again.changed
+    d_metal, d_sample = sensor_thicknesses(calibration.stack)
+    assert sensor_thicknesses(again.stack)[0] == pytest.approx(d_metal,
+                                                               abs=1e-9)
+    assert sensor_thicknesses(again.stack)[1] == pytest.approx(d_sample,
+                                                               abs=1e-9)
+    assert again.stack is calibration.stack
 
 
 def test_calibration_unique_crossing(calibration):
@@ -511,8 +512,9 @@ def test_calibration_unique_crossing(calibration):
 def test_calibration_matches_bench_fixture(calibration):
     """The default calibration reproduces the committed fixture stack."""
     fixture = load_stack(FIXTURE_STACK)
-    assert calibration.d_metal_nm == fixture.layers[1].thickness_nm
-    assert calibration.d_sample_nm == fixture.layers[2].thickness_nm
+    d_metal, d_sample = sensor_thicknesses(calibration.stack)
+    assert d_metal == fixture.layers[1].thickness_nm
+    assert d_sample == fixture.layers[2].thickness_nm
     assert calibration.stack.layers[3].thickness_nm \
         == fixture.layers[3].thickness_nm
 
@@ -520,8 +522,9 @@ def test_calibration_matches_bench_fixture(calibration):
 def test_calibration_is_bit_pinned(calibration):
     """The default calibration's gap, to the last bit: a reassociated
     transfer product moves it."""
-    assert calibration.d_metal_nm == 20.0
-    assert calibration.d_sample_nm == 502.4380797301368
+    d_metal, d_sample = sensor_thicknesses(calibration.stack)
+    assert d_metal == 20.0
+    assert d_sample == 502.4380797301368
     assert calibration.residual == 5.551115123125783e-16
 
 
@@ -562,10 +565,10 @@ def test_calibration_matches_sequential_bisection(monkeypatch, case):
     batched = calibrate_stack(**kwargs)
     monkeypatch.setattr(tmm, "_bisect_crossings", sequential_bisection)
     sequential = calibrate_stack(**kwargs)
-    assert batched.d_sample_nm == pytest.approx(gap_nm, abs=0.01)
-    assert (batched.d_metal_nm, batched.d_sample_nm, batched.residual) \
-        == (sequential.d_metal_nm, sequential.d_sample_nm,
-            sequential.residual)
+    assert sensor_thicknesses(batched.stack)[1] \
+        == pytest.approx(gap_nm, abs=0.01)
+    assert (*sensor_thicknesses(batched.stack), batched.residual) \
+        == (*sensor_thicknesses(sequential.stack), sequential.residual)
 
 
 def _counted(imbalance):
@@ -631,6 +634,43 @@ def test_calibration_failure_lists_range():
 def test_calibration_requires_sensor_shape():
     with pytest.raises(StackDefinitionError):
         calibrate_stack(slab_stack(1.5, 2.0, 100.0))
+
+
+@pytest.mark.parametrize("film", [
+    Layer(gold_jc(), 25.0),
+    Layer(constant_material("film", 0.2 + 5.0j), 20.0),
+], ids=["thicker", "constant"])
+def test_calibration_requires_mirror_symmetry(film):
+    """The outcome models assume S = [[t, r], [r, t]]: a second film of
+    another thickness or material is refused, not calibrated."""
+    prism, metal, gap, _, _ = make_sensor_stack(d_metal_nm=20.0).layers
+    stack = LayerStack(layers=(prism, metal, gap, film, prism),
+                       sample_layer=2, sample_n=1.31)
+    with pytest.raises(StackDefinitionError, match="not mirror-symmetric"):
+        calibrate_stack(stack)
+
+
+def test_sensor_films_compare_by_description():
+    """Two films of equal but distinct tables are alike (== on the records
+    would raise: their fields are numpy arrays)."""
+    def film():
+        table = MaterialTable([700.0, 900.0], [0.2, 0.3], [5.0, 6.0])
+        return Layer(Material("film", table=table), 20.0)
+
+    prism, _, gap, _, _ = make_sensor_stack().layers
+    stack = LayerStack(layers=(prism, film(), gap, film(), prism),
+                       sample_layer=2, sample_n=1.31)
+    assert stack.layers[1].material is not stack.layers[3].material
+    assert sensor_thicknesses(stack) == (20.0, 500.0)
+
+
+@pytest.mark.parametrize("n_s", [0.0, -1.31, np.array([1.31, -1.0])])
+def test_nonpositive_sample_index_is_rejected(stack, n_s):
+    """stack_response(n_s) equals stack_response(-n_s), so a sign slip
+    would pass silently; Re(n_s) > 0 is a constant Material's rule."""
+    with pytest.raises(StackDefinitionError,
+                       match=r"Re\(n_s\) must be positive"):
+        stack_response(stack, 800.0, 70.0, n_s)
 
 
 # ---------------------------------------------------------------------------
