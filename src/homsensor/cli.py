@@ -15,10 +15,10 @@ All physics subcommands read a JSON configuration (units are explicit
 in the key names, unknown keys are rejected) and write CSV tables plus
 a JSON run-metadata file into the output directory.  Outputs are
 deterministic: the same configuration produces byte-identical files,
-with no wall-clock, locale, or ordering dependence.  Numeric cells are
-printed with 12 significant digits; undefined ratios are emitted as
-`nan` next to a zero flag column rather than dropped, so every grid in
-every file is rectangular and complete.
+with no wall-clock, locale, or ordering dependence.  A table is typed
+columns of one length; floats print with 12 significant digits, and
+undefined ratios as `nan` next to a zero flag column rather than
+dropped, so every grid in every file is rectangular and complete.
 
 Each physics subcommand is one row of the table COMMANDS: its help
 text, its body and the config keys echoed on the settings line of its
@@ -48,7 +48,6 @@ import json
 import math
 import os
 import sys
-from typing import Iterable
 
 import numpy as np
 
@@ -75,11 +74,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-CSV_FLOAT_FORMAT = "%.12g"
-# %-conversions that print a cell of exactly this type as _fmt_cell does;
-# write_csv joins them into one format for rows typed like its first row
-_CELL_FORMATS = {str: "%s", bool: "%d", np.bool_: "%d", int: "%d",
-                 float: CSV_FLOAT_FORMAT, np.float64: CSV_FLOAT_FORMAT}
+# %-conversion of a column's cells by its dtype kind (numpy's dtype.kind)
+_KIND_FORMATS = {"f": "%.12g", "b": "%d", "i": "%d", "u": "%d", "U": "%s"}
 # stack_response points per call of _in_blocks: cache-sized temporaries
 BLOCK_POINTS = 8192
 # Most points any config size may ask for (a grid or list, n_nodes,
@@ -326,33 +322,28 @@ def grid_values(spec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fmt_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    return CSV_FLOAT_FORMAT % x
+    """A '#'-line or stdout scalar, printed as a CSV cell of its kind."""
+    return _KIND_FORMATS[np.asarray(value).dtype.kind] % value
 
 
-def write_csv(path, columns, rows, meta_lines=()):
-    """One CSV table: '#' metadata lines, a header line, data rows."""
+def write_csv(path, header, columns, meta_lines=()):
+    """One CSV table: '#' metadata lines, the header line, one row per
+    index of the columns, each column in the format of its dtype kind.
+    ValueError rejects another kind or unequal lengths before writing."""
+    columns = [np.asarray(column) for column in columns]
+    formats = [_KIND_FORMATS.get(column.dtype.kind) for column in columns]
+    if None in formats or len({len(column) for column in columns}) > 1:
+        found = [(column.dtype.name, len(column)) for column in columns]
+        raise ValueError("%s: columns (dtype, length) %s need one length and "
+                         "a dtype kind in %s"
+                         % (path, found, "".join(_KIND_FORMATS)))
+    fmt = ",".join(formats) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for line in meta_lines:
             f.write("# %s\n" % line)
-        f.write(",".join(columns) + "\n")
-        first = fmt = None
-        for row in rows:
-            kinds = tuple(map(type, row))
-            if first is None:
-                first = kinds
-                if all(kind in _CELL_FORMATS for kind in kinds):
-                    fmt = ",".join(map(_CELL_FORMATS.get, kinds)) + "\n"
-            f.write(fmt % tuple(row) if fmt and kinds == first
-                    else ",".join(map(_fmt_cell, row)) + "\n")
+        f.write(",".join(header) + "\n")
+        f.writelines(fmt % row for row in zip(*(column.tolist()
+                                                 for column in columns)))
 
 
 def run_identifier(command, cfg) -> str:
@@ -453,12 +444,12 @@ def cmd_calibrate(args) -> int:
 
 
 class Table(Record):
-    """One CSV a body returns.  Its '#' lines are the pipeline's shared
-    header, then `notes`, then `columns: <legend>`."""
+    """One CSV a body returns: `header` names the arrays in `columns`; its
+    '#' lines are the shared header, then `notes`, then `columns: <legend>`."""
 
     name: str
+    header: tuple
     columns: tuple
-    rows: Iterable
     legend: str
     notes: tuple = ()
 
@@ -467,10 +458,9 @@ def _spectrum(cfg, stack):
     theta = grid_values(cfg["theta_grid_deg"])
     resp = stack_response(stack, cfg["wavelength_nm"], theta, cfg["n_s"],
                           cfg["polarization"])
-    T, R = np.asarray(resp.T), np.asarray(resp.R)
     return "%d angles" % len(theta), [Table(
         "spectrum.csv", ("theta_deg", "T", "R", "A"),
-        zip(theta, T, R, 1.0 - T - R),
+        (theta, resp.T, resp.R, 1.0 - resp.T - resp.R),
         "theta_deg (incidence angle), T (transmittance), R (reflectance), "
         "A (absorbed fraction 1-T-R)")]
 
@@ -485,7 +475,7 @@ def _coincidence(cfg, stack):
         "coincidence.csv",
         ("n_s", "T", "R", "A", "abs_imbalance", "phi_tr", "p0_click",
          "p1_click", "p2_click"),
-        zip(ns, T, R, 1.0 - T - R, np.abs(T - R), phi, *clicks.T),
+        (ns, T, R, 1.0 - T - R, np.abs(T - R), phi, *clicks.T),
         "n_s (sample index), T, R, A, abs_imbalance (|T-R|), phi_tr "
         "(transmission-reflection phase, rad), p0_click, p1_click, p2_click "
         "(threshold-detector click probabilities)")]
@@ -500,8 +490,8 @@ def _fisher(cfg, stack):
         Table("fisher.csv",
               ("n_s", "i_hom", "i_classical", "g", "g_defined", "sigma_hom",
                "sigma_classical"),
-              zip(ns, rep.i_hom, rep.i_classical, rep.g, rep.g_defined,
-                  rep.precision_hom, rep.precision_classical),
+              (ns, rep.i_hom, rep.i_classical, rep.g, rep.g_defined,
+               rep.precision_hom, rep.precision_classical),
               "n_s, i_hom (pair-probe information), i_classical "
               "(coherent-probe information), g (fractional enhancement, nan "
               "where undefined), g_defined (1 valid, 0 sentinel), sigma_hom, "
@@ -509,8 +499,8 @@ def _fisher(cfg, stack):
         Table("decomposition.csv",
               ("n_s", "i_tt", "i_rr", "i_pp", "i_tr", "i_tp", "i_rp",
                "dt_dns", "dr_dns", "dphi_dns", "i_contracted"),
-              zip(ns, m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 0, 1],
-                  m[:, 0, 2], m[:, 1, 2], *rep.derivs.T, rep.contracted),
+              (ns, m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 0, 1],
+               m[:, 0, 2], m[:, 1, 2], *rep.derivs.T, rep.contracted),
               "n_s, pair-probe information matrix over (T, R, phi_tr) "
               "(i_tt..i_rp), response derivatives d(T,R,phi_tr)/dn_s, and "
               "their contraction J.M.J (equals the direct information)"),
@@ -524,7 +514,7 @@ def _fisher(cfg, stack):
                            phi_tr_assumption=frozen)
         tables.append(Table(
             "phase_scan.csv", ("phi_ab", "i_classical"),
-            zip(scan.phi_ab, scan.fisher),
+            (scan.phi_ab, scan.fisher),
             "phi_ab (probe relative phase, rad), i_classical (coherent-probe "
             "information)",
             ("phase scan at n_s=%s: phi_opt=%s fisher_opt=%s "
@@ -560,7 +550,7 @@ def _map(cfg, stack):
     return "%d x %d cells" % (len(lams), len(ns)), [Table(
         "map.csv",
         ("wavelength_nm", "n_s", "i_hom", "i_classical", "g", "g_defined"),
-        zip(*(a.ravel() for a in (lam_mesh, ns_mesh, i_h, i_c, g, defined))),
+        tuple(a.ravel() for a in (lam_mesh, ns_mesh, i_h, i_c, g, defined)),
         "wavelength_nm, n_s, i_hom, i_classical, g (fractional enhancement, "
         "nan where the coherent information vanishes), g_defined (1 valid, "
         "0 sentinel)",
@@ -575,19 +565,16 @@ def _budget(cfg, stack):
                                 sources=load_budget_sources(
                                     cfg["sources_path"]),
                                 polarization=cfg["polarization"])
-    rows = []
-    for row in report.rows:
-        src = row.source
-        sigma_ref = src.reference_c * src.s / src.divisor \
-            if math.isfinite(src.reference_c) else math.nan
-        rows.append((src.name, src.kind, src.s, src.unit, src.divisor,
-                     row.c, row.sigma, src.reference_c, src.reference_sigma,
-                     sigma_ref))
+    rows = [(src.name, src.kind, src.s, src.unit, src.divisor, row.c,
+             row.sigma, src.reference_c, src.reference_sigma,
+             src.reference_c * src.s / src.divisor
+             if math.isfinite(src.reference_c) else math.nan)
+            for row in report.rows for src in (row.source,)]
     return "%d sources" % len(rows), [Table(
         "budget.csv",
         ("name", "kind", "s", "unit", "divisor", "c", "sigma", "reference_c",
          "reference_sigma", "sigma_from_reference"),
-        rows,
+        tuple(zip(*rows)),  # no columns, and so no rows, without sources
         "name, kind, s (disturbance size), unit, divisor, c (computed "
         "sensitivity, RIU per unit), sigma (c*s/divisor), reference_c, "
         "reference_sigma (externally quoted values, nan when absent), "
@@ -604,7 +591,7 @@ def _continuum(cfg, stack):
     i_single = dict(zip(("hom", "classical"), _in_blocks(
         lambda block: fisher_schemes(stack, lam0, theta, ns[block], phi_ab,
                                      pol), len(ns), 2)))
-    rows = []
+    blocks = []  # the columns of each (bandwidth, scheme) block of rows
     for dlam in cfg["delta_lambda_nm_list"]:
         i_cont = dict(zip(("hom", "classical"), _in_blocks(
             lambda block: continuum_fisher(stack, lam0, dlam, theta, ns[block],
@@ -613,13 +600,14 @@ def _continuum(cfg, stack):
         for scheme in cfg["schemes"]:
             d, defined = defined_ratio(
                 np.abs(i_single[scheme] - i_cont[scheme]), i_single[scheme])
-            rows.extend(zip([dlam] * len(ns), [scheme] * len(ns), ns,
-                            i_single[scheme], i_cont[scheme], d, defined))
-    return "%d cells" % len(rows), [Table(
+            blocks.append((np.full(len(ns), dlam), np.full(len(ns), scheme),
+                           ns, i_single[scheme], i_cont[scheme], d, defined))
+    columns = tuple(map(np.concatenate, zip(*blocks)))
+    return "%d cells" % len(columns[0]), [Table(
         "continuum.csv",
         ("delta_lambda_nm", "scheme", "n_s", "i_single", "i_continuum", "d",
          "d_defined"),
-        rows,
+        columns,
         "delta_lambda_nm (FWHM bandwidth), scheme, n_s, i_single "
         "(single-frequency information), i_continuum (finite-bandwidth "
         "information), d (relative drift |i_single-i_continuum|/i_single, "
@@ -665,8 +653,8 @@ def run_command(args) -> int:
                  for key in settings),
     )
     for table in tables:
-        write_csv(os.path.join(args.out, table.name), table.columns,
-                  table.rows,
+        write_csv(os.path.join(args.out, table.name), table.header,
+                  table.columns,
                   header + table.notes + ("columns: " + table.legend,))
     names = sorted(table.name for table in tables)
     write_metadata(args.out, args.command, cfg, run_id, stack, cal_info,

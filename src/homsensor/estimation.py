@@ -27,12 +27,12 @@ Provided on top of the raw information are:
   prism index, polarization, film thickness) into equivalent index
   errors via sensitivity ratios of the coincidence signal.
 
-All but the budget are array-first: the evaluators, the decomposition
-and the report broadcast over wavelength, angle and n_s (a scalar input
-returns floats), and the scan over its phase grid.  Each makes one
-stack_response call through tmm.ns_stencil (n_s + h, n_s - h and, for
-the decomposition, n_s itself, on a trailing axis), validated once; the
-report's one call feeds both schemes and the decomposition.
+All are array-first: the evaluators, the decomposition and the report
+broadcast over wavelength, angle and n_s (a scalar input returns
+floats), the scan over its phase grid, and the budget makes one call
+per stack variant.  The others make one stack_response call through
+tmm.ns_stencil (n_s + h, n_s - h and, for the decomposition, n_s, on a
+trailing axis), validated once, which in the report feeds all three.
 defined_ratio is the one comparison with RATIO_FLOOR.
 
 Some closed-form diagnostics are conventionally quoted for an idealized
@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ConfigError, UndefinedRatioError
 from .quantum_stats import (CLAMP_FLOOR, DEFAULT_PHI_AB, CoherentInput,
                             _coherent_mean_pair, _hom_click_vector,
-                            _hom_pair_vector, bs_point, coherent_output_means,
+                            _hom_pair_vector, coherent_output_means,
                             splitter_moments, validate_points)
 from .records import Record
 from .tmm import (NS_STEP, LayerStack, ns_stencil, prism_index,
@@ -464,7 +464,8 @@ class BudgetSource(Record):
     `unit`; divisor divides the resulting index error (e.g. sqrt(N) for
     an averaged quantity); reference_c / reference_sigma are externally
     quoted sensitivity and index-error values used for cross-checks,
-    NaN when absent.
+    NaN when absent.  ConfigError rejects a value that would divide by
+    zero, print nan or break a CSV row (see __post_init__).
     """
 
     name: str
@@ -474,6 +475,23 @@ class BudgetSource(Record):
     divisor: float = 1.0
     reference_c: float = math.nan
     reference_sigma: float = math.nan
+
+    def __post_init__(self):
+        for field in ("name", "unit"):
+            text = getattr(self, field)
+            if not isinstance(text, str) or not text \
+                    or set(text) & set(',"\r\n'):
+                raise ConfigError(
+                    "budget source %s must be a non-empty string without "
+                    "commas, quotes or line breaks, got %r" % (field, text))
+        if self.kind not in _BUDGET_KINDS:
+            raise ConfigError("unknown budget source kind %r" % (self.kind,))
+        if not (math.isfinite(self.s) and self.s >= 0.0):
+            raise ConfigError("budget source %r: s must be finite and >= 0, "
+                              "got %r" % (self.name, self.s))
+        if not (math.isfinite(self.divisor) and self.divisor > 0.0):
+            raise ConfigError("budget source %r: divisor must be finite and "
+                              "> 0, got %r" % (self.name, self.divisor))
 
 
 class BudgetRow(Record):
@@ -498,7 +516,8 @@ _BUDGET_KINDS = ("incidence_angle", "prism_index", "polarization_angle",
 
 
 def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
-    """Budget sources from JSON; the packaged defaults when path is None."""
+    """Budget sources from JSON; the packaged defaults when path is None.
+    ConfigError names the file and the bad entry or value."""
     if path is None:
         text = (resources.files(__package__) / "data"
                 / _BUDGET_RESOURCE).read_text()
@@ -510,27 +529,19 @@ def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
             raise ConfigError("budget sources file %s is not UTF-8 text: %s"
                               % (path, exc)) from exc
     try:
-        raw = json.loads(text)
-        rows = []
-        for entry in raw["sources"]:
-            kind = entry["kind"]
-            if kind not in _BUDGET_KINDS:
-                raise ConfigError("unknown budget source kind %r" % (kind,))
-            rows.append(BudgetSource(
-                name=entry["name"], kind=kind, s=float(entry["s"]),
-                unit=entry["unit"], divisor=float(entry.get("divisor", 1.0)),
-                reference_c=float(entry.get("reference_c", math.nan)),
-                reference_sigma=float(entry.get("reference_sigma", math.nan)),
-            ))
+        return tuple(BudgetSource(
+            name=entry["name"], kind=entry["kind"], s=float(entry["s"]),
+            unit=entry["unit"], divisor=float(entry.get("divisor", 1.0)),
+            reference_c=float(entry.get("reference_c", math.nan)),
+            reference_sigma=float(entry.get("reference_sigma", math.nan)))
+            for entry in json.loads(text)["sources"])
+    except ConfigError as exc:
+        raise ConfigError("budget sources file %s: %s"
+                          % (path or _BUDGET_RESOURCE, exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("malformed budget sources: %s" % (exc,)) from exc
-    return tuple(rows)
-
-
-def _coincidence_signal(stack, wavelength_nm, theta_deg, n_s, polarization):
-    point = bs_point(stack_response(stack, wavelength_nm, theta_deg, n_s,
-                                    polarization))
-    return float(_hom_pair_vector(*splitter_moments(*point))[-1])
+        raise ConfigError("budget sources file %s: malformed budget "
+                          "sources: %s" % (path or _BUDGET_RESOURCE, exc)
+                          ) from exc
 
 
 def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
@@ -544,6 +555,11 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     disturbance into the index error it masquerades as; sigma = c s /
     divisor.  All derivatives are central differences with the step
     h = BUDGET_STEP in the variable's own unit (degrees, RIU, nm).
+
+    S takes one stack_response call per stack variant: the operating
+    stack's seven-point stencil (the centre, then n_s, theta and film
+    thickness +- h, as arrays); prism index n0 + h and n0 - h, one call
+    each (a constant medium holds one index); the other polarization.
 
     The budget is undefined at the dip.  UndefinedRatioError is raised
     when the coincidence extremum lies within +-h of n_analyte, so
@@ -560,17 +576,22 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     sources = sources if sources is not None else load_budget_sources()
     h = BUDGET_STEP
 
-    def signal(n_s, stk=None, theta=theta_deg):
-        return _coincidence_signal(stk if stk is not None else stack,
-                                   wavelength_nm, theta, n_s, polarization)
+    def signal(stk, theta, n_s, pol=polarization):
+        resp = stack_response(stk, wavelength_nm, theta, n_s, pol)
+        return _hom_pair_vector(*splitter_moments(*validate_points(
+            resp.T, resp.R, resp.phi_tr)))[..., -1]
 
-    def central(f, x):
-        return (f(x + h) - f(x - h)) / (2 * h)
+    def central(plus, minus):
+        return (plus - minus) / (2 * h)
 
-    s_minus, s_0, s_plus = (signal(n_analyte - h), signal(n_analyte),
-                            signal(n_analyte + h))
-    slope = (s_plus - s_minus) / (2 * h)
-    curvature = (s_plus - 2.0 * s_0 + s_minus) / h ** 2
+    dn, dtheta, dfilm = h * np.array([[0, 1, -1, 0, 0, 0, 0],   # centre, n_s
+                                      [0, 0, 0, 1, -1, 0, 0],   # theta
+                                      [0, 0, 0, 0, 0, 1, -1]])  # films
+    d_m, d_s = sensor_thicknesses(stack)
+    s = signal(with_sensor_thicknesses(stack, d_m + dfilm, d_s),
+               theta_deg + dtheta, n_analyte + dn)
+    slope = central(s[1], s[2])
+    curvature = (s[1] - 2.0 * s[0] + s[2]) / h ** 2
     if abs(slope) <= h * abs(curvature):
         vertex = abs(slope / curvature) if curvature else 0.0
         raise UndefinedRatioError(
@@ -582,33 +603,19 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     rows = []
     for src in sources:
         if src.kind == "incidence_angle":
-            d = central(lambda th: signal(n_analyte, theta=th), theta_deg)
+            d = central(s[3], s[4])
+        elif src.kind == "film_thickness":
+            d = central(s[5], s[6]) * 1e9  # per meter, as SI uncertainty
         elif src.kind == "prism_index":
             n0 = prism_index(stack, wavelength_nm)
-            d = central(lambda n: signal(
-                n_analyte, stk=with_prism_index(stack, n)), n0)
-        elif src.kind == "polarization_angle":
-            s_tm = _coincidence_signal(stack, wavelength_nm, theta_deg,
-                                       n_analyte, "tm")
-            s_te = _coincidence_signal(stack, wavelength_nm, theta_deg,
-                                       n_analyte, "te")
-
-            def mixed(gamma_deg):
-                g = math.radians(gamma_deg)
-                return math.cos(g) ** 2 * s_tm + math.sin(g) ** 2 * s_te
-
-            d = central(mixed, src.s)  # where the offset actually sits
-        elif src.kind == "film_thickness":
-            d_m, d_s = sensor_thicknesses(stack)
-
-            def at_film(d_nm):
-                stk = with_sensor_thicknesses(stack, d_nm, d_s)
-                return signal(n_analyte, stk=stk)
-
-            d = central(at_film, d_m) * 1e9  # per meter, as SI uncertainty
-        else:  # pragma: no cover - guarded at load time
-            raise ConfigError("unknown budget source kind %r" % (src.kind,))
-        c = abs(d) / abs(slope)
+            d = central(*(signal(with_prism_index(stack, n0 + x), theta_deg,
+                                 n_analyte) for x in (h, -h)))
+        else:  # polarization_angle: the stencil's centre or one more call
+            s_tm, s_te = (s[0] if pol == polarization else signal(
+                stack, theta_deg, n_analyte, pol) for pol in ("tm", "te"))
+            d = central(*(math.cos(g) ** 2 * s_tm + math.sin(g) ** 2 * s_te
+                          for g in map(math.radians, (src.s + h, src.s - h))))
+        c = float(abs(d) / abs(slope))
         rows.append(BudgetRow(source=src, c=c, sigma=c * src.s / src.divisor))
 
     return BudgetReport(rows=tuple(rows), signal_slope=float(slope))

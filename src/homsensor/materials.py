@@ -136,12 +136,11 @@ class Material(Record):
             object.__setattr__(self, "constant", c)
 
     def index(self, wavelength_nm):
-        """Complex index at wavelength(s) in nm (broadcasts for tables)."""
+        """Complex index at wavelength(s) in nm; a constant medium's is
+        its one scalar index, which broadcasts, whatever the shape."""
         if self.table is not None:
             return self.table.index(wavelength_nm)
-        if np.ndim(wavelength_nm) == 0:
-            return self.constant
-        return np.full(np.shape(wavelength_nm), self.constant, dtype=complex)
+        return self.constant
 
     def wavelength_window_nm(self) -> tuple[float, float] | None:
         """Valid wavelength window in nm, or None for a constant medium."""

@@ -101,19 +101,14 @@ def validate_points(T, R, phi_tr):
 
 
 def bs_point(resp: StackResponse) -> tuple[float, float, float]:
-    """Collapse a scalar stack response to its splitter operating point.
-
-    Returns the floats (T, R, phi_tr) that validate_points passed; a
-    violation here signals a sign or branch bug upstream rather than bad
-    user input.
-    """
-    T = np.asarray(resp.T, dtype=float)
-    R = np.asarray(resp.R, dtype=float)
-    phi = np.asarray(resp.phi_tr, dtype=float)
-    if T.shape or R.shape or phi.shape:
-        raise UnphysicalPointError(
-            "bs_point expects a scalar response, got shape %s" % (T.shape,))
-    return tuple(map(float, validate_points(T, R, phi)))
+    """Collapse a scalar stack response to its splitter operating point:
+    the floats (T, R, phi_tr) that validate_points passed.  A violation
+    signals a sign or branch bug upstream rather than bad user input."""
+    point = validate_points(resp.T, resp.R, resp.phi_tr)
+    if point[0].shape:
+        raise UnphysicalPointError("bs_point expects a scalar response, got "
+                                   "shape %s" % (point[0].shape,))
+    return tuple(map(float, point))
 
 
 def _clamp_probability(p, what: str):

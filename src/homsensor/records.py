@@ -4,15 +4,25 @@ A record class subclasses Record and lists its fields as class
 annotations, in order; a field with a class-level value defaults to it.
 Record supplies the keyword-or-positional constructor, which calls the
 class's __post_init__ (its validation hook), equality and hashing over
-the field values in order, the repr Name(field=value, ...), and
-assignment and deletion that raise AttributeError.  These methods are
-ordinary functions shared by every record, so defining a record class
-generates no code.  replace(record, **changes) rebuilds a record
-through its constructor, so the changed copy is validated again.
+the field values in order (an ndarray field by np.array_equal), the
+repr Name(field=value, ...), and assignment and deletion that raise
+AttributeError.  These methods are ordinary functions shared by every
+record, so defining a record class generates no code.  replace(record,
+**changes) rebuilds a record through its constructor, so the changed
+copy is validated again.
 
 A __post_init__ that normalizes a field stores the new value with
 object.__setattr__(self, name, value).
 """
+
+import numpy as np
+
+
+def _same_field(a, b) -> bool:
+    """Identity first, as tuples compare; an ndarray by np.array_equal."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is b or np.array_equal(a, b)
+    return a is b or a == b
 
 
 class Record:
@@ -62,7 +72,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_same_field, self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

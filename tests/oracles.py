@@ -8,6 +8,8 @@ information is computed from the explicit joint count grid instead of
 the Poisson closed form.  Two pin the library's arithmetic instead: the
 transfer loop written with tuple assignments, which stack_response must
 match bit for bit, and numpy's eigenvalue-based Gauss-Legendre rule.
+The scalar uncertainty budget evaluates one point per stack_response
+call, where the library evaluates one stencil per stack variant.
 """
 
 from __future__ import annotations
@@ -18,13 +20,16 @@ import math
 import numpy as np
 
 from homsensor.errors import ConfigError
-from homsensor.estimation import fisher_from_distribution
+from homsensor.estimation import (BUDGET_STEP, fisher_from_distribution,
+                                  load_budget_sources)
 from homsensor.quantum_stats import (POISSON_L_MAX, CoherentInput,
+                                     _hom_pair_vector, bs_point,
                                      coherent_output_means, poisson_pair_grid,
-                                     validate_points)
+                                     splitter_moments, validate_points)
 from homsensor.tmm import (NS_STEP, PHASE_AMPLITUDE_FLOOR,
                            _cosines_from_indices, _flux_factor, _resolve_ns,
-                           stack_response)
+                           prism_index, sensor_thicknesses, stack_response,
+                           with_prism_index, with_sensor_thicknesses)
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +326,58 @@ def sequential_bisection(imbalance, lo, hi, glo):
         hi = np.where(same, hi, mid)
         glo = np.where(same, gm, glo)
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# scalar uncertainty budget
+# ---------------------------------------------------------------------------
+
+def scalar_coincidence_signal(stack, wavelength_nm, theta_deg, n_s,
+                              polarization):
+    """p11 at one point, through bs_point and one scalar stack_response."""
+    point = bs_point(stack_response(stack, wavelength_nm, theta_deg, n_s,
+                                    polarization))
+    return float(_hom_pair_vector(*splitter_moments(*point))[-1])
+
+
+def scalar_uncertainty_budget(stack, wavelength_nm=800.0, theta_deg=70.0,
+                              n_analyte=1.32, sources=None,
+                              polarization="tm"):
+    """(signal slope, [(c, sigma)] per source) of uncertainty_budget from
+    one scalar stack_response call per stencil point: 11 calls for the
+    default sources, each central difference at step BUDGET_STEP."""
+    sources = sources if sources is not None else load_budget_sources()
+    h = BUDGET_STEP
+
+    def signal(n_s, stk=stack, theta=theta_deg, pol=polarization):
+        return scalar_coincidence_signal(stk, wavelength_nm, theta, n_s, pol)
+
+    def central(f, x):
+        return (f(x + h) - f(x - h)) / (2 * h)
+
+    slope = central(signal, n_analyte)
+    rows = []
+    for src in sources:
+        if src.kind == "incidence_angle":
+            d = central(lambda th: signal(n_analyte, theta=th), theta_deg)
+        elif src.kind == "prism_index":
+            d = central(lambda n: signal(
+                n_analyte, stk=with_prism_index(stack, n)),
+                prism_index(stack, wavelength_nm))
+        elif src.kind == "polarization_angle":
+            s_tm = signal(n_analyte, pol="tm")
+            s_te = signal(n_analyte, pol="te")
+
+            def mixed(gamma_deg):
+                g = math.radians(gamma_deg)
+                return math.cos(g) ** 2 * s_tm + math.sin(g) ** 2 * s_te
+
+            d = central(mixed, src.s)
+        else:  # film_thickness, both films, per meter
+            d_m, d_s = sensor_thicknesses(stack)
+            d = central(lambda d_nm: signal(
+                n_analyte, stk=with_sensor_thicknesses(stack, d_nm, d_s)),
+                d_m) * 1e9
+        c = abs(d) / abs(slope)
+        rows.append((c, c * src.s / src.divisor))
+    return slope, rows

@@ -419,29 +419,34 @@ def test_unphysical_point_names_its_block_rows(tmp_path, monkeypatch,
 
 
 def test_write_csv_formats_every_cell_kind(tmp_path):
-    """Rows in the first row's types take the table's row format, any
-    other row goes cell by cell; the text is the same either way."""
-    kinds = ("s", True, np.True_, 3, 0.1, math.nan, math.inf, -math.inf,
-             -0.0, np.float64(2.5e-13), np.False_)
-    text = "s,1,1,3,0.1,nan,inf,-inf,-0,2.5e-13,0"
-    # other types in every column: a float where a flag was, a str where
-    # a float was, numpy integers and float32 that have no row format
-    mixed = (1.5, 0.7, np.int64(-7), np.float64(1 / 3), "x", np.nan,
-             2 ** 70, np.int64(0), "y", -1e300, np.float32(0.5))
-    mixed_text = "1.5,0.7,-7,0.333333333333,x,nan,%d,0,y,-1e+300,0.5" \
-        % 2 ** 70
-    columns = ["c%d" % i for i in range(len(kinds))]
+    """Each column takes the one format of its dtype kind, whether it is
+    an array or a list; a column of another kind, or columns of
+    different lengths, raise before any file is written."""
+    columns = (["s", "tm"], [True, False], np.array([True, False]),
+               [3, -7], np.array([7, 0], dtype=np.uint8),
+               [0.1, 1 / 3], [math.nan, -0.0], [math.inf, -math.inf],
+               np.array([2.5e-13, -1e300]), np.array([0.5, 0.1], np.float32))
+    lines = ["s,1,1,3,7,0.1,nan,inf,2.5e-13,0.5",
+             "tm,0,0,-7,0,0.333333333333,-0,-inf,-1e+300,0.10000000149"]
+    header = ["c%d" % i for i in range(len(columns))]
     cases = {
-        "uniform": ([kinds, kinds], [text, text]),
-        "mixed": ([kinds, mixed, kinds], [text, mixed_text, text]),
-        "fallback": ([mixed, kinds], [mixed_text, text]),
-        "lists": ([list(kinds)], [text]),
+        "arrays": tuple(np.asarray(column) for column in columns),
+        "lists": tuple(np.asarray(column).tolist() for column in columns),
     }
-    for name, (rows, lines) in cases.items():
+    for name, case in cases.items():
         path = tmp_path / (name + ".csv")
-        cli.write_csv(path, columns, iter(rows), ["note"])
+        cli.write_csv(path, header, case, ["note"])
         assert path.read_text().split("\n") \
-            == ["# note", ",".join(columns), *lines, ""], name
+            == ["# note", ",".join(header), *lines, ""], name
+    bad = {"object": ([np.array([1, "x"], dtype=object)], r"\('object', 2\)"),
+           "complex": ([np.array([1j])], r"\('complex128', 1\)"),
+           "ragged": ([[1.0, 2.0], [1.0]],
+                      r"\[\('float64', 2\), \('float64', 1\)\] need one")}
+    for name, (case, words) in bad.items():
+        path = tmp_path / (name + ".csv")
+        with pytest.raises(ValueError, match=words):
+            cli.write_csv(path, ["c"] * len(case), case)
+        assert not path.exists(), name
 
 
 # (command, config on top of stack_path, settings-line keys, stdout summary)
@@ -744,6 +749,29 @@ def _utf16_json(path, data):
     path.write_bytes(json.dumps(data).encode("utf-16"))
     assert path.read_bytes()[:2] == b"\xff\xfe"
     return path
+
+
+@pytest.mark.parametrize("change, names", [
+    ({"divisor": 0}, "divisor must be finite and > 0, got 0.0"),
+    ({"s": math.nan, "divisor": -2}, "s must be finite and >= 0, got nan"),
+    ({"name": "angle,\njitter"}, "name must be a non-empty string without "
+     "commas, quotes or line breaks"),
+], ids=["zero_divisor", "nan_s", "comma_newline_name"])
+def test_bad_budget_source_exits_1(tmp_path, capsys, change, names):
+    """A sources entry that would divide by zero, print nan or break the
+    table's rows ends in one `error:` line naming the sources file, and
+    writes nothing."""
+    entry = {"name": "angle", "kind": "incidence_angle", "s": 0.03,
+             "unit": "deg", **change}
+    sources = tmp_path / "sources.json"
+    sources.write_text(json.dumps({"sources": [entry]}))
+    code, out = _run(tmp_path, "budget", {"stack_path": str(FIXTURE_STACK),
+                                          "sources_path": str(sources)})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: budget sources file %s: " % sources)
+    assert names in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "budget"])

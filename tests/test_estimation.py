@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from homsensor import estimation, tmm
 from homsensor.errors import ConfigError, UndefinedRatioError
 from homsensor.estimation import (
     BUDGET_STEP, DEAD_INFO_SHARE, DERIV_FLOOR, ZERO_PROB_FLOOR, BudgetSource,
-    CoherentInput, _coincidence_signal, defined_ratio, fisher_classical,
+    CoherentInput, defined_ratio, fisher_classical,
     fisher_decomposition, fisher_from_distribution, fisher_hom,
     fisher_report, fisher_schemes, load_budget_sources, phi_ab_scan,
     precision_bound, uncertainty_budget,
@@ -19,14 +20,17 @@ from homsensor.materials import constant_material
 from homsensor.quantum_stats import (
     coherent_output_means, hom_click_distribution, poisson_pair_grid,
 )
-from homsensor.tmm import (Layer, LayerStack, make_sensor_stack,
-                           stack_response)
+from homsensor.tmm import (Layer, LayerStack, load_stack, make_sensor_stack,
+                           sensor_thicknesses, stack_response)
 
 from oracles import (count_grid_information_matrix, fisher_classical_counts,
                      fisher_direct, mixed_phase_classical_fisher,
-                     mixture_fisher)
+                     mixture_fisher, scalar_coincidence_signal,
+                     scalar_uncertainty_budget)
 
 PI_HALF = math.pi / 2.0
+FIXTURE_STACK = Path(__file__).resolve().parents[1] / "bench" / "fixtures" \
+    / "stack.json"
 
 
 def flat_stack():
@@ -548,7 +552,7 @@ def test_budget_degenerate_at_dip(stack):
 def _coincidence_minimum(stack, lo=1.30, hi=1.32, tol=1e-10):
     """Golden-section search for the coincidence minimum near the dip."""
     def signal(n):
-        return _coincidence_signal(stack, 800.0, 70.0, n, "tm")
+        return scalar_coincidence_signal(stack, 800.0, 70.0, n, "tm")
 
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -575,6 +579,102 @@ def test_budget_guard_width(stack):
               1.305, 1.315, 1.32):
         report = uncertainty_budget(stack, n_analyte=n)
         assert report.signal_slope != 0.0
+
+
+@pytest.mark.parametrize("n_analyte", [1.32, 1.305])
+@pytest.mark.parametrize("which", ["fixture", "calibrated"])
+def test_budget_matches_scalar_oracle(stack, which, n_analyte):
+    """One stencil call per stack variant gives the sensitivities of one
+    scalar call per stencil point, up to rounding."""
+    stk = load_stack(FIXTURE_STACK) if which == "fixture" else stack
+    report = uncertainty_budget(stk, n_analyte=n_analyte)
+    slope, rows = scalar_uncertainty_budget(stk, n_analyte=n_analyte)
+    assert report.signal_slope == pytest.approx(slope, rel=1e-10)
+    assert len(report.rows) == len(rows) == 4
+    for row, (c, sigma) in zip(report.rows, rows):
+        assert row.c == pytest.approx(c, rel=1e-10), row.source.kind
+        assert row.sigma == pytest.approx(sigma, rel=1e-10), row.source.kind
+
+
+def _counting_stack_response(monkeypatch):
+    """The list that records each stack_response call of estimation."""
+    calls = []
+    original = estimation.stack_response
+
+    def counting(*args, **kwargs):
+        resp = original(*args, **kwargs)
+        calls.append((args, resp))
+        return resp
+
+    monkeypatch.setattr(estimation, "stack_response", counting)
+    return calls
+
+
+def test_budget_makes_one_call_per_stack_variant(stack, monkeypatch):
+    """The stencil, prism index +- h and the other polarization: 4 calls
+    for the default sources, one for a source on the stencil alone."""
+    calls = _counting_stack_response(monkeypatch)
+    uncertainty_budget(stack)
+    assert len(calls) == 4
+    assert [np.shape(resp.T) for _, resp in calls] == [(7,), (), (), ()]
+    del calls[:]
+    uncertainty_budget(stack, sources=(BudgetSource(
+        name="film", kind="film_thickness", s=1e-9, unit="m"),))
+    assert len(calls) == 1
+
+
+def test_budget_centre_signal_is_the_click_model(stack, monkeypatch):
+    """The stencil's first point is the operating point, and its signal
+    is hom_click_distribution's p2 there, bit for bit."""
+    calls = _counting_stack_response(monkeypatch)
+    pairs = []
+    original = estimation._hom_pair_vector
+
+    def recording(*moments):
+        pairs.append(original(*moments))
+        return pairs[-1]
+
+    monkeypatch.setattr(estimation, "_hom_pair_vector", recording)
+    uncertainty_budget(stack, n_analyte=1.32)
+    (stk, wavelength, theta, n_s, polarization), resp = calls[0]
+    assert (wavelength, theta[0], n_s[0], polarization) \
+        == (800.0, 70.0, 1.32, "tm")
+    assert stk.layers[1].thickness_nm[0] == sensor_thicknesses(stack)[0]
+    clicks = hom_click_distribution(resp.T, resp.R, resp.phi_tr)
+    assert pairs[0][0, -1] == clicks[0, 2]
+
+
+# (entry change, words the error names): each leaves the source invalid
+BAD_SOURCES = {
+    "zero_divisor": ({"divisor": 0}, "divisor must be finite and > 0"),
+    "negative_divisor": ({"divisor": -2}, "divisor must be finite and > 0"),
+    "nan_s": ({"s": math.nan}, "s must be finite and >= 0"),
+    "negative_s": ({"s": -0.1}, "s must be finite and >= 0"),
+    "comma_name": ({"name": "jitter, fast"}, "name must be a non-empty"),
+    "newline_name": ({"name": "jitter\nfast"}, "name must be a non-empty"),
+    "quote_unit": ({"unit": 'd"eg'}, "unit must be a non-empty"),
+    "empty_unit": ({"unit": ""}, "unit must be a non-empty"),
+    "cr_unit": ({"unit": "deg\r"}, "unit must be a non-empty"),
+    "number_name": ({"name": 5}, "name must be a non-empty"),
+    "unknown_kind": ({"kind": "humidity"}, "unknown budget source kind"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOURCES))
+def test_budget_source_rejects_bad_values(tmp_path, case):
+    """BudgetSource checks its own fields; load_budget_sources names the
+    file that holds the bad entry."""
+    import json
+    change, names = BAD_SOURCES[case]
+    entry = {"name": "angle", "kind": "incidence_angle", "s": 0.03,
+             "unit": "deg", **change}
+    with pytest.raises(ConfigError, match=names):
+        BudgetSource(**entry)
+    path = tmp_path / "sources.json"
+    path.write_text(json.dumps({"sources": [entry]}))
+    with pytest.raises(ConfigError, match="budget sources file %s: .*%s"
+                       % (path, names)):
+        load_budget_sources(path)
 
 
 def test_budget_rejects_unknown_kind(tmp_path):

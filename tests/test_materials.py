@@ -43,6 +43,16 @@ def test_constant_material_any_wavelength():
     assert prism.index(98765.0) == 1.5 + 0.0j
 
 
+def test_constant_material_index_is_one_scalar():
+    """A constant medium's index is its constant for a scalar and for an
+    array of wavelengths: one value that broadcasts, not one per node."""
+    prism = constant_material("prism", 1.5 + 0.01j)
+    for lam in (800.0, np.linspace(700.0, 900.0, 201),
+                np.full((3, 4), 650.0)):
+        n = prism.index(lam)
+        assert type(n) is complex and n == prism.constant
+
+
 def test_interpolation_at_knot_is_exact(gold):
     table = gold.table
     for i in (0, 7, 23, table.wavelength_nm.size - 1):

@@ -48,7 +48,8 @@ RECORDS = {
     SpectralProfile: (lambda: spectral_profile(800.0, 9.4), True),
     QuadratureGrid: (lambda: QuadratureGrid(np.ones(3), np.ones(3), 3,
                                             False), False),
-    Table: (lambda: Table("x.csv", ("a", "b"), ((1, 2),), "a, b"), True),
+    Table: (lambda: Table("x.csv", ("a", "b"), ((1, 2), (3, 4)), "a, b"),
+            True),
 }
 
 
@@ -96,6 +97,36 @@ def test_differing_fields_compare_unequal():
     assert Layer(GLASS, 1.0) != Layer(GLASS, 2.0)
     assert CoherentInput() != CoherentInput(phi_ab=0.0)
     assert CoherentInput() == CoherentInput()
+
+
+def _table(n=(0.2, 0.3)):
+    """A MaterialTable built from lists, new arrays on every call."""
+    return MaterialTable([700.0, 900.0][:len(n)] + [1000.0] * (len(n) - 2),
+                         list(n), [5.0] * len(n))
+
+
+def test_array_fields_compare_by_value():
+    """Records with equal but distinct ndarray fields are equal, and ==
+    gives a bool also for arrays of different lengths, also nested."""
+    a, b = _table(), _table()
+    assert a.n is not b.n
+    assert (a == b) is True and (a != b) is False
+    assert (a == _table((0.2, 0.4))) is False
+    assert (a == _table((0.2, 0.3, 0.4))) is False
+    assert (a != _table((0.2, 0.3, 0.4))) is True
+
+    def sensor(table):
+        gold = Material("Au", table=table)
+        return Layer(gold, 20.0), LayerStack(
+            (Layer(GLASS), Layer(gold, 20.0), Layer(GLASS)), sample_layer=1)
+
+    for same, other in zip((Material("Au", table=a), *sensor(a)),
+                           (Material("Au", table=b), *sensor(b))):
+        assert same == other
+    for same, other in zip((Material("Au", table=a), *sensor(a)),
+                           (Material("Au", table=_table((0.2, 0.3, 0.4))),
+                            *sensor(_table((0.2, 0.3, 0.4))))):
+        assert (same == other) is False
 
 
 def test_repr_keeps_the_field_format():
