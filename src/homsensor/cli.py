@@ -12,13 +12,15 @@ budget       instrumental disturbances converted to index errors
 continuum    finite-bandwidth drift of both information figures
 
 All physics subcommands read a JSON configuration (units are explicit
-in the key names, unknown keys are rejected) and write CSV tables plus
-a JSON run-metadata file into the output directory.  Outputs are
-deterministic: the same configuration produces byte-identical files,
-with no wall-clock, locale, or ordering dependence.  A table is typed
-columns of one length; floats print with 12 significant digits, and
-undefined ratios as `nan` next to a zero flag column rather than
-dropped, so every grid in every file is rectangular and complete.
+in the key names; the input checks of errors reject unknown keys and
+bad numbers in it, as in stack and budget-sources files) and write CSV
+tables plus a JSON run-metadata file into the output directory.
+Outputs are deterministic: the same configuration produces
+byte-identical files, with no wall-clock, locale, or ordering
+dependence.  A table is typed columns of one length; floats print with
+12 significant digits, and undefined ratios as `nan` next to a zero
+flag column rather than dropped, so every grid in every file is
+rectangular and complete.
 
 Each physics subcommand is one row of the table COMMANDS: its help
 text, its body and the config keys echoed on the settings line of its
@@ -54,7 +56,8 @@ import numpy as np
 from . import __version__
 from .continuum import continuum_fisher
 from .errors import (CalibrationError, ConfigError, HomsensorError,
-                     StackDefinitionError, UnphysicalPointError)
+                     StackDefinitionError, UnphysicalPointError, as_number,
+                     check_keys, or_null, read_json)
 from .estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR, \
     defined_ratio, fisher_report, fisher_schemes, load_budget_sources, \
     phi_ab_scan, uncertainty_budget
@@ -99,16 +102,7 @@ REPORTED_TOLERANCES = {
 # ---------------------------------------------------------------------------
 
 def _as_float(value, key):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("config key %r must be a number, got %r"
-                          % (key, value))
-    try:
-        x = float(value)
-    except OverflowError as exc:  # an int beyond the float range
-        raise ConfigError("config key %r: %s" % (key, exc)) from exc
-    if not math.isfinite(x):
-        raise ConfigError("config key %r must be finite" % (key,))
-    return x
+    return as_number(value, "config key %r" % (key,), ConfigError)
 
 
 def _check_size(count, key):
@@ -142,31 +136,20 @@ def _as_choice(options):
     return coerce
 
 
-def _as_optional_path(value, key):
-    if value is None:
-        return None
+def _as_path(value, key):
     if not isinstance(value, str) or not value:
         raise ConfigError("config key %r must be a path string" % (key,))
     return value
 
 
-def _as_optional_float(value, key):
-    return None if value is None else _as_float(value, key)
-
-
 def _as_grid(value, key):
     """Normalize a grid spec: {start, stop, step} or an explicit list."""
     if isinstance(value, dict):
-        unknown = sorted(set(value) - {"start", "stop", "step"})
-        if unknown:
-            raise ConfigError("grid %r has unknown keys %s" % (key, unknown))
-        try:
-            start = _as_float(value["start"], key + ".start")
-            stop = _as_float(value["stop"], key + ".stop")
-            step = _as_float(value["step"], key + ".step")
-        except KeyError as exc:
-            raise ConfigError("grid %r needs start, stop and step"
-                              % (key,)) from exc
+        names = ("start", "stop", "step")
+        check_keys(value, names, "grid %r" % (key,), ConfigError)
+        if len(value) < len(names):
+            raise ConfigError("grid %r needs start, stop and step" % (key,))
+        start, stop, step = (_as_float(value[k], key + "." + k) for k in names)
         if step <= 0.0:
             raise ConfigError("grid %r step must be positive" % (key,))
         if stop < start:
@@ -211,23 +194,15 @@ CALIBRATION_DEFAULTS = {"target_ns": 1.31, "wavelength_nm": 800.0,
 
 
 def _as_calibration(value, key):
-    if value is None:
-        return dict(CALIBRATION_DEFAULTS)
-    if not isinstance(value, dict):
-        raise ConfigError("config key %r must be an object" % (key,))
-    unknown = sorted(set(value) - set(CALIBRATION_DEFAULTS))
-    if unknown:
-        raise ConfigError("calibration block has unknown keys %s"
-                          % (unknown,))
-    out = dict(CALIBRATION_DEFAULTS)
-    for k, v in value.items():
-        out[k] = _as_float(v, key + "." + k)
-    return out
+    value = check_keys({} if value is None else value, CALIBRATION_DEFAULTS,
+                       "calibration", ConfigError)
+    return {k: _as_float(value.get(k, default), key + "." + k)
+            for k, default in CALIBRATION_DEFAULTS.items()}
 
 
 # Shared keys available to every physics subcommand.
 _COMMON_SCHEMA = {
-    "stack_path": (None, _as_optional_path),
+    "stack_path": (None, or_null(_as_path)),
     "calibration": (None, _as_calibration),
     "polarization": ("tm", _as_choice(("tm", "te"))),
     "wavelength_nm": (800.0, _as_float),
@@ -259,7 +234,7 @@ _SCHEMAS = {
         # quarter-wave diagnostic convention, a default of this scan only:
         # the decomposition uses the actual phase); null scans with the
         # actual response phase instead.
-        "phase_scan_phi_tr": (math.pi / 2.0, _as_optional_float),
+        "phase_scan_phi_tr": (math.pi / 2.0, or_null(_as_float)),
     },
     "map": {
         **_COMMON_SCHEMA,
@@ -270,7 +245,7 @@ _SCHEMAS = {
     "budget": {
         **_COMMON_SCHEMA,
         "n_analyte": (1.32, _as_float),
-        "sources_path": (None, _as_optional_path),
+        "sources_path": (None, or_null(_as_path)),
     },
     "continuum": {
         **_COMMON_SCHEMA,
@@ -287,18 +262,8 @@ _SCHEMAS = {
 def load_config(path, command) -> dict:
     """Read, validate and normalize a JSON configuration file."""
     schema = _SCHEMAS[command]
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except ValueError as exc:  # not UTF-8 text, or not JSON
-        raise ConfigError("config %s is not valid UTF-8 JSON: %s"
-                          % (path, exc)) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config %s must hold a JSON object" % (path,))
-    unknown = sorted(set(raw) - set(schema))
-    if unknown:
-        raise ConfigError("unknown config keys for %s: %s (accepted: %s)"
-                          % (command, unknown, sorted(schema)))
+    raw = check_keys(read_json(path, "config", ConfigError), schema,
+                     "config", ConfigError)
     return {key: coerce(raw.get(key, default), key)
             for key, (default, coerce) in schema.items()}
 
@@ -704,10 +669,7 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print("calibration failed: %s" % (exc,), file=sys.stderr)
         return 2
-    except HomsensorError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HomsensorError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
 

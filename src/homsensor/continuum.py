@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimation import _distribution_information, _information
-from .quantum_stats import (DEFAULT_PHI_AB, _coherent_mean_pair,
+from .quantum_stats import (DEFAULT_PHI_AB, _floored_mean_pair,
                             _hom_click_vector, splitter_moments,
                             validate_points)
 from .records import Record
@@ -248,7 +248,7 @@ def continuum_classical_means(moments, profile: SpectralProfile,
         raise ConfigError(
             "each beam integrates to %.12g mean photons, not 1; the "
             "benchmark requires unit-normalized beams" % (total,))
-    return np.maximum(_coherent_mean_pair(*moments, 1.0, 1.0, phi_ab), 0.0)
+    return _floored_mean_pair(*moments, 1.0, 1.0, phi_ab)
 
 
 def continuum_fisher(stack: LayerStack, lambda0_nm: float,

@@ -1,11 +1,18 @@
-"""Exception hierarchy for the homsensor package.
+"""Exception hierarchy and input checks of the homsensor package.
 
 Every error raised intentionally by this package derives from
 :class:`HomsensorError`, so callers can catch one type at an API boundary.
 The subclasses separate the three failure families that need different
 handling: bad input data, physically inconsistent numbers, and solver
 failures.
+
+The functions at the end are the one set of checks every JSON input
+file (config, stack, budget sources) passes; each names `what` it
+checks and raises the caller's `error` class.
 """
+
+import json
+import math
 
 
 class HomsensorError(Exception):
@@ -34,8 +41,9 @@ class StackDefinitionError(HomsensorError):
     """Raised when a layer stack is structurally invalid.
 
     Examples: fewer than two layers, a finite thickness on a terminal
-    half-space, a negative interior thickness, or a sample-layer index
-    that does not point at an interior layer.
+    half-space, a negative interior thickness, a sample-layer index
+    that does not point at an interior layer, or a stack file that
+    fails the input checks.
     """
 
 
@@ -63,5 +71,53 @@ class UndefinedRatioError(HomsensorError):
 
 
 class ConfigError(HomsensorError):
-    """Raised for malformed run configuration: unknown keys, wrong types,
-    missing required entries, or grids that would be empty."""
+    """Raised for a malformed run configuration or budget-sources file:
+    unknown keys, wrong types, missing entries, or empty grids."""
+
+
+def read_json(path, what, error):
+    """The JSON value in the UTF-8 file at path."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise error("%s %s is not valid UTF-8 JSON: %s"
+                    % (what, path, exc)) from exc
+
+
+def check_keys(obj, accepted, what, error):
+    """obj, if it is a JSON object whose keys are all in accepted."""
+    if not isinstance(obj, dict):
+        raise error("%s must be a JSON object, got %s"
+                    % (what, type(obj).__name__))
+    unknown = sorted(set(obj) - set(accepted))
+    if unknown:
+        raise error("unknown %s keys: %s (accepted: %s)"
+                    % (what, unknown, sorted(accepted)))
+    return obj
+
+
+def check_list(value, what, error):
+    """value, if it is a JSON list."""
+    if not isinstance(value, list):
+        raise error("%s must be a JSON list, got %s"
+                    % (what, type(value).__name__))
+    return value
+
+
+def as_number(value, what, error) -> float:
+    """The number rule: an int or float, not a bool, as a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error("%s must be a number, got %r" % (what, value))
+    try:
+        x = float(value)
+    except OverflowError as exc:  # an int beyond the float range
+        raise error("%s: %s" % (what, exc)) from exc
+    if not math.isfinite(x):
+        raise error("%s must be finite, got %r" % (what, x))
+    return x
+
+
+def or_null(check):
+    """check, except that a JSON null passes as None."""
+    return lambda value, *args: None if value is None else check(value, *args)

@@ -45,16 +45,16 @@ the actual stack phase and its n_s dependence are used.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedRatioError
+from .errors import (ConfigError, UndefinedRatioError, as_number,
+                     check_keys, check_list, read_json)
 from .quantum_stats import (CLAMP_FLOOR, DEFAULT_PHI_AB, CoherentInput,
-                            _coherent_mean_pair, _hom_click_vector,
+                            _floored_mean_pair, _hom_click_vector,
                             _hom_pair_vector, coherent_output_means,
                             splitter_moments, validate_points)
 from .records import Record
@@ -311,9 +311,9 @@ def _decompose(points, scheme="hom", probe=None, phi_tr_assumption=None):
             return _hom_click_vector(*splitter_moments(T, R, phi))
     elif scheme == "classical":
         def model(T, R, phi):
-            return np.maximum(_coherent_mean_pair(
-                *splitter_moments(T, R, phi), probe.alpha_sq, probe.beta_sq,
-                probe.phi_ab), 0.0)
+            return _floored_mean_pair(*splitter_moments(T, R, phi),
+                                      probe.alpha_sq, probe.beta_sq,
+                                      probe.phi_ab)
     else:
         raise ConfigError("scheme must be 'hom' or 'classical', got %r"
                           % (scheme,))
@@ -428,10 +428,9 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
 
     def info(phi_ab):
         """Information per phase; the +/- h axis trails the phases."""
-        mu = np.maximum(_coherent_mean_pair(
+        return _information(_floored_mean_pair(
             *moments, probe.alpha_sq, probe.beta_sq,
-            np.asarray(phi_ab)[..., None]), 0.0)
-        return _information(mu)
+            np.asarray(phi_ab)[..., None]))
 
     values = info(grid)
     k = int(np.argmax(values))
@@ -464,8 +463,9 @@ class BudgetSource(Record):
     `unit`; divisor divides the resulting index error (e.g. sqrt(N) for
     an averaged quantity); reference_c / reference_sigma are externally
     quoted sensitivity and index-error values used for cross-checks,
-    NaN when absent.  ConfigError rejects a value that would divide by
-    zero, print nan or break a CSV row (see __post_init__).
+    NaN when absent.  ConfigError rejects a number that fails
+    errors.as_number (a NaN reference is absent, not bad) and a value
+    that would divide by zero, print nan or break a CSV row.
     """
 
     name: str
@@ -486,10 +486,17 @@ class BudgetSource(Record):
                     "commas, quotes or line breaks, got %r" % (field, text))
         if self.kind not in _BUDGET_KINDS:
             raise ConfigError("unknown budget source kind %r" % (self.kind,))
-        if not (math.isfinite(self.s) and self.s >= 0.0):
+        for field in ("s", "divisor", "reference_c", "reference_sigma"):
+            value = getattr(self, field)
+            if field in ("s", "divisor") or not (isinstance(value, float)
+                                                 and math.isnan(value)):
+                object.__setattr__(self, field, as_number(
+                    value, "budget source %r: %s" % (self.name, field),
+                    ConfigError))
+        if self.s < 0.0:
             raise ConfigError("budget source %r: s must be finite and >= 0, "
                               "got %r" % (self.name, self.s))
-        if not (math.isfinite(self.divisor) and self.divisor > 0.0):
+        if self.divisor <= 0.0:
             raise ConfigError("budget source %r: divisor must be finite and "
                               "> 0, got %r" % (self.name, self.divisor))
 
@@ -516,32 +523,24 @@ _BUDGET_KINDS = ("incidence_angle", "prism_index", "polarization_angle",
 
 
 def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
-    """Budget sources from JSON; the packaged defaults when path is None.
-    ConfigError names the file and the bad entry or value."""
+    """Budget sources from a UTF-8 JSON file {comment, sources: [one
+    object of BudgetSource fields each]}; the packaged defaults when path
+    is None.  ConfigError names the file and the bad key or value."""
     if path is None:
-        text = (resources.files(__package__) / "data"
-                / _BUDGET_RESOURCE).read_text()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                text = f.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError("budget sources file %s is not UTF-8 text: %s"
-                              % (path, exc)) from exc
+        path = resources.files(__package__) / "data" / _BUDGET_RESOURCE
+    data = read_json(path, "budget sources file", ConfigError)
     try:
-        return tuple(BudgetSource(
-            name=entry["name"], kind=entry["kind"], s=float(entry["s"]),
-            unit=entry["unit"], divisor=float(entry.get("divisor", 1.0)),
-            reference_c=float(entry.get("reference_c", math.nan)),
-            reference_sigma=float(entry.get("reference_sigma", math.nan)))
-            for entry in json.loads(text)["sources"])
+        sources = check_keys(data, ("comment", "sources"), "budget sources",
+                             ConfigError)["sources"]
+        return tuple(BudgetSource(**check_keys(
+            entry, BudgetSource._fields, "sources[%d]" % j, ConfigError))
+            for j, entry in enumerate(check_list(sources, "sources",
+                                                 ConfigError)))
     except ConfigError as exc:
-        raise ConfigError("budget sources file %s: %s"
-                          % (path or _BUDGET_RESOURCE, exc)) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("budget sources file %s: %s" % (path, exc)) from exc
+    except (KeyError, TypeError) as exc:  # a missing key or field
         raise ConfigError("budget sources file %s: malformed budget "
-                          "sources: %s" % (path or _BUDGET_RESOURCE, exc)
-                          ) from exc
+                          "sources: %s" % (path, exc)) from exc
 
 
 def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,

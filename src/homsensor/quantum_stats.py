@@ -248,6 +248,11 @@ def _coherent_mean_pair(i_t, i_r, k, a, b, phi_ab) -> np.ndarray:
         b * i_t + a * i_r + cross * np.real(k * np.conj(turn))), axis=-1)
 
 
+def _floored_mean_pair(i_t, i_r, k, a, b, phi_ab) -> np.ndarray:
+    """_coherent_mean_pair floored at zero, as the information reads it."""
+    return np.maximum(_coherent_mean_pair(i_t, i_r, k, a, b, phi_ab), 0.0)
+
+
 def coherent_output_means(T, R, phi_tr, probe: CoherentInput | None = None):
     """Mean photon numbers (mu1, mu2) at the two outputs, on a trailing
     axis, clamped by _clamp_probability; broadcasts over (T, R, phi_tr)."""

@@ -42,8 +42,9 @@ import json
 
 import numpy as np
 
-from .errors import (CalibrationError, StackDefinitionError,
-                     UnphysicalPointError)
+from .errors import (CalibrationError, MaterialDataError,
+                     StackDefinitionError, UnphysicalPointError, as_number,
+                     check_keys, check_list, or_null, read_json)
 from .materials import Material, MaterialTable, constant_material, gold_jc
 from .records import Record, replace
 
@@ -183,7 +184,7 @@ def make_sensor_stack(d_metal_nm: float = 50.0, d_sample_nm: float = 500.0,
 
 def sensor_thicknesses(stack: LayerStack) -> tuple[float, float]:
     """(d_metal_nm, d_sample_nm) of a make_sensor_stack layout whose two
-    films have one material description and thickness: the mirror
+    films are equal records (one material and thickness): the mirror
     symmetry, S = [[t, r], [r, t]], that every outcome model assumes."""
     if stack.n_layers != 5 or stack.sample_layer != 2:
         raise StackDefinitionError(
@@ -191,15 +192,16 @@ def sensor_thicknesses(stack: LayerStack) -> tuple[float, float]:
             "5-layer dual-film geometry (half-space | film | sample | film "
             "| half-space) with sample_layer=2"
             % (stack.name, stack.n_layers, stack.sample_layer))
-    _, film, gap, other, _ = stack.layers
-    described = stack_to_dict(stack)["layers"]  # one number per thickness
-    if described[1] != described[3]:
+    _, film, _, other, _ = stack.layers
+    if film != other:
         raise StackDefinitionError(
             "stack %r is not mirror-symmetric: film 1 (%s nm of %r) and "
             "film 3 (%s nm of %r) differ in material or thickness"
             % (stack.name, film.thickness_nm, film.material.name,
                other.thickness_nm, other.material.name))
-    return float(film.thickness_nm), float(gap.thickness_nm)
+    return tuple(as_number(stack.layers[j].thickness_nm, "stack %r: layer %d "
+                           "thickness_nm" % (stack.name, j),
+                           StackDefinitionError) for j in (1, 2))
 
 
 def with_sensor_thicknesses(stack, d_metal_nm, d_sample_nm) -> LayerStack:
@@ -636,86 +638,83 @@ def _material_to_dict(mat: Material) -> dict:
                       "k": mat.table.k.tolist()}}
 
 
-def _material_from_dict(d: dict) -> Material:
-    builtin = d.get("builtin")
-    if builtin == "gold_jc":
+_number_or_null = or_null(as_number)
+
+
+def _numbers(values, what: str) -> list:
+    """A JSON list of numbers, each checked by the number rule."""
+    return [as_number(x, what, StackDefinitionError)
+            for x in check_list(values, what, StackDefinitionError)]
+
+
+def _material_from_dict(d, what: str) -> Material:
+    sources = ["builtin", "constant", "table"]
+    check_keys(d, ["name"] + sources, what, StackDefinitionError)
+    given = [key for key in sources if key in d]
+    if len(given) != 1:
+        raise StackDefinitionError("%s must give exactly one of %s, got %s"
+                                   % (what, sources, given))
+    if "builtin" in d:
+        if d["builtin"] != "gold_jc":
+            raise StackDefinitionError("unknown builtin material %r"
+                                       % (d["builtin"],))
         return gold_jc()
-    if builtin is not None:
-        raise StackDefinitionError("unknown builtin material %r" % (builtin,))
     if "constant" in d:
-        value = d["constant"]
-        if not isinstance(value, list) or len(value) != 2:
+        value = _numbers(d["constant"], what + ".constant")
+        if len(value) != 2:
             raise StackDefinitionError(
                 "material constant must be [re, im], got %r" % (value,))
         return constant_material(d.get("name", "constant"), complex(*value))
-    t = d["table"]
-    table = MaterialTable(np.asarray(t["wavelength_nm"], dtype=float),
-                          np.asarray(t["n"], dtype=float),
-                          np.asarray(t["k"], dtype=float),
-                          name=d.get("name", "table"))
-    return Material(name=d.get("name", "table"), table=table)
+    what, columns = what + ".table", ("wavelength_nm", "n", "k")
+    t = check_keys(d["table"], columns, what, StackDefinitionError)
+    name = d.get("name", "table")
+    return Material(name=name, table=MaterialTable(
+        *(_numbers(t[key], what + "." + key) for key in columns), name=name))
+
+
+def _layer_from_dict(d, what: str) -> Layer:
+    check_keys(d, ("material", "thickness_nm"), what, StackDefinitionError)
+    return Layer(_material_from_dict(d["material"], what + ".material"),
+                 _number_or_null(d["thickness_nm"], what + ".thickness_nm",
+                                 StackDefinitionError))
 
 
 def stack_to_dict(stack: LayerStack) -> dict:
     """JSON-ready description of a stack; an array thickness is rejected
     (StackDefinitionError naming the layer), since one file holds one
     stack."""
-    for j, layer in enumerate(stack.layers):
-        if np.ndim(layer.thickness_nm):
-            raise StackDefinitionError(
-                "stack %r: layer %d holds an array of thicknesses (shape "
-                "%s); only a single stack can be saved"
-                % (stack.name, j, np.shape(layer.thickness_nm)))
     return {
         "name": stack.name,
         "sample_layer": stack.sample_layer,
         "sample_n": stack.sample_n,
         "layers": [{"material": _material_to_dict(layer.material),
-                    "thickness_nm": layer.thickness_nm}
-                   for layer in stack.layers],
+                    "thickness_nm": _number_or_null(
+                        layer.thickness_nm, "stack %r: layer %d thickness_nm"
+                        % (stack.name, j), StackDefinitionError)}
+                   for j, layer in enumerate(stack.layers)],
     }
 
 
-def _null_or(kinds: tuple, value, what: str):
-    """value if it is null or of one of `kinds` (a bool is neither)."""
-    if value is None or (isinstance(value, kinds)
-                         and not isinstance(value, bool)):
-        return value
-    raise StackDefinitionError("%s must be null or of type %s, got %r" % (
-        what, " or ".join(kind.__name__ for kind in kinds), value))
-
-
-def _null_or_number(value, what: str):
-    """value if it is null or an int or float (not a bool) that a float
-    can hold, as the layer and response arithmetic needs."""
-    value = _null_or((int, float), value, what)
-    if value is not None:
-        try:
-            float(value)
-        except OverflowError as exc:  # an int beyond the float range
-            raise StackDefinitionError("%s: %s" % (what, exc)) from exc
-    return value
-
-
 def stack_from_dict(d: dict) -> LayerStack:
-    """The stack a stack_to_dict description holds.  A thickness is a
-    number or null, since one file holds one stack; StackDefinitionError
-    names a missing key or a bad value."""
-    if not isinstance(d, dict):
-        raise StackDefinitionError("a stack must be a JSON object, got %s"
-                                   % (type(d).__name__,))
+    """The stack a stack_to_dict description holds: each object takes its
+    own keys only, a material one of builtin, constant and table, and a
+    number errors.as_number (a thickness or sample_n may be null).
+    StackDefinitionError names the key (layers[2].thickness_nm) and value."""
+    check_keys(d, ("layers", "name", "sample_layer", "sample_n"), "stack",
+               StackDefinitionError)
+    sample = d.get("sample_layer")
+    if isinstance(sample, bool) or not isinstance(sample, (int, type(None))):
+        raise StackDefinitionError("sample_layer must be null or of type int, "
+                                   "got %r" % (sample,))
     try:
-        layers = tuple(Layer(_material_from_dict(ld["material"]),
-                             _null_or_number(ld["thickness_nm"],
-                                             "thickness_nm"))
-                       for ld in d["layers"])
+        layers = tuple(_layer_from_dict(ld, "layers[%d]" % j) for j, ld in
+                       enumerate(check_list(d["layers"], "layers",
+                                            StackDefinitionError)))
     except KeyError as exc:
         raise StackDefinitionError("missing key %s" % (exc,)) from exc
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise StackDefinitionError("malformed layer: %s" % (exc,)) from exc
-    sample = _null_or((int,), d.get("sample_layer"), "sample_layer")
     return LayerStack(layers=layers, sample_layer=sample,
-                      sample_n=_null_or_number(d.get("sample_n"), "sample_n"),
+                      sample_n=_number_or_null(d.get("sample_n"), "sample_n",
+                                               StackDefinitionError),
                       name=d.get("name", "stack"))
 
 
@@ -728,12 +727,9 @@ def save_stack(stack: LayerStack, path):
 
 def load_stack(path) -> LayerStack:
     """Read a stack file; StackDefinitionError names the file and the
-    bad key or value."""
+    bad key or value, or the table MaterialTable rejects."""
+    data = read_json(path, "stack file", StackDefinitionError)
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return stack_from_dict(json.load(f))
-    except ValueError as exc:  # not UTF-8 text, or not JSON
-        raise StackDefinitionError("stack file %s is not valid UTF-8 JSON: "
-                                   "%s" % (path, exc)) from exc
-    except StackDefinitionError as exc:
+        return stack_from_dict(data)
+    except (MaterialDataError, StackDefinitionError) as exc:
         raise StackDefinitionError("stack file %s: %s" % (path, exc)) from exc

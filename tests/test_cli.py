@@ -676,6 +676,12 @@ def _with_layer(d, j, layer):
                             for i, old in enumerate(d["layers"])]}
 
 
+def _with_film_table(d, table):
+    """Both films of stack description d made of one tabulated material."""
+    film = {**d["layers"][1], "material": {"name": "film", "table": table}}
+    return _with_layer(_with_layer(d, 1, film), 3, film)
+
+
 # case: (the fixture's stack description -> file text, the error names)
 MALFORMED_STACKS = {
     "no_layers": (lambda d: json.dumps({"name": d["name"]}),
@@ -692,10 +698,10 @@ MALFORMED_STACKS = {
         "missing key 'thickness_nm'"),
     "string_thickness": (lambda d: json.dumps(_with_layer(
         d, 2, {**d["layers"][2], "thickness_nm": "502.4"})),
-        "thickness_nm must be null or of type int or float, got '502.4'"),
+        "layers[2].thickness_nm must be a number, got '502.4'"),
     "list_thickness": (lambda d: json.dumps(_with_layer(
         d, 2, {**d["layers"][2], "thickness_nm": [500.0, 502.0]})),
-        "thickness_nm must be null or of type int or float, got [500.0"),
+        "layers[2].thickness_nm must be a number, got [500.0"),
     "string_sample_layer": (lambda d: json.dumps({**d, "sample_layer": "2"}),
                             "sample_layer must be null or of type int"),
     "unknown_builtin": (lambda d: json.dumps(_with_layer(
@@ -709,7 +715,31 @@ MALFORMED_STACKS = {
         "thickness_nm: int too large to convert to float"),
     "huge_constant": (lambda d: json.dumps(_with_layer(
         d, 0, {**d["layers"][0], "material": {"constant": [HUGE_INT, 0]}})),
-        "malformed layer: int too large to convert to float"),
+        "layers[0].material.constant: int too large to convert to float"),
+    "bool_constant": (lambda d: json.dumps(_with_layer(
+        d, 0, {**d["layers"][0], "material": {"name": "prism",
+                                              "constant": [1.5, True]}})),
+        "layers[0].material.constant must be a number, got True"),
+    "string_table_wavelength": (lambda d: json.dumps(_with_film_table(
+        d, {"wavelength_nm": ["700", "900"], "n": [0.2, 0.3],
+            "k": [5.0, 6.0]})),
+        "layers[1].material.table.wavelength_nm must be a number, got '700'"),
+    "bool_table_n": (lambda d: json.dumps(_with_film_table(
+        d, {"wavelength_nm": [700, 900], "n": [0.2, True], "k": [5.0, 6.0]})),
+        "layers[1].material.table.n must be a number, got True"),
+    "constant_and_table": (lambda d: json.dumps(_with_layer(
+        d, 0, {**d["layers"][0], "material": {
+            "constant": [1.5, 0.0], "table": {
+                "wavelength_nm": [700, 900], "n": [1.5, 1.5],
+                "k": [0.0, 0.0]}}})),
+        "layers[0].material must give exactly one of ['builtin', "
+        "'constant', 'table'], got ['constant', 'table']"),
+    "nan_sample_n": (lambda d: json.dumps({**d, "sample_n": math.nan}),
+                     "sample_n must be finite, got nan"),
+    "unknown_layer_key": (lambda d: json.dumps(_with_layer(
+        d, 2, {**d["layers"][2], "thickness": 500.0})),
+        "unknown layers[2] keys: ['thickness'] (accepted: ['material', "
+        "'thickness_nm'])"),
 }
 
 
@@ -753,14 +783,19 @@ def _utf16_json(path, data):
 
 @pytest.mark.parametrize("change, names", [
     ({"divisor": 0}, "divisor must be finite and > 0, got 0.0"),
-    ({"s": math.nan, "divisor": -2}, "s must be finite and >= 0, got nan"),
+    ({"s": math.nan, "divisor": -2}, "s must be finite, got nan"),
     ({"name": "angle,\njitter"}, "name must be a non-empty string without "
      "commas, quotes or line breaks"),
-], ids=["zero_divisor", "nan_s", "comma_newline_name"])
+    ({"s": True, "divisor": "2"}, "s must be a number, got True"),
+    ({"divsor": 100}, "unknown sources[0] keys: ['divsor'] (accepted: "
+     "['divisor', 'kind', 'name', 'reference_c', 'reference_sigma', 's', "
+     "'unit'])"),
+], ids=["zero_divisor", "nan_s", "comma_newline_name", "bool_s_string_divisor",
+        "misspelt_divisor"])
 def test_bad_budget_source_exits_1(tmp_path, capsys, change, names):
     """A sources entry that would divide by zero, print nan or break the
-    table's rows ends in one `error:` line naming the sources file, and
-    writes nothing."""
+    table's rows, or that holds a non-number or an unknown key, ends in
+    one `error:` line naming the sources file, and writes nothing."""
     entry = {"name": "angle", "kind": "incidence_angle", "s": 0.03,
              "unit": "deg", **change}
     sources = tmp_path / "sources.json"
@@ -786,7 +821,8 @@ def test_non_utf8_input_file_exits_1(tmp_path, capsys, command):
     else:
         sources = _utf16_json(tmp_path / "sources.json", {"sources": []})
         config.write_text(json.dumps(dict(cfg, sources_path=str(sources))))
-        named = "error: budget sources file %s is not UTF-8 text" % sources
+        named = "error: budget sources file %s is not valid UTF-8 JSON" \
+            % sources
     out = tmp_path / "out"
     code = cli.main([command, "--config", str(config), "--out", str(out)])
     err = capsys.readouterr().err

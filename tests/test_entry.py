@@ -216,6 +216,24 @@ def test_every_export_has_a_user():
     assert sorted(set(homsensor.__all__) - used - traced) == []
 
 
+def test_json_is_parsed_by_one_reader():
+    """Every input file (config, stack, budget sources) is parsed by
+    errors.read_json: json.load and json.loads appear in src/homsensor in
+    that function only."""
+    found = []
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [(path.stem, getattr(node, "name", None))
+                      for sub in ast.walk(node)
+                      if isinstance(sub, ast.Attribute)
+                      and isinstance(sub.value, ast.Name)
+                      and (sub.value.id, sub.attr) in (("json", "load"),
+                                                       ("json", "loads"))
+                      or isinstance(sub, ast.ImportFrom)
+                      and sub.module == "json"]
+    assert found == [("errors", "read_json")]
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("calibrate", {"target_ns": 1.31, "wavelength_nm": 800.0,
                    "theta_deg": 70.0}),

@@ -648,7 +648,7 @@ def test_budget_centre_signal_is_the_click_model(stack, monkeypatch):
 BAD_SOURCES = {
     "zero_divisor": ({"divisor": 0}, "divisor must be finite and > 0"),
     "negative_divisor": ({"divisor": -2}, "divisor must be finite and > 0"),
-    "nan_s": ({"s": math.nan}, "s must be finite and >= 0"),
+    "nan_s": ({"s": math.nan}, "s must be finite, got nan"),
     "negative_s": ({"s": -0.1}, "s must be finite and >= 0"),
     "comma_name": ({"name": "jitter, fast"}, "name must be a non-empty"),
     "newline_name": ({"name": "jitter\nfast"}, "name must be a non-empty"),
@@ -657,6 +657,8 @@ BAD_SOURCES = {
     "cr_unit": ({"unit": "deg\r"}, "unit must be a non-empty"),
     "number_name": ({"name": 5}, "name must be a non-empty"),
     "unknown_kind": ({"kind": "humidity"}, "unknown budget source kind"),
+    "bool_s": ({"s": True, "divisor": "2"}, "s must be a number, got True"),
+    "string_divisor": ({"divisor": "2"}, "divisor must be a number, got '2'"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -651,8 +652,8 @@ def test_calibration_requires_mirror_symmetry(film):
 
 
 def test_sensor_films_compare_by_description():
-    """Two films of equal but distinct tables are alike (== on the records
-    would raise: their fields are numpy arrays)."""
+    """Two films of equal but distinct tables are alike: the records
+    compare their array fields by value."""
     def film():
         table = MaterialTable([700.0, 900.0], [0.2, 0.3], [5.0, 6.0])
         return Layer(Material("film", table=table), 20.0)
@@ -662,6 +663,16 @@ def test_sensor_films_compare_by_description():
                        sample_layer=2, sample_n=1.31)
     assert stack.layers[1].material is not stack.layers[3].material
     assert sensor_thicknesses(stack) == (20.0, 500.0)
+
+
+@pytest.mark.parametrize("layers", [(1, 3), (2,)], ids=["films", "gap"])
+def test_sensor_thicknesses_rejects_array_thickness(stack, layers):
+    """An array thickness describes many stacks, not one dual-film layout:
+    StackDefinitionError names the layer, as for any other non-number."""
+    swept = stack.with_thickness({j: np.array([20.0, 21.0]) for j in layers})
+    with pytest.raises(StackDefinitionError, match="layer %d thickness_nm "
+                       "must be a number, got array" % layers[0]):
+        sensor_thicknesses(swept)
 
 
 @pytest.mark.parametrize("n_s", [0.0, -1.31, np.array([1.31, -1.0])])
@@ -684,12 +695,12 @@ def test_stack_dict_roundtrip(stack):
     assert b.t == a.t and b.r == a.r
 
 
-@pytest.mark.parametrize("sample_n", ["abc", True])
+@pytest.mark.parametrize("sample_n", ["abc", True, math.nan])
 def test_stack_from_dict_checks_sample_n(stack, sample_n):
     """sample_n is checked when the stack is read, as thickness_nm is,
     not when a response first uses it."""
-    with pytest.raises(StackDefinitionError, match="sample_n must be null "
-                       "or of type int or float, got %r" % (sample_n,)):
+    with pytest.raises(StackDefinitionError, match=r"sample_n must be (a "
+                       r"number|finite), got %s" % re.escape(repr(sample_n))):
         stack_from_dict({**stack_to_dict(stack), "sample_n": sample_n})
 
 
