@@ -48,8 +48,7 @@ _EXPORTS = {
                    "fisher_from_distribution", "fisher_hom", "fisher_report",
                    "load_budget_sources", "phi_ab_scan", "precision_bound",
                    "uncertainty_budget"),
-    "materials": ("Material", "MaterialTable", "constant_material", "gold_jc",
-                  "parse_material_csv"),
+    "materials": ("Material", "MaterialTable", "constant_material", "gold_jc"),
     "quantum_stats": ("CoherentInput", "bs_point", "coherent_output_means",
                       "hom_click_distribution", "poisson_pair_grid",
                       "splitter_moments"),

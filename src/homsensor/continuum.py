@@ -131,7 +131,6 @@ class QuadratureGrid(Record):
 
     nodes: np.ndarray
     weights: np.ndarray
-    n_nodes: int
     clipped: bool   # True when the material window truncated the span
 
 
@@ -201,7 +200,7 @@ def quadrature_grid(profile: SpectralProfile, n_nodes: int = DEFAULT_NODES,
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return QuadratureGrid(nodes=mid + half * x, weights=half * w,
-                          n_nodes=int(n_nodes), clipped=clipped)
+                          clipped=clipped)
 
 
 def default_grid(stack: LayerStack, profile: SpectralProfile,

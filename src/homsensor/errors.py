@@ -6,13 +6,15 @@ The subclasses separate the three failure families that need different
 handling: bad input data, physically inconsistent numbers, and solver
 failures.
 
-The functions at the end are the one set of checks every JSON input
-file (config, stack, budget sources) passes; each names `what` it
-checks and raises the caller's `error` class.
+The functions at the end locate the packaged data files and are the
+one set of checks every JSON input file (config, stack, budget sources,
+the packaged gold table) passes; each check names `what` it checks and
+raises the caller's `error` class.
 """
 
 import json
 import math
+import os
 
 
 class HomsensorError(Exception):
@@ -24,7 +26,7 @@ class MaterialDataError(HomsensorError):
 
     Examples: a dispersion table with fewer than two rows, wavelengths
     that are not strictly increasing, a negative extinction coefficient,
-    or a CSV file that cannot be parsed.
+    or a packaged material table file that fails the input checks.
     """
 
 
@@ -75,6 +77,11 @@ class ConfigError(HomsensorError):
     unknown keys, wrong types, missing entries, or empty grids."""
 
 
+def package_data(name) -> str:
+    """The path of the file `name` under the package's data/."""
+    return os.path.join(os.path.dirname(__file__), "data", name)
+
+
 def read_json(path, what, error):
     """The JSON value in the UTF-8 file at path."""
     try:
@@ -116,6 +123,19 @@ def as_number(value, what, error) -> float:
     if not math.isfinite(x):
         raise error("%s must be finite, got %r" % (what, x))
     return x
+
+
+def as_numbers(values, what, error) -> list:
+    """The list form of the number rule: a JSON list of numbers."""
+    return [as_number(x, what, error)
+            for x in check_list(values, what, error)]
+
+
+def as_name(value, what, error) -> str:
+    """value, if it is a non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise error("%s must be a non-empty string, got %r" % (what, value))
+    return value
 
 
 def or_null(check):

@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from importlib import resources
 
 import numpy as np
 
 from .errors import (ConfigError, UndefinedRatioError, as_number,
-                     check_keys, check_list, read_json)
+                     check_keys, check_list, package_data, read_json)
 from .quantum_stats import (CLAMP_FLOOR, DEFAULT_PHI_AB, CoherentInput,
                             _floored_mean_pair, _hom_click_vector,
                             _hom_pair_vector, coherent_output_means,
@@ -68,8 +67,6 @@ DEAD_INFO_SHARE = 1e-9    # warn when skipped outcomes hide this share of I
 RATIO_FLOOR = 1e-12       # information below this leaves a ratio undefined
 DECOMP_STEP = 1e-5        # step for (T, R, phi) partials
 BUDGET_STEP = 1e-4        # step for budget sensitivities, per variable unit
-
-_BUDGET_RESOURCE = "budget_sources.json"
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +396,6 @@ class PhaseScanResult(Record):
     fisher: np.ndarray
     phi_opt: float
     fisher_opt: float
-    grid_step: float
 
 
 def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
@@ -448,8 +444,7 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                 if f_ref >= fisher_opt:
                     phi_opt, fisher_opt = phi_ref, f_ref
     return PhaseScanResult(phi_ab=grid, fisher=values, phi_opt=phi_opt,
-                           fisher_opt=fisher_opt,
-                           grid_step=float(grid[1] - grid[0]))
+                           fisher_opt=fisher_opt)
 
 
 # ---------------------------------------------------------------------------
@@ -525,22 +520,31 @@ _BUDGET_KINDS = ("incidence_angle", "prism_index", "polarization_angle",
 def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
     """Budget sources from a UTF-8 JSON file {comment, sources: [one
     object of BudgetSource fields each]}; the packaged defaults when path
-    is None.  ConfigError names the file and the bad key or value."""
+    is None.  ConfigError names the file and the bad, unknown or missing
+    key or value."""
     if path is None:
-        path = resources.files(__package__) / "data" / _BUDGET_RESOURCE
+        path = package_data("budget_sources.json")
     data = read_json(path, "budget sources file", ConfigError)
     try:
         sources = check_keys(data, ("comment", "sources"), "budget sources",
                              ConfigError)["sources"]
-        return tuple(BudgetSource(**check_keys(
-            entry, BudgetSource._fields, "sources[%d]" % j, ConfigError))
-            for j, entry in enumerate(check_list(sources, "sources",
-                                                 ConfigError)))
+        return tuple(_budget_source(entry, "sources[%d]" % j)
+                     for j, entry in enumerate(check_list(sources, "sources",
+                                                          ConfigError)))
     except ConfigError as exc:
         raise ConfigError("budget sources file %s: %s" % (path, exc)) from exc
-    except (KeyError, TypeError) as exc:  # a missing key or field
-        raise ConfigError("budget sources file %s: malformed budget "
-                          "sources: %s" % (path, exc)) from exc
+    except KeyError as exc:
+        raise ConfigError("budget sources file %s: missing key %s"
+                          % (path, exc)) from exc
+
+
+def _budget_source(d, what: str) -> BudgetSource:
+    """The BudgetSource a JSON object of its fields holds."""
+    check_keys(d, BudgetSource._fields, what, ConfigError)
+    for key in BudgetSource._fields:
+        if key not in d and key not in BudgetSource._defaults:
+            raise ConfigError("%s: missing key %r" % (what, key))
+    return BudgetSource(**d)
 
 
 def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,

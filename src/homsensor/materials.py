@@ -5,7 +5,8 @@ on a strictly increasing vacuum-wavelength grid (linear interpolation in
 between, hard error outside), or a wavelength-independent constant.
 The package ships the Johnson & Christy (1972) gold table as its default
 metal; everything else in a typical sensor stack (glass prism, aqueous
-analyte) is modeled as a constant.
+analyte) is modeled as a constant.  table_from_dict reads the one JSON
+form of a table, in stack files and the packaged gold file alike.
 
 Sign convention: complex indices are written n + ik with k >= 0, paired
 with exp(-i omega t) time dependence, so absorbing media attenuate
@@ -14,17 +15,11 @@ forward-propagating waves.
 
 from __future__ import annotations
 
-import csv
-import io
-from importlib import resources
-
 import numpy as np
 
-from .errors import MaterialDataError, WavelengthRangeError
+from .errors import (MaterialDataError, WavelengthRangeError, as_numbers,
+                     check_keys, package_data, read_json)
 from .records import Record
-
-_GOLD_RESOURCE = "gold_johnson_christy_1972.csv"
-
 
 # ---------------------------------------------------------------------------
 # material table
@@ -155,45 +150,16 @@ def constant_material(name: str, index) -> Material:
 
 
 # ---------------------------------------------------------------------------
-# CSV parsing
+# the material-table format
 # ---------------------------------------------------------------------------
 
-_HEADER = ("wavelength_nm", "n", "k")
-
-
-def parse_material_csv(text: str, name: str = "table") -> MaterialTable:
-    """Parse a dispersion table from CSV text.
-
-    Format: '#' comment lines anywhere, one header row
-    'wavelength_nm,n,k', then one row per sample.  Raises
-    MaterialDataError with a line number on any malformed content.
-    """
-    lam, nn, kk = [], [], []
-    header_seen = False
-    reader = csv.reader(io.StringIO(text))
-    for lineno, row in enumerate(reader, start=1):
-        if not row or (row[0].lstrip().startswith("#")):
-            continue
-        cells = [c.strip() for c in row]
-        if not header_seen:
-            if tuple(cells) != _HEADER:
-                raise MaterialDataError(
-                    "line %d: expected header %s, got %r"
-                    % (lineno, ",".join(_HEADER), ",".join(cells)))
-            header_seen = True
-            continue
-        if len(cells) != 3:
-            raise MaterialDataError(
-                "line %d: expected 3 columns, got %d" % (lineno, len(cells)))
-        try:
-            lam.append(float(cells[0]))
-            nn.append(float(cells[1]))
-            kk.append(float(cells[2]))
-        except ValueError as exc:
-            raise MaterialDataError("line %d: %s" % (lineno, exc)) from exc
-    if not header_seen:
-        raise MaterialDataError("missing header row %r" % (",".join(_HEADER),))
-    return MaterialTable(np.array(lam), np.array(nn), np.array(kk), name=name)
+def table_from_dict(d, name: str, what: str, error) -> MaterialTable:
+    """The table a JSON object {wavelength_nm, n, k} of number lists holds;
+    error names a bad key or number, a missing column raises KeyError."""
+    columns = ("wavelength_nm", "n", "k")
+    check_keys(d, columns, what, error)
+    return MaterialTable(*(as_numbers(d[key], what + "." + key, error)
+                           for key in columns), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +172,26 @@ _gold_cache: list[Material] = []
 def gold_jc() -> Material:
     """Gold from the Johnson & Christy (1972) thin-film measurements.
 
-    P. B. Johnson and R. W. Christy, Phys. Rev. B 6, 4370 (1972): 49
-    rows spanning 0.64 to 6.60 eV (roughly 188 to 1937 nm), shipped with
-    the package.  The instance is cached; tables are immutable.
+    P. B. Johnson and R. W. Christy, Phys. Rev. B 6, 4370 (1972), Table
+    1: 49 rows spanning 0.64 to 6.60 eV (roughly 188 to 1937 nm, as
+    lambda_nm = 1239.84193 / E_eV), shipped as the JSON {comment, table}
+    in data/; a malformed file raises MaterialDataError naming it.  The
+    instance is cached; tables are immutable.
     """
     if not _gold_cache:
-        text = (resources.files(__package__) / "data" / _GOLD_RESOURCE).read_text()
-        table = parse_material_csv(text, name="Au (Johnson & Christy 1972)")
+        path = package_data("gold_johnson_christy_1972.json")
+        data = read_json(path, "material table file", MaterialDataError)
+        try:
+            check_keys(data, ("comment", "table"), "material table",
+                       MaterialDataError)
+            table = table_from_dict(data["table"],
+                                    "Au (Johnson & Christy 1972)", "table",
+                                    MaterialDataError)
+        except MaterialDataError as exc:
+            raise MaterialDataError("material table file %s: %s"
+                                    % (path, exc)) from exc
+        except KeyError as exc:
+            raise MaterialDataError("material table file %s: missing key %s"
+                                    % (path, exc)) from exc
         _gold_cache.append(Material(name="Au", table=table))
     return _gold_cache[0]

@@ -43,9 +43,10 @@ import json
 import numpy as np
 
 from .errors import (CalibrationError, MaterialDataError,
-                     StackDefinitionError, UnphysicalPointError, as_number,
-                     check_keys, check_list, or_null, read_json)
-from .materials import Material, MaterialTable, constant_material, gold_jc
+                     StackDefinitionError, UnphysicalPointError, as_name,
+                     as_number, as_numbers, check_keys, check_list, or_null,
+                     read_json)
+from .materials import Material, constant_material, gold_jc, table_from_dict
 from .records import Record, replace
 
 DEFAULT_PRISM_INDEX = 1.5
@@ -641,12 +642,6 @@ def _material_to_dict(mat: Material) -> dict:
 _number_or_null = or_null(as_number)
 
 
-def _numbers(values, what: str) -> list:
-    """A JSON list of numbers, each checked by the number rule."""
-    return [as_number(x, what, StackDefinitionError)
-            for x in check_list(values, what, StackDefinitionError)]
-
-
 def _material_from_dict(d, what: str) -> Material:
     sources = ["builtin", "constant", "table"]
     check_keys(d, ["name"] + sources, what, StackDefinitionError)
@@ -654,22 +649,22 @@ def _material_from_dict(d, what: str) -> Material:
     if len(given) != 1:
         raise StackDefinitionError("%s must give exactly one of %s, got %s"
                                    % (what, sources, given))
+    name = as_name(d.get("name", given[0]), what + ".name",
+                   StackDefinitionError)
     if "builtin" in d:
         if d["builtin"] != "gold_jc":
             raise StackDefinitionError("unknown builtin material %r"
                                        % (d["builtin"],))
         return gold_jc()
     if "constant" in d:
-        value = _numbers(d["constant"], what + ".constant")
+        value = as_numbers(d["constant"], what + ".constant",
+                           StackDefinitionError)
         if len(value) != 2:
             raise StackDefinitionError(
                 "material constant must be [re, im], got %r" % (value,))
-        return constant_material(d.get("name", "constant"), complex(*value))
-    what, columns = what + ".table", ("wavelength_nm", "n", "k")
-    t = check_keys(d["table"], columns, what, StackDefinitionError)
-    name = d.get("name", "table")
-    return Material(name=name, table=MaterialTable(
-        *(_numbers(t[key], what + "." + key) for key in columns), name=name))
+        return constant_material(name, complex(*value))
+    return Material(name=name, table=table_from_dict(
+        d["table"], name, what + ".table", StackDefinitionError))
 
 
 def _layer_from_dict(d, what: str) -> Layer:
@@ -697,9 +692,10 @@ def stack_to_dict(stack: LayerStack) -> dict:
 
 def stack_from_dict(d: dict) -> LayerStack:
     """The stack a stack_to_dict description holds: each object takes its
-    own keys only, a material one of builtin, constant and table, and a
-    number errors.as_number (a thickness or sample_n may be null).
-    StackDefinitionError names the key (layers[2].thickness_nm) and value."""
+    own keys only, a material one of builtin, constant and table, a name
+    errors.as_name, a number errors.as_number (a thickness or sample_n may
+    be null).  StackDefinitionError names the key (layers[2].thickness_nm)
+    and value."""
     check_keys(d, ("layers", "name", "sample_layer", "sample_n"), "stack",
                StackDefinitionError)
     sample = d.get("sample_layer")
@@ -715,7 +711,8 @@ def stack_from_dict(d: dict) -> LayerStack:
     return LayerStack(layers=layers, sample_layer=sample,
                       sample_n=_number_or_null(d.get("sample_n"), "sample_n",
                                                StackDefinitionError),
-                      name=d.get("name", "stack"))
+                      name=as_name(d.get("name", "stack"), "name",
+                                   StackDefinitionError))
 
 
 def save_stack(stack: LayerStack, path):

@@ -676,9 +676,9 @@ def _with_layer(d, j, layer):
                             for i, old in enumerate(d["layers"])]}
 
 
-def _with_film_table(d, table):
+def _with_film_table(d, table, name="film"):
     """Both films of stack description d made of one tabulated material."""
-    film = {**d["layers"][1], "material": {"name": "film", "table": table}}
+    film = {**d["layers"][1], "material": {"name": name, "table": table}}
     return _with_layer(_with_layer(d, 1, film), 3, film)
 
 
@@ -740,6 +740,16 @@ MALFORMED_STACKS = {
         d, 2, {**d["layers"][2], "thickness": 500.0})),
         "unknown layers[2] keys: ['thickness'] (accepted: ['material', "
         "'thickness_nm'])"),
+    "list_stack_name": (lambda d: json.dumps({**d, "name": [1, 2]}),
+                        "name must be a non-empty string, got [1, 2]"),
+    "number_material_name": (lambda d: json.dumps(_with_layer(
+        d, 0, {**d["layers"][0], "material": {"name": 5,
+                                              "constant": [1.5, 0.0]}})),
+        "layers[0].material.name must be a non-empty string, got 5"),
+    "empty_table_name": (lambda d: json.dumps(_with_film_table(
+        d, {"wavelength_nm": [700, 900], "n": [0.2, 0.3], "k": [5.0, 6.0]},
+        name="")),
+        "layers[1].material.name must be a non-empty string, got ''"),
 }
 
 
@@ -781,25 +791,36 @@ def _utf16_json(path, data):
     return path
 
 
-@pytest.mark.parametrize("change, names", [
-    ({"divisor": 0}, "divisor must be finite and > 0, got 0.0"),
-    ({"s": math.nan, "divisor": -2}, "s must be finite, got nan"),
-    ({"name": "angle,\njitter"}, "name must be a non-empty string without "
-     "commas, quotes or line breaks"),
-    ({"s": True, "divisor": "2"}, "s must be a number, got True"),
-    ({"divsor": 100}, "unknown sources[0] keys: ['divsor'] (accepted: "
-     "['divisor', 'kind', 'name', 'reference_c', 'reference_sigma', 's', "
-     "'unit'])"),
+SOURCE = {"name": "angle", "kind": "incidence_angle", "s": 0.03,
+          "unit": "deg"}
+
+
+def _one_source(**change):
+    """A sources file whose one entry is SOURCE with the changed keys."""
+    return {"sources": [{**SOURCE, **change}]}
+
+
+@pytest.mark.parametrize("data, names", [
+    (_one_source(divisor=0), "divisor must be finite and > 0, got 0.0"),
+    (_one_source(s=math.nan, divisor=-2), "s must be finite, got nan"),
+    (_one_source(name="angle,\njitter"), "name must be a non-empty string "
+     "without commas, quotes or line breaks"),
+    (_one_source(s=True, divisor="2"), "s must be a number, got True"),
+    (_one_source(divsor=100), "unknown sources[0] keys: ['divsor'] "
+     "(accepted: ['divisor', 'kind', 'name', 'reference_c', "
+     "'reference_sigma', 's', 'unit'])"),
+    ({"sources": [{k: v for k, v in SOURCE.items() if k != "s"}]},
+     "sources[0]: missing key 's'"),
+    ({}, "missing key 'sources'"),
 ], ids=["zero_divisor", "nan_s", "comma_newline_name", "bool_s_string_divisor",
-        "misspelt_divisor"])
-def test_bad_budget_source_exits_1(tmp_path, capsys, change, names):
-    """A sources entry that would divide by zero, print nan or break the
-    table's rows, or that holds a non-number or an unknown key, ends in
-    one `error:` line naming the sources file, and writes nothing."""
-    entry = {"name": "angle", "kind": "incidence_angle", "s": 0.03,
-             "unit": "deg", **change}
+        "misspelt_divisor", "missing_s", "missing_sources"])
+def test_bad_budget_source_exits_1(tmp_path, capsys, data, names):
+    """A sources file that would divide by zero, print nan or break the
+    table's rows, that holds a non-number or an unknown key, or that lacks
+    a key, ends in one `error:` line naming the sources file and the key,
+    and writes nothing."""
     sources = tmp_path / "sources.json"
-    sources.write_text(json.dumps({"sources": [entry]}))
+    sources.write_text(json.dumps(data))
     code, out = _run(tmp_path, "budget", {"stack_path": str(FIXTURE_STACK),
                                           "sources_path": str(sources)})
     err = capsys.readouterr().err

@@ -163,7 +163,7 @@ def _unclipped(delta_lambda_nm):
 @pytest.mark.parametrize("delta_lambda_nm", [0.01, 9.4, 94.0])
 def test_flat_response_moments_are_one_node(delta_lambda_nm):
     profile, grid = _unclipped(delta_lambda_nm)
-    nodes = np.ones(grid.n_nodes)
+    nodes = np.ones(grid.nodes.size)
     moments = continuum_hom_moments(*(x * nodes for x in POINT), profile,
                                     grid)
     for got, want in zip(moments, splitter_moments(*POINT)):
@@ -178,7 +178,7 @@ def test_linear_phase_damps_interference_moment(tau_dw):
     profile, grid = _unclipped(9.4)
     T, R, phi0 = POINT
     tau = tau_dw / profile.delta_omega
-    nodes = np.ones(grid.n_nodes)
+    nodes = np.ones(grid.nodes.size)
     i_t, i_r, k = continuum_hom_moments(T * nodes, R * nodes,
                                         phi0 + tau * grid.nodes, profile,
                                         grid)

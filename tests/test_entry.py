@@ -185,7 +185,7 @@ def test_public_names_resolve():
                   "except AttributeError:\n"
                   "    print(len(homsensor.__all__), bad)\n")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "53 []"
+    assert out.stdout.strip() == "52 []"
 
 
 def _references(module: ast.Module) -> set:
@@ -217,9 +217,9 @@ def test_every_export_has_a_user():
 
 
 def test_json_is_parsed_by_one_reader():
-    """Every input file (config, stack, budget sources) is parsed by
-    errors.read_json: json.load and json.loads appear in src/homsensor in
-    that function only."""
+    """Every input file (config, stack, budget sources, the packaged gold
+    table) is parsed by errors.read_json: json.load and json.loads appear
+    in src/homsensor in that function only."""
     found = []
     for path in sorted((SRC / "homsensor").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -232,6 +232,41 @@ def test_json_is_parsed_by_one_reader():
                       or isinstance(sub, ast.ImportFrom)
                       and sub.module == "json"]
     assert found == [("errors", "read_json")]
+
+
+def test_no_second_reader_or_locator_is_imported():
+    """No src/homsensor module imports csv or importlib.resources: tables
+    are JSON, and errors.package_data locates the packaged files.  The
+    source is checked, as site may have loaded importlib.resources."""
+    found = []
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + ["%s.%s" % (node.module, alias.name)
+                                         for alias in node.names]
+            else:
+                continue
+            found += [(path.stem, name) for name in names
+                      if name in ("csv", "importlib.resources")]
+    assert found == []
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
+def test_every_data_file_is_package_data():
+    """A wheel ships each file under src/homsensor/data: every one matches
+    a [tool.setuptools.package-data] pattern of pyproject.toml."""
+    import fnmatch
+    import tomllib
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        patterns = tomllib.load(f)["tool"]["setuptools"]["package-data"][
+            "homsensor"]
+    files = sorted(p.relative_to(SRC / "homsensor").as_posix()
+                   for p in (SRC / "homsensor" / "data").iterdir())
+    assert "data/gold_johnson_christy_1972.json" in files
+    assert [f for f in files
+            if not any(fnmatch.fnmatch(f, pat) for pat in patterns)] == []
 
 
 @pytest.mark.parametrize("command, cfg", [

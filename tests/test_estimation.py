@@ -223,7 +223,7 @@ def test_phase_scan_peaks_at_quarter_turns(stack):
         scan = phi_ab_scan(stack, 800.0, 70.0, n,
                            phi_tr_assumption=PI_HALF)
         dist = min(abs(scan.phi_opt - PI_HALF), abs(scan.phi_opt + PI_HALF))
-        assert dist <= scan.grid_step
+        assert dist <= scan.phi_ab[1] - scan.phi_ab[0]
 
 
 def test_phase_scan_matches_fisher_classical(stack):

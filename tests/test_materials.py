@@ -1,40 +1,59 @@
-"""Material tables: parsing, interpolation, windows."""
+"""Material tables: reading, interpolation, windows."""
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from homsensor.errors import MaterialDataError, WavelengthRangeError
+from homsensor import materials
+from homsensor.errors import (MaterialDataError, WavelengthRangeError,
+                              package_data)
 from homsensor.materials import (
-    Material, MaterialTable, constant_material, gold_jc, parse_material_csv,
+    Material, MaterialTable, constant_material, gold_jc, table_from_dict,
 )
 
-WELL_FORMED = """wavelength_nm,n,k
-400.0,1.0,0.5
-500.0,1.1,0.6
-600.0,1.2,0.7
-"""
+GOLD_FILE = pathlib.Path(package_data("gold_johnson_christy_1972.json"))
+WELL_FORMED = {"wavelength_nm": [400.0, 500.0, 600.0],
+               "n": [1.0, 1.1, 1.2], "k": [0.5, 0.6, 0.7]}
 
 
 def test_parse_three_rows():
-    table = parse_material_csv(WELL_FORMED, name="demo")
+    table = table_from_dict(WELL_FORMED, "demo", "table", MaterialDataError)
     assert table.wavelength_nm.size == 3
     assert table.name == "demo"
 
 
 def test_unsorted_rows_rejected():
-    bad = "wavelength_nm,n,k\n500,1,0\n400,1,0\n600,1,0\n"
+    bad = {"wavelength_nm": [500, 400, 600], "n": [1, 1, 1], "k": [0, 0, 0]}
     with pytest.raises(MaterialDataError):
-        parse_material_csv(bad)
+        table_from_dict(bad, "bad", "table", MaterialDataError)
 
 
 def test_gold_table_row_count_matches_file():
-    import importlib.resources as resources
-    text = (resources.files("homsensor") / "data"
-            / "gold_johnson_christy_1972.csv").read_text()
-    data_rows = [ln for ln in text.splitlines()
-                 if ln.strip() and not ln.startswith("#")
-                 and not ln.startswith("wavelength")]
-    assert gold_jc().table.wavelength_nm.size == len(data_rows)
+    table = json.loads(GOLD_FILE.read_text(encoding="utf-8"))["table"]
+    assert [len(table[key]) for key in ("wavelength_nm", "n", "k")] \
+        == [gold_jc().table.wavelength_nm.size] * 3 == [49] * 3
+
+
+@pytest.mark.parametrize("change, names", [
+    (lambda t: {**t, "n": ["1.28"] + t["n"][1:]},
+     "table.n must be a number, got '1.28'"),
+    (lambda t: {"wavelength_nm": t["wavelength_nm"], "n": t["n"]},
+     "missing key 'k'"),
+], ids=["string_n", "missing_k"])
+def test_bad_gold_file_names_it(tmp_path, monkeypatch, change, names):
+    """A packaged gold file that fails the table checks raises
+    MaterialDataError naming the file and the bad or missing key."""
+    data = json.loads(GOLD_FILE.read_text(encoding="utf-8"))
+    data["table"] = change(data["table"])
+    path = tmp_path / "gold.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.setattr(materials, "package_data", lambda name: str(path))
+    monkeypatch.setattr(materials, "_gold_cache", [])
+    with pytest.raises(MaterialDataError) as info:
+        materials.gold_jc()
+    assert str(info.value) == "material table file %s: %s" % (path, names)
 
 
 def test_constant_material_any_wavelength():
@@ -102,7 +121,8 @@ def test_material_requires_exactly_one_source():
         Material(name="neither")
     with pytest.raises(MaterialDataError):
         Material(name="both", constant=1.5,
-                 table=parse_material_csv(WELL_FORMED))
+                 table=table_from_dict(WELL_FORMED, "both", "table",
+                                       MaterialDataError))
 
 
 def test_gold_cached():

@@ -40,14 +40,14 @@ RECORDS = {
     FisherReport: (lambda: FisherReport(
         1.0, 0.5, 1.0, True, np.eye(3), np.ones(3), 1.0, 1.0, 1.4), False),
     PhaseScanResult: (lambda: PhaseScanResult(
-        np.zeros(2), np.ones(2), 0.0, 1.0, math.pi), False),
+        np.zeros(2), np.ones(2), 0.0, 1.0), False),
     BudgetSource: (lambda: SOURCE, True),
     BudgetRow: (lambda: BudgetRow(SOURCE, 0.1, 0.001), True),
     BudgetReport: (lambda: BudgetReport((BudgetRow(SOURCE, 0.1, 0.001),),
                                         2.0), True),
     SpectralProfile: (lambda: spectral_profile(800.0, 9.4), True),
-    QuadratureGrid: (lambda: QuadratureGrid(np.ones(3), np.ones(3), 3,
-                                            False), False),
+    QuadratureGrid: (lambda: QuadratureGrid(np.ones(3), np.ones(3), False),
+                     False),
     Table: (lambda: Table("x.csv", ("a", "b"), ((1, 2), (3, 4)), "a, b"),
             True),
 }
