@@ -19,8 +19,9 @@ The double integrals of the pair probe factor into these single
 integrals for a product joint spectrum (tensor-product quadrature of a
 factorized integrand is the product of the one-dimensional
 quadratures).  A single frequency is the one-node case, so
-continuum_fisher feeds the averaged moments to the same outcome models
-and the same information reduction as estimation.
+continuum_fisher feeds the averaged moments to the same probe table,
+quantum_stats.probe_outcomes, and the same information reduction as
+estimation.
 
 Integrals use Gauss-Legendre quadrature on a window of +/- span *
 delta_omega around the carrier, clipped to the frequency window where
@@ -41,10 +42,9 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .estimation import _distribution_information, _information
-from .quantum_stats import (DEFAULT_PHI_AB, _floored_mean_pair,
-                            _hom_click_vector, splitter_moments,
-                            validate_points)
+from .estimation import _information, _probe_information
+from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, probe_outcomes,
+                            splitter_moments, validate_points)
 from .records import Record
 from .tmm import NS_STEP, LayerStack, stack_response
 
@@ -247,7 +247,7 @@ def continuum_classical_means(moments, profile: SpectralProfile,
         raise ConfigError(
             "each beam integrates to %.12g mean photons, not 1; the "
             "benchmark requires unit-normalized beams" % (total,))
-    return _floored_mean_pair(*moments, 1.0, 1.0, phi_ab)
+    return probe_outcomes(moments, CoherentInput(phi_ab=phi_ab))
 
 
 def continuum_fisher(stack: LayerStack, lambda0_nm: float,
@@ -275,6 +275,5 @@ def continuum_fisher(stack: LayerStack, lambda0_nm: float,
     point = validate_points(resp.T, resp.R, resp.phi_tr)
     del resp  # its amplitudes t and r are not needed for the moments
     moments = continuum_hom_moments(*point, profile, grid)
-    p = _hom_click_vector(*moments)
-    mu = continuum_classical_means(moments, profile, grid, phi_ab)
-    return _distribution_information(p), _information(mu)
+    return _probe_information(moments, "click"), _information(
+        continuum_classical_means(moments, profile, grid, phi_ab))

@@ -13,13 +13,17 @@ differences in n_s; the denominator uses the midpoint average of the
 two perturbed distributions, which is accurate to the same order as the
 derivative and costs no extra model evaluation.
 
+A probe is "click", "pair" (photon pairs, clicks or resolved) or a
+CoherentInput; _probe_information reads its outcomes through the one
+table quantum_stats.probe_outcomes, and every sum is _fisher_sum.
 Provided on top of the raw information are:
 
 * per-scheme evaluators for the photon-pair (two-photon interference)
   probe and the coherent probe, alone or both from one response,
-* a decomposition of the information over the splitter parameters
-  (T, R, phi_tr), exposing which physical channel carries the signal
-  (for the coherent probe it differentiates the two Poisson means),
+* a decomposition of any probe's information over the splitter
+  parameters (T, R, phi_tr), exposing which physical channel carries
+  the signal (for the coherent probe it differentiates the two Poisson
+  means),
 * a report of both schemes, their enhancement and the decomposition,
 * a scan of the coherent probe's relative phase, locating the phase
   that maximizes its information,
@@ -53,9 +57,8 @@ import numpy as np
 from .errors import (ConfigError, UndefinedRatioError, as_number,
                      check_keys, check_list, package_data, read_json)
 from .quantum_stats import (CLAMP_FLOOR, DEFAULT_PHI_AB, CoherentInput,
-                            _floored_mean_pair, _hom_click_vector,
-                            _hom_pair_vector, coherent_output_means,
-                            splitter_moments, validate_points)
+                            probe_outcomes, splitter_moments,
+                            validate_points)
 from .records import Record
 from .tmm import (NS_STEP, LayerStack, ns_stencil, prism_index,
                   sensor_thicknesses, stack_response, stencil_derivatives,
@@ -73,6 +76,14 @@ BUDGET_STEP = 1e-4        # step for budget sensitivities, per variable unit
 # generic Fisher information from a parametric distribution
 # ---------------------------------------------------------------------------
 
+def _fisher_sum(d_a, d_b, p):
+    """sum over the last axis of d_a d_b / p, skipping outcomes with
+    p <= ZERO_PROB_FLOOR: the one Fisher sum of the module."""
+    alive = p > ZERO_PROB_FLOOR
+    return np.sum(np.where(alive, d_a * d_b / np.where(alive, p, 1.0), 0.0),
+                  axis=-1)
+
+
 def _information(values, step: float = NS_STEP):
     """Fisher information along the last axis from values at n_s + step
     and n_s - step at indices 0 and 1 of axis -2 (the ns_stencil order;
@@ -88,10 +99,8 @@ def _information(values, step: float = NS_STEP):
     plus, minus = values[..., 0, :], values[..., 1, :]
     deriv = (plus - minus) / (2.0 * step)
     mid = 0.5 * (plus + minus)
-    alive = mid > ZERO_PROB_FLOOR
-    info = np.sum(np.where(alive, deriv ** 2 / np.where(alive, mid, 1.0),
-                           0.0), axis=-1)
-    dead = ~alive & (np.abs(deriv) > DERIV_FLOOR)
+    info = _fisher_sum(deriv, deriv, mid)
+    dead = ~(mid > ZERO_PROB_FLOOR) & (np.abs(deriv) > DERIV_FLOOR)
     lost = np.sum(np.where(dead, deriv ** 2, 0.0), axis=-1) / ZERO_PROB_FLOOR
     if np.any(lost > DEAD_INFO_SHARE * info):
         warnings.warn(
@@ -112,6 +121,13 @@ def _distribution_information(p, step: float = NS_STEP):
             "exhaustive (include loss/vacuum outcomes explicitly)"
             % (float(total[bad][0]),))
     return _information(p, step)
+
+
+def _probe_information(moments, probe):
+    """_information of probe's outcomes at moments on the ns_stencil
+    axis; a distribution is checked to sum to 1, Poisson means are not."""
+    return (_information if isinstance(probe, CoherentInput)
+            else _distribution_information)(probe_outcomes(moments, probe))
 
 
 def _as_result(info):
@@ -150,15 +166,6 @@ def _stencil_points(stack, wavelength_nm, theta_deg, n_s, polarization,
 # per-scheme information at a stack operating point
 # ---------------------------------------------------------------------------
 
-# each scheme's information from the _stencil_points (T, R, phi_tr)
-def _hom_information(points, vector=_hom_click_vector):
-    return _distribution_information(vector(*splitter_moments(*points)))
-
-
-def _classical_information(points, probe):
-    return _information(coherent_output_means(*points, probe))
-
-
 def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                polarization: str = "tm", outcomes: str = "click"):
     """Information carried by the photon-pair probe.
@@ -167,44 +174,34 @@ def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     number of ports that fired, "pair" resolves the joint photon numbers
     and therefore carries at least as much information.
     """
-    vector = {"click": _hom_click_vector,
-              "pair": _hom_pair_vector}.get(outcomes)
-    if vector is None:
-        raise ConfigError("outcomes must be 'click' or 'pair', got %r"
-                          % (outcomes,))
-    return _hom_information(_stencil_points(
-        stack, wavelength_nm, theta_deg, n_s, polarization), vector)
+    return _probe_information(splitter_moments(*_stencil_points(
+        stack, wavelength_nm, theta_deg, n_s, polarization)), outcomes)
 
 
 def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                     phi_ab: float | None = None,
                      probe: CoherentInput | None = None,
                      polarization: str = "tm"):
     """Information carried by the coherent probe's two output counters.
 
     Independent Poissonian outputs admit the closed form
     I = sum_j (d mu_j / d n_s)^2 / mu_j; the means are differentiated by
-    the same central difference used elsewhere.  phi_ab overrides the
-    probe phase (unit intensities); pass a full CoherentInput via probe
-    for anything fancier.
+    the same central difference used elsewhere.  probe sets the
+    intensities and the phase; the default is CoherentInput(), unit
+    intensities at quadrature phase.
     """
-    if probe is None:
-        probe = CoherentInput() if phi_ab is None \
-            else CoherentInput(phi_ab=float(phi_ab))
-    elif phi_ab is not None:
-        raise ConfigError("give phi_ab or probe, not both")
-    return _classical_information(_stencil_points(
-        stack, wavelength_nm, theta_deg, n_s, polarization), probe)
+    return _probe_information(splitter_moments(*_stencil_points(
+        stack, wavelength_nm, theta_deg, n_s, polarization)),
+        probe or CoherentInput())
 
 
 def fisher_schemes(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                    phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm"):
     """(fisher_hom, fisher_classical at phi_ab) from one stack_response
     call: the single-frequency twin of continuum.continuum_fisher."""
-    points = _stencil_points(stack, wavelength_nm, theta_deg, n_s,
-                             polarization)
-    return _hom_information(points), _classical_information(
-        points, CoherentInput(phi_ab=float(phi_ab)))
+    moments = splitter_moments(*_stencil_points(
+        stack, wavelength_nm, theta_deg, n_s, polarization))
+    return _probe_information(moments, "click"), _probe_information(
+        moments, CoherentInput(phi_ab=float(phi_ab)))
 
 
 def precision_bound(info):
@@ -257,34 +254,33 @@ class DecompositionResult(Record):
     phi_used: np.ndarray | float
 
 
-# offsets of the fourth-order central stencil, in units of the step
-_STENCIL = np.array([-2.0, -1.0, 1.0, 2.0])
+# offsets of the fourth-order central stencil, in units of the step, and
+# the operating point last
+_STENCIL = np.array([-2.0, -1.0, 1.0, 2.0, 0.0])
 
 
 def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                         scheme: str = "hom",
-                         probe: CoherentInput | None = None,
-                         polarization: str = "tm",
+                         probe="click", polarization: str = "tm",
                          phi_tr_assumption: float | None = None
                          ) -> DecompositionResult:
     """Resolve the information over the (T, R, phi_tr) channels.
 
-    scheme is "hom" (photon-pair clicks) or "classical" (the coherent
-    probe's two Poisson means mu, whose matrix is the same sum
-    sum_j d_a mu_j d_b mu_j / mu_j).  The 3x3 matrix is evaluated at the
-    stack's operating point; phi_tr_assumption, when given, replaces the
-    phase coordinate of that point (see the module docstring).  The
-    jacobian and the contracted scalar always use the actual stack
-    response.  wavelength_nm, theta_deg and n_s broadcast.
+    probe is "click" (the default), "pair" or a CoherentInput, whose two
+    Poisson means mu give the same sum sum_j d_a mu_j d_b mu_j / mu_j.
+    The 3x3 matrix is evaluated at the stack's operating point;
+    phi_tr_assumption, when given, replaces the phase coordinate of that
+    point (see the module docstring).  The jacobian and the contracted
+    scalar always use the actual stack response.  wavelength_nm,
+    theta_deg and n_s broadcast.
 
     The (T, R, phi) partials use the five-point stencil
     (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / (12 h), h = DECOMP_STEP, whose
     truncation error ~h^4 matters for entries that vanish identically at
     symmetric points (plain second-order differences leave a residue well
     above the verification tolerances there).  All four offsets along
-    all three axes are one model call.
+    all three axes and the operating point are one model call.
 
-    For the classical scheme with equal intensities (a = b) at the
+    For the coherent probe with equal intensities (a = b) at the
     quadrature probe phase phi_ab = pi/2, the Poisson closed form of the
     T-R entry is
 
@@ -297,24 +293,11 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     """
     return _decompose(_stencil_points(stack, wavelength_nm, theta_deg, n_s,
                                       polarization, centre=True),
-                      scheme, probe, phi_tr_assumption)
+                      probe, phi_tr_assumption)
 
 
-def _decompose(points, scheme="hom", probe=None, phi_tr_assumption=None):
+def _decompose(points, probe="click", phi_tr_assumption=None):
     """fisher_decomposition from its _stencil_points with the centre."""
-    probe = probe or CoherentInput()
-    if scheme == "hom":
-        def model(T, R, phi):
-            return _hom_click_vector(*splitter_moments(T, R, phi))
-    elif scheme == "classical":
-        def model(T, R, phi):
-            return _floored_mean_pair(*splitter_moments(T, R, phi),
-                                      probe.alpha_sq, probe.beta_sq,
-                                      probe.phi_ab)
-    else:
-        raise ConfigError("scheme must be 'hom' or 'classical', got %r"
-                          % (scheme,))
-
     T, R, phi = (x[..., 2] for x in points)
     if phi_tr_assumption is not None:
         phi = np.full_like(phi, phi_tr_assumption)
@@ -323,15 +306,13 @@ def _decompose(points, scheme="hom", probe=None, phi_tr_assumption=None):
     # (..., offset, axis, coordinate): tau moved by offset * h along axis
     moved = tau[..., None, None, :] \
         + (_STENCIL[:, None, None] * DECOMP_STEP) * np.eye(3)
-    f = model(*np.moveaxis(moved, -1, 0))           # (..., offset, axis, K)
+    f = probe_outcomes(splitter_moments(*np.moveaxis(moved, -1, 0)),
+                       probe)                       # (..., offset, axis, K)
     partials = (f[..., 0, :, :] - 8.0 * f[..., 1, :, :]
                 + 8.0 * f[..., 2, :, :] - f[..., 3, :, :]) \
         / (12.0 * DECOMP_STEP)
-    p0 = model(T, R, phi)[..., None, None, :]
-    alive = p0 > ZERO_PROB_FLOOR
-    matrix = np.sum(np.where(
-        alive, partials[..., :, None, :] * partials[..., None, :, :]
-        / np.where(alive, p0, 1.0), 0.0), axis=-1)
+    matrix = _fisher_sum(partials[..., :, None, :], partials[..., None, :, :],
+                         f[..., 4:, :1, :])  # offset 0: the operating point
 
     jac = np.stack(stencil_derivatives(*points), axis=-1)
     contracted = (jac[..., None, :] @ matrix @ jac[..., :, None])[..., 0, 0]
@@ -373,8 +354,9 @@ def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     on the broadcast grid, all from one ns_stencil call."""
     points = _stencil_points(stack, wavelength_nm, theta_deg, n_s,
                              polarization, centre=True)
-    i_h = _hom_information(points)
-    i_c = _classical_information(points, CoherentInput(phi_ab=float(phi_ab)))
+    moments = splitter_moments(*points)
+    i_h = _probe_information(moments, "click")
+    i_c = _probe_information(moments, CoherentInput(phi_ab=float(phi_ab)))
     g, g_defined = defined_ratio(i_h - i_c, i_c)
     decomp = _decompose(points)
     return FisherReport(
@@ -399,40 +381,30 @@ class PhaseScanResult(Record):
 
 
 def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                alpha_sq: float = 1.0, beta_sq: float = 1.0,
                 n_points: int = 721, polarization: str = "tm",
-                phi_tr_assumption: float | None = None, refine: bool = True
-                ) -> PhaseScanResult:
+                phi_tr_assumption: float | None = None) -> PhaseScanResult:
     """Scan the coherent probe's relative phase over [-pi, pi].
 
-    The closed-form Poisson information is evaluated on the half-open
-    grid [-pi, pi) in one broadcast over the phases.  The returned
-    phi_opt is the grid maximizer, optionally polished by one parabolic
-    fit through the maximum and its two neighbours (kept inside the
-    bracketing interval).
+    The unit-intensity probe's closed-form Poisson information is
+    evaluated on the half-open grid [-pi, pi), one CoherentInput phase
+    array.  The returned phi_opt is the grid maximizer, polished by one
+    parabolic fit through the maximum and its two neighbours (kept
+    inside the bracketing interval).
     """
     if n_points < 2:
         raise ConfigError("phase scan needs at least 2 points, got %r"
                           % (n_points,))
-    probe = CoherentInput(alpha_sq, beta_sq)  # validates the intensities
     grid = np.linspace(-np.pi, np.pi, int(n_points), endpoint=False)
     T, R, phi = _stencil_points(stack, wavelength_nm, theta_deg, float(n_s),
                                 polarization)
     if phi_tr_assumption is not None:
         phi = np.full_like(phi, phi_tr_assumption)
     moments = splitter_moments(T, R, phi)
-
-    def info(phi_ab):
-        """Information per phase; the +/- h axis trails the phases."""
-        return _information(_floored_mean_pair(
-            *moments, probe.alpha_sq, probe.beta_sq,
-            np.asarray(phi_ab)[..., None]))
-
-    values = info(grid)
+    values = _probe_information(moments, CoherentInput(phi_ab=grid[:, None]))
     k = int(np.argmax(values))
     phi_opt = float(grid[k])
     fisher_opt = float(values[k])
-    if refine and 0 < k < len(grid) - 1:
+    if 0 < k < len(grid) - 1:
         y0, y1, y2 = values[k - 1], values[k], values[k + 1]
         denom = y0 - 2.0 * y1 + y2
         if denom < 0.0:  # proper local maximum
@@ -440,7 +412,8 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
             if abs(shift) <= 1.0:
                 h = grid[1] - grid[0]
                 phi_ref = float(grid[k] + shift * h)
-                f_ref = float(info(phi_ref))
+                f_ref = _probe_information(moments,
+                                           CoherentInput(phi_ab=phi_ref))
                 if f_ref >= fisher_opt:
                     phi_opt, fisher_opt = phi_ref, f_ref
     return PhaseScanResult(phi_ab=grid, fisher=values, phi_opt=phi_opt,
@@ -581,8 +554,8 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
 
     def signal(stk, theta, n_s, pol=polarization):
         resp = stack_response(stk, wavelength_nm, theta, n_s, pol)
-        return _hom_pair_vector(*splitter_moments(*validate_points(
-            resp.T, resp.R, resp.phi_tr)))[..., -1]
+        return probe_outcomes(splitter_moments(*validate_points(
+            resp.T, resp.R, resp.phi_tr)), "pair")[..., -1]
 
     def central(plus, minus):
         return (plus - minus) / (2 * h)

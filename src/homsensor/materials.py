@@ -155,11 +155,15 @@ def constant_material(name: str, index) -> Material:
 
 def table_from_dict(d, name: str, what: str, error) -> MaterialTable:
     """The table a JSON object {wavelength_nm, n, k} of number lists holds;
-    error names a bad key or number, a missing column raises KeyError."""
-    columns = ("wavelength_nm", "n", "k")
-    check_keys(d, columns, what, error)
-    return MaterialTable(*(as_numbers(d[key], what + "." + key, error)
-                           for key in columns), name=name)
+    error names a bad key or number, or prefixes what to a MaterialTable
+    check that fails; a missing column raises KeyError."""
+    keys = ("wavelength_nm", "n", "k")
+    check_keys(d, keys, what, error)
+    columns = [as_numbers(d[key], what + "." + key, error) for key in keys]
+    try:
+        return MaterialTable(*columns, name=name)
+    except MaterialDataError as exc:
+        raise error("%s: %s" % (what, exc)) from exc
 
 
 # ---------------------------------------------------------------------------

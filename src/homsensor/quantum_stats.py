@@ -38,6 +38,8 @@ Everything broadcasts over arrays of points, with outcomes on a
 trailing axis.  The raw models _hom_pair_vector, _hom_click_vector and
 _coherent_mean_pair take moments and do not validate, because
 finite-difference stencils step slightly off physical points.
+Every information figure reads them through probe_outcomes, the one
+table from a probe to its model; a new probe is one row there.
 hom_click_distribution checks its points with validate_points and its
 result with validate_distribution; coherent_output_means clamps its
 means with _clamp_probability.  bs_point validates the point of one
@@ -50,7 +52,7 @@ import math
 
 import numpy as np
 
-from .errors import UnphysicalPointError
+from .errors import ConfigError, UnphysicalPointError
 from .records import Record
 from .tmm import StackResponse
 
@@ -211,17 +213,18 @@ class CoherentInput(Record):
     """Two coherent beams: mean photon numbers and relative phase.
 
     alpha_sq and beta_sq are |alpha|^2 and |beta|^2; phi_ab is
-    arg(alpha) - arg(beta).  The default is one mean photon per port at
-    quadrature phase, matching the two-photon probe's energy.
+    arg(alpha) - arg(beta), a float or an array (a phase scan).  The
+    default is one mean photon per port at quadrature phase, matching
+    the two-photon probe's energy.
     """
 
     alpha_sq: float = 1.0
     beta_sq: float = 1.0
-    phi_ab: float = DEFAULT_PHI_AB
+    phi_ab: float | np.ndarray = DEFAULT_PHI_AB
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha_sq) and math.isfinite(self.beta_sq)
-                and math.isfinite(self.phi_ab)):
+                and np.all(np.isfinite(self.phi_ab))):
             raise UnphysicalPointError("non-finite coherent input")
         if self.alpha_sq < 0.0 or self.beta_sq < 0.0:
             raise UnphysicalPointError(
@@ -248,9 +251,21 @@ def _coherent_mean_pair(i_t, i_r, k, a, b, phi_ab) -> np.ndarray:
         b * i_t + a * i_r + cross * np.real(k * np.conj(turn))), axis=-1)
 
 
-def _floored_mean_pair(i_t, i_r, k, a, b, phi_ab) -> np.ndarray:
-    """_coherent_mean_pair floored at zero, as the information reads it."""
-    return np.maximum(_coherent_mean_pair(i_t, i_r, k, a, b, phi_ab), 0.0)
+def probe_outcomes(moments, probe):
+    """Unvalidated outcome values of probe at the moments, on a trailing
+    axis: "click" and "pair" give those distributions, a CoherentInput
+    its two Poisson means floored at zero; anything else raises
+    ConfigError.  The type is tested first, so an array phase is never
+    hashed."""
+    if isinstance(probe, CoherentInput):
+        return np.maximum(_coherent_mean_pair(
+            *moments, probe.alpha_sq, probe.beta_sq, probe.phi_ab), 0.0)
+    model = {"click": _hom_click_vector, "pair": _hom_pair_vector}.get(
+        probe) if isinstance(probe, str) else None
+    if model is None:
+        raise ConfigError("probe must be 'click', 'pair' or a CoherentInput, "
+                          "got %r" % (probe,))
+    return model(*moments)
 
 
 def coherent_output_means(T, R, phi_tr, probe: CoherentInput | None = None):

@@ -652,6 +652,9 @@ def _material_from_dict(d, what: str) -> Material:
     name = as_name(d.get("name", given[0]), what + ".name",
                    StackDefinitionError)
     if "builtin" in d:
+        if "name" in d:  # a builtin material keeps its own name
+            raise StackDefinitionError("%s.name is not accepted with "
+                                       "builtin" % (what,))
         if d["builtin"] != "gold_jc":
             raise StackDefinitionError("unknown builtin material %r"
                                        % (d["builtin"],))

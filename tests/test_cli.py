@@ -746,6 +746,14 @@ MALFORMED_STACKS = {
         d, 0, {**d["layers"][0], "material": {"name": 5,
                                               "constant": [1.5, 0.0]}})),
         "layers[0].material.name must be a non-empty string, got 5"),
+    "named_builtin": (lambda d: json.dumps(_with_layer(
+        d, 1, {**d["layers"][1], "material": {"builtin": "gold_jc",
+                                              "name": "Ag"}})),
+        "layers[1].material.name is not accepted with builtin"),
+    "unsorted_table": (lambda d: json.dumps(_with_film_table(
+        d, {"wavelength_nm": [900, 700], "n": [0.2, 0.3], "k": [5.0, 6.0]})),
+        "layers[1].material.table: material 'film': wavelengths must be "
+        "strictly increasing"),
     "empty_table_name": (lambda d: json.dumps(_with_film_table(
         d, {"wavelength_nm": [700, 900], "n": [0.2, 0.3], "k": [5.0, 6.0]},
         name="")),

@@ -234,6 +234,24 @@ def test_json_is_parsed_by_one_reader():
     assert found == [("errors", "read_json")]
 
 
+def test_outcome_models_are_read_through_one_table():
+    """Outside quantum_stats, no src/homsensor module names a raw outcome
+    model; every information figure reads them through
+    quantum_stats.probe_outcomes."""
+    models = {"_hom_click_vector", "_hom_pair_vector", "_coherent_mean_pair"}
+    found = []
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        if path.stem != "quantum_stats":
+            found += [(path.stem, name) for node in ast.walk(ast.parse(
+                path.read_text(encoding="utf-8")))
+                for name in ([node.id] if isinstance(node, ast.Name)
+                             else [node.attr] if isinstance(node, ast.Attribute)
+                             else [alias.name for alias in node.names]
+                             if isinstance(node, ast.ImportFrom) else [])
+                if name in models]
+    assert found == []
+
+
 def test_no_second_reader_or_locator_is_imported():
     """No src/homsensor module imports csv or importlib.resources: tables
     are JSON, and errors.package_data locates the packaged files.  The

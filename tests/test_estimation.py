@@ -149,6 +149,17 @@ def test_pair_outcomes_carry_at_least_click_information(stack):
         assert click <= pair * (1.0 + 1e-9) + 1e-12
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda stack: fisher_hom(stack, 800.0, 70.0, 1.30, outcomes="hom"),
+    lambda stack: fisher_decomposition(stack, 800.0, 70.0, 1.30,
+                                       probe="hom"),
+], ids=["fisher_hom", "fisher_decomposition"])
+def test_unknown_probe_is_refused(stack, evaluate):
+    with pytest.raises(ConfigError, match="probe must be 'click', 'pair' "
+                       "or a CoherentInput, got 'hom'"):
+        evaluate(stack)
+
+
 def test_information_nonnegative(stack):
     for n in (1.25, 1.28, 1.31, 1.34):
         assert fisher_hom(stack, 800.0, 70.0, n) >= 0.0
@@ -161,7 +172,8 @@ def test_information_nonnegative(stack):
 
 def test_closed_form_matches_truncated_counts(stack):
     for n in (1.27, 1.30, 1.325):
-        closed = fisher_classical(stack, 800.0, 70.0, n, phi_ab=PI_HALF)
+        closed = fisher_classical(stack, 800.0, 70.0, n,
+                                  probe=CoherentInput(phi_ab=PI_HALF))
         counted = fisher_classical_counts(stack, 800.0, 70.0, n)
         assert counted == pytest.approx(closed, rel=1e-8)
 
@@ -202,19 +214,14 @@ def test_fisher_schemes_is_both_evaluators(stack, lam, ns):
     """One shared response gives each scheme's evaluator bit for bit."""
     i_h, i_c = fisher_schemes(stack, lam, 70.0, ns, phi_ab=0.7)
     want_h = fisher_hom(stack, lam, 70.0, ns)
-    want_c = fisher_classical(stack, lam, 70.0, ns, phi_ab=0.7)
+    want_c = fisher_classical(stack, lam, 70.0, ns,
+                              probe=CoherentInput(phi_ab=0.7))
     assert type(i_h) is type(want_h) and type(i_c) is type(want_c)
     assert np.array_equal(i_h, want_h) and np.array_equal(i_c, want_c)
 
 
 def test_classical_zero_for_flat_stack():
     assert fisher_classical(flat_stack(), 800.0, 40.0, 1.5) == 0.0
-
-
-def test_phi_ab_or_probe_not_both(stack):
-    with pytest.raises(ConfigError):
-        fisher_classical(stack, 800.0, 70.0, 1.30, phi_ab=0.1,
-                         probe=CoherentInput())
 
 
 def test_phase_scan_peaks_at_quarter_turns(stack):
@@ -231,14 +238,13 @@ def test_phase_scan_matches_fisher_classical(stack):
     scan = phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=12)
     for phi_ab, value in zip(scan.phi_ab, scan.fisher):
         expected = fisher_classical(stack, 800.0, 70.0, 1.30,
-                                    phi_ab=float(phi_ab))
+                                    probe=CoherentInput(phi_ab=float(phi_ab)))
         assert value == pytest.approx(expected, rel=1e-12)
     assert scan.fisher_opt >= scan.fisher.max()
 
 
 def test_phase_scan_grid_is_half_open(stack):
-    scan = phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=8,
-                       refine=False)
+    scan = phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=8)
     assert scan.phi_ab[0] == pytest.approx(-math.pi)
     assert scan.phi_ab[-1] < math.pi
     assert scan.phi_ab.size == 8
@@ -258,7 +264,8 @@ def test_phase_scan_needs_two_points(stack):
 def test_mixture_never_beats_fixed_phase(stack):
     for n in (1.27, 1.2951, 1.31, 1.3249, 1.34):
         mixed = mixed_phase_classical_fisher(stack, 800.0, 70.0, n)
-        fixed = fisher_classical(stack, 800.0, 70.0, n, phi_ab=PI_HALF)
+        fixed = fisher_classical(stack, 800.0, 70.0, n,
+                                 probe=CoherentInput(phi_ab=PI_HALF))
         assert mixed <= fixed * (1.0 + 1e-9) + 1e-12
 
 
@@ -321,7 +328,8 @@ def test_enhancement_reaches_half_on_sweep(stack):
         if abs(n - 1.31) < 5e-3:
             continue  # skip the undefined window around the dip
         i_h = fisher_hom(stack, 800.0, 70.0, float(n))
-        i_c = fisher_classical(stack, 800.0, 70.0, float(n), phi_ab=PI_HALF)
+        i_c = fisher_classical(stack, 800.0, 70.0, float(n),
+                               probe=CoherentInput(phi_ab=PI_HALF))
         g, defined = enhancement(i_h, i_c)
         if defined:
             best = max(best, g)
@@ -373,13 +381,13 @@ def test_classical_cross_term_vanishes(stack):
     zero under the quarter-wave freeze, and matched at the actual phase."""
     for n in (1.26, 1.29, 1.315, 1.335):
         dec = fisher_decomposition(stack, 800.0, 70.0, n,
-                                   scheme="classical",
+                                   probe=CoherentInput(),
                                    phi_tr_assumption=PI_HALF)
         assert abs(dec.matrix[0, 1]) <= 1e-9
         assert abs(dec.matrix[1, 0]) <= 1e-9
 
         actual = fisher_decomposition(stack, 800.0, 70.0, n,
-                                      scheme="classical")
+                                      probe=CoherentInput())
         T, R, phi = actual.T, actual.R, actual.phi_used
         g = math.sqrt(T * R)
         u = (T + R) / g
@@ -394,7 +402,7 @@ def test_classical_decomposition_matches_count_grid_oracle(stack):
     for n in (1.26, 1.29, 1.315, 1.335):
         for frozen in (None, PI_HALF):
             dec = fisher_decomposition(stack, 800.0, 70.0, n,
-                                       scheme="classical",
+                                       probe=CoherentInput(),
                                        phi_tr_assumption=frozen)
             ref = count_grid_information_matrix(dec.T, dec.R, dec.phi_used)
             assert np.max(np.abs(dec.matrix - ref)) \
@@ -403,24 +411,24 @@ def test_classical_decomposition_matches_count_grid_oracle(stack):
 
 def test_classical_contraction_matches_direct(stack):
     ns = np.array([1.26, 1.29, 1.30, 1.315, 1.335])
-    dec = fisher_decomposition(stack, 800.0, 70.0, ns, scheme="classical")
+    dec = fisher_decomposition(stack, 800.0, 70.0, ns, probe=CoherentInput())
     direct = fisher_classical(stack, 800.0, 70.0, ns)
     assert dec.contracted == pytest.approx(direct, rel=1e-6)
 
 
-@pytest.mark.parametrize("scheme", ["hom", "classical"])
-def test_decomposition_batched_matches_scalar_calls(stack, scheme):
+@pytest.mark.parametrize("probe", ["click", "pair", CoherentInput()],
+                         ids=["hom", "pair", "classical"])
+def test_decomposition_batched_matches_scalar_calls(stack, probe):
     lams = np.array([795.0, 805.0])
     ns = np.linspace(1.26, 1.34, 5)
-    grid = fisher_decomposition(stack, lams[:, None], 70.0, ns,
-                                scheme=scheme)
+    grid = fisher_decomposition(stack, lams[:, None], 70.0, ns, probe=probe)
     assert grid.matrix.shape == (2, 5, 3, 3)
     assert grid.jacobian.shape == (2, 5, 3)
     assert grid.contracted.shape == (2, 5)
     for i, lam in enumerate(lams):
         for j, n in enumerate(ns):
             one = fisher_decomposition(stack, float(lam), 70.0, float(n),
-                                       scheme=scheme)
+                                       probe=probe)
             assert one.matrix.shape == (3, 3)
             assert one.jacobian.shape == (3,)
             assert isinstance(one.contracted, float)
@@ -436,14 +444,17 @@ def test_decomposition_batched_matches_scalar_calls(stack, scheme):
 def test_contraction_matches_direct(stack, rng):
     for _ in range(10):
         n = float(rng.uniform(1.25, 1.34))
-        dec = fisher_decomposition(stack, 800.0, 70.0, n, scheme="hom")
+        dec = fisher_decomposition(stack, 800.0, 70.0, n, probe="click")
         direct = fisher_hom(stack, 800.0, 70.0, n)
+        assert dec.contracted == pytest.approx(direct, rel=1e-6)
+        dec = fisher_decomposition(stack, 800.0, 70.0, n, probe="pair")
+        direct = fisher_hom(stack, 800.0, 70.0, n, outcomes="pair")
         assert dec.contracted == pytest.approx(direct, rel=1e-6)
 
 
 def test_decomposition_diagonal_nonnegative(stack):
-    for scheme in ("hom", "classical"):
-        dec = fisher_decomposition(stack, 800.0, 70.0, 1.30, scheme=scheme)
+    for probe in ("click", CoherentInput()):
+        dec = fisher_decomposition(stack, 800.0, 70.0, 1.30, probe=probe)
         for a in range(3):
             assert dec.matrix[a, a] >= -1e-12
 
@@ -628,13 +639,14 @@ def test_budget_centre_signal_is_the_click_model(stack, monkeypatch):
     is hom_click_distribution's p2 there, bit for bit."""
     calls = _counting_stack_response(monkeypatch)
     pairs = []
-    original = estimation._hom_pair_vector
+    original = estimation.probe_outcomes
 
-    def recording(*moments):
-        pairs.append(original(*moments))
+    def recording(moments, probe):
+        assert probe == "pair"
+        pairs.append(original(moments, probe))
         return pairs[-1]
 
-    monkeypatch.setattr(estimation, "_hom_pair_vector", recording)
+    monkeypatch.setattr(estimation, "probe_outcomes", recording)
     uncertainty_budget(stack, n_analyte=1.32)
     (stk, wavelength, theta, n_s, polarization), resp = calls[0]
     assert (wavelength, theta[0], n_s[0], polarization) \

@@ -278,6 +278,9 @@ def test_coherent_input_validation():
         CoherentInput(alpha_sq=-0.5)
     with pytest.raises(UnphysicalPointError):
         CoherentInput(beta_sq=float("nan"))
+    CoherentInput(phi_ab=np.linspace(-1.0, 1.0, 5))
+    with pytest.raises(UnphysicalPointError):
+        CoherentInput(phi_ab=np.array([0.0, float("nan"), 1.0]))
 
 
 # ---------------------------------------------------------------------------
