@@ -34,10 +34,9 @@ from importlib import import_module as _import_module
 
 # submodule -> the public names it exports
 _EXPORTS = {
-    "continuum": ("QuadratureGrid", "SpectralProfile",
-                  "continuum_classical_means", "continuum_fisher",
-                  "continuum_hom_moments", "default_grid", "quadrature_grid",
-                  "spectral_profile"),
+    "continuum": ("QuadratureGrid", "continuum_classical_means",
+                  "continuum_fisher", "continuum_hom_moments",
+                  "quadrature_grid"),
     "errors": ("CalibrationError", "ConfigError", "HomsensorError",
                "MaterialDataError", "StackDefinitionError",
                "UndefinedRatioError", "UnphysicalPointError",

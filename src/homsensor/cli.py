@@ -54,7 +54,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .continuum import continuum_fisher
+from .continuum import DEFAULT_NODES, DEFAULT_SPAN, MAX_NODES, \
+    continuum_fisher, quadrature_grid
 from .errors import (CalibrationError, ConfigError, HomsensorError,
                      StackDefinitionError, UnphysicalPointError, as_number,
                      check_keys, or_null, read_json)
@@ -124,6 +125,9 @@ def _as_node_count(value, key):
     n = _as_int(value, key)
     if n < 2:
         raise ConfigError("quadrature needs at least 2 nodes")
+    if n > MAX_NODES:
+        raise ConfigError("config key %r asks for more than %d nodes"
+                          % (key, MAX_NODES))
     return n
 
 
@@ -253,8 +257,8 @@ _SCHEMAS = {
         "delta_lambda_nm_list": ([9.4, 94.0], _as_float_list),
         "schemes": (["hom", "classical"], _as_scheme_list),
         "phi_ab": (DEFAULT_PHI_AB, _as_float),
-        "n_nodes": (201, _as_node_count),
-        "span": (5.0, _as_float),
+        "n_nodes": (DEFAULT_NODES, _as_node_count),
+        "span": (DEFAULT_SPAN, _as_float),
     },
 }
 
@@ -558,10 +562,10 @@ def _continuum(cfg, stack):
                                      pol), len(ns), 2)))
     blocks = []  # the columns of each (bandwidth, scheme) block of rows
     for dlam in cfg["delta_lambda_nm_list"]:
+        grid = quadrature_grid(stack, lam0, dlam, nodes, cfg["span"])
         i_cont = dict(zip(("hom", "classical"), _in_blocks(
-            lambda block: continuum_fisher(stack, lam0, dlam, theta, ns[block],
-                                           phi_ab, pol, nodes, cfg["span"]),
-            len(ns), 2 * nodes)))
+            lambda block: continuum_fisher(stack, grid, theta, ns[block],
+                                           phi_ab, pol), len(ns), 2 * nodes)))
         for scheme in cfg["schemes"]:
             d, defined = defined_ratio(
                 np.abs(i_single[scheme] - i_cont[scheme]), i_single[scheme])

@@ -23,11 +23,15 @@ continuum_fisher feeds the averaged moments to the same probe table,
 quantum_stats.probe_outcomes, and the same information reduction as
 estimation.
 
-Integrals use Gauss-Legendre quadrature on a window of +/- span *
+The wavepacket is one record, a QuadratureGrid: the wavelengths of its
+nodes and their intensity weights q = w |xi|^2, so each integral above
+is a weighted sum over the nodes.  quadrature_grid builds it once per
+bandwidth by Gauss-Legendre quadrature on a window of +/- span *
 delta_omega around the carrier, clipped to the frequency window where
-every dispersive material is tabulated (the clipped tail mass is
-negligible at the default span, but evaluating gold beyond its table
-would be meaningless).
+every dispersive material of the stack is tabulated (the clipped tail
+mass is negligible at the default span, but evaluating gold beyond its
+table would be meaningless).  Nothing downstream of the grid knows it
+came from a spectrum.
 
 The headline diagnostic, which the `continuum` subcommand reports, is
 the relative drift D = |I_single - I_continuum| / I_single of the
@@ -56,80 +60,20 @@ DEFAULT_SPAN = 5.0             # quadrature half-width in units of delta_omega
 # steps only move a node back and forth by up to 10 units in the last
 # place (checked for n < 700).
 _NEWTON_STEPS = 3
+# Most nodes a rule may have: the Newton count above is checked only
+# this far, and the rule's cost grows as n^2.
+MAX_NODES = 699
 
 
 # ---------------------------------------------------------------------------
-# spectral profile and quadrature grid
+# quadrature grid of the wavepacket
 # ---------------------------------------------------------------------------
-
-class SpectralProfile(Record):
-    """Transform-limited Gaussian wavepacket in angular frequency.
-
-    delta_omega is the FWHM of the intensity spectrum |xi|^2, derived
-    from the wavelength FWHM via delta_omega = 2 pi c delta_lambda /
-    lambda0^2 (first-order dispersion of omega = 2 pi c / lambda).
-    norm scales the bare Gaussian exp(-2 ln2 ((omega-omega0)/
-    delta_omega)^2) so that int |xi|^2 d(omega) = 1 exactly.
-
-    The carrier must sit well clear of zero frequency (omega0 > 5
-    delta_omega) so the profile carries no significant mass at
-    unphysical negative frequencies.
-    """
-
-    omega0: float
-    delta_omega: float
-    norm: float
-
-    def __post_init__(self):
-        if not self.delta_omega > 0.0:
-            raise ConfigError("profile bandwidth must be positive")
-        if not self.omega0 > 5.0 * self.delta_omega:
-            raise ConfigError(
-                "carrier frequency %.6g is not above 5 bandwidths %.6g; "
-                "the wavepacket would spill into negative frequencies"
-                % (self.omega0, 5.0 * self.delta_omega))
-
-    def xi_sq(self, omega) -> np.ndarray:
-        """Intensity spectrum |xi|^2, unit area in omega."""
-        u = (np.asarray(omega, dtype=float) - self.omega0) / self.delta_omega
-        return self.norm ** 2 * np.exp(-4.0 * math.log(2.0) * u * u)
-
-
-def spectral_profile(lambda0_nm: float, delta_lambda_nm: float
-                     ) -> SpectralProfile:
-    """Profile from carrier wavelength and wavelength FWHM, both in nm.
-
-    int exp(-4 ln2 (x/dw)^2) dx = dw sqrt(pi / (4 ln2)), which fixes the
-    amplitude constant analytically; the quadrature reproduces unit area
-    to its own precision.
-    """
-    if lambda0_nm <= 0 or delta_lambda_nm <= 0:
-        raise ConfigError("profile needs positive carrier wavelength and "
-                          "bandwidth")
-    omega0 = 2.0 * math.pi * C_NM_PER_S / lambda0_nm
-    delta_omega = 2.0 * math.pi * C_NM_PER_S * delta_lambda_nm / lambda0_nm ** 2
-    norm = (4.0 * math.log(2.0) / math.pi) ** 0.25 / math.sqrt(delta_omega)
-    return SpectralProfile(omega0=omega0, delta_omega=delta_omega, norm=norm)
-
-
-def omega_to_wavelength_nm(omega):
-    return 2.0 * math.pi * C_NM_PER_S / np.asarray(omega)
-
-
-def stack_omega_window(stack: LayerStack) -> tuple[float, float] | None:
-    """Frequency window where all dispersive layers are tabulated."""
-    win = stack.wavelength_window_nm()
-    if win is None:
-        return None
-    lo_nm, hi_nm = win
-    return (2.0 * math.pi * C_NM_PER_S / hi_nm,
-            2.0 * math.pi * C_NM_PER_S / lo_nm)
-
 
 class QuadratureGrid(Record):
-    """Gauss-Legendre nodes/weights on the integration window."""
+    """Quadrature nodes as wavelengths, with their intensity weights q;
+    the weights sum to 1 on an unclipped window."""
 
-    nodes: np.ndarray
+    wavelength_nm: np.ndarray
     weights: np.ndarray
     clipped: bool   # True when the material window truncated the span
 
@@ -169,27 +113,53 @@ def _legendre_rule(n: int):
     return x, w
 
 
-def quadrature_grid(profile: SpectralProfile, n_nodes: int = DEFAULT_NODES,
-                    span: float = DEFAULT_SPAN,
-                    omega_window: tuple[float, float] | None = None
-                    ) -> QuadratureGrid:
-    """Quadrature over [omega0 - span dw, omega0 + span dw], clipped.
+def quadrature_grid(stack: LayerStack, lambda0_nm: float,
+                    delta_lambda_nm: float, n_nodes: int = DEFAULT_NODES,
+                    span: float = DEFAULT_SPAN) -> QuadratureGrid:
+    """Grid of a transform-limited Gaussian wavepacket on the stack.
 
-    omega_window, when given, bounds the interval to where the stack's
-    materials are defined; the Gaussian tail beyond a few delta_omega is
-    negligible, so clipping changes the integrals only at the level of
-    the discarded tail mass.
+    lambda0_nm is the carrier and delta_lambda_nm the FWHM of the
+    intensity spectrum, both in nm.  In angular frequency the FWHM is
+    delta_omega = 2 pi c delta_lambda / lambda0^2 (first-order
+    dispersion of omega = 2 pi c / lambda), and |xi|^2 = norm^2
+    exp(-4 ln2 ((omega - omega0) / delta_omega)^2) with the norm fixed
+    analytically (int exp(-4 ln2 (x/dw)^2) dx = dw sqrt(pi / (4 ln2)))
+    so that int |xi|^2 d(omega) = 1.  The carrier must sit well clear
+    of zero frequency (omega0 > 5 delta_omega) so the profile carries
+    no significant mass at unphysical negative frequencies.
+
+    The n_nodes Gauss-Legendre nodes cover [omega0 - span dw, omega0 +
+    span dw], clipped to the frequency window where the stack's
+    materials are tabulated; each weight is the rule's weight times
+    |xi|^2 at its node.
     """
+    if lambda0_nm <= 0 or delta_lambda_nm <= 0:
+        raise ConfigError("profile needs positive carrier wavelength and "
+                          "bandwidth")
+    two_pi_c = 2.0 * math.pi * C_NM_PER_S   # omega = two_pi_c / lambda
+    omega0 = two_pi_c / lambda0_nm
+    delta_omega = two_pi_c * delta_lambda_nm / lambda0_nm ** 2
+    if not delta_omega > 0.0:
+        raise ConfigError("profile bandwidth must be positive")
+    if not omega0 > 5.0 * delta_omega:
+        raise ConfigError(
+            "carrier frequency %.6g is not above 5 bandwidths %.6g; "
+            "the wavepacket would spill into negative frequencies"
+            % (omega0, 5.0 * delta_omega))
     if n_nodes < 2:
         raise ConfigError("quadrature needs at least 2 nodes")
+    if n_nodes > MAX_NODES:
+        raise ConfigError("quadrature takes at most %d nodes, got %r"
+                          % (MAX_NODES, n_nodes))
     if not span > 0.0:
         raise ConfigError("quadrature span must be positive, got %r"
                           % (span,))
-    lo = profile.omega0 - span * profile.delta_omega
-    hi = profile.omega0 + span * profile.delta_omega
+    lo = omega0 - span * delta_omega
+    hi = omega0 + span * delta_omega
     clipped = False
-    if omega_window is not None:
-        wlo, whi = omega_window
+    window = stack.wavelength_window_nm()
+    if window is not None:
+        wlo, whi = two_pi_c / window[1], two_pi_c / window[0]
         if wlo > lo:
             lo, clipped = wlo, True
         if whi < hi:
@@ -199,50 +169,43 @@ def quadrature_grid(profile: SpectralProfile, n_nodes: int = DEFAULT_NODES,
     x, w = _legendre_rule(int(n_nodes))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return QuadratureGrid(nodes=mid + half * x, weights=half * w,
-                          clipped=clipped)
-
-
-def default_grid(stack: LayerStack, profile: SpectralProfile,
-                 n_nodes: int = DEFAULT_NODES, span: float = DEFAULT_SPAN
-                 ) -> QuadratureGrid:
-    return quadrature_grid(profile, n_nodes, span, stack_omega_window(stack))
+    omega = mid + half * x
+    u = (omega - omega0) / delta_omega
+    norm = (4.0 * math.log(2.0) / math.pi) ** 0.25 / math.sqrt(delta_omega)
+    return QuadratureGrid(
+        wavelength_nm=two_pi_c / omega,
+        weights=half * w * (norm ** 2 * np.exp(-4.0 * math.log(2.0) * u * u)),
+        clipped=clipped)
 
 
 # ---------------------------------------------------------------------------
-# spectral moments and the continuum Fisher information
+# averaged moments and the continuum Fisher information
 # ---------------------------------------------------------------------------
 
-def _intensity_weights(profile: SpectralProfile, grid: QuadratureGrid):
-    """q = weights |xi|^2 at the grid nodes; sums to 1 on a full window."""
-    return grid.weights * profile.xi_sq(grid.nodes)
-
-
-def continuum_hom_moments(T, R, phi_tr, profile: SpectralProfile,
-                          grid: QuadratureGrid):
-    """Spectral moments (I_T, I_R, K) of a frequency-dependent splitter.
+def continuum_hom_moments(T, R, phi_tr, grid: QuadratureGrid):
+    """Averaged moments (I_T, I_R, K) of a node-dependent splitter.
 
     T, R and phi_tr hold the splitter at the grid nodes, nodes on the
     last axis; any leading axes carry through to the moments.  Each
-    moment is the q-weighted average of splitter_moments, so a flat
-    response returns its one-node moments.
+    moment is the grid.weights-weighted sum of splitter_moments, so a
+    flat response on an unclipped grid returns its one-node moments.
     """
-    q = _intensity_weights(profile, grid)
-    return tuple(np.asarray(m) @ q for m in splitter_moments(T, R, phi_tr))
+    return tuple(np.asarray(m) @ grid.weights
+                 for m in splitter_moments(T, R, phi_tr))
 
 
-def continuum_classical_means(moments, profile: SpectralProfile,
-                              grid: QuadratureGrid,
+def continuum_classical_means(moments, grid: QuadratureGrid,
                               phi_ab: float = DEFAULT_PHI_AB):
-    """Spectrally averaged Poisson means (mu1, mu2) of the coherent
-    benchmark, on a trailing axis.
+    """Averaged Poisson means (mu1, mu2) of the coherent benchmark, on a
+    trailing axis.
 
     Both beams ride the wavepacket with unit envelopes, beam a carrying
     the relative phase phi_ab; each must integrate to one mean photon
-    on the grid (sum q = 1 within 1e-8), the fair comparison against
-    the pair.  moments come from continuum_hom_moments.
+    on the grid (sum of grid.weights = 1 within 1e-8), the fair
+    comparison against the pair.  moments come from
+    continuum_hom_moments.
     """
-    total = float(np.sum(_intensity_weights(profile, grid)))
+    total = float(np.sum(grid.weights))
     if abs(total - 1.0) > 1e-8:
         raise ConfigError(
             "each beam integrates to %.12g mean photons, not 1; the "
@@ -250,30 +213,26 @@ def continuum_classical_means(moments, profile: SpectralProfile,
     return probe_outcomes(moments, CoherentInput(phi_ab=phi_ab))
 
 
-def continuum_fisher(stack: LayerStack, lambda0_nm: float,
-                     delta_lambda_nm: float, theta_deg: float, n_s,
-                     phi_ab: float = DEFAULT_PHI_AB,
-                     polarization: str = "tm",
-                     n_nodes: int = DEFAULT_NODES, span: float = DEFAULT_SPAN):
-    """Fisher information in n_s with the full spectral profile.
+def continuum_fisher(stack: LayerStack, grid: QuadratureGrid,
+                     theta_deg: float, n_s, phi_ab: float = DEFAULT_PHI_AB,
+                     polarization: str = "tm"):
+    """Fisher information in n_s with the wavepacket of grid.
 
     Returns the pair (i_hom, i_classical): the photon-pair click
     information and the coherent-probe closed-form Poisson information,
-    both from the same spectral moments fed to the single-frequency
+    both from the same averaged moments fed to the single-frequency
     outcome models.
 
     n_s may be an array: each result has its shape (a float for a
-    scalar).  One quadrature grid serves every n_s, and the stack is
-    evaluated in a single call on n_s x (+NS_STEP, -NS_STEP) x nodes.
+    scalar).  The stack is evaluated in a single call on n_s x
+    (+NS_STEP, -NS_STEP) x nodes.
     """
-    profile = spectral_profile(lambda0_nm, delta_lambda_nm)
-    grid = default_grid(stack, profile, n_nodes, span)
     ns = np.asarray(n_s, dtype=float)[..., None, None] \
         + np.array([[NS_STEP], [-NS_STEP]])
-    resp = stack_response(stack, omega_to_wavelength_nm(grid.nodes),
-                          theta_deg, ns, polarization)
+    resp = stack_response(stack, grid.wavelength_nm, theta_deg, ns,
+                          polarization)
     point = validate_points(resp.T, resp.R, resp.phi_tr)
     del resp  # its amplitudes t and r are not needed for the moments
-    moments = continuum_hom_moments(*point, profile, grid)
+    moments = continuum_hom_moments(*point, grid)
     return _probe_information(moments, "click"), _information(
-        continuum_classical_means(moments, profile, grid, phi_ab))
+        continuum_classical_means(moments, grid, phi_ab))

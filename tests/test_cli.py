@@ -206,6 +206,16 @@ def test_too_few_points_exits_1(tmp_path, capsys, command, n):
     assert not out.exists()
 
 
+def test_nodes_beyond_the_rule_cap_rejected_at_load(tmp_path):
+    """The quadrature rule costs n^2 and is checked up to its cap, so a
+    larger n_nodes is refused with the config."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_nodes": continuum.MAX_NODES + 1}))
+    with pytest.raises(cli.ConfigError, match="config key 'n_nodes' asks "
+                       "for more than %d nodes" % continuum.MAX_NODES):
+        cli.load_config(config, "continuum")
+
+
 @pytest.mark.parametrize("n", [0, 1, -5])
 def test_too_few_nodes_rejected_at_load(tmp_path, n):
     """The quadrature size is checked with the config, before any work."""
@@ -364,14 +374,20 @@ def test_continuum_blocks_keep_calls_and_points(tmp_path, monkeypatch,
                                                 rows_per_block, blocks):
     """k blocks per bandwidth make 1 + k x bandwidths stack_response
     calls (the single-frequency schemes share one) and evaluate the
-    points of one call per bandwidth."""
+    points of one call per bandwidth; every block of a bandwidth reads
+    its one quadrature grid."""
     extra, _, _ = GRID_RUNS["continuum"]
     monkeypatch.setattr(cli, "BLOCK_POINTS",
                         rows_per_block * ONE_ROW["continuum"])
     calls, _ = _count_calls(monkeypatch)
+    grids = []
+    original = cli.quadrature_grid
+    monkeypatch.setattr(cli, "quadrature_grid",
+                        lambda *args: grids.append(args) or original(*args))
     code, _ = _run(tmp_path, "continuum", {"stack_path": str(FIXTURE_STACK),
                                            **extra})
     assert code == 0
+    assert len(grids) == len(DELTA_LAMBDAS)
     assert len(calls) == 1 + blocks * len(DELTA_LAMBDAS)
     assert sum(_points(calls)) \
         == 2 * len(NS) + len(DELTA_LAMBDAS) * ONE_ROW["continuum"] * len(NS)
@@ -639,9 +655,9 @@ def test_config_size_at_the_limit_loads(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "n_s_grid": {"start": 1.0, "stop": cli.MAX_GRID_POINTS, "step": 1.0},
-        "n_nodes": cli.MAX_GRID_POINTS}))
+        "n_nodes": continuum.MAX_NODES}))
     cfg = cli.load_config(config, "continuum")
-    assert cfg["n_nodes"] == cli.MAX_GRID_POINTS
+    assert cfg["n_nodes"] == continuum.MAX_NODES
     assert cli._grid_count(**cfg["n_s_grid"]) == cli.MAX_GRID_POINTS
 
 
@@ -660,14 +676,36 @@ def test_nonpositive_sample_index_exits_1(tmp_path, capsys, command, cfg):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("span", [-5.0, 0.0])
-def test_nonpositive_span_exits_1(tmp_path, capsys, span):
+# id: (continuum config on top of one n_s and 41 nodes, its error line)
+SPECTRUM_ERRORS = {
+    "-5.0": ({"span": -5.0}, "quadrature span must be positive, got -5.0"),
+    "0.0": ({"span": 0.0}, "quadrature span must be positive, got 0.0"),
+    "zero_bandwidth": ({"delta_lambda_nm_list": [0.0]},
+                       "profile needs positive carrier wavelength and "
+                       "bandwidth"),
+    "negative_bandwidth": ({"delta_lambda_nm_list": [-1.0]},
+                           "profile needs positive carrier wavelength and "
+                           "bandwidth"),
+    "wide_bandwidth": ({"delta_lambda_nm_list": [200.0]},
+                       "carrier frequency 2.35456e+15 is not above 5 "
+                       "bandwidths 2.94321e+15; the wavepacket would spill "
+                       "into negative frequencies"),
+    "narrow_span": ({"span": 1.0},
+                    "each beam integrates to 0.981468322249 mean photons, "
+                    "not 1; the benchmark requires unit-normalized beams"),
+}
+
+
+@pytest.mark.parametrize("case", list(SPECTRUM_ERRORS))
+def test_nonpositive_span_exits_1(tmp_path, capsys, case):
+    """A span or bandwidth the wavepacket cannot take, or a span too
+    narrow for unit-photon beams: one error line, exit 1, no output."""
+    extra, message = SPECTRUM_ERRORS[case]
     code, out = _run(tmp_path, "continuum", {
         "stack_path": str(FIXTURE_STACK), "n_s_grid": [1.31], "n_nodes": 41,
-        "span": span})
+        **extra})
     assert code == 1
-    assert capsys.readouterr().err == (
-        "error: quadrature span must be positive, got %r\n" % (span,))
+    assert capsys.readouterr().err == "error: %s\n" % (message,)
     assert not out.exists()
 
 

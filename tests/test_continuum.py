@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from homsensor import continuum
-from homsensor.continuum import (continuum_fisher, continuum_hom_moments,
-                                 default_grid, omega_to_wavelength_nm,
-                                 quadrature_grid, spectral_profile)
+from homsensor.continuum import (C_NM_PER_S, MAX_NODES, continuum_fisher,
+                                 continuum_hom_moments, quadrature_grid)
+from homsensor.errors import ConfigError
 from homsensor.estimation import fisher_classical, fisher_hom
+from homsensor.materials import constant_material
 from homsensor.quantum_stats import splitter_moments
-from homsensor.tmm import NS_STEP, load_stack, stack_response
+from homsensor.tmm import NS_STEP, Layer, LayerStack, load_stack, \
+    stack_response
 
 from oracles import eigenvalue_legendre_rule
 
@@ -20,6 +22,10 @@ NS = np.array([1.27, 1.30, 1.31, 1.33])
 POINT = (0.3, 0.25, 1.1)  # (T, R, phi_tr) of a passive splitter
 FIXTURE_STACK = Path(__file__).resolve().parents[1] / "bench" / "fixtures" \
     / "stack.json"
+# a dispersionless stack: no material window clips its grids
+GLASS = constant_material("glass", 1.5)
+GLASS_STACK = LayerStack((Layer(GLASS), Layer(GLASS, 10.0), Layer(GLASS)),
+                         sample_layer=1, sample_n=1.33)
 
 
 @pytest.fixture(scope="module")
@@ -36,18 +42,18 @@ def test_batched_matches_scalar_loop(stack, scheme, delta_lambda_nm):
     """Both arrays of the batched pair have the grid's shape; the
     scheme's array matches the scalar loop."""
     pick = SCHEMES.index(scheme)
-    batched = continuum_fisher(stack, 800.0, delta_lambda_nm, 70.0, NS)
+    grid = quadrature_grid(stack, 800.0, delta_lambda_nm)
+    batched = continuum_fisher(stack, grid, 70.0, NS)
     assert [np.shape(info) for info in batched] == [NS.shape, NS.shape]
     for n, value in zip(NS, batched[pick]):
-        scalar = continuum_fisher(stack, 800.0, delta_lambda_nm, 70.0,
-                                  float(n))
+        scalar = continuum_fisher(stack, grid, 70.0, float(n))
         assert all(isinstance(info, float) for info in scalar)
         assert value == pytest.approx(scalar[pick], rel=1e-9)
 
 
 def test_one_quadrature_grid_per_call(stack, monkeypatch):
-    """One quadrature grid and one stack_response call serve both
-    schemes."""
+    """continuum_fisher builds no grid of its own: the caller's grid
+    and one stack_response call serve both schemes."""
     calls = {"quadrature_grid": 0, "stack_response": 0}
 
     def counting(name):
@@ -58,20 +64,20 @@ def test_one_quadrature_grid_per_call(stack, monkeypatch):
             return original(*args, **kwargs)
         return wrapped
 
+    grid = quadrature_grid(stack, 800.0, 9.4)
     for name in calls:
         monkeypatch.setattr(continuum, name, counting(name))
-    i_hom, i_classical = continuum_fisher(stack, 800.0, 9.4, 70.0,
+    i_hom, i_classical = continuum_fisher(stack, grid, 70.0,
                                           np.linspace(1.25, 1.34, 91))
     assert i_hom.shape == i_classical.shape == (91,)
-    assert calls == {"quadrature_grid": 1, "stack_response": 1}
+    assert calls == {"quadrature_grid": 0, "stack_response": 1}
 
 
 def test_legendre_rule_is_cached_and_read_only():
     """Two grids with the same node count share one read-only rule."""
-    profile = spectral_profile(800.0, 9.4)
-    quadrature_grid(profile, 57)
+    quadrature_grid(GLASS_STACK, 800.0, 9.4, 57)
     hits = continuum._legendre_rule.cache_info().hits
-    quadrature_grid(profile, 57)
+    quadrature_grid(GLASS_STACK, 800.0, 94.0, 57)
     assert continuum._legendre_rule.cache_info().hits == hits + 1
     x, w = continuum._legendre_rule(57)
     assert not (x.flags.writeable or w.flags.writeable)
@@ -80,7 +86,9 @@ def test_legendre_rule_is_cached_and_read_only():
 RULE_SIZES = [2, 3, 4, 5, 50, 201, 401]
 
 
-@pytest.mark.parametrize("n", RULE_SIZES)
+# the rule is checked for exactness up to MAX_NODES; numpy's eigenvalue
+# weights miss the 1e-10 bound from n = 402 on
+@pytest.mark.parametrize("n", RULE_SIZES + [MAX_NODES])
 def test_legendre_rule_is_exact_and_symmetric(n):
     """Every monomial of degree < 2n integrates exactly; the rule is
     mirror-symmetric and its weights sum to 2."""
@@ -108,8 +116,8 @@ def test_block_working_set_is_bounded(fixture_stack):
     """The traced peak of stack_response on the block continuum_fisher
     evaluates for 20 n_s (20 x 2 x 201 points, 129 kB per complex
     array) stays under 1.5 MB, about 11 complex arrays of the block."""
-    grid = default_grid(fixture_stack, spectral_profile(800.0, 9.4))
-    args = (fixture_stack, omega_to_wavelength_nm(grid.nodes), 70.0,
+    grid = quadrature_grid(fixture_stack, 800.0, 9.4)
+    args = (fixture_stack, grid.wavelength_nm, 70.0,
             np.linspace(1.25, 1.34, 20)[:, None, None]
             + np.array([[NS_STEP], [-NS_STEP]]))
     stack_response(*args)  # materials and caches loaded before tracing
@@ -128,8 +136,9 @@ def test_narrow_band_limit_is_single_frequency(fixture_stack, scheme):
     """At 0.01 nm bandwidth the spectral information is the
     single-frequency one."""
     ns = np.array([1.29, 1.30, 1.325])
-    narrow = continuum_fisher(fixture_stack, 800.0, 0.01, 70.0,
-                              ns)[SCHEMES.index(scheme)]
+    narrow = continuum_fisher(fixture_stack,
+                              quadrature_grid(fixture_stack, 800.0, 0.01),
+                              70.0, ns)[SCHEMES.index(scheme)]
     if scheme == "hom":
         single = fisher_hom(fixture_stack, 800.0, 70.0, ns)
     else:
@@ -139,33 +148,52 @@ def test_narrow_band_limit_is_single_frequency(fixture_stack, scheme):
 
 @pytest.mark.parametrize("delta_lambda_nm", [0.01, 9.4])
 def test_quadrature_has_unit_area(fixture_stack, delta_lambda_nm):
-    profile = spectral_profile(800.0, delta_lambda_nm)
-    grid = default_grid(fixture_stack, profile)
-    area = np.sum(grid.weights * profile.xi_sq(grid.nodes))
-    assert abs(area - 1.0) <= 1e-10
+    grid = quadrature_grid(fixture_stack, 800.0, delta_lambda_nm)
+    assert abs(np.sum(grid.weights) - 1.0) <= 1e-10
 
 
 def test_quadrature_clipped_by_material_window(fixture_stack):
     """At 94 nm the +/- 5 FWHM window reaches past the gold table's
     long-wavelength edge; at 9.4 nm it does not."""
-    assert default_grid(fixture_stack, spectral_profile(800.0, 94.0)).clipped
-    assert not default_grid(fixture_stack,
-                            spectral_profile(800.0, 9.4)).clipped
+    assert quadrature_grid(fixture_stack, 800.0, 94.0).clipped
+    assert not quadrature_grid(fixture_stack, 800.0, 9.4).clipped
+
+
+# (lambda0_nm, delta_lambda_nm, n_nodes, span) -> the error it raises
+BAD_GRIDS = {
+    "zero_carrier": ((0.0, 9.4, 41, 5.0), "positive carrier wavelength"),
+    "zero_bandwidth": ((800.0, 0.0, 41, 5.0), "positive carrier wavelength"),
+    "underflow": ((1e150, 1e-50, 41, 5.0),  # delta_omega rounds to 0
+                  "profile bandwidth must be positive"),
+    "wide": ((800.0, 200.0, 41, 5.0), "spill into negative frequencies"),
+    "one_node": ((800.0, 9.4, 1, 5.0), "at least 2 nodes"),
+    "over_cap": ((800.0, 9.4, MAX_NODES + 1, 5.0),
+                 "at most %d nodes, got %d" % (MAX_NODES, MAX_NODES + 1)),
+    "zero_span": ((800.0, 9.4, 41, 0.0), "span must be positive"),
+    "outside_window": ((5000.0, 9.4, 41, 5.0),
+                       "material window leaves no quadrature interval"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+def test_quadrature_grid_refuses_bad_input(fixture_stack, case):
+    """Every check of the wavepacket and its rule, for library callers."""
+    args, message = BAD_GRIDS[case]
+    with pytest.raises(ConfigError, match=message):
+        quadrature_grid(fixture_stack, *args)
 
 
 def _unclipped(delta_lambda_nm):
-    profile = spectral_profile(800.0, delta_lambda_nm)
-    grid = quadrature_grid(profile)
+    grid = quadrature_grid(GLASS_STACK, 800.0, delta_lambda_nm)
     assert not grid.clipped
-    return profile, grid
+    return grid
 
 
 @pytest.mark.parametrize("delta_lambda_nm", [0.01, 9.4, 94.0])
 def test_flat_response_moments_are_one_node(delta_lambda_nm):
-    profile, grid = _unclipped(delta_lambda_nm)
-    nodes = np.ones(grid.nodes.size)
-    moments = continuum_hom_moments(*(x * nodes for x in POINT), profile,
-                                    grid)
+    grid = _unclipped(delta_lambda_nm)
+    nodes = np.ones(grid.wavelength_nm.size)
+    moments = continuum_hom_moments(*(x * nodes for x in POINT), grid)
     for got, want in zip(moments, splitter_moments(*POINT)):
         assert abs(got - want) <= 1e-10
 
@@ -175,16 +203,17 @@ def test_linear_phase_damps_interference_moment(tau_dw):
     """phi_tr(omega) = phi0 + tau omega averages K = sqrt(T R) e^{-i phi_tr}
     over the Gaussian intensity spectrum: its Fourier transform
     exp(-dw^2 tau^2 / (16 ln 2)) e^{-i omega0 tau}; I_T and I_R stay."""
-    profile, grid = _unclipped(9.4)
+    grid = _unclipped(9.4)
+    omega0 = 2.0 * np.pi * C_NM_PER_S / 800.0
+    delta_omega = 2.0 * np.pi * C_NM_PER_S * 9.4 / 800.0 ** 2
+    omega = 2.0 * np.pi * C_NM_PER_S / grid.wavelength_nm
     T, R, phi0 = POINT
-    tau = tau_dw / profile.delta_omega
-    nodes = np.ones(grid.nodes.size)
+    tau = tau_dw / delta_omega
+    nodes = np.ones(omega.size)
     i_t, i_r, k = continuum_hom_moments(T * nodes, R * nodes,
-                                        phi0 + tau * grid.nodes, profile,
-                                        grid)
+                                        phi0 + tau * omega, grid)
     assert abs(i_t - T) <= 1e-9 and abs(i_r - R) <= 1e-9
-    damping = np.exp(-(profile.delta_omega * tau) ** 2
-                     / (16.0 * np.log(2.0)))
+    damping = np.exp(-(delta_omega * tau) ** 2 / (16.0 * np.log(2.0)))
     expected = splitter_moments(T, R, phi0)[2] * damping \
-        * np.exp(-1j * profile.omega0 * tau)
+        * np.exp(-1j * omega0 * tau)
     assert abs(k - expected) <= 1e-9

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from homsensor.cli import Table
-from homsensor.continuum import (QuadratureGrid, SpectralProfile,
-                                 spectral_profile)
+from homsensor.continuum import QuadratureGrid
 from homsensor.errors import StackDefinitionError
 from homsensor.estimation import (BudgetReport, BudgetRow, BudgetSource,
                                   DecompositionResult, FisherReport,
@@ -45,7 +44,6 @@ RECORDS = {
     BudgetRow: (lambda: BudgetRow(SOURCE, 0.1, 0.001), True),
     BudgetReport: (lambda: BudgetReport((BudgetRow(SOURCE, 0.1, 0.001),),
                                         2.0), True),
-    SpectralProfile: (lambda: spectral_profile(800.0, 9.4), True),
     QuadratureGrid: (lambda: QuadratureGrid(np.ones(3), np.ones(3), False),
                      False),
     Table: (lambda: Table("x.csv", ("a", "b"), ((1, 2), (3, 4)), "a, b"),
@@ -62,7 +60,7 @@ def test_every_record_class_is_covered():
     for module in ("cli", "continuum", "estimation", "materials",
                    "quantum_stats", "tmm"):
         importlib.import_module("homsensor." + module)
-    assert len(RECORDS) == 16
+    assert len(RECORDS) == 15
     assert set(Record.__subclasses__()) == set(RECORDS)
 
 
