@@ -427,6 +427,7 @@ def _spectrum(cfg, stack):
     theta = grid_values(cfg["theta_grid_deg"])
     resp = stack_response(stack, cfg["wavelength_nm"], theta, cfg["n_s"],
                           cfg["polarization"])
+    validate_points(resp.T, resp.R, resp.phi_tr)  # the raw T, R are written
     return "%d angles" % len(theta), [Table(
         "spectrum.csv", ("theta_deg", "T", "R", "A"),
         (theta, resp.T, resp.R, 1.0 - resp.T - resp.R),

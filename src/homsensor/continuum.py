@@ -138,7 +138,12 @@ def quadrature_grid(stack: LayerStack, lambda0_nm: float,
                           "bandwidth")
     two_pi_c = 2.0 * math.pi * C_NM_PER_S   # omega = two_pi_c / lambda
     omega0 = two_pi_c / lambda0_nm
-    delta_omega = two_pi_c * delta_lambda_nm / lambda0_nm ** 2
+    try:
+        delta_omega = two_pi_c * delta_lambda_nm / lambda0_nm ** 2
+    except OverflowError as exc:
+        raise ConfigError("profile carrier wavelength %.6g nm is out of "
+                          "range: its square overflows" % (lambda0_nm,)
+                          ) from exc
     if not delta_omega > 0.0:
         raise ConfigError("profile bandwidth must be positive")
     if not omega0 > 5.0 * delta_omega:

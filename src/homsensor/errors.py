@@ -31,7 +31,8 @@ class MaterialDataError(HomsensorError):
 
 
 class WavelengthRangeError(HomsensorError):
-    """Raised when a tabulated material is evaluated outside its table.
+    """Raised when a tabulated material is evaluated outside its table,
+    or a stack at a wavelength that is not positive.
 
     Linear interpolation is trusted inside the tabulated window only;
     extrapolation silently produces unphysical optical constants, so it

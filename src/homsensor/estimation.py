@@ -33,10 +33,12 @@ Provided on top of the raw information are:
 
 All are array-first: the evaluators, the decomposition and the report
 broadcast over wavelength, angle and n_s (a scalar input returns
-floats), the scan over its phase grid, and the budget makes one call
-per stack variant.  The others make one stack_response call through
-tmm.ns_stencil (n_s + h, n_s - h and, for the decomposition, n_s, on a
-trailing axis), validated once, which in the report feeds all three.
+floats), the scan over its phase grid, and the budget makes two
+stack_response calls, one stencil over every sensor parameter and one
+in the other polarization.  The others make one stack_response call
+through tmm.ns_stencil (n_s + h, n_s - h and, for the decomposition,
+n_s, on a trailing axis), validated once, which in the report feeds
+all three.
 defined_ratio is the one comparison with RATIO_FLOOR.
 
 Some closed-form diagnostics are conventionally quoted for an idealized
@@ -62,7 +64,7 @@ from .quantum_stats import (CLAMP_FLOOR, DEFAULT_PHI_AB, CoherentInput,
 from .records import Record
 from .tmm import (NS_STEP, LayerStack, ns_stencil, prism_index,
                   sensor_thicknesses, stack_response, stencil_derivatives,
-                  with_prism_index, with_sensor_thicknesses)
+                  with_sensor)
 
 ZERO_PROB_FLOOR = -CLAMP_FLOOR  # outcomes below the clamp's noise: impossible
 DERIV_FLOOR = 1e-8  # ~100 eps / (2 NS_STEP): a derivative's rounding noise
@@ -486,8 +488,9 @@ class BudgetReport(Record):
         return math.sqrt(sum(r.sigma ** 2 for r in self.rows))
 
 
-_BUDGET_KINDS = ("incidence_angle", "prism_index", "polarization_angle",
-                 "film_thickness")
+# kind: (stencil row of its +h point, -h next, or None; factor to its unit)
+_BUDGET_KINDS = {"incidence_angle": (3, 1.0), "film_thickness": (5, 1e9),
+                 "prism_index": (7, 1.0), "polarization_angle": (None, 1.0)}
 
 
 def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
@@ -532,10 +535,10 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     divisor.  All derivatives are central differences with the step
     h = BUDGET_STEP in the variable's own unit (degrees, RIU, nm).
 
-    S takes one stack_response call per stack variant: the operating
-    stack's seven-point stencil (the centre, then n_s, theta and film
-    thickness +- h, as arrays); prism index n0 + h and n0 - h, one call
-    each (a constant medium holds one index); the other polarization.
+    S takes two stack_response calls: one nine-point stencil (the
+    centre, then n_s, theta, film thickness and prism index +- h, as
+    arrays, through tmm.with_sensor) and the other polarization, which
+    only a polarization source calls for.
 
     The budget is undefined at the dip.  UndefinedRatioError is raised
     when the coincidence extremum lies within +-h of n_analyte, so
@@ -547,7 +550,8 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     sin^2(gamma) S_te; since dS/dgamma vanishes at gamma = 0 exactly,
     the derivative is evaluated at the stated offset gamma = s.  Film
     thickness perturbs both films together (they are deposited by the
-    same process); its c is reported per meter.
+    same process); its c is reported per meter.  The other kinds read
+    their stencil rows from _BUDGET_KINDS.
     """
     sources = sources if sources is not None else load_budget_sources()
     h = BUDGET_STEP
@@ -560,11 +564,11 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     def central(plus, minus):
         return (plus - minus) / (2 * h)
 
-    dn, dtheta, dfilm = h * np.array([[0, 1, -1, 0, 0, 0, 0],   # centre, n_s
-                                      [0, 0, 0, 1, -1, 0, 0],   # theta
-                                      [0, 0, 0, 0, 0, 1, -1]])  # films
-    d_m, d_s = sensor_thicknesses(stack)
-    s = signal(with_sensor_thicknesses(stack, d_m + dfilm, d_s),
+    # the centre, then n_s, theta, films and prisms +- h
+    dn, dtheta, dfilm, dprism = h * np.hstack(
+        [np.zeros((4, 1)), np.kron(np.eye(4), [1, -1])])
+    s = signal(with_sensor(stack, film_nm=sensor_thicknesses(stack)[0] + dfilm,
+                           prism_n=prism_index(stack, wavelength_nm) + dprism),
                theta_deg + dtheta, n_analyte + dn)
     slope = central(s[1], s[2])
     curvature = (s[1] - 2.0 * s[0] + s[2]) / h ** 2
@@ -578,15 +582,10 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
 
     rows = []
     for src in sources:
-        if src.kind == "incidence_angle":
-            d = central(s[3], s[4])
-        elif src.kind == "film_thickness":
-            d = central(s[5], s[6]) * 1e9  # per meter, as SI uncertainty
-        elif src.kind == "prism_index":
-            n0 = prism_index(stack, wavelength_nm)
-            d = central(*(signal(with_prism_index(stack, n0 + x), theta_deg,
-                                 n_analyte) for x in (h, -h)))
-        else:  # polarization_angle: the stencil's centre or one more call
+        row, scale = _BUDGET_KINDS[src.kind]
+        if row is not None:
+            d = central(s[row], s[row + 1]) * scale
+        else:  # polarization_angle: the stencil's centre and one more call
             s_tm, s_te = (s[0] if pol == polarization else signal(
                 stack, theta_deg, n_analyte, pol) for pol in ("tm", "te"))
             d = central(*(math.cos(g) ** 2 * s_tm + math.sin(g) ** 2 * s_te

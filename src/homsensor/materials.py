@@ -105,11 +105,18 @@ class MaterialTable(Record):
 # ---------------------------------------------------------------------------
 
 class Material(Record):
-    """A dispersive (tabulated) or constant-index optical medium."""
+    """A dispersive (tabulated) or constant-index optical medium.
+
+    constant is one complex index, stored as a complex, or an array of
+    them, stored as a complex array: like an array thickness of a
+    layer, an array index joins the broadcast grid of
+    tmm.stack_response.  Every element must be finite, with Re(n) > 0
+    and Im(n) >= 0.
+    """
 
     name: str
     table: MaterialTable | None = None
-    constant: complex | None = None
+    constant: complex | np.ndarray | None = None
 
     def __post_init__(self):
         if (self.table is None) == (self.constant is None):
@@ -117,22 +124,24 @@ class Material(Record):
                 "material %r must define exactly one of table / constant"
                 % (self.name,))
         if self.constant is not None:
-            c = complex(self.constant)
-            if not (np.isfinite(c.real) and np.isfinite(c.imag)):
+            c = np.asarray(self.constant, dtype=complex)
+            if not np.all(np.isfinite(c)):
                 raise MaterialDataError(
                     "material %r: constant index must be finite" % (self.name,))
-            if c.real <= 0.0:
+            if np.any(c.real <= 0.0):
                 raise MaterialDataError(
                     "material %r: Re(n) must be positive" % (self.name,))
-            if c.imag < 0.0:
+            if np.any(c.imag < 0.0):
                 raise MaterialDataError(
                     "material %r: Im(n) must be >= 0 (passive medium)"
                     % (self.name,))
-            object.__setattr__(self, "constant", c)
+            object.__setattr__(self, "constant", c if c.ndim else complex(c))
 
     def index(self, wavelength_nm):
-        """Complex index at wavelength(s) in nm; a constant medium's is
-        its one scalar index, which broadcasts, whatever the shape."""
+        """Complex index at wavelength(s) in nm.  A table's has the
+        wavelengths' shape; a constant medium's is its constant, whatever
+        the wavelengths' shape: a scalar, or an array whose shape joins
+        the broadcast grid of tmm.stack_response."""
         if self.table is not None:
             return self.table.index(wavelength_nm)
         return self.constant
@@ -145,8 +154,9 @@ class Material(Record):
 
 
 def constant_material(name: str, index) -> Material:
-    """Convenience constructor for a non-dispersive medium."""
-    return Material(name=name, constant=complex(index))
+    """Convenience constructor for a non-dispersive medium; index is one
+    complex index or an array of them (see Material)."""
+    return Material(name=name, constant=index)
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,23 @@ Amplitudes follow to the usual 2x2 transfer-matrix bookkeeping:
 * the stack amplitudes are t = 1/M11 and r = M21/M11.
 
 stack_response is the one evaluator of that product.  It broadcasts
-over wavelength, angle, sample index and the thickness of every
-interior layer (a layer may hold an array of thicknesses), so a whole
-grid, or a whole calibration scan over gap thicknesses, is one call.
-Each layer is evaluated on the shape of its own inputs; only the
-sample layer and the running matrix product span the whole grid, and
-every output has the full broadcast shape.
+over wavelength, angle, sample index, the thickness of every interior
+layer and the index of every constant medium (a layer may hold an
+array of thicknesses, a constant medium an array of indices), so a
+whole grid, a whole calibration scan over gap thicknesses, or a
+stencil over every sensor parameter at once, is one call.  Each layer
+is evaluated on the shape of its own inputs; only the sample layer and
+the running matrix product span the whole grid, and every output has
+the full broadcast shape.
 
 The sensing geometry of interest is prism | metal film | sample gap |
 metal film | prism: a symmetric pair of attenuated-total-reflection
 metal films that together behave as a lossy beamsplitter whose split
 ratio and phase depend sharply on the index of the medium in the gap.
-This module alone reads and writes that layout, through
-make_sensor_stack, sensor_thicknesses (which checks it), prism_index
-and the with_* copies; no other module indexes a stack's layers.
+This module alone reads and writes that layout: make_sensor_stack
+builds it, sensor_thicknesses (which checks it) and prism_index read
+it, and with_sensor, the one writer, copies it with new film, gap or
+prism values; no other module indexes a stack's layers.
 
 Conventions: exp(-i omega t) time dependence; complex index n + ik with
 k >= 0; for TM polarization the Fresnel coefficients are written in the
@@ -43,9 +46,9 @@ import json
 import numpy as np
 
 from .errors import (CalibrationError, MaterialDataError,
-                     StackDefinitionError, UnphysicalPointError, as_name,
-                     as_number, as_numbers, check_keys, check_list, or_null,
-                     read_json)
+                     StackDefinitionError, UnphysicalPointError,
+                     WavelengthRangeError, as_name, as_number, as_numbers,
+                     check_keys, check_list, or_null, read_json)
 from .materials import Material, constant_material, gold_jc, table_from_dict
 from .records import Record, replace
 
@@ -205,21 +208,23 @@ def sensor_thicknesses(stack: LayerStack) -> tuple[float, float]:
                            StackDefinitionError) for j in (1, 2))
 
 
-def with_sensor_thicknesses(stack, d_metal_nm, d_sample_nm) -> LayerStack:
-    """The sensor stack with new film and gap thicknesses (or arrays)."""
-    return stack.with_thickness({1: d_metal_nm, 2: d_sample_nm,
-                                 3: d_metal_nm})
+def prism_index(stack: LayerStack, wavelength_nm) -> complex:
+    """Complex index of the entrance prism at wavelength_nm."""
+    return stack.layers[0].material.index(wavelength_nm)
 
 
-def prism_index(stack: LayerStack, wavelength_nm) -> float:
-    """Real index of the entrance prism at wavelength_nm."""
-    return stack.layers[0].material.index(wavelength_nm).real
-
-
-def with_prism_index(stack: LayerStack, n_prism: float) -> LayerStack:
-    """Copy of the stack with both prisms of constant index n_prism."""
-    prism = Layer(constant_material("prism", n_prism))
-    return replace(stack, layers=(prism, *stack.layers[1:-1], prism))
+def with_sensor(stack: LayerStack, film_nm=None, gap_nm=None, prism_n=None
+                ) -> LayerStack:
+    """Copy of a sensor stack with film_nm on both films, gap_nm on the
+    gap and both prisms a constant medium of index prism_n; None keeps
+    the stack's own, an array joins the grid of stack_response."""
+    layers = list(stack.layers)
+    if prism_n is not None:
+        layers[0] = layers[-1] = Layer(constant_material(
+            layers[0].material.name, prism_n))
+    return replace(stack, layers=tuple(layers)).with_thickness(
+        {j: d for j, d in ((1, film_nm), (2, gap_nm), (3, film_nm))
+         if d is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +286,15 @@ def _flux_factor(n, c, polarization):
     return (n * c).real
 
 
+def _check_wavelength(lam):
+    """Every wavelength is positive (a table's window does not catch 0
+    or a negative wavelength on a stack of constant media)."""
+    bad = ~(lam > 0.0)
+    if np.any(bad):
+        raise WavelengthRangeError(
+            "wavelength must be positive, got %.6g nm" % (lam[bad][0],))
+
+
 def _check_theta(theta_deg):
     th = np.asarray(theta_deg, dtype=float)
     if np.any(th < 0.0) or np.any(th >= 90.0):
@@ -324,11 +338,14 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
                    polarization: str = "tm") -> StackResponse:
     """Evaluate t, r, T, R, phi_tr; broadcasts over all numeric inputs.
 
-    wavelength_nm, theta_deg, n_s and the interior layer thicknesses
-    may be scalars or arrays with mutually broadcastable shapes.  n_s
-    replaces the index of the stack's sample layer (defaulting to the
-    stored sample_n) and must be omitted when the stack has no sample
-    layer.  t = 1/M11, r = M21/M11 of the total transfer matrix.
+    wavelength_nm (> 0), theta_deg, n_s, the interior layer
+    thicknesses and the layer indices (a constant medium's may be an
+    array) may be scalars or arrays with mutually broadcastable shapes;
+    the shape of every layer's index joins the grid as a thickness's
+    does.  n_s replaces the index of the stack's sample layer
+    (defaulting to the stored sample_n) and must be omitted when the
+    stack has no sample layer.  t = 1/M11, r = M21/M11 of the total
+    transfer matrix.
 
     Each layer is evaluated on the shape of its own inputs (a fixed
     layer on wavelength x angle, widened only by its own thickness);
@@ -348,10 +365,8 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     n_s = _resolve_ns(stack, n_s)
 
     lam = np.asarray(wavelength_nm, dtype=float)
+    _check_wavelength(lam)
     th = np.radians(np.asarray(theta_deg, dtype=float))
-    shape = np.broadcast_shapes(
-        lam.shape, th.shape, np.shape(n_s),
-        *(np.shape(layer.thickness_nm) for layer in stack.layers[1:-1]))
     ns = None if n_s is None else np.asarray(n_s, dtype=complex)
     if ns is not None:
         _check_sample_index(ns)
@@ -359,6 +374,9 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     n_list = [ns if j == stack.sample_layer
               else np.asarray(layer.material.index(lam), dtype=complex)
               for j, layer in enumerate(stack.layers)]
+    shape = np.broadcast_shapes(
+        lam.shape, th.shape, *(n.shape for n in n_list),
+        *(np.shape(layer.thickness_nm) for layer in stack.layers[1:-1]))
     n0_sin = n_list[0] * np.sin(th)
     cos_list = [_cosines_from_indices(nj, n0_sin) for nj in n_list]
 
@@ -520,7 +538,7 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
 
     def imbalance(d_m, d_s):
         """T - R with film d_m; d_s may be an array of gap thicknesses."""
-        trial = with_sensor_thicknesses(stack, d_m, d_s)
+        trial = with_sensor(stack, d_m, d_s)
         resp = stack_response(trial, wavelength_nm, theta_deg, n_s_target,
                               polarization)
         return resp.T - resp.R
@@ -560,7 +578,7 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
         raise CalibrationError(
             "bisection stalled: residual |T - R| = %.3g at d_metal=%.6g, "
             "d_sample=%.6g" % (residual, d_m, d_s))
-    calibrated = with_sensor_thicknesses(stack, d_m, d_s)
+    calibrated = with_sensor(stack, d_m, d_s)
     _check_unique_crossing(calibrated, wavelength_nm, theta_deg, n_s_target,
                            polarization)
     return CalibrationResult(calibrated, residual)
@@ -627,12 +645,13 @@ def _check_unique_crossing(stack: LayerStack, wavelength_nm, theta_deg,
 # stack (de)serialization
 # ---------------------------------------------------------------------------
 
-def _material_to_dict(mat: Material) -> dict:
+def _material_to_dict(mat: Material, what: str) -> dict:
     if mat is gold_jc():  # only the bundled table; a custom "Au" is data
         return {"builtin": "gold_jc"}
     if mat.constant is not None:
-        return {"name": mat.name,
-                "constant": [mat.constant.real, mat.constant.imag]}
+        c = as_number(mat.constant.real, what + " constant",
+                      StackDefinitionError)
+        return {"name": mat.name, "constant": [c, mat.constant.imag]}
     return {"name": mat.name,
             "table": {"wavelength_nm": mat.table.wavelength_nm.tolist(),
                       "n": mat.table.n.tolist(),
@@ -678,14 +697,16 @@ def _layer_from_dict(d, what: str) -> Layer:
 
 
 def stack_to_dict(stack: LayerStack) -> dict:
-    """JSON-ready description of a stack; an array thickness is rejected
-    (StackDefinitionError naming the layer), since one file holds one
-    stack."""
+    """JSON-ready description of a stack; an array thickness or index is
+    rejected (StackDefinitionError naming the layer), since one file
+    holds one stack."""
     return {
         "name": stack.name,
         "sample_layer": stack.sample_layer,
         "sample_n": stack.sample_n,
-        "layers": [{"material": _material_to_dict(layer.material),
+        "layers": [{"material": _material_to_dict(
+                        layer.material, "stack %r: layer %d material"
+                        % (stack.name, j)),
                     "thickness_nm": _number_or_null(
                         layer.thickness_nm, "stack %r: layer %d thickness_nm"
                         % (stack.name, j), StackDefinitionError)}

@@ -9,7 +9,7 @@ the Poisson closed form.  Two pin the library's arithmetic instead: the
 transfer loop written with tuple assignments, which stack_response must
 match bit for bit, and numpy's eigenvalue-based Gauss-Legendre rule.
 The scalar uncertainty budget evaluates one point per stack_response
-call, where the library evaluates one stencil per stack variant.
+call, where the library evaluates one stencil over every parameter.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from homsensor.quantum_stats import (POISSON_L_MAX, CoherentInput,
 from homsensor.tmm import (NS_STEP, PHASE_AMPLITUDE_FLOOR,
                            _cosines_from_indices, _flux_factor, _resolve_ns,
                            prism_index, sensor_thicknesses, stack_response,
-                           with_prism_index, with_sensor_thicknesses)
+                           with_sensor)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +128,14 @@ def tuple_loop_response(stack, wavelength_nm, theta_deg, n_s=None,
 
     lam = np.asarray(wavelength_nm, dtype=float)
     th = np.radians(np.asarray(theta_deg, dtype=float))
-    shape = np.broadcast_shapes(
-        lam.shape, th.shape, np.shape(n_s),
-        *(np.shape(layer.thickness_nm) for layer in stack.layers[1:-1]))
     ns = None if n_s is None else np.asarray(n_s, dtype=complex)
 
     n_list = [ns if j == stack.sample_layer
               else np.asarray(layer.material.index(lam), dtype=complex)
               for j, layer in enumerate(stack.layers)]
+    shape = np.broadcast_shapes(
+        lam.shape, th.shape, *(n.shape for n in n_list),
+        *(np.shape(layer.thickness_nm) for layer in stack.layers[1:-1]))
     n0_sin = n_list[0] * np.sin(th)
     cos_list = [_cosines_from_indices(nj, n0_sin) for nj in n_list]
 
@@ -362,7 +362,7 @@ def scalar_uncertainty_budget(stack, wavelength_nm=800.0, theta_deg=70.0,
             d = central(lambda th: signal(n_analyte, theta=th), theta_deg)
         elif src.kind == "prism_index":
             d = central(lambda n: signal(
-                n_analyte, stk=with_prism_index(stack, n)),
+                n_analyte, stk=with_sensor(stack, prism_n=n)),
                 prism_index(stack, wavelength_nm))
         elif src.kind == "polarization_angle":
             s_tm = signal(n_analyte, pol="tm")
@@ -374,10 +374,9 @@ def scalar_uncertainty_budget(stack, wavelength_nm=800.0, theta_deg=70.0,
 
             d = central(mixed, src.s)
         else:  # film_thickness, both films, per meter
-            d_m, d_s = sensor_thicknesses(stack)
             d = central(lambda d_nm: signal(
-                n_analyte, stk=with_sensor_thicknesses(stack, d_nm, d_s)),
-                d_m) * 1e9
+                n_analyte, stk=with_sensor(stack, film_nm=d_nm)),
+                sensor_thicknesses(stack)[0]) * 1e9
         c = abs(d) / abs(slope)
         rows.append((c, c * src.s / src.divisor))
     return slope, rows

@@ -676,6 +676,42 @@ def test_nonpositive_sample_index_exits_1(tmp_path, capsys, command, cfg):
     assert not out.exists()
 
 
+# (command, config on top of a constant-only stack, its error line): no
+# material window catches these wavelengths
+WAVELENGTH_ERRORS = [
+    pytest.param("spectrum", {"wavelength_nm": 0},
+                 "wavelength must be positive, got 0 nm", id="spectrum_zero"),
+    pytest.param("spectrum", {"wavelength_nm": -800},
+                 "wavelength must be positive, got -800 nm",
+                 id="spectrum_negative"),
+    pytest.param("fisher", {"wavelength_nm": -800},
+                 "wavelength must be positive, got -800 nm",
+                 id="fisher_negative"),
+    # every phase overflows, which numpy warns about before the error
+    pytest.param("spectrum", {"wavelength_nm": 1e-320},
+                 "non-finite splitter point (T, R, phi_tr) = (nan, nan, nan) "
+                 "at grid index (0,)", id="spectrum_subnormal",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    pytest.param("continuum", {"wavelength_nm": 1e160, "n_s_grid": [1.31],
+                               "n_nodes": 5},
+                 "profile carrier wavelength 1e+160 nm is out of range: its "
+                 "square overflows", id="continuum_overflow"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, message", WAVELENGTH_ERRORS)
+def test_unusable_wavelength_exits_1(tmp_path, capsys, command, cfg,
+                                     message):
+    """A wavelength of 0 or below (nan rows, or the physics of -lambda),
+    a subnormal one (nan rows) or one whose square overflows: one error
+    line, exit 1, no output."""
+    code, out = _run(tmp_path, command,
+                     {"stack_path": _flat_stack_path(tmp_path), **cfg})
+    assert code == 1
+    assert capsys.readouterr().err == "error: %s\n" % (message,)
+    assert not out.exists()
+
+
 # id: (continuum config on top of one n_s and 41 nodes, its error line)
 SPECTRUM_ERRORS = {
     "-5.0": ({"span": -5.0}, "quadrature span must be positive, got -5.0"),

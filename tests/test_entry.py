@@ -252,6 +252,24 @@ def test_outcome_models_are_read_through_one_table():
     assert found == []
 
 
+def test_sensor_layout_has_one_owner():
+    """Outside tmm, no src/homsensor module subscripts a stack's .layers
+    or calls with_thickness: tmm's readers and its one writer,
+    with_sensor, own the sensor layout."""
+    found = []
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        if path.stem != "tmm":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Subscript) \
+                        and isinstance(node.value, ast.Attribute) \
+                        and node.value.attr == "layers":
+                    found.append((path.stem, node.lineno, "layers[]"))
+                elif isinstance(node, ast.Attribute) \
+                        and node.attr == "with_thickness":
+                    found.append((path.stem, node.lineno, "with_thickness"))
+    assert found == []
+
+
 def test_no_second_reader_or_locator_is_imported():
     """No src/homsensor module imports csv or importlib.resources: tables
     are JSON, and errors.package_data locates the packaged files.  The

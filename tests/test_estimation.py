@@ -19,9 +19,11 @@ from homsensor.estimation import (
 from homsensor.materials import constant_material
 from homsensor.quantum_stats import (
     coherent_output_means, hom_click_distribution, poisson_pair_grid,
+    probe_outcomes, splitter_moments, validate_points,
 )
-from homsensor.tmm import (Layer, LayerStack, load_stack, make_sensor_stack,
-                           sensor_thicknesses, stack_response)
+from homsensor.tmm import (NS_STEP, Layer, LayerStack, load_stack,
+                           make_sensor_stack, prism_index, sensor_thicknesses,
+                           stack_response, with_sensor)
 
 from oracles import (count_grid_information_matrix, fisher_classical_counts,
                      fisher_direct, mixed_phase_classical_fisher,
@@ -595,8 +597,8 @@ def test_budget_guard_width(stack):
 @pytest.mark.parametrize("n_analyte", [1.32, 1.305])
 @pytest.mark.parametrize("which", ["fixture", "calibrated"])
 def test_budget_matches_scalar_oracle(stack, which, n_analyte):
-    """One stencil call per stack variant gives the sensitivities of one
-    scalar call per stencil point, up to rounding."""
+    """The budget's two calls give the sensitivities of one scalar call
+    per stencil point, up to rounding."""
     stk = load_stack(FIXTURE_STACK) if which == "fixture" else stack
     report = uncertainty_budget(stk, n_analyte=n_analyte)
     slope, rows = scalar_uncertainty_budget(stk, n_analyte=n_analyte)
@@ -622,15 +624,16 @@ def _counting_stack_response(monkeypatch):
 
 
 def test_budget_makes_one_call_per_stack_variant(stack, monkeypatch):
-    """The stencil, prism index +- h and the other polarization: 4 calls
-    for the default sources, one for a source on the stencil alone."""
+    """The nine-point stencil and the other polarization: 2 calls for
+    the default sources, one for sources on the stencil alone."""
     calls = _counting_stack_response(monkeypatch)
     uncertainty_budget(stack)
-    assert len(calls) == 4
-    assert [np.shape(resp.T) for _, resp in calls] == [(7,), (), (), ()]
+    assert len(calls) == 2
+    assert [np.shape(resp.T) for _, resp in calls] == [(9,), ()]
     del calls[:]
-    uncertainty_budget(stack, sources=(BudgetSource(
-        name="film", kind="film_thickness", s=1e-9, unit="m"),))
+    uncertainty_budget(stack, sources=(
+        BudgetSource(name="film", kind="film_thickness", s=1e-9, unit="m"),
+        BudgetSource(name="prism", kind="prism_index", s=1e-4, unit="RIU")))
     assert len(calls) == 1
 
 
@@ -699,3 +702,50 @@ def test_budget_rejects_unknown_kind(tmp_path):
     path.write_text(json.dumps(bad))
     with pytest.raises(ConfigError):
         load_budget_sources(path)
+
+
+# ---------------------------------------------------------------------------
+# information over several sensor parameters from one call
+# ---------------------------------------------------------------------------
+
+def _click_derivatives(stack, offsets):
+    """Click probabilities (row, outcome) of one stack_response call at
+    (n_s, theta, prism_n, film_nm) = (1.30, 70, the prism's, the film's)
+    moved by the offsets rows, and their +-NS_STEP differences: offsets
+    rows come in (+h, -h) pairs."""
+    dn, dtheta, dprism, dfilm = offsets
+    resp = stack_response(
+        with_sensor(stack, film_nm=sensor_thicknesses(stack)[0] + dfilm,
+                    prism_n=prism_index(stack, 800.0) + dprism),
+        800.0, 70.0 + dtheta, 1.30 + dn)
+    p = probe_outcomes(splitter_moments(*validate_points(
+        resp.T, resp.R, resp.phi_tr)), "click")
+    return p, (p[0::2] - p[1::2]) / (2.0 * NS_STEP)
+
+
+def test_one_call_gives_the_fisher_matrix_over_sensor_parameters():
+    """The prism index and the film thickness broadcast as n_s and theta
+    do, so one call holds the +-NS_STEP stencils of all four: the click
+    probe's Fisher matrix over (n_s, theta, prism_n, film_nm), on the
+    midpoint of the n_s pair as fisher_hom, is symmetric positive
+    semidefinite, its (n_s, n_s) entry is fisher_hom and each column is
+    that of separate per-parameter calls."""
+    fixture = load_stack(FIXTURE_STACK)
+    steps = NS_STEP * np.kron(np.eye(4), [1.0, -1.0])   # (parameter, row)
+    p, d = _click_derivatives(fixture, steps)
+    mid = 0.5 * (p[0] + p[1])
+    matrix = np.sum(d[:, None, :] * d[None, :, :] / mid, axis=-1)
+    assert np.array_equal(matrix, matrix.T)
+    eigen = np.linalg.eigvalsh(matrix)
+    assert eigen.min() >= -1e-12 * eigen.max()
+    assert matrix[0, 0] == pytest.approx(
+        fisher_hom(fixture, 800.0, 70.0, 1.30), rel=1e-9)
+
+    separate = np.concatenate([_click_derivatives(fixture, pair)[1]
+                               for pair in np.split(steps, 4, axis=1)])
+    by_parameter = np.sum(separate[:, None, :] * separate[None, :, :] / mid,
+                          axis=-1)
+    for a in range(4):
+        np.testing.assert_allclose(
+            matrix[:, a], by_parameter[:, a], rtol=1e-12,
+            atol=1e-12 * np.abs(matrix[:, a]).max())

@@ -1,6 +1,7 @@
 """Material tables: reading, interpolation, windows."""
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -70,6 +71,35 @@ def test_constant_material_index_is_one_scalar():
                 np.full((3, 4), 650.0)):
         n = prism.index(lam)
         assert type(n) is complex and n == prism.constant
+
+
+def test_constant_material_holds_an_array_index():
+    """An array constant is kept as a complex array and returned as it is,
+    whatever the wavelengths' shape; a scalar stays one complex."""
+    prism = constant_material("prism", [1.5, 1.51 + 0.01j])
+    assert prism.constant.dtype == complex
+    for lam in (800.0, np.full((3, 1), 650.0)):
+        assert prism.index(lam) is prism.constant
+    assert type(constant_material("prism", np.float64(1.5)).constant) \
+        is complex
+
+
+# id: (array constant, the message of the scalar rule it breaks)
+BAD_ARRAY_CONSTANTS = {
+    "nan": ([1.5, math.nan], "constant index must be finite"),
+    "inf_imag": ([1.5, complex(1.5, math.inf)],
+                 "constant index must be finite"),
+    "zero_real": ([[1.5], [0.0]], r"Re\(n\) must be positive"),
+    "negative_real": ([1.5, -1.5], r"Re\(n\) must be positive"),
+    "gain": ([1.5, 1.5 - 1e-3j], r"Im\(n\) must be >= 0 \(passive medium\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARRAY_CONSTANTS))
+def test_array_constant_checks_every_element(case):
+    values, message = BAD_ARRAY_CONSTANTS[case]
+    with pytest.raises(MaterialDataError, match="material 'm': " + message):
+        constant_material("m", np.array(values))
 
 
 def test_interpolation_at_knot_is_exact(gold):

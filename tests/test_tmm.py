@@ -11,13 +11,15 @@ import pytest
 from homsensor import tmm
 from homsensor.errors import (
     CalibrationError, StackDefinitionError, UnphysicalPointError,
+    WavelengthRangeError,
 )
 from homsensor.materials import Material, MaterialTable, constant_material, \
     gold_jc
 from homsensor.tmm import (
     Layer, LayerStack, _cosines_from_indices, calibrate_stack, fresnel,
-    load_stack, make_sensor_stack, response_derivatives, save_stack,
-    sensor_thicknesses, stack_from_dict, stack_response, stack_to_dict,
+    load_stack, make_sensor_stack, prism_index, response_derivatives,
+    save_stack, sensor_thicknesses, stack_from_dict, stack_response,
+    stack_to_dict, with_sensor,
 )
 
 from oracles import airy_flux, airy_response, sequential_bisection, \
@@ -321,6 +323,8 @@ SHAPE_CASES = {
     "theta": ([65.0, 70.0], lambda stack, v: (stack, 800.0, v, 1.31)),
     "film_thickness_no_sample": ([40.0, 50.0, 60.0], lambda stack, v: (
         _gold_film(v), 800.0, 70.0, None)),
+    "prism_index": ([1.49, 1.5, 1.52 + 1e-4j], lambda stack, v: (
+        with_sensor(stack, prism_n=v), 800.0, 70.0, 1.31)),
 }
 RESPONSE_FIELDS = ("t", "r", "T", "R", "phi_tr")
 
@@ -364,6 +368,10 @@ LOOP_CASES = {
         _gold_film(np.array([40.0, 50.0, 60.0])[:, None]),
         np.linspace(780.0, 820.0, 5), 70.0, None),
     "scalar": lambda stack: (stack, 800.0, 70.0, 1.31),
+    "prism_index_x_ns": lambda stack: (
+        with_sensor(stack, film_nm=np.array([[19.0], [20.0]]),
+                    prism_n=np.array([1.49, 1.5, 1.51])[:, None, None]),
+        800.0, 70.0, np.array([1.29, 1.31, 1.33])),
     "continuum_block": lambda stack: (
         stack, np.linspace(790.0, 810.0, 201), 70.0,
         np.linspace(1.25, 1.34, 20)[:, None, None]
@@ -388,6 +396,33 @@ def test_with_thickness_keeps_kinds(stack):
     trial = stack.with_thickness({1: 30, 2: np.array([400.0, 500.0])})
     assert type(trial.layers[1].thickness_nm) is float
     assert isinstance(trial.layers[2].thickness_nm, np.ndarray)
+
+
+def test_with_sensor_keeps_what_is_none(stack):
+    """None keeps the stack's own film, gap or prism; a value replaces
+    both films or both prisms, an array kept as an array."""
+    assert with_sensor(stack) == stack
+    d_m, d_s = sensor_thicknesses(stack)
+    assert sensor_thicknesses(with_sensor(stack, film_nm=30)) == (30.0, d_s)
+    assert sensor_thicknesses(with_sensor(stack, gap_nm=400)) == (d_m, 400.0)
+    prisms = np.array([1.49, 1.51])
+    swept = with_sensor(stack, prism_n=prisms)
+    assert sensor_thicknesses(swept) == (d_m, d_s)
+    assert np.array_equal(prism_index(swept, 800.0), prisms)
+    assert swept.layers[-1] == swept.layers[0]
+    assert swept.layers[0].material.name == stack.layers[0].material.name
+    assert prism_index(stack, 800.0) == 1.5
+
+
+@pytest.mark.parametrize("wavelength", [0.0, -800.0, math.nan,
+                                        np.array([800.0, -1.0])])
+def test_nonpositive_wavelength_is_rejected(wavelength):
+    """A constant-index stack has no table window to catch a wavelength
+    of 0 (nan rows) or below (the physics of -lambda)."""
+    glass = slab_stack(1.5, 2.0, 100.0)
+    with pytest.raises(WavelengthRangeError,
+                       match="wavelength must be positive, got"):
+        stack_response(glass, wavelength, 70.0)
 
 
 def test_theta_and_polarization_validation(stack):
@@ -727,6 +762,17 @@ def test_custom_gold_table_survives_file_roundtrip(tmp_path):
     back = load_stack(path)
     assert back.layers[1].material.index(800.0) == 0.2 + 5.0j
     assert back.layers[2].material is gold_jc()
+
+
+def test_save_stack_rejects_array_index(stack, tmp_path):
+    """An array index describes many stacks too: rejected, naming the
+    layer, before any file is written (json.dump cannot write it)."""
+    path = tmp_path / "stack.json"
+    swept = with_sensor(stack, prism_n=np.array([1.5, 1.51]))
+    with pytest.raises(StackDefinitionError, match="layer 0 material "
+                       "constant must be a number, got array"):
+        save_stack(swept, path)
+    assert not path.exists()
 
 
 def test_save_stack_rejects_array_thickness(stack, tmp_path):
