@@ -42,7 +42,7 @@ _EXPORTS = {
                "UndefinedRatioError", "UnphysicalPointError",
                "WavelengthRangeError"),
     "estimation": ("BudgetReport", "BudgetRow", "BudgetSource",
-                   "DecompositionResult", "FisherReport", "PhaseScanResult",
+                   "DecompositionResult", "PhaseScanResult",
                    "fisher_classical", "fisher_decomposition",
                    "fisher_from_distribution", "fisher_hom", "fisher_report",
                    "load_budget_sources", "phi_ab_scan", "precision_bound",

@@ -61,7 +61,7 @@ from .errors import (CalibrationError, ConfigError, HomsensorError,
                      check_keys, or_null, read_json)
 from .estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR, \
     defined_ratio, fisher_report, fisher_schemes, load_budget_sources, \
-    phi_ab_scan, uncertainty_budget
+    phi_ab_scan, precision_bound, uncertainty_budget
 from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, \
     hom_click_distribution, validate_points
 from .records import Record
@@ -453,15 +453,17 @@ def _coincidence(cfg, stack):
 
 def _fisher(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
-    rep = fisher_report(stack, cfg["wavelength_nm"], cfg["theta_deg"], ns,
-                        phi_ab=cfg["phi_ab"], polarization=cfg["polarization"])
-    m = rep.decomposition
+    i_h, i_c, decomp = fisher_report(
+        stack, cfg["wavelength_nm"], cfg["theta_deg"], ns,
+        phi_ab=cfg["phi_ab"], polarization=cfg["polarization"])
+    g, g_defined = defined_ratio(i_h - i_c, i_c)
+    m = decomp.matrix
     tables = [
         Table("fisher.csv",
               ("n_s", "i_hom", "i_classical", "g", "g_defined", "sigma_hom",
                "sigma_classical"),
-              (ns, rep.i_hom, rep.i_classical, rep.g, rep.g_defined,
-               rep.precision_hom, rep.precision_classical),
+              (ns, i_h, i_c, g, g_defined, precision_bound(i_h),
+               precision_bound(i_c)),
               "n_s, i_hom (pair-probe information), i_classical "
               "(coherent-probe information), g (fractional enhancement, nan "
               "where undefined), g_defined (1 valid, 0 sentinel), sigma_hom, "
@@ -470,7 +472,7 @@ def _fisher(cfg, stack):
               ("n_s", "i_tt", "i_rr", "i_pp", "i_tr", "i_tp", "i_rp",
                "dt_dns", "dr_dns", "dphi_dns", "i_contracted"),
               (ns, m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 0, 1],
-               m[:, 0, 2], m[:, 1, 2], *rep.derivs.T, rep.contracted),
+               m[:, 0, 2], m[:, 1, 2], *decomp.jacobian.T, decomp.contracted),
               "n_s, pair-probe information matrix over (T, R, phi_tr) "
               "(i_tt..i_rp), response derivatives d(T,R,phi_tr)/dn_s, and "
               "their contraction J.M.J (equals the direct information)"),

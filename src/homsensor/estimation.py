@@ -24,22 +24,24 @@ Provided on top of the raw information are:
   parameters (T, R, phi_tr), exposing which physical channel carries
   the signal (for the coherent probe it differentiates the two Poisson
   means),
-* a report of both schemes, their enhancement and the decomposition,
+* both schemes and the photon-pair decomposition from one response,
 * a scan of the coherent probe's relative phase, locating the phase
   that maximizes its information,
 * an uncertainty budget converting instrumental disturbances (angle,
   prism index, polarization, film thickness) into equivalent index
   errors via sensitivity ratios of the coincidence signal.
 
-All are array-first: the evaluators, the decomposition and the report
-broadcast over wavelength, angle and n_s (a scalar input returns
-floats), the scan over its phase grid, and the budget makes two
+All are array-first: the evaluators, the decomposition and
+fisher_report broadcast over wavelength, angle and n_s (a scalar input
+returns floats), the scan over its phase grid, and the budget makes two
 stack_response calls, one stencil over every sensor parameter and one
 in the other polarization.  The others make one stack_response call
 through tmm.ns_stencil (n_s + h, n_s - h and, for the decomposition,
-n_s, on a trailing axis), validated once, which in the report feeds
-all three.
-defined_ratio is the one comparison with RATIO_FLOOR.
+n_s, on a trailing axis), validated once; _schemes turns those points
+into the two schemes' information, and in fisher_report the same
+points also feed the decomposition.
+The figures of merit on that pair, defined_ratio (the one comparison
+with RATIO_FLOOR) and precision_bound, are the caller's to form.
 
 Some closed-form diagnostics are conventionally quoted for an idealized
 balanced splitter with a quarter-wave transmission-reflection phase.
@@ -196,14 +198,21 @@ def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
         probe or CoherentInput())
 
 
+def _schemes(points, phi_ab):
+    """(click information, coherent information at phi_ab) from validated
+    _stencil_points: the headline pair behind the enhancement g."""
+    moments = splitter_moments(*points)
+    return _probe_information(moments, "click"), _probe_information(
+        moments, CoherentInput(phi_ab=float(phi_ab)))
+
+
 def fisher_schemes(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                    phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm"):
     """(fisher_hom, fisher_classical at phi_ab) from one stack_response
-    call: the single-frequency twin of continuum.continuum_fisher."""
-    moments = splitter_moments(*_stencil_points(
-        stack, wavelength_nm, theta_deg, n_s, polarization))
-    return _probe_information(moments, "click"), _probe_information(
-        moments, CoherentInput(phi_ab=float(phi_ab)))
+    call on the +-h stencil: the single-frequency twin of
+    continuum.continuum_fisher."""
+    return _schemes(_stencil_points(stack, wavelength_nm, theta_deg, n_s,
+                                    polarization), phi_ab)
 
 
 def precision_bound(info):
@@ -324,49 +333,18 @@ def _decompose(points, probe="click", phi_tr_assumption=None):
 
 
 # ---------------------------------------------------------------------------
-# combined report
+# both schemes with the decomposition
 # ---------------------------------------------------------------------------
 
-class FisherReport(Record):
-    """Both information figures, their ratio and the decomposition.
-
-    Fields have the inputs' broadcast shape leading (floats for scalar
-    inputs).  g is NaN where the coherent information is below the
-    ratio floor (the undefined-enhancement window around the dip);
-    g_defined flags that case.  decomposition, derivs and contracted
-    are the photon-pair DecompositionResult's matrix, jacobian and
-    contraction.
-    """
-
-    i_hom: np.ndarray | float
-    i_classical: np.ndarray | float
-    g: np.ndarray | float
-    g_defined: np.ndarray | bool
-    decomposition: np.ndarray
-    derivs: np.ndarray
-    contracted: np.ndarray | float
-    precision_hom: np.ndarray | float
-    precision_classical: np.ndarray | float
-
-
 def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                  phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm"
-                  ) -> FisherReport:
-    """Evaluate both schemes, the enhancement and the HOM decomposition
-    on the broadcast grid, all from one ns_stencil call."""
+                  phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm"):
+    """(fisher_hom, fisher_classical at phi_ab, the click probe's
+    DecompositionResult) on the broadcast grid, all from one ns_stencil
+    call with the centre; the figures of merit built on the pair
+    (defined_ratio, precision_bound) are left to the caller."""
     points = _stencil_points(stack, wavelength_nm, theta_deg, n_s,
                              polarization, centre=True)
-    moments = splitter_moments(*points)
-    i_h = _probe_information(moments, "click")
-    i_c = _probe_information(moments, CoherentInput(phi_ab=float(phi_ab)))
-    g, g_defined = defined_ratio(i_h - i_c, i_c)
-    decomp = _decompose(points)
-    return FisherReport(
-        i_hom=i_h, i_classical=i_c, g=_as_result(g),
-        g_defined=g_defined[()], decomposition=decomp.matrix,
-        derivs=decomp.jacobian, contracted=decomp.contracted,
-        precision_hom=precision_bound(i_h),
-        precision_classical=precision_bound(i_c))
+    return (*_schemes(points, phi_ab), _decompose(points))
 
 
 # ---------------------------------------------------------------------------

@@ -296,19 +296,47 @@ def _check_wavelength(lam):
 
 
 def _check_theta(theta_deg):
+    """Every angle lies in [0, 90) degrees; a NaN lies nowhere."""
     th = np.asarray(theta_deg, dtype=float)
-    if np.any(th < 0.0) or np.any(th >= 90.0):
+    if not np.all((th >= 0.0) & (th < 90.0)):
         raise StackDefinitionError(
             "incidence angle must satisfy 0 <= theta < 90 degrees")
 
 
 def _check_sample_index(ns):
-    """A constant Material's rule for the sample index: Re(n_s) > 0."""
-    bad = ns.real <= 0.0
+    """A constant Material's rule for the sample index: Re(n_s) > 0,
+    Im(n_s) >= 0 (a passive medium) and finite; a NaN part fails the
+    first two."""
+    bad = ~(ns.real > 0.0)
     if np.any(bad):
         raise StackDefinitionError(
             "sample index: Re(n_s) must be positive, got %.6g"
             % (ns.real[bad][0],))
+    bad = ~(ns.imag >= 0.0)
+    if np.any(bad):
+        raise StackDefinitionError(
+            "sample index: Im(n_s) must be >= 0 (passive medium), got %.6g"
+            % (ns.imag[bad][0],))
+    if not np.all(np.isfinite(ns)):
+        raise StackDefinitionError("sample index must be finite")
+
+
+def _phase_factor(n, cos, d, lam, layer):
+    """e^{-i delta}, delta = 2 pi n cos d / lam, of one layer; its
+    modulus e^{Im delta} >= 1 bounds e^{+i delta}'s, so where it is
+    finite both are.  WavelengthRangeError names the wavelength where it
+    is not (lam so short that the phase or its decay overflows), in
+    place of numpy's warnings and nan rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = 2.0 * np.pi * n * cos * d / lam
+        em = np.exp(-1j * delta)
+    bad = ~np.isfinite(em)
+    if np.any(bad):
+        raise WavelengthRangeError(
+            "wavelength %r nm is too short for layer %d: its phase factor "
+            "overflows" % (float(np.broadcast_to(lam, bad.shape)[bad][0]),
+                           layer))
+    return delta, em
 
 
 def _check_polarization(polarization):
@@ -345,7 +373,9 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     does.  n_s replaces the index of the stack's sample layer
     (defaulting to the stored sample_n) and must be omitted when the
     stack has no sample layer.  t = 1/M11, r = M21/M11 of the total
-    transfer matrix.
+    transfer matrix.  A NaN or out-of-range angle or sample index raises
+    StackDefinitionError, and a wavelength at which a layer's phase
+    factor overflows raises WavelengthRangeError, before numpy warns.
 
     Each layer is evaluated on the shape of its own inputs (a fixed
     layer on wavelength x angle, widened only by its own thickness);
@@ -393,9 +423,8 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     m11, m12 = interface(0)
     m21, m22 = m12, m11
     for j in range(1, len(n_list) - 1):
-        d = stack.layers[j].thickness_nm
-        delta = 2.0 * np.pi * n_list[j] * cos_list[j] * d / lam
-        em = np.exp(-1j * delta)
+        delta, em = _phase_factor(n_list[j], cos_list[j],
+                                  stack.layers[j].thickness_nm, lam, j)
         m11 = m11 * em
         m21 = m21 * em
         del em

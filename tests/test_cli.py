@@ -126,6 +126,37 @@ def test_coincidence_outputs(tmp_path):
         assert (again / path.name).read_bytes() == path.read_bytes()
 
 
+def test_headline_pair_is_one_across_commands(tmp_path):
+    """fisher at 800 nm, map on the one wavelength 800 nm and continuum's
+    single-frequency column print the same information cells, byte for
+    byte, on the default index grid of the fixture stack."""
+    rows = {}
+    for command, extra in (("fisher", {"wavelength_nm": 800.0}),
+                           ("map", {"wavelength_grid_nm": [800.0]}),
+                           ("continuum", {"wavelength_nm": 800.0})):
+        code, out = _run(tmp_path, command,
+                         {"stack_path": str(FIXTURE_STACK), **extra}, command)
+        assert code == 0
+        header, body = _table(out / (command + ".csv"))
+        rows[command] = [dict(zip(header, row)) for row in body]
+    fisher = rows["fisher"]
+    assert len(fisher) == 91
+
+    def cells(table, *columns):
+        return [tuple(row[c] for c in columns) for row in table]
+
+    pair = ("n_s", "i_hom", "i_classical", "g", "g_defined")
+    assert cells(rows["map"], *pair) == cells(fisher, *pair)
+    blocks = {}
+    for row in rows["continuum"]:
+        blocks.setdefault((row["delta_lambda_nm"], row["scheme"]),
+                          []).append(row)
+    assert len(blocks) == 4
+    for (_, scheme), block in blocks.items():
+        assert cells(block, "n_s", "i_single") == cells(
+            fisher, "n_s", "i_" + scheme)
+
+
 def _bench_module(name):
     """A module of the benchmark harness, loaded from bench/<name>.py."""
     spec = importlib.util.spec_from_file_location(
@@ -687,11 +718,10 @@ WAVELENGTH_ERRORS = [
     pytest.param("fisher", {"wavelength_nm": -800},
                  "wavelength must be positive, got -800 nm",
                  id="fisher_negative"),
-    # every phase overflows, which numpy warns about before the error
+    # every phase overflows: refused before numpy could warn
     pytest.param("spectrum", {"wavelength_nm": 1e-320},
-                 "non-finite splitter point (T, R, phi_tr) = (nan, nan, nan) "
-                 "at grid index (0,)", id="spectrum_subnormal",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+                 "wavelength 1e-320 nm is too short for layer 1: its phase "
+                 "factor overflows", id="spectrum_subnormal"),
     pytest.param("continuum", {"wavelength_nm": 1e160, "n_s_grid": [1.31],
                                "n_nodes": 5},
                  "profile carrier wavelength 1e+160 nm is out of range: its "

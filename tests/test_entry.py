@@ -185,7 +185,7 @@ def test_public_names_resolve():
                   "except AttributeError:\n"
                   "    print(len(homsensor.__all__), bad)\n")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "49 []"
+    assert out.stdout.strip() == "48 []"
 
 
 def _references(module: ast.Module) -> set:
@@ -249,6 +249,23 @@ def test_outcome_models_are_read_through_one_table():
                              else [alias.name for alias in node.names]
                              if isinstance(node, ast.ImportFrom) else [])
                 if name in models]
+    assert found == []
+
+
+def test_figures_of_merit_are_formed_in_cli():
+    """Outside cli, no src/homsensor module calls defined_ratio or
+    precision_bound: the library returns information figures, and the
+    command that writes an enhancement or a precision bound forms it."""
+    merit = {"defined_ratio", "precision_bound"}
+    found = []
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        if path.stem != "cli":
+            found += [(path.stem, node.lineno, name) for node in ast.walk(
+                ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call)
+                for name in [node.func.id if isinstance(node.func, ast.Name)
+                             else getattr(node.func, "attr", None)]
+                if name in merit]
     assert found == []
 
 

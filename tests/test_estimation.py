@@ -479,31 +479,30 @@ def test_phase_freeze_changes_matrix_not_jacobian(stack):
 # ---------------------------------------------------------------------------
 
 def test_fisher_report_fields(stack):
-    rep = fisher_report(stack, 800.0, 70.0, 1.30)
-    assert rep.i_hom == pytest.approx(
+    """The pair and the click decomposition, as the evaluators give them;
+    g and sigma are the caller's (defined_ratio, precision_bound)."""
+    i_h, i_c, decomp = fisher_report(stack, 800.0, 70.0, 1.30, phi_ab=0.7)
+    assert type(i_h) is float and type(i_c) is float
+    assert i_h == pytest.approx(
         fisher_hom(stack, 800.0, 70.0, 1.30), rel=1e-12)
-    assert rep.g_defined
-    assert rep.g == pytest.approx(
-        (rep.i_hom - rep.i_classical) / rep.i_classical, rel=1e-12)
-    assert rep.precision_hom == pytest.approx(1.0 / math.sqrt(rep.i_hom),
-                                              rel=1e-12)
-    assert rep.decomposition.shape == (3, 3)
-    assert rep.contracted == pytest.approx(rep.i_hom, rel=1e-6)
+    assert i_c == pytest.approx(fisher_classical(
+        stack, 800.0, 70.0, 1.30, probe=CoherentInput(phi_ab=0.7)), rel=1e-12)
+    assert decomp.matrix.shape == (3, 3)
+    assert decomp.contracted == pytest.approx(i_h, rel=1e-6)
 
 
 def test_fisher_report_on_grid_matches_point_reports(stack):
     ns = np.linspace(1.25, 1.34, 7)
-    rep = fisher_report(stack, 800.0, 70.0, ns)
-    assert rep.decomposition.shape == (7, 3, 3)
-    assert rep.derivs.shape == (7, 3)
+    i_h, i_c, decomp = fisher_report(stack, 800.0, 70.0, ns)
+    i_pair = fisher_schemes(stack, 800.0, 70.0, ns)  # the +-h stencil only
+    assert np.array_equal(i_h, i_pair[0]) and np.array_equal(i_c, i_pair[1])
+    assert decomp.matrix.shape == (7, 3, 3)
+    assert decomp.jacobian.shape == (7, 3)
     for k, n in enumerate(ns):
-        one = fisher_report(stack, 800.0, 70.0, float(n))
-        for field in ("i_hom", "i_classical", "g", "precision_hom",
-                      "precision_classical"):
-            assert getattr(rep, field)[k] == getattr(one, field)
-        assert bool(rep.g_defined[k]) == bool(one.g_defined)
-        assert rep.contracted[k] == pytest.approx(
-            one.contracted, abs=1e-9 * np.max(rep.contracted))
+        one_h, one_c, one = fisher_report(stack, 800.0, 70.0, float(n))
+        assert i_h[k] == one_h and i_c[k] == one_c
+        assert decomp.contracted[k] == pytest.approx(
+            one.contracted, abs=1e-9 * np.max(decomp.contracted))
 
 
 @pytest.mark.parametrize("evaluate", [fisher_report, fisher_decomposition])

@@ -10,8 +10,7 @@ from homsensor.cli import Table
 from homsensor.continuum import QuadratureGrid
 from homsensor.errors import StackDefinitionError
 from homsensor.estimation import (BudgetReport, BudgetRow, BudgetSource,
-                                  DecompositionResult, FisherReport,
-                                  PhaseScanResult)
+                                  DecompositionResult, PhaseScanResult)
 from homsensor.materials import Material, MaterialTable, constant_material
 from homsensor.quantum_stats import CoherentInput
 from homsensor.records import Record, replace
@@ -36,8 +35,6 @@ RECORDS = {
     CoherentInput: (lambda: CoherentInput(2.0, 0.5, 0.1), True),
     DecompositionResult: (lambda: DecompositionResult(
         np.eye(3), np.ones(3), 1.0, 0.4, 0.4, 0.1), False),
-    FisherReport: (lambda: FisherReport(
-        1.0, 0.5, 1.0, True, np.eye(3), np.ones(3), 1.0, 1.0, 1.4), False),
     PhaseScanResult: (lambda: PhaseScanResult(
         np.zeros(2), np.ones(2), 0.0, 1.0), False),
     BudgetSource: (lambda: SOURCE, True),
@@ -60,7 +57,7 @@ def test_every_record_class_is_covered():
     for module in ("cli", "continuum", "estimation", "materials",
                    "quantum_stats", "tmm"):
         importlib.import_module("homsensor." + module)
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 14
     assert set(Record.__subclasses__()) == set(RECORDS)
 
 

@@ -434,6 +434,39 @@ def test_theta_and_polarization_validation(stack):
         stack_response(stack, 800.0, 70.0, 1.31, "tem")
 
 
+@pytest.mark.parametrize("theta, n_s, message", [
+    (math.nan, 1.31, r"0 <= theta < 90"),
+    (np.array([70.0, math.nan]), 1.31, r"0 <= theta < 90"),
+    (70.0, math.nan, r"Re\(n_s\) must be positive, got nan"),
+    (70.0, complex(1.31, math.nan), r"Im\(n_s\) must be >= 0 .*got nan"),
+    (70.0, 1.31 - 0.05j,
+     r"Im\(n_s\) must be >= 0 \(passive medium\), got -0.05"),
+    (70.0, np.array([1.31, math.inf]), r"sample index must be finite"),
+])
+def test_nan_or_gain_inputs_are_rejected(stack, theta, n_s, message):
+    """A NaN angle or index, or a gain-medium index (which gave T + R
+    far above 1), raises before numpy warns; the suite turns any
+    RuntimeWarning into an error."""
+    with pytest.raises(StackDefinitionError, match=message):
+        stack_response(stack, 800.0, theta, n_s)
+
+
+@pytest.mark.parametrize("wavelength, named", [
+    (1e-300, "1e-300"), (1e-320, "1e-320"),
+    (np.array([800.0, 1e-300]), "1e-300")])
+def test_overflowing_phase_factor_is_rejected(wavelength, named):
+    """Beyond the critical angle a 208.826 nm gap decays as
+    e^{2 pi kappa d / lam}, which overflows at a tiny wavelength (and
+    the phase itself at a subnormal one): WavelengthRangeError names the
+    first such wavelength in place of numpy's warnings and nan rows."""
+    gap = slab_stack(1.5, 1.31, 208.826)
+    with pytest.raises(WavelengthRangeError, match="wavelength %s nm is too "
+                       "short for layer 1: its phase factor overflows"
+                       % (named,)):
+        stack_response(gap, wavelength, 70.0)
+    assert stack_response(gap, 800.0, 70.0).T > 0.0
+
+
 def test_ns_without_sample_layer_rejected():
     fixed = slab_stack(1.5, 2.0, 100.0)
     with pytest.raises(StackDefinitionError):
