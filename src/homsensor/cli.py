@@ -479,20 +479,18 @@ def _fisher(cfg, stack):
     ]
     if cfg["phi_ab_policy"] == "scan":
         frozen = cfg["phase_scan_phi_tr"]
-        scan = phi_ab_scan(stack, cfg["wavelength_nm"], cfg["theta_deg"],
-                           cfg["phase_scan_ns"],
-                           n_points=cfg["phase_scan_points"],
-                           polarization=cfg["polarization"],
-                           phi_tr_assumption=frozen)
+        phi_ab, fisher, phi_opt, fisher_opt = phi_ab_scan(
+            stack, cfg["wavelength_nm"], cfg["theta_deg"],
+            cfg["phase_scan_ns"], n_points=cfg["phase_scan_points"],
+            polarization=cfg["polarization"], phi_tr_assumption=frozen)
         tables.append(Table(
-            "phase_scan.csv", ("phi_ab", "i_classical"),
-            (scan.phi_ab, scan.fisher),
+            "phase_scan.csv", ("phi_ab", "i_classical"), (phi_ab, fisher),
             "phi_ab (probe relative phase, rad), i_classical (coherent-probe "
             "information)",
             ("phase scan at n_s=%s: phi_opt=%s fisher_opt=%s "
              "phi_tr_assumption=%s"
-             % (_fmt_cell(cfg["phase_scan_ns"]), _fmt_cell(scan.phi_opt),
-                _fmt_cell(scan.fisher_opt),
+             % (_fmt_cell(cfg["phase_scan_ns"]), _fmt_cell(phi_opt),
+                _fmt_cell(fisher_opt),
                 "actual" if frozen is None else _fmt_cell(frozen)),)))
     return "%d index points" % len(ns), tables
 
@@ -531,17 +529,18 @@ def _map(cfg, stack):
 
 
 def _budget(cfg, stack):
-    report = uncertainty_budget(stack, wavelength_nm=cfg["wavelength_nm"],
-                                theta_deg=cfg["theta_deg"],
-                                n_analyte=cfg["n_analyte"],
-                                sources=load_budget_sources(
-                                    cfg["sources_path"]),
-                                polarization=cfg["polarization"])
-    rows = [(src.name, src.kind, src.s, src.unit, src.divisor, row.c,
-             row.sigma, src.reference_c, src.reference_sigma,
+    sources = load_budget_sources(cfg["sources_path"])
+    c, slope = uncertainty_budget(stack, wavelength_nm=cfg["wavelength_nm"],
+                                  theta_deg=cfg["theta_deg"],
+                                  n_analyte=cfg["n_analyte"], sources=sources,
+                                  polarization=cfg["polarization"])
+    c = c.tolist()
+    sigma = [c_k * src.s / src.divisor for src, c_k in zip(sources, c)]
+    rows = [(src.name, src.kind, src.s, src.unit, src.divisor, c_k, sigma_k,
+             src.reference_c, src.reference_sigma,
              src.reference_c * src.s / src.divisor
              if math.isfinite(src.reference_c) else math.nan)
-            for row in report.rows for src in (row.source,)]
+            for src, c_k, sigma_k in zip(sources, c, sigma)]
     return "%d sources" % len(rows), [Table(
         "budget.csv",
         ("name", "kind", "s", "unit", "divisor", "c", "sigma", "reference_c",
@@ -552,8 +551,8 @@ def _budget(cfg, stack):
         "reference_sigma (externally quoted values, nan when absent), "
         "sigma_from_reference (reference_c*s/divisor)",
         ("signal_slope=%s total_sigma=%s"
-         % (_fmt_cell(report.signal_slope),
-            _fmt_cell(report.total_sigma())),))]
+         % (_fmt_cell(slope),
+            _fmt_cell(math.sqrt(sum(x ** 2 for x in sigma)))),))]
 
 
 def _continuum(cfg, stack):

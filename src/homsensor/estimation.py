@@ -27,9 +27,9 @@ Provided on top of the raw information are:
 * both schemes and the photon-pair decomposition from one response,
 * a scan of the coherent probe's relative phase, locating the phase
   that maximizes its information,
-* an uncertainty budget converting instrumental disturbances (angle,
-  prism index, polarization, film thickness) into equivalent index
-  errors via sensitivity ratios of the coincidence signal.
+* an uncertainty budget: the sensitivity ratios of the coincidence
+  signal that convert instrumental disturbances (angle, prism index,
+  polarization, film thickness) into equivalent index errors.
 
 All are array-first: the evaluators, the decomposition and
 fisher_report broadcast over wavelength, angle and n_s (a scalar input
@@ -41,7 +41,9 @@ n_s, on a trailing axis), validated once; _schemes turns those points
 into the two schemes' information, and in fisher_report the same
 points also feed the decomposition.
 The figures of merit on that pair, defined_ratio (the one comparison
-with RATIO_FLOOR) and precision_bound, are the caller's to form.
+with RATIO_FLOOR) and precision_bound, are the caller's to form; so is
+a budget's index error sigma = c s / divisor per source, and their
+quadrature sum, from the sensitivities c the budget returns.
 
 Some closed-form diagnostics are conventionally quoted for an idealized
 balanced splitter with a quarter-wave transmission-reflection phase.
@@ -351,25 +353,17 @@ def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
 # coherent relative-phase scan
 # ---------------------------------------------------------------------------
 
-class PhaseScanResult(Record):
-    """Coherent-probe information as a function of the probe phase."""
-
-    phi_ab: np.ndarray
-    fisher: np.ndarray
-    phi_opt: float
-    fisher_opt: float
-
-
 def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                 n_points: int = 721, polarization: str = "tm",
-                phi_tr_assumption: float | None = None) -> PhaseScanResult:
+                phi_tr_assumption: float | None = None):
     """Scan the coherent probe's relative phase over [-pi, pi].
 
-    The unit-intensity probe's closed-form Poisson information is
-    evaluated on the half-open grid [-pi, pi), one CoherentInput phase
-    array.  The returned phi_opt is the grid maximizer, polished by one
-    parabolic fit through the maximum and its two neighbours (kept
-    inside the bracketing interval).
+    Returns (phi_ab, fisher, phi_opt, fisher_opt): the unit-intensity
+    probe's closed-form Poisson information fisher on the half-open grid
+    phi_ab of [-pi, pi), one CoherentInput phase array, and its maximum
+    fisher_opt at phi_opt, the grid maximizer polished by one parabolic
+    fit through the maximum and its two neighbours (kept inside the
+    bracketing interval); phi_opt and fisher_opt are floats.
     """
     if n_points < 2:
         raise ConfigError("phase scan needs at least 2 points, got %r"
@@ -396,8 +390,7 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                                            CoherentInput(phi_ab=phi_ref))
                 if f_ref >= fisher_opt:
                     phi_opt, fisher_opt = phi_ref, f_ref
-    return PhaseScanResult(phi_ab=grid, fisher=values, phi_opt=phi_opt,
-                           fisher_opt=fisher_opt)
+    return grid, values, phi_opt, fisher_opt
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +442,6 @@ class BudgetSource(Record):
                               "> 0, got %r" % (self.name, self.divisor))
 
 
-class BudgetRow(Record):
-    """Computed budget line for one source."""
-
-    source: BudgetSource
-    c: float          # |dS/dx| / |dS/dn_s|, equivalent RIU per unit x
-    sigma: float      # c * s / divisor, equivalent index error
-
-
-class BudgetReport(Record):
-    rows: tuple[BudgetRow, ...]
-    signal_slope: float   # dS/dn_s at the operating point
-
-    def total_sigma(self) -> float:
-        """Quadrature sum of the per-source index errors."""
-        return math.sqrt(sum(r.sigma ** 2 for r in self.rows))
-
-
 # kind: (stencil row of its +h point, -h next, or None; factor to its unit)
 _BUDGET_KINDS = {"incidence_angle": (3, 1.0), "film_thickness": (5, 1e9),
                  "prism_index": (7, 1.0), "polarization_angle": (None, 1.0)}
@@ -504,14 +480,18 @@ def _budget_source(d, what: str) -> BudgetSource:
 def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
                        theta_deg: float = 70.0, n_analyte: float = 1.32,
                        sources: tuple[BudgetSource, ...] | None = None,
-                       polarization: str = "tm") -> BudgetReport:
-    """Convert instrumental disturbances into equivalent index errors.
+                       polarization: str = "tm"):
+    """Sensitivities that turn instrumental disturbances into index errors.
 
-    The monitored signal S is the two-photon coincidence probability.
-    For each source the sensitivity c = |dS/dx| / |dS/dn_s| rescales the
-    disturbance into the index error it masquerades as; sigma = c s /
-    divisor.  All derivatives are central differences with the step
-    h = BUDGET_STEP in the variable's own unit (degrees, RIU, nm).
+    Returns (c, signal_slope): c is a float array with one entry per
+    source, in source order, and signal_slope is dS/dn_s at the
+    operating point.  The monitored signal S is the two-photon
+    coincidence probability.  For each source the sensitivity
+    c = |dS/dx| / |dS/dn_s| (equivalent RIU per unit of x) rescales the
+    disturbance into the index error it masquerades as; that error,
+    sigma = c s / divisor, and the sources' quadrature sum are the
+    caller's to form.  All derivatives are central differences with the
+    step h = BUDGET_STEP in the variable's own unit (degrees, RIU, nm).
 
     S takes two stack_response calls: one nine-point stencil (the
     centre, then n_s, theta, film thickness and prism index +- h, as
@@ -558,7 +538,7 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
             "index slope is not resolved; the budget is undefined at the dip"
             % (h, n_analyte, vertex))
 
-    rows = []
+    c = []
     for src in sources:
         row, scale = _BUDGET_KINDS[src.kind]
         if row is not None:
@@ -568,7 +548,5 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
                 stack, theta_deg, n_analyte, pol) for pol in ("tm", "te"))
             d = central(*(math.cos(g) ** 2 * s_tm + math.sin(g) ** 2 * s_te
                           for g in map(math.radians, (src.s + h, src.s - h))))
-        c = float(abs(d) / abs(slope))
-        rows.append(BudgetRow(source=src, c=c, sigma=c * src.s / src.divisor))
-
-    return BudgetReport(rows=tuple(rows), signal_slope=float(slope))
+        c.append(float(abs(d) / abs(slope)))
+    return np.array(c, dtype=float), float(slope)

@@ -324,18 +324,22 @@ def _check_sample_index(ns):
 def _phase_factor(n, cos, d, lam, layer):
     """e^{-i delta}, delta = 2 pi n cos d / lam, of one layer; its
     modulus e^{Im delta} >= 1 bounds e^{+i delta}'s, so where it is
-    finite both are.  WavelengthRangeError names the wavelength where it
-    is not (lam so short that the phase or its decay overflows), in
-    place of numpy's warnings and nan rows."""
+    finite both are.  WavelengthRangeError names the layer, its
+    thickness and the wavelength where it is not (d / lam so large that
+    the decay, or the phase itself, overflows: the unnormalized
+    transfer product cannot hold such a layer), in place of numpy's
+    warnings and nan rows."""
     with np.errstate(over="ignore", invalid="ignore"):
         delta = 2.0 * np.pi * n * cos * d / lam
         em = np.exp(-1j * delta)
     bad = ~np.isfinite(em)
     if np.any(bad):
+        d, lam = (float(np.broadcast_to(x, bad.shape)[bad][0])
+                  for x in (d, lam))
         raise WavelengthRangeError(
-            "wavelength %r nm is too short for layer %d: its phase factor "
-            "overflows" % (float(np.broadcast_to(lam, bad.shape)[bad][0]),
-                           layer))
+            "layer %d (thickness %r nm) is too thick for wavelength %r nm in "
+            "the transfer-matrix form: its decay factor overflows"
+            % (layer, d, lam))
     return delta, em
 
 
@@ -373,9 +377,11 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     does.  n_s replaces the index of the stack's sample layer
     (defaulting to the stored sample_n) and must be omitted when the
     stack has no sample layer.  t = 1/M11, r = M21/M11 of the total
-    transfer matrix.  A NaN or out-of-range angle or sample index raises
-    StackDefinitionError, and a wavelength at which a layer's phase
-    factor overflows raises WavelengthRangeError, before numpy warns.
+    transfer matrix.  A NaN or out-of-range angle or sample index, or an
+    angle so close to 90 degrees that the entrance cosine rounds to 0,
+    raises StackDefinitionError, and a layer whose phase factor
+    overflows at a wavelength raises WavelengthRangeError, before numpy
+    warns.
 
     Each layer is evaluated on the shape of its own inputs (a fixed
     layer on wavelength x angle, widened only by its own thickness);
@@ -409,6 +415,12 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
         *(np.shape(layer.thickness_nm) for layer in stack.layers[1:-1]))
     n0_sin = n_list[0] * np.sin(th)
     cos_list = [_cosines_from_indices(nj, n0_sin) for nj in n_list]
+    grazing = cos_list[0] == 0.0
+    if np.any(grazing):
+        raise StackDefinitionError(
+            "incidence angle %r degrees is grazing: its entrance cosine "
+            "rounds to 0" % (float(np.broadcast_to(
+                theta_deg, grazing.shape)[grazing][0]),))
 
     def interface(j):
         """(1/t, r/t) of the B matrix (1/t) [[1, r], [r, 1]] of j|j+1."""

@@ -343,8 +343,8 @@ def scalar_coincidence_signal(stack, wavelength_nm, theta_deg, n_s,
 def scalar_uncertainty_budget(stack, wavelength_nm=800.0, theta_deg=70.0,
                               n_analyte=1.32, sources=None,
                               polarization="tm"):
-    """(signal slope, [(c, sigma)] per source) of uncertainty_budget from
-    one scalar stack_response call per stencil point: 11 calls for the
+    """uncertainty_budget's ([c per source], signal slope) from one
+    scalar stack_response call per stencil point: 11 calls for the
     default sources, each central difference at step BUDGET_STEP."""
     sources = sources if sources is not None else load_budget_sources()
     h = BUDGET_STEP
@@ -356,7 +356,7 @@ def scalar_uncertainty_budget(stack, wavelength_nm=800.0, theta_deg=70.0,
         return (f(x + h) - f(x - h)) / (2 * h)
 
     slope = central(signal, n_analyte)
-    rows = []
+    c = []
     for src in sources:
         if src.kind == "incidence_angle":
             d = central(lambda th: signal(n_analyte, theta=th), theta_deg)
@@ -377,6 +377,5 @@ def scalar_uncertainty_budget(stack, wavelength_nm=800.0, theta_deg=70.0,
             d = central(lambda d_nm: signal(
                 n_analyte, stk=with_sensor(stack, film_nm=d_nm)),
                 sensor_thicknesses(stack)[0]) * 1e9
-        c = abs(d) / abs(slope)
-        rows.append((c, c * src.s / src.divisor))
-    return slope, rows
+        c.append(abs(d) / abs(slope))
+    return c, slope

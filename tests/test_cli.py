@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homsensor import __version__, cli, continuum, tmm
+from homsensor import __version__, cli, continuum, estimation, tmm
 from homsensor.estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR
 from homsensor.materials import Material, constant_material
 from homsensor.quantum_stats import CLAMP_FLOOR
@@ -720,8 +720,9 @@ WAVELENGTH_ERRORS = [
                  id="fisher_negative"),
     # every phase overflows: refused before numpy could warn
     pytest.param("spectrum", {"wavelength_nm": 1e-320},
-                 "wavelength 1e-320 nm is too short for layer 1: its phase "
-                 "factor overflows", id="spectrum_subnormal"),
+                 "layer 1 (thickness 50.0 nm) is too thick for wavelength "
+                 "1e-320 nm in the transfer-matrix form: its decay factor "
+                 "overflows", id="spectrum_subnormal"),
     pytest.param("continuum", {"wavelength_nm": 1e160, "n_s_grid": [1.31],
                                "n_nodes": 5},
                  "profile carrier wavelength 1e+160 nm is out of range: its "
@@ -739,6 +740,21 @@ def test_unusable_wavelength_exits_1(tmp_path, capsys, command, cfg,
                      {"stack_path": _flat_stack_path(tmp_path), **cfg})
     assert code == 1
     assert capsys.readouterr().err == "error: %s\n" % (message,)
+    assert not out.exists()
+
+
+def test_grazing_angle_exits_1(tmp_path, capsys):
+    """An angle below 90 degrees whose sine rounds to 1 has entrance
+    cosine 0 and t_01 = 0: one error line, exit 1, no output, where numpy
+    used to warn (the suite turns a RuntimeWarning into an error) before
+    a nan splitter point."""
+    code, out = _run(tmp_path, "spectrum",
+                     {"stack_path": str(FIXTURE_STACK),
+                      "theta_grid_deg": [0.0, 89.99999999]})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: incidence angle 89.99999999 degrees is grazing: its "
+        "entrance cosine rounds to 0\n")
     assert not out.exists()
 
 
@@ -940,6 +956,69 @@ def test_bad_budget_source_exits_1(tmp_path, capsys, data, names):
     assert err.startswith("error: budget sources file %s: " % sources)
     assert names in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def _budget_rows(out):
+    """budget.csv's rows as dicts, and its (signal_slope, total_sigma)
+    note cells."""
+    header, body = _table(out / "budget.csv")
+    note = re.search(r"^# signal_slope=(\S+) total_sigma=(\S+)$",
+                     (out / "budget.csv").read_text(), re.M)
+    return [dict(zip(header, row)) for row in body], note.groups()
+
+
+def test_note_lines_print_the_library_values(tmp_path):
+    """On the fixture stack the phase scan's note prints phi_ab_scan's
+    phi_opt and fisher_opt, and the budget's sigma cells are c*s/divisor
+    of their rows, with total_sigma their quadrature sum."""
+    code, out = _run(tmp_path, "fisher", {"stack_path": str(FIXTURE_STACK),
+                                          "phi_ab_policy": "scan"}, "fisher")
+    assert code == 0
+    cfg = cli.load_config(tmp_path / "fisher.json", "fisher")
+    _, _, phi_opt, fisher_opt = estimation.phi_ab_scan(
+        tmm.load_stack(FIXTURE_STACK), cfg["wavelength_nm"],
+        cfg["theta_deg"], cfg["phase_scan_ns"],
+        n_points=cfg["phase_scan_points"], polarization=cfg["polarization"],
+        phi_tr_assumption=cfg["phase_scan_phi_tr"])
+    note = re.search(r"^# phase scan at n_s=1.3: phi_opt=(\S+) "
+                     r"fisher_opt=(\S+) phi_tr_assumption=1.57079632679$",
+                     (out / "phase_scan.csv").read_text(), re.M)
+    assert note.groups() == (cli._fmt_cell(phi_opt),
+                             cli._fmt_cell(fisher_opt))
+
+    code, out = _run(tmp_path, "budget", {"stack_path": str(FIXTURE_STACK)},
+                     "budget")
+    assert code == 0
+    rows, (_, total) = _budget_rows(out)
+    sigma = [float(row["sigma"]) for row in rows]
+    assert len(sigma) == 4 and all(sigma)
+    for row, value in zip(rows, sigma):
+        assert value == pytest.approx(float(row["c"]) * float(row["s"])
+                                      / float(row["divisor"]), rel=1e-11)
+    assert float(total) == pytest.approx(
+        math.sqrt(sum(x ** 2 for x in sigma)), rel=1e-11)
+
+
+def test_budget_without_sources(tmp_path, capsys):
+    """An empty sources list is a budget of no rows: the header alone,
+    total_sigma=0, and the signal slope of the default sources' run."""
+    sources = tmp_path / "sources.json"
+    sources.write_text(json.dumps({"sources": []}))
+    code, out = _run(tmp_path, "budget", {"stack_path": str(FIXTURE_STACK),
+                                          "sources_path": str(sources)})
+    assert code == 0
+    assert capsys.readouterr().out == "budget: 0 sources -> %s\n" % (
+        out / "budget.csv")
+    header, body = _table(out / "budget.csv")
+    assert header == ["name", "kind", "s", "unit", "divisor", "c", "sigma",
+                      "reference_c", "reference_sigma",
+                      "sigma_from_reference"]
+    assert body == []
+    rows, (slope, total) = _budget_rows(out)
+    assert total == "0"
+    code, out = _run(tmp_path, "budget", {"stack_path": str(FIXTURE_STACK)},
+                     "default")
+    assert code == 0 and _budget_rows(out)[1][0] == slope
 
 
 @pytest.mark.parametrize("command", ["spectrum", "budget"])

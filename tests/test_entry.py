@@ -185,7 +185,7 @@ def test_public_names_resolve():
                   "except AttributeError:\n"
                   "    print(len(homsensor.__all__), bad)\n")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "48 []"
+    assert out.stdout.strip() == "45 []"
 
 
 def _references(module: ast.Module) -> set:

@@ -1,13 +1,15 @@
 """Information layer: Fisher quantities, decomposition, budget, scans."""
 
+import json
 import math
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from homsensor import estimation, tmm
+from homsensor import cli, estimation, tmm
 from homsensor.errors import ConfigError, UndefinedRatioError
 from homsensor.estimation import (
     BUDGET_STEP, DEAD_INFO_SHARE, DERIV_FLOOR, ZERO_PROB_FLOOR, BudgetSource,
@@ -229,31 +231,33 @@ def test_classical_zero_for_flat_stack():
 def test_phase_scan_peaks_at_quarter_turns(stack):
     """Under the frozen-phase convention the scan peaks at +/- pi/2."""
     for n in (1.27, 1.30, 1.33):
-        scan = phi_ab_scan(stack, 800.0, 70.0, n,
-                           phi_tr_assumption=PI_HALF)
-        dist = min(abs(scan.phi_opt - PI_HALF), abs(scan.phi_opt + PI_HALF))
-        assert dist <= scan.phi_ab[1] - scan.phi_ab[0]
+        phi_ab, _, phi_opt, _ = phi_ab_scan(stack, 800.0, 70.0, n,
+                                            phi_tr_assumption=PI_HALF)
+        dist = min(abs(phi_opt - PI_HALF), abs(phi_opt + PI_HALF))
+        assert dist <= phi_ab[1] - phi_ab[0]
 
 
 def test_phase_scan_matches_fisher_classical(stack):
     """Each scanned phase carries fisher_classical's value there."""
-    scan = phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=12)
-    for phi_ab, value in zip(scan.phi_ab, scan.fisher):
+    grid, fisher, phi_opt, fisher_opt = phi_ab_scan(stack, 800.0, 70.0, 1.30,
+                                                    n_points=12)
+    for phi_ab, value in zip(grid, fisher):
         expected = fisher_classical(stack, 800.0, 70.0, 1.30,
                                     probe=CoherentInput(phi_ab=float(phi_ab)))
         assert value == pytest.approx(expected, rel=1e-12)
-    assert scan.fisher_opt >= scan.fisher.max()
+    assert fisher_opt >= fisher.max()
+    assert type(phi_opt) is float and type(fisher_opt) is float
 
 
 def test_phase_scan_grid_is_half_open(stack):
-    scan = phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=8)
-    assert scan.phi_ab[0] == pytest.approx(-math.pi)
-    assert scan.phi_ab[-1] < math.pi
-    assert scan.phi_ab.size == 8
+    phi_ab, fisher, _, _ = phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=8)
+    assert phi_ab[0] == pytest.approx(-math.pi)
+    assert phi_ab[-1] < math.pi
+    assert phi_ab.size == fisher.size == 8
 
 
 def test_phase_scan_needs_two_points(stack):
-    assert phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=2).phi_ab.size == 2
+    assert phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=2)[0].size == 2
     for n in (1, 0, -3):
         with pytest.raises(ConfigError, match="at least 2 points"):
             phi_ab_scan(stack, 800.0, 70.0, 1.30, n_points=n)
@@ -526,17 +530,55 @@ def test_report_and_decomposition_make_one_call(stack, monkeypatch, evaluate):
 # uncertainty budget
 # ---------------------------------------------------------------------------
 
-def test_budget_sigma_arithmetic_exact(stack):
-    report = uncertainty_budget(stack)
-    for row in report.rows:
-        assert row.sigma == row.c * row.source.s / row.source.divisor
+def _budget_csv(tmp_path, sources=None):
+    """budget.csv of `budget` on the fixture stack, with the sources file
+    {"sources": sources} when given: its rows as dicts and its text."""
+    cfg = {"stack_path": str(FIXTURE_STACK)}
+    if sources is not None:
+        cfg["sources_path"] = str(tmp_path / "sources.json")
+        Path(cfg["sources_path"]).write_text(json.dumps({"sources": sources}))
+    (tmp_path / "budget.json").write_text(json.dumps(cfg))
+    assert cli.main(["budget", "--config", str(tmp_path / "budget.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "budget.csv").read_text()
+    header, *rows = [line.split(",") for line in text.splitlines()
+                     if not line.startswith("#")]
+    return [dict(zip(header, row)) for row in rows], text
 
 
-def test_budget_zero_disturbance(stack):
-    src = (BudgetSource(name="still", kind="incidence_angle", s=0.0,
-                        unit="deg"),)
-    report = uncertainty_budget(stack, sources=src)
-    assert report.rows[0].sigma == 0.0
+def test_budget_sigma_arithmetic_exact(tmp_path):
+    """budget.csv prints uncertainty_budget's c and c * s / divisor of
+    each source, bit for bit."""
+    rows, _ = _budget_csv(tmp_path)
+    c, _ = uncertainty_budget(load_stack(FIXTURE_STACK))
+    sources = load_budget_sources()
+    assert len(rows) == len(sources) == len(c) == 4
+    for row, src, c_k in zip(rows, sources, c.tolist()):
+        assert row["c"] == cli._fmt_cell(c_k)
+        assert row["sigma"] == cli._fmt_cell(c_k * src.s / src.divisor)
+
+
+def test_budget_zero_disturbance(tmp_path):
+    """A source of size 0 prints sigma 0 and a total of 0."""
+    rows, text = _budget_csv(tmp_path, [
+        {"name": "still", "kind": "incidence_angle", "s": 0.0,
+         "unit": "deg"}])
+    assert [row["sigma"] for row in rows] == ["0"]
+    assert float(rows[0]["c"]) > 0.0
+    assert re.search(r"^# signal_slope=\S+ total_sigma=0$", text, re.M)
+
+
+def test_budget_returns_one_c_per_source(stack):
+    """c is a float array in source order, empty without sources; the
+    slope does not depend on the sources."""
+    sources = load_budget_sources()
+    c, slope = uncertainty_budget(stack, sources=sources)
+    c_rev, slope_rev = uncertainty_budget(stack, sources=sources[::-1])
+    none, slope_none = uncertainty_budget(stack, sources=())
+    assert c.dtype == none.dtype == float
+    assert c.shape == (4,) and none.shape == (0,)
+    assert np.array_equal(c_rev, c[::-1])
+    assert type(slope) is float and slope == slope_rev == slope_none
 
 
 def test_budget_reference_sigma_reproduction():
@@ -589,8 +631,7 @@ def test_budget_guard_width(stack):
     # Two stencil steps either side of the minimum are already resolved.
     for n in (n_min - 2 * BUDGET_STEP, n_min + 2 * BUDGET_STEP,
               1.305, 1.315, 1.32):
-        report = uncertainty_budget(stack, n_analyte=n)
-        assert report.signal_slope != 0.0
+        assert uncertainty_budget(stack, n_analyte=n)[1] != 0.0
 
 
 @pytest.mark.parametrize("n_analyte", [1.32, 1.305])
@@ -599,13 +640,12 @@ def test_budget_matches_scalar_oracle(stack, which, n_analyte):
     """The budget's two calls give the sensitivities of one scalar call
     per stencil point, up to rounding."""
     stk = load_stack(FIXTURE_STACK) if which == "fixture" else stack
-    report = uncertainty_budget(stk, n_analyte=n_analyte)
-    slope, rows = scalar_uncertainty_budget(stk, n_analyte=n_analyte)
-    assert report.signal_slope == pytest.approx(slope, rel=1e-10)
-    assert len(report.rows) == len(rows) == 4
-    for row, (c, sigma) in zip(report.rows, rows):
-        assert row.c == pytest.approx(c, rel=1e-10), row.source.kind
-        assert row.sigma == pytest.approx(sigma, rel=1e-10), row.source.kind
+    c, slope = uncertainty_budget(stk, n_analyte=n_analyte)
+    want_c, want_slope = scalar_uncertainty_budget(stk, n_analyte=n_analyte)
+    assert slope == pytest.approx(want_slope, rel=1e-10)
+    assert c.dtype == float and c.shape == (len(want_c),) == (4,)
+    for src, c_k, want in zip(load_budget_sources(), c, want_c):
+        assert c_k == pytest.approx(want, rel=1e-10), src.kind
 
 
 def _counting_stack_response(monkeypatch):

@@ -9,8 +9,7 @@ import pytest
 from homsensor.cli import Table
 from homsensor.continuum import QuadratureGrid
 from homsensor.errors import StackDefinitionError
-from homsensor.estimation import (BudgetReport, BudgetRow, BudgetSource,
-                                  DecompositionResult, PhaseScanResult)
+from homsensor.estimation import BudgetSource, DecompositionResult
 from homsensor.materials import Material, MaterialTable, constant_material
 from homsensor.quantum_stats import CoherentInput
 from homsensor.records import Record, replace
@@ -35,12 +34,7 @@ RECORDS = {
     CoherentInput: (lambda: CoherentInput(2.0, 0.5, 0.1), True),
     DecompositionResult: (lambda: DecompositionResult(
         np.eye(3), np.ones(3), 1.0, 0.4, 0.4, 0.1), False),
-    PhaseScanResult: (lambda: PhaseScanResult(
-        np.zeros(2), np.ones(2), 0.0, 1.0), False),
     BudgetSource: (lambda: SOURCE, True),
-    BudgetRow: (lambda: BudgetRow(SOURCE, 0.1, 0.001), True),
-    BudgetReport: (lambda: BudgetReport((BudgetRow(SOURCE, 0.1, 0.001),),
-                                        2.0), True),
     QuadratureGrid: (lambda: QuadratureGrid(np.ones(3), np.ones(3), False),
                      False),
     Table: (lambda: Table("x.csv", ("a", "b"), ((1, 2), (3, 4)), "a, b"),
@@ -57,7 +51,7 @@ def test_every_record_class_is_covered():
     for module in ("cli", "continuum", "estimation", "materials",
                    "quantum_stats", "tmm"):
         importlib.import_module("homsensor." + module)
-    assert len(RECORDS) == 14
+    assert len(RECORDS) == 11
     assert set(Record.__subclasses__()) == set(RECORDS)
 
 

@@ -442,6 +442,9 @@ def test_theta_and_polarization_validation(stack):
     (70.0, 1.31 - 0.05j,
      r"Im\(n_s\) must be >= 0 \(passive medium\), got -0.05"),
     (70.0, np.array([1.31, math.inf]), r"sample index must be finite"),
+    # sin(theta) rounds to 1, so the entrance cosine and t_01 are 0
+    (np.array([0.0, 89.99999999]), 1.31, r"incidence angle 89.99999999 "
+     r"degrees is grazing: its entrance cosine rounds to 0"),
 ])
 def test_nan_or_gain_inputs_are_rejected(stack, theta, n_s, message):
     """A NaN angle or index, or a gain-medium index (which gave T + R
@@ -458,13 +461,27 @@ def test_overflowing_phase_factor_is_rejected(wavelength, named):
     """Beyond the critical angle a 208.826 nm gap decays as
     e^{2 pi kappa d / lam}, which overflows at a tiny wavelength (and
     the phase itself at a subnormal one): WavelengthRangeError names the
-    first such wavelength in place of numpy's warnings and nan rows."""
+    first such wavelength, the layer and its thickness in place of
+    numpy's warnings and nan rows."""
     gap = slab_stack(1.5, 1.31, 208.826)
-    with pytest.raises(WavelengthRangeError, match="wavelength %s nm is too "
-                       "short for layer 1: its phase factor overflows"
+    with pytest.raises(WavelengthRangeError, match=r"layer 1 \(thickness "
+                       r"208.826 nm\) is too thick for wavelength %s nm in "
+                       r"the transfer-matrix form: its decay factor overflows"
                        % (named,)):
         stack_response(gap, wavelength, 70.0)
     assert stack_response(gap, 800.0, 70.0).T > 0.0
+
+
+def test_overflowing_decay_names_the_thick_layer():
+    """An air gap between glass prisms beyond the critical angle: at
+    90.5 um the transfer product still holds (T = 0, R = 1); at 91 um the
+    decay factor overflows, and the error blames the layer's thickness,
+    not the 800 nm wavelength."""
+    resp = stack_response(slab_stack(1.5, 1.0, 90500.0), 800.0, 70.0)
+    assert resp.T == 0.0 and resp.R == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(WavelengthRangeError, match=r"^layer 1 \(thickness "
+                       r"91000.0 nm\) is too thick for wavelength 800.0 nm "):
+        stack_response(slab_stack(1.5, 1.0, 91000.0), 800.0, 70.0)
 
 
 def test_ns_without_sample_layer_rejected():
