@@ -41,10 +41,10 @@ _EXPORTS = {
                "MaterialDataError", "StackDefinitionError",
                "UndefinedRatioError", "UnphysicalPointError",
                "WavelengthRangeError"),
-    "estimation": ("BudgetSource", "DecompositionResult", "fisher_classical",
-                   "fisher_decomposition", "fisher_from_distribution",
-                   "fisher_hom", "fisher_report", "load_budget_sources",
-                   "phi_ab_scan", "precision_bound", "uncertainty_budget"),
+    "estimation": ("BudgetSource", "fisher_classical", "fisher_decomposition",
+                   "fisher_from_distribution", "fisher_hom", "fisher_report",
+                   "load_budget_sources", "phi_ab_scan", "precision_bound",
+                   "uncertainty_budget"),
     "materials": ("Material", "MaterialTable", "constant_material", "gold_jc"),
     "quantum_stats": ("CoherentInput", "bs_point", "coherent_output_means",
                       "hom_click_distribution", "poisson_pair_grid",

@@ -35,9 +35,10 @@ and a COMMANDS row.
 Grids are evaluated in one process by broadcast library calls: `map`
 (by wavelength) and `continuum` (by index) in row blocks of at most
 BLOCK_POINTS stack_response points, so memory does not grow with the
-grid, and `fisher` in one pass: one fisher_report call over the index
-grid and one phi_ab_scan call over the phase grid, one stack_response
-call each.
+grid, one continuum_fisher call per block (a single frequency is its
+one-node grid), and `fisher` in one pass: one fisher_report call over
+the index grid and one phi_ab_scan call over the phase grid, one
+stack_response call each.
 
 Exit status: 0 on success, 1 on configuration or physics errors, 2 on
 calibration failure.
@@ -55,13 +56,13 @@ import numpy as np
 
 from . import __version__
 from .continuum import DEFAULT_NODES, DEFAULT_SPAN, MAX_NODES, \
-    continuum_fisher, quadrature_grid
+    continuum_fisher, quadrature_grid, single_frequency
 from .errors import (CalibrationError, ConfigError, HomsensorError,
                      StackDefinitionError, UnphysicalPointError, as_number,
                      check_keys, or_null, read_json)
 from .estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR, \
-    defined_ratio, fisher_report, fisher_schemes, load_budget_sources, \
-    phi_ab_scan, precision_bound, uncertainty_budget
+    defined_ratio, fisher_report, load_budget_sources, phi_ab_scan, \
+    precision_bound, uncertainty_budget
 from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, \
     hom_click_distribution, validate_points
 from .records import Record
@@ -453,11 +454,10 @@ def _coincidence(cfg, stack):
 
 def _fisher(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
-    i_h, i_c, decomp = fisher_report(
+    i_h, i_c, m, jacobian, contracted = fisher_report(
         stack, cfg["wavelength_nm"], cfg["theta_deg"], ns,
         phi_ab=cfg["phi_ab"], polarization=cfg["polarization"])
     g, g_defined = defined_ratio(i_h - i_c, i_c)
-    m = decomp.matrix
     tables = [
         Table("fisher.csv",
               ("n_s", "i_hom", "i_classical", "g", "g_defined", "sigma_hom",
@@ -472,7 +472,7 @@ def _fisher(cfg, stack):
               ("n_s", "i_tt", "i_rr", "i_pp", "i_tr", "i_tp", "i_rp",
                "dt_dns", "dr_dns", "dphi_dns", "i_contracted"),
               (ns, m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 0, 1],
-               m[:, 0, 2], m[:, 1, 2], *decomp.jacobian.T, decomp.contracted),
+               m[:, 0, 2], m[:, 1, 2], *jacobian.T, contracted),
               "n_s, pair-probe information matrix over (T, R, phi_tr) "
               "(i_tt..i_rp), response derivatives d(T,R,phi_tr)/dn_s, and "
               "their contraction J.M.J (equals the direct information)"),
@@ -512,9 +512,9 @@ def _in_blocks(evaluate, n_rows, points_per_row):
 def _map(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
     lams = grid_values(cfg["wavelength_grid_nm"])
-    i_h, i_c = _in_blocks(lambda block: fisher_schemes(
-        stack, lams[block, None], cfg["theta_deg"], ns, cfg["phi_ab"],
-        cfg["polarization"]), len(lams), 2 * len(ns))
+    i_h, i_c = _in_blocks(lambda block: continuum_fisher(
+        stack, single_frequency(lams[block, None]), cfg["theta_deg"], ns,
+        cfg["phi_ab"], cfg["polarization"]), len(lams), 2 * len(ns))
     g, defined = defined_ratio(i_h - i_c, i_c)
     lam_mesh, ns_mesh = np.meshgrid(lams, ns, indexing="ij")
     return "%d x %d cells" % (len(lams), len(ns)), [Table(
@@ -559,9 +559,10 @@ def _continuum(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
     lam0, theta, pol, phi_ab, nodes = (cfg[key] for key in (
         "wavelength_nm", "theta_deg", "polarization", "phi_ab", "n_nodes"))
+    single = single_frequency(lam0)
     i_single = dict(zip(("hom", "classical"), _in_blocks(
-        lambda block: fisher_schemes(stack, lam0, theta, ns[block], phi_ab,
-                                     pol), len(ns), 2)))
+        lambda block: continuum_fisher(stack, single, theta, ns[block],
+                                       phi_ab, pol), len(ns), 2)))
     blocks = []  # the columns of each (bandwidth, scheme) block of rows
     for dlam in cfg["delta_lambda_nm_list"]:
         grid = quadrature_grid(stack, lam0, dlam, nodes, cfg["span"])

@@ -18,10 +18,10 @@ over the intensity spectrum q(omega) = |xi(omega)|^2:
 The double integrals of the pair probe factor into these single
 integrals for a product joint spectrum (tensor-product quadrature of a
 factorized integrand is the product of the one-dimensional
-quadratures).  A single frequency is the one-node case, so
-continuum_fisher feeds the averaged moments to the same probe table,
-quantum_stats.probe_outcomes, and the same information reduction as
-estimation.
+quadratures).  A single frequency is the one-node grid of
+single_frequency, so continuum_fisher, which feeds the averaged moments
+to the probe table quantum_stats.probe_outcomes, is the one evaluator
+of the (pair, coherent) information pair.
 
 The wavepacket is one record, a QuadratureGrid: the wavelengths of its
 nodes and their intensity weights q = w |xi|^2, so each integral above
@@ -70,12 +70,26 @@ MAX_NODES = 699
 # ---------------------------------------------------------------------------
 
 class QuadratureGrid(Record):
-    """Quadrature nodes as wavelengths, with their intensity weights q;
-    the weights sum to 1 on an unclipped window."""
+    """Quadrature nodes as wavelengths on the last axis, with their
+    intensity weights q; the weights sum to 1 on an unclipped window."""
 
     wavelength_nm: np.ndarray
     weights: np.ndarray
     clipped: bool   # True when the material window truncated the span
+
+
+_ONE_NODE = np.ones(1)
+_ONE_NODE.flags.writeable = False
+
+
+def single_frequency(wavelength_nm) -> QuadratureGrid:
+    """The grid of a single frequency: one node of weight 1 at each of
+    the wavelengths.  Their axes lead the n_s and stencil axes of
+    continuum_fisher, so a (rows, 1) array broadcasts against n_s as
+    the rows of a wavelength x index grid."""
+    return QuadratureGrid(
+        wavelength_nm=np.asarray(wavelength_nm, dtype=float)[..., None, None],
+        weights=_ONE_NODE, clipped=False)
 
 
 def _legendre_and_derivative(n: int, x):
@@ -225,12 +239,13 @@ def continuum_fisher(stack: LayerStack, grid: QuadratureGrid,
 
     Returns the pair (i_hom, i_classical): the photon-pair click
     information and the coherent-probe closed-form Poisson information,
-    both from the same averaged moments fed to the single-frequency
-    outcome models.
+    both from the same averaged moments.  grid is a wavepacket of
+    quadrature_grid, or single_frequency(wavelength_nm) for the
+    single-frequency model.
 
-    n_s may be an array: each result has its shape (a float for a
-    scalar).  The stack is evaluated in a single call on n_s x
-    (+NS_STEP, -NS_STEP) x nodes.
+    n_s may be an array: each result has the broadcast shape of n_s and
+    the grid's leading axes (a float for scalars).  The stack is
+    evaluated in a single call on n_s x (+NS_STEP, -NS_STEP) x nodes.
     """
     ns = np.asarray(n_s, dtype=float)[..., None, None] \
         + np.array([[NS_STEP], [-NS_STEP]])

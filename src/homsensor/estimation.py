@@ -18,13 +18,14 @@ CoherentInput; _probe_information reads its outcomes through the one
 table quantum_stats.probe_outcomes, and every sum is _fisher_sum.
 Provided on top of the raw information are:
 
-* per-scheme evaluators for the photon-pair (two-photon interference)
-  probe and the coherent probe, alone or both from one response,
+* the information of one probe, the photon-pair (two-photon
+  interference) probe or the coherent probe,
 * a decomposition of any probe's information over the splitter
   parameters (T, R, phi_tr), exposing which physical channel carries
   the signal (for the coherent probe it differentiates the two Poisson
   means),
-* both schemes and the photon-pair decomposition from one response,
+* a report: the (pair, coherent) information pair and the photon-pair
+  decomposition from one response,
 * a scan of the coherent probe's relative phase, locating the phase
   that maximizes its information,
 * an uncertainty budget: the sensitivity ratios of the coincidence
@@ -37,9 +38,11 @@ returns floats), the scan over its phase grid, and the budget makes two
 stack_response calls, one stencil over every sensor parameter and one
 in the other polarization.  The others make one stack_response call
 through tmm.ns_stencil (n_s + h, n_s - h and, for the decomposition,
-n_s, on a trailing axis), validated once; _schemes turns those points
-into the two schemes' information, and in fisher_report the same
-points also feed the decomposition.
+n_s, on a trailing axis), validated once; in fisher_report the same
+points feed both probes and the decomposition.  Over a wavelength x
+index grid, or a wavepacket, the information pair comes from
+continuum.continuum_fisher, whose one-node grid is the single
+frequency.
 The figures of merit on that pair, defined_ratio (the one comparison
 with RATIO_FLOOR) and precision_bound, are the caller's to form; so is
 a budget's index error sigma = c s / divisor per source, and their
@@ -169,7 +172,7 @@ def _stencil_points(stack, wavelength_nm, theta_deg, n_s, polarization,
 
 
 # ---------------------------------------------------------------------------
-# per-scheme information at a stack operating point
+# one probe's information at a stack operating point
 # ---------------------------------------------------------------------------
 
 def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
@@ -200,23 +203,6 @@ def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
         probe or CoherentInput())
 
 
-def _schemes(points, phi_ab):
-    """(click information, coherent information at phi_ab) from validated
-    _stencil_points: the headline pair behind the enhancement g."""
-    moments = splitter_moments(*points)
-    return _probe_information(moments, "click"), _probe_information(
-        moments, CoherentInput(phi_ab=float(phi_ab)))
-
-
-def fisher_schemes(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-                   phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm"):
-    """(fisher_hom, fisher_classical at phi_ab) from one stack_response
-    call on the +-h stencil: the single-frequency twin of
-    continuum.continuum_fisher."""
-    return _schemes(_stencil_points(stack, wavelength_nm, theta_deg, n_s,
-                                    polarization), phi_ab)
-
-
 def precision_bound(info):
     """Single-shot standard-deviation bound 1/sqrt(I); inf where I <= 0.
 
@@ -243,30 +229,6 @@ def defined_ratio(num, den):
 # information decomposition over (T, R, phi_tr)
 # ---------------------------------------------------------------------------
 
-class DecompositionResult(Record):
-    """Fisher-information matrix over the splitter parameters.
-
-    matrix[..., a, b] = sum_outcomes (d P / d tau_a)(d P / d tau_b) / P
-    with tau = (T, R, phi_tr), evaluated at the operating point
-    (T, R, phi_used), where phi_used is the phase frozen by
-    phi_tr_assumption or the actual one.  jacobian[..., a] holds
-    d tau_a / d n_s from the stack response; contracting the matrix
-    with it reproduces the direct information in n_s (chain rule):
-
-        I(n_s) = J . matrix . J
-
-    The broadcast shape of the inputs leads every array; a scalar input
-    gives a (3, 3) matrix, a (3,) jacobian and floats elsewhere.
-    """
-
-    matrix: np.ndarray
-    jacobian: np.ndarray
-    contracted: np.ndarray | float
-    T: np.ndarray | float
-    R: np.ndarray | float
-    phi_used: np.ndarray | float
-
-
 # offsets of the fourth-order central stencil, in units of the step, and
 # the operating point last
 _STENCIL = np.array([-2.0, -1.0, 1.0, 2.0, 0.0])
@@ -274,9 +236,19 @@ _STENCIL = np.array([-2.0, -1.0, 1.0, 2.0, 0.0])
 
 def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                          probe="click", polarization: str = "tm",
-                         phi_tr_assumption: float | None = None
-                         ) -> DecompositionResult:
+                         phi_tr_assumption: float | None = None):
     """Resolve the information over the (T, R, phi_tr) channels.
+
+    Returns (matrix, jacobian, contracted).  matrix[..., a, b] =
+    sum_outcomes (d P / d tau_a)(d P / d tau_b) / P with tau = (T, R,
+    phi_tr) at the operating point; jacobian[..., a] holds d tau_a / d
+    n_s from the stack response; contracting the matrix with it
+    reproduces the direct information in n_s (chain rule):
+
+        I(n_s) = J . matrix . J = contracted
+
+    The broadcast shape of the inputs leads every array; a scalar input
+    gives a (3, 3) matrix, a (3,) jacobian and a float contracted.
 
     probe is "click" (the default), "pair" or a CoherentInput, whose two
     Poisson means mu give the same sum sum_j d_a mu_j d_b mu_j / mu_j.
@@ -329,24 +301,26 @@ def _decompose(points, probe="click", phi_tr_assumption=None):
 
     jac = np.stack(stencil_derivatives(*points), axis=-1)
     contracted = (jac[..., None, :] @ matrix @ jac[..., :, None])[..., 0, 0]
-    return DecompositionResult(
-        matrix=matrix, jacobian=jac, contracted=_as_result(contracted),
-        T=_as_result(T), R=_as_result(R), phi_used=_as_result(phi))
+    return matrix, jac, _as_result(contracted)
 
 
 # ---------------------------------------------------------------------------
-# both schemes with the decomposition
+# the information pair with the decomposition
 # ---------------------------------------------------------------------------
 
 def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                   phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm"):
-    """(fisher_hom, fisher_classical at phi_ab, the click probe's
-    DecompositionResult) on the broadcast grid, all from one ns_stencil
+    """(i_hom, i_classical at phi_ab, matrix, jacobian, contracted): the
+    click and coherent information and the click probe's
+    fisher_decomposition on the broadcast grid, all from one ns_stencil
     call with the centre; the figures of merit built on the pair
     (defined_ratio, precision_bound) are left to the caller."""
     points = _stencil_points(stack, wavelength_nm, theta_deg, n_s,
                              polarization, centre=True)
-    return (*_schemes(points, phi_ab), _decompose(points))
+    moments = splitter_moments(*points)
+    return (_probe_information(moments, "click"),
+            _probe_information(moments, CoherentInput(phi_ab=float(phi_ab))),
+            *_decompose(points))
 
 
 # ---------------------------------------------------------------------------

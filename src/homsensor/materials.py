@@ -89,7 +89,7 @@ class MaterialTable(Record):
         if np.any(lam < self.wavelength_min_nm) or np.any(lam > self.wavelength_max_nm):
             raise WavelengthRangeError(
                 "material %r tabulated on [%.3f, %.3f] nm, requested "
-                "wavelength(s) reach [%.3f, %.3f] nm"
+                "wavelength(s) reach [%.6g, %.6g] nm"
                 % (self.name, self.wavelength_min_nm, self.wavelength_max_nm,
                    float(np.min(lam)), float(np.max(lam))))
         n = np.interp(lam, self.wavelength_nm, self.n)

@@ -117,9 +117,13 @@ class LayerStack(Record):
                 d = layer.thickness_nm
                 if d is None or not np.all(np.isfinite(d)) \
                         or np.any(np.asarray(d) < 0.0):
+                    flat = np.ravel(np.asarray(d, dtype=float))
+                    bad = flat[~(np.isfinite(flat) & (flat >= 0.0))][0]
                     raise StackDefinitionError(
-                        "stack %r: interior layer %d needs a finite "
-                        "thickness >= 0, got %r" % (self.name, j, d))
+                        "stack %r: interior layer %d (%s) needs a finite "
+                        "thickness >= 0, got %s" % (
+                            self.name, j, layer.material.name,
+                            d if d is None else "%.6g" % bad))
         if self.sample_layer is not None:
             if not (0 < self.sample_layer < len(layers) - 1):
                 raise StackDefinitionError(

@@ -319,14 +319,14 @@ def test_fisher_without_scan_is_one_call(tmp_path, monkeypatch):
 
 def test_continuum_evaluates_each_bandwidth_once(tmp_path, monkeypatch):
     """Both schemes share one stack_response call per bandwidth, after
-    one call per scheme at the single frequency."""
+    one call at the single frequency."""
     calls, _ = _count_calls(monkeypatch)
     extra, _, _ = GRID_RUNS["continuum"]
     code, _ = _run(tmp_path, "continuum", {"stack_path": str(FIXTURE_STACK),
                                            "schemes": ["hom", "classical"],
                                            **extra})
     assert code == 0
-    assert 0 < len(calls) <= 2 + len(DELTA_LAMBDAS)
+    assert len(calls) == 1 + len(DELTA_LAMBDAS)
 
 
 def test_map_interpolates_each_wavelength_once(tmp_path, monkeypatch):
@@ -340,6 +340,28 @@ def test_map_interpolates_each_wavelength_once(tmp_path, monkeypatch):
     fixed_layers = tmm.load_stack(FIXTURE_STACK).n_layers - 1
     assert 0 < len(calls) <= 2
     assert sum(index_points) <= fixed_layers * len(LAMBDAS) * len(calls)
+
+
+@pytest.mark.parametrize("rows_per_block, blocks", [(1, 3), (2, 2), (3, 1)])
+def test_map_makes_one_evaluator_call_per_block(tmp_path, monkeypatch,
+                                                rows_per_block, blocks):
+    """Each row block of `map` is one continuum_fisher call on the
+    single-frequency grid of its wavelengths, and one stack_response
+    call."""
+    monkeypatch.setattr(cli, "BLOCK_POINTS", rows_per_block * ONE_ROW["map"])
+    calls, _ = _count_calls(monkeypatch)
+    grids = []
+    original = cli.continuum_fisher
+    monkeypatch.setattr(cli, "continuum_fisher", lambda stack, grid, *args:
+                        grids.append(grid) or original(stack, grid, *args))
+    extra, _, _ = GRID_RUNS["map"]
+    code, _ = _run(tmp_path, "map", {"stack_path": str(FIXTURE_STACK),
+                                     **extra})
+    assert code == 0
+    assert len(grids) == len(calls) == blocks
+    assert [grid.weights.tolist() for grid in grids] == [[1.0]] * blocks
+    assert np.concatenate([grid.wavelength_nm.ravel() for grid in grids]
+                          ).tolist() == LAMBDAS
 
 
 # stack_response calls one automatic calibration may make: 10 measured
@@ -454,7 +476,8 @@ def test_unphysical_point_names_its_block_rows(tmp_path, monkeypatch,
         return replace(resp, T=np.where(n_s > 1.315, np.nan, resp.T))
 
     monkeypatch.setattr(continuum, "stack_response", nan_above)
-    monkeypatch.setattr(cli, "BLOCK_POINTS", 2 * ONE_ROW["continuum"])
+    # two rows per block of the single-frequency row, the first evaluated
+    monkeypatch.setattr(cli, "BLOCK_POINTS", 2 * 2)
     extra, _, _ = GRID_RUNS["continuum"]
     code, out = _run(tmp_path, "continuum", {"stack_path": str(FIXTURE_STACK),
                                              **extra})
@@ -743,6 +766,21 @@ def test_unusable_wavelength_exits_1(tmp_path, capsys, command, cfg,
     assert not out.exists()
 
 
+def test_out_of_table_wavelength_exits_1(tmp_path, capsys):
+    """A carrier far beyond the gold table of the fixture: one error line
+    whose requested wavelengths print in 6 significant digits; exit 1,
+    no output."""
+    code, out = _run(tmp_path, "continuum", {
+        "stack_path": str(FIXTURE_STACK), "wavelength_nm": 1e160,
+        "n_s_grid": [1.31], "n_nodes": 5})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: material 'Au (Johnson & Christy 1972)' tabulated on "
+        "[187.855, 1937.253] nm, requested wavelength(s) reach "
+        "[1e+160, 1e+160] nm\n")
+    assert not out.exists()
+
+
 def test_grazing_angle_exits_1(tmp_path, capsys):
     """An angle below 90 degrees whose sine rounds to 1 has entrance
     cosine 0 and t_01 = 0: one error line, exit 1, no output, where numpy
@@ -879,6 +917,24 @@ MALFORMED_STACKS = {
         name="")),
         "layers[1].material.name must be a non-empty string, got ''"),
 }
+
+
+def test_budget_of_a_bare_gap_names_the_negative_film(tmp_path, capsys):
+    """On the FTIR control (prism | 0 nm | 208.826 nm gap | 0 nm | prism)
+    the budget's film row steps the films to -BUDGET_STEP nm: one error
+    line names the layer and that value; exit 1, no output."""
+    d = json.loads(FIXTURE_STACK.read_text())
+    film = {**d["layers"][1], "thickness_nm": 0.0}
+    d = _with_layer(_with_layer(_with_layer(d, 1, film), 3, film), 2,
+                    {**d["layers"][2], "thickness_nm": 208.826})
+    path = tmp_path / "ftir.json"
+    path.write_text(json.dumps(d))
+    code, out = _run(tmp_path, "budget", {"stack_path": str(path)})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: stack 'dual_film_sensor': interior layer 1 (Au) needs a "
+        "finite thickness >= 0, got -0.0001\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_STACKS))

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from homsensor import continuum
-from homsensor.continuum import (C_NM_PER_S, MAX_NODES, continuum_fisher,
-                                 continuum_hom_moments, quadrature_grid)
+from homsensor.continuum import (C_NM_PER_S, MAX_NODES, QuadratureGrid,
+                                 continuum_fisher, continuum_hom_moments,
+                                 quadrature_grid, single_frequency)
 from homsensor.errors import ConfigError
-from homsensor.estimation import fisher_classical, fisher_hom
+from homsensor.estimation import fisher_classical, fisher_hom, fisher_report
 from homsensor.materials import constant_material
 from homsensor.quantum_stats import splitter_moments
 from homsensor.tmm import NS_STEP, Layer, LayerStack, load_stack, \
@@ -144,6 +145,37 @@ def test_narrow_band_limit_is_single_frequency(fixture_stack, scheme):
     else:
         single = fisher_classical(fixture_stack, 800.0, 70.0, ns)
     assert narrow == pytest.approx(single, rel=1e-8)
+
+
+def test_single_frequency_is_one_node_of_weight_one():
+    """The wavelengths lead two new axes (n_s, stencil); one read-only
+    node of weight 1, never clipped."""
+    grid = single_frequency(np.array([[795.0], [805.0]]))
+    assert isinstance(grid, QuadratureGrid) and grid.clipped is False
+    assert grid.wavelength_nm.shape == (2, 1, 1, 1)
+    assert grid.wavelength_nm.ravel().tolist() == [795.0, 805.0]
+    assert grid.weights.tolist() == [1.0] and not grid.weights.flags.writeable
+    assert single_frequency(800.0).wavelength_nm.shape == (1, 1)
+
+
+@pytest.mark.parametrize("theta_deg", [65.0, 75.0])
+@pytest.mark.parametrize("lam, ns, shape", [
+    (np.linspace(790.0, 810.0, 13)[:, None], np.linspace(1.25, 1.34, 37),
+     (13, 37)),
+    (800.0, 1.30, ()),
+], ids=["grid", "point"])
+def test_single_frequency_is_the_report_pair(fixture_stack, theta_deg, lam,
+                                             ns, shape):
+    """The one-node wavepacket gives the information pair of
+    fisher_report's centred stencil bit for bit, floats at a point."""
+    pair = continuum_fisher(fixture_stack, single_frequency(lam), theta_deg,
+                            ns, phi_ab=0.7)
+    report = fisher_report(fixture_stack, lam, theta_deg, ns, phi_ab=0.7)
+    for got, want in zip(pair, report[:2]):
+        assert np.shape(got) == shape
+        assert type(got) is type(want) is (float if shape == ()
+                                           else np.ndarray)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("delta_lambda_nm", [0.01, 9.4])

@@ -185,7 +185,7 @@ def test_public_names_resolve():
                   "except AttributeError:\n"
                   "    print(len(homsensor.__all__), bad)\n")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "45 []"
+    assert out.stdout.strip() == "44 []"
 
 
 def _references(module: ast.Module) -> set:
@@ -285,6 +285,38 @@ def test_sensor_layout_has_one_owner():
                         and node.attr == "with_thickness":
                     found.append((path.stem, node.lineno, "with_thickness"))
     assert found == []
+
+
+def test_wavepacket_grid_has_one_owner():
+    """Outside continuum, no src/homsensor module constructs a
+    QuadratureGrid or stacks the +-NS_STEP stencil under the nodes (a list
+    of lists holding NS_STEP): the single frequency is continuum's
+    one-node grid, so continuum_fisher is the one information pair."""
+    def stencil(node):
+        return isinstance(node, ast.List) and any(
+            isinstance(item, ast.List) and any(
+                isinstance(sub, ast.Name) and sub.id == "NS_STEP"
+                for sub in ast.walk(item)) for item in node.elts)
+
+    found = {}
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "QuadratureGrid" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    kind = "QuadratureGrid()"
+                elif stencil(node):
+                    kind = "node stencil"
+                else:
+                    continue
+                found.setdefault(kind, []).append(
+                    (path.stem, getattr(top, "name", None)))
+    assert found == {
+        "QuadratureGrid()": [("continuum", "single_frequency"),
+                             ("continuum", "quadrature_grid")],
+        "node stencil": [("continuum", "continuum_fisher")],
+    }
 
 
 def test_no_second_reader_or_locator_is_imported():

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from homsensor import cli, estimation, tmm
+from homsensor.continuum import continuum_fisher, single_frequency
 from homsensor.errors import ConfigError, UndefinedRatioError
 from homsensor.estimation import (
     BUDGET_STEP, DEAD_INFO_SHARE, DERIV_FLOOR, ZERO_PROB_FLOOR, BudgetSource,
     CoherentInput, defined_ratio, fisher_classical,
     fisher_decomposition, fisher_from_distribution, fisher_hom,
-    fisher_report, fisher_schemes, load_budget_sources, phi_ab_scan,
+    fisher_report, load_budget_sources, phi_ab_scan,
     precision_bound, uncertainty_budget,
 )
 from homsensor.materials import constant_material
@@ -215,8 +216,10 @@ def test_batched_fisher_matches_scalar_calls(stack, scheme):
     (np.array([[795.0], [805.0]]), np.linspace(1.26, 1.34, 7)),
 ])
 def test_fisher_schemes_is_both_evaluators(stack, lam, ns):
-    """One shared response gives each scheme's evaluator bit for bit."""
-    i_h, i_c = fisher_schemes(stack, lam, 70.0, ns, phi_ab=0.7)
+    """The single frequency's one-node grid gives each probe's evaluator
+    bit for bit."""
+    i_h, i_c = continuum_fisher(stack, single_frequency(lam), 70.0, ns,
+                                phi_ab=0.7)
     want_h = fisher_hom(stack, lam, 70.0, ns)
     want_c = fisher_classical(stack, lam, 70.0, ns,
                               probe=CoherentInput(phi_ab=0.7))
@@ -381,25 +384,32 @@ def test_precision_bound_and_ratio_broadcast():
 # decomposition over (T, R, phi_tr)
 # ---------------------------------------------------------------------------
 
+def _operating_point(stack, n, frozen=None):
+    """(T, R, phi) at which fisher_decomposition evaluates its matrix:
+    the centre of its n_s stencil, the phase frozen when given."""
+    resp = tmm.ns_stencil(stack, 800.0, 70.0, n, centre=True)
+    return resp.T[2], resp.R[2], resp.phi_tr[2] if frozen is None else frozen
+
+
 def test_classical_cross_term_vanishes(stack):
     """With a = b at phi_ab = pi/2 the T-R entry is the Poisson closed form
     2 u cos^2(phi) / (sqrt(TR) (u^2 - 4 sin^2(phi))), u = (T + R)/sqrt(TR):
     zero under the quarter-wave freeze, and matched at the actual phase."""
     for n in (1.26, 1.29, 1.315, 1.335):
-        dec = fisher_decomposition(stack, 800.0, 70.0, n,
-                                   probe=CoherentInput(),
-                                   phi_tr_assumption=PI_HALF)
-        assert abs(dec.matrix[0, 1]) <= 1e-9
-        assert abs(dec.matrix[1, 0]) <= 1e-9
+        matrix, _, _ = fisher_decomposition(stack, 800.0, 70.0, n,
+                                            probe=CoherentInput(),
+                                            phi_tr_assumption=PI_HALF)
+        assert abs(matrix[0, 1]) <= 1e-9
+        assert abs(matrix[1, 0]) <= 1e-9
 
-        actual = fisher_decomposition(stack, 800.0, 70.0, n,
-                                      probe=CoherentInput())
-        T, R, phi = actual.T, actual.R, actual.phi_used
+        matrix, _, _ = fisher_decomposition(stack, 800.0, 70.0, n,
+                                            probe=CoherentInput())
+        T, R, phi = _operating_point(stack, n)
         g = math.sqrt(T * R)
         u = (T + R) / g
         closed = 2.0 * u * math.cos(phi) ** 2 \
             / (g * (u * u - 4.0 * math.sin(phi) ** 2))
-        assert actual.matrix[0, 1] == pytest.approx(closed, rel=1e-7)
+        assert matrix[0, 1] == pytest.approx(closed, rel=1e-7)
 
 
 def test_classical_decomposition_matches_count_grid_oracle(stack):
@@ -407,19 +417,21 @@ def test_classical_decomposition_matches_count_grid_oracle(stack):
     actual and at the frozen phase."""
     for n in (1.26, 1.29, 1.315, 1.335):
         for frozen in (None, PI_HALF):
-            dec = fisher_decomposition(stack, 800.0, 70.0, n,
-                                       probe=CoherentInput(),
-                                       phi_tr_assumption=frozen)
-            ref = count_grid_information_matrix(dec.T, dec.R, dec.phi_used)
-            assert np.max(np.abs(dec.matrix - ref)) \
+            matrix, _, _ = fisher_decomposition(stack, 800.0, 70.0, n,
+                                                probe=CoherentInput(),
+                                                phi_tr_assumption=frozen)
+            ref = count_grid_information_matrix(
+                *_operating_point(stack, n, frozen))
+            assert np.max(np.abs(matrix - ref)) \
                 <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_classical_contraction_matches_direct(stack):
     ns = np.array([1.26, 1.29, 1.30, 1.315, 1.335])
-    dec = fisher_decomposition(stack, 800.0, 70.0, ns, probe=CoherentInput())
+    _, _, contracted = fisher_decomposition(stack, 800.0, 70.0, ns,
+                                            probe=CoherentInput())
     direct = fisher_classical(stack, 800.0, 70.0, ns)
-    assert dec.contracted == pytest.approx(direct, rel=1e-6)
+    assert contracted == pytest.approx(direct, rel=1e-6)
 
 
 @pytest.mark.parametrize("probe", ["click", "pair", CoherentInput()],
@@ -427,55 +439,53 @@ def test_classical_contraction_matches_direct(stack):
 def test_decomposition_batched_matches_scalar_calls(stack, probe):
     lams = np.array([795.0, 805.0])
     ns = np.linspace(1.26, 1.34, 5)
-    grid = fisher_decomposition(stack, lams[:, None], 70.0, ns, probe=probe)
-    assert grid.matrix.shape == (2, 5, 3, 3)
-    assert grid.jacobian.shape == (2, 5, 3)
-    assert grid.contracted.shape == (2, 5)
+    matrix, jacobian, contracted = fisher_decomposition(
+        stack, lams[:, None], 70.0, ns, probe=probe)
+    assert matrix.shape == (2, 5, 3, 3)
+    assert jacobian.shape == (2, 5, 3)
+    assert contracted.shape == (2, 5)
     for i, lam in enumerate(lams):
         for j, n in enumerate(ns):
-            one = fisher_decomposition(stack, float(lam), 70.0, float(n),
-                                       probe=probe)
-            assert one.matrix.shape == (3, 3)
-            assert one.jacobian.shape == (3,)
-            assert isinstance(one.contracted, float)
-            scale = np.max(np.abs(one.matrix))
-            assert np.max(np.abs(grid.matrix[i, j] - one.matrix)) \
-                <= 1e-9 * scale
-            assert grid.jacobian[i, j] == pytest.approx(one.jacobian,
-                                                        rel=1e-9, abs=1e-9)
-            assert grid.contracted[i, j] == pytest.approx(one.contracted,
-                                                          rel=1e-9)
+            one_m, one_j, one_c = fisher_decomposition(
+                stack, float(lam), 70.0, float(n), probe=probe)
+            assert one_m.shape == (3, 3)
+            assert one_j.shape == (3,)
+            assert isinstance(one_c, float)
+            scale = np.max(np.abs(one_m))
+            assert np.max(np.abs(matrix[i, j] - one_m)) <= 1e-9 * scale
+            assert jacobian[i, j] == pytest.approx(one_j, rel=1e-9, abs=1e-9)
+            assert contracted[i, j] == pytest.approx(one_c, rel=1e-9)
 
 
 def test_contraction_matches_direct(stack, rng):
     for _ in range(10):
         n = float(rng.uniform(1.25, 1.34))
-        dec = fisher_decomposition(stack, 800.0, 70.0, n, probe="click")
-        direct = fisher_hom(stack, 800.0, 70.0, n)
-        assert dec.contracted == pytest.approx(direct, rel=1e-6)
-        dec = fisher_decomposition(stack, 800.0, 70.0, n, probe="pair")
-        direct = fisher_hom(stack, 800.0, 70.0, n, outcomes="pair")
-        assert dec.contracted == pytest.approx(direct, rel=1e-6)
+        for probe in ("click", "pair"):
+            _, _, contracted = fisher_decomposition(stack, 800.0, 70.0, n,
+                                                    probe=probe)
+            direct = fisher_hom(stack, 800.0, 70.0, n, outcomes=probe)
+            assert contracted == pytest.approx(direct, rel=1e-6)
 
 
 def test_decomposition_diagonal_nonnegative(stack):
     for probe in ("click", CoherentInput()):
-        dec = fisher_decomposition(stack, 800.0, 70.0, 1.30, probe=probe)
+        matrix, _, _ = fisher_decomposition(stack, 800.0, 70.0, 1.30,
+                                            probe=probe)
         for a in range(3):
-            assert dec.matrix[a, a] >= -1e-12
+            assert matrix[a, a] >= -1e-12
 
 
 def test_decomposition_matrix_symmetric(stack):
-    dec = fisher_decomposition(stack, 800.0, 70.0, 1.28)
-    assert np.allclose(dec.matrix, dec.matrix.T, atol=1e-8)
+    matrix, _, _ = fisher_decomposition(stack, 800.0, 70.0, 1.28)
+    assert np.allclose(matrix, matrix.T, atol=1e-8)
 
 
 def test_phase_freeze_changes_matrix_not_jacobian(stack):
-    free = fisher_decomposition(stack, 800.0, 70.0, 1.30)
-    frozen = fisher_decomposition(stack, 800.0, 70.0, 1.30,
-                                  phi_tr_assumption=PI_HALF)
-    assert np.allclose(free.jacobian, frozen.jacobian, rtol=1e-12)
-    assert not np.allclose(free.matrix, frozen.matrix, rtol=1e-3)
+    free_m, free_j, _ = fisher_decomposition(stack, 800.0, 70.0, 1.30)
+    frozen_m, frozen_j, _ = fisher_decomposition(stack, 800.0, 70.0, 1.30,
+                                                 phi_tr_assumption=PI_HALF)
+    assert np.allclose(free_j, frozen_j, rtol=1e-12)
+    assert not np.allclose(free_m, frozen_m, rtol=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -485,28 +495,32 @@ def test_phase_freeze_changes_matrix_not_jacobian(stack):
 def test_fisher_report_fields(stack):
     """The pair and the click decomposition, as the evaluators give them;
     g and sigma are the caller's (defined_ratio, precision_bound)."""
-    i_h, i_c, decomp = fisher_report(stack, 800.0, 70.0, 1.30, phi_ab=0.7)
+    i_h, i_c, matrix, jacobian, contracted = fisher_report(
+        stack, 800.0, 70.0, 1.30, phi_ab=0.7)
     assert type(i_h) is float and type(i_c) is float
     assert i_h == pytest.approx(
         fisher_hom(stack, 800.0, 70.0, 1.30), rel=1e-12)
     assert i_c == pytest.approx(fisher_classical(
         stack, 800.0, 70.0, 1.30, probe=CoherentInput(phi_ab=0.7)), rel=1e-12)
-    assert decomp.matrix.shape == (3, 3)
-    assert decomp.contracted == pytest.approx(i_h, rel=1e-6)
+    assert matrix.shape == (3, 3) and jacobian.shape == (3,)
+    assert type(contracted) is float
+    assert contracted == pytest.approx(i_h, rel=1e-6)
 
 
 def test_fisher_report_on_grid_matches_point_reports(stack):
     ns = np.linspace(1.25, 1.34, 7)
-    i_h, i_c, decomp = fisher_report(stack, 800.0, 70.0, ns)
-    i_pair = fisher_schemes(stack, 800.0, 70.0, ns)  # the +-h stencil only
+    i_h, i_c, matrix, jacobian, contracted = fisher_report(stack, 800.0,
+                                                           70.0, ns)
+    # the +-h stencil only
+    i_pair = continuum_fisher(stack, single_frequency(800.0), 70.0, ns)
     assert np.array_equal(i_h, i_pair[0]) and np.array_equal(i_c, i_pair[1])
-    assert decomp.matrix.shape == (7, 3, 3)
-    assert decomp.jacobian.shape == (7, 3)
+    assert matrix.shape == (7, 3, 3)
+    assert jacobian.shape == (7, 3)
     for k, n in enumerate(ns):
-        one_h, one_c, one = fisher_report(stack, 800.0, 70.0, float(n))
+        one_h, one_c, _, _, one = fisher_report(stack, 800.0, 70.0, float(n))
         assert i_h[k] == one_h and i_c[k] == one_c
-        assert decomp.contracted[k] == pytest.approx(
-            one.contracted, abs=1e-9 * np.max(decomp.contracted))
+        assert contracted[k] == pytest.approx(
+            one, abs=1e-9 * np.max(contracted))
 
 
 @pytest.mark.parametrize("evaluate", [fisher_report, fisher_decomposition])

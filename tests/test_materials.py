@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ def test_out_of_window_rejected(gold):
         gold.index(lo - 1.0)
     with pytest.raises(WavelengthRangeError):
         gold.index(hi + 1.0)
+
+
+def test_out_of_window_prints_requested_wavelengths_in_six_digits():
+    """The requested span prints with %.6g, however far out it lies."""
+    table = MaterialTable(**WELL_FORMED)
+    with pytest.raises(WavelengthRangeError, match=re.escape(
+            "tabulated on [400.000, 600.000] nm, requested wavelength(s) "
+            "reach [123.457, 1e+160] nm")):
+        table.index(np.array([123.456789, 1e160]))
 
 
 def test_no_negative_extinction():

@@ -9,7 +9,7 @@ import pytest
 from homsensor.cli import Table
 from homsensor.continuum import QuadratureGrid
 from homsensor.errors import StackDefinitionError
-from homsensor.estimation import BudgetSource, DecompositionResult
+from homsensor.estimation import BudgetSource
 from homsensor.materials import Material, MaterialTable, constant_material
 from homsensor.quantum_stats import CoherentInput
 from homsensor.records import Record, replace
@@ -32,8 +32,6 @@ RECORDS = {
     MaterialTable: (lambda: MaterialTable([700.0, 900.0], [0.2, 0.3],
                                           [5.0, 6.0]), False),
     CoherentInput: (lambda: CoherentInput(2.0, 0.5, 0.1), True),
-    DecompositionResult: (lambda: DecompositionResult(
-        np.eye(3), np.ones(3), 1.0, 0.4, 0.4, 0.1), False),
     BudgetSource: (lambda: SOURCE, True),
     QuadratureGrid: (lambda: QuadratureGrid(np.ones(3), np.ones(3), False),
                      False),
@@ -51,7 +49,7 @@ def test_every_record_class_is_covered():
     for module in ("cli", "continuum", "estimation", "materials",
                    "quantum_stats", "tmm"):
         importlib.import_module("homsensor." + module)
-    assert len(RECORDS) == 11
+    assert len(RECORDS) == 10
     assert set(Record.__subclasses__()) == set(RECORDS)
 
 

@@ -159,6 +159,19 @@ def test_propagation_negative_thickness_rejected():
             slab_stack(1.5, 2.0, 100.0).with_thickness({1: d})
 
 
+def test_bad_thickness_names_the_layer_and_its_first_bad_value():
+    """The refusal names the layer, its material and the first element
+    that is not finite and >= 0, with %.6g: one line, not an array repr."""
+    d = np.zeros(1000)
+    d[[5, 7]] = (-1e-4, np.nan)
+    for value, shown in ((d, "-0.0001"), (None, "None"),
+                         (np.array([[np.inf]]), "inf")):
+        with pytest.raises(StackDefinitionError, match="^%s$" % re.escape(
+                "stack 'stack': interior layer 1 (mid) needs a finite "
+                "thickness >= 0, got " + shown)):
+            slab_stack(1.5, 2.0, value)
+
+
 # ---------------------------------------------------------------------------
 # stack composition
 # ---------------------------------------------------------------------------
