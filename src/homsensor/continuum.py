@@ -232,8 +232,8 @@ def continuum_classical_means(moments, grid: QuadratureGrid,
     return probe_outcomes(moments, CoherentInput(phi_ab=phi_ab))
 
 
-def continuum_fisher(stack: LayerStack, grid: QuadratureGrid,
-                     theta_deg: float, n_s, phi_ab: float = DEFAULT_PHI_AB,
+def continuum_fisher(stack: LayerStack, grid: QuadratureGrid, theta_deg,
+                     n_s, phi_ab: float = DEFAULT_PHI_AB,
                      polarization: str = "tm"):
     """Fisher information in n_s with the wavepacket of grid.
 
@@ -243,14 +243,14 @@ def continuum_fisher(stack: LayerStack, grid: QuadratureGrid,
     quadrature_grid, or single_frequency(wavelength_nm) for the
     single-frequency model.
 
-    n_s may be an array: each result has the broadcast shape of n_s and
-    the grid's leading axes (a float for scalars).  The stack is
-    evaluated in a single call on n_s x (+NS_STEP, -NS_STEP) x nodes.
+    theta_deg and n_s may be arrays: each result has their broadcast
+    shape and the grid's leading axes (a float for scalars).  The stack
+    is evaluated in a single call on that x (+NS_STEP, -NS_STEP) x nodes.
     """
     ns = np.asarray(n_s, dtype=float)[..., None, None] \
         + np.array([[NS_STEP], [-NS_STEP]])
-    resp = stack_response(stack, grid.wavelength_nm, theta_deg, ns,
-                          polarization)
+    resp = stack_response(stack, grid.wavelength_nm, np.asarray(
+        theta_deg, dtype=float)[..., None, None], ns, polarization)
     point = validate_points(resp.T, resp.R, resp.phi_tr)
     del resp  # its amplitudes t and r are not needed for the moments
     moments = continuum_hom_moments(*point, grid)

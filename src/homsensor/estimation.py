@@ -22,8 +22,8 @@ Provided on top of the raw information are:
   interference) probe or the coherent probe,
 * a decomposition of any probe's information over the splitter
   parameters (T, R, phi_tr), exposing which physical channel carries
-  the signal (for the coherent probe it differentiates the two Poisson
-  means),
+  the signal, from the probe table's exact partials in the moments
+  (the K channel is not resolved where T R = 0),
 * a report: the (pair, coherent) information pair and the photon-pair
   decomposition from one response,
 * a scan of the coherent probe's relative phase, locating the phase
@@ -34,15 +34,12 @@ Provided on top of the raw information are:
 
 All are array-first: the evaluators, the decomposition and
 fisher_report broadcast over wavelength, angle and n_s (a scalar input
-returns floats), the scan over its phase grid, and the budget makes two
-stack_response calls, one stencil over every sensor parameter and one
-in the other polarization.  The others make one stack_response call
-through tmm.ns_stencil (n_s + h, n_s - h and, for the decomposition,
-n_s, on a trailing axis), validated once; in fisher_report the same
-points feed both probes and the decomposition.  Over a wavelength x
-index grid, or a wavepacket, the information pair comes from
-continuum.continuum_fisher, whose one-node grid is the single
-frequency.
+returns floats) through one validated tmm.ns_stencil call (n_s + h,
+n_s - h and, for the decomposition, n_s, on a trailing axis), which
+fisher_report shares between both probes and the decomposition; the
+scan broadcasts over its phase grid.  Over a wavelength x index grid,
+or a wavepacket, the information pair comes from
+continuum.continuum_fisher, whose one-node grid is the single frequency.
 The figures of merit on that pair, defined_ratio (the one comparison
 with RATIO_FLOOR) and precision_bound, are the caller's to form; so is
 a budget's index error sigma = c s / divisor per source, and their
@@ -66,8 +63,8 @@ import numpy as np
 from .errors import (ConfigError, UndefinedRatioError, as_number,
                      check_keys, check_list, package_data, read_json)
 from .quantum_stats import (CLAMP_FLOOR, DEFAULT_PHI_AB, CoherentInput,
-                            probe_outcomes, splitter_moments,
-                            validate_points)
+                            _probe_partials, probe_outcomes,
+                            splitter_moments, validate_points)
 from .records import Record
 from .tmm import (NS_STEP, LayerStack, ns_stencil, prism_index,
                   sensor_thicknesses, stack_response, stencil_derivatives,
@@ -77,7 +74,6 @@ ZERO_PROB_FLOOR = -CLAMP_FLOOR  # outcomes below the clamp's noise: impossible
 DERIV_FLOOR = 1e-8  # ~100 eps / (2 NS_STEP): a derivative's rounding noise
 DEAD_INFO_SHARE = 1e-9    # warn when skipped outcomes hide this share of I
 RATIO_FLOOR = 1e-12       # information below this leaves a ratio undefined
-DECOMP_STEP = 1e-5        # step for (T, R, phi) partials
 BUDGET_STEP = 1e-4        # step for budget sensitivities, per variable unit
 
 
@@ -229,11 +225,6 @@ def defined_ratio(num, den):
 # information decomposition over (T, R, phi_tr)
 # ---------------------------------------------------------------------------
 
-# offsets of the fourth-order central stencil, in units of the step, and
-# the operating point last
-_STENCIL = np.array([-2.0, -1.0, 1.0, 2.0, 0.0])
-
-
 def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                          probe="click", polarization: str = "tm",
                          phi_tr_assumption: float | None = None):
@@ -255,15 +246,10 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     The 3x3 matrix is evaluated at the stack's operating point;
     phi_tr_assumption, when given, replaces the phase coordinate of that
     point (see the module docstring).  The jacobian and the contracted
-    scalar always use the actual stack response.  wavelength_nm,
-    theta_deg and n_s broadcast.
+    scalar always use the actual stack response.
 
-    The (T, R, phi) partials use the five-point stencil
-    (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / (12 h), h = DECOMP_STEP, whose
-    truncation error ~h^4 matters for entries that vanish identically at
-    symmetric points (plain second-order differences leave a residue well
-    above the verification tolerances there).  All four offsets along
-    all three axes and the operating point are one model call.
+    The (T, R, phi) partials are exact, chained from the probe table's
+    partials in the moments; _decompose defines the T R = 0 edge.
 
     For the coherent probe with equal intensities (a = b) at the
     quadrature probe phase phi_ab = pi/2, the Poisson closed form of the
@@ -282,22 +268,23 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
 
 
 def _decompose(points, probe="click", phi_tr_assumption=None):
-    """fisher_decomposition from its _stencil_points with the centre."""
+    """fisher_decomposition from its _stencil_points with the centre:
+    the moment partials chained by dK/dT = K/(2T), dK/dR = K/(2R) and
+    dK/dphi = -iK.  Where T R = 0, K = 0 with stack_response's
+    zero-amplitude phase convention: the K channel is not resolved
+    there, and its partials are taken as 0 (T and R read as inf)."""
     T, R, phi = (x[..., 2] for x in points)
     if phi_tr_assumption is not None:
         phi = np.full_like(phi, phi_tr_assumption)
-    tau = np.stack([T, R, phi], axis=-1)
-
-    # (..., offset, axis, coordinate): tau moved by offset * h along axis
-    moved = tau[..., None, None, :] \
-        + (_STENCIL[:, None, None] * DECOMP_STEP) * np.eye(3)
-    f = probe_outcomes(splitter_moments(*np.moveaxis(moved, -1, 0)),
-                       probe)                       # (..., offset, axis, K)
-    partials = (f[..., 0, :, :] - 8.0 * f[..., 1, :, :]
-                + 8.0 * f[..., 2, :, :] - f[..., 3, :, :]) \
-        / (12.0 * DECOMP_STEP)
+    moments = splitter_moments(T, R, phi)
+    k = moments[2][..., None]
+    t_r = np.where(k != 0.0, np.stack([T, R], axis=-1), np.inf)
+    dk = np.concatenate([0.5 * k / t_r, -1j * k], axis=-1)  # dK/d(T, R, phi)
+    d = _probe_partials(moments, probe)  # (..., moment coordinate, outcome)
+    partials = np.real(dk[..., None] * (d[..., 2:3, :] - 1j * d[..., 3:, :]))
+    partials[..., :2, :] += d[..., :2, :]  # dI_T/dT = dI_R/dR = 1
     matrix = _fisher_sum(partials[..., :, None, :], partials[..., None, :, :],
-                         f[..., 4:, :1, :])  # offset 0: the operating point
+                         probe_outcomes(moments, probe)[..., None, None, :])
 
     jac = np.stack(stencil_derivatives(*points), axis=-1)
     contracted = (jac[..., None, :] @ matrix @ jac[..., :, None])[..., 0, 0]
@@ -468,9 +455,9 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     step h = BUDGET_STEP in the variable's own unit (degrees, RIU, nm).
 
     S takes two stack_response calls: one nine-point stencil (the
-    centre, then n_s, theta, film thickness and prism index +- h, as
-    arrays, through tmm.with_sensor) and the other polarization, which
-    only a polarization source calls for.
+    centre, then n_s, theta, film thickness, moved only for a film
+    source, and prism index +- h, as arrays, through tmm.with_sensor)
+    and the other polarization, which only a polarization source needs.
 
     The budget is undefined at the dip.  UndefinedRatioError is raised
     when the coincidence extremum lies within +-h of n_analyte, so
@@ -496,9 +483,10 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     def central(plus, minus):
         return (plus - minus) / (2 * h)
 
-    # the centre, then n_s, theta, films and prisms +- h
+    # the centre, then n_s, theta, films (for a film source) and prisms +- h
     dn, dtheta, dfilm, dprism = h * np.hstack(
         [np.zeros((4, 1)), np.kron(np.eye(4), [1, -1])])
+    dfilm *= any(src.kind == "film_thickness" for src in sources)
     s = signal(with_sensor(stack, film_nm=sensor_thicknesses(stack)[0] + dfilm,
                            prism_n=prism_index(stack, wavelength_nm) + dprism),
                theta_deg + dtheta, n_analyte + dn)

@@ -36,14 +36,12 @@ negative values raise UnphysicalPointError (physics or convention bug).
 
 Everything broadcasts over arrays of points, with outcomes on a
 trailing axis.  The raw models _hom_pair_vector, _hom_click_vector and
-_coherent_mean_pair take moments and do not validate, because
-finite-difference stencils step slightly off physical points.
-Every information figure reads them through probe_outcomes, the one
-table from a probe to its model; a new probe is one row there.
-hom_click_distribution checks its points with validate_points and its
-result with validate_distribution; coherent_output_means clamps its
-means with _clamp_probability.  bs_point validates the point of one
-scalar response.
+_coherent_mean_pair take moments and do not validate: _probe_partials
+evaluates them a unit step off the physical set.  Every information
+figure reads them through probe_outcomes, the one table from a probe
+to its model, and _probe_partials; a new probe is one row there.
+The public hom_click_distribution, coherent_output_means and bs_point
+validate or clamp what they return.
 """
 
 from __future__ import annotations
@@ -114,15 +112,12 @@ def bs_point(resp: StackResponse) -> tuple[float, float, float]:
 
 
 def _clamp_probability(p, what: str):
-    """Zero out float noise in [-1e-12, 0); reject anything more negative.
-
-    Broadcasts over arrays; a scalar input returns a float.
-    """
+    """Zero out float noise in [-1e-12, 0) of an array of outcomes;
+    reject anything more negative."""
     p = np.asarray(p, dtype=float)
     _first_bad(p < CLAMP_FLOOR, what + " = %.6g is negative beyond tolerance",
                (p,))
-    p = np.maximum(p, 0.0)
-    return float(p) if p.ndim == 0 else p
+    return np.maximum(p, 0.0)
 
 
 def validate_distribution(p, what: str):
@@ -143,8 +138,7 @@ def validate_distribution(p, what: str):
 def splitter_moments(T, R, phi_tr):
     """The moments (I_T, I_R, K) of one splitter point: the one-node
     case (T, R, sqrt(T R) e^{-i phi_tr}); broadcasts, no validation.
-    T R is floored at 0, so a stencil step just below a vanishing
-    coefficient stays finite."""
+    T R is floored at 0 for unvalidated library callers only."""
     k = np.sqrt(np.maximum(T * R, 0.0)) * np.exp(-1j * phi_tr)
     return T, R, k
 
@@ -251,30 +245,47 @@ def _coherent_mean_pair(i_t, i_r, k, a, b, phi_ab) -> np.ndarray:
         b * i_t + a * i_r + cross * np.real(k * np.conj(turn))), axis=-1)
 
 
-def probe_outcomes(moments, probe):
-    """Unvalidated outcome values of probe at the moments, on a trailing
-    axis: "click" and "pair" give those distributions, a CoherentInput
-    its two Poisson means floored at zero; anything else raises
-    ConfigError.  The type is tested first, so an array phase is never
-    hashed."""
+def _raw_model(probe):
+    """probe's raw model of the moments (I_T, I_R, K): the "click" or
+    "pair" distribution, or a CoherentInput's unfloored means; anything
+    else raises ConfigError.  An array phase is never hashed."""
     if isinstance(probe, CoherentInput):
-        return np.maximum(_coherent_mean_pair(
-            *moments, probe.alpha_sq, probe.beta_sq, probe.phi_ab), 0.0)
+        return lambda *moments: _coherent_mean_pair(
+            *moments, probe.alpha_sq, probe.beta_sq, probe.phi_ab)
     model = {"click": _hom_click_vector, "pair": _hom_pair_vector}.get(
         probe) if isinstance(probe, str) else None
     if model is None:
         raise ConfigError("probe must be 'click', 'pair' or a CoherentInput, "
                           "got %r" % (probe,))
-    return model(*moments)
+    return model
+
+
+def probe_outcomes(moments, probe):
+    """Unvalidated outcome values of probe at the moments, on a trailing
+    axis: _raw_model's, with a CoherentInput's means floored at zero."""
+    values = _raw_model(probe)(*moments)
+    return np.maximum(values, 0.0) if isinstance(probe, CoherentInput) \
+        else values
+
+
+def _probe_partials(moments, probe, step: float = 1.0):
+    """d(outcome)/d(I_T, I_R, Re K, Im K) of probe's unfloored model, on
+    a new axis before the outcome axis: central differences with the
+    steps (1, 1, 1, 1j) x step.  Every row is a polynomial of degree <= 2
+    in those four, so the difference is exact up to rounding."""
+    model, (i_t, i_r, k) = _raw_model(probe), moments
+    return np.stack([
+        (model(i_t + a, i_r + b, k + c) - model(i_t - a, i_r - b, k - c))
+        / (2.0 * step)
+        for a, b, c in ((step, 0.0, 0.0), (0.0, step, 0.0),
+                        (0.0, 0.0, step), (0.0, 0.0, 1j * step))], axis=-2)
 
 
 def coherent_output_means(T, R, phi_tr, probe: CoherentInput | None = None):
     """Mean photon numbers (mu1, mu2) at the two outputs, on a trailing
     axis, clamped by _clamp_probability; broadcasts over (T, R, phi_tr)."""
-    probe = probe or CoherentInput()
-    return _clamp_probability(_coherent_mean_pair(
-        *splitter_moments(T, R, phi_tr), probe.alpha_sq, probe.beta_sq,
-        probe.phi_ab), "mu")
+    return _clamp_probability(_raw_model(probe or CoherentInput())(
+        *splitter_moments(T, R, phi_tr)), "mu")
 
 
 def poisson_pmf(counts, mu) -> np.ndarray:

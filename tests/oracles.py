@@ -301,6 +301,37 @@ def count_grid_information_matrix(T, R, phi, a=1.0, b=1.0,
 
 
 # ---------------------------------------------------------------------------
+# outcome partials in the moments, written out by hand
+# ---------------------------------------------------------------------------
+
+def moment_partials(i_t, i_r, k, probe):
+    """d(outcome)/d(I_T, I_R, Re K, Im K) of one probe-table row at one
+    point, a (4, outcomes) array from the derivatives of each row's
+    formula: p00 = A^2 + 4 x^2, p10 = N1 A - 4 x^2, p20 = I_T I_R + |K|^2,
+    p11 = I_T^2 + I_R^2 + 2 (x^2 - y^2), with N1 = I_T + I_R, A = 1 - N1
+    and K = x + i y; the clicks (p00, 2 (p10 + p20), p11); and the
+    coherent means, linear in the moments."""
+    x, y = k.real, k.imag
+    if isinstance(probe, CoherentInput):
+        a, b, psi = probe.alpha_sq, probe.beta_sq, probe.phi_ab
+        c = 2.0 * math.sqrt(a * b)
+        return np.array([[a, b], [b, a],
+                         [c * math.cos(psi), c * math.cos(psi)],
+                         [-c * math.sin(psi), c * math.sin(psi)]])
+    n1 = i_t + i_r
+    absorbed = 1.0 - n1
+    pair = np.array([
+        [-2 * absorbed, absorbed - n1, absorbed - n1, i_r, i_r, 2 * i_t],
+        [-2 * absorbed, absorbed - n1, absorbed - n1, i_t, i_t, 2 * i_r],
+        [8 * x, -8 * x, -8 * x, 2 * x, 2 * x, 4 * x],
+        [0.0, 0.0, 0.0, 2 * y, 2 * y, -4 * y]])
+    if probe == "pair":
+        return pair
+    return np.stack([pair[:, 0], 2.0 * (pair[:, 1] + pair[:, 3]), pair[:, 5]],
+                    axis=1)
+
+
+# ---------------------------------------------------------------------------
 # Gauss-Legendre rule
 # ---------------------------------------------------------------------------
 

@@ -919,22 +919,48 @@ MALFORMED_STACKS = {
 }
 
 
-def test_budget_of_a_bare_gap_names_the_negative_film(tmp_path, capsys):
-    """On the FTIR control (prism | 0 nm | 208.826 nm gap | 0 nm | prism)
-    the budget's film row steps the films to -BUDGET_STEP nm: one error
-    line names the layer and that value; exit 1, no output."""
+def _ftir_stack_path(tmp_path):
+    """The FTIR control (prism | 0 nm | 208.826 nm gap | 0 nm | prism),
+    written from the fixture."""
     d = json.loads(FIXTURE_STACK.read_text())
     film = {**d["layers"][1], "thickness_nm": 0.0}
     d = _with_layer(_with_layer(_with_layer(d, 1, film), 3, film), 2,
                     {**d["layers"][2], "thickness_nm": 208.826})
     path = tmp_path / "ftir.json"
     path.write_text(json.dumps(d))
-    code, out = _run(tmp_path, "budget", {"stack_path": str(path)})
+    return path
+
+
+def test_budget_of_a_bare_gap_names_the_negative_film(tmp_path, capsys):
+    """On the FTIR control the default sources' film source steps the
+    films to -BUDGET_STEP nm: one error line names the layer and that
+    value; exit 1, no output."""
+    code, out = _run(tmp_path, "budget",
+                     {"stack_path": str(_ftir_stack_path(tmp_path))})
     assert code == 1
     assert capsys.readouterr().err == (
         "error: stack 'dual_film_sensor': interior layer 1 (Au) needs a "
         "finite thickness >= 0, got -0.0001\n")
     assert not out.exists()
+
+
+def test_budget_of_a_bare_gap_runs_without_a_film_source(tmp_path, capsys):
+    """Without a film_thickness source the film rows stay at the centre,
+    so the FTIR control has a budget for its other sources: exit 0."""
+    sources = [src for src in json.loads(
+        (Path(estimation.__file__).parent / "data"
+         / "budget_sources.json").read_text())["sources"]
+        if src["kind"] != "film_thickness"]
+    sources_path = tmp_path / "sources.json"
+    sources_path.write_text(json.dumps({"sources": sources}))
+    code, out = _run(tmp_path, "budget",
+                     {"stack_path": str(_ftir_stack_path(tmp_path)),
+                      "sources_path": str(sources_path)})
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _table(out / "budget.csv")
+    assert [row[header.index("kind")] for row in rows] \
+        == ["incidence_angle", "prism_index", "polarization_angle"]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_STACKS))

@@ -178,6 +178,19 @@ def test_single_frequency_is_the_report_pair(fixture_stack, theta_deg, lam,
         assert np.array_equal(got, want)
 
 
+def test_angle_array_leads_like_the_index(fixture_stack):
+    """An angle array leads the stencil and node axes as n_s does: one
+    call over three angles equals three per-angle calls bit for bit."""
+    thetas = np.array([65.0, 70.0, 75.0])
+    pair = continuum_fisher(fixture_stack, single_frequency(800.0), thetas,
+                            1.30)
+    for got, want in zip(pair, zip(*(
+            continuum_fisher(fixture_stack, single_frequency(800.0),
+                             float(theta), 1.30) for theta in thetas))):
+        assert got.shape == (3,)
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("delta_lambda_nm", [0.01, 9.4])
 def test_quadrature_has_unit_area(fixture_stack, delta_lambda_nm):
     grid = quadrature_grid(fixture_stack, 800.0, delta_lambda_nm)

@@ -287,6 +287,28 @@ def test_sensor_layout_has_one_owner():
     assert found == []
 
 
+def test_only_two_derivative_steps_are_left():
+    """No src/homsensor module binds a module-level name ending in _STEP
+    but NS_STEP (every n_s derivative) and BUDGET_STEP (the budget's
+    sensitivities): a derivative that can be written down takes no
+    step, and this list only shrinks."""
+    found = set()
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [sub.id for target in targets
+                         for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found.update(name for name in names if name.endswith("_STEP"))
+    assert found <= {"NS_STEP", "BUDGET_STEP"}
+
+
 def test_wavepacket_grid_has_one_owner():
     """Outside continuum, no src/homsensor module constructs a
     QuadratureGrid or stacks the +-NS_STEP stencil under the nodes (a list

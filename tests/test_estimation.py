@@ -399,8 +399,9 @@ def test_classical_cross_term_vanishes(stack):
         matrix, _, _ = fisher_decomposition(stack, 800.0, 70.0, n,
                                             probe=CoherentInput(),
                                             phi_tr_assumption=PI_HALF)
-        assert abs(matrix[0, 1]) <= 1e-9
-        assert abs(matrix[1, 0]) <= 1e-9
+        scale = np.max(np.abs(matrix))
+        assert abs(matrix[0, 1]) <= 1e-12 * scale
+        assert abs(matrix[1, 0]) <= 1e-12 * scale
 
         matrix, _, _ = fisher_decomposition(stack, 800.0, 70.0, n,
                                             probe=CoherentInput())
@@ -465,6 +466,45 @@ def test_contraction_matches_direct(stack, rng):
                                                     probe=probe)
             direct = fisher_hom(stack, 800.0, 70.0, n, outcomes=probe)
             assert contracted == pytest.approx(direct, rel=1e-6)
+
+
+DECOMPOSITION_PROBES = pytest.mark.parametrize(
+    "probe", ["click", "pair", CoherentInput()],
+    ids=["hom", "pair", "classical"])
+
+
+@DECOMPOSITION_PROBES
+def test_decomposition_of_flat_stack_is_finite_and_silent(probe):
+    """Glass only: R = 0 exactly, so K = 0 and the K channel is not
+    resolved; its partials are 0, the matrix is finite, and the zero
+    jacobian contracts it to 0, without a warning."""
+    assert stack_response(flat_stack(), 800.0, 40.0, 1.5).R == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix, jacobian, contracted = fisher_decomposition(
+            flat_stack(), 800.0, 40.0, 1.5, probe=probe)
+    assert np.all(np.isfinite(matrix)) and np.all(np.isfinite(jacobian))
+    assert np.all(matrix[2] == 0.0) and np.all(matrix[:, 2] == 0.0)
+    assert abs(contracted) < 1e-12
+
+
+def ftir_stack():
+    """The FTIR control: the fixture with 0-nm films and a 208.826 nm
+    gap, lossless and balanced at n_s = 1.31 (800 nm, 70 deg)."""
+    return with_sensor(load_stack(FIXTURE_STACK), film_nm=0.0, gap_nm=208.826)
+
+
+@DECOMPOSITION_PROBES
+def test_contraction_matches_direct_on_the_ftir_control(probe):
+    """Off the balance point, where the midpoint rule of the direct
+    information is sound, J.M.J equals it on a lossless splitter."""
+    ns = np.array([1.29, 1.33])
+    _, _, contracted = fisher_decomposition(ftir_stack(), 800.0, 70.0, ns,
+                                            probe=probe)
+    direct = fisher_classical(ftir_stack(), 800.0, 70.0, ns, probe=probe) \
+        if isinstance(probe, CoherentInput) \
+        else fisher_hom(ftir_stack(), 800.0, 70.0, ns, outcomes=probe)
+    assert contracted == pytest.approx(direct, rel=1e-6)
 
 
 def test_decomposition_diagonal_nonnegative(stack):

@@ -13,11 +13,13 @@ import homsensor
 from homsensor.errors import UnphysicalPointError
 from homsensor.quantum_stats import (
     PHYSICALITY_TOL, CoherentInput, _hom_click_vector,
-    _hom_pair_vector, bs_point, coherent_output_means,
+    _hom_pair_vector, _probe_partials, bs_point, coherent_output_means,
     hom_click_distribution, poisson_pair_grid, poisson_pmf,
     splitter_moments, validate_distribution, validate_points,
 )
 from homsensor.tmm import stack_response
+
+from oracles import moment_partials
 
 PI_HALF = math.pi / 2.0
 
@@ -281,6 +283,44 @@ def test_coherent_input_validation():
     CoherentInput(phi_ab=np.linspace(-1.0, 1.0, 5))
     with pytest.raises(UnphysicalPointError):
         CoherentInput(phi_ab=np.array([0.0, float("nan"), 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# partials of the probe table in the moments
+# ---------------------------------------------------------------------------
+
+# (I_T, I_R, K): two passive splitters (one at the dip), the vacuum, a
+# point whose first coherent mean is negative, and two far off the
+# physical set
+MOMENTS = [splitter_moments(0.3, 0.25, 1.1),
+           splitter_moments(0.5, 0.5, PI_HALF), (0.0, 0.0, 0j),
+           (0.01, 0.01, 0.5j), (1.7, -0.4, 2.0 - 3.0j),
+           (-3.0, 12.0, -0.5 + 7.0j)]
+BATCH = tuple(np.array(column) for column in zip(*MOMENTS))
+PROBES = ["click", "pair", CoherentInput(), CoherentInput(2.0, 0.5, 0.7)]
+PROBE_IDS = ["click", "pair", "coherent", "unbalanced_coherent"]
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=PROBE_IDS)
+def test_probe_partials_match_written_out_oracle(probe):
+    """Every row's partials in (I_T, I_R, Re K, Im K), batched, equal the
+    derivatives of its formula at each point, physical or not; the
+    coherent row is the unfloored mean's, negative mu1 included."""
+    got = _probe_partials(BATCH, probe)
+    for j, moments in enumerate(MOMENTS):
+        ref = moment_partials(*moments, probe)
+        assert got[j].shape == ref.shape
+        assert np.max(np.abs(got[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=PROBE_IDS)
+def test_probe_partials_do_not_depend_on_the_step(probe):
+    """A central difference is exact for rows of degree <= 2: steps 1
+    and 0.5 agree to rounding (a row of higher degree would not)."""
+    one = _probe_partials(BATCH, probe)
+    half = _probe_partials(BATCH, probe, step=0.5)
+    scale = np.max(np.abs(one), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(one - half) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
