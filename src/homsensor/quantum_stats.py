@@ -268,17 +268,16 @@ def probe_outcomes(moments, probe):
         else values
 
 
-def _probe_partials(moments, probe, step: float = 1.0):
+def _probe_partials(moments, probe):
     """d(outcome)/d(I_T, I_R, Re K, Im K) of probe's unfloored model, on
-    a new axis before the outcome axis: central differences with the
-    steps (1, 1, 1, 1j) x step.  Every row is a polynomial of degree <= 2
-    in those four, so the difference is exact up to rounding."""
+    a new axis before the outcome axis: central differences with the unit
+    steps (1, 1, 1, 1j).  Every row is a polynomial of degree <= 2 in
+    those four, so the difference is exact up to rounding."""
     model, (i_t, i_r, k) = _raw_model(probe), moments
     return np.stack([
-        (model(i_t + a, i_r + b, k + c) - model(i_t - a, i_r - b, k - c))
-        / (2.0 * step)
-        for a, b, c in ((step, 0.0, 0.0), (0.0, step, 0.0),
-                        (0.0, 0.0, step), (0.0, 0.0, 1j * step))], axis=-2)
+        (model(i_t + a, i_r + b, k + c) - model(i_t - a, i_r - b, k - c)) / 2.0
+        for a, b, c in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                        (0.0, 0.0, 1.0), (0.0, 0.0, 1j))], axis=-2)
 
 
 def coherent_output_means(T, R, phi_tr, probe: CoherentInput | None = None):

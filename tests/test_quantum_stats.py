@@ -13,8 +13,8 @@ import homsensor
 from homsensor.errors import UnphysicalPointError
 from homsensor.quantum_stats import (
     PHYSICALITY_TOL, CoherentInput, _hom_click_vector,
-    _hom_pair_vector, _probe_partials, bs_point, coherent_output_means,
-    hom_click_distribution, poisson_pair_grid, poisson_pmf,
+    _hom_pair_vector, _probe_partials, _raw_model, bs_point,
+    coherent_output_means, hom_click_distribution, poisson_pair_grid, poisson_pmf,
     splitter_moments, validate_distribution, validate_points,
 )
 from homsensor.tmm import stack_response
@@ -315,10 +315,15 @@ def test_probe_partials_match_written_out_oracle(probe):
 
 @pytest.mark.parametrize("probe", PROBES, ids=PROBE_IDS)
 def test_probe_partials_do_not_depend_on_the_step(probe):
-    """A central difference is exact for rows of degree <= 2: steps 1
-    and 0.5 agree to rounding (a row of higher degree would not)."""
+    """A central difference is exact for rows of degree <= 2: the raw
+    model's half-step differences agree with _probe_partials' unit steps
+    to rounding (a row of higher degree would not)."""
+    model, (i_t, i_r, k) = _raw_model(probe), BATCH
+    half = np.stack([
+        model(i_t + a, i_r + b, k + c) - model(i_t - a, i_r - b, k - c)
+        for a, b, c in ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0),
+                        (0.0, 0.0, 0.5), (0.0, 0.0, 0.5j))], axis=-2)
     one = _probe_partials(BATCH, probe)
-    half = _probe_partials(BATCH, probe, step=0.5)
     scale = np.max(np.abs(one), axis=(-2, -1), keepdims=True)
     assert np.all(np.abs(one - half) <= 1e-12 * scale)
 
