@@ -5,7 +5,8 @@ import sys
 
 
 def run() -> int:
-    """Run one CLI command as a whole process: import, freeze, main().
+    """Run one CLI command as a whole process: import (with the collector
+    off: it would find almost nothing to free), freeze, main().
 
     Everything imported by now (numpy, the package, their modules,
     classes and functions) lives until the process exits.  gc.freeze()
@@ -18,8 +19,10 @@ def run() -> int:
     in-process benchmark) keeps its heap collectable: a frozen object
     that later becomes part of a garbage cycle is never freed.
     """
+    gc.disable()
     from .cli import main
     gc.freeze()
+    gc.enable()
     return main()
 
 

@@ -21,7 +21,7 @@ factorized integrand is the product of the one-dimensional
 quadratures).  A single frequency is the one-node grid of
 single_frequency, so continuum_fisher, which feeds the averaged moments
 to the probe table quantum_stats.probe_outcomes, is the one evaluator
-of the (pair, coherent) information pair.
+of the (pair, coherent) information pair, on tmm.ns_stencil's nodes.
 
 The wavepacket is one record, a QuadratureGrid: the wavelengths of its
 nodes and their intensity weights q = w |xi|^2, so each integral above
@@ -50,7 +50,7 @@ from .estimation import _information, _probe_information
 from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, probe_outcomes,
                             splitter_moments, validate_points)
 from .records import Record
-from .tmm import NS_STEP, LayerStack, stack_response
+from .tmm import LayerStack, ns_stencil
 
 C_NM_PER_S = 2.99792458e17     # speed of light in nm/s
 DEFAULT_NODES = 201
@@ -245,12 +245,9 @@ def continuum_fisher(stack: LayerStack, grid: QuadratureGrid, theta_deg,
 
     theta_deg and n_s may be arrays: each result has their broadcast
     shape and the grid's leading axes (a float for scalars).  The stack
-    is evaluated in a single call on that x (+NS_STEP, -NS_STEP) x nodes.
+    is evaluated by one ns_stencil call on that x (+/-NS_STEP) x nodes.
     """
-    ns = np.asarray(n_s, dtype=float)[..., None, None] \
-        + np.array([[NS_STEP], [-NS_STEP]])
-    resp = stack_response(stack, grid.wavelength_nm, np.asarray(
-        theta_deg, dtype=float)[..., None, None], ns, polarization)
+    resp = ns_stencil(stack, grid.wavelength_nm, theta_deg, n_s, polarization)
     point = validate_points(resp.T, resp.R, resp.phi_tr)
     del resp  # its amplitudes t and r are not needed for the moments
     moments = continuum_hom_moments(*point, grid)

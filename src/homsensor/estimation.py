@@ -35,11 +35,11 @@ Provided on top of the raw information are:
 All are array-first: the evaluators, the decomposition and
 fisher_report broadcast over wavelength, angle and n_s (a scalar input
 returns floats) through one validated tmm.ns_stencil call (n_s + h,
-n_s - h and, for the decomposition, n_s, on a trailing axis), which
+n_s - h and, for the decomposition, n_s) at one wavelength node, which
 fisher_report shares between both probes and the decomposition; the
 scan broadcasts over its phase grid.  Over a wavelength x index grid,
-or a wavepacket, the information pair comes from
-continuum.continuum_fisher, whose one-node grid is the single frequency.
+or a wavepacket, continuum.continuum_fisher reads that stencil at the
+nodes of its grid, the single frequency being its one-node grid.
 The figures of merit on that pair, defined_ratio (the one comparison
 with RATIO_FLOOR) and precision_bound, are the caller's to form; so is
 a budget's index error sigma = c s / divisor per source, and their
@@ -91,8 +91,8 @@ def _fisher_sum(d_a, d_b, p):
 
 def _information(values, step: float = NS_STEP):
     """Fisher information along the last axis from values at n_s + step
-    and n_s - step at indices 0 and 1 of axis -2 (the ns_stencil order;
-    a centre slice is not read); a 0-d result is a float.
+    and n_s - step at indices 0 and 1 of axis -2 (ns_stencil's offsets,
+    nodes read or summed; a centre is not read); a 0-d result is a float.
 
     values hold outcome probabilities, or independent Poisson means
     (I = sum mu'^2 / mu is the same sum).  Entries with midpoint below
@@ -160,11 +160,12 @@ def fisher_from_distribution(dist_fn, n_s: float, step: float = NS_STEP
 
 def _stencil_points(stack, wavelength_nm, theta_deg, n_s, polarization,
                     centre=False):
-    """Validated (T, R, phi_tr) on the trailing axis of one ns_stencil
-    call: n_s + h, n_s - h and, with centre, n_s."""
-    resp = ns_stencil(stack, wavelength_nm, theta_deg, n_s, polarization,
-                      centre)
-    return validate_points(resp.T, resp.R, resp.phi_tr)
+    """Validated (T, R, phi_tr) of one ns_stencil call at its one node:
+    n_s + h, n_s - h and, with centre, n_s on a trailing axis."""
+    resp = ns_stencil(stack, np.asarray(wavelength_nm, dtype=float)[
+        ..., None, None], theta_deg, n_s, polarization, centre)
+    return validate_points(resp.T[..., 0], resp.R[..., 0],
+                           resp.phi_tr[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +453,9 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     disturbance into the index error it masquerades as; that error,
     sigma = c s / divisor, and the sources' quadrature sum are the
     caller's to form.  All derivatives are central differences with the
-    step h = BUDGET_STEP in the variable's own unit (degrees, RIU, nm).
+    step h = BUDGET_STEP in the variable's own unit (degrees, RIU, nm),
+    but a film steps down to no less than 0 nm: a 0-nm film (the FTIR
+    control) has the forward difference (S(h) - S(0)) / h.
 
     S takes two stack_response calls: one nine-point stencil (the
     centre, then n_s, theta, film thickness, moved only for a film
@@ -483,11 +486,15 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     def central(plus, minus):
         return (plus - minus) / (2 * h)
 
-    # the centre, then n_s, theta, films (for a film source) and prisms +- h
+    # the centre, then n_s, theta, films (for a film source, not below
+    # 0 nm) and prisms +- h; each row moves one variable by offset[row]
+    film = sensor_thicknesses(stack)[0]
     dn, dtheta, dfilm, dprism = h * np.hstack(
         [np.zeros((4, 1)), np.kron(np.eye(4), [1, -1])])
+    dfilm[6] = -min(h, film)
     dfilm *= any(src.kind == "film_thickness" for src in sources)
-    s = signal(with_sensor(stack, film_nm=sensor_thicknesses(stack)[0] + dfilm,
+    offset = dn + dtheta + dfilm + dprism
+    s = signal(with_sensor(stack, film_nm=film + dfilm,
                            prism_n=prism_index(stack, wavelength_nm) + dprism),
                theta_deg + dtheta, n_analyte + dn)
     slope = central(s[1], s[2])
@@ -504,7 +511,7 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     for src in sources:
         row, scale = _BUDGET_KINDS[src.kind]
         if row is not None:
-            d = central(s[row], s[row + 1]) * scale
+            d = (s[row] - s[row + 1]) / (offset[row] - offset[row + 1]) * scale
         else:  # polarization_angle: the stencil's centre and one more call
             s_tm, s_te = (s[0] if pol == polarization else signal(
                 stack, theta_deg, n_analyte, pol) for pol in ("tm", "te"))

@@ -124,17 +124,9 @@ class Material(Record):
                 "material %r must define exactly one of table / constant"
                 % (self.name,))
         if self.constant is not None:
-            c = np.asarray(self.constant, dtype=complex)
-            if not np.all(np.isfinite(c)):
-                raise MaterialDataError(
-                    "material %r: constant index must be finite" % (self.name,))
-            if np.any(c.real <= 0.0):
-                raise MaterialDataError(
-                    "material %r: Re(n) must be positive" % (self.name,))
-            if np.any(c.imag < 0.0):
-                raise MaterialDataError(
-                    "material %r: Im(n) must be >= 0 (passive medium)"
-                    % (self.name,))
+            c = check_passive_index(
+                self.constant, "material %r: constant index" % (self.name,),
+                "n", MaterialDataError)
             object.__setattr__(self, "constant", c if c.ndim else complex(c))
 
     def index(self, wavelength_nm):
@@ -151,6 +143,22 @@ class Material(Record):
         if self.table is None:
             return None
         return (self.table.wavelength_min_nm, self.table.wavelength_max_nm)
+
+
+def check_passive_index(n, subject: str, symbol: str, error) -> np.ndarray:
+    """n as a complex array of passive indices: finite, then Re(n) > 0,
+    then Im(n) >= 0; error names subject (its index written symbol), the
+    first rule broken and the first value breaking it."""
+    n = np.asarray(n, dtype=complex)
+    for bad, rule, part in (
+            (~np.isfinite(n), "{0} must be finite", n),
+            (n.real <= 0.0, "{0}: Re({1}) must be positive", n.real),
+            (n.imag < 0.0, "{0}: Im({1}) must be >= 0 (passive medium)",
+             n.imag)):
+        if np.any(bad):
+            raise error((rule + ", got {2!r}").format(
+                subject, symbol, part[bad][0].item()))
+    return n
 
 
 def constant_material(name: str, index) -> Material:

@@ -49,7 +49,8 @@ from .errors import (CalibrationError, MaterialDataError,
                      StackDefinitionError, UnphysicalPointError,
                      WavelengthRangeError, as_name, as_number, as_numbers,
                      check_keys, check_list, or_null, read_json)
-from .materials import Material, constant_material, gold_jc, table_from_dict
+from .materials import (Material, check_passive_index, constant_material,
+                        gold_jc, table_from_dict)
 from .records import Record, replace
 
 DEFAULT_PRISM_INDEX = 1.5
@@ -307,24 +308,6 @@ def _check_theta(theta_deg):
             "incidence angle must satisfy 0 <= theta < 90 degrees")
 
 
-def _check_sample_index(ns):
-    """A constant Material's rule for the sample index: Re(n_s) > 0,
-    Im(n_s) >= 0 (a passive medium) and finite; a NaN part fails the
-    first two."""
-    bad = ~(ns.real > 0.0)
-    if np.any(bad):
-        raise StackDefinitionError(
-            "sample index: Re(n_s) must be positive, got %.6g"
-            % (ns.real[bad][0],))
-    bad = ~(ns.imag >= 0.0)
-    if np.any(bad):
-        raise StackDefinitionError(
-            "sample index: Im(n_s) must be >= 0 (passive medium), got %.6g"
-            % (ns.imag[bad][0],))
-    if not np.all(np.isfinite(ns)):
-        raise StackDefinitionError("sample index must be finite")
-
-
 def _phase_factor(n, cos, d, lam, layer):
     """e^{-i delta}, delta = 2 pi n cos d / lam, of one layer; its
     modulus e^{Im delta} >= 1 bounds e^{+i delta}'s, so where it is
@@ -407,9 +390,8 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     lam = np.asarray(wavelength_nm, dtype=float)
     _check_wavelength(lam)
     th = np.radians(np.asarray(theta_deg, dtype=float))
-    ns = None if n_s is None else np.asarray(n_s, dtype=complex)
-    if ns is not None:
-        _check_sample_index(ns)
+    ns = None if n_s is None else check_passive_index(
+        n_s, "sample index", "n_s", StackDefinitionError)
 
     n_list = [ns if j == stack.sample_layer
               else np.asarray(layer.material.index(lam), dtype=complex)
@@ -496,20 +478,20 @@ def ns_stencil(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                polarization: str = "tm", centre: bool = False
                ) -> StackResponse:
     """stack_response at n_s + NS_STEP, n_s - NS_STEP and, with centre,
-    n_s, in that order on a new trailing axis of the broadcast grid of
-    the other inputs (all arrays, so a scalar point computes as a grid
-    point does): the one call behind every n_s derivative."""
-    def trailing(x):
-        return np.asarray(x, dtype=float)[..., None]
-
-    offsets = np.array([NS_STEP, -NS_STEP, 0.0][:3 if centre else 2])
-    return stack_response(stack, trailing(wavelength_nm), trailing(theta_deg),
-                          trailing(n_s) + offsets, polarization)
+    n_s, in that order on a new axis just before wavelength_nm's last,
+    the nodes (one for a single frequency, wavelength_nm[..., None,
+    None]).  theta_deg and n_s lead both, as arrays, so a scalar point
+    computes as a grid point does: the call of every n_s derivative."""
+    theta, ns = (np.asarray(x, dtype=float)[..., None, None]
+                 for x in (theta_deg, n_s))
+    offsets = np.array([[NS_STEP], [-NS_STEP], [0.0]][:3 if centre else 2])
+    return stack_response(stack, wavelength_nm, theta, ns + offsets,
+                          polarization)
 
 
 def stencil_derivatives(T, R, phi_tr):
-    """Central-difference d(T, R, phi_tr)/d n_s from values on the
-    trailing (+h, -h, 0) axis of ns_stencil, h = NS_STEP.
+    """Central-difference d(T, R, phi_tr)/d n_s from values on a
+    trailing (+h, -h, 0) axis, ns_stencil's at one node, h = NS_STEP.
 
     The phase derivative unwraps the +/- h values onto the branch
     nearest the centre value before differencing, so a point near the
@@ -529,9 +511,10 @@ def response_derivatives(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     """Central-difference d(T, R, phi_tr)/d n_s at the given point(s):
     stencil_derivatives of one ns_stencil call, so the step is the
     module's NS_STEP, the step of every n_s derivative in the package."""
-    resp = ns_stencil(stack, wavelength_nm, theta_deg, n_s, polarization,
-                      centre=True)
-    return stencil_derivatives(resp.T, resp.R, resp.phi_tr)
+    resp = ns_stencil(stack, np.asarray(wavelength_nm, dtype=float)[
+        ..., None, None], theta_deg, n_s, polarization, centre=True)
+    return stencil_derivatives(resp.T[..., 0], resp.R[..., 0],
+                               resp.phi_tr[..., 0])
 
 
 # ---------------------------------------------------------------------------

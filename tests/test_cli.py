@@ -21,6 +21,8 @@ from homsensor.records import replace
 from homsensor.tmm import (CALIBRATION_TOL, NS_STEP, Layer, LayerStack,
                            save_stack)
 
+from oracles import scalar_coincidence_signal
+
 FIXTURE_STACK = Path(__file__).resolve().parents[1] / "bench" / "fixtures" \
     / "stack.json"
 
@@ -469,13 +471,13 @@ def test_unphysical_point_names_its_block_rows(tmp_path, monkeypatch,
                                                capsys):
     """A failure in the second block names that block's grid rows, with
     the cell index counted from its first row, and exits 1."""
-    original = continuum.stack_response
+    original = tmm.stack_response
 
     def nan_above(stack, wavelength_nm, theta_deg, n_s, polarization):
         resp = original(stack, wavelength_nm, theta_deg, n_s, polarization)
         return replace(resp, T=np.where(n_s > 1.315, np.nan, resp.T))
 
-    monkeypatch.setattr(continuum, "stack_response", nan_above)
+    monkeypatch.setattr(tmm, "stack_response", nan_above)
     # two rows per block of the single-frequency row, the first evaluated
     monkeypatch.setattr(cli, "BLOCK_POINTS", 2 * 2)
     extra, _, _ = GRID_RUNS["continuum"]
@@ -715,18 +717,19 @@ def test_config_size_at_the_limit_loads(tmp_path):
     assert cli._grid_count(**cfg["n_s_grid"]) == cli.MAX_GRID_POINTS
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("coincidence", {"n_s_grid": [-1.3]}),
-    ("budget", {"n_analyte": -1.0}),
+@pytest.mark.parametrize("command, cfg, value", [
+    ("coincidence", {"n_s_grid": [-1.3]}, "-1.3"),
+    ("budget", {"n_analyte": -1.0}, "-1.0"),
 ], ids=["coincidence", "budget"])
-def test_nonpositive_sample_index_exits_1(tmp_path, capsys, command, cfg):
+def test_nonpositive_sample_index_exits_1(tmp_path, capsys, command, cfg,
+                                          value):
     """stack_response is even in n_s, so -1.3 would be written with the
-    physics of +1.3."""
+    physics of +1.3: one error line names the value."""
     code, out = _run(tmp_path, command,
                      {"stack_path": str(FIXTURE_STACK), **cfg})
-    err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: sample index: Re(n_s) must be positive")
+    assert capsys.readouterr().err == (
+        "error: sample index: Re(n_s) must be positive, got %s\n" % value)
     assert not out.exists()
 
 
@@ -931,17 +934,24 @@ def _ftir_stack_path(tmp_path):
     return path
 
 
-def test_budget_of_a_bare_gap_names_the_negative_film(tmp_path, capsys):
-    """On the FTIR control the default sources' film source steps the
-    films to -BUDGET_STEP nm: one error line names the layer and that
-    value; exit 1, no output."""
-    code, out = _run(tmp_path, "budget",
-                     {"stack_path": str(_ftir_stack_path(tmp_path))})
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: stack 'dual_film_sensor': interior layer 1 (Au) needs a "
-        "finite thickness >= 0, got -0.0001\n")
-    assert not out.exists()
+def test_budget_of_a_bare_gap_takes_a_forward_film_difference(tmp_path,
+                                                              capsys):
+    """On the FTIR control the default sources' film rows step the films
+    to +BUDGET_STEP and 0 nm, not below: exit 0, and the film's c is the
+    forward difference (S(h) - S(0)) / h per meter over the printed
+    signal slope, S from two stack_response calls."""
+    path = _ftir_stack_path(tmp_path)
+    code, out = _run(tmp_path, "budget", {"stack_path": str(path)})
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows, (slope, _) = _budget_rows(out)
+    film, = (row for row in rows if row["kind"] == "film_thickness")
+    stack, h = tmm.load_stack(path), estimation.BUDGET_STEP
+    s_h, s_0 = (scalar_coincidence_signal(
+        tmm.with_sensor(stack, film_nm=d), 800.0, 70.0, 1.32, "tm")
+        for d in (h, 0.0))
+    assert float(film["c"]) == pytest.approx(
+        abs((s_h - s_0) / h * 1e9) / abs(float(slope)), rel=1e-10)
 
 
 def test_budget_of_a_bare_gap_runs_without_a_film_source(tmp_path, capsys):

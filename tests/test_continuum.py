@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homsensor import continuum
+from homsensor import continuum, tmm
 from homsensor.continuum import (C_NM_PER_S, MAX_NODES, QuadratureGrid,
                                  continuum_fisher, continuum_hom_moments,
                                  quadrature_grid, single_frequency)
@@ -14,8 +14,7 @@ from homsensor.errors import ConfigError
 from homsensor.estimation import fisher_classical, fisher_hom, fisher_report
 from homsensor.materials import constant_material
 from homsensor.quantum_stats import splitter_moments
-from homsensor.tmm import NS_STEP, Layer, LayerStack, load_stack, \
-    stack_response
+from homsensor.tmm import Layer, LayerStack, load_stack
 
 from oracles import eigenvalue_legendre_rule
 
@@ -54,11 +53,13 @@ def test_batched_matches_scalar_loop(stack, scheme, delta_lambda_nm):
 
 def test_one_quadrature_grid_per_call(stack, monkeypatch):
     """continuum_fisher builds no grid of its own: the caller's grid
-    and one stack_response call serve both schemes."""
-    calls = {"quadrature_grid": 0, "stack_response": 0}
+    and one stack_response call, through tmm.ns_stencil, serve both
+    schemes."""
+    owners = {"quadrature_grid": continuum, "stack_response": tmm}
+    calls = dict.fromkeys(owners, 0)
 
     def counting(name):
-        original = getattr(continuum, name)
+        original = getattr(owners[name], name)
 
         def wrapped(*args, **kwargs):
             calls[name] += 1
@@ -66,8 +67,8 @@ def test_one_quadrature_grid_per_call(stack, monkeypatch):
         return wrapped
 
     grid = quadrature_grid(stack, 800.0, 9.4)
-    for name in calls:
-        monkeypatch.setattr(continuum, name, counting(name))
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counting(name))
     i_hom, i_classical = continuum_fisher(stack, grid, 70.0,
                                           np.linspace(1.25, 1.34, 91))
     assert i_hom.shape == i_classical.shape == (91,)
@@ -114,17 +115,16 @@ def test_legendre_rule_matches_eigenvalue_rule(n):
 
 
 def test_block_working_set_is_bounded(fixture_stack):
-    """The traced peak of stack_response on the block continuum_fisher
-    evaluates for 20 n_s (20 x 2 x 201 points, 129 kB per complex
-    array) stays under 1.5 MB, about 11 complex arrays of the block."""
+    """The traced peak of the ns_stencil call continuum_fisher makes on
+    a block of 20 n_s (20 x 2 x 201 points, 129 kB per complex array)
+    stays under 1.5 MB, about 11 complex arrays of the block."""
     grid = quadrature_grid(fixture_stack, 800.0, 9.4)
     args = (fixture_stack, grid.wavelength_nm, 70.0,
-            np.linspace(1.25, 1.34, 20)[:, None, None]
-            + np.array([[NS_STEP], [-NS_STEP]]))
-    stack_response(*args)  # materials and caches loaded before tracing
+            np.linspace(1.25, 1.34, 20))
+    tmm.ns_stencil(*args)  # materials and caches loaded before tracing
     tracemalloc.start()
     try:
-        resp = stack_response(*args)
+        resp = tmm.ns_stencil(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

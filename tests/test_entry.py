@@ -87,19 +87,26 @@ def test_script_target_is_callable():
 
 def test_only_the_entry_point_freezes():
     """cli.main leaves the heap unfrozen for in-process callers; the
-    entry point freezes what it imported before it runs the command."""
+    entry point freezes what it imported before it runs the command,
+    with the collector, which it turns off for the import, back on."""
     out = _python("-c", "import gc, sys\n"
                   "from homsensor import cli\n"
                   "from homsensor.__main__ import run\n"
                   "assert cli.main(['calibrate']) == 0\n"
                   "print(gc.get_freeze_count())\n"
+                  "main = cli.main\n"
+                  "def traced(*args):\n"
+                  "    print('enabled', gc.isenabled())\n"
+                  "    return main(*args)\n"
+                  "cli.main = traced\n"
                   "sys.argv = ['homsensor', 'calibrate']\n"
                   "assert run() == 0\n"
                   "print(gc.get_freeze_count())\n")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[1] == "0"
-    assert int(lines[3]) > 0
+    assert lines[2] == "enabled True"
+    assert int(lines[4]) > 0
 
 
 def test_cli_import_loads_every_traced_module():
@@ -311,34 +318,28 @@ def test_only_two_derivative_steps_are_left():
 
 def test_wavepacket_grid_has_one_owner():
     """Outside continuum, no src/homsensor module constructs a
-    QuadratureGrid or stacks the +-NS_STEP stencil under the nodes (a list
-    of lists holding NS_STEP): the single frequency is continuum's
-    one-node grid, so continuum_fisher is the one information pair."""
-    def stencil(node):
-        return isinstance(node, ast.List) and any(
-            isinstance(item, ast.List) and any(
-                isinstance(sub, ast.Name) and sub.id == "NS_STEP"
-                for sub in ast.walk(item)) for item in node.elts)
+    QuadratureGrid: the single frequency is continuum's one-node grid,
+    so continuum_fisher is the one information pair.  Outside tmm, no
+    module uses NS_STEP in arithmetic or a list literal: tmm.ns_stencil
+    builds the one +-NS_STEP stencil in n_s."""
+    def steps(node):
+        return isinstance(node, (ast.BinOp, ast.List)) and any(
+            isinstance(sub, ast.Name) and sub.id == "NS_STEP"
+            for sub in ast.walk(node))
 
-    found = {}
+    grids, stencils = [], set()
     for path in sorted((SRC / "homsensor").glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) and "QuadratureGrid" in (
                         getattr(node.func, "id", None),
                         getattr(node.func, "attr", None)):
-                    kind = "QuadratureGrid()"
-                elif stencil(node):
-                    kind = "node stencil"
-                else:
-                    continue
-                found.setdefault(kind, []).append(
-                    (path.stem, getattr(top, "name", None)))
-    assert found == {
-        "QuadratureGrid()": [("continuum", "single_frequency"),
-                             ("continuum", "quadrature_grid")],
-        "node stencil": [("continuum", "continuum_fisher")],
-    }
+                    grids.append((path.stem, getattr(top, "name", None)))
+                elif steps(node):
+                    stencils.add(path.stem)
+    assert grids == [("continuum", "single_frequency"),
+                     ("continuum", "quadrature_grid")]
+    assert stencils == {"tmm"}
 
 
 def test_no_second_reader_or_locator_is_imported():

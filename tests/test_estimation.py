@@ -386,9 +386,11 @@ def test_precision_bound_and_ratio_broadcast():
 
 def _operating_point(stack, n, frozen=None):
     """(T, R, phi) at which fisher_decomposition evaluates its matrix:
-    the centre of its n_s stencil, the phase frozen when given."""
+    the centre of its n_s stencil at the one wavelength node, the phase
+    frozen when given."""
     resp = tmm.ns_stencil(stack, 800.0, 70.0, n, centre=True)
-    return resp.T[2], resp.R[2], resp.phi_tr[2] if frozen is None else frozen
+    return resp.T[2, 0], resp.R[2, 0], \
+        resp.phi_tr[2, 0] if frozen is None else frozen
 
 
 def test_classical_cross_term_vanishes(stack):

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from homsensor import materials
-from homsensor.errors import (MaterialDataError, WavelengthRangeError,
-                              package_data)
+from homsensor.errors import (MaterialDataError, StackDefinitionError,
+                              WavelengthRangeError, package_data)
 from homsensor.materials import (
-    Material, MaterialTable, constant_material, gold_jc, table_from_dict,
+    Material, MaterialTable, check_passive_index, constant_material, gold_jc,
+    table_from_dict,
 )
 
 GOLD_FILE = pathlib.Path(package_data("gold_johnson_christy_1972.json"))
@@ -85,14 +86,17 @@ def test_constant_material_holds_an_array_index():
         is complex
 
 
-# id: (array constant, the message of the scalar rule it breaks)
+# id: (array constant, the message of the first rule it breaks)
 BAD_ARRAY_CONSTANTS = {
-    "nan": ([1.5, math.nan], "constant index must be finite"),
+    "nan": ([1.5, math.nan], r"constant index must be finite, got \(nan\+0j\)"),
     "inf_imag": ([1.5, complex(1.5, math.inf)],
-                 "constant index must be finite"),
-    "zero_real": ([[1.5], [0.0]], r"Re\(n\) must be positive"),
-    "negative_real": ([1.5, -1.5], r"Re\(n\) must be positive"),
-    "gain": ([1.5, 1.5 - 1e-3j], r"Im\(n\) must be >= 0 \(passive medium\)"),
+                 r"constant index must be finite, got \(1.5\+infj\)"),
+    "zero_real": ([[1.5], [0.0]],
+                  r"constant index: Re\(n\) must be positive, got 0.0"),
+    "negative_real": ([1.5, -1.5],
+                      r"constant index: Re\(n\) must be positive, got -1.5"),
+    "gain": ([1.5, 1.5 - 1e-3j], r"constant index: Im\(n\) must be >= 0 "
+             r"\(passive medium\), got -0.001"),
 }
 
 
@@ -101,6 +105,25 @@ def test_array_constant_checks_every_element(case):
     values, message = BAD_ARRAY_CONSTANTS[case]
     with pytest.raises(MaterialDataError, match="material 'm': " + message):
         constant_material("m", np.array(values))
+
+
+@pytest.mark.parametrize("error", [MaterialDataError, StackDefinitionError])
+def test_passive_index_rule_names_the_first_offending_value(error):
+    """One rule for every passive index, raised as the caller's error:
+    a non-finite value before Re <= 0 before Im < 0, each message naming
+    the first value that breaks the first rule broken."""
+    cases = {
+        "x must be finite, got (nan+0j)": [1.5 - 1j, -2.0, math.nan, math.inf],
+        "x: Re(n) must be positive, got -2.0": [1.5 - 1j, -2.0, 0.0],
+        "x: Im(n) must be >= 0 (passive medium), got -1.0":
+            [1.5, 1.5 - 1j, 1.5 - 2j],
+    }
+    for message, values in cases.items():
+        with pytest.raises(error) as info:
+            check_passive_index(np.array(values), "x", "n", error)
+        assert str(info.value) == message
+    passive = check_passive_index([1.5, 0.2 + 5j], "x", "n", error)
+    assert passive.dtype == complex and passive.tolist() == [1.5, 0.2 + 5j]
 
 
 def test_interpolation_at_knot_is_exact(gold):
