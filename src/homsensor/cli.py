@@ -41,7 +41,8 @@ the index grid and one phi_ab_scan call over the phase grid, one
 stack_response call each.
 
 Exit status: 0 on success, 1 on configuration or physics errors, 2 on
-calibration failure.
+calibration failure.  A TE run needs a stack_path: no 20-80 nm film of
+the default design balances TE at the default 70 degrees.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ metal film | prism: a symmetric pair of attenuated-total-reflection
 metal films that together behave as a lossy beamsplitter whose split
 ratio and phase depend sharply on the index of the medium in the gap.
 This module alone reads and writes that layout: make_sensor_stack
-builds it, sensor_thicknesses (which checks it) and prism_index read
-it, and with_sensor, the one writer, copies it with new film, gap or
-prism values; no other module indexes a stack's layers.
+builds the default design; with_sensor, the one writer, derives every
+variant; sensor_thicknesses (which checks it) and prism_index read it.
+No other module indexes a stack's layers.
 
 Conventions: exp(-i omega t) time dependence; complex index n + ik with
 k >= 0; for TM polarization the Fresnel coefficients are written in the
@@ -58,7 +58,7 @@ DEFAULT_PRISM_INDEX = 1.5
 # extracted (their argument is rounding debris); corresponds to power
 # coefficients of 1e-24, far below anything resolvable.
 PHASE_AMPLITUDE_FLOOR = 1e-12
-# calibrate_stack's default bound on |T - R| at the target point
+# calibrate_stack's bound on |T - R| at the target point
 CALIBRATION_TOL = 1e-3
 # Bisection levels calibrate_stack resolves per stack_response call: all
 # 2**8 - 1 dyadic nodes of each bracket's next 8 levels are one call.
@@ -165,30 +165,16 @@ class LayerStack(Record):
         return (lo, hi)
 
 
-def make_sensor_stack(d_metal_nm: float = 50.0, d_sample_nm: float = 500.0,
-                      prism_index: float = DEFAULT_PRISM_INDEX,
-                      metal: Material | None = None,
-                      sample_placeholder: float = 1.31) -> LayerStack:
-    """Dual-film beamsplitter: prism | metal | sample | metal | prism.
-
-    The sample layer's material is only a placeholder; its index is
-    supplied per call through the n_s argument of stack_response.
-    """
-    metal = metal or gold_jc()
-    prism = constant_material("prism", prism_index)
-    sample = constant_material("sample", sample_placeholder)
+def make_sensor_stack() -> LayerStack:
+    """The default design, prism | gold | sample | gold | prism: 50 nm
+    Johnson-Christy films, a 500 nm gap, prisms of DEFAULT_PRISM_INDEX
+    and a placeholder sample index 1.31 (stack_response takes n_s)."""
+    gold, prism = gold_jc(), constant_material("prism", DEFAULT_PRISM_INDEX)
     return LayerStack(
-        layers=(
-            Layer(prism, None),
-            Layer(metal, float(d_metal_nm)),
-            Layer(sample, float(d_sample_nm)),
-            Layer(metal, float(d_metal_nm)),
-            Layer(prism, None),
-        ),
-        sample_layer=2,
-        sample_n=float(sample_placeholder),
-        name="dual_film_sensor",
-    )
+        layers=(Layer(prism, None), Layer(gold, 50.0),
+                Layer(constant_material("sample", 1.31), 500.0),
+                Layer(gold, 50.0), Layer(prism, None)),
+        sample_layer=2, sample_n=1.31, name="dual_film_sensor")
 
 
 def sensor_thicknesses(stack: LayerStack) -> tuple[float, float]:
@@ -303,9 +289,10 @@ def _check_wavelength(lam):
 def _check_theta(theta_deg):
     """Every angle lies in [0, 90) degrees; a NaN lies nowhere."""
     th = np.asarray(theta_deg, dtype=float)
-    if not np.all((th >= 0.0) & (th < 90.0)):
-        raise StackDefinitionError(
-            "incidence angle must satisfy 0 <= theta < 90 degrees")
+    bad = ~((th >= 0.0) & (th < 90.0))
+    if np.any(bad):
+        raise StackDefinitionError("incidence angle must satisfy 0 <= theta "
+                                   "< 90 degrees, got %.6g" % (th[bad][0],))
 
 
 def _phase_factor(n, cos, d, lam, layer):
@@ -530,7 +517,6 @@ class CalibrationResult(Record):
 
 def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.0,
                     theta_deg: float = 70.0, n_s_target: float = 1.31,
-                    tol: float = CALIBRATION_TOL,
                     d_metal_bounds: tuple[float, float] = (20.0, 80.0),
                     d_sample_bounds: tuple[float, float] = (100.0, 2000.0),
                     polarization: str = "tm") -> CalibrationResult:
@@ -538,7 +524,8 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
 
     At the balanced point the two-photon coincidence rate dips toward
     its minimum and the index sensitivity peaks, so the calibration
-    target is |T - R| < tol at (wavelength_nm, theta_deg, n_s_target).
+    target is |T - R| < CALIBRATION_TOL at (wavelength_nm, theta_deg,
+    n_s_target) of stack, by default make_sensor_stack().
 
     Search policy (deterministic): scan the film thickness on a 1 nm
     grid ascending across d_metal_bounds; the thinnest film with at
@@ -549,7 +536,7 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
     film's crossings the gap thickness closest to the input stack's is
     kept (remaining ties break toward the thinner gap), and the crossing
     is polished by bisection.  The input stack is returned unchanged
-    when it already meets tol.
+    when it already meets CALIBRATION_TOL.
 
     Each film thickness costs one stack_response call over the whole
     4 nm gap grid (the gap thickness is an array).  Every crossing of
@@ -573,7 +560,7 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
 
     # fixed point: an already balanced stack is left alone
     res0 = float(abs(imbalance(d_m0, d_s0)))
-    if res0 < tol:
+    if res0 < CALIBRATION_TOL:
         _check_unique_crossing(stack, wavelength_nm, theta_deg, n_s_target,
                                polarization)
         return CalibrationResult(stack, res0)
@@ -583,7 +570,7 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
 
     for d_m in metal_grid:  # the thinnest balanced film wins
         g = imbalance(d_m, sample_grid)
-        crossing = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
+        crossing = np.nonzero(_sign_changes(g))[0]
         if crossing.size:
             break
     else:
@@ -602,7 +589,7 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
     d_s = float(min(zip(np.abs(balanced - d_s0), balanced))[1])
 
     residual = float(abs(imbalance(d_m, d_s)))
-    if residual >= tol:
+    if residual >= CALIBRATION_TOL:
         raise CalibrationError(
             "bisection stalled: residual |T - R| = %.3g at d_metal=%.6g, "
             "d_sample=%.6g" % (residual, d_m, d_s))
@@ -655,18 +642,21 @@ def _bisect_crossings(imbalance, lo, hi, glo):
     return lo, hi
 
 
+def _sign_changes(g) -> np.ndarray:
+    """Where g changes sign between neighbours (an exact zero is none)."""
+    return np.sign(g[:-1]) * np.sign(g[1:]) < 0
+
+
 def _check_unique_crossing(stack: LayerStack, wavelength_nm, theta_deg,
-                           n_s_target, polarization, half_width=0.02,
-                           points=81):
-    """Require exactly one T = R crossing within +/- half_width RIU."""
-    grid = np.linspace(n_s_target - half_width, n_s_target + half_width, points)
+                           n_s_target, polarization):
+    """Require exactly one T = R crossing within +/- 0.02 RIU (81 points)."""
+    grid = np.linspace(n_s_target - 0.02, n_s_target + 0.02, 81)
     resp = stack_response(stack, wavelength_nm, theta_deg, grid, polarization)
-    g = resp.T - resp.R
-    crossings = int(np.sum(np.sign(g[:-1]) * np.sign(g[1:]) < 0))
+    crossings = int(np.sum(_sign_changes(resp.T - resp.R)))
     if crossings != 1:
         raise CalibrationError(
-            "balance point not unique: %d T = R crossings within +/- %.3g "
-            "RIU of n_s = %.6g" % (crossings, half_width, n_s_target))
+            "balance point not unique: %d T = R crossings within +/- 0.02 "
+            "RIU of n_s = %.6g" % (crossings, n_s_target))
 
 
 # ---------------------------------------------------------------------------

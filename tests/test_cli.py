@@ -206,6 +206,19 @@ def test_calibration_failure_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_te_without_stack_path_exits_2(tmp_path, capsys):
+    """Auto-calibration searches 20-80 nm films, and none balances TE at
+    70 degrees: a TE run needs a stack_path (the module docstring says
+    so)."""
+    code, out = _run(tmp_path, "coincidence", {"polarization": "te"})
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "calibration failed: no balanced point: T - R has no sign change "
+        "for film thickness in (20.0, 80.0) nm and sample thickness in "
+        "(100.0, 2000.0) nm at lambda=800 nm, theta=70 deg, n_s=1.31\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("spectrum", {"n_s": "1.3"}),
     ("fisher", {"phase_scan_points": 1.5}),

@@ -278,8 +278,9 @@ def test_figures_of_merit_are_formed_in_cli():
 
 def test_sensor_layout_has_one_owner():
     """Outside tmm, no src/homsensor module subscripts a stack's .layers
-    or calls with_thickness: tmm's readers and its one writer,
-    with_sensor, own the sensor layout."""
+    or calls with_thickness: tmm owns the sensor layout, where
+    make_sensor_stack builds the default design, with_sensor, the one
+    writer, derives every variant, and the readers check it."""
     found = []
     for path in sorted((SRC / "homsensor").glob("*.py")):
         if path.stem != "tmm":

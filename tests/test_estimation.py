@@ -351,7 +351,7 @@ def test_lossless_limit_enhancement_is_one():
     carries twice the coherent information in every cell, and no
     outcome is left as rounding debris that trips the dead-outcome
     warning."""
-    stack = make_sensor_stack(d_metal_nm=0.0, d_sample_nm=250.0)
+    stack = with_sensor(make_sensor_stack(), film_nm=0.0, gap_nm=250.0)
     lam = np.linspace(600.0, 1000.0, 41)[:, None]
     ns = np.linspace(1.20, 1.34, 141)
     with warnings.catch_warnings():
@@ -688,6 +688,22 @@ def test_budget_guard_width(stack):
     for n in (n_min - 2 * BUDGET_STEP, n_min + 2 * BUDGET_STEP,
               1.305, 1.315, 1.32):
         assert uncertainty_budget(stack, n_analyte=n)[1] != 0.0
+
+
+def test_budget_step_convergence(monkeypatch):
+    """BUDGET_STEP resolves every sensitivity: the central differences
+    err by ~C h^2, so halving h moves each by 3/4 of its error, and the
+    Richardson estimate 4/3 |D(h) - D(h/2)| of the truncation at h
+    (about 7.8e-6 on the fixture at n_analyte = 1.32) stays below 2e-5
+    of every default c and of the slope."""
+    stack = load_stack(FIXTURE_STACK)
+    figures = []
+    for h in (BUDGET_STEP, BUDGET_STEP / 2):
+        monkeypatch.setattr(estimation, "BUDGET_STEP", h)
+        c, slope = uncertainty_budget(stack, n_analyte=1.32)
+        figures.append(np.append(c, slope))
+    coarse, fine = figures
+    assert np.all(4.0 / 3.0 * np.abs(coarse - fine) <= 2e-5 * np.abs(fine))
 
 
 @pytest.mark.parametrize("n_analyte", [1.32, 1.305])

@@ -459,11 +459,18 @@ def test_theta_and_polarization_validation(stack):
     # sin(theta) rounds to 1, so the entrance cosine and t_01 are 0
     (np.array([0.0, 89.99999999]), 1.31, r"incidence angle 89.99999999 "
      r"degrees is grazing: its entrance cosine rounds to 0"),
+    # an angle outside [0, 90) is named, the first of an array's
+    (math.nan, 1.31, r"0 <= theta < 90 degrees, got nan$"),
+    (np.array([70.0, math.nan, -1.0]), 1.31, r"90 degrees, got nan$"),
+    (95.0, 1.31, r"0 <= theta < 90 degrees, got 95$"),
+    (-1.0, 1.31, r"0 <= theta < 90 degrees, got -1$"),
+    (np.array([70.0, -1.0, 95.0]), 1.31, r"90 degrees, got -1$"),
 ])
 def test_nan_or_gain_inputs_are_rejected(stack, theta, n_s, message):
-    """A NaN angle or index, or a gain-medium index (which gave T + R
-    far above 1), raises before numpy warns; the suite turns any
-    RuntimeWarning into an error."""
+    """A NaN or out-of-range angle or index, or a gain-medium index
+    (which gave T + R far above 1), raises before numpy warns, naming
+    the first bad value; the suite turns any RuntimeWarning into an
+    error."""
     with pytest.raises(StackDefinitionError, match=message):
         stack_response(stack, 800.0, theta, n_s)
 
@@ -636,6 +643,16 @@ def test_calibration_matches_bench_fixture(calibration):
         == fixture.layers[3].thickness_nm
 
 
+def test_default_design_is_the_fixture():
+    """The default design with the fixture's own thicknesses is the
+    fixture record itself: materials, names, sample_n and prisms, not
+    only the thicknesses the calibration test compares."""
+    fixture = load_stack(FIXTURE_STACK)
+    d_metal, d_sample = sensor_thicknesses(fixture)
+    assert with_sensor(make_sensor_stack(), film_nm=d_metal,
+                       gap_nm=d_sample) == fixture
+
+
 def test_calibration_is_bit_pinned(calibration):
     """The default calibration's gap, to the last bit: a reassociated
     transfer product moves it."""
@@ -668,7 +685,8 @@ CALIBRATION_CASES = {
     "te": ({"polarization": "te", "theta_deg": 50.0,
             "d_metal_bounds": (5.0, 80.0)}, 620.36),
     # the start gap sits next to the winning film's other crossing
-    "other_root": ({"stack": make_sensor_stack(d_sample_nm=160.0)}, 160.68),
+    "other_root": ({"stack": with_sensor(make_sensor_stack(), gap_nm=160.0)},
+                   160.68),
 }
 
 
@@ -760,7 +778,8 @@ def test_calibration_requires_sensor_shape():
 def test_calibration_requires_mirror_symmetry(film):
     """The outcome models assume S = [[t, r], [r, t]]: a second film of
     another thickness or material is refused, not calibrated."""
-    prism, metal, gap, _, _ = make_sensor_stack(d_metal_nm=20.0).layers
+    prism, metal, gap, _, _ = with_sensor(make_sensor_stack(),
+                                          film_nm=20.0).layers
     stack = LayerStack(layers=(prism, metal, gap, film, prism),
                        sample_layer=2, sample_n=1.31)
     with pytest.raises(StackDefinitionError, match="not mirror-symmetric"):
