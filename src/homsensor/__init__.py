@@ -49,8 +49,8 @@ _EXPORTS = {
     "quantum_stats": ("CoherentInput", "bs_point", "coherent_output_means",
                       "hom_click_distribution", "poisson_pair_grid",
                       "splitter_moments"),
-    "tmm": ("CalibrationResult", "Layer", "LayerStack", "StackResponse",
-            "calibrate_stack", "fresnel", "load_stack", "make_sensor_stack",
+    "tmm": ("Layer", "LayerStack", "StackResponse", "calibrate_stack",
+            "fresnel", "load_stack", "make_sensor_stack",
             "response_derivatives", "save_stack", "stack_response"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()

@@ -60,7 +60,7 @@ from .continuum import DEFAULT_NODES, DEFAULT_SPAN, MAX_NODES, \
     continuum_fisher, quadrature_grid, single_frequency
 from .errors import (CalibrationError, ConfigError, HomsensorError,
                      StackDefinitionError, UnphysicalPointError, as_number,
-                     check_keys, or_null, read_json)
+                     check_keys, or_null, read_json, write_json)
 from .estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR, \
     defined_ratio, fisher_report, load_budget_sources, phi_ab_scan, \
     precision_bound, uncertainty_budget
@@ -341,10 +341,7 @@ def write_metadata(out_dir, command, cfg, run_id, stack, cal_info, outputs):
         "tolerances": REPORTED_TOLERANCES,
         "outputs": sorted(outputs),
     }
-    with open(os.path.join(out_dir, command + "_run.json"), "w",
-              encoding="utf-8", newline="\n") as f:
-        json.dump(meta, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(os.path.join(out_dir, command + "_run.json"), meta)
 
 
 def _resolve_stack(cfg):
@@ -369,13 +366,13 @@ def _resolve_stack(cfg):
 
 def _calibrate(cal, polarization):
     """The stack balanced at operating point cal, and its metadata record."""
-    result = calibrate_stack(wavelength_nm=cal["wavelength_nm"],
-                             theta_deg=cal["theta_deg"],
-                             n_s_target=cal["target_ns"],
-                             polarization=polarization)
-    d_metal, d_sample = sensor_thicknesses(result.stack)
-    return result.stack, {"source": "auto", **cal, "d_metal_nm": d_metal,
-                          "d_sample_nm": d_sample, "residual": result.residual}
+    stack, residual = calibrate_stack(wavelength_nm=cal["wavelength_nm"],
+                                      theta_deg=cal["theta_deg"],
+                                      n_s_target=cal["target_ns"],
+                                      polarization=polarization)
+    d_metal, d_sample = sensor_thicknesses(stack)
+    return stack, {"source": "auto", **cal, "d_metal_nm": d_metal,
+                   "d_sample_nm": d_sample, "residual": residual}
 
 
 def _prepare_out_dir(path):

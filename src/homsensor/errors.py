@@ -6,10 +6,11 @@ The subclasses separate the three failure families that need different
 handling: bad input data, physically inconsistent numbers, and solver
 failures.
 
-The functions at the end locate the packaged data files and are the
-one set of checks every JSON input file (config, stack, budget sources,
-the packaged gold table) passes; each check names `what` it checks and
-raises the caller's `error` class.
+The functions at the end locate the packaged data files, write every
+JSON output file (write_json: the saved stack and each run's metadata)
+and are the one set of checks every JSON input file (config, stack,
+budget sources, the packaged gold table) passes; each check names
+`what` it checks and raises the caller's `error` class.
 """
 
 import json
@@ -91,6 +92,14 @@ def read_json(path, what, error):
     except ValueError as exc:  # not UTF-8 text, or not JSON
         raise error("%s %s is not valid UTF-8 JSON: %s"
                     % (what, path, exc)) from exc
+
+
+def write_json(path, data):
+    """Write data to path as UTF-8 JSON: LF line ends, keys sorted, an
+    indent of 2 and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(data, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def check_keys(obj, accepted, what, error):

@@ -128,6 +128,14 @@ def _distribution_information(p, step: float = NS_STEP):
     return _information(p, step)
 
 
+def _assumed_moments(T, R, phi_tr, phi_tr_assumption=None):
+    """splitter_moments of (T, R, phi_tr), the phase frozen at
+    phi_tr_assumption when one is given (see the module docstring)."""
+    if phi_tr_assumption is not None:
+        phi_tr = np.full_like(phi_tr, phi_tr_assumption)
+    return splitter_moments(T, R, phi_tr)
+
+
 def _probe_information(moments, probe):
     """_information of probe's outcomes at moments on the ns_stencil
     axis; a distribution is checked to sum to 1, Poisson means are not."""
@@ -275,9 +283,7 @@ def _decompose(points, probe="click", phi_tr_assumption=None):
     zero-amplitude phase convention: the K channel is not resolved
     there, and its partials are taken as 0 (T and R read as inf)."""
     T, R, phi = (x[..., 2] for x in points)
-    if phi_tr_assumption is not None:
-        phi = np.full_like(phi, phi_tr_assumption)
-    moments = splitter_moments(T, R, phi)
+    moments = _assumed_moments(T, R, phi, phi_tr_assumption)
     k = moments[2][..., None]
     t_r = np.where(k != 0.0, np.stack([T, R], axis=-1), np.inf)
     dk = np.concatenate([0.5 * k / t_r, -1j * k], axis=-1)  # dK/d(T, R, phi)
@@ -331,11 +337,9 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
         raise ConfigError("phase scan needs at least 2 points, got %r"
                           % (n_points,))
     grid = np.linspace(-np.pi, np.pi, int(n_points), endpoint=False)
-    T, R, phi = _stencil_points(stack, wavelength_nm, theta_deg, float(n_s),
-                                polarization)
-    if phi_tr_assumption is not None:
-        phi = np.full_like(phi, phi_tr_assumption)
-    moments = splitter_moments(T, R, phi)
+    moments = _assumed_moments(*_stencil_points(
+        stack, wavelength_nm, theta_deg, float(n_s), polarization),
+        phi_tr_assumption)
     values = _probe_information(moments, CoherentInput(phi_ab=grid[:, None]))
     k = int(np.argmax(values))
     phi_opt = float(grid[k])

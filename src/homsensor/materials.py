@@ -70,14 +70,6 @@ class MaterialTable(Record):
                 "material %r: extinction coefficient must be >= 0"
                 % (self.name,))
 
-    @property
-    def wavelength_min_nm(self) -> float:
-        return float(self.wavelength_nm[0])
-
-    @property
-    def wavelength_max_nm(self) -> float:
-        return float(self.wavelength_nm[-1])
-
     def index(self, wavelength_nm):
         """Complex refractive index at the given wavelength(s) in nm.
 
@@ -86,12 +78,12 @@ class MaterialTable(Record):
         the tabulated window.
         """
         lam = np.asarray(wavelength_nm, dtype=float)
-        if np.any(lam < self.wavelength_min_nm) or np.any(lam > self.wavelength_max_nm):
+        lo, hi = self.wavelength_nm[0], self.wavelength_nm[-1]
+        if np.any(lam < lo) or np.any(lam > hi):
             raise WavelengthRangeError(
                 "material %r tabulated on [%.3f, %.3f] nm, requested "
                 "wavelength(s) reach [%.6g, %.6g] nm"
-                % (self.name, self.wavelength_min_nm, self.wavelength_max_nm,
-                   float(np.min(lam)), float(np.max(lam))))
+                % (self.name, lo, hi, float(np.min(lam)), float(np.max(lam))))
         n = np.interp(lam, self.wavelength_nm, self.n)
         k = np.interp(lam, self.wavelength_nm, self.k)
         out = n + 1j * k
@@ -137,12 +129,6 @@ class Material(Record):
         if self.table is not None:
             return self.table.index(wavelength_nm)
         return self.constant
-
-    def wavelength_window_nm(self) -> tuple[float, float] | None:
-        """Valid wavelength window in nm, or None for a constant medium."""
-        if self.table is None:
-            return None
-        return (self.table.wavelength_min_nm, self.table.wavelength_max_nm)
 
 
 def check_passive_index(n, subject: str, symbol: str, error) -> np.ndarray:

@@ -41,14 +41,12 @@ phi_tr = arg(r) - arg(t).
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import (CalibrationError, MaterialDataError,
                      StackDefinitionError, UnphysicalPointError,
                      WavelengthRangeError, as_name, as_number, as_numbers,
-                     check_keys, check_list, or_null, read_json)
+                     check_keys, check_list, or_null, read_json, write_json)
 from .materials import (Material, check_passive_index, constant_material,
                         gold_jc, table_from_dict)
 from .records import Record, replace
@@ -152,17 +150,14 @@ class LayerStack(Record):
         return replace(self, layers=tuple(layers))
 
     def wavelength_window_nm(self) -> tuple[float, float] | None:
-        """Intersection of the dispersive layers' valid windows, or None."""
-        lo, hi = None, None
-        for layer in self.layers:
-            win = layer.material.wavelength_window_nm()
-            if win is None:
-                continue
-            lo = win[0] if lo is None else max(lo, win[0])
-            hi = win[1] if hi is None else min(hi, win[1])
-        if lo is None:
+        """Intersection of the tabulated layers' table ends in nm, or None
+        when every medium is constant."""
+        ends = [layer.material.table.wavelength_nm[[0, -1]]
+                for layer in self.layers if layer.material.table is not None]
+        if not ends:
             return None
-        return (lo, hi)
+        return (float(max(e[0] for e in ends)),
+                float(min(e[1] for e in ends)))
 
 
 def make_sensor_stack() -> LayerStack:
@@ -508,19 +503,13 @@ def response_derivatives(stack: LayerStack, wavelength_nm, theta_deg, n_s,
 # calibration
 # ---------------------------------------------------------------------------
 
-class CalibrationResult(Record):
-    """Outcome of the balanced-splitter thickness search."""
-
-    stack: LayerStack
-    residual: float          # |T - R| at the target point
-
-
 def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.0,
                     theta_deg: float = 70.0, n_s_target: float = 1.31,
                     d_metal_bounds: tuple[float, float] = (20.0, 80.0),
                     d_sample_bounds: tuple[float, float] = (100.0, 2000.0),
-                    polarization: str = "tm") -> CalibrationResult:
-    """Find film/gap thicknesses that balance the splitter, T = R.
+                    polarization: str = "tm") -> tuple[LayerStack, float]:
+    """Find film/gap thicknesses that balance the splitter, T = R; return
+    the balanced stack and its residual |T - R| at the target point.
 
     At the balanced point the two-photon coincidence rate dips toward
     its minimum and the index sensitivity peaks, so the calibration
@@ -563,7 +552,7 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
     if res0 < CALIBRATION_TOL:
         _check_unique_crossing(stack, wavelength_nm, theta_deg, n_s_target,
                                polarization)
-        return CalibrationResult(stack, res0)
+        return stack, res0
 
     metal_grid = np.arange(d_metal_bounds[0], d_metal_bounds[1] + 0.5, 1.0)
     sample_grid = np.arange(d_sample_bounds[0], d_sample_bounds[1] + 1.0, 4.0)
@@ -596,7 +585,7 @@ def calibrate_stack(stack: LayerStack | None = None, wavelength_nm: float = 800.
     calibrated = with_sensor(stack, d_m, d_s)
     _check_unique_crossing(calibrated, wavelength_nm, theta_deg, n_s_target,
                            polarization)
-    return CalibrationResult(calibrated, residual)
+    return calibrated, residual
 
 
 def _bisect_crossings(imbalance, lo, hi, glo):
@@ -758,10 +747,7 @@ def stack_from_dict(d: dict) -> LayerStack:
 
 
 def save_stack(stack: LayerStack, path):
-    data = stack_to_dict(stack)  # validated before the file is opened
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, stack_to_dict(stack))  # validated before the file opens
 
 
 def load_stack(path) -> LayerStack:

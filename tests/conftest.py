@@ -10,13 +10,15 @@ from homsensor import calibrate_stack, gold_jc, make_sensor_stack
 
 @pytest.fixture(scope="session")
 def calibration():
-    """The calibrated sensor (balanced at n_s = 1.31, 800 nm, 70 deg)."""
+    """The calibrated sensor (balanced at n_s = 1.31, 800 nm, 70 deg) and
+    its residual |T - R|."""
     return calibrate_stack()
 
 
 @pytest.fixture(scope="session")
 def stack(calibration):
-    return calibration.stack
+    stack, _ = calibration
+    return stack
 
 
 @pytest.fixture(scope="session")

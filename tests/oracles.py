@@ -177,13 +177,17 @@ def tuple_loop_response(stack, wavelength_nm, theta_deg, n_s=None,
 # ---------------------------------------------------------------------------
 
 def fisher_direct(probs_fn, x, step):
-    """Plain central-difference Fisher information of a distribution."""
+    """Plain central-difference Fisher information of a distribution,
+    summed over its last (outcome) axis: a float for one point x, an
+    array when probs_fn evaluates an array x as a grid of points."""
     p_plus = np.asarray(probs_fn(x + step), dtype=float)
     p_minus = np.asarray(probs_fn(x - step), dtype=float)
     dp = (p_plus - p_minus) / (2.0 * step)
     p_mid = 0.5 * (p_plus + p_minus)
     keep = p_mid > 1e-15
-    return float(np.sum(dp[keep] ** 2 / p_mid[keep]))
+    info = np.sum(np.where(keep, dp ** 2 / np.where(keep, p_mid, 1.0), 0.0),
+                  axis=-1)
+    return float(info) if info.ndim == 0 else info
 
 
 def bernoulli_fisher(p, dp):

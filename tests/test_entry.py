@@ -192,7 +192,7 @@ def test_public_names_resolve():
                   "except AttributeError:\n"
                   "    print(len(homsensor.__all__), bad)\n")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "44 []"
+    assert out.stdout.strip() == "43 []"
 
 
 def _references(module: ast.Module) -> set:
@@ -223,10 +223,9 @@ def test_every_export_has_a_user():
     assert sorted(set(homsensor.__all__) - used - traced) == []
 
 
-def test_json_is_parsed_by_one_reader():
-    """Every input file (config, stack, budget sources, the packaged gold
-    table) is parsed by errors.read_json: json.load and json.loads appear
-    in src/homsensor in that function only."""
+def _json_uses(functions):
+    """(module, top-level name) of each json.<function> in src/homsensor
+    with function in functions, and of each `from json import`."""
     found = []
     for path in sorted((SRC / "homsensor").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -234,11 +233,25 @@ def test_json_is_parsed_by_one_reader():
                       for sub in ast.walk(node)
                       if isinstance(sub, ast.Attribute)
                       and isinstance(sub.value, ast.Name)
-                      and (sub.value.id, sub.attr) in (("json", "load"),
-                                                       ("json", "loads"))
+                      and sub.value.id == "json" and sub.attr in functions
                       or isinstance(sub, ast.ImportFrom)
                       and sub.module == "json"]
-    assert found == [("errors", "read_json")]
+    return found
+
+
+def test_json_is_parsed_by_one_reader():
+    """Every input file (config, stack, budget sources, the packaged gold
+    table) is parsed by errors.read_json: json.load and json.loads appear
+    in src/homsensor in that function only."""
+    assert _json_uses(("load", "loads")) == [("errors", "read_json")]
+
+
+def test_json_is_written_by_one_writer():
+    """Every JSON output file (a saved stack, each <command>_run.json) is
+    written by errors.write_json: json.dump appears in src/homsensor in
+    that function only.  run_identifier's json.dumps hashes a payload
+    and writes no file."""
+    assert _json_uses(("dump",)) == [("errors", "write_json")]
 
 
 def test_outcome_models_are_read_through_one_table():

@@ -143,7 +143,7 @@ def test_linear_midpoint():
 
 
 def test_out_of_window_rejected(gold):
-    lo, hi = gold.wavelength_window_nm()
+    lo, hi = gold.table.wavelength_nm[[0, -1]]
     with pytest.raises(WavelengthRangeError):
         gold.index(lo - 1.0)
     with pytest.raises(WavelengthRangeError):
@@ -166,7 +166,7 @@ def test_no_negative_extinction():
 
 
 def test_passivity_over_window(gold):
-    lo, hi = gold.wavelength_window_nm()
+    lo, hi = gold.table.wavelength_nm[[0, -1]]
     lam = np.linspace(lo, hi, 500)
     assert np.all(np.asarray(gold.index(lam)).imag >= 0.0)
 

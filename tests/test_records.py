@@ -13,8 +13,8 @@ from homsensor.estimation import BudgetSource
 from homsensor.materials import Material, MaterialTable, constant_material
 from homsensor.quantum_stats import CoherentInput
 from homsensor.records import Record, replace
-from homsensor.tmm import (CalibrationResult, Layer, LayerStack,
-                           StackResponse, make_sensor_stack, stack_response)
+from homsensor.tmm import (Layer, LayerStack, StackResponse,
+                           make_sensor_stack, stack_response)
 
 GLASS = constant_material("glass", 1.5)
 GLASS_STACK = LayerStack((Layer(GLASS), Layer(GLASS, 10.0), Layer(GLASS)),
@@ -27,7 +27,6 @@ RECORDS = {
     LayerStack: (lambda: GLASS_STACK, True),
     StackResponse: (lambda: stack_response(GLASS_STACK, 800.0, 70.0, 1.33),
                     True),
-    CalibrationResult: (lambda: CalibrationResult(GLASS_STACK, 1e-4), True),
     Material: (lambda: GLASS, True),
     MaterialTable: (lambda: MaterialTable([700.0, 900.0], [0.2, 0.3],
                                           [5.0, 6.0]), False),
@@ -49,7 +48,7 @@ def test_every_record_class_is_covered():
     for module in ("cli", "continuum", "estimation", "materials",
                    "quantum_stats", "tmm"):
         importlib.import_module("homsensor." + module)
-    assert len(RECORDS) == 10
+    assert len(RECORDS) == 9
     assert set(Record.__subclasses__()) == set(RECORDS)
 
 
