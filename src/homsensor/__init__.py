@@ -13,14 +13,17 @@ Layering, bottom up:
 * tmm: transfer-matrix response of layer stacks and the calibration
   search for a balanced splitter,
 * quantum_stats: the splitter moments (I_T, I_R, K) of an operating
-  point, and the photon-pair and coherent-benchmark outcome models
-  written once in those moments,
-* estimation: Fisher information, the pair-vs-coherent enhancement,
-  an information decomposition over the splitter parameters, and the
-  instrumental uncertainty budget,
-* continuum: finite-bandwidth wavepacket corrections (the same models
-  fed spectrally averaged moments), whose drift from the
-  single-frequency figures the `continuum` subcommand reports,
+  point, the photon-pair and coherent-benchmark outcome models written
+  once in those moments, and the Fisher kernel that sums them,
+* continuum: the one chain from a stack to the moments and the
+  information pair, on a quadrature grid of wavelength nodes: a
+  finite-bandwidth wavepacket (the same models fed spectrally averaged
+  moments), whose drift from the single-frequency figures the
+  `continuum` subcommand reports, or the one-node single frequency,
+* estimation: the per-point Fisher information of each probe (on the
+  one-node grid), the pair-vs-coherent enhancement, an information
+  decomposition over the splitter parameters, and the instrumental
+  uncertainty budget,
 * cli: a command-line front end over all of the above.
 
 The public names below are listed once, by owning submodule, in

@@ -61,11 +61,10 @@ from .continuum import DEFAULT_NODES, DEFAULT_SPAN, MAX_NODES, \
 from .errors import (CalibrationError, ConfigError, HomsensorError,
                      StackDefinitionError, UnphysicalPointError, as_number,
                      check_keys, or_null, read_json, write_json)
-from .estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR, \
-    defined_ratio, fisher_report, load_budget_sources, phi_ab_scan, \
-    precision_bound, uncertainty_budget
-from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, \
-    hom_click_distribution, validate_points
+from .estimation import RATIO_FLOOR, defined_ratio, fisher_report, \
+    load_budget_sources, phi_ab_scan, precision_bound, uncertainty_budget
+from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, DERIV_FLOOR, \
+    ZERO_PROB_FLOOR, hom_click_distribution, validate_points
 from .records import Record
 from .tmm import CALIBRATION_TOL, NS_STEP, calibrate_stack, load_stack, \
     save_stack, sensor_thicknesses, stack_response
@@ -536,8 +535,7 @@ def _budget(cfg, stack):
     sigma = [c_k * src.s / src.divisor for src, c_k in zip(sources, c)]
     rows = [(src.name, src.kind, src.s, src.unit, src.divisor, c_k, sigma_k,
              src.reference_c, src.reference_sigma,
-             src.reference_c * src.s / src.divisor
-             if math.isfinite(src.reference_c) else math.nan)
+             src.reference_c * src.s / src.divisor)
             for src, c_k, sigma_k in zip(sources, c, sigma)]
     return "%d sources" % len(rows), [Table(
         "budget.csv",
@@ -557,16 +555,17 @@ def _continuum(cfg, stack):
     ns = grid_values(cfg["n_s_grid"])
     lam0, theta, pol, phi_ab, nodes = (cfg[key] for key in (
         "wavelength_nm", "theta_deg", "polarization", "phi_ab", "n_nodes"))
-    single = single_frequency(lam0)
-    i_single = dict(zip(("hom", "classical"), _in_blocks(
-        lambda block: continuum_fisher(stack, single, theta, ns[block],
-                                       phi_ab, pol), len(ns), 2)))
+
+    def pair(grid):
+        return dict(zip(("hom", "classical"), _in_blocks(
+            lambda block: continuum_fisher(stack, grid, theta, ns[block],
+                                           phi_ab, pol),
+            len(ns), 2 * grid.weights.size)))
+
+    i_single = pair(single_frequency(lam0))
     blocks = []  # the columns of each (bandwidth, scheme) block of rows
     for dlam in cfg["delta_lambda_nm_list"]:
-        grid = quadrature_grid(stack, lam0, dlam, nodes, cfg["span"])
-        i_cont = dict(zip(("hom", "classical"), _in_blocks(
-            lambda block: continuum_fisher(stack, grid, theta, ns[block],
-                                           phi_ab, pol), len(ns), 2 * nodes)))
+        i_cont = pair(quadrature_grid(stack, lam0, dlam, nodes, cfg["span"]))
         for scheme in cfg["schemes"]:
             d, defined = defined_ratio(
                 np.abs(i_single[scheme] - i_cont[scheme]), i_single[scheme])

@@ -19,9 +19,14 @@ The double integrals of the pair probe factor into these single
 integrals for a product joint spectrum (tensor-product quadrature of a
 factorized integrand is the product of the one-dimensional
 quadratures).  A single frequency is the one-node grid of
-single_frequency, so continuum_fisher, which feeds the averaged moments
-to the probe table quantum_stats.probe_outcomes, is the one evaluator
-of the (pair, coherent) information pair, on tmm.ns_stencil's nodes.
+single_frequency.  The chain from a stack to the information pair is
+written once: _stencil_moments makes the one tmm.ns_stencil call at the
+grid's nodes, validates the points and averages their moments, and
+_information_pair feeds those to quantum_stats' Fisher kernel for the
+click probe and the coherent benchmark.  continuum_fisher is the two
+in turn, and every per-point figure of estimation runs the same chain
+on single_frequency(wavelength_nm), so this module sits below
+estimation and imports nothing from it.
 
 The wavepacket is one record, a QuadratureGrid: the wavelengths of its
 nodes and their intensity weights q = w |xi|^2, so each integral above
@@ -46,8 +51,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .estimation import _information, _probe_information
-from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, probe_outcomes,
+from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, _information,
+                            _probe_information, probe_outcomes,
                             splitter_moments, validate_points)
 from .records import Record
 from .tmm import LayerStack, ns_stencil
@@ -232,6 +237,25 @@ def continuum_classical_means(moments, grid: QuadratureGrid,
     return probe_outcomes(moments, CoherentInput(phi_ab=phi_ab))
 
 
+def _stencil_moments(stack, grid, theta_deg, n_s, polarization, centre=False):
+    """(points, moments): the validated splitter points (T, R, phi_tr)
+    of one ns_stencil call at grid's nodes, nodes on the last axis, and
+    their continuum_hom_moments; the one chain from a stack to the
+    moments of every information figure."""
+    resp = ns_stencil(stack, grid.wavelength_nm, theta_deg, n_s,
+                      polarization, centre)
+    points = validate_points(resp.T, resp.R, resp.phi_tr)
+    del resp  # its amplitudes t and r are not needed for the moments
+    return points, continuum_hom_moments(*points, grid)
+
+
+def _information_pair(moments, grid, phi_ab):
+    """(i_hom, i_classical) at the stencil moments of _stencil_moments:
+    the click information and the unit-intensity coherent benchmark's."""
+    return _probe_information(moments, "click"), _information(
+        continuum_classical_means(moments, grid, phi_ab))
+
+
 def continuum_fisher(stack: LayerStack, grid: QuadratureGrid, theta_deg,
                      n_s, phi_ab: float = DEFAULT_PHI_AB,
                      polarization: str = "tm"):
@@ -247,9 +271,5 @@ def continuum_fisher(stack: LayerStack, grid: QuadratureGrid, theta_deg,
     shape and the grid's leading axes (a float for scalars).  The stack
     is evaluated by one ns_stencil call on that x (+/-NS_STEP) x nodes.
     """
-    resp = ns_stencil(stack, grid.wavelength_nm, theta_deg, n_s, polarization)
-    point = validate_points(resp.T, resp.R, resp.phi_tr)
-    del resp  # its amplitudes t and r are not needed for the moments
-    moments = continuum_hom_moments(*point, grid)
-    return _probe_information(moments, "click"), _information(
-        continuum_classical_means(moments, grid, phi_ab))
+    return _information_pair(_stencil_moments(
+        stack, grid, theta_deg, n_s, polarization)[1], grid, phi_ab)

@@ -8,15 +8,13 @@ distribution P(outcome | n_s),
     I(n_s) = sum_outcomes  (d P / d n_s)^2 / P,
 
 whose inverse square root bounds the standard deviation of any unbiased
-single-shot estimate.  Derivatives are taken by central finite
-differences in n_s; the denominator uses the midpoint average of the
-two perturbed distributions, which is accurate to the same order as the
-derivative and costs no extra model evaluation.
+single-shot estimate.  The Fisher kernel that forms it, with its floors,
+lives in quantum_stats next to the probe table it sums.
 
 A probe is "click", "pair" (photon pairs, clicks or resolved) or a
-CoherentInput; _probe_information reads its outcomes through the one
-table quantum_stats.probe_outcomes, and every sum is _fisher_sum.
-Provided on top of the raw information are:
+CoherentInput; quantum_stats._probe_information reads its outcomes
+through the one table quantum_stats.probe_outcomes, and every sum is
+quantum_stats._fisher_sum.  Provided on top of the raw information are:
 
 * the information of one probe, the photon-pair (two-photon
   interference) probe or the coherent probe,
@@ -34,16 +32,18 @@ Provided on top of the raw information are:
 
 All are array-first: the evaluators, the decomposition and
 fisher_report broadcast over wavelength, angle and n_s (a scalar input
-returns floats) through one validated tmm.ns_stencil call (n_s + h,
-n_s - h and, for the decomposition, n_s) at one wavelength node, which
-fisher_report shares between both probes and the decomposition; the
-scan broadcasts over its phase grid.  Over a wavelength x index grid,
-or a wavepacket, continuum.continuum_fisher reads that stencil at the
-nodes of its grid, the single frequency being its one-node grid.
-The figures of merit on that pair, defined_ratio (the one comparison
-with RATIO_FLOOR) and precision_bound, are the caller's to form; so is
-a budget's index error sigma = c s / divisor per source, and their
-quadrature sum, from the sensitivities c the budget returns.
+returns floats).  Each runs continuum's one chain to the moments on the
+one-node grid continuum.single_frequency(wavelength_nm): one validated
+tmm.ns_stencil call (n_s + h, n_s - h and, for the decomposition, n_s),
+which fisher_report shares between both probes and the decomposition.
+Only the decomposition and the frozen-phase scan read the splitter
+point at that node; the scan broadcasts over its phase grid.
+continuum.continuum_fisher runs the same chain over a wavelength x
+index grid or a wavepacket.  The figures of merit on that pair,
+defined_ratio (the one comparison with RATIO_FLOOR) and
+precision_bound, are the caller's to form; so is a budget's index
+error sigma = c s / divisor per source, and their quadrature sum, from
+the sensitivities c the budget returns.
 
 Some closed-form diagnostics are conventionally quoted for an idealized
 balanced splitter with a quarter-wave transmission-reflection phase.
@@ -56,23 +56,21 @@ the actual stack phase and its n_s dependence are used.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
+from .continuum import _information_pair, _stencil_moments, single_frequency
 from .errors import (ConfigError, UndefinedRatioError, as_number,
                      check_keys, check_list, package_data, read_json)
-from .quantum_stats import (CLAMP_FLOOR, DEFAULT_PHI_AB, CoherentInput,
-                            _probe_partials, probe_outcomes,
-                            splitter_moments, validate_points)
+from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, _as_result,
+                            _distribution_information, _fisher_sum,
+                            _probe_information, _probe_partials,
+                            probe_outcomes, splitter_moments,
+                            validate_points)
 from .records import Record
-from .tmm import (NS_STEP, LayerStack, ns_stencil, prism_index,
-                  sensor_thicknesses, stack_response, stencil_derivatives,
-                  with_sensor)
+from .tmm import (NS_STEP, LayerStack, prism_index, sensor_thicknesses,
+                  stack_response, stencil_derivatives, with_sensor)
 
-ZERO_PROB_FLOOR = -CLAMP_FLOOR  # outcomes below the clamp's noise: impossible
-DERIV_FLOOR = 1e-8  # ~100 eps / (2 NS_STEP): a derivative's rounding noise
-DEAD_INFO_SHARE = 1e-9    # warn when skipped outcomes hide this share of I
 RATIO_FLOOR = 1e-12       # information below this leaves a ratio undefined
 BUDGET_STEP = 1e-4        # step for budget sensitivities, per variable unit
 
@@ -80,73 +78,6 @@ BUDGET_STEP = 1e-4        # step for budget sensitivities, per variable unit
 # ---------------------------------------------------------------------------
 # generic Fisher information from a parametric distribution
 # ---------------------------------------------------------------------------
-
-def _fisher_sum(d_a, d_b, p):
-    """sum over the last axis of d_a d_b / p, skipping outcomes with
-    p <= ZERO_PROB_FLOOR: the one Fisher sum of the module."""
-    alive = p > ZERO_PROB_FLOOR
-    return np.sum(np.where(alive, d_a * d_b / np.where(alive, p, 1.0), 0.0),
-                  axis=-1)
-
-
-def _information(values, step: float = NS_STEP):
-    """Fisher information along the last axis from values at n_s + step
-    and n_s - step at indices 0 and 1 of axis -2 (ns_stencil's offsets,
-    nodes read or summed; a centre is not read); a 0-d result is a float.
-
-    values hold outcome probabilities, or independent Poisson means
-    (I = sum mu'^2 / mu is the same sum).  Entries with midpoint below
-    ZERO_PROB_FLOOR are skipped; one whose derivative exceeds the noise
-    level DERIV_FLOOR hides at least (d/dn)^2 / ZERO_PROB_FLOOR, and a
-    warning is emitted where that bound exceeds DEAD_INFO_SHARE of the
-    returned information (the outcome set is too coarse).
-    """
-    plus, minus = values[..., 0, :], values[..., 1, :]
-    deriv = (plus - minus) / (2.0 * step)
-    mid = 0.5 * (plus + minus)
-    info = _fisher_sum(deriv, deriv, mid)
-    dead = ~(mid > ZERO_PROB_FLOOR) & (np.abs(deriv) > DERIV_FLOOR)
-    lost = np.sum(np.where(dead, deriv ** 2, 0.0), axis=-1) / ZERO_PROB_FLOOR
-    if np.any(lost > DEAD_INFO_SHARE * info):
-        warnings.warn(
-            "outcome(s) with probability below %g carry derivatives worth "
-            "more than %g of the information; Fisher information may be "
-            "underestimated" % (ZERO_PROB_FLOOR, DEAD_INFO_SHARE),
-            stacklevel=3)
-    return _as_result(info)
-
-
-def _distribution_information(p, step: float = NS_STEP):
-    """_information of outcome distributions, each checked to sum to 1."""
-    total = np.sum(p, axis=-1)
-    bad = np.abs(total - 1.0) > 1e-9
-    if np.any(bad):
-        raise ConfigError(
-            "outcome distribution sums to %r; the outcome set must be "
-            "exhaustive (include loss/vacuum outcomes explicitly)"
-            % (float(total[bad][0]),))
-    return _information(p, step)
-
-
-def _assumed_moments(T, R, phi_tr, phi_tr_assumption=None):
-    """splitter_moments of (T, R, phi_tr), the phase frozen at
-    phi_tr_assumption when one is given (see the module docstring)."""
-    if phi_tr_assumption is not None:
-        phi_tr = np.full_like(phi_tr, phi_tr_assumption)
-    return splitter_moments(T, R, phi_tr)
-
-
-def _probe_information(moments, probe):
-    """_information of probe's outcomes at moments on the ns_stencil
-    axis; a distribution is checked to sum to 1, Poisson means are not."""
-    return (_information if isinstance(probe, CoherentInput)
-            else _distribution_information)(probe_outcomes(moments, probe))
-
-
-def _as_result(info):
-    """A Python float for 0-d results, the array otherwise."""
-    return float(info) if np.ndim(info) == 0 else info
-
 
 def fisher_from_distribution(dist_fn, n_s: float, step: float = NS_STEP
                              ) -> float:
@@ -156,7 +87,7 @@ def fisher_from_distribution(dist_fn, n_s: float, step: float = NS_STEP
     exhaustive set, possibly including explicit loss/vacuum outcomes).
     Outcomes whose midpoint probability is below ZERO_PROB_FLOOR are
     skipped, with a warning when they hide a noticeable share of the
-    information (see _information).
+    information (see quantum_stats._information).
     """
     p_plus = np.asarray(dist_fn(n_s + step), dtype=float).ravel()
     p_minus = np.asarray(dist_fn(n_s - step), dtype=float).ravel()
@@ -166,19 +97,17 @@ def fisher_from_distribution(dist_fn, n_s: float, step: float = NS_STEP
                                            step))
 
 
-def _stencil_points(stack, wavelength_nm, theta_deg, n_s, polarization,
-                    centre=False):
-    """Validated (T, R, phi_tr) of one ns_stencil call at its one node:
-    n_s + h, n_s - h and, with centre, n_s on a trailing axis."""
-    resp = ns_stencil(stack, np.asarray(wavelength_nm, dtype=float)[
-        ..., None, None], theta_deg, n_s, polarization, centre)
-    return validate_points(resp.T[..., 0], resp.R[..., 0],
-                           resp.phi_tr[..., 0])
-
-
 # ---------------------------------------------------------------------------
 # one probe's information at a stack operating point
 # ---------------------------------------------------------------------------
+
+def _assumed_moments(T, R, phi_tr, phi_tr_assumption=None):
+    """splitter_moments of (T, R, phi_tr), the phase frozen at
+    phi_tr_assumption when one is given (see the module docstring)."""
+    if phi_tr_assumption is not None:
+        phi_tr = np.full_like(phi_tr, phi_tr_assumption)
+    return splitter_moments(T, R, phi_tr)
+
 
 def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                polarization: str = "tm", outcomes: str = "click"):
@@ -188,8 +117,9 @@ def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     number of ports that fired, "pair" resolves the joint photon numbers
     and therefore carries at least as much information.
     """
-    return _probe_information(splitter_moments(*_stencil_points(
-        stack, wavelength_nm, theta_deg, n_s, polarization)), outcomes)
+    return _probe_information(_stencil_moments(
+        stack, single_frequency(wavelength_nm), theta_deg, n_s,
+        polarization)[1], outcomes)
 
 
 def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
@@ -203,9 +133,9 @@ def fisher_classical(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     intensities and the phase; the default is CoherentInput(), unit
     intensities at quadrature phase.
     """
-    return _probe_information(splitter_moments(*_stencil_points(
-        stack, wavelength_nm, theta_deg, n_s, polarization)),
-        probe or CoherentInput())
+    return _probe_information(_stencil_moments(
+        stack, single_frequency(wavelength_nm), theta_deg, n_s,
+        polarization)[1], probe or CoherentInput())
 
 
 def precision_bound(info):
@@ -271,17 +201,19 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     not a quarter wave, so the quarter-wave diagnostic with no T-R cross
     term is reproduced by passing phi_tr_assumption = pi/2.
     """
-    return _decompose(_stencil_points(stack, wavelength_nm, theta_deg, n_s,
-                                      polarization, centre=True),
-                      probe, phi_tr_assumption)
+    return _decompose(_stencil_moments(
+        stack, single_frequency(wavelength_nm), theta_deg, n_s,
+        polarization, centre=True)[0], probe, phi_tr_assumption)
 
 
 def _decompose(points, probe="click", phi_tr_assumption=None):
-    """fisher_decomposition from its _stencil_points with the centre:
-    the moment partials chained by dK/dT = K/(2T), dK/dR = K/(2R) and
-    dK/dphi = -iK.  Where T R = 0, K = 0 with stack_response's
-    zero-amplitude phase convention: the K channel is not resolved
-    there, and its partials are taken as 0 (T and R read as inf)."""
+    """fisher_decomposition from the points of a centred one-node
+    _stencil_moments: the moment partials chained by dK/dT = K/(2T),
+    dK/dR = K/(2R) and dK/dphi = -iK.  Where T R = 0, K = 0 with
+    stack_response's zero-amplitude phase convention: the K channel is
+    not resolved there, and its partials are taken as 0 (T and R read
+    as inf)."""
+    points = tuple(x[..., 0] for x in points)  # the one node
     T, R, phi = (x[..., 2] for x in points)
     moments = _assumed_moments(T, R, phi, phi_tr_assumption)
     k = moments[2][..., None]
@@ -309,12 +241,10 @@ def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     fisher_decomposition on the broadcast grid, all from one ns_stencil
     call with the centre; the figures of merit built on the pair
     (defined_ratio, precision_bound) are left to the caller."""
-    points = _stencil_points(stack, wavelength_nm, theta_deg, n_s,
-                             polarization, centre=True)
-    moments = splitter_moments(*points)
-    return (_probe_information(moments, "click"),
-            _probe_information(moments, CoherentInput(phi_ab=float(phi_ab))),
-            *_decompose(points))
+    grid = single_frequency(wavelength_nm)
+    points, moments = _stencil_moments(stack, grid, theta_deg, n_s,
+                                       polarization, centre=True)
+    return (*_information_pair(moments, grid, phi_ab), *_decompose(points))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +267,9 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
         raise ConfigError("phase scan needs at least 2 points, got %r"
                           % (n_points,))
     grid = np.linspace(-np.pi, np.pi, int(n_points), endpoint=False)
-    moments = _assumed_moments(*_stencil_points(
-        stack, wavelength_nm, theta_deg, float(n_s), polarization),
-        phi_tr_assumption)
+    moments = _assumed_moments(*(x[..., 0] for x in _stencil_moments(
+        stack, single_frequency(wavelength_nm), theta_deg, float(n_s),
+        polarization)[0]), phi_tr_assumption)
     values = _probe_information(moments, CoherentInput(phi_ab=grid[:, None]))
     k = int(np.argmax(values))
     phi_opt = float(grid[k])

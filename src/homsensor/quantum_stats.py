@@ -42,22 +42,35 @@ figure reads them through probe_outcomes, the one table from a probe
 to its model, and _probe_partials; a new probe is one row there.
 The public hom_click_distribution, coherent_output_means and bs_point
 validate or clamp what they return.
+
+The Fisher kernel sums that table: _information turns outcome values
+at tmm.ns_stencil's n_s +/- NS_STEP into I = sum (d P / d n_s)^2 / P,
+by central differences over a denominator that is the midpoint average
+of the two perturbed values (accurate to the same order as the
+derivative, at no extra model evaluation), skipping outcomes below
+ZERO_PROB_FLOOR.  _probe_information is that sum for one probe, and
+_fisher_sum, which the decomposition in estimation also uses, is the
+one sum of the package.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
 from .errors import ConfigError, UnphysicalPointError
 from .records import Record
-from .tmm import StackResponse
+from .tmm import NS_STEP, StackResponse
 
 CLAMP_FLOOR = -1e-12          # below this a probability is an error
 PHYSICALITY_TOL = 1e-9        # allowance on the passivity bound
 DEFAULT_PHI_AB = math.pi / 2  # coherent relative phase, quadrature point
 POISSON_L_MAX = 40            # truncation of per-port count distributions
+ZERO_PROB_FLOOR = -CLAMP_FLOOR  # outcomes below the clamp's noise: impossible
+DERIV_FLOOR = 1e-8  # ~100 eps / (2 NS_STEP): a derivative's rounding noise
+DEAD_INFO_SHARE = 1e-9    # warn when skipped outcomes hide this share of I
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +326,66 @@ def poisson_pair_grid(mu1: float, mu2: float, l_max: int = POISSON_L_MAX
     """
     counts = np.arange(l_max + 1)
     return np.outer(poisson_pmf(counts, mu1), poisson_pmf(counts, mu2))
+
+
+# ---------------------------------------------------------------------------
+# Fisher information of the probe table
+# ---------------------------------------------------------------------------
+
+def _fisher_sum(d_a, d_b, p):
+    """sum over the last axis of d_a d_b / p, skipping outcomes with
+    p <= ZERO_PROB_FLOOR: the one Fisher sum of the package."""
+    alive = p > ZERO_PROB_FLOOR
+    return np.sum(np.where(alive, d_a * d_b / np.where(alive, p, 1.0), 0.0),
+                  axis=-1)
+
+
+def _information(values, step: float = NS_STEP):
+    """Fisher information along the last axis from values at n_s + step
+    and n_s - step at indices 0 and 1 of axis -2 (ns_stencil's offsets,
+    nodes read or summed; a centre is not read); a 0-d result is a float.
+
+    values hold outcome probabilities, or independent Poisson means
+    (I = sum mu'^2 / mu is the same sum).  Entries with midpoint below
+    ZERO_PROB_FLOOR are skipped; one whose derivative exceeds the noise
+    level DERIV_FLOOR hides at least (d/dn)^2 / ZERO_PROB_FLOOR, and a
+    warning is emitted where that bound exceeds DEAD_INFO_SHARE of the
+    returned information (the outcome set is too coarse).
+    """
+    plus, minus = values[..., 0, :], values[..., 1, :]
+    deriv = (plus - minus) / (2.0 * step)
+    mid = 0.5 * (plus + minus)
+    info = _fisher_sum(deriv, deriv, mid)
+    dead = ~(mid > ZERO_PROB_FLOOR) & (np.abs(deriv) > DERIV_FLOOR)
+    lost = np.sum(np.where(dead, deriv ** 2, 0.0), axis=-1) / ZERO_PROB_FLOOR
+    if np.any(lost > DEAD_INFO_SHARE * info):
+        warnings.warn(
+            "outcome(s) with probability below %g carry derivatives worth "
+            "more than %g of the information; Fisher information may be "
+            "underestimated" % (ZERO_PROB_FLOOR, DEAD_INFO_SHARE),
+            stacklevel=3)
+    return _as_result(info)
+
+
+def _distribution_information(p, step: float = NS_STEP):
+    """_information of outcome distributions, each checked to sum to 1."""
+    total = np.sum(p, axis=-1)
+    bad = np.abs(total - 1.0) > 1e-9
+    if np.any(bad):
+        raise ConfigError(
+            "outcome distribution sums to %r; the outcome set must be "
+            "exhaustive (include loss/vacuum outcomes explicitly)"
+            % (float(total[bad][0]),))
+    return _information(p, step)
+
+
+def _probe_information(moments, probe):
+    """_information of probe's outcomes at moments on the ns_stencil
+    axis; a distribution is checked to sum to 1, Poisson means are not."""
+    return (_information if isinstance(probe, CoherentInput)
+            else _distribution_information)(probe_outcomes(moments, probe))
+
+
+def _as_result(info):
+    """A Python float for 0-d results, the array otherwise."""
+    return float(info) if np.ndim(info) == 0 else info

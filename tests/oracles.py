@@ -190,11 +190,6 @@ def fisher_direct(probs_fn, x, step):
     return float(info) if info.ndim == 0 else info
 
 
-def bernoulli_fisher(p, dp):
-    """Closed form for a two-outcome distribution (p, 1-p)."""
-    return dp * dp / p + dp * dp / (1.0 - p)
-
-
 def mixture_fisher(components_fn, x, step):
     """Fisher information of an equal-weight mixture of distributions.
 

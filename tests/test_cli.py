@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from homsensor import __version__, cli, continuum, estimation, tmm
-from homsensor.estimation import DERIV_FLOOR, RATIO_FLOOR, ZERO_PROB_FLOOR
+from homsensor.estimation import RATIO_FLOOR
 from homsensor.materials import Material, constant_material
-from homsensor.quantum_stats import CLAMP_FLOOR
+from homsensor.quantum_stats import CLAMP_FLOOR, DERIV_FLOOR, ZERO_PROB_FLOOR
 from homsensor.records import replace
 from homsensor.tmm import (CALIBRATION_TOL, NS_STEP, Layer, LayerStack,
                            save_stack)

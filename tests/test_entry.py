@@ -335,25 +335,38 @@ def test_wavepacket_grid_has_one_owner():
     QuadratureGrid: the single frequency is continuum's one-node grid,
     so continuum_fisher is the one information pair.  Outside tmm, no
     module uses NS_STEP in arithmetic or a list literal: tmm.ns_stencil
-    builds the one +-NS_STEP stencil in n_s."""
+    builds the one +-NS_STEP stencil in n_s, and outside tmm only
+    continuum._stencil_moments, the one chain from a stack to the
+    moments, calls it.  continuum imports nothing from estimation, so
+    every estimation figure can run on that chain."""
     def steps(node):
         return isinstance(node, (ast.BinOp, ast.List)) and any(
             isinstance(sub, ast.Name) and sub.id == "NS_STEP"
             for sub in ast.walk(node))
 
-    grids, stencils = [], set()
+    def called(node, name):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    grids, stencils, stencil_calls, imports = [], set(), [], []
     for path in sorted((SRC / "homsensor").glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "QuadratureGrid" in (
-                        getattr(node.func, "id", None),
-                        getattr(node.func, "attr", None)):
+                if called(node, "QuadratureGrid"):
                     grids.append((path.stem, getattr(top, "name", None)))
+                elif called(node, "ns_stencil") and path.stem != "tmm":
+                    stencil_calls.append((path.stem,
+                                          getattr(top, "name", None)))
                 elif steps(node):
                     stencils.add(path.stem)
+                elif isinstance(node, ast.ImportFrom) \
+                        and path.stem == "continuum":
+                    imports.append(node.module)
     assert grids == [("continuum", "single_frequency"),
                      ("continuum", "quadrature_grid")]
     assert stencils == {"tmm"}
+    assert stencil_calls == [("continuum", "_stencil_moments")]
+    assert "estimation" not in imports and "errors" in imports
 
 
 def test_no_second_reader_or_locator_is_imported():

@@ -13,16 +13,16 @@ from homsensor import cli, estimation, tmm
 from homsensor.continuum import continuum_fisher, single_frequency
 from homsensor.errors import ConfigError, UndefinedRatioError
 from homsensor.estimation import (
-    BUDGET_STEP, DEAD_INFO_SHARE, DERIV_FLOOR, ZERO_PROB_FLOOR, BudgetSource,
-    CoherentInput, defined_ratio, fisher_classical,
-    fisher_decomposition, fisher_from_distribution, fisher_hom,
-    fisher_report, load_budget_sources, phi_ab_scan,
+    BUDGET_STEP, BudgetSource, CoherentInput, defined_ratio,
+    fisher_classical, fisher_decomposition, fisher_from_distribution,
+    fisher_hom, fisher_report, load_budget_sources, phi_ab_scan,
     precision_bound, uncertainty_budget,
 )
 from homsensor.materials import constant_material
 from homsensor.quantum_stats import (
-    coherent_output_means, hom_click_distribution, poisson_pair_grid,
-    probe_outcomes, splitter_moments, validate_points,
+    DEAD_INFO_SHARE, DERIV_FLOOR, ZERO_PROB_FLOOR, coherent_output_means,
+    hom_click_distribution, poisson_pair_grid, probe_outcomes,
+    splitter_moments, validate_points,
 )
 from homsensor.tmm import (NS_STEP, Layer, LayerStack, load_stack,
                            make_sensor_stack, prism_index, sensor_thicknesses,
