@@ -20,13 +20,13 @@ integrals for a product joint spectrum (tensor-product quadrature of a
 factorized integrand is the product of the one-dimensional
 quadratures).  A single frequency is the one-node grid of
 single_frequency.  The chain from a stack to the information pair is
-written once: _stencil_moments makes the one tmm.ns_stencil call at the
-grid's nodes, validates the points and averages their moments, and
-_information_pair feeds those to quantum_stats' Fisher kernel for the
-click probe and the coherent benchmark.  continuum_fisher is the two
-in turn, and every per-point figure of estimation runs the same chain
-on single_frequency(wavelength_nm), so this module sits below
-estimation and imports nothing from it.
+written once: _stencil_moments makes the one tmm.param_stencil call in
+n_s at the grid's nodes, validates the points and averages their
+moments, and _information_pair feeds those to quantum_stats' Fisher
+kernel for the click probe and the coherent benchmark.
+continuum_fisher is the two in turn, and every per-point figure of
+estimation runs the same chain on single_frequency(wavelength_nm), so
+this module sits below estimation and imports nothing from it.
 
 The wavepacket is one record, a QuadratureGrid: the wavelengths of its
 nodes and their intensity weights q = w |xi|^2, so each integral above
@@ -55,7 +55,7 @@ from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, _information,
                             _probe_information, probe_outcomes,
                             splitter_moments, validate_points)
 from .records import Record
-from .tmm import LayerStack, ns_stencil
+from .tmm import NS_STEP, LayerStack, param_stencil
 
 C_NM_PER_S = 2.99792458e17     # speed of light in nm/s
 DEFAULT_NODES = 201
@@ -239,11 +239,11 @@ def continuum_classical_means(moments, grid: QuadratureGrid,
 
 def _stencil_moments(stack, grid, theta_deg, n_s, polarization, centre=False):
     """(points, moments): the validated splitter points (T, R, phi_tr)
-    of one ns_stencil call at grid's nodes, nodes on the last axis, and
-    their continuum_hom_moments; the one chain from a stack to the
-    moments of every information figure."""
-    resp = ns_stencil(stack, grid.wavelength_nm, theta_deg, n_s,
-                      polarization, centre)
+    of one param_stencil call in n_s at grid's nodes, nodes on the last
+    axis, and their continuum_hom_moments; the one chain from a stack to
+    the moments of every information figure."""
+    resp, _ = param_stencil(stack, grid.wavelength_nm, theta_deg, n_s,
+                            {"n_s": NS_STEP}, polarization, centre)
     points = validate_points(resp.T, resp.R, resp.phi_tr)
     del resp  # its amplitudes t and r are not needed for the moments
     return points, continuum_hom_moments(*points, grid)
@@ -269,7 +269,8 @@ def continuum_fisher(stack: LayerStack, grid: QuadratureGrid, theta_deg,
 
     theta_deg and n_s may be arrays: each result has their broadcast
     shape and the grid's leading axes (a float for scalars).  The stack
-    is evaluated by one ns_stencil call on that x (+/-NS_STEP) x nodes.
+    is evaluated by one param_stencil call on that x (+/-NS_STEP) x
+    nodes.
     """
     return _information_pair(_stencil_moments(
         stack, grid, theta_deg, n_s, polarization)[1], grid, phi_ab)

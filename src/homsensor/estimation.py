@@ -34,10 +34,11 @@ All are array-first: the evaluators, the decomposition and
 fisher_report broadcast over wavelength, angle and n_s (a scalar input
 returns floats).  Each runs continuum's one chain to the moments on the
 one-node grid continuum.single_frequency(wavelength_nm): one validated
-tmm.ns_stencil call (n_s + h, n_s - h and, for the decomposition, n_s),
-which fisher_report shares between both probes and the decomposition.
-Only the decomposition and the frozen-phase scan read the splitter
-point at that node; the scan broadcasts over its phase grid.
+tmm.param_stencil call in n_s (n_s + h, n_s - h and, for the
+decomposition, n_s), which fisher_report shares between both probes
+and the decomposition.  Only the decomposition and the frozen-phase
+scan read the splitter point at that node; the scan broadcasts over
+its phase grid.
 continuum.continuum_fisher runs the same chain over a wavelength x
 index grid or a wavepacket.  The figures of merit on that pair,
 defined_ratio (the one comparison with RATIO_FLOOR) and
@@ -68,8 +69,8 @@ from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, _as_result,
                             probe_outcomes, splitter_moments,
                             validate_points)
 from .records import Record
-from .tmm import (NS_STEP, LayerStack, prism_index, sensor_thicknesses,
-                  stack_response, stencil_derivatives, with_sensor)
+from .tmm import (NS_STEP, LayerStack, param_stencil, stack_response,
+                  stencil_derivatives)
 
 RATIO_FLOOR = 1e-12       # information below this leaves a ratio undefined
 BUDGET_STEP = 1e-4        # step for budget sensitivities, per variable unit
@@ -238,8 +239,8 @@ def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                   phi_ab: float = DEFAULT_PHI_AB, polarization: str = "tm"):
     """(i_hom, i_classical at phi_ab, matrix, jacobian, contracted): the
     click and coherent information and the click probe's
-    fisher_decomposition on the broadcast grid, all from one ns_stencil
-    call with the centre; the figures of merit built on the pair
+    fisher_decomposition on the broadcast grid, all from one n_s
+    stencil with the centre; the figures of merit built on the pair
     (defined_ratio, precision_bound) are left to the caller."""
     grid = single_frequency(wavelength_nm)
     points, moments = _stencil_moments(stack, grid, theta_deg, n_s,
@@ -338,9 +339,11 @@ class BudgetSource(Record):
                               "> 0, got %r" % (self.name, self.divisor))
 
 
-# kind: (stencil row of its +h point, -h next, or None; factor to its unit)
-_BUDGET_KINDS = {"incidence_angle": (3, 1.0), "film_thickness": (5, 1e9),
-                 "prism_index": (7, 1.0), "polarization_angle": (None, 1.0)}
+# kind: (the tmm.param_stencil parameter it moves, or None; factor to its
+# unit)
+_BUDGET_KINDS = {
+    "incidence_angle": ("theta", 1.0), "film_thickness": ("film", 1e9),
+    "prism_index": ("prism", 1.0), "polarization_angle": (None, 1.0)}
 
 
 def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
@@ -391,10 +394,10 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     but a film steps down to no less than 0 nm: a 0-nm film (the FTIR
     control) has the forward difference (S(h) - S(0)) / h.
 
-    S takes two stack_response calls: one nine-point stencil (the
-    centre, then n_s, theta, film thickness, moved only for a film
-    source, and prism index +- h, as arrays, through tmm.with_sensor)
-    and the other polarization, which only a polarization source needs.
+    S takes two stack_response calls: one tmm.param_stencil with the
+    centre (n_s, then theta, film thickness and prism index where a
+    source moves them, +- h) and the other polarization, which only a
+    polarization source needs.
 
     The budget is undefined at the dip.  UndefinedRatioError is raised
     when the coincidence extremum lies within +-h of n_analyte, so
@@ -407,32 +410,25 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     the derivative is evaluated at the stated offset gamma = s.  Film
     thickness perturbs both films together (they are deposited by the
     same process); its c is reported per meter.  The other kinds read
-    their stencil rows from _BUDGET_KINDS.
+    the stencil of the parameter _BUDGET_KINDS names.
     """
     sources = sources if sources is not None else load_budget_sources()
     h = BUDGET_STEP
 
-    def signal(stk, theta, n_s, pol=polarization):
-        resp = stack_response(stk, wavelength_nm, theta, n_s, pol)
+    def signal(resp):
         return probe_outcomes(splitter_moments(*validate_points(
             resp.T, resp.R, resp.phi_tr)), "pair")[..., -1]
 
-    def central(plus, minus):
-        return (plus - minus) / (2 * h)
-
-    # the centre, then n_s, theta, films (for a film source, not below
-    # 0 nm) and prisms +- h; each row moves one variable by offset[row]
-    film = sensor_thicknesses(stack)[0]
-    dn, dtheta, dfilm, dprism = h * np.hstack(
-        [np.zeros((4, 1)), np.kron(np.eye(4), [1, -1])])
-    dfilm[6] = -min(h, film)
-    dfilm *= any(src.kind == "film_thickness" for src in sources)
-    offset = dn + dtheta + dfilm + dprism
-    s = signal(with_sensor(stack, film_nm=film + dfilm,
-                           prism_n=prism_index(stack, wavelength_nm) + dprism),
-               theta_deg + dtheta, n_analyte + dn)
-    slope = central(s[1], s[2])
-    curvature = (s[1] - 2.0 * s[0] + s[2]) / h ** 2
+    moved = {"n_s"} | {_BUDGET_KINDS[src.kind][0] for src in sources}
+    steps = {x: h for x in ("n_s", "theta", "film", "prism") if x in moved}
+    resp, offset = param_stencil(stack, wavelength_nm, theta_deg, n_analyte,
+                                 steps, polarization, centre=True)
+    s = signal(resp)[:, 0]
+    # each name's (S(+) - S(-)) / (offset(+) - offset(-)) from its pair of
+    # rows; the centre is the last row
+    quotient = dict(zip(steps, np.diff(s)[::2] / np.diff(offset)[::2]))
+    slope = quotient["n_s"]
+    curvature = (s[0] - 2.0 * s[-1] + s[1]) / h ** 2
     if abs(slope) <= h * abs(curvature):
         vertex = abs(slope / curvature) if curvature else 0.0
         raise UndefinedRatioError(
@@ -443,13 +439,15 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
 
     c = []
     for src in sources:
-        row, scale = _BUDGET_KINDS[src.kind]
-        if row is not None:
-            d = (s[row] - s[row + 1]) / (offset[row] - offset[row + 1]) * scale
+        name, scale = _BUDGET_KINDS[src.kind]
+        if name is not None:
+            d = quotient[name] * scale
         else:  # polarization_angle: the stencil's centre and one more call
-            s_tm, s_te = (s[0] if pol == polarization else signal(
-                stack, theta_deg, n_analyte, pol) for pol in ("tm", "te"))
-            d = central(*(math.cos(g) ** 2 * s_tm + math.sin(g) ** 2 * s_te
-                          for g in map(math.radians, (src.s + h, src.s - h))))
+            s_tm, s_te = (s[-1] if pol == polarization else signal(
+                stack_response(stack, wavelength_nm, theta_deg, n_analyte,
+                               pol)) for pol in ("tm", "te"))
+            mixed = [math.cos(g) ** 2 * s_tm + math.sin(g) ** 2 * s_te
+                     for g in map(math.radians, (src.s + h, src.s - h))]
+            d = (mixed[0] - mixed[1]) / (2 * h)
         c.append(float(abs(d) / abs(slope)))
     return np.array(c, dtype=float), float(slope)

@@ -44,7 +44,7 @@ The public hom_click_distribution, coherent_output_means and bs_point
 validate or clamp what they return.
 
 The Fisher kernel sums that table: _information turns outcome values
-at tmm.ns_stencil's n_s +/- NS_STEP into I = sum (d P / d n_s)^2 / P,
+at tmm.param_stencil's n_s +/- NS_STEP into I = sum (d P / d n_s)^2 / P,
 by central differences over a denominator that is the midpoint average
 of the two perturbed values (accurate to the same order as the
 derivative, at no extra model evaluation), skipping outcomes below
@@ -56,6 +56,7 @@ one sum of the package.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -342,7 +343,7 @@ def _fisher_sum(d_a, d_b, p):
 
 def _information(values, step: float = NS_STEP):
     """Fisher information along the last axis from values at n_s + step
-    and n_s - step at indices 0 and 1 of axis -2 (ns_stencil's offsets,
+    and n_s - step at indices 0 and 1 of axis -2 (param_stencil's rows,
     nodes read or summed; a centre is not read); a 0-d result is a float.
 
     values hold outcome probabilities, or independent Poisson means
@@ -359,11 +360,15 @@ def _information(values, step: float = NS_STEP):
     dead = ~(mid > ZERO_PROB_FLOOR) & (np.abs(deriv) > DERIV_FLOOR)
     lost = np.sum(np.where(dead, deriv ** 2, 0.0), axis=-1) / ZERO_PROB_FLOOR
     if np.any(lost > DEAD_INFO_SHARE * info):
+        # the warning names the first frame outside the package
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__", "").startswith("homsensor."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "outcome(s) with probability below %g carry derivatives worth "
             "more than %g of the information; Fisher information may be "
             "underestimated" % (ZERO_PROB_FLOOR, DEAD_INFO_SHARE),
-            stacklevel=3)
+            stacklevel=level)
     return _as_result(info)
 
 
@@ -380,7 +385,7 @@ def _distribution_information(p, step: float = NS_STEP):
 
 
 def _probe_information(moments, probe):
-    """_information of probe's outcomes at moments on the ns_stencil
+    """_information of probe's outcomes at moments on the n_s stencil
     axis; a distribution is checked to sum to 1, Poisson means are not."""
     return (_information if isinstance(probe, CoherentInput)
             else _distribution_information)(probe_outcomes(moments, probe))

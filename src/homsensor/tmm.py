@@ -21,7 +21,9 @@ whole grid, a whole calibration scan over gap thicknesses, or a
 stencil over every sensor parameter at once, is one call.  Each layer
 is evaluated on the shape of its own inputs; only the sample layer and
 the running matrix product span the whole grid, and every output has
-the full broadcast shape.
+the full broadcast shape.  param_stencil is the one builder of such a
+stencil: +- rows in the sample index, the angle, the films or the
+prisms, with the film clipped at 0 nm, in one call.
 
 The sensing geometry of interest is prism | metal film | sample gap |
 metal film | prism: a symmetric pair of attenuated-total-reflection
@@ -456,24 +458,43 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     return StackResponse(t=t, r=r, T=T, R=R, phi_tr=phi)
 
 
-def ns_stencil(stack: LayerStack, wavelength_nm, theta_deg, n_s,
-               polarization: str = "tm", centre: bool = False
-               ) -> StackResponse:
-    """stack_response at n_s + NS_STEP, n_s - NS_STEP and, with centre,
-    n_s, in that order on a new axis just before wavelength_nm's last,
-    the nodes (one for a single frequency, wavelength_nm[..., None,
-    None]).  theta_deg and n_s lead both, as arrays, so a scalar point
-    computes as a grid point does: the call of every n_s derivative."""
-    theta, ns = (np.asarray(x, dtype=float)[..., None, None]
-                 for x in (theta_deg, n_s))
-    offsets = np.array([[NS_STEP], [-NS_STEP], [0.0]][:3 if centre else 2])
-    return stack_response(stack, wavelength_nm, theta, ns + offsets,
-                          polarization)
+def param_stencil(stack: LayerStack, wavelength_nm, theta_deg, n_s, steps,
+                  polarization: str = "tm", centre: bool = False):
+    """(stack_response, offsets) of a +- stencil in named parameters.
+
+    steps maps "n_s", "theta", "film" (both films, in nm) or "prism"
+    (both prisms' index) to its step h; the k-th name moves by +h in
+    row 2k and by -h in row 2k + 1, and with centre the point itself is
+    the last row.  The rows sit on a new axis just before wavelength_nm's
+    last, the nodes (one for a single frequency, wavelength_nm[..., None,
+    None]); theta_deg and n_s lead both, as arrays, so a scalar point
+    computes as a grid point does.  A film row stops at 0 nm; offsets
+    holds each row's actual offset.  A parameter steps does not name
+    keeps its value and gains no row axis, so {"n_s": NS_STEP} is the
+    stencil of every n_s derivative.  The unshifted n_s is checked
+    first, so an error names the configured index, not a row's.
+    """
+    check_passive_index(n_s, "sample index", "n_s", StackDefinitionError)
+    point = {"n_s": np.asarray(n_s, dtype=float)[..., None, None],
+             "theta": np.asarray(theta_deg, dtype=float)[..., None, None]}
+    if "film" in steps:
+        point["film"] = sensor_thicknesses(stack)[0]
+    if "prism" in steps:
+        point["prism"] = prism_index(stack, wavelength_nm)
+    offsets = np.zeros((len(steps), 2 * len(steps) + centre))  # (name, row)
+    for k, (name, h) in enumerate(steps.items()):
+        offsets[k, 2 * k:2 * k + 2] = h, -(min(h, point[name])
+                                           if name == "film" else h)
+        point[name] = point[name] + offsets[k, :, None]
+    stack = with_sensor(stack, point.get("film"), prism_n=point.get("prism"))
+    return stack_response(stack, wavelength_nm, point["theta"], point["n_s"],
+                          polarization), offsets.sum(axis=0)
 
 
 def stencil_derivatives(T, R, phi_tr):
     """Central-difference d(T, R, phi_tr)/d n_s from values on a
-    trailing (+h, -h, 0) axis, ns_stencil's at one node, h = NS_STEP.
+    trailing (+h, -h, 0) axis, param_stencil's in n_s at one node,
+    h = NS_STEP.
 
     The phase derivative unwraps the +/- h values onto the branch
     nearest the centre value before differencing, so a point near the
@@ -491,10 +512,11 @@ def stencil_derivatives(T, R, phi_tr):
 def response_derivatives(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                          polarization: str = "tm"):
     """Central-difference d(T, R, phi_tr)/d n_s at the given point(s):
-    stencil_derivatives of one ns_stencil call, so the step is the
-    module's NS_STEP, the step of every n_s derivative in the package."""
-    resp = ns_stencil(stack, np.asarray(wavelength_nm, dtype=float)[
-        ..., None, None], theta_deg, n_s, polarization, centre=True)
+    stencil_derivatives of one param_stencil call in n_s, so the step is
+    the module's NS_STEP, the step of every n_s derivative in the
+    package."""
+    resp, _ = param_stencil(stack, np.asarray(wavelength_nm, dtype=float)[
+        ..., None, None], theta_deg, n_s, {"n_s": NS_STEP}, polarization, True)
     return stencil_derivatives(resp.T[..., 0], resp.R[..., 0],
                                resp.phi_tr[..., 0])
 

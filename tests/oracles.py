@@ -7,7 +7,9 @@ helpers use direct probability-space formulas, and the coherent-probe
 information is computed from the explicit joint count grid instead of
 the Poisson closed form.  Two pin the library's arithmetic instead: the
 transfer loop written with tuple assignments, which stack_response must
-match bit for bit, and numpy's eigenvalue-based Gauss-Legendre rule.
+match bit for bit, the n_s stencil as it was written before
+tmm.param_stencil took it over, and numpy's eigenvalue-based
+Gauss-Legendre rule.
 The scalar uncertainty budget evaluates one point per stack_response
 call, where the library evaluates one stencil over every parameter.
 """
@@ -201,6 +203,24 @@ def mixture_fisher(components_fn, x, step):
         return sum(parts) / len(parts)
 
     return fisher_direct(mixed, x, step)
+
+
+# ---------------------------------------------------------------------------
+# the n_s stencil
+# ---------------------------------------------------------------------------
+
+def ns_stencil(stack, wavelength_nm, theta_deg, n_s, polarization="tm",
+               centre=False):
+    """stack_response at n_s + NS_STEP, n_s - NS_STEP and, with centre,
+    n_s, in that order on a new axis just before wavelength_nm's last,
+    the nodes; theta_deg and n_s lead both, as arrays: the reference
+    that tmm.param_stencil(..., {"n_s": NS_STEP}, ...) matches bit for
+    bit."""
+    theta, ns = (np.asarray(x, dtype=float)[..., None, None]
+                 for x in (theta_deg, n_s))
+    offsets = np.array([[NS_STEP], [-NS_STEP], [0.0]][:3 if centre else 2])
+    return stack_response(stack, wavelength_nm, theta, ns + offsets,
+                          polarization)
 
 
 # ---------------------------------------------------------------------------

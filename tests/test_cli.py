@@ -733,11 +733,17 @@ def test_config_size_at_the_limit_loads(tmp_path):
 @pytest.mark.parametrize("command, cfg, value", [
     ("coincidence", {"n_s_grid": [-1.3]}, "-1.3"),
     ("budget", {"n_analyte": -1.0}, "-1.0"),
-], ids=["coincidence", "budget"])
+    ("fisher", {"n_s_grid": [-1.3]}, "-1.3"),
+    ("map", {"n_s_grid": [-1.3]}, "-1.3"),
+    ("continuum", {"n_s_grid": [-1.3]}, "-1.3"),
+    ("fisher", {"phi_ab_policy": "scan", "phase_scan_ns": -1.3}, "-1.3"),
+], ids=["coincidence", "budget", "fisher", "map", "continuum",
+        "phase_scan_ns"])
 def test_nonpositive_sample_index_exits_1(tmp_path, capsys, command, cfg,
                                           value):
     """stack_response is even in n_s, so -1.3 would be written with the
-    physics of +1.3: one error line names the value."""
+    physics of +1.3: one error line names the configured value, not
+    that of a stencil row."""
     code, out = _run(tmp_path, command,
                      {"stack_path": str(FIXTURE_STACK), **cfg})
     assert code == 1

@@ -53,7 +53,7 @@ def test_batched_matches_scalar_loop(stack, scheme, delta_lambda_nm):
 
 def test_one_quadrature_grid_per_call(stack, monkeypatch):
     """continuum_fisher builds no grid of its own: the caller's grid
-    and one stack_response call, through tmm.ns_stencil, serve both
+    and one stack_response call, through tmm.param_stencil, serve both
     schemes."""
     owners = {"quadrature_grid": continuum, "stack_response": tmm}
     calls = dict.fromkeys(owners, 0)
@@ -115,16 +115,16 @@ def test_legendre_rule_matches_eigenvalue_rule(n):
 
 
 def test_block_working_set_is_bounded(fixture_stack):
-    """The traced peak of the ns_stencil call continuum_fisher makes on
+    """The traced peak of the param_stencil call continuum_fisher makes on
     a block of 20 n_s (20 x 2 x 201 points, 129 kB per complex array)
     stays under 1.5 MB, about 11 complex arrays of the block."""
     grid = quadrature_grid(fixture_stack, 800.0, 9.4)
     args = (fixture_stack, grid.wavelength_nm, 70.0,
-            np.linspace(1.25, 1.34, 20))
-    tmm.ns_stencil(*args)  # materials and caches loaded before tracing
+            np.linspace(1.25, 1.34, 20), {"n_s": tmm.NS_STEP})
+    tmm.param_stencil(*args)  # materials and caches loaded before tracing
     tracemalloc.start()
     try:
-        resp = tmm.ns_stencil(*args)
+        resp, _ = tmm.param_stencil(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

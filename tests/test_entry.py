@@ -334,11 +334,12 @@ def test_wavepacket_grid_has_one_owner():
     """Outside continuum, no src/homsensor module constructs a
     QuadratureGrid: the single frequency is continuum's one-node grid,
     so continuum_fisher is the one information pair.  Outside tmm, no
-    module uses NS_STEP in arithmetic or a list literal: tmm.ns_stencil
-    builds the one +-NS_STEP stencil in n_s, and outside tmm only
-    continuum._stencil_moments, the one chain from a stack to the
-    moments, calls it.  continuum imports nothing from estimation, so
-    every estimation figure can run on that chain."""
+    module uses NS_STEP in arithmetic or a list literal and none calls
+    np.kron: tmm.param_stencil builds every +- stencil row, and outside
+    tmm only continuum._stencil_moments, the one chain from a stack to
+    the moments, and estimation.uncertainty_budget call it.  continuum
+    imports nothing from estimation, so every estimation figure can run
+    on that chain."""
     def steps(node):
         return isinstance(node, (ast.BinOp, ast.List)) and any(
             isinstance(sub, ast.Name) and sub.id == "NS_STEP"
@@ -354,10 +355,10 @@ def test_wavepacket_grid_has_one_owner():
             for node in ast.walk(top):
                 if called(node, "QuadratureGrid"):
                     grids.append((path.stem, getattr(top, "name", None)))
-                elif called(node, "ns_stencil") and path.stem != "tmm":
+                elif called(node, "param_stencil") and path.stem != "tmm":
                     stencil_calls.append((path.stem,
                                           getattr(top, "name", None)))
-                elif steps(node):
+                elif steps(node) or called(node, "kron"):
                     stencils.add(path.stem)
                 elif isinstance(node, ast.ImportFrom) \
                         and path.stem == "continuum":
@@ -365,7 +366,8 @@ def test_wavepacket_grid_has_one_owner():
     assert grids == [("continuum", "single_frequency"),
                      ("continuum", "quadrature_grid")]
     assert stencils == {"tmm"}
-    assert stencil_calls == [("continuum", "_stencil_moments")]
+    assert stencil_calls == [("continuum", "_stencil_moments"),
+                             ("estimation", "uncertainty_budget")]
     assert "estimation" not in imports and "errors" in imports
 
 

@@ -25,7 +25,7 @@ from homsensor.quantum_stats import (
     splitter_moments, validate_points,
 )
 from homsensor.tmm import (NS_STEP, Layer, LayerStack, load_stack,
-                           make_sensor_stack, prism_index, sensor_thicknesses,
+                           make_sensor_stack, sensor_thicknesses,
                            stack_response, with_sensor)
 
 from oracles import (count_grid_information_matrix, fisher_classical_counts,
@@ -90,8 +90,9 @@ def test_dead_outcome_carrying_information_warns():
 
     assert (4.0 * DERIV_FLOOR) ** 2 / ZERO_PROB_FLOOR \
         > DEAD_INFO_SHARE * 0.04
-    with pytest.warns(UserWarning, match="underestimated"):
+    with pytest.warns(UserWarning, match="underestimated") as record:
         fisher_from_distribution(dist, 0.0)
+    assert [w.filename for w in record] == [__file__]  # names the caller
 
 
 def test_non_normalized_distribution_rejected():
@@ -388,7 +389,8 @@ def _operating_point(stack, n, frozen=None):
     """(T, R, phi) at which fisher_decomposition evaluates its matrix:
     the centre of its n_s stencil at the one wavelength node, the phase
     frozen when given."""
-    resp = tmm.ns_stencil(stack, 800.0, 70.0, n, centre=True)
+    resp, _ = tmm.param_stencil(stack, 800.0, 70.0, n, {"n_s": NS_STEP},
+                                centre=True)
     return resp.T[2, 0], resp.R[2, 0], \
         resp.phi_tr[2, 0] if frozen is None else frozen
 
@@ -745,16 +747,18 @@ def test_budget_matches_scalar_oracle(stack, which, n_analyte):
 
 
 def _counting_stack_response(monkeypatch):
-    """The list that records each stack_response call of estimation."""
+    """The list that records each stack_response call of tmm (so of
+    tmm.param_stencil) and estimation."""
     calls = []
-    original = estimation.stack_response
+    original = tmm.stack_response
 
     def counting(*args, **kwargs):
         resp = original(*args, **kwargs)
         calls.append((args, resp))
         return resp
 
-    monkeypatch.setattr(estimation, "stack_response", counting)
+    for module in (tmm, estimation):
+        monkeypatch.setattr(module, "stack_response", counting)
     return calls
 
 
@@ -764,7 +768,7 @@ def test_budget_makes_one_call_per_stack_variant(stack, monkeypatch):
     calls = _counting_stack_response(monkeypatch)
     uncertainty_budget(stack)
     assert len(calls) == 2
-    assert [np.shape(resp.T) for _, resp in calls] == [(9,), ()]
+    assert [np.shape(resp.T) for _, resp in calls] == [(9, 1), ()]
     del calls[:]
     uncertainty_budget(stack, sources=(
         BudgetSource(name="film", kind="film_thickness", s=1e-9, unit="m"),
@@ -773,7 +777,7 @@ def test_budget_makes_one_call_per_stack_variant(stack, monkeypatch):
 
 
 def test_budget_centre_signal_is_the_click_model(stack, monkeypatch):
-    """The stencil's first point is the operating point, and its signal
+    """The stencil's last point is the operating point, and its signal
     is hom_click_distribution's p2 there, bit for bit."""
     calls = _counting_stack_response(monkeypatch)
     pairs = []
@@ -787,11 +791,27 @@ def test_budget_centre_signal_is_the_click_model(stack, monkeypatch):
     monkeypatch.setattr(estimation, "probe_outcomes", recording)
     uncertainty_budget(stack, n_analyte=1.32)
     (stk, wavelength, theta, n_s, polarization), resp = calls[0]
-    assert (wavelength, theta[0], n_s[0], polarization) \
+    assert (wavelength, theta[-1, 0], n_s[-1, 0], polarization) \
         == (800.0, 70.0, 1.32, "tm")
-    assert stk.layers[1].thickness_nm[0] == sensor_thicknesses(stack)[0]
+    assert stk.layers[1].thickness_nm[-1, 0] == sensor_thicknesses(stack)[0]
     clicks = hom_click_distribution(resp.T, resp.R, resp.phi_tr)
-    assert pairs[0][0, -1] == clicks[0, 2]
+    assert pairs[0][-1, 0, -1] == clicks[-1, 0, 2]
+
+
+def test_budget_without_film_source_builds_no_film_rows(stack, monkeypatch):
+    """Sources that move no film leave the films out of the stencil: 7
+    points, not 9, and the other sources' c are the default set's, bit
+    for bit."""
+    calls = _counting_stack_response(monkeypatch)
+    sources = load_budget_sources()
+    c, slope = uncertainty_budget(stack, sources=sources)
+    kept = [k for k, src in enumerate(sources)
+            if src.kind != "film_thickness"]
+    del calls[:]
+    c_kept, slope_kept = uncertainty_budget(
+        stack, sources=tuple(sources[k] for k in kept))
+    assert [np.shape(resp.T) for _, resp in calls] == [(7, 1), ()]
+    assert slope_kept == slope and c_kept.tolist() == c[kept].tolist()
 
 
 # (entry change, words the error names): each leaves the source invalid
@@ -843,19 +863,14 @@ def test_budget_rejects_unknown_kind(tmp_path):
 # information over several sensor parameters from one call
 # ---------------------------------------------------------------------------
 
-def _click_derivatives(stack, offsets):
-    """Click probabilities (row, outcome) of one stack_response call at
-    (n_s, theta, prism_n, film_nm) = (1.30, 70, the prism's, the film's)
-    moved by the offsets rows, and their +-NS_STEP differences: offsets
-    rows come in (+h, -h) pairs."""
-    dn, dtheta, dprism, dfilm = offsets
-    resp = stack_response(
-        with_sensor(stack, film_nm=sensor_thicknesses(stack)[0] + dfilm,
-                    prism_n=prism_index(stack, 800.0) + dprism),
-        800.0, 70.0 + dtheta, 1.30 + dn)
+def _click_derivatives(stack, steps):
+    """Click probabilities (row, outcome) of one tmm.param_stencil call
+    at (n_s, theta) = (1.30, 70) with steps, and their central
+    differences: its rows come in (+h, -h) pairs."""
+    resp, offsets = tmm.param_stencil(stack, 800.0, 70.0, 1.30, steps)
     p = probe_outcomes(splitter_moments(*validate_points(
-        resp.T, resp.R, resp.phi_tr)), "click")
-    return p, (p[0::2] - p[1::2]) / (2.0 * NS_STEP)
+        resp.T, resp.R, resp.phi_tr)), "click")[:, 0]
+    return p, (p[0::2] - p[1::2]) / (offsets[0::2] - offsets[1::2])[:, None]
 
 
 def test_one_call_gives_the_fisher_matrix_over_sensor_parameters():
@@ -866,7 +881,7 @@ def test_one_call_gives_the_fisher_matrix_over_sensor_parameters():
     semidefinite, its (n_s, n_s) entry is fisher_hom and each column is
     that of separate per-parameter calls."""
     fixture = load_stack(FIXTURE_STACK)
-    steps = NS_STEP * np.kron(np.eye(4), [1.0, -1.0])   # (parameter, row)
+    steps = dict.fromkeys(("n_s", "theta", "prism", "film"), NS_STEP)
     p, d = _click_derivatives(fixture, steps)
     mid = 0.5 * (p[0] + p[1])
     matrix = np.sum(d[:, None, :] * d[None, :, :] / mid, axis=-1)
@@ -876,8 +891,8 @@ def test_one_call_gives_the_fisher_matrix_over_sensor_parameters():
     assert matrix[0, 0] == pytest.approx(
         fisher_hom(fixture, 800.0, 70.0, 1.30), rel=1e-9)
 
-    separate = np.concatenate([_click_derivatives(fixture, pair)[1]
-                               for pair in np.split(steps, 4, axis=1)])
+    separate = np.concatenate([_click_derivatives(fixture, {name: h})[1]
+                               for name, h in steps.items()])
     by_parameter = np.sum(separate[:, None, :] * separate[None, :, :] / mid,
                           axis=-1)
     for a in range(4):

@@ -23,8 +23,8 @@ from homsensor.tmm import (
     stack_to_dict, with_sensor,
 )
 
-from oracles import airy_flux, airy_response, sequential_bisection, \
-    tuple_loop_response
+from oracles import airy_flux, airy_response, ns_stencil, \
+    sequential_bisection, tuple_loop_response
 
 FIXTURE_STACK = Path(__file__).resolve().parents[1] / "bench" / "fixtures" \
     / "stack.json"
@@ -624,20 +624,68 @@ def test_derivatives_batched_match_scalar_calls(stack, monkeypatch):
 
 
 def test_ns_stencil_over_nodes_equals_one_node_calls(stack):
-    """ns_stencil over three wavelength nodes equals three one-node calls
-    bit for bit: theta and n_s lead, the (+h, -h, 0) offsets sit before
-    the node axis, and no point depends on its neighbours."""
+    """The n_s stencil over three wavelength nodes equals three one-node
+    calls bit for bit: theta and n_s lead, the (+h, -h, 0) offsets sit
+    before the node axis, and no point depends on its neighbours."""
     lams = np.array([780.0, 800.0, 820.0])
     theta = np.array([68.0, 70.0])[:, None]
     ns = np.array([1.29, 1.31, 1.33])
-    nodes = tmm.ns_stencil(stack, lams, theta, ns, centre=True)
+
+    def stencil(lam, *point, centre=True):
+        return tmm.param_stencil(stack, lam, *point, {"n_s": tmm.NS_STEP},
+                                 centre=centre)[0]
+
+    nodes = stencil(lams, theta, ns)
     assert nodes.T.shape == (2, 3, 3, 3)
     for k, lam in enumerate(lams):
-        one = tmm.ns_stencil(stack, lams[k:k + 1], theta, ns, centre=True)
+        one = stencil(lams[k:k + 1], theta, ns)
         for field in ("t", "r", "T", "R", "phi_tr"):
             assert np.array_equal(getattr(nodes, field)[..., k],
                                   getattr(one, field)[..., 0])
-    assert tmm.ns_stencil(stack, 800.0, 70.0, 1.31).T.shape == (2, 1)
+    assert stencil(800.0, 70.0, 1.31, centre=False).T.shape == (2, 1)
+
+
+@pytest.mark.parametrize("centre", [False, True])
+@pytest.mark.parametrize("n_nodes", [1, 201])
+def test_param_stencil_in_n_s_is_the_oracle_stencil(stack, centre, n_nodes):
+    """param_stencil(..., {"n_s": NS_STEP}, ...) is the n_s stencil as
+    written before it, bit for bit, at one node and over a wavepacket's
+    nodes; its offsets are (+h, -h) and, with the centre, 0."""
+    lams = quadrature_grid(stack, 800.0, 9.4, n_nodes).wavelength_nm \
+        if n_nodes > 1 else np.array([800.0])
+    point = (stack, lams, np.array([68.0, 70.0])[:, None],
+             np.array([1.29, 1.31, 1.33]))
+    resp, offsets = tmm.param_stencil(*point, {"n_s": tmm.NS_STEP},
+                                      centre=centre)
+    want = ns_stencil(*point, centre=centre)
+    assert resp.T.shape == (2, 3, 2 + centre, n_nodes)
+    for field in ("t", "r", "T", "R", "phi_tr"):
+        assert np.array_equal(getattr(resp, field), getattr(want, field))
+    assert offsets.tolist() == [tmm.NS_STEP, -tmm.NS_STEP, 0.0][:2 + centre]
+
+
+def test_param_stencil_rows_are_one_point_calls(stack):
+    """Each row of a stencil in theta, film and prism is the stack_response
+    of its one moved point (to rounding: a scalar call may differ from
+    an array's in the last place); the film's -h row stops at 0 nm and
+    offsets holds that actual step."""
+    thin = with_sensor(stack, film_nm=0.25)
+    steps = {"theta": 0.5, "film": 1.0, "prism": 0.01}
+    resp, offsets = tmm.param_stencil(thin, 800.0, 70.0, 1.31, steps,
+                                      centre=True)
+    assert offsets.tolist() == [0.5, -0.5, 1.0, -0.25, 0.01, -0.01, 0.0]
+    prism = prism_index(thin, 800.0)
+    rows = [(thin, 70.5), (thin, 69.5),
+            (with_sensor(thin, film_nm=1.25), 70.0),
+            (with_sensor(thin, film_nm=0.0), 70.0),
+            (with_sensor(thin, prism_n=prism + 0.01), 70.0),
+            (with_sensor(thin, prism_n=prism - 0.01), 70.0), (thin, 70.0)]
+    for k, (stk, theta) in enumerate(rows):
+        one = stack_response(stk, 800.0, theta, 1.31)
+        for field in ("t", "r", "T", "R", "phi_tr"):
+            np.testing.assert_allclose(getattr(resp, field)[k, 0],
+                                       getattr(one, field), rtol=1e-13,
+                                       err_msg="%d %s" % (k, field))
 
 
 # ---------------------------------------------------------------------------
