@@ -22,8 +22,9 @@ quadratures).  A single frequency is the one-node grid of
 single_frequency.  The chain from a stack to the information pair is
 written once: _stencil_moments makes the one tmm.param_stencil call in
 n_s at the grid's nodes, validates the points and averages their
-moments, and _information_pair feeds those to quantum_stats' Fisher
-kernel for the click probe and the coherent benchmark.
+moments, and _information_pair reads the click probe and the coherent
+benchmark CoherentInput(phi_ab) from those through the one expression
+quantum_stats._probe_information.
 continuum_fisher is the two in turn, and every per-point figure of
 estimation runs the same chain on single_frequency(wavelength_nm), so
 this module sits below estimation and imports nothing from it.
@@ -35,8 +36,13 @@ bandwidth by Gauss-Legendre quadrature on a window of +/- span *
 delta_omega around the carrier, clipped to the frequency window where
 every dispersive material of the stack is tabulated (the clipped tail
 mass is negligible at the default span, but evaluating gold beyond its
-table would be meaningless).  Nothing downstream of the grid knows it
-came from a spectrum.
+table would be meaningless).  A grid's weights must sum to 1 within
+1e-8, checked when the record is built, so every grid, the one-node
+single_frequency included, carries unit mass: each unit-photon beam of
+the coherent benchmark integrates to one mean photon.  A span or window
+that cuts the wavepacket, or a bandwidth below the carrier's float
+resolution, fails there.  Nothing downstream of the grid knows it came
+from a spectrum.
 
 The headline diagnostic, which the `continuum` subcommand reports, is
 the relative drift D = |I_single - I_continuum| / I_single of the
@@ -51,7 +57,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, _information,
+from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput,
                             _probe_information, probe_outcomes,
                             splitter_moments, validate_points)
 from .records import Record
@@ -76,11 +82,22 @@ MAX_NODES = 699
 
 class QuadratureGrid(Record):
     """Quadrature nodes as wavelengths on the last axis, with their
-    intensity weights q; the weights sum to 1 on an unclipped window."""
+    intensity weights q.  The weights are the wavepacket's unit mass:
+    ConfigError refuses a grid whose weights do not sum to 1 within
+    1e-8, so each beam of the coherent benchmark carries one mean
+    photon, the fair comparison against the pair."""
 
     wavelength_nm: np.ndarray
     weights: np.ndarray
     clipped: bool   # True when the material window truncated the span
+
+    def __post_init__(self):
+        total = float(np.sum(self.weights))
+        if not abs(total - 1.0) <= 1e-8:
+            raise ConfigError(
+                "wavepacket weights sum to %.12g, not 1: the quadrature "
+                "span or the material window cuts the wavepacket, or the "
+                "bandwidth is below the carrier's float resolution" % total)
 
 
 _ONE_NODE = np.ones(1)
@@ -150,9 +167,12 @@ def quadrature_grid(stack: LayerStack, lambda0_nm: float,
     The n_nodes Gauss-Legendre nodes cover [omega0 - span dw, omega0 +
     span dw], clipped to the frequency window where the stack's
     materials are tabulated; each weight is the rule's weight times
-    |xi|^2 at its node.
+    |xi|^2 at its node.  A bandwidth whose interval rounds to the
+    carrier's one float (delta_omega underflowing to 0 included) is
+    refused before the window is read; one only a few floats wide
+    leaves a grid without unit mass, which QuadratureGrid refuses.
     """
-    if lambda0_nm <= 0 or delta_lambda_nm <= 0:
+    if not (lambda0_nm > 0 and delta_lambda_nm > 0):
         raise ConfigError("profile needs positive carrier wavelength and "
                           "bandwidth")
     two_pi_c = 2.0 * math.pi * C_NM_PER_S   # omega = two_pi_c / lambda
@@ -163,8 +183,6 @@ def quadrature_grid(stack: LayerStack, lambda0_nm: float,
         raise ConfigError("profile carrier wavelength %.6g nm is out of "
                           "range: its square overflows" % (lambda0_nm,)
                           ) from exc
-    if not delta_omega > 0.0:
-        raise ConfigError("profile bandwidth must be positive")
     if not omega0 > 5.0 * delta_omega:
         raise ConfigError(
             "carrier frequency %.6g is not above 5 bandwidths %.6g; "
@@ -180,6 +198,10 @@ def quadrature_grid(stack: LayerStack, lambda0_nm: float,
                           % (span,))
     lo = omega0 - span * delta_omega
     hi = omega0 + span * delta_omega
+    if not lo < hi:
+        raise ConfigError("bandwidth %.6g nm is below the float resolution "
+                          "of the carrier %.6g nm: no quadrature interval"
+                          % (delta_lambda_nm, lambda0_nm))
     clipped = False
     window = stack.wavelength_window_nm()
     if window is not None:
@@ -218,22 +240,12 @@ def continuum_hom_moments(T, R, phi_tr, grid: QuadratureGrid):
                  for m in splitter_moments(T, R, phi_tr))
 
 
-def continuum_classical_means(moments, grid: QuadratureGrid,
-                              phi_ab: float = DEFAULT_PHI_AB):
+def continuum_classical_means(moments, phi_ab: float = DEFAULT_PHI_AB):
     """Averaged Poisson means (mu1, mu2) of the coherent benchmark, on a
-    trailing axis.
-
-    Both beams ride the wavepacket with unit envelopes, beam a carrying
-    the relative phase phi_ab; each must integrate to one mean photon
-    on the grid (sum of grid.weights = 1 within 1e-8), the fair
-    comparison against the pair.  moments come from
-    continuum_hom_moments.
-    """
-    total = float(np.sum(grid.weights))
-    if abs(total - 1.0) > 1e-8:
-        raise ConfigError(
-            "each beam integrates to %.12g mean photons, not 1; the "
-            "benchmark requires unit-normalized beams" % (total,))
+    trailing axis: the CoherentInput(phi_ab=phi_ab) row of the probe
+    table at moments from continuum_hom_moments.  Both beams ride the
+    wavepacket with unit envelopes, beam a carrying the relative phase
+    phi_ab; the grid's unit mass gives each one mean photon."""
     return probe_outcomes(moments, CoherentInput(phi_ab=phi_ab))
 
 
@@ -249,11 +261,12 @@ def _stencil_moments(stack, grid, theta_deg, n_s, polarization, centre=False):
     return points, continuum_hom_moments(*points, grid)
 
 
-def _information_pair(moments, grid, phi_ab):
+def _information_pair(moments, phi_ab):
     """(i_hom, i_classical) at the stencil moments of _stencil_moments:
-    the click information and the unit-intensity coherent benchmark's."""
-    return _probe_information(moments, "click"), _information(
-        continuum_classical_means(moments, grid, phi_ab))
+    the click information and the unit-intensity coherent benchmark's,
+    both read through quantum_stats._probe_information."""
+    return (_probe_information(moments, "click"),
+            _probe_information(moments, CoherentInput(phi_ab=phi_ab)))
 
 
 def continuum_fisher(stack: LayerStack, grid: QuadratureGrid, theta_deg,
@@ -273,4 +286,4 @@ def continuum_fisher(stack: LayerStack, grid: QuadratureGrid, theta_deg,
     nodes.
     """
     return _information_pair(_stencil_moments(
-        stack, grid, theta_deg, n_s, polarization)[1], grid, phi_ab)
+        stack, grid, theta_deg, n_s, polarization)[1], phi_ab)

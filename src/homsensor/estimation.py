@@ -13,8 +13,11 @@ lives in quantum_stats next to the probe table it sums.
 
 A probe is "click", "pair" (photon pairs, clicks or resolved) or a
 CoherentInput; quantum_stats._probe_information reads its outcomes
-through the one table quantum_stats.probe_outcomes, and every sum is
-quantum_stats._fisher_sum.  Provided on top of the raw information are:
+through the one table quantum_stats.probe_outcomes, with no branch per
+probe, and every sum is quantum_stats._fisher_sum.  Outcome values from
+outside the probe table enter only through fisher_from_distribution,
+which holds them to quantum_stats.validate_distribution.  Provided on
+top of the raw information are:
 
 * the information of one probe, the photon-pair (two-photon
   interference) probe or the coherent probe,
@@ -61,13 +64,13 @@ import math
 import numpy as np
 
 from .continuum import _information_pair, _stencil_moments, single_frequency
-from .errors import (ConfigError, UndefinedRatioError, as_number,
-                     check_keys, check_list, package_data, read_json)
+from .errors import (ConfigError, UndefinedRatioError, UnphysicalPointError,
+                     as_number, check_keys, check_list, package_data,
+                     read_json)
 from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, _as_result,
-                            _distribution_information, _fisher_sum,
-                            _probe_information, _probe_partials,
-                            probe_outcomes, splitter_moments,
-                            validate_points)
+                            _fisher_sum, _information, _probe_information,
+                            _probe_partials, probe_outcomes, splitter_moments,
+                            validate_distribution, validate_points)
 from .records import Record
 from .tmm import (NS_STEP, LayerStack, param_stencil, stack_response,
                   stencil_derivatives)
@@ -86,6 +89,10 @@ def fisher_from_distribution(dist_fn, n_s: float, step: float = NS_STEP
 
     dist_fn(n_s) must return a 1-D array of outcome probabilities (an
     exhaustive set, possibly including explicit loss/vacuum outcomes).
+    This is where outside values enter the Fisher kernel: both rows,
+    at n_s + step (grid index 0) and n_s - step (1), must pass
+    quantum_stats.validate_distribution, or ConfigError says why; the
+    information is read from the rows as given, not clamped.
     Outcomes whose midpoint probability is below ZERO_PROB_FLOOR are
     skipped, with a warning when they hide a noticeable share of the
     information (see quantum_stats._information).
@@ -94,8 +101,13 @@ def fisher_from_distribution(dist_fn, n_s: float, step: float = NS_STEP
     p_minus = np.asarray(dist_fn(n_s - step), dtype=float).ravel()
     if p_plus.shape != p_minus.shape:
         raise ConfigError("distribution changed outcome count under the step")
-    return float(_distribution_information(np.stack([p_plus, p_minus]),
-                                           step))
+    p = np.stack([p_plus, p_minus])
+    try:
+        validate_distribution(p, "outcome")
+    except UnphysicalPointError as exc:
+        raise ConfigError("dist_fn: %s; the outcome set must be exhaustive "
+                          "(list loss/vacuum outcomes)" % (exc,)) from exc
+    return float(_information(p, step))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +257,7 @@ def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     grid = single_frequency(wavelength_nm)
     points, moments = _stencil_moments(stack, grid, theta_deg, n_s,
                                        polarization, centre=True)
-    return (*_information_pair(moments, grid, phi_ab), *_decompose(points))
+    return (*_information_pair(moments, phi_ab), *_decompose(points))
 
 
 # ---------------------------------------------------------------------------

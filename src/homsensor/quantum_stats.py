@@ -48,9 +48,16 @@ at tmm.param_stencil's n_s +/- NS_STEP into I = sum (d P / d n_s)^2 / P,
 by central differences over a denominator that is the midpoint average
 of the two perturbed values (accurate to the same order as the
 derivative, at no extra model evaluation), skipping outcomes below
-ZERO_PROB_FLOOR.  _probe_information is that sum for one probe, and
-_fisher_sum, which the decomposition in estimation also uses, is the
-one sum of the package.
+ZERO_PROB_FLOOR.  _probe_information is that sum for one probe, the
+same expression for every row, and _fisher_sum, which the
+decomposition in estimation also uses, is the one sum of the package.
+
+The click and pair rows sum to 1 as an identity of the moments, for
+any moments (physical or not), so the kernel checks no normalisation.
+validate_distribution is the one rule for what a distribution is
+(finite, clamped, summing to 1); it checks the public
+hom_click_distribution and, in estimation.fisher_from_distribution,
+the one place where outside values enter the kernel.
 """
 
 from __future__ import annotations
@@ -135,13 +142,17 @@ def _clamp_probability(p, what: str):
 
 
 def validate_distribution(p, what: str):
-    """Check distributions with outcomes on the last axis.
+    """Check distributions with outcomes on the last axis: the package's
+    one rule for what a distribution is.
 
-    Every probability is clamped by _clamp_probability, and every
-    distribution must sum to 1 within 1e-9.  Returns the clamped float
-    array; raises UnphysicalPointError naming the first offending grid
-    index (for a clamp failure, the outcome index too).
+    Every probability must be finite and is clamped by
+    _clamp_probability, and every distribution must sum to 1 within
+    1e-9.  Returns the clamped float array; raises UnphysicalPointError
+    naming the first offending grid index (for a non-finite or clamped
+    entry, the outcome index too).
     """
+    p = np.asarray(p, dtype=float)
+    _first_bad(~np.isfinite(p), what + " probability %r is not finite", (p,))
     p = _clamp_probability(p, what + " probability")
     total = np.sum(p, axis=-1)
     _first_bad(np.abs(total - 1.0) > 1e-9,
@@ -372,23 +383,10 @@ def _information(values, step: float = NS_STEP):
     return _as_result(info)
 
 
-def _distribution_information(p, step: float = NS_STEP):
-    """_information of outcome distributions, each checked to sum to 1."""
-    total = np.sum(p, axis=-1)
-    bad = np.abs(total - 1.0) > 1e-9
-    if np.any(bad):
-        raise ConfigError(
-            "outcome distribution sums to %r; the outcome set must be "
-            "exhaustive (include loss/vacuum outcomes explicitly)"
-            % (float(total[bad][0]),))
-    return _information(p, step)
-
-
 def _probe_information(moments, probe):
     """_information of probe's outcomes at moments on the n_s stencil
-    axis; a distribution is checked to sum to 1, Poisson means are not."""
-    return (_information if isinstance(probe, CoherentInput)
-            else _distribution_information)(probe_outcomes(moments, probe))
+    axis: one expression for every row of the probe table."""
+    return _information(probe_outcomes(moments, probe))
 
 
 def _as_result(info):

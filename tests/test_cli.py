@@ -832,16 +832,21 @@ SPECTRUM_ERRORS = {
                        "carrier frequency 2.35456e+15 is not above 5 "
                        "bandwidths 2.94321e+15; the wavepacket would spill "
                        "into negative frequencies"),
+    "tiny_bandwidth": ({"delta_lambda_nm_list": [1e-300]},
+                       "bandwidth 1e-300 nm is below the float resolution "
+                       "of the carrier 800 nm: no quadrature interval"),
     "narrow_span": ({"span": 1.0},
-                    "each beam integrates to 0.981468322249 mean photons, "
-                    "not 1; the benchmark requires unit-normalized beams"),
+                    "wavepacket weights sum to 0.981468322249, not 1: the "
+                    "quadrature span or the material window cuts the "
+                    "wavepacket, or the bandwidth is below the carrier's "
+                    "float resolution"),
 }
 
 
 @pytest.mark.parametrize("case", list(SPECTRUM_ERRORS))
 def test_nonpositive_span_exits_1(tmp_path, capsys, case):
     """A span or bandwidth the wavepacket cannot take, or a span too
-    narrow for unit-photon beams: one error line, exit 1, no output."""
+    narrow for a grid of unit mass: one error line, exit 1, no output."""
     extra, message = SPECTRUM_ERRORS[case]
     code, out = _run(tmp_path, "continuum", {
         "stack_path": str(FIXTURE_STACK), "n_s_grid": [1.31], "n_nodes": 41,

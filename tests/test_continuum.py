@@ -8,12 +8,14 @@ import pytest
 
 from homsensor import continuum, tmm
 from homsensor.continuum import (C_NM_PER_S, MAX_NODES, QuadratureGrid,
-                                 continuum_fisher, continuum_hom_moments,
-                                 quadrature_grid, single_frequency)
+                                 continuum_classical_means, continuum_fisher,
+                                 continuum_hom_moments, quadrature_grid,
+                                 single_frequency)
 from homsensor.errors import ConfigError
 from homsensor.estimation import fisher_classical, fisher_hom, fisher_report
 from homsensor.materials import constant_material
-from homsensor.quantum_stats import splitter_moments
+from homsensor.quantum_stats import (DEFAULT_PHI_AB, CoherentInput,
+                                     probe_outcomes, splitter_moments)
 from homsensor.tmm import Layer, LayerStack, load_stack
 
 from oracles import eigenvalue_legendre_rule
@@ -209,7 +211,8 @@ BAD_GRIDS = {
     "zero_carrier": ((0.0, 9.4, 41, 5.0), "positive carrier wavelength"),
     "zero_bandwidth": ((800.0, 0.0, 41, 5.0), "positive carrier wavelength"),
     "underflow": ((1e150, 1e-50, 41, 5.0),  # delta_omega rounds to 0
-                  "profile bandwidth must be positive"),
+                  "bandwidth 1e-50 nm is below the float resolution of "
+                  "the carrier 1e\\+150 nm"),
     "wide": ((800.0, 200.0, 41, 5.0), "spill into negative frequencies"),
     "one_node": ((800.0, 9.4, 1, 5.0), "at least 2 nodes"),
     "over_cap": ((800.0, 9.4, MAX_NODES + 1, 5.0),
@@ -228,6 +231,37 @@ def test_quadrature_grid_refuses_bad_input(fixture_stack, case):
         quadrature_grid(fixture_stack, *args)
 
 
+@pytest.mark.parametrize("weights", [[0.25, 0.5], [0.5, 0.5 + 2e-8],
+                                     [np.nan, 1.0]],
+                         ids=["short", "over_tolerance", "nan"])
+def test_grid_without_unit_mass_is_refused(weights):
+    """The wavepacket's unit mass is checked where a grid is built, so a
+    hand-built grid is held to it as quadrature_grid's are."""
+    with pytest.raises(ConfigError, match="wavepacket weights sum to"):
+        QuadratureGrid(np.array([799.0, 801.0]), np.array(weights), False)
+    QuadratureGrid(np.array([799.0, 801.0]), np.array([0.5, 0.5 + 5e-9]),
+                   False)
+
+
+@pytest.mark.parametrize("stack", ["fixture", "glass"])
+def test_unresolvable_bandwidth_is_named(fixture_stack, stack):
+    """A bandwidth below the carrier's float resolution is named with the
+    carrier, before the material window is read: the fixture's window
+    holds 800 nm and the glass stack has none, and both fail alike.  A
+    bandwidth a few units in the last place wide leaves an interval but
+    no unit mass, and the grid says both causes."""
+    stack = fixture_stack if stack == "fixture" else GLASS_STACK
+    with pytest.raises(ConfigError, match=(
+            r"^bandwidth 1e-300 nm is below the float resolution of the "
+            r"carrier 800 nm: no quadrature interval$")):
+        quadrature_grid(stack, 800.0, 1e-300, 41)
+    with pytest.raises(ConfigError, match=(
+            r"^wavepacket weights sum to 1\.06476793421, not 1: the "
+            r"quadrature span or the material window cuts the wavepacket, "
+            r"or the bandwidth is below the carrier's float resolution$")):
+        quadrature_grid(stack, 800.0, 1e-12, 41)
+
+
 def _unclipped(delta_lambda_nm):
     grid = quadrature_grid(GLASS_STACK, 800.0, delta_lambda_nm)
     assert not grid.clipped
@@ -241,6 +275,19 @@ def test_flat_response_moments_are_one_node(delta_lambda_nm):
     moments = continuum_hom_moments(*(x * nodes for x in POINT), grid)
     for got, want in zip(moments, splitter_moments(*POINT)):
         assert abs(got - want) <= 1e-10
+
+
+@pytest.mark.parametrize("phi_ab", [DEFAULT_PHI_AB, 0.0, 1.2])
+def test_classical_means_are_the_coherent_probe_row(phi_ab):
+    """continuum_classical_means, public but no longer called inside the
+    package, is the CoherentInput(phi_ab) row of the probe table."""
+    grid = _unclipped(9.4)
+    nodes = np.linspace(0.0, 0.02, grid.wavelength_nm.size)
+    T = np.array([[0.3], [0.29]]) + nodes  # (stencil row, node)
+    moments = continuum_hom_moments(T, 0.6 - T, 1.1 + T, grid)
+    want = probe_outcomes(moments, CoherentInput(phi_ab=phi_ab))
+    got = continuum_classical_means(moments, phi_ab)
+    assert np.array_equal(got, want) and got.shape == (2, 2)
 
 
 @pytest.mark.parametrize("tau_dw", [0.5, 2.0, 4.0])

@@ -371,6 +371,38 @@ def test_wavepacket_grid_has_one_owner():
     assert "estimation" not in imports and "errors" in imports
 
 
+def test_every_probe_reads_one_information_path():
+    """Each probe's information is _information(probe_outcomes(...)), so
+    a new probe is a row of the probe table, not a branch.  Outside
+    quantum_stats only estimation.fisher_from_distribution, where outside
+    values enter the kernel, calls _information; isinstance(...,
+    CoherentInput) appears only in quantum_stats._raw_model and
+    probe_outcomes; and no module defines _distribution_information."""
+    def called(node, name):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    kernel, branches, defined = [], [], []
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if called(node, "_information") \
+                        and path.stem != "quantum_stats":
+                    kernel.append(where)
+                elif called(node, "isinstance") and any(
+                        isinstance(sub, ast.Name) and sub.id == "CoherentInput"
+                        for sub in ast.walk(node.args[1])):
+                    branches.append(where)
+                elif getattr(node, "name", None) \
+                        == "_distribution_information":  # a def or import
+                    defined.append(where)
+    assert kernel == [("estimation", "fisher_from_distribution")]
+    assert branches == [("quantum_stats", "_raw_model"),
+                        ("quantum_stats", "probe_outcomes")]
+    assert defined == []
+
+
 def test_no_second_reader_or_locator_is_imported():
     """No src/homsensor module imports csv or importlib.resources: tables
     are JSON, and errors.package_data locates the packaged files.  The

@@ -96,8 +96,37 @@ def test_dead_outcome_carrying_information_warns():
 
 
 def test_non_normalized_distribution_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="sum to 0.59999999999999998, not "
+                       "1 .*must be exhaustive .*loss/vacuum"):
         fisher_from_distribution(lambda n: [0.3, 0.3], 0.5)
+
+
+def test_float_noise_entry_is_read_as_given():
+    """An entry in the clamp's noise band [-1e-12, 0) passes the
+    distribution rule, and the information is read from the rows as
+    dist_fn gave them, not from clamped rows (which differ here by a
+    relative 6.4e-12)."""
+    plus = np.array([-5e-13, 0.3, 0.7 + 5e-13])
+    minus = np.array([0.2, 0.3, 0.5])
+    info = fisher_from_distribution(
+        lambda n: plus if n > 0.5 else minus, 0.5)
+    deriv = (plus - minus) / (2.0 * NS_STEP)
+    mid = 0.5 * (plus + minus)
+    live = mid > ZERO_PROB_FLOOR
+    assert info == pytest.approx(np.sum(deriv[live] ** 2 / mid[live]),
+                                 rel=1e-14)
+
+
+@pytest.mark.parametrize("row", [[math.nan, 1.0], [1.5, -0.5],
+                                 [math.inf, -math.inf]],
+                         ids=["nan", "negative", "infinite"])
+def test_non_distribution_rejected(row):
+    """Outside values enter the kernel through fisher_from_distribution,
+    which holds them to quantum_stats.validate_distribution: a nan, a
+    negative probability or an infinity is a ConfigError, not an
+    information of 0 or nan."""
+    with pytest.raises(ConfigError, match="outcome probability"):
+        fisher_from_distribution(lambda n: row, 0.5)
 
 
 def test_matches_plain_central_difference_oracle(stack):

@@ -171,8 +171,9 @@ def test_click_vacuum():
 
 
 def test_validate_distribution_names_first_bad_index():
-    """Noise above CLAMP_FLOOR is zeroed, sums must be 1 within 1e-9, and
-    the first bad cell is named; click and pair vectors obey one rule."""
+    """Noise above CLAMP_FLOOR is zeroed, entries must be finite and sums
+    1 within 1e-9, and the first bad cell is named; click and pair
+    vectors obey one rule."""
     grid = np.array([[0.5, 0.5, 0.0], [1.0, -5e-13, 0.0],
                      [0.2, 0.3, 0.4], [0.3, 0.3, 0.3]])
     with pytest.raises(UnphysicalPointError,
@@ -189,6 +190,30 @@ def test_validate_distribution_names_first_bad_index():
         validate_distribution([0.5, 0.6, -0.1], "click")
     with pytest.raises(UnphysicalPointError):
         validate_distribution([0.5, 0.2, 0.2, 0.1, 0.1, 0.1], "pair")
+    with pytest.raises(UnphysicalPointError,
+                       match=r"probability nan is not finite at grid "
+                             r"index \(1, 0\)"):
+        validate_distribution([[0.5, 0.5], [np.nan, 1.0]], "click")
+    for row in ([np.inf, -np.inf], [1.0, 0.0, np.inf]):
+        with pytest.raises(UnphysicalPointError, match="not finite"):
+            validate_distribution(row, "pair")
+
+
+@pytest.mark.parametrize("row", ["click", "pair"])
+def test_outcome_rows_sum_to_one_for_any_moments(row):
+    """The click and pair rows sum to 1 as an identity of the moments, so
+    the Fisher kernel checks no normalisation: seeded random finite
+    moments with |.| <= 1, passive or not (most are not), sum to 1
+    within 1e-13."""
+    rng = np.random.default_rng(20240417)
+    size = 10_000
+    i_t, i_r = rng.uniform(-1.0, 1.0, (2, size))
+    k = rng.uniform(0.0, 1.0, size) * np.exp(2j * np.pi * rng.random(size))
+    passive = ((i_t >= 0) & (i_r >= 0)
+               & (i_t + i_r + 2.0 * np.abs(np.real(k)) <= 1.0))
+    assert 0 < np.count_nonzero(passive) < size // 2
+    total = np.sum(_raw_model(row)(i_t, i_r, k), axis=-1)
+    assert np.max(np.abs(total - 1.0)) <= 1e-13
 
 
 def test_hom_click_shortcut(stack):

@@ -32,8 +32,9 @@ RECORDS = {
                                           [5.0, 6.0]), False),
     CoherentInput: (lambda: CoherentInput(2.0, 0.5, 0.1), True),
     BudgetSource: (lambda: SOURCE, True),
-    QuadratureGrid: (lambda: QuadratureGrid(np.ones(3), np.ones(3), False),
-                     False),
+    QuadratureGrid: (lambda: QuadratureGrid(np.ones(3),
+                                            np.array([0.25, 0.5, 0.25]),
+                                            False), False),
     Table: (lambda: Table("x.csv", ("a", "b"), ((1, 2), (3, 4)), "a, b"),
             True),
 }
