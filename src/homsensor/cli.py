@@ -23,14 +23,14 @@ flag column rather than dropped, so every grid in every file is
 rectangular and complete.
 
 Each physics subcommand is one row of the table COMMANDS: its help
-text, its body and the config keys echoed on the settings line of its
-CSVs.  One pipeline, run_command, runs them all: load the config,
-resolve the stack, compute the run id, call the body, prepare the
-output directory, write each Table it returns under the shared '#' header,
-write `<command>_run.json` and print `<command>: <summary> -> <paths>`.
+text, its body, the config keys echoed on the settings line of its CSVs
+and its config schema.  One pipeline, run_command, runs them all: load
+the config, resolve the stack, compute the run id, call the body,
+prepare the output directory, write each Table it returns under the
+shared '#' header, write `<command>_run.json` and print
+`<command>: <summary> -> <paths>`.
 A body takes (cfg, stack), makes the library calls and returns
-(summary, [Table]); a new subcommand is a schema in _SCHEMAS, a body
-and a COMMANDS row.
+(summary, [Table]); a new subcommand is a body and a COMMANDS row.
 
 Grids are evaluated in one process by broadcast library calls: `map`
 (by wavelength) and `continuum` (by index) in row blocks of at most
@@ -218,55 +218,9 @@ _DEFAULT_NS_GRID = {"start": 1.25, "stop": 1.34, "step": 1e-3}
 _DEFAULT_LAMBDA_GRID = {"start": 790.0, "stop": 810.0, "step": 0.5}
 _DEFAULT_THETA_GRID = {"start": 60.0, "stop": 80.0, "step": 0.05}
 
-_SCHEMAS = {
-    "spectrum": {
-        **_COMMON_SCHEMA,
-        "n_s": (1.33, _as_float),
-        "theta_grid_deg": (_DEFAULT_THETA_GRID, _as_grid),
-    },
-    "coincidence": {
-        **_COMMON_SCHEMA,
-        "n_s_grid": (_DEFAULT_NS_GRID, _as_grid),
-    },
-    "fisher": {
-        **_COMMON_SCHEMA,
-        "n_s_grid": (_DEFAULT_NS_GRID, _as_grid),
-        "phi_ab": (DEFAULT_PHI_AB, _as_float),
-        "phi_ab_policy": ("fixed", _as_choice(("fixed", "scan"))),
-        "phase_scan_ns": (1.30, _as_float),
-        "phase_scan_points": (721, _as_int),
-        # The scan freezes the response phase at pi/2 by default (the
-        # quarter-wave diagnostic convention, a default of this scan only:
-        # the decomposition uses the actual phase); null scans with the
-        # actual response phase instead.
-        "phase_scan_phi_tr": (math.pi / 2.0, or_null(_as_float)),
-    },
-    "map": {
-        **_COMMON_SCHEMA,
-        "n_s_grid": (_DEFAULT_NS_GRID, _as_grid),
-        "wavelength_grid_nm": (_DEFAULT_LAMBDA_GRID, _as_grid),
-        "phi_ab": (DEFAULT_PHI_AB, _as_float),
-    },
-    "budget": {
-        **_COMMON_SCHEMA,
-        "n_analyte": (1.32, _as_float),
-        "sources_path": (None, or_null(_as_path)),
-    },
-    "continuum": {
-        **_COMMON_SCHEMA,
-        "n_s_grid": (_DEFAULT_NS_GRID, _as_grid),
-        "delta_lambda_nm_list": ([9.4, 94.0], _as_float_list),
-        "schemes": (["hom", "classical"], _as_scheme_list),
-        "phi_ab": (DEFAULT_PHI_AB, _as_float),
-        "n_nodes": (DEFAULT_NODES, _as_node_count),
-        "span": (DEFAULT_SPAN, _as_float),
-    },
-}
-
-
 def load_config(path, command) -> dict:
     """Read, validate and normalize a JSON configuration file."""
-    schema = _SCHEMAS[command]
+    schema = COMMANDS[command][3]
     raw = check_keys(read_json(path, "config", ConfigError), schema,
                      "config", ConfigError)
     return {key: coerce(raw.get(key, default), key)
@@ -584,30 +538,62 @@ def _continuum(cfg, stack):
 
 
 # name: (help text, body (cfg, stack) -> (summary, [Table]), config keys
-# echoed on the settings line of every CSV the subcommand writes)
+# echoed on the settings line of every CSV the subcommand writes, config
+# schema {key: (default, coerce)})
 COMMANDS = {
     "spectrum": ("angle sweep of T, R, A", _spectrum,
-                 ("wavelength_nm", "n_s", "polarization")),
+                 ("wavelength_nm", "n_s", "polarization"), {
+                     **_COMMON_SCHEMA,
+                     "n_s": (1.33, _as_float),
+                     "theta_grid_deg": (_DEFAULT_THETA_GRID, _as_grid)}),
     "coincidence": ("index sweep of two-photon click statistics",
                     _coincidence,
-                    ("wavelength_nm", "theta_deg", "polarization")),
+                    ("wavelength_nm", "theta_deg", "polarization"), {
+                        **_COMMON_SCHEMA,
+                        "n_s_grid": (_DEFAULT_NS_GRID, _as_grid)}),
     "fisher": ("information figures, enhancement and decomposition",
                _fisher, ("wavelength_nm", "theta_deg", "polarization",
-                         "phi_ab")),
+                         "phi_ab"), {
+                   **_COMMON_SCHEMA,
+                   "n_s_grid": (_DEFAULT_NS_GRID, _as_grid),
+                   "phi_ab": (DEFAULT_PHI_AB, _as_float),
+                   "phi_ab_policy": ("fixed", _as_choice(("fixed", "scan"))),
+                   "phase_scan_ns": (1.30, _as_float),
+                   "phase_scan_points": (721, _as_int),
+                   # The scan freezes the response phase at pi/2 by
+                   # default (the quarter-wave diagnostic convention, a
+                   # default of this scan only: the decomposition uses the
+                   # actual phase); null scans with the actual response
+                   # phase instead.
+                   "phase_scan_phi_tr": (math.pi / 2.0, or_null(_as_float))}),
     "map": ("enhancement over a wavelength x index grid", _map,
-            ("theta_deg", "polarization", "phi_ab")),
+            ("theta_deg", "polarization", "phi_ab"), {
+                **_COMMON_SCHEMA,
+                "n_s_grid": (_DEFAULT_NS_GRID, _as_grid),
+                "wavelength_grid_nm": (_DEFAULT_LAMBDA_GRID, _as_grid),
+                "phi_ab": (DEFAULT_PHI_AB, _as_float)}),
     "budget": ("instrumental uncertainty budget", _budget,
-               ("n_analyte", "wavelength_nm", "theta_deg")),
+               ("n_analyte", "wavelength_nm", "theta_deg"), {
+                   **_COMMON_SCHEMA,
+                   "n_analyte": (1.32, _as_float),
+                   "sources_path": (None, or_null(_as_path))}),
     "continuum": ("finite-bandwidth information drift", _continuum,
                   ("wavelength_nm", "theta_deg", "polarization", "phi_ab",
-                   "n_nodes", "span")),
+                   "n_nodes", "span"), {
+                      **_COMMON_SCHEMA,
+                      "n_s_grid": (_DEFAULT_NS_GRID, _as_grid),
+                      "delta_lambda_nm_list": ([9.4, 94.0], _as_float_list),
+                      "schemes": (["hom", "classical"], _as_scheme_list),
+                      "phi_ab": (DEFAULT_PHI_AB, _as_float),
+                      "n_nodes": (DEFAULT_NODES, _as_node_count),
+                      "span": (DEFAULT_SPAN, _as_float)}),
 }
 
 
 def run_command(args) -> int:
     """Run one physics subcommand: config -> stack -> body -> CSV tables,
     run metadata and a one-line summary on stdout."""
-    _, body, settings = COMMANDS[args.command]
+    _, body, settings, _ = COMMANDS[args.command]
     cfg = load_config(args.config, args.command)
     stack, cal_info = _resolve_stack(cfg)
     run_id = run_identifier(args.command, cfg)
@@ -657,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory for the stack JSON and run metadata")
     cal.set_defaults(func=cmd_calibrate)
 
-    for name, (help_text, _, _) in COMMANDS.items():
+    for name, (help_text, *_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,
                        help="JSON configuration file")

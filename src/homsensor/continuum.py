@@ -19,15 +19,17 @@ The double integrals of the pair probe factor into these single
 integrals for a product joint spectrum (tensor-product quadrature of a
 factorized integrand is the product of the one-dimensional
 quadratures).  A single frequency is the one-node grid of
-single_frequency.  The chain from a stack to the information pair is
-written once: _stencil_moments makes the one tmm.param_stencil call in
-n_s at the grid's nodes, validates the points and averages their
-moments, and _information_pair reads the click probe and the coherent
-benchmark CoherentInput(phi_ab) from those through the one expression
-quantum_stats._probe_information.
-continuum_fisher is the two in turn, and every per-point figure of
-estimation runs the same chain on single_frequency(wavelength_nm), so
-this module sits below estimation and imports nothing from it.
+single_frequency.  The chain from a stack to the moments is written
+once: _stencil_moments makes the one tmm.param_stencil call at the
+grid's nodes (in n_s unless other steps are named), validates the
+points and averages their moments, the phase frozen when a figure asks
+for it.  _information_pair reads the click probe and the coherent
+benchmark CoherentInput(phi_ab) from those moments through the one
+expression quantum_stats._probe_information.
+continuum_fisher is the two in turn.  Every figure of estimation (the
+information pair, the decomposition, the phase scan and the budget)
+runs the same chain on single_frequency(wavelength_nm), so this module
+sits below estimation and imports nothing from it.
 
 The wavepacket is one record, a QuadratureGrid: the wavelengths of its
 nodes and their intensity weights q = w |xi|^2, so each integral above
@@ -249,16 +251,22 @@ def continuum_classical_means(moments, phi_ab: float = DEFAULT_PHI_AB):
     return probe_outcomes(moments, CoherentInput(phi_ab=phi_ab))
 
 
-def _stencil_moments(stack, grid, theta_deg, n_s, polarization, centre=False):
-    """(points, moments): the validated splitter points (T, R, phi_tr)
-    of one param_stencil call in n_s at grid's nodes, nodes on the last
-    axis, and their continuum_hom_moments; the one chain from a stack to
-    the moments of every information figure."""
-    resp, _ = param_stencil(stack, grid.wavelength_nm, theta_deg, n_s,
-                            {"n_s": NS_STEP}, polarization, centre)
+def _stencil_moments(stack, grid, theta_deg, n_s, polarization, centre=False,
+                     steps=None, phi_tr=None):
+    """(points, moments, offsets): the validated splitter points (T, R,
+    phi_tr) of one param_stencil call in steps (by default the n_s
+    stencil {"n_s": NS_STEP}) at grid's nodes, nodes on the last axis,
+    their continuum_hom_moments and param_stencil's row offsets; the one
+    chain from a stack to the moments of every information figure.
+    phi_tr, when given, freezes the phase of the moments only: the
+    points, and so a jacobian read from them, keep the actual phase."""
+    resp, offsets = param_stencil(
+        stack, grid.wavelength_nm, theta_deg, n_s,
+        {"n_s": NS_STEP} if steps is None else steps, polarization, centre)
     points = validate_points(resp.T, resp.R, resp.phi_tr)
     del resp  # its amplitudes t and r are not needed for the moments
-    return points, continuum_hom_moments(*points, grid)
+    phase = points[2] if phi_tr is None else np.full_like(points[2], phi_tr)
+    return points, continuum_hom_moments(*points[:2], phase, grid), offsets
 
 
 def _information_pair(moments, phi_ab):

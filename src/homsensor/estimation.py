@@ -35,13 +35,15 @@ top of the raw information are:
 
 All are array-first: the evaluators, the decomposition and
 fisher_report broadcast over wavelength, angle and n_s (a scalar input
-returns floats).  Each runs continuum's one chain to the moments on the
-one-node grid continuum.single_frequency(wavelength_nm): one validated
+returns floats).  Every one, the budget included, reads its moments
+from continuum's one chain on the one-node grid
+continuum.single_frequency(wavelength_nm): one validated
 tmm.param_stencil call in n_s (n_s + h, n_s - h and, for the
 decomposition, n_s), which fisher_report shares between both probes
-and the decomposition.  Only the decomposition and the frozen-phase
-scan read the splitter point at that node; the scan broadcasts over
-its phase grid.
+and the decomposition.  The budget runs the chain on its own stencil
+and once more for the other polarization.  A frozen phase reaches the
+moments only; the decomposition reads its jacobian from the chain's
+points.  The scan broadcasts over its phase grid.
 continuum.continuum_fisher runs the same chain over a wavelength x
 index grid or a wavepacket.  The figures of merit on that pair,
 defined_ratio (the one comparison with RATIO_FLOOR) and
@@ -69,11 +71,10 @@ from .errors import (ConfigError, UndefinedRatioError, UnphysicalPointError,
                      read_json)
 from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, _as_result,
                             _fisher_sum, _information, _probe_information,
-                            _probe_partials, probe_outcomes, splitter_moments,
-                            validate_distribution, validate_points)
+                            _probe_partials, probe_outcomes,
+                            validate_distribution)
 from .records import Record
-from .tmm import (NS_STEP, LayerStack, param_stencil, stack_response,
-                  stencil_derivatives)
+from .tmm import NS_STEP, LayerStack, stencil_derivatives
 
 RATIO_FLOOR = 1e-12       # information below this leaves a ratio undefined
 BUDGET_STEP = 1e-4        # step for budget sensitivities, per variable unit
@@ -113,14 +114,6 @@ def fisher_from_distribution(dist_fn, n_s: float, step: float = NS_STEP
 # ---------------------------------------------------------------------------
 # one probe's information at a stack operating point
 # ---------------------------------------------------------------------------
-
-def _assumed_moments(T, R, phi_tr, phi_tr_assumption=None):
-    """splitter_moments of (T, R, phi_tr), the phase frozen at
-    phi_tr_assumption when one is given (see the module docstring)."""
-    if phi_tr_assumption is not None:
-        phi_tr = np.full_like(phi_tr, phi_tr_assumption)
-    return splitter_moments(T, R, phi_tr)
-
 
 def fisher_hom(stack: LayerStack, wavelength_nm, theta_deg, n_s,
                polarization: str = "tm", outcomes: str = "click"):
@@ -197,8 +190,9 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     Poisson means mu give the same sum sum_j d_a mu_j d_b mu_j / mu_j.
     The 3x3 matrix is evaluated at the stack's operating point;
     phi_tr_assumption, when given, replaces the phase coordinate of that
-    point (see the module docstring).  The jacobian and the contracted
-    scalar always use the actual stack response.
+    point (see the module docstring) in the moments of the one
+    continuum._stencil_moments call.  The jacobian is read from the same
+    call's points, so it always uses the actual stack response.
 
     The (T, R, phi) partials are exact, chained from the probe table's
     partials in the moments; _decompose defines the T R = 0 edge.
@@ -214,22 +208,21 @@ def fisher_decomposition(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     not a quarter wave, so the quarter-wave diagnostic with no T-R cross
     term is reproduced by passing phi_tr_assumption = pi/2.
     """
-    return _decompose(_stencil_moments(
+    return _decompose(*_stencil_moments(
         stack, single_frequency(wavelength_nm), theta_deg, n_s,
-        polarization, centre=True)[0], probe, phi_tr_assumption)
+        polarization, centre=True, phi_tr=phi_tr_assumption)[:2], probe)
 
 
-def _decompose(points, probe="click", phi_tr_assumption=None):
-    """fisher_decomposition from the points of a centred one-node
-    _stencil_moments: the moment partials chained by dK/dT = K/(2T),
-    dK/dR = K/(2R) and dK/dphi = -iK.  Where T R = 0, K = 0 with
-    stack_response's zero-amplitude phase convention: the K channel is
-    not resolved there, and its partials are taken as 0 (T and R read
-    as inf)."""
-    points = tuple(x[..., 0] for x in points)  # the one node
-    T, R, phi = (x[..., 2] for x in points)
-    moments = _assumed_moments(T, R, phi, phi_tr_assumption)
-    k = moments[2][..., None]
+def _decompose(points, moments, probe="click"):
+    """fisher_decomposition from the points and moments of a centred
+    one-node n_s _stencil_moments: the moment partials at its centre
+    row, where I_T = T and I_R = R, chained by dK/dT = K/(2T), dK/dR =
+    K/(2R) and dK/dphi = -iK, and the jacobian from the points.  Where
+    T R = 0, K = 0 with stack_response's zero-amplitude phase
+    convention: the K channel is not resolved there, and its partials
+    are taken as 0 (T and R read as inf)."""
+    moments = tuple(m[..., -1] for m in moments)  # the centre row
+    T, R, k = moments[0], moments[1], moments[2][..., None]
     t_r = np.where(k != 0.0, np.stack([T, R], axis=-1), np.inf)
     dk = np.concatenate([0.5 * k / t_r, -1j * k], axis=-1)  # dK/d(T, R, phi)
     d = _probe_partials(moments, probe)  # (..., moment coordinate, outcome)
@@ -238,7 +231,7 @@ def _decompose(points, probe="click", phi_tr_assumption=None):
     matrix = _fisher_sum(partials[..., :, None, :], partials[..., None, :, :],
                          probe_outcomes(moments, probe)[..., None, None, :])
 
-    jac = np.stack(stencil_derivatives(*points), axis=-1)
+    jac = np.stack(stencil_derivatives(*(x[..., 0] for x in points)), axis=-1)
     contracted = (jac[..., None, :] @ matrix @ jac[..., :, None])[..., 0, 0]
     return matrix, jac, _as_result(contracted)
 
@@ -255,9 +248,9 @@ def fisher_report(stack: LayerStack, wavelength_nm, theta_deg, n_s,
     stencil with the centre; the figures of merit built on the pair
     (defined_ratio, precision_bound) are left to the caller."""
     grid = single_frequency(wavelength_nm)
-    points, moments = _stencil_moments(stack, grid, theta_deg, n_s,
-                                       polarization, centre=True)
-    return (*_information_pair(moments, phi_ab), *_decompose(points))
+    points, moments, _ = _stencil_moments(stack, grid, theta_deg, n_s,
+                                          polarization, centre=True)
+    return (*_information_pair(moments, phi_ab), *_decompose(points, moments))
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +273,9 @@ def phi_ab_scan(stack: LayerStack, wavelength_nm, theta_deg, n_s,
         raise ConfigError("phase scan needs at least 2 points, got %r"
                           % (n_points,))
     grid = np.linspace(-np.pi, np.pi, int(n_points), endpoint=False)
-    moments = _assumed_moments(*(x[..., 0] for x in _stencil_moments(
+    moments = _stencil_moments(
         stack, single_frequency(wavelength_nm), theta_deg, float(n_s),
-        polarization)[0]), phi_tr_assumption)
+        polarization, phi_tr=phi_tr_assumption)[1]
     values = _probe_information(moments, CoherentInput(phi_ab=grid[:, None]))
     k = int(np.argmax(values))
     phi_opt = float(grid[k])
@@ -406,10 +399,11 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     but a film steps down to no less than 0 nm: a 0-nm film (the FTIR
     control) has the forward difference (S(h) - S(0)) / h.
 
-    S takes two stack_response calls: one tmm.param_stencil with the
-    centre (n_s, then theta, film thickness and prism index where a
-    source moves them, +- h) and the other polarization, which only a
-    polarization source needs.
+    S takes two runs of continuum's chain on the one-node grid
+    continuum.single_frequency(wavelength_nm), one stack_response call
+    each: the stencil with the centre (n_s, then theta, film thickness
+    and prism index where a source moves them, +- h) and the other
+    polarization's centre, which only a polarization source needs.
 
     The budget is undefined at the dip.  UndefinedRatioError is raised
     when the coincidence extremum lies within +-h of n_analyte, so
@@ -426,16 +420,18 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
     """
     sources = sources if sources is not None else load_budget_sources()
     h = BUDGET_STEP
+    grid = single_frequency(wavelength_nm)
 
-    def signal(resp):
-        return probe_outcomes(splitter_moments(*validate_points(
-            resp.T, resp.R, resp.phi_tr)), "pair")[..., -1]
+    def signal(pol, steps):
+        """S on the rows of the stencil in steps, the centre last, and
+        the rows' offsets."""
+        _, moments, offset = _stencil_moments(stack, grid, theta_deg,
+                                              n_analyte, pol, True, steps)
+        return probe_outcomes(moments, "pair")[..., -1], offset
 
     moved = {"n_s"} | {_BUDGET_KINDS[src.kind][0] for src in sources}
     steps = {x: h for x in ("n_s", "theta", "film", "prism") if x in moved}
-    resp, offset = param_stencil(stack, wavelength_nm, theta_deg, n_analyte,
-                                 steps, polarization, centre=True)
-    s = signal(resp)[:, 0]
+    s, offset = signal(polarization, steps)
     # each name's (S(+) - S(-)) / (offset(+) - offset(-)) from its pair of
     # rows; the centre is the last row
     quotient = dict(zip(steps, np.diff(s)[::2] / np.diff(offset)[::2]))
@@ -455,9 +451,8 @@ def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,
         if name is not None:
             d = quotient[name] * scale
         else:  # polarization_angle: the stencil's centre and one more call
-            s_tm, s_te = (s[-1] if pol == polarization else signal(
-                stack_response(stack, wavelength_nm, theta_deg, n_analyte,
-                               pol)) for pol in ("tm", "te"))
+            s_tm, s_te = (s[-1] if pol == polarization
+                          else signal(pol, {})[0][-1] for pol in ("tm", "te"))
             mixed = [math.cos(g) ** 2 * s_tm + math.sin(g) ** 2 * s_te
                      for g in map(math.radians, (src.s + h, src.s - h))]
             d = (mixed[0] - mixed[1]) / (2 * h)

@@ -337,9 +337,8 @@ def test_wavepacket_grid_has_one_owner():
     module uses NS_STEP in arithmetic or a list literal and none calls
     np.kron: tmm.param_stencil builds every +- stencil row, and outside
     tmm only continuum._stencil_moments, the one chain from a stack to
-    the moments, and estimation.uncertainty_budget call it.  continuum
-    imports nothing from estimation, so every estimation figure can run
-    on that chain."""
+    the moments, calls it.  continuum imports nothing from estimation,
+    so every estimation figure can run on that chain."""
     def steps(node):
         return isinstance(node, (ast.BinOp, ast.List)) and any(
             isinstance(sub, ast.Name) and sub.id == "NS_STEP"
@@ -366,8 +365,7 @@ def test_wavepacket_grid_has_one_owner():
     assert grids == [("continuum", "single_frequency"),
                      ("continuum", "quadrature_grid")]
     assert stencils == {"tmm"}
-    assert stencil_calls == [("continuum", "_stencil_moments"),
-                             ("estimation", "uncertainty_budget")]
+    assert stencil_calls == [("continuum", "_stencil_moments")]
     assert "estimation" not in imports and "errors" in imports
 
 
@@ -400,6 +398,39 @@ def test_every_probe_reads_one_information_path():
     assert kernel == [("estimation", "fisher_from_distribution")]
     assert branches == [("quantum_stats", "_raw_model"),
                         ("quantum_stats", "probe_outcomes")]
+    assert defined == []
+
+
+def test_every_figure_reads_the_one_chain():
+    """The moments of every estimation figure (the information pair,
+    the decomposition, the phase scan and the budget) come from
+    continuum._stencil_moments: estimation calls none of the chain's
+    links (stack_response, param_stencil, validate_points,
+    splitter_moments, continuum_hom_moments); outside quantum_stats only
+    continuum.continuum_hom_moments calls splitter_moments; and no
+    module defines _assumed_moments, the phase freeze that rebuilt the
+    moments from the points."""
+    def called(node, name):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    links = ("stack_response", "param_stencil", "validate_points",
+             "splitter_moments", "continuum_hom_moments")
+    chained, moments, defined = [], [], []
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if path.stem == "estimation" \
+                        and any(called(node, name) for name in links):
+                    chained.append(where)
+                if called(node, "splitter_moments") \
+                        and path.stem != "quantum_stats":
+                    moments.append(where)
+                if getattr(node, "name", None) == "_assumed_moments":
+                    defined.append(where)  # a def or an import
+    assert chained == []
+    assert moments == [("continuum", "continuum_hom_moments")]
     assert defined == []
 
 
