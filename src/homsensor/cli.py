@@ -12,9 +12,12 @@ budget       instrumental disturbances converted to index errors
 continuum    finite-bandwidth drift of both information figures
 
 All physics subcommands read a JSON configuration (units are explicit
-in the key names; the input checks of errors reject unknown keys and
-bad numbers in it, as in stack and budget-sources files) and write CSV
-tables plus a JSON run-metadata file into the output directory.
+in the key names) and write CSV tables plus a JSON run-metadata file
+into the output directory.  The config, its calibration block and each
+{start, stop, step} grid are read by errors.read_fields, the reader of
+the JSON objects of stack, budget-sources and material-table files too,
+against a schema {key: (default, coerce)}: it rejects unknown keys,
+names a missing required one and coerces each value by the key's rule.
 Outputs are deterministic: the same configuration produces
 byte-identical files, with no wall-clock, locale, or ordering
 dependence.  A table is typed columns of one length; floats print with
@@ -59,8 +62,8 @@ from . import __version__
 from .continuum import DEFAULT_NODES, DEFAULT_SPAN, MAX_NODES, \
     continuum_fisher, quadrature_grid, single_frequency
 from .errors import (CalibrationError, ConfigError, HomsensorError,
-                     StackDefinitionError, UnphysicalPointError, as_number,
-                     check_keys, or_null, read_json, write_json)
+                     UnphysicalPointError, as_number, or_null, read_fields,
+                     read_json, write_json)
 from .estimation import RATIO_FLOOR, defined_ratio, fisher_report, \
     load_budget_sources, phi_ab_scan, precision_bound, uncertainty_budget
 from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, DERIV_FLOOR, \
@@ -113,23 +116,22 @@ def _check_size(count, key):
                           % (key, MAX_GRID_POINTS))
 
 
-def _as_int(value, key):
-    """An integer key; each one is a point count."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("config key %r must be an integer, got %r"
-                          % (key, value))
-    _check_size(value, key)
-    return int(value)
-
-
-def _as_node_count(value, key):
-    n = _as_int(value, key)
-    if n < 2:
-        raise ConfigError("quadrature needs at least 2 nodes")
-    if n > MAX_NODES:
-        raise ConfigError("config key %r asks for more than %d nodes"
-                          % (key, MAX_NODES))
-    return n
+def _as_count(subject, unit, most=MAX_GRID_POINTS):
+    """The coerce of an integer key that counts the units subject needs
+    at least 2 and at most `most` of."""
+    def coerce(value, key):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError("config key %r must be an integer, got %r"
+                              % (key, value))
+        _check_size(value, key)
+        if value < 2:
+            raise ConfigError("%s needs at least 2 %s, got %r"
+                              % (subject, unit, value))
+        if value > most:
+            raise ConfigError("config key %r asks for more than %d %s"
+                              % (key, most, unit))
+        return int(value)
+    return coerce
 
 
 def _as_choice(options):
@@ -147,20 +149,21 @@ def _as_path(value, key):
     return value
 
 
+_GRID_SCHEMA = dict.fromkeys(("start", "stop", "step"), (..., _as_float))
+
+
 def _as_grid(value, key):
     """Normalize a grid spec: {start, stop, step} or an explicit list."""
     if isinstance(value, dict):
-        names = ("start", "stop", "step")
-        check_keys(value, names, "grid %r" % (key,), ConfigError)
-        if len(value) < len(names):
-            raise ConfigError("grid %r needs start, stop and step" % (key,))
-        start, stop, step = (_as_float(value[k], key + "." + k) for k in names)
+        spec = read_fields(value, _GRID_SCHEMA, "grid %r" % (key,),
+                           ConfigError, key + ".")
+        start, stop, step = spec.values()
         if step <= 0.0:
             raise ConfigError("grid %r step must be positive" % (key,))
         if stop < start:
             raise ConfigError("grid %r has stop < start" % (key,))
         _check_size(_grid_count(start, stop, step), key)
-        return {"start": start, "stop": stop, "step": step}
+        return spec
     if isinstance(value, list):
         _check_size(len(value), key)
         pts = [_as_float(v, key) for v in value]
@@ -196,13 +199,13 @@ def _as_scheme_list(value, key):
 # also the defaults of the `calibrate` flags.
 CALIBRATION_DEFAULTS = {"target_ns": 1.31, "wavelength_nm": 800.0,
                         "theta_deg": 70.0}
+_CALIBRATION_SCHEMA = {key: (default, _as_float)
+                       for key, default in CALIBRATION_DEFAULTS.items()}
 
 
 def _as_calibration(value, key):
-    value = check_keys({} if value is None else value, CALIBRATION_DEFAULTS,
-                       "calibration", ConfigError)
-    return {k: _as_float(value.get(k, default), key + "." + k)
-            for k, default in CALIBRATION_DEFAULTS.items()}
+    return read_fields({} if value is None else value, _CALIBRATION_SCHEMA,
+                       "calibration", ConfigError, key + ".")
 
 
 # Shared keys available to every physics subcommand.
@@ -220,11 +223,8 @@ _DEFAULT_THETA_GRID = {"start": 60.0, "stop": 80.0, "step": 0.05}
 
 def load_config(path, command) -> dict:
     """Read, validate and normalize a JSON configuration file."""
-    schema = COMMANDS[command][3]
-    raw = check_keys(read_json(path, "config", ConfigError), schema,
-                     "config", ConfigError)
-    return {key: coerce(raw.get(key, default), key)
-            for key, (default, coerce) in schema.items()}
+    return read_fields(read_json(path, "config", ConfigError),
+                       COMMANDS[command][3], "config", ConfigError)
 
 
 def _grid_count(start, stop, step):
@@ -307,13 +307,8 @@ def _resolve_stack(cfg):
     target and the result recorded.
     """
     if cfg["stack_path"] is not None:
-        stack = load_stack(cfg["stack_path"])
-        try:
-            sensor_thicknesses(stack)
-        except StackDefinitionError as exc:
-            raise StackDefinitionError("stack file %s: %s"
-                                       % (cfg["stack_path"], exc)) from exc
-        return stack, {"source": "stack_path", "path": cfg["stack_path"]}
+        return (load_stack(cfg["stack_path"], check=sensor_thicknesses),
+                {"source": "stack_path", "path": cfg["stack_path"]})
     return _calibrate(cfg["calibration"], cfg["polarization"])
 
 
@@ -559,7 +554,8 @@ COMMANDS = {
                    "phi_ab": (DEFAULT_PHI_AB, _as_float),
                    "phi_ab_policy": ("fixed", _as_choice(("fixed", "scan"))),
                    "phase_scan_ns": (1.30, _as_float),
-                   "phase_scan_points": (721, _as_int),
+                   "phase_scan_points": (721, _as_count("phase scan",
+                                                         "points")),
                    # The scan freezes the response phase at pi/2 by
                    # default (the quarter-wave diagnostic convention, a
                    # default of this scan only: the decomposition uses the
@@ -585,7 +581,8 @@ COMMANDS = {
                       "delta_lambda_nm_list": ([9.4, 94.0], _as_float_list),
                       "schemes": (["hom", "classical"], _as_scheme_list),
                       "phi_ab": (DEFAULT_PHI_AB, _as_float),
-                      "n_nodes": (DEFAULT_NODES, _as_node_count),
+                      "n_nodes": (DEFAULT_NODES, _as_count(
+                          "quadrature", "nodes", MAX_NODES)),
                       "span": (DEFAULT_SPAN, _as_float)}),
 }
 

@@ -185,11 +185,12 @@ def quadrature_grid(stack: LayerStack, lambda0_nm: float,
         raise ConfigError("profile carrier wavelength %.6g nm is out of "
                           "range: its square overflows" % (lambda0_nm,)
                           ) from exc
-    if not omega0 > 5.0 * delta_omega:
+    if not omega0 > 5.0 * delta_omega:  # delta_lambda < lambda0 / 5
         raise ConfigError(
-            "carrier frequency %.6g is not above 5 bandwidths %.6g; "
-            "the wavepacket would spill into negative frequencies"
-            % (omega0, 5.0 * delta_omega))
+            "bandwidth %.6g nm is too wide for the carrier %.6g nm: it must "
+            "be below lambda0/5 = %.6g nm, or the wavepacket would spill "
+            "into negative frequencies"
+            % (delta_lambda_nm, lambda0_nm, lambda0_nm / 5.0))
     if n_nodes < 2:
         raise ConfigError("quadrature needs at least 2 nodes")
     if n_nodes > MAX_NODES:

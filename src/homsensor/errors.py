@@ -10,7 +10,12 @@ The functions at the end locate the packaged data files, write every
 JSON output file (write_json: the saved stack and each run's metadata)
 and are the one set of checks every JSON input file (config, stack,
 budget sources, the packaged gold table) passes; each check names
-`what` it checks and raises the caller's `error` class.
+`what` it checks and raises the caller's `error` class.  Every JSON
+object of those files is read by read_fields, against a schema
+{key: (default, coerce)} whose default ... marks a required key (only
+a stack's material object, whose keys are exclusive, calls check_keys
+itself), and every file but the config by read_file, which names the
+file in front of any error its reader raises.
 """
 
 import json
@@ -94,6 +99,16 @@ def read_json(path, what, error):
                     % (what, path, exc)) from exc
 
 
+def read_file(path, what, error, read):
+    """read(the JSON value in the UTF-8 file at path); a HomsensorError
+    that read raises comes back as error, prefixed by what and path."""
+    data = read_json(path, what, error)
+    try:
+        return read(data)
+    except HomsensorError as exc:
+        raise error("%s %s: %s" % (what, path, exc)) from exc
+
+
 def write_json(path, data):
     """Write data to path as UTF-8 JSON: LF line ends, keys sorted, an
     indent of 2 and a final newline."""
@@ -112,6 +127,25 @@ def check_keys(obj, accepted, what, error):
         raise error("unknown %s keys: %s (accepted: %s)"
                     % (what, unknown, sorted(accepted)))
     return obj
+
+
+def read_fields(obj, schema, what, error, prefix="") -> dict:
+    """The fields of JSON object obj by schema {key: (default, coerce)}:
+    obj may hold the schema's keys only, and must hold each key whose
+    default is ...; every key, given or defaulted, is
+    coerce(value, prefix + key)."""
+    check_keys(obj, schema, what, error)
+    fields = {}
+    for key, (default, coerce) in schema.items():
+        if key not in obj and default is ...:
+            raise error("%s: missing key %r" % (what, key))
+        fields[key] = coerce(obj.get(key, default), prefix + key)
+    return fields
+
+
+def as_is(value, what):
+    """value unchecked: the coerce of a key checked later or never."""
+    return value
 
 
 def check_list(value, what, error):

@@ -67,8 +67,8 @@ import numpy as np
 
 from .continuum import _information_pair, _stencil_moments, single_frequency
 from .errors import (ConfigError, UndefinedRatioError, UnphysicalPointError,
-                     as_number, check_keys, check_list, package_data,
-                     read_json)
+                     as_is, as_number, check_list, package_data, read_fields,
+                     read_file)
 from .quantum_stats import (DEFAULT_PHI_AB, CoherentInput, _as_result,
                             _fisher_sum, _information, _probe_information,
                             _probe_partials, probe_outcomes,
@@ -351,6 +351,21 @@ _BUDGET_KINDS = {
     "prism_index": ("prism", 1.0), "polarization_angle": (None, 1.0)}
 
 
+def _budget_sources(value, what: str) -> tuple[BudgetSource, ...]:
+    """The BudgetSource each JSON object of list value holds; the record
+    checks the values."""
+    return tuple(
+        BudgetSource(**read_fields(d, _SOURCE_SCHEMA, "%s[%d]" % (what, j),
+                                   ConfigError))
+        for j, d in enumerate(check_list(value, what, ConfigError)))
+
+
+_SOURCE_SCHEMA = {key: (BudgetSource._defaults.get(key, ...), as_is)
+                  for key in BudgetSource._fields}
+_SOURCES_FILE_SCHEMA = {"comment": (None, as_is),
+                        "sources": (..., _budget_sources)}
+
+
 def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
     """Budget sources from a UTF-8 JSON file {comment, sources: [one
     object of BudgetSource fields each]}; the packaged defaults when path
@@ -358,27 +373,9 @@ def load_budget_sources(path=None) -> tuple[BudgetSource, ...]:
     key or value."""
     if path is None:
         path = package_data("budget_sources.json")
-    data = read_json(path, "budget sources file", ConfigError)
-    try:
-        sources = check_keys(data, ("comment", "sources"), "budget sources",
-                             ConfigError)["sources"]
-        return tuple(_budget_source(entry, "sources[%d]" % j)
-                     for j, entry in enumerate(check_list(sources, "sources",
-                                                          ConfigError)))
-    except ConfigError as exc:
-        raise ConfigError("budget sources file %s: %s" % (path, exc)) from exc
-    except KeyError as exc:
-        raise ConfigError("budget sources file %s: missing key %s"
-                          % (path, exc)) from exc
-
-
-def _budget_source(d, what: str) -> BudgetSource:
-    """The BudgetSource a JSON object of its fields holds."""
-    check_keys(d, BudgetSource._fields, what, ConfigError)
-    for key in BudgetSource._fields:
-        if key not in d and key not in BudgetSource._defaults:
-            raise ConfigError("%s: missing key %r" % (what, key))
-    return BudgetSource(**d)
+    return read_file(path, "budget sources file", ConfigError, lambda data:
+                     read_fields(data, _SOURCES_FILE_SCHEMA, "budget sources",
+                                 ConfigError)["sources"])
 
 
 def uncertainty_budget(stack: LayerStack, wavelength_nm: float = 800.0,

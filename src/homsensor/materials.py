@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (MaterialDataError, WavelengthRangeError, as_numbers,
-                     check_keys, package_data, read_json)
+from .errors import (MaterialDataError, WavelengthRangeError, as_is,
+                     as_numbers, package_data, read_fields, read_file)
 from .records import Record
 
 # ---------------------------------------------------------------------------
@@ -159,13 +159,14 @@ def constant_material(name: str, index) -> Material:
 
 def table_from_dict(d, name: str, what: str, error) -> MaterialTable:
     """The table a JSON object {wavelength_nm, n, k} of number lists holds;
-    error names a bad key or number, or prefixes what to a MaterialTable
-    check that fails; a missing column raises KeyError."""
-    keys = ("wavelength_nm", "n", "k")
-    check_keys(d, keys, what, error)
-    columns = [as_numbers(d[key], what + "." + key, error) for key in keys]
+    error names a bad, unknown or missing key or number, or prefixes what
+    to a MaterialTable check that fails."""
+    def column(value, key):
+        return as_numbers(value, key, error)
+    schema = dict.fromkeys(("wavelength_nm", "n", "k"), (..., column))
+    columns = read_fields(d, schema, what, error, what + ".")
     try:
-        return MaterialTable(*columns, name=name)
+        return MaterialTable(**columns, name=name)
     except MaterialDataError as exc:
         raise error("%s: %s" % (what, exc)) from exc
 
@@ -187,19 +188,13 @@ def gold_jc() -> Material:
     instance is cached; tables are immutable.
     """
     if not _gold_cache:
-        path = package_data("gold_johnson_christy_1972.json")
-        data = read_json(path, "material table file", MaterialDataError)
-        try:
-            check_keys(data, ("comment", "table"), "material table",
-                       MaterialDataError)
-            table = table_from_dict(data["table"],
-                                    "Au (Johnson & Christy 1972)", "table",
-                                    MaterialDataError)
-        except MaterialDataError as exc:
-            raise MaterialDataError("material table file %s: %s"
-                                    % (path, exc)) from exc
-        except KeyError as exc:
-            raise MaterialDataError("material table file %s: missing key %s"
-                                    % (path, exc)) from exc
-        _gold_cache.append(Material(name="Au", table=table))
+        def table(value, what):
+            return table_from_dict(value, "Au (Johnson & Christy 1972)",
+                                   what, MaterialDataError)
+        schema = {"comment": (None, as_is), "table": (..., table)}
+        _gold_cache.append(Material(name="Au", table=read_file(
+            package_data("gold_johnson_christy_1972.json"),
+            "material table file", MaterialDataError,
+            lambda data: read_fields(data, schema, "material table",
+                                     MaterialDataError)["table"])))
     return _gold_cache[0]

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (CalibrationError, MaterialDataError,
-                     StackDefinitionError, UnphysicalPointError,
-                     WavelengthRangeError, as_name, as_number, as_numbers,
-                     check_keys, check_list, or_null, read_json, write_json)
+from .errors import (CalibrationError, StackDefinitionError,
+                     UnphysicalPointError, WavelengthRangeError, as_name,
+                     as_number, as_numbers, check_keys, check_list, or_null,
+                     read_fields, read_file, write_json)
 from .materials import (Material, check_passive_index, constant_material,
                         gold_jc, table_from_dict)
 from .records import Record, replace
@@ -687,7 +687,8 @@ def _material_to_dict(mat: Material, what: str) -> dict:
                       "k": mat.table.k.tolist()}}
 
 
-_number_or_null = or_null(as_number)
+_number_or_null = or_null(
+    lambda value, what: as_number(value, what, StackDefinitionError))
 
 
 def _material_from_dict(d, what: str) -> Material:
@@ -718,11 +719,33 @@ def _material_from_dict(d, what: str) -> Material:
         d["table"], name, what + ".table", StackDefinitionError))
 
 
-def _layer_from_dict(d, what: str) -> Layer:
-    check_keys(d, ("material", "thickness_nm"), what, StackDefinitionError)
-    return Layer(_material_from_dict(d["material"], what + ".material"),
-                 _number_or_null(d["thickness_nm"], what + ".thickness_nm",
-                                 StackDefinitionError))
+_LAYER_SCHEMA = {"material": (..., _material_from_dict),
+                 "thickness_nm": (..., _number_or_null)}
+
+
+def _layers_from_list(value, what: str) -> tuple:
+    return tuple(
+        Layer(**read_fields(d, _LAYER_SCHEMA, "%s[%d]" % (what, j),
+                            StackDefinitionError, "%s[%d]." % (what, j)))
+        for j, d in enumerate(check_list(value, what, StackDefinitionError)))
+
+
+def _sample_layer(value, what: str):
+    if isinstance(value, bool) or not isinstance(value, (int, type(None))):
+        raise StackDefinitionError("%s must be null or of type int, got %r"
+                                   % (what, value))
+    return value
+
+
+def _stack_name(value, what: str) -> str:
+    return as_name(value, what, StackDefinitionError)
+
+
+# the stack_to_dict keys, in the order their checks run
+_STACK_SCHEMA = {"sample_layer": (None, _sample_layer),
+                 "layers": (..., _layers_from_list),
+                 "sample_n": (None, _number_or_null),
+                 "name": ("stack", _stack_name)}
 
 
 def stack_to_dict(stack: LayerStack) -> dict:
@@ -738,7 +761,7 @@ def stack_to_dict(stack: LayerStack) -> dict:
                         % (stack.name, j)),
                     "thickness_nm": _number_or_null(
                         layer.thickness_nm, "stack %r: layer %d thickness_nm"
-                        % (stack.name, j), StackDefinitionError)}
+                        % (stack.name, j))}
                    for j, layer in enumerate(stack.layers)],
     }
 
@@ -749,34 +772,21 @@ def stack_from_dict(d: dict) -> LayerStack:
     errors.as_name, a number errors.as_number (a thickness or sample_n may
     be null).  StackDefinitionError names the key (layers[2].thickness_nm)
     and value."""
-    check_keys(d, ("layers", "name", "sample_layer", "sample_n"), "stack",
-               StackDefinitionError)
-    sample = d.get("sample_layer")
-    if isinstance(sample, bool) or not isinstance(sample, (int, type(None))):
-        raise StackDefinitionError("sample_layer must be null or of type int, "
-                                   "got %r" % (sample,))
-    try:
-        layers = tuple(_layer_from_dict(ld, "layers[%d]" % j) for j, ld in
-                       enumerate(check_list(d["layers"], "layers",
-                                            StackDefinitionError)))
-    except KeyError as exc:
-        raise StackDefinitionError("missing key %s" % (exc,)) from exc
-    return LayerStack(layers=layers, sample_layer=sample,
-                      sample_n=_number_or_null(d.get("sample_n"), "sample_n",
-                                               StackDefinitionError),
-                      name=as_name(d.get("name", "stack"), "name",
-                                   StackDefinitionError))
+    return LayerStack(**read_fields(d, _STACK_SCHEMA, "stack",
+                                    StackDefinitionError))
 
 
 def save_stack(stack: LayerStack, path):
     write_json(path, stack_to_dict(stack))  # validated before the file opens
 
 
-def load_stack(path) -> LayerStack:
+def load_stack(path, check=None) -> LayerStack:
     """Read a stack file; StackDefinitionError names the file and the
-    bad key or value, or the table MaterialTable rejects."""
-    data = read_json(path, "stack file", StackDefinitionError)
-    try:
-        return stack_from_dict(data)
-    except (MaterialDataError, StackDefinitionError) as exc:
-        raise StackDefinitionError("stack file %s: %s" % (path, exc)) from exc
+    bad key or value, the table MaterialTable rejects, or the rule that
+    check(stack), a further rule of the caller's, finds broken."""
+    def read(data):
+        stack = stack_from_dict(data)
+        if check is not None:
+            check(stack)
+        return stack
+    return read_file(path, "stack file", StackDefinitionError, read)

@@ -252,6 +252,17 @@ def test_too_few_points_exits_1(tmp_path, capsys, command, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_short_phase_scan_rejected_at_load(tmp_path, n):
+    """phase_scan_points is a count like n_nodes: fewer than 2 is refused
+    with the config, under phi_ab_policy "fixed" too, before any work."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"phase_scan_points": n}))
+    with pytest.raises(cli.ConfigError, match="^phase scan needs at least 2 "
+                       "points, got %d$" % n):
+        cli.load_config(config, "fisher")
+
+
 def test_nodes_beyond_the_rule_cap_rejected_at_load(tmp_path):
     """The quadrature rule costs n^2 and is checked up to its cap, so a
     larger n_nodes is refused with the config."""
@@ -829,9 +840,9 @@ SPECTRUM_ERRORS = {
                            "profile needs positive carrier wavelength and "
                            "bandwidth"),
     "wide_bandwidth": ({"delta_lambda_nm_list": [200.0]},
-                       "carrier frequency 2.35456e+15 is not above 5 "
-                       "bandwidths 2.94321e+15; the wavepacket would spill "
-                       "into negative frequencies"),
+                       "bandwidth 200 nm is too wide for the carrier 800 nm: "
+                       "it must be below lambda0/5 = 160 nm, or the "
+                       "wavepacket would spill into negative frequencies"),
     "tiny_bandwidth": ({"delta_lambda_nm_list": [1e-300]},
                        "bandwidth 1e-300 nm is below the float resolution "
                        "of the carrier 800 nm: no quadrature interval"),
@@ -870,7 +881,7 @@ def _with_film_table(d, table, name="film"):
 # case: (the fixture's stack description -> file text, the error names)
 MALFORMED_STACKS = {
     "no_layers": (lambda d: json.dumps({"name": d["name"]}),
-                  "missing key 'layers'"),
+                  "stack: missing key 'layers'"),
     "invalid_json": (lambda d: json.dumps(d)[:-2],
                      "is not valid UTF-8 JSON"),
     "not_utf8": (lambda d: json.dumps({**d, "name": "Größe"},
@@ -880,7 +891,7 @@ MALFORMED_STACKS = {
                        "must be a JSON object, got list"),
     "missing_thickness": (lambda d: json.dumps(_with_layer(
         d, 2, {"material": d["layers"][2]["material"]})),
-        "missing key 'thickness_nm'"),
+        "layers[2]: missing key 'thickness_nm'"),
     "string_thickness": (lambda d: json.dumps(_with_layer(
         d, 2, {**d["layers"][2], "thickness_nm": "502.4"})),
         "layers[2].thickness_nm must be a number, got '502.4'"),
@@ -1055,7 +1066,7 @@ def _one_source(**change):
      "'reference_sigma', 's', 'unit'])"),
     ({"sources": [{k: v for k, v in SOURCE.items() if k != "s"}]},
      "sources[0]: missing key 's'"),
-    ({}, "missing key 'sources'"),
+    ({}, "budget sources: missing key 'sources'"),
 ], ids=["zero_divisor", "nan_s", "comma_newline_name", "bool_s_string_divisor",
         "misspelt_divisor", "missing_s", "missing_sources"])
 def test_bad_budget_source_exits_1(tmp_path, capsys, data, names):

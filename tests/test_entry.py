@@ -434,6 +434,35 @@ def test_every_figure_reads_the_one_chain():
     assert defined == []
 
 
+def test_every_json_object_is_read_by_one_reader():
+    """Every JSON object of an input file is read by errors.read_fields
+    and every file's errors named by errors.read_file: no src/homsensor
+    module catches KeyError, no string outside errors writes a
+    `<what> <path>: ` file prefix, and outside errors check_keys is
+    called only by tmm._material_from_dict, whose exactly-one-of rule
+    on builtin, constant and table is not a schema's."""
+    caught, prefixed, checked = [], [], []
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and "KeyError" in {
+                        getattr(sub, "id", None)
+                        for sub in ast.walk(node.type or ast.Pass())}:
+                    caught.append(where)
+                if path.stem != "errors" and isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str) \
+                        and "file %s: " in node.value:
+                    prefixed.append(where)
+                if path.stem != "errors" and isinstance(node, ast.Call) \
+                        and "check_keys" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None)):
+                    checked.append(where)
+    assert caught == []
+    assert prefixed == []
+    assert checked == [("tmm", "_material_from_dict")]
+
+
 def test_no_second_reader_or_locator_is_imported():
     """No src/homsensor module imports csv or importlib.resources: tables
     are JSON, and errors.package_data locates the packaged files.  The

@@ -819,7 +819,8 @@ def test_budget_centre_signal_is_the_click_model(stack, monkeypatch):
     monkeypatch.setattr(estimation, "probe_outcomes", recording)
     uncertainty_budget(stack, n_analyte=1.32)
     (stk, wavelength, theta, n_s, polarization), resp = calls[0]
-    assert (wavelength, theta[-1, 0], n_s[-1, 0], polarization) \
+    assert np.shape(wavelength) == (1, 1)
+    assert (wavelength.item(), theta[-1, 0], n_s[-1, 0], polarization) \
         == (800.0, 70.0, 1.32, "tm")
     assert stk.layers[1].thickness_nm[-1, 0] == sensor_thicknesses(stack)[0]
     clicks = hom_click_distribution(resp.T, resp.R, resp.phi_tr)

@@ -43,7 +43,7 @@ def test_gold_table_row_count_matches_file():
     (lambda t: {**t, "n": ["1.28"] + t["n"][1:]},
      "table.n must be a number, got '1.28'"),
     (lambda t: {"wavelength_nm": t["wavelength_nm"], "n": t["n"]},
-     "missing key 'k'"),
+     "table: missing key 'k'"),
 ], ids=["string_n", "missing_k"])
 def test_bad_gold_file_names_it(tmp_path, monkeypatch, change, names):
     """A packaged gold file that fails the table checks raises
