@@ -62,8 +62,7 @@ from . import __version__
 from .continuum import DEFAULT_NODES, DEFAULT_SPAN, MAX_NODES, \
     continuum_fisher, quadrature_grid, single_frequency
 from .errors import (CalibrationError, ConfigError, HomsensorError,
-                     UnphysicalPointError, as_number, or_null, read_fields,
-                     read_json, write_json)
+                     as_number, or_null, read_fields, read_json, write_json)
 from .estimation import RATIO_FLOOR, defined_ratio, fisher_report, \
     load_budget_sources, phi_ab_scan, precision_bound, uncertainty_budget
 from .quantum_stats import CLAMP_FLOOR, DEFAULT_PHI_AB, DERIV_FLOOR, \
@@ -444,13 +443,15 @@ def _fisher(cfg, stack):
 def _in_blocks(evaluate, n_rows, points_per_row):
     """evaluate(rows) over row slices of at most BLOCK_POINTS points (one
     row at least), each returned array joined on the leading axis; cells
-    are independent, so blocks leave the bytes as they are."""
+    are independent, so blocks leave the bytes as they are.  An error
+    keeps its class and gains its block's grid rows, from whose first
+    row its grid index counts."""
     per_block, parts = max(1, BLOCK_POINTS // points_per_row), []
     for start in range(0, n_rows, per_block):
         try:
             parts.append(evaluate(slice(start, start + per_block)))
-        except UnphysicalPointError as exc:  # its index counts in the block
-            raise UnphysicalPointError("%s (block of grid rows %d..%d)" % (
+        except HomsensorError as exc:  # its grid index counts in the block
+            raise type(exc)("%s (block of grid rows %d..%d)" % (
                 exc, start, min(start + per_block, n_rows) - 1)) from exc
     return tuple(map(np.concatenate, zip(*parts)))
 

@@ -16,11 +16,18 @@ object of those files is read by read_fields, against a schema
 a stack's material object, whose keys are exclusive, calls check_keys
 itself), and every file but the config by read_file, which names the
 file in front of any error its reader raises.
+
+first_bad is the one refusal of an array's bad elements: every check
+of a grid (a splitter point, an index, a wavelength, an angle, a
+thickness, a transfer-matrix entry) names its first flagged cell, in C
+order, with that cell's values and its grid index.
 """
 
 import json
 import math
 import os
+
+import numpy as np
 
 
 class HomsensorError(Exception):
@@ -82,6 +89,19 @@ class UndefinedRatioError(HomsensorError):
 class ConfigError(HomsensorError):
     """Raised for a malformed run configuration or budget-sources file:
     unknown keys, wrong types, missing entries, or empty grids."""
+
+
+def first_bad(bad, error, message, *values):
+    """Raise error(message % values) if the mask bad holds a True: each
+    value, broadcast to bad's shape, taken at the first True cell in C
+    order, and the message followed by " at grid index (i, ...)" unless
+    bad is 0-d."""
+    bad = np.asarray(bad)
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise error(message % tuple(np.broadcast_to(v, bad.shape).item(*index)
+                                    for v in values)
+                    + (" at grid index %s" % (index,) if index else ""))
 
 
 def package_data(name) -> str:

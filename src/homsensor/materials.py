@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (MaterialDataError, WavelengthRangeError, as_is,
-                     as_numbers, package_data, read_fields, read_file)
+                     as_numbers, first_bad, package_data, read_fields,
+                     read_file)
 from .records import Record
 
 # ---------------------------------------------------------------------------
@@ -134,16 +135,14 @@ class Material(Record):
 def check_passive_index(n, subject: str, symbol: str, error) -> np.ndarray:
     """n as a complex array of passive indices: finite, then Re(n) > 0,
     then Im(n) >= 0; error names subject (its index written symbol), the
-    first rule broken and the first value breaking it."""
+    first rule broken and, through errors.first_bad, the first value
+    breaking it and its grid index."""
     n = np.asarray(n, dtype=complex)
-    for bad, rule, part in (
-            (~np.isfinite(n), "{0} must be finite", n),
-            (n.real <= 0.0, "{0}: Re({1}) must be positive", n.real),
-            (n.imag < 0.0, "{0}: Im({1}) must be >= 0 (passive medium)",
-             n.imag)):
-        if np.any(bad):
-            raise error((rule + ", got {2!r}").format(
-                subject, symbol, part[bad][0].item()))
+    first_bad(~np.isfinite(n), error, "%s must be finite, got %r", subject, n)
+    first_bad(n.real <= 0.0, error, "%s: Re(%s) must be positive, got %r",
+              subject, symbol, n.real)
+    first_bad(n.imag < 0.0, error, "%s: Im(%s) must be >= 0 (passive "
+              "medium), got %r", subject, symbol, n.imag)
     return n
 
 

@@ -68,7 +68,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, UnphysicalPointError
+from .errors import ConfigError, UnphysicalPointError, first_bad
 from .records import Record
 from .tmm import NS_STEP, StackResponse
 
@@ -85,39 +85,31 @@ DEAD_INFO_SHARE = 1e-9    # warn when skipped outcomes hide this share of I
 # splitter operating point
 # ---------------------------------------------------------------------------
 
-def _first_bad(bad, message, values):
-    """Raise UnphysicalPointError for the first flagged grid cell."""
-    if not np.any(bad):
-        return
-    index = tuple(int(i) for i in np.argwhere(bad)[0])
-    where = " at grid index %s" % (index,) if index else ""
-    raise UnphysicalPointError(
-        message % tuple(float(v[index]) for v in values) + where)
-
-
 def validate_points(T, R, phi_tr):
     """Check every splitter point (T, R, phi_tr) of a broadcast grid:
     finite, T, R >= 0 and passive (the module docstring's bound), within
     PHYSICALITY_TOL.  Returns the float arrays (T, R, phi_tr) with T, R
-    clamped to [0, 1]; raises UnphysicalPointError naming the first
-    offending grid index.
+    clamped to [0, 1]; raises UnphysicalPointError through
+    errors.first_bad, which names the first offending grid index.
     """
     T, R, phi = np.broadcast_arrays(np.asarray(T, dtype=float),
                                     np.asarray(R, dtype=float),
                                     np.asarray(phi_tr, dtype=float))
-    _first_bad(~(np.isfinite(T) & np.isfinite(R) & np.isfinite(phi)),
-               "non-finite splitter point (T, R, phi_tr) = (%r, %r, %r)",
-               (T, R, phi))
-    _first_bad((T < -PHYSICALITY_TOL) | (R < -PHYSICALITY_TOL),
-               "negative power coefficient: T=%r, R=%r", (T, R))
+    first_bad(~(np.isfinite(T) & np.isfinite(R) & np.isfinite(phi)),
+              UnphysicalPointError,
+              "non-finite splitter point (T, R, phi_tr) = (%r, %r, %r)",
+              T, R, phi)
+    first_bad((T < -PHYSICALITY_TOL) | (R < -PHYSICALITY_TOL),
+              UnphysicalPointError, "negative power coefficient: T=%r, R=%r",
+              T, R)
     T = np.clip(T, 0.0, 1.0)
     R = np.clip(R, 0.0, 1.0)
     # largest squared singular value |t +/- r|^2 of [[t, r], [r, t]]
     s_sq = T + R + 2.0 * np.sqrt(T * R) * np.abs(np.cos(phi))
-    _first_bad(s_sq > 1.0 + PHYSICALITY_TOL,
-               "splitter point is not passive: largest squared singular "
-               "value %.12g > 1 at T=%.6g, R=%.6g, phi_tr=%.6g",
-               (s_sq, T, R, phi))
+    first_bad(s_sq > 1.0 + PHYSICALITY_TOL, UnphysicalPointError,
+              "splitter point is not passive: largest squared singular "
+              "value %.12g > 1 at T=%.6g, R=%.6g, phi_tr=%.6g",
+              s_sq, T, R, phi)
     return T, R, phi
 
 
@@ -136,8 +128,8 @@ def _clamp_probability(p, what: str):
     """Zero out float noise in [-1e-12, 0) of an array of outcomes;
     reject anything more negative."""
     p = np.asarray(p, dtype=float)
-    _first_bad(p < CLAMP_FLOOR, what + " = %.6g is negative beyond tolerance",
-               (p,))
+    first_bad(p < CLAMP_FLOOR, UnphysicalPointError,
+              what + " = %.6g is negative beyond tolerance", p)
     return np.maximum(p, 0.0)
 
 
@@ -148,15 +140,16 @@ def validate_distribution(p, what: str):
     Every probability must be finite and is clamped by
     _clamp_probability, and every distribution must sum to 1 within
     1e-9.  Returns the clamped float array; raises UnphysicalPointError
-    naming the first offending grid index (for a non-finite or clamped
-    entry, the outcome index too).
+    through errors.first_bad, which names the first offending grid index
+    (for a non-finite or clamped entry, the outcome index too).
     """
     p = np.asarray(p, dtype=float)
-    _first_bad(~np.isfinite(p), what + " probability %r is not finite", (p,))
+    first_bad(~np.isfinite(p), UnphysicalPointError,
+              what + " probability %r is not finite", p)
     p = _clamp_probability(p, what + " probability")
     total = np.sum(p, axis=-1)
-    _first_bad(np.abs(total - 1.0) > 1e-9,
-               what + " probabilities sum to %.17g, not 1", (total,))
+    first_bad(np.abs(total - 1.0) > 1e-9, UnphysicalPointError,
+              what + " probabilities sum to %.17g, not 1", total)
     return p
 
 

@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import (CalibrationError, StackDefinitionError,
                      UnphysicalPointError, WavelengthRangeError, as_name,
-                     as_number, as_numbers, check_keys, check_list, or_null,
-                     read_fields, read_file, write_json)
+                     as_number, as_numbers, check_keys, check_list, first_bad,
+                     or_null, read_fields, read_file, write_json)
 from .materials import (Material, check_passive_index, constant_material,
                         gold_jc, table_from_dict)
 from .records import Record, replace
@@ -116,15 +116,14 @@ class LayerStack(Record):
                     % (self.name, j))
             if not terminal:
                 d = layer.thickness_nm
-                if d is None or not np.all(np.isfinite(d)) \
-                        or np.any(np.asarray(d) < 0.0):
-                    flat = np.ravel(np.asarray(d, dtype=float))
-                    bad = flat[~(np.isfinite(flat) & (flat >= 0.0))][0]
-                    raise StackDefinitionError(
-                        "stack %r: interior layer %d (%s) needs a finite "
-                        "thickness >= 0, got %s" % (
-                            self.name, j, layer.material.name,
-                            d if d is None else "%.6g" % bad))
+                got = ("stack %r: interior layer %d (%s) needs a finite "
+                       "thickness >= 0, got ")
+                if d is None:
+                    raise StackDefinitionError((got + "None") % (
+                        self.name, j, layer.material.name))
+                d = np.asarray(d, dtype=float)
+                first_bad(~(np.isfinite(d) & (d >= 0.0)), StackDefinitionError,
+                          got + "%.6g", self.name, j, layer.material.name, d)
         if self.sample_layer is not None:
             if not (0 < self.sample_layer < len(layers) - 1):
                 raise StackDefinitionError(
@@ -176,15 +175,21 @@ def make_sensor_stack() -> LayerStack:
 
 def sensor_thicknesses(stack: LayerStack) -> tuple[float, float]:
     """(d_metal_nm, d_sample_nm) of a make_sensor_stack layout whose two
-    films are equal records (one material and thickness): the mirror
-    symmetry, S = [[t, r], [r, t]], that every outcome model assumes."""
+    half-spaces and two films are equal records (one material and
+    thickness): the mirror symmetry, S = [[t, r], [r, t]], that every
+    outcome model assumes."""
     if stack.n_layers != 5 or stack.sample_layer != 2:
         raise StackDefinitionError(
             "stack %r has %d layers with sample_layer=%r; expected the "
             "5-layer dual-film geometry (half-space | film | sample | film "
             "| half-space) with sample_layer=2"
             % (stack.name, stack.n_layers, stack.sample_layer))
-    _, film, _, other, _ = stack.layers
+    entrance, film, _, other, exit_ = stack.layers
+    if entrance != exit_:
+        raise StackDefinitionError(
+            "stack %r is not mirror-symmetric: half-space 0 (%r) and "
+            "half-space 4 (%r) differ in material" % (
+                stack.name, entrance.material.name, exit_.material.name))
     if film != other:
         raise StackDefinitionError(
             "stack %r is not mirror-symmetric: film 1 (%s nm of %r) and "
@@ -257,10 +262,9 @@ def fresnel(n_a, n_b, cos_a, cos_b, polarization: str = "tm"):
     else:
         near, far = n_a * cos_a, n_b * cos_b
     denom = near + far
-    if np.any(np.abs(denom) < 1e-300):
-        raise UnphysicalPointError(
-            "degenerate %s interface: Fresnel denominator = 0"
-            % polarization.upper())
+    first_bad(np.abs(denom) < 1e-300, UnphysicalPointError,
+              "degenerate %s interface: Fresnel denominator = 0",
+              polarization.upper())
     r = near - far
     del near, far  # before the divisions, which need only denom
     r = r / denom
@@ -274,24 +278,6 @@ def _flux_factor(n, c, polarization):
     return (n * c).real
 
 
-def _check_wavelength(lam):
-    """Every wavelength is positive (a table's window does not catch 0
-    or a negative wavelength on a stack of constant media)."""
-    bad = ~(lam > 0.0)
-    if np.any(bad):
-        raise WavelengthRangeError(
-            "wavelength must be positive, got %.6g nm" % (lam[bad][0],))
-
-
-def _check_theta(theta_deg):
-    """Every angle lies in [0, 90) degrees; a NaN lies nowhere."""
-    th = np.asarray(theta_deg, dtype=float)
-    bad = ~((th >= 0.0) & (th < 90.0))
-    if np.any(bad):
-        raise StackDefinitionError("incidence angle must satisfy 0 <= theta "
-                                   "< 90 degrees, got %.6g" % (th[bad][0],))
-
-
 def _phase_factor(n, cos, d, lam, layer):
     """e^{-i delta}, delta = 2 pi n cos d / lam, of one layer; its
     modulus e^{Im delta} >= 1 bounds e^{+i delta}'s, so where it is
@@ -303,14 +289,10 @@ def _phase_factor(n, cos, d, lam, layer):
     with np.errstate(over="ignore", invalid="ignore"):
         delta = 2.0 * np.pi * n * cos * d / lam
         em = np.exp(-1j * delta)
-    bad = ~np.isfinite(em)
-    if np.any(bad):
-        d, lam = (float(np.broadcast_to(x, bad.shape)[bad][0])
-                  for x in (d, lam))
-        raise WavelengthRangeError(
-            "layer %d (thickness %r nm) is too thick for wavelength %r nm in "
-            "the transfer-matrix form: its decay factor overflows"
-            % (layer, d, lam))
+    first_bad(~np.isfinite(em), WavelengthRangeError,
+              "layer %d (thickness %r nm) is too thick for wavelength %r nm "
+              "in the transfer-matrix form: its decay factor overflows",
+              layer, np.asarray(d, dtype=float), lam)
     return delta, em
 
 
@@ -348,11 +330,14 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     does.  n_s replaces the index of the stack's sample layer
     (defaulting to the stored sample_n) and must be omitted when the
     stack has no sample layer.  t = 1/M11, r = M21/M11 of the total
-    transfer matrix.  A NaN or out-of-range angle or sample index, or an
-    angle so close to 90 degrees that the entrance cosine rounds to 0,
-    raises StackDefinitionError, and a layer whose phase factor
-    overflows at a wavelength raises WavelengthRangeError, before numpy
-    warns.
+    transfer matrix.  Every refusal names its first bad grid cell
+    through errors.first_bad, before numpy warns: a NaN or out-of-range
+    angle or sample index, or an angle so close to 90 degrees that the
+    entrance cosine rounds to 0, raises StackDefinitionError; a
+    wavelength that is not positive, or a layer whose phase factor
+    overflows at a wavelength, raises WavelengthRangeError; a degenerate
+    Fresnel denominator or a singular transfer matrix (M11 = 0) raises
+    UnphysicalPointError.
 
     Each layer is evaluated on the shape of its own inputs (a fixed
     layer on wavelength x angle, widened only by its own thickness);
@@ -368,12 +353,18 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
     for bit.
     """
     _check_polarization(polarization)
-    _check_theta(theta_deg)
+    theta = np.asarray(theta_deg, dtype=float)
+    first_bad(~((theta >= 0.0) & (theta < 90.0)), StackDefinitionError,
+              "incidence angle must satisfy 0 <= theta < 90 degrees, got "
+              "%.6g", theta)
     n_s = _resolve_ns(stack, n_s)
 
     lam = np.asarray(wavelength_nm, dtype=float)
-    _check_wavelength(lam)
-    th = np.radians(np.asarray(theta_deg, dtype=float))
+    # a table's window does not catch 0 or a negative wavelength on a
+    # stack of constant media
+    first_bad(~(lam > 0.0), WavelengthRangeError,
+              "wavelength must be positive, got %.6g nm", lam)
+    th = np.radians(theta)
     ns = None if n_s is None else check_passive_index(
         n_s, "sample index", "n_s", StackDefinitionError)
 
@@ -385,12 +376,9 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
         *(np.shape(layer.thickness_nm) for layer in stack.layers[1:-1]))
     n0_sin = n_list[0] * np.sin(th)
     cos_list = [_cosines_from_indices(nj, n0_sin) for nj in n_list]
-    grazing = cos_list[0] == 0.0
-    if np.any(grazing):
-        raise StackDefinitionError(
-            "incidence angle %r degrees is grazing: its entrance cosine "
-            "rounds to 0" % (float(np.broadcast_to(
-                theta_deg, grazing.shape)[grazing][0]),))
+    first_bad(cos_list[0] == 0.0, StackDefinitionError,
+              "incidence angle %r degrees is grazing: its entrance cosine "
+              "rounds to 0", theta)
 
     def interface(j):
         """(1/t, r/t) of the B matrix (1/t) [[1, r], [r, 1]] of j|j+1."""
@@ -430,10 +418,9 @@ def stack_response(stack: LayerStack, wavelength_nm, theta_deg, n_s=None,
         del row, b11, b12
     del m12, m22
 
-    if np.any(m11 == 0.0):
-        raise UnphysicalPointError(
-            "transfer matrix is singular (M11 = 0): resonance pole, not "
-            "reachable for passive stacks at real frequency")
+    first_bad(m11 == 0.0, UnphysicalPointError,
+              "transfer matrix is singular (M11 = 0): resonance pole, not "
+              "reachable for passive stacks at real frequency")
     t = 1.0 / m11
     r = m21 / m11
     del m11, m21

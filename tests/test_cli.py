@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from homsensor import __version__, cli, continuum, estimation, tmm
+from homsensor.errors import CalibrationError
 from homsensor.estimation import RATIO_FLOOR
 from homsensor.materials import Material, constant_material
 from homsensor.quantum_stats import CLAMP_FLOOR, DERIV_FLOOR, ZERO_PROB_FLOOR
@@ -514,6 +515,37 @@ def test_unphysical_point_names_its_block_rows(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_stack_error_names_its_block_rows(tmp_path, monkeypatch, capsys):
+    """Any package error in a block names that block's grid rows and its
+    cell counted from the block's first row: here n_s = 0 at row 3 (set
+    after the config's increasing-grid check), the second cell of the
+    second block; exit 1, no output."""
+    original = cli.grid_values
+    monkeypatch.setattr(cli, "grid_values", lambda grid: np.where(
+        original(grid) > 1.315, 0.0, original(grid)))
+    monkeypatch.setattr(cli, "BLOCK_POINTS", 2 * 2)
+    extra, _, _ = GRID_RUNS["continuum"]
+    code, out = _run(tmp_path, "continuum", {"stack_path": str(FIXTURE_STACK),
+                                             **extra})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: sample index: Re(n_s) must be positive, got 0.0 at grid "
+        "index (1,) (block of grid rows 2..3)\n")
+    assert not out.exists()
+
+
+def test_block_error_keeps_its_class():
+    """The block rows are added to the error it raised, of the same class,
+    so its exit code does not move (2 for a calibration failure)."""
+    def fail(block):
+        raise CalibrationError("no balanced point")
+
+    with pytest.raises(CalibrationError) as info:
+        cli._in_blocks(fail, 5, cli.BLOCK_POINTS)
+    assert type(info.value) is CalibrationError
+    assert str(info.value) == "no balanced point (block of grid rows 0..0)"
+
+
 def test_write_csv_formats_every_cell_kind(tmp_path):
     """Each column takes the one format of its dtype kind, whether it is
     an array or a list; a column of another kind, or columns of
@@ -742,11 +774,13 @@ def test_config_size_at_the_limit_loads(tmp_path):
 
 
 @pytest.mark.parametrize("command, cfg, value", [
-    ("coincidence", {"n_s_grid": [-1.3]}, "-1.3"),
+    ("coincidence", {"n_s_grid": [-1.3]}, "-1.3 at grid index (0,)"),
     ("budget", {"n_analyte": -1.0}, "-1.0"),
-    ("fisher", {"n_s_grid": [-1.3]}, "-1.3"),
-    ("map", {"n_s_grid": [-1.3]}, "-1.3"),
-    ("continuum", {"n_s_grid": [-1.3]}, "-1.3"),
+    ("fisher", {"n_s_grid": [-1.3]}, "-1.3 at grid index (0,)"),
+    ("map", {"n_s_grid": [-1.3]},
+     "-1.3 at grid index (0,) (block of grid rows 0..40)"),
+    ("continuum", {"n_s_grid": [-1.3]},
+     "-1.3 at grid index (0,) (block of grid rows 0..0)"),
     ("fisher", {"phi_ab_policy": "scan", "phase_scan_ns": -1.3}, "-1.3"),
 ], ids=["coincidence", "budget", "fisher", "map", "continuum",
         "phase_scan_ns"])
@@ -754,7 +788,8 @@ def test_nonpositive_sample_index_exits_1(tmp_path, capsys, command, cfg,
                                           value):
     """stack_response is even in n_s, so -1.3 would be written with the
     physics of +1.3: one error line names the configured value, not
-    that of a stencil row."""
+    that of a stencil row, and an index grid's cell (a scalar one has
+    no index)."""
     code, out = _run(tmp_path, command,
                      {"stack_path": str(FIXTURE_STACK), **cfg})
     assert code == 1
@@ -772,13 +807,13 @@ WAVELENGTH_ERRORS = [
                  "wavelength must be positive, got -800 nm",
                  id="spectrum_negative"),
     pytest.param("fisher", {"wavelength_nm": -800},
-                 "wavelength must be positive, got -800 nm",
-                 id="fisher_negative"),
+                 "wavelength must be positive, got -800 nm at grid index "
+                 "(0, 0)", id="fisher_negative"),
     # every phase overflows: refused before numpy could warn
     pytest.param("spectrum", {"wavelength_nm": 1e-320},
                  "layer 1 (thickness 50.0 nm) is too thick for wavelength "
                  "1e-320 nm in the transfer-matrix form: its decay factor "
-                 "overflows", id="spectrum_subnormal"),
+                 "overflows at grid index (0,)", id="spectrum_subnormal"),
     pytest.param("continuum", {"wavelength_nm": 1e160, "n_s_grid": [1.31],
                                "n_nodes": 5},
                  "profile carrier wavelength 1e+160 nm is out of range: its "
@@ -810,7 +845,7 @@ def test_out_of_table_wavelength_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: material 'Au (Johnson & Christy 1972)' tabulated on "
         "[187.855, 1937.253] nm, requested wavelength(s) reach "
-        "[1e+160, 1e+160] nm\n")
+        "[1e+160, 1e+160] nm (block of grid rows 0..0)\n")
     assert not out.exists()
 
 
@@ -825,7 +860,7 @@ def test_grazing_angle_exits_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "error: incidence angle 89.99999999 degrees is grazing: its "
-        "entrance cosine rounds to 0\n")
+        "entrance cosine rounds to 0 at grid index (1,)\n")
     assert not out.exists()
 
 
@@ -864,6 +899,24 @@ def test_nonpositive_span_exits_1(tmp_path, capsys, case):
         **extra})
     assert code == 1
     assert capsys.readouterr().err == "error: %s\n" % (message,)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "coincidence", "fisher"])
+def test_unequal_half_spaces_exit_1(tmp_path, capsys, command):
+    """The outcome models assume a mirror-symmetric splitter: a fixture
+    whose exit prism has another index is refused before any response,
+    naming the file and the half-spaces."""
+    d = json.loads(FIXTURE_STACK.read_text())
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(_with_layer(d, 4, {
+        **d["layers"][4], "material": {"constant": [1.7, 0]}})))
+    code, out = _run(tmp_path, command, {"stack_path": str(path)})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: stack file %s: stack 'dual_film_sensor' is not "
+        "mirror-symmetric: half-space 0 ('prism') and half-space 4 "
+        "('constant') differ in material\n" % path)
     assert not out.exists()
 
 

@@ -254,6 +254,24 @@ def test_json_is_written_by_one_writer():
     assert _json_uses(("dump",)) == [("errors", "write_json")]
 
 
+def test_bad_cells_are_named_by_one_rule():
+    """Every check of an array names its first bad cell through
+    errors.first_bad: outside errors no src/homsensor module names
+    np.argwhere, and no module defines or names one of the retired
+    per-module refusals."""
+    retired = {"_first_bad", "_check_theta", "_check_wavelength"}
+    found = []
+    for path in sorted((SRC / "homsensor").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.FunctionDef)
+                    else None)
+            if name in retired or name == "argwhere" and path.stem != "errors":
+                found.append((path.stem, node.lineno, name))
+    assert found == []
+
+
 def test_outcome_models_are_read_through_one_table():
     """Outside quantum_stats, no src/homsensor module names a raw outcome
     model; every information figure reads them through

@@ -1,11 +1,14 @@
-"""The one reader of JSON objects and files (homsensor.errors)."""
+"""The one reader of JSON objects and files and the one refusal of an
+array's first bad cell (homsensor.errors)."""
 
 import json
 
+import numpy as np
 import pytest
 
-from homsensor.errors import (ConfigError, StackDefinitionError, as_number,
-                              read_fields, read_file)
+from homsensor.errors import (CalibrationError, ConfigError,
+                              StackDefinitionError, UnphysicalPointError,
+                              as_number, first_bad, read_fields, read_file)
 
 
 def _number(value, name):
@@ -86,3 +89,35 @@ def test_invalid_json_names_the_file(tmp_path):
     with pytest.raises(ConfigError,
                        match="^grid file .* is not valid UTF-8 JSON"):
         read_file(path, "grid file", ConfigError, lambda data: data)
+
+
+def test_clean_mask_raises_nothing():
+    assert first_bad(np.zeros((2, 3), dtype=bool), ConfigError,
+                     "got %r", np.ones((2, 3))) is None
+
+
+def test_scalar_mask_has_no_grid_index():
+    with pytest.raises(ConfigError, match=r"^got -2\.5 nm$"):
+        first_bad(np.float64(-2.5) < 0.0, ConfigError, "got %r nm", -2.5)
+
+
+def test_grid_mask_names_its_first_cell_in_c_order():
+    """The first True cell in C order, (0, 2) before (1, 0), names the
+    index and its values; a scalar and a lower-rank array are broadcast
+    to the mask first."""
+    bad = np.array([[False, False, True], [True, False, False]])
+    cell = np.arange(6.0).reshape(2, 3)
+    with pytest.raises(ConfigError) as info:
+        first_bad(bad, ConfigError, "cell %r, layer %d of %r, column %r",
+                  cell, 4, "film", np.array([10.0, 20.0, 30.0]))
+    assert str(info.value) \
+        == "cell 2.0, layer 4 of 'film', column 30.0 at grid index (0, 2)"
+
+
+@pytest.mark.parametrize("error", [ConfigError, StackDefinitionError,
+                                   UnphysicalPointError, CalibrationError])
+def test_first_bad_raises_the_callers_class(error):
+    with pytest.raises(error) as info:
+        first_bad([False, True], error, "bad")
+    assert type(info.value) is error
+    assert str(info.value) == "bad at grid index (1,)"

@@ -113,10 +113,12 @@ def test_passive_index_rule_names_the_first_offending_value(error):
     a non-finite value before Re <= 0 before Im < 0, each message naming
     the first value that breaks the first rule broken."""
     cases = {
-        "x must be finite, got (nan+0j)": [1.5 - 1j, -2.0, math.nan, math.inf],
-        "x: Re(n) must be positive, got -2.0": [1.5 - 1j, -2.0, 0.0],
-        "x: Im(n) must be >= 0 (passive medium), got -1.0":
-            [1.5, 1.5 - 1j, 1.5 - 2j],
+        "x must be finite, got (nan+0j) at grid index (2,)":
+            [1.5 - 1j, -2.0, math.nan, math.inf],
+        "x: Re(n) must be positive, got -2.0 at grid index (1,)":
+            [1.5 - 1j, -2.0, 0.0],
+        "x: Im(n) must be >= 0 (passive medium), got -1.0 at grid index "
+        "(1,)": [1.5, 1.5 - 1j, 1.5 - 2j],
     }
     for message, values in cases.items():
         with pytest.raises(error) as info:

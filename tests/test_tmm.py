@@ -162,11 +162,13 @@ def test_propagation_negative_thickness_rejected():
 
 def test_bad_thickness_names_the_layer_and_its_first_bad_value():
     """The refusal names the layer, its material and the first element
-    that is not finite and >= 0, with %.6g: one line, not an array repr."""
+    that is not finite and >= 0, with %.6g, and its grid index: one
+    line, not an array repr.  A missing thickness is named None."""
     d = np.zeros(1000)
     d[[5, 7]] = (-1e-4, np.nan)
-    for value, shown in ((d, "-0.0001"), (None, "None"),
-                         (np.array([[np.inf]]), "inf")):
+    for value, shown in ((d, "-0.0001 at grid index (5,)"), (None, "None"),
+                         (np.array([[np.inf]]), "inf at grid index (0, 0)"),
+                         (-2.0, "-2")):
         with pytest.raises(StackDefinitionError, match="^%s$" % re.escape(
                 "stack 'stack': interior layer 1 (mid) needs a finite "
                 "thickness >= 0, got " + shown)):
@@ -496,10 +498,12 @@ def test_theta_and_polarization_validation(stack):
      r"degrees is grazing: its entrance cosine rounds to 0"),
     # an angle outside [0, 90) is named, the first of an array's
     (math.nan, 1.31, r"0 <= theta < 90 degrees, got nan$"),
-    (np.array([70.0, math.nan, -1.0]), 1.31, r"90 degrees, got nan$"),
+    (np.array([70.0, math.nan, -1.0]), 1.31,
+     r"90 degrees, got nan at grid index \(1,\)$"),
     (95.0, 1.31, r"0 <= theta < 90 degrees, got 95$"),
     (-1.0, 1.31, r"0 <= theta < 90 degrees, got -1$"),
-    (np.array([70.0, -1.0, 95.0]), 1.31, r"90 degrees, got -1$"),
+    (np.array([70.0, -1.0, 95.0]), 1.31,
+     r"90 degrees, got -1 at grid index \(1,\)$"),
 ])
 def test_nan_or_gain_inputs_are_rejected(stack, theta, n_s, message):
     """A NaN or out-of-range angle or index, or a gain-medium index
@@ -865,6 +869,19 @@ def test_calibration_requires_mirror_symmetry(film):
                        sample_layer=2, sample_n=1.31)
     with pytest.raises(StackDefinitionError, match="not mirror-symmetric"):
         calibrate_stack(stack)
+
+
+def test_sensor_thicknesses_requires_equal_half_spaces():
+    """S = [[t, r], [r, t]] needs the two prisms alike too: an exit
+    half-space of another index is refused, naming both half-spaces."""
+    prism, metal, gap, film, _ = make_sensor_stack().layers
+    stack = LayerStack(layers=(prism, metal, gap, film,
+                               Layer(constant_material("exit", 1.7))),
+                       sample_layer=2, sample_n=1.31)
+    with pytest.raises(StackDefinitionError, match=re.escape(
+            "stack 'stack' is not mirror-symmetric: half-space 0 ('prism') "
+            "and half-space 4 ('exit') differ in material")):
+        sensor_thicknesses(stack)
 
 
 def test_sensor_films_compare_by_description():
